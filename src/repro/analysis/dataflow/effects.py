@@ -2,12 +2,12 @@
 
 The sweep engine's content-addressed :class:`~repro.sweep.cache.RunCache`
 is only sound if a cacheable task is a *pure function* of its arguments,
-and the hot-path object caches (``cached_scheme`` / ``layout_for`` /
-``combination_plan`` / ``_axis_resample_weights``) are only sound if the
-shared instances they hand out never escape into mutable long-lived
-state.  Both cache-safety rules need the same ingredient: per-function
-*effect summaries* solved over the module-local call graph, exactly like
-ULF010's ``syncs``/``writes_unsynced`` pass but over a richer lattice.
+and the hot-path object caches (``cached_scheme`` / ``layout_for``)
+are only sound if the shared instances they hand out never escape into
+mutable long-lived state.  Both cache-safety rules need the same
+ingredient: per-function *effect summaries* solved over the module-local
+call graph, exactly like ULF010's ``syncs``/``writes_unsynced`` pass but
+over a richer lattice.
 
 :class:`EffectsStore` computes, in two phases:
 
@@ -60,10 +60,7 @@ EFFECT_KINDS = ("global_write", "io", "rng", "clock", "shared_return")
 #: callables whose results are shared cached instances: mutating or
 #: leaking one corrupts every later consumer of the same cache entry
 #: (see docs/performance.md, "Cache-safety contracts" in docs/analysis.md)
-FROZEN_PROVIDERS = frozenset({
-    "cached_scheme", "layout_for", "combination_plan", "CombinationPlan",
-    "_axis_resample_weights", "_resample_op", "_plan",
-})
+FROZEN_PROVIDERS = frozenset({"cached_scheme", "layout_for"})
 
 #: plain-name calls that touch the filesystem
 _IO_NAME_CALLS = frozenset({"open"})

@@ -2,9 +2,8 @@
 
 ``RunCache.get`` hands out owned copies precisely so callers can do
 anything with a hit; the object caches (``cached_scheme`` /
-``layout_for`` / ``combination_plan`` / ``_axis_resample_weights``) do
-the opposite — they hand out *the* shared instance and rely on callers
-treating it as immutable and transient.  That contract breaks quietly
+``layout_for``) do the opposite — they hand out *the* shared instance
+and rely on callers treating it as immutable and transient.  That contract breaks quietly
 when a shared reference **escapes** into long-lived mutable state: once
 stored in ``self.something`` or a module-level container, the shared
 object outlives the call and any later mutation (or cache eviction
@@ -25,9 +24,9 @@ Sinks (flagged at the statement):
 * storing a shared/view reference — or a provider call's result
   directly — into a long-lived container: an attribute/subscript of
   ``self``, a ``global``-declared name, or a module-level name
-  (``self.plan = combination_plan(...)``, ``_SEEN[k] = scheme``,
-  ``self.rows.append(wx)``);
-* **returning a view** (``return wx[0]``) — the caller receives an
+  (``self.layout = layout_for(...)``, ``_SEEN[k] = scheme``,
+  ``self.rows.append(scheme)``);
+* **returning a view** (``return shared[0]``) — the caller receives an
   unowned window into the cache's buffer.
 
 Returning the *whole* shared object is deliberately allowed: a function

@@ -1,11 +1,11 @@
 """Frozen-state typestate: mutation of shared cached objects (ULF011).
 
 The hot-path caches hand every caller the *same* instance:
-``cached_scheme``/``layout_for``/``combination_plan`` are
-``lru_cache``-memoised, and ``_axis_resample_weights`` returns index/
-weight arrays frozen with ``arr.flags.writeable = False`` (see
+``cached_scheme``/``layout_for`` are ``lru_cache``-memoised, and a
+``copy=False`` send hands its receiver views frozen with
+``arr.flags.writeable = False`` (``freeze_payload``; see
 docs/performance.md).  Mutating one of those objects corrupts every
-later consumer of the same cache entry — the static twin of the
+other holder of the same instance — the static twin of the
 disk-aliasing corruption the checkpoint layer guards against
 dynamically.
 

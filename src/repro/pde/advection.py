@@ -82,7 +82,7 @@ class AdvectionProblem:
                       dt: float, *, out: np.ndarray = None,
                       work: np.ndarray = None,
                       scratch: np.ndarray = None) -> np.ndarray:
-        """One periodic step; bit-identical with or without buffers.
+        """One periodic step (the same kernel with or without buffers).
 
         When ``out``/``work``/``scratch`` are given (shapes ``u.shape``,
         ``u.shape + 2`` and ``u.shape``), the step allocates nothing and
@@ -104,8 +104,8 @@ class AdvectionProblem:
         ``transposed=True`` means the block's axis 0 is the physical y
         axis (the slab solver decomposing along y presents its data
         transposed), so the two Courant numbers swap roles.  With
-        ``out``/``scratch`` (interior-shaped) the update is allocation-free
-        and bit-identical to the expression kernel.
+        ``out``/``scratch`` (interior-shaped) the update is allocation-free;
+        without them the same kernel runs on fresh buffers.
         """
         cx, cy = self._courant(level_x, level_y, dt)
         if transposed:

@@ -27,10 +27,10 @@ until ``?retry=1`` resubmits it.
 
 Experiment documents are deterministic — they embed no wall-clock or
 worker-count params — and are persisted in the same shared store as the
-individual runs, keyed by a content fingerprint of ``(name, quick,
-schema version)``: a warm document survives restarts, and a cold
-document's underlying runs are themselves cached, fleet-wide, so even a
-"cold" document after a restart only re-aggregates warm runs.
+individual runs, keyed by a content fingerprint of ``(results epoch,
+name, quick, schema version)``: a warm document survives restarts, and
+a cold document's underlying runs are themselves cached, fleet-wide, so
+even a "cold" document after a restart only re-aggregates warm runs.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ class ServiceState:
         """Content key of one experiment document (the unit the queue
         coalesces on and the store persists)."""
         from ..obs.schema import EXPERIMENT_SCHEMA_VERSION
-        from ..sweep.cache import fingerprint
-        return fingerprint(("experiment-doc", name, bool(quick),
-                            EXPERIMENT_SCHEMA_VERSION))
+        from ..sweep.cache import RESULTS_EPOCH, fingerprint
+        return fingerprint(("experiment-doc", RESULTS_EPOCH, name,
+                            bool(quick), EXPERIMENT_SCHEMA_VERSION))
 
     def _compute_experiment(self, name: str, quick: bool, key: str):
         """The job body: run the experiment through the shared cache and

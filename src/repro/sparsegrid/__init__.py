@@ -4,9 +4,8 @@ from .coefficients import (classic_coefficients, coefficient_support_ok,
                            dominates, downset, downset_coefficients,
                            is_downset, maximal_elements, meet,
                            truncated_coefficients)
-from .combine import (CombinationPlan, clear_plan_caches,
-                      combination_interpolant, combination_plan,
-                      combine_nodal, combine_nodal_reference)
+from .combine import (combination_interpolant, combine_nodal,
+                      combine_nodal_reference)
 from .gcp import (RecoveryInfeasibleError, alternate_coefficients,
                   alternate_coefficients_for, scheme_floor, survivors)
 from .hierarchy import (combination_at_points, full_grid_point_count,
@@ -27,7 +26,6 @@ __all__ = [
     "alternate_coefficients", "alternate_coefficients_for",
     "scheme_floor", "survivors", "RecoveryInfeasibleError",
     "combine_nodal", "combine_nodal_reference", "combination_interpolant",
-    "CombinationPlan", "combination_plan", "clear_plan_caches",
     "union_points", "union_point_count", "full_grid_point_count",
     "hierarchical_surplus_1d", "combination_at_points",
     "resample", "nodal_of", "axis_points",

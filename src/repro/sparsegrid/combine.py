@@ -1,145 +1,45 @@
 """Serial combination of sub-grid solutions onto a target grid.
 
-The combination is a hot path: every run ends in `combine_nodal`, and a
-sweep executes thousands of runs whose combinations share the same
-``(source indices, target)`` shape.  :class:`CombinationPlan` therefore
-precomputes, once per shape, the stacked resampling operators (index
-open-grids and 2D bilinear weight grids, built on the memoised axis
-weights of :mod:`.interpolation`) plus a preallocated accumulation
-buffer; `combine_nodal` fetches plans from a bounded cache.  The plan
-issues every elementwise operation in the same left-to-right association
-as the original expression form, so results are bit-identical.
+The combination is linear and the dyadic grids are nested, so
+`combine_nodal` never touches the target once per source grid.  Each
+part is scaled by its coefficient on its own small grid; parts that
+share a y-level are summed while walking their x-levels upward (the
+running sum is prolonged one level, the next part added), and the same
+walk over the y-levels carries those row sums to the target.  Every
+intermediate array is prolonged exactly once per level it climbs, which
+for the classic scheme is about five target-sized passes in total,
+whatever the number of grids, with nothing cached between calls.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .interpolation import _axis_resample_weights, resample
+from .interpolation import (axis_points, nodal_of, nodal_shape, prolong,
+                            restrict)
 
 GridIx = Tuple[int, int]
 
 
-class _ResampleOp:
-    """``values`` on grid ``src`` -> resampled onto ``target``.
-
-    Precomputes what :func:`.interpolation.resample` rebuilds per call:
-    the corner index open-grids and the four 2D bilinear weight grids.
-    ``apply`` reproduces `resample`'s arithmetic expression-for-expression
-    (same broadcasts, same association) so the output is bit-identical.
-    """
-
-    __slots__ = ("src", "shape", "_interp", "_o00", "_o10", "_o01", "_o11",
-                 "_w00", "_w10", "_w01", "_w11")
-
-    def __init__(self, src: GridIx, target: GridIx):
-        fx, fy = src
-        tx, ty = target
-        self.src = src
-        self.shape = ((1 << fx) + 1, (1 << fy) + 1)
-        ix0, ix1, wx = _axis_resample_weights(fx, tx)
-        iy0, iy1, wy = _axis_resample_weights(fy, ty)
-        self._interp = bool(wx.any() or wy.any())
-        self._o00 = np.ix_(ix0, iy0)
-        if self._interp:
-            self._o10 = np.ix_(ix1, iy0)
-            self._o01 = np.ix_(ix0, iy1)
-            self._o11 = np.ix_(ix1, iy1)
-            wxc = wx[:, None]
-            wyc = wy[None, :]
-            self._w00 = (1 - wxc) * (1 - wyc)
-            self._w10 = wxc * (1 - wyc)
-            self._w01 = (1 - wxc) * wyc
-            self._w11 = wxc * wyc
-            for w in (self._w00, self._w10, self._w01, self._w11):
-                w.flags.writeable = False
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """A fresh array holding ``values`` resampled onto the target."""
-        if values.shape != self.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match index "
-                f"{self.src}")
-        v00 = values[self._o00]
-        if not self._interp:
-            return v00
-        v10 = values[self._o10]
-        v01 = values[self._o01]
-        v11 = values[self._o11]
-        return (self._w00 * v00 + self._w10 * v10 +
-                self._w01 * v01 + self._w11 * v11)
-
-
-@lru_cache(maxsize=32)
-def _resample_op(src: GridIx, target: GridIx) -> _ResampleOp:
-    return _ResampleOp(src, target)
-
-
-class CombinationPlan:
-    """Precomputed combination for one ``(sources, target)`` shape.
-
-    Holds one :class:`_ResampleOp` per source index plus two preallocated
-    target-shaped buffers (accumulator and per-term scratch), so the
-    accumulation allocates only the returned array.  Coefficients stay a
-    per-call input — the AC technique changes them with every lost-grid
-    set while the operator shapes stay fixed.
-    """
-
-    def __init__(self, sources: Tuple[GridIx, ...], target: GridIx):
-        self.sources = tuple(sources)
-        self.target = target
-        self._ops = {ix: _resample_op(ix, target) for ix in self.sources}
-        shape = ((1 << target[0]) + 1, (1 << target[1]) + 1)
-        self._acc = np.empty(shape)
-        self._term = np.empty(shape)
-
-    def combine(self, parts: Dict[GridIx, np.ndarray],
-                coeffs: Dict[GridIx, float]) -> np.ndarray:
-        """``sum_k c_k P_target(u_k)`` — returns an owned array.
-
-        Mirrors the pre-plan loop exactly: iterate ``coeffs`` in order,
-        skip zero coefficients, require a part for every non-zero one.
-        """
-        acc = self._acc
-        first = True
-        for ix, c in coeffs.items():
-            if c == 0.0:
-                continue
-            if ix not in parts:
-                raise KeyError(f"combination needs grid {ix} but it is "
-                               f"missing")
-            op = self._ops.get(ix)
-            if op is None:      # coefficient outside the planned sources
-                op = _resample_op(ix, self.target)
-            term = op.apply(parts[ix])
-            if first:
-                np.multiply(term, c, out=acc)
-                first = False
-            else:
-                np.multiply(term, c, out=self._term)
-                acc += self._term
-        if first:
-            raise ValueError("no non-zero coefficients")
-        return acc.copy()
-
-
-@lru_cache(maxsize=8)
-def _plan(sources: Tuple[GridIx, ...], target: GridIx) -> CombinationPlan:
-    return CombinationPlan(sources, target)
-
-
-def combination_plan(sources, target: GridIx) -> CombinationPlan:
-    """The cached plan for the given source indices (order-insensitive)."""
-    return _plan(tuple(sorted(set(sources))), target)
-
-
-def clear_plan_caches() -> None:
-    """Drop the plan/operator caches (tests, or to release the buffers)."""
-    _plan.cache_clear()
-    _resample_op.cache_clear()
+def _ascend(terms: Iterable[Tuple[int, np.ndarray]], axis: int,
+            top: int) -> np.ndarray:
+    """``sum P_{level -> top}(term)`` along ``axis`` over ``(level, term)``
+    pairs in ascending level order, Horner-style: the running sum is
+    prolonged up to each next term's level, the term added in place, and
+    the total prolonged to ``top``.  ``terms`` is consumed lazily, so a
+    term need not exist before the walk reaches its level."""
+    acc, at = None, top
+    for level, term in terms:
+        if acc is None:
+            acc = term
+        else:
+            acc = prolong(acc, axis, level - at)
+            acc += term
+        at = level
+    return prolong(acc, axis, top - at)
 
 
 def combine_nodal(parts: Dict[GridIx, np.ndarray],
@@ -150,24 +50,57 @@ def combine_nodal(parts: Dict[GridIx, np.ndarray],
     ``parts`` maps grid index -> nodal values; every index with a non-zero
     coefficient must be present.  Returns a fresh array the caller owns.
     """
-    sources = [ix for ix, c in coeffs.items() if c != 0.0]
-    if not sources:
+    tx, ty = target
+    rows: Dict[int, list] = {}      # y-level -> [(x-level, c_k, u_k view)]
+    for ix, c in coeffs.items():
+        if c == 0.0:
+            continue
+        if ix not in parts:
+            raise KeyError(f"combination needs grid {ix} but it is missing")
+        rows.setdefault(min(ix[1], ty), []).append(
+            (min(ix[0], tx), c, restrict(parts[ix], ix, target)))
+    if not rows:
         raise ValueError("no non-zero coefficients")
-    return combination_plan(sources, target).combine(parts, coeffs)
+
+    def row_sum(row):
+        return _ascend(((lx, c * u) for lx, c, u in
+                        sorted(row, key=itemgetter(0))), 0, tx)
+    return _ascend(((ly, row_sum(rows[ly])) for ly in sorted(rows)), 1, ty)
+
+
+def _bilinear_gather(values: np.ndarray, from_ix: GridIx,
+                     to_ix: GridIx) -> np.ndarray:
+    """``values`` on grid ``from_ix`` evaluated at the nodes of ``to_ix`` by
+    the textbook cell-lookup bilinear formula (independent of `prolong`)."""
+    if values.shape != nodal_shape(from_ix):
+        raise ValueError(
+            f"values shape {values.shape} does not match index {from_ix}")
+
+    def cells(from_level, to_level):
+        pos = axis_points(to_level) * (1 << from_level)
+        lo = np.minimum(pos.astype(np.intp), (1 << from_level) - 1)
+        return lo, pos - lo
+
+    (i, wx), (j, wy) = (cells(f, t) for f, t in zip(from_ix, to_ix))
+    wx, wy = wx[:, None], wy[None, :]
+    return ((1 - wx) * (1 - wy) * values[np.ix_(i, j)] +
+            wx * (1 - wy) * values[np.ix_(i + 1, j)] +
+            (1 - wx) * wy * values[np.ix_(i, j + 1)] +
+            wx * wy * values[np.ix_(i + 1, j + 1)])
 
 
 def combine_nodal_reference(parts: Dict[GridIx, np.ndarray],
                             coeffs: Dict[GridIx, float],
                             target: GridIx) -> np.ndarray:
-    """The plan-free combination loop (kept as the oracle the plan must
-    match bit-for-bit; see ``tests/sparsegrid/test_combine.py``)."""
+    """The one-source-at-a-time combination loop: the oracle `combine_nodal`
+    is tested against (see ``tests/sparsegrid/test_combine.py``)."""
     out: Optional[np.ndarray] = None
     for ix, c in coeffs.items():
         if c == 0.0:
             continue
         if ix not in parts:
             raise KeyError(f"combination needs grid {ix} but it is missing")
-        term = resample(parts[ix], ix, target)
+        term = _bilinear_gather(parts[ix], ix, target)
         out = c * term if out is None else out + c * term
     if out is None:
         raise ValueError("no non-zero coefficients")
@@ -178,6 +111,5 @@ def combination_interpolant(fn, coeffs: Dict[GridIx, float],
                             target: GridIx) -> np.ndarray:
     """Combination of *interpolants of a function* (used by tests: for
     f in the union sparse-grid space the result is exact on target nodes)."""
-    from .interpolation import nodal_of
     parts = {ix: nodal_of(fn, ix) for ix in coeffs}
     return combine_nodal(parts, coeffs, target)

@@ -2,13 +2,15 @@
 
 All grids are nodal tensor grids on [0,1]^2 with ``2^i + 1`` points per
 axis, so a coarser grid's nodes are a strict subset of any finer grid's
-nodes — restriction is exact stride sampling, and prolongation is bilinear
-interpolation with exact dyadic weights.
+nodes.  Restriction is therefore exact stride sampling, and prolongation
+by one level copies the nodes and puts the mean of its two neighbours on
+every new midpoint; ``k`` such steps are bilinear interpolation across
+``k`` levels.  Nothing is precomputed or cached: both directions are
+slices of the data itself.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -21,31 +23,39 @@ def axis_points(level: int) -> np.ndarray:
     return np.arange(n + 1) / n
 
 
-@lru_cache(maxsize=None)
-def _axis_resample_weights(from_level: int, to_level: int):
-    """(i0, i1, w) such that target[k] = (1-w)*src[i0] + w*src[i1].
+def nodal_shape(ix: GridIx) -> Tuple[int, int]:
+    return (1 << ix[0]) + 1, (1 << ix[1]) + 1
 
-    Memoised per level pair — the combine/recovery phases resample the
-    same handful of dyadic level pairs thousands of times per sweep.  The
-    cached arrays are frozen (``writeable=False``): every caller shares
-    them, so a mutation would silently corrupt all later resamples.
+
+def restrict(values: np.ndarray, from_ix: GridIx, to_ix: GridIx) -> np.ndarray:
+    """Stride-sample every axis of ``values`` that is finer than ``to_ix``.
+
+    Returns a *view*; axes already at or below their target level are left
+    alone.  Raises ``ValueError`` when ``values`` is not on grid ``from_ix``.
     """
-    n_to = (1 << to_level) + 1
-    if to_level <= from_level:
-        stride = 1 << (from_level - to_level)
-        idx = np.arange(n_to) * stride
-        out = (idx, idx, np.zeros(n_to))
-    else:
-        # prolongation: position of target node k on the source axis
-        pos = np.arange(n_to) * (2.0 ** (from_level - to_level))
-        i0 = np.floor(pos).astype(np.intp)
-        n_from = 1 << from_level
-        i0 = np.minimum(i0, n_from - 1)
-        w = pos - i0
-        out = (i0, i0 + 1, w)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    if values.shape != nodal_shape(from_ix):
+        raise ValueError(
+            f"values shape {values.shape} does not match index {from_ix}")
+    sx, sy = (1 << max(f - t, 0) for f, t in zip(from_ix, to_ix))
+    return values[::sx, ::sy]
+
+
+def prolong(a: np.ndarray, axis: int, levels: int) -> np.ndarray:
+    """``a`` made ``levels`` dyadic levels finer along ``axis``: per level,
+    old nodes carry over and each new midpoint is the mean of its two
+    neighbours.  ``levels <= 0`` returns ``a`` itself; otherwise the
+    result is a fresh C-ordered array."""
+    for _ in range(levels):
+        shape = list(a.shape)
+        shape[axis] = 2 * shape[axis] - 1
+        out = np.empty(shape, dtype=a.dtype)
+        src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+        dst[::2] = src
+        mid = dst[1::2]
+        np.add(src[:-1], src[1:], out=mid)
+        mid *= 0.5
+        a = out
+    return a
 
 
 def resample(values: np.ndarray, from_ix: GridIx, to_ix: GridIx) -> np.ndarray:
@@ -54,25 +64,13 @@ def resample(values: np.ndarray, from_ix: GridIx, to_ix: GridIx) -> np.ndarray:
     Exact (pure sampling) when ``to_ix <= from_ix`` component-wise; bilinear
     otherwise.  This single routine implements both the RC technique's
     restriction ("resampling a lower-resolution lost grid from the finer
-    grid above it") and the prolongation used by the combination itself.
+    grid above it") and the sampling of the combined solution the AC
+    technique scatters.  Always returns an array the caller owns.
     """
-    fx, fy = from_ix
-    tx, ty = to_ix
-    if values.shape != ((1 << fx) + 1, (1 << fy) + 1):
-        raise ValueError(
-            f"values shape {values.shape} does not match index {from_ix}")
-    ix0, ix1, wx = _axis_resample_weights(fx, tx)
-    iy0, iy1, wy = _axis_resample_weights(fy, ty)
-    v00 = values[np.ix_(ix0, iy0)]
-    if not wx.any() and not wy.any():
-        return v00.copy()
-    v10 = values[np.ix_(ix1, iy0)]
-    v01 = values[np.ix_(ix0, iy1)]
-    v11 = values[np.ix_(ix1, iy1)]
-    wxc = wx[:, None]
-    wyc = wy[None, :]
-    return ((1 - wxc) * (1 - wyc) * v00 + wxc * (1 - wyc) * v10 +
-            (1 - wxc) * wyc * v01 + wxc * wyc * v11)
+    out = restrict(values, from_ix, to_ix)
+    for axis in (0, 1):
+        out = prolong(out, axis, to_ix[axis] - from_ix[axis])
+    return out if out.flags.owndata else out.copy()
 
 
 def nodal_of(fn, ix: GridIx) -> np.ndarray:

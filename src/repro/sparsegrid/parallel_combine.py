@@ -6,10 +6,9 @@ idle ranks, contributing nothing) join a collective gather to the global
 root, the root combines with the given coefficients, and — when recovery
 needs it — samples of the combined solution are scattered back.
 
-The root-side combination goes through :func:`.combine.combine_nodal`
-and therefore reuses the cached :class:`.combine.CombinationPlan` for
-its ``(sources, target)`` shape — across a sweep the stacked resampling
-operators are built once per shape, not once per run.
+The root-side combination is :func:`.combine.combine_nodal` (level by
+level, nothing cached between runs), and the scattered samples are
+:func:`.interpolation.resample` of the combined array.
 """
 
 from __future__ import annotations

@@ -42,7 +42,16 @@ from typing import Dict, Optional
 
 from ..service.store import SharedStore
 
-__all__ = ["RunCache", "cacheable", "fingerprint", "run_key"]
+__all__ = ["RESULTS_EPOCH", "RunCache", "cacheable", "fingerprint",
+           "run_key"]
+
+#: Numerics epoch of stored results, part of every run key and every
+#: experiment-document key.  Bump it in any change that moves computed
+#: values (even in the last bits) so a ``--cache`` directory written by
+#: an older commit reads as cold instead of serving values a fresh run
+#: no longer reproduces.  2: level-by-level combination, 9-coefficient
+#: Lax-Wendroff kernel.
+RESULTS_EPOCH = 2
 
 
 def _canonical(obj):
@@ -92,7 +101,8 @@ def fingerprint(obj) -> str:
 
 def run_key(cfg, machine, kills=(), n_spares: int = 0) -> str:
     """The cache key of one :func:`repro.core.runner.run_app` invocation."""
-    return fingerprint(("run_app", cfg, machine, tuple(kills), n_spares))
+    return fingerprint(("run_app", RESULTS_EPOCH, cfg, machine, tuple(kills),
+                        n_spares))
 
 
 def cacheable(cfg) -> bool:
@@ -177,11 +187,14 @@ class RunCache:
         return None if blob is None else self._loads(key, blob)
 
     def put(self, key: str, metrics) -> None:
+        """Store first, then memory: once any reader (a ``repro serve``
+        request thread) can see the entry it is already on disk, and a
+        failed store write leaves the key a miss."""
         blob = pickle.dumps(metrics)
-        with self._lock:
-            self._mem[key] = blob
         if self.store is not None:
             self.store.put(key, blob)
+        with self._lock:
+            self._mem[key] = blob
 
     def note_hit(self) -> None:
         """Count a point served without execution outside :meth:`get`

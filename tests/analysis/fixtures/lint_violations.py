@@ -84,7 +84,7 @@ def cached_run(cfg):  # repro: cacheable
 
 class SchemeHolder:
     def adopt(self, n):
-        self.plan = combination_plan(n, 4)  # ULF013: shared ref escapes
+        self.scheme = cached_scheme(n, 4)  # ULF013: shared ref escapes
 
 
 def unordered_total(xs):

@@ -2,40 +2,39 @@
 
 Each violating function pairs with a corrected variant below it; only
 lines tagged ``BAD`` may trip ULF011, and nothing else in this file
-may trip any other rule.
+may trip any other rule.  The file is analysed, never run: what matters
+is the shape of each statement against a provider's result.
 """
 
 from repro.core.layout import layout_for
-from repro.sparsegrid.combine import combination_plan
 from repro.sparsegrid.index import cached_scheme
-from repro.sparsegrid.interpolation import _axis_resample_weights
 
 
 # --- subscript store through a provider result -------------------------
-def clobber_weights(src, dst, n):
-    ix0, ix1, w = _axis_resample_weights(src, dst)
-    w[0] = 0.5  # BAD
-    return ix0, ix1
+def clobber_counts(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    layout.counts[0] = 1  # BAD
+    return layout.total_procs
 
 
-def owned_weights(src, dst, n):
-    ix0, ix1, w = _axis_resample_weights(src, dst)
-    w = w.copy()
-    w[0] = 0.5  # owned copy: fine
-    return ix0, ix1
+def owned_counts(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    counts = dict(layout.counts)
+    counts[0] = 1  # owned copy: fine
+    return counts
 
 
 # --- in-place augmented assignment -------------------------------------
-def scale_shared(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    w *= 2.0  # BAD
-    return w.sum()
+def widen_shared(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    layout.total_procs += 1  # BAD
+    return layout.total_procs
 
 
-def scale_owned(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    scaled = w * 2.0  # new array, shared operand only read
-    return scaled.sum()
+def widen_owned(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    total = layout.total_procs + 1  # new value, shared operand only read
+    return total
 
 
 # --- mutator method on a cached object ---------------------------------
@@ -51,55 +50,57 @@ def read_scheme(n, level):
 
 
 # --- mutation through a subscript view ---------------------------------
-def poke_view(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    row = w[0]
-    row.fill(0.0)  # BAD
-    return row.sum()
+def poke_view(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    owners = layout.owners[0]
+    owners.fill(0)  # BAD
+    return owners.sum()
 
 
-def copy_view(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    row = w[0].copy()
-    row.fill(0.0)  # the copy is owned
-    return row
+def copy_view(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    owners = layout.owners[0].copy()
+    owners.fill(0)  # the copy is owned
+    return owners
 
 
 # --- thawing a frozen buffer -------------------------------------------
-def thaw_weights(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    w.flags.writeable = True  # BAD
-    return w
+def thaw_owners(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    owners = layout.owners
+    owners.flags.writeable = True  # BAD
+    return owners
 
 
-def thaw_setflags(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    w.setflags(write=True)  # BAD
-    return w
+def thaw_setflags(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
+    owners = layout.owners
+    owners.setflags(write=True)  # BAD
+    return owners
 
 
 # --- setattr / attribute store on a cached object ----------------------
-def retag_layout(scheme):
-    layout = layout_for(scheme)
+def retag_layout(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
     layout.label = "mine"  # BAD
     return layout
 
 
-def relabel_plan(cfg, target):
-    plan = combination_plan(cfg, target)
-    setattr(plan, "label", "mine")  # BAD
-    return plan
+def relabel_scheme(n, level):
+    scheme = cached_scheme(n, level)
+    setattr(scheme, "label", "mine")  # BAD
+    return scheme
 
 
-def fresh_labels(scheme):
-    layout = layout_for(scheme)
+def fresh_labels(scheme, mode, procs):
+    layout = layout_for(scheme, mode, procs)
     label = f"{layout!r}:mine"  # read-only use of the shared object
     return label
 
 
 # --- rebinding forgets the tracked state -------------------------------
-def rebind_then_mutate(src, dst, xs):
-    _, _, w = _axis_resample_weights(src, dst)
-    w = list(xs)
-    w.append(1.0)  # w is a fresh list now, not the cached array
-    return w
+def rebind_then_mutate(n, level, xs):
+    grids = cached_scheme(n, level)
+    grids = list(xs)
+    grids.append(1.0)  # grids is a fresh list now, not the cached scheme
+    return grids

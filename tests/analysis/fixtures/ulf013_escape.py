@@ -4,35 +4,34 @@ The object caches hand out *the* shared instance; storing one into
 long-lived state or returning an unowned view breaks the owned-copy
 contract (docs/performance.md).  Only lines tagged ``BAD`` may trip
 ULF013; the corrected variants below each violation stay clean, as do
-the legitimate provider pass-throughs.
+the legitimate provider pass-throughs.  The file is analysed, never run.
 """
 
-from repro.sparsegrid.combine import combination_plan
+from repro.core.layout import layout_for
 from repro.sparsegrid.index import cached_scheme
-from repro.sparsegrid.interpolation import _axis_resample_weights
 
 _SCHEMES = {}
 
 
 # --- shared instance stored into instance state ------------------------
-class PlanHolder:
-    def __init__(self, cfg, target):
-        self.plan = combination_plan(cfg, target)  # BAD
-        self.rows = []
+class LayoutHolder:
+    def __init__(self, scheme, mode, procs):
+        self.layout = layout_for(scheme, mode, procs)  # BAD
+        self.seen = []
 
-    def collect(self, src, dst):
-        _, _, w = _axis_resample_weights(src, dst)
-        self.rows.append(w)  # BAD
+    def collect(self, n, level):
+        scheme = cached_scheme(n, level)
+        self.seen.append(scheme)  # BAD
 
 
-class OwnedPlanHolder:
-    def __init__(self, cfg, target):
-        self.plan_key = (cfg, target)  # store the key, not the instance
-        self.rows = []
+class OwnedLayoutHolder:
+    def __init__(self, scheme, mode, procs):
+        self.layout_key = (scheme, mode, procs)  # the key, not the instance
+        self.seen = []
 
-    def collect(self, src, dst):
-        _, _, w = _axis_resample_weights(src, dst)
-        self.rows.append(w.copy())  # owned copy: fine
+    def collect(self, n, level):
+        scheme = cached_scheme(n, level)
+        self.seen.append(scheme.describe())  # a fresh string: fine
 
 
 # --- shared instance stored into a module-level container --------------
@@ -48,14 +47,14 @@ def lookup_scheme(n, level):
 
 
 # --- returning an unowned view -----------------------------------------
-def first_row(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    return w[0]  # BAD
+def first_owners(scheme, mode, procs):
+    owners = layout_for(scheme, mode, procs)
+    return owners[0]  # BAD
 
 
-def first_row_owned(src, dst):
-    _, _, w = _axis_resample_weights(src, dst)
-    return w[0].copy()
+def first_owners_owned(scheme, mode, procs):
+    owners = layout_for(scheme, mode, procs)
+    return owners[0].copy()
 
 
 # --- provider pass-through is a provider, not an escape ----------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.pde import lax_wendroff
 from repro.pde import (AdvectionProblem, SerialAdvectionSolver,
                        courant_numbers, l1, lw_step_interior,
                        lw_step_periodic, nodal_view, periodic_from_initial,
@@ -108,3 +109,68 @@ def test_periodic_from_initial_drops_boundary():
     xs = np.arange(9) / 8
     ys = np.arange(17) / 16
     assert np.allclose(nod, prob.initial(xs[:, None], ys[None, :]))
+
+
+# ----------------------------------------------------------------------
+# the one stencil kernel
+# ----------------------------------------------------------------------
+
+def padded(u):
+    return lax_wendroff.fill_periodic_halo(
+        u, np.empty((u.shape[0] + 2, u.shape[1] + 2), dtype=u.dtype))
+
+
+def docstring_formula(w, cx, cy):
+    """The module docstring's difference form, evaluated as written in
+    whatever precision ``w`` carries."""
+    half, quarter, two = w.dtype.type(0.5), w.dtype.type(0.25), \
+        w.dtype.type(2.0)
+    cx, cy = w.dtype.type(cx), w.dtype.type(cy)
+    u = w[1:-1, 1:-1]
+    uxp, uxm, uyp, uym = w[2:, 1:-1], w[:-2, 1:-1], w[1:-1, 2:], w[1:-1, :-2]
+    return (u - half * cx * (uxp - uxm) - half * cy * (uyp - uym)
+            + half * cx * cx * (uxp - two * u + uxm)
+            + half * cy * cy * (uyp - two * u + uym)
+            + quarter * cx * cy * (w[2:, 2:] - w[2:, :-2]
+                                   - w[:-2, 2:] + w[:-2, :-2]))
+
+
+@pytest.mark.parametrize("cx,cy", [(0.3, 0.25), (-0.4, 0.15), (0.05, -0.6),
+                                   (0.2, 0.0)])
+def test_kernel_matches_extended_precision_formula(cx, cy):
+    rng = np.random.default_rng(4)
+    w = padded(rng.random((24, 40)) * 2.0 - 1.0)
+    exact = docstring_formula(w.astype(np.longdouble), cx, cy)
+    out = lw_step_interior(w, cx, cy)
+    ulp = np.finfo(float).eps * np.abs(w).max()
+    assert float(np.abs(out - exact).max()) <= 4 * ulp
+
+
+def test_row_blocking_does_not_change_a_bit(monkeypatch):
+    rng = np.random.default_rng(5)
+    w = padded(rng.random((37, 16)))
+    whole = lw_step_interior(w, 0.3, 0.25)
+    for points in (16, 5 * 16, 36 * 16, 7):   # 1 row, 5 rows, 36 + 1, < a row
+        monkeypatch.setattr(lax_wendroff, "_BLOCK_POINTS", points)
+        assert np.array_equal(lw_step_interior(w, 0.3, 0.25), whole)
+
+
+def test_every_entry_point_is_the_same_arithmetic():
+    rng = np.random.default_rng(6)
+    u = rng.random((16, 8))
+    fresh = lw_step_periodic(u, 0.3, 0.25)
+    assert np.array_equal(lw_step_interior(padded(u), 0.3, 0.25), fresh)
+    out, work, scratch = np.empty_like(u), np.empty((18, 10)), \
+        np.empty_like(u)
+    lax_wendroff.lw_step_periodic_into(u, 0.3, 0.25, out, work, scratch)
+    assert np.array_equal(out, fresh)
+    # out may alias the state: it is staged through ``work`` first
+    state = u.copy()
+    lax_wendroff.lw_step_periodic_into(state, 0.3, 0.25, state, work, scratch)
+    assert np.array_equal(state, fresh)
+    # and the problem object reaches the same kernel with or without buffers
+    prob = AdvectionProblem(velocity=(1.0, 0.5))
+    assert np.array_equal(
+        prob.step_periodic(u, 4, 3, 0.01),
+        prob.step_periodic(u, 4, 3, 0.01, out=out, work=work,
+                           scratch=scratch))

@@ -29,7 +29,14 @@ def test_parallel_matches_serial(nprocs, lx, ly):
 
     res, _ = run(nprocs, main)
     ref = serial_reference(lx, ly, 12)
-    assert np.allclose(res[0], ref, atol=1e-13)
+    if lx >= ly:
+        # slabs along x feed the one kernel the same points as the serial
+        # solver, so the result is the same to the last bit
+        assert np.array_equal(res[0], ref)
+    else:
+        # slabs along y present the block transposed: the kernel adds the
+        # x and y neighbours in the other order
+        assert np.allclose(res[0], ref, atol=1e-13)
 
 
 def test_gather_nodal_shape():

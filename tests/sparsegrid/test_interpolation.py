@@ -93,29 +93,40 @@ def test_prolongation_interpolates_nodes_exactly(src):
     assert np.allclose(out[::sx, ::sy], v, atol=1e-13)
 
 
-# ----------------------------------------------------------------------
-# memoised axis weights (shared, frozen arrays)
-# ----------------------------------------------------------------------
+def test_restriction_is_bitwise_stride_sampling_and_owned():
+    rng = np.random.default_rng(1)
+    v = rng.random((33, 17))  # grid (5, 4)
+    keep = v.copy()
+    for dst, expected in (((3, 2), v[::4, ::4]), ((5, 1), v[:, ::8]),
+                          ((0, 4), v[::32, :])):
+        r = resample(v, (5, 4), dst)
+        assert np.array_equal(r, expected)
+        assert r.flags.owndata and r.flags.c_contiguous
+        r[:] = -1.0
+        assert np.array_equal(v, keep)
 
-def test_axis_weights_are_frozen():
-    from repro.sparsegrid.interpolation import _axis_resample_weights
-    for pair in ((5, 3), (3, 5), (4, 4)):
-        for arr in _axis_resample_weights(*pair):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 99
 
-
-def test_axis_weights_are_memoised():
-    from repro.sparsegrid.interpolation import _axis_resample_weights
-    a = _axis_resample_weights(6, 4)
-    b = _axis_resample_weights(6, 4)
-    assert all(x is y for x, y in zip(a, b))
+def test_prolongation_matches_direct_bilinear_weights():
+    """Level-by-level midpoints are bilinear interpolation across all the
+    levels at once, up to rounding."""
+    rng = np.random.default_rng(2)
+    v = rng.random((5, 3))  # grid (2, 1)
+    out = resample(v, (2, 1), (5, 4))
+    xs, ys = axis_points(5) * 4, axis_points(4) * 2
+    i = np.minimum(xs.astype(int), 3)
+    j = np.minimum(ys.astype(int), 1)
+    wx, wy = (xs - i)[:, None], (ys - j)[None, :]
+    direct = ((1 - wx) * (1 - wy) * v[np.ix_(i, j)]
+              + wx * (1 - wy) * v[np.ix_(i + 1, j)]
+              + (1 - wx) * wy * v[np.ix_(i, j + 1)]
+              + wx * wy * v[np.ix_(i + 1, j + 1)])
+    assert out.flags.owndata and out.flags.c_contiguous
+    assert np.allclose(out, direct, rtol=0, atol=4 * np.finfo(float).eps)
 
 
 def test_resample_caller_cannot_corrupt_cache():
-    """The arrays resample builds from the cached weights are fresh; a
-    caller scribbling on its result must not affect later resamples."""
+    """Nothing is shared between calls: a caller scribbling on its result
+    must not affect the source or later resamples."""
     rng = np.random.default_rng(0)
     v = rng.random((17, 17))
     first = resample(v, (4, 4), (3, 5))

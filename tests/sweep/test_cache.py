@@ -59,6 +59,18 @@ def test_fingerprint_covers_ndarrays():
     assert fingerprint(a) != fingerprint(a.astype(np.float32))
 
 
+def test_results_epoch_keys_runs_and_experiment_documents(monkeypatch):
+    """A change that moves computed values bumps ``RESULTS_EPOCH``; both
+    the run keys and the served-document keys must then read as cold."""
+    from repro.service.server import ServiceState
+    from repro.sweep import cache
+    run_before = run_key(cfg(), OPL)
+    doc_before = ServiceState.experiment_key("fig9", True)
+    monkeypatch.setattr(cache, "RESULTS_EPOCH", cache.RESULTS_EPOCH + 1)
+    assert run_key(cfg(), OPL) != run_before
+    assert ServiceState.experiment_key("fig9", True) != doc_before
+
+
 def test_disk_bearing_configs_are_uncacheable():
     assert cacheable(cfg())
     assert not cacheable(cfg(disk=Disk()))
@@ -109,6 +121,20 @@ def test_cache_persists_to_disk(tmp_path):
     got = c2.get("deadbeef")
     assert got is not None and got.t_total == 3.0
     assert c2.stats()["hits"] == 1
+
+
+def test_failed_store_write_leaves_the_key_a_miss(tmp_path, monkeypatch):
+    """Regression: ``put`` published to memory before the store write, so
+    ``repro serve`` answered 200 for a document that was not on disk."""
+    c = RunCache(directory=str(tmp_path / "cache"))
+
+    def full_disk(key, blob):
+        raise OSError("no space left on device")
+    monkeypatch.setattr(c.store, "put", full_disk)
+    with pytest.raises(OSError):
+        c.put("deadbeef", _metrics())
+    assert c.load("deadbeef") is None
+    assert "deadbeef" not in c and len(c) == 0
 
 
 def test_in_memory_cache_does_not_persist():
