@@ -23,14 +23,11 @@ Usage::
     PYTHONPATH=src python scripts/bench.py --service [--smoke]  # HTTP API
 
 ``--scale`` measures events/s and peak RSS versus rank count (16 ->
-8192) for the batch-vectorised substrate against the per-rank event
-path, on an allreduce workload and a ring halo-exchange workload, and
+8192) on an allreduce workload and a ring halo-exchange workload, and
 merges the curves into ``BENCH_substrate.json`` under ``"scale"``.
 Every point runs in its own subprocess: ``ru_maxrss`` is monotone per
 process, so peak-RSS curves are only meaningful with one measurement
-per process image.  The event path's rendezvous is O(ranks) per arrival
-(quadratic per round), so its allreduce curve is capped at 1024 ranks —
-the cap is recorded in the JSON, not silently applied.
+per process image.
 
 Each measurement is the best of ``--repeats`` runs (default 3) — wall
 time of the fastest run, which is the least noisy estimator on a shared
@@ -178,15 +175,11 @@ SCALE_RANKS_SMOKE = (16, 64, 256)
 #: wall time per point stays roughly flat as ranks grow
 SCALE_BUDGET = 16384
 SCALE_BUDGET_SMOKE = 1024
-#: largest rank count measured on the event path, per workload: the
-#: rendezvous dead-member scan is O(ranks) per arrival, so event-path
-#: allreduce is quadratic per round and unmeasurable at fig scale
-SCALE_EVENT_CAP = {"allreduce": 1024, "halo": 8192}
 _SCALE_HALO_WIDTH = 64
 
 
 def run_scale_point(spec: dict) -> dict:
-    """One (workload, mode, ranks) measurement, in-process.
+    """One (workload, ranks) measurement, in-process.
 
     Invoked in a fresh subprocess per point by :func:`run_scale_bench` so
     the reported peak RSS belongs to this point alone.
@@ -196,7 +189,6 @@ def run_scale_point(spec: dict) -> dict:
     workload = spec["workload"]
     n = spec["ranks"]
     rounds = spec["rounds"]
-    batch = spec["mode"] == "batch"
 
     if workload == "allreduce":
         async def main(ctx):
@@ -215,7 +207,7 @@ def run_scale_point(spec: dict) -> dict:
                 u = (u + lo + hi) / 3.0
 
     t0 = time.perf_counter()
-    uni = Universe(IDEAL, batch=batch)
+    uni = Universe(IDEAL)
     uni.launch(n, main)
     uni.run()
     wall = time.perf_counter() - t0
@@ -223,7 +215,6 @@ def run_scale_point(spec: dict) -> dict:
     rank_rounds = n * rounds
     return {
         "workload": workload,
-        "mode": spec["mode"],
         "ranks": n,
         "rounds": rounds,
         "wall_s": round(wall, 3),
@@ -237,14 +228,9 @@ def run_scale_point(spec: dict) -> dict:
 def run_scale_bench(output: str, smoke: bool) -> int:
     ranks = SCALE_RANKS_SMOKE if smoke else SCALE_RANKS
     budget = SCALE_BUDGET_SMOKE if smoke else SCALE_BUDGET
-    points = []
-    for workload in ("allreduce", "halo"):
-        for n in ranks:
-            for mode in ("batch", "event"):
-                if mode == "event" and n > SCALE_EVENT_CAP[workload]:
-                    continue
-                points.append({"workload": workload, "mode": mode,
-                               "ranks": n, "rounds": max(4, budget // n)})
+    points = [{"workload": workload, "ranks": n,
+               "rounds": max(4, budget // n)}
+              for workload in ("allreduce", "halo") for n in ranks]
 
     results = []
     for spec in points:
@@ -258,36 +244,15 @@ def run_scale_bench(output: str, smoke: bool) -> int:
             return 1
         point = json.loads(proc.stdout)
         results.append(point)
-        print(f"{point['workload']:>10} {point['mode']:>6} "
+        print(f"{point['workload']:>10} "
               f"ranks={point['ranks']:<5} wall={point['wall_s']:>8.3f}s "
               f"events/s={point['events_per_s']:>10,} "
               f"rss={point['peak_rss_mb']:.1f}MB")
 
-    by_key = {(p["workload"], p["mode"], p["ranks"]): p for p in results}
-    speedups = []
-    for workload in ("allreduce", "halo"):
-        for n in ranks:
-            b = by_key.get((workload, "batch", n))
-            e = by_key.get((workload, "event", n))
-            if b and e:
-                speedups.append({
-                    "workload": workload, "ranks": n,
-                    "events_per_s": round(
-                        b["events_per_s"] / e["events_per_s"], 2),
-                    "rank_rounds_per_s": round(
-                        b["rank_rounds_per_s"] / e["rank_rounds_per_s"], 2),
-                })
-    for s in speedups:
-        print(f"{s['workload']:>10} ranks={s['ranks']:<5} batch/event "
-              f"speedup: {s['rank_rounds_per_s']}x wall, "
-              f"{s['events_per_s']}x events/s")
-
     section = {
         "smoke": smoke,
         "rank_rounds_budget": budget,
-        "event_path_rank_cap": SCALE_EVENT_CAP,
         "points": results,
-        "batch_speedup": speedups,
     }
     path = Path(output)
     merged = json.loads(path.read_text()) if path.exists() else {}
@@ -582,9 +547,8 @@ def main(argv=None) -> int:
                     help="benchmark the sweep engine (serial vs pool vs "
                          "warm cache) instead of the substrate")
     ap.add_argument("--scale", action="store_true",
-                    help="events/s and peak-RSS curves vs rank count, "
-                         "batch vs event substrate (merged into the JSON "
-                         "under 'scale')")
+                    help="events/s and peak-RSS curves vs rank count "
+                         "(merged into the JSON under 'scale')")
     ap.add_argument("--service", action="store_true",
                     help="benchmark the results service over HTTP (cold "
                          "vs warm latency, request dedup, shard scaling)")

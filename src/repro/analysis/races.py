@@ -216,19 +216,10 @@ def _blockers(task, info) -> List[Tuple[object, str]]:
             if _task_of(p) is not None:
                 out.append((_task_of(p), reason))
     elif kind == "coll":
-        rv = info["rv"]
         reason = f"{info['op']} on {state.name}"
-        for m in rv.members:
-            if m.uid not in rv.arrivals and not m.dead \
-                    and _task_of(m) is not None:
+        for m in info["rnd"].missing():
+            if _task_of(m) is not None:
                 out.append((_task_of(m), reason))
-    elif kind == "batchcoll":
-        rnd = info["rnd"]
-        reason = f"{info['op']} on {state.name}"
-        arrived = set(rnd.arrived)
-        for r, p in enumerate(state.procs):
-            if r not in arrived and not p.dead and _task_of(p) is not None:
-                out.append((_task_of(p), reason))
     return out
 
 
@@ -240,9 +231,9 @@ def _reconstruct_waits_for(task, fut) -> Optional[dict]:
     registries instead: a future blocked in a receive is referenced by
     exactly one :class:`~repro.mpi.matching.PendingRecv` on some
     communicator's message board, and a future blocked in a collective is
-    referenced by exactly one open rendezvous arrival.  Both searches walk
-    only this process's communicators — cold-path work paid once per
-    deadlock, never per message.
+    the shared future of exactly one open round.  Both searches walk only
+    this process's communicators — cold-path work paid once per deadlock,
+    never per message.
     """
     proc = task.meta.get("proc")
     if proc is None:
@@ -259,21 +250,10 @@ def _reconstruct_waits_for(task, fut) -> Optional[dict]:
                             if hasattr(state, "group_a"):  # intercomm
                                 info["inter"] = True
                             return info
-        rtable = getattr(state, "rtable", None)
-        if rtable is not None:
-            for rv in getattr(rtable, "open", {}).values():
-                entry = rv.arrivals.get(proc.uid)
-                if entry is not None and entry[3] is fut:
-                    return {"kind": "coll", "op": rv.op_name,
-                            "state": state, "rv": rv}
-        batch = getattr(state, "batch", None)
-        if batch is not None:
-            # batch fast path: every parked rank of an open round waits on
-            # the round's single shared future
-            for op, rnd in getattr(batch, "open", {}).items():
-                if rnd.fut is fut:
-                    return {"kind": "batchcoll", "op": op,
-                            "state": state, "rnd": rnd}
+        for rnd in state.rounds.open.values():
+            if rnd.fut is fut:
+                return {"kind": "coll", "op": rnd.op, "state": state,
+                        "rnd": rnd}
     return None
 
 
@@ -281,9 +261,10 @@ def build_wait_for_graph(blocked_tasks) -> Dict[object, List[Tuple[object, str]]
     """Map each blocked task to the tasks it is waiting on (with reasons).
 
     Dependencies come from the ``waits_for`` annotations the MPI layer
-    sets on its futures when ``Universe(diagnostics=True)``; without
-    annotations they are reconstructed from the message boards and open
-    rendezvous.  Tasks whose dependency cannot be determined either way
+    sets on its receive futures when ``Universe(diagnostics=True)``;
+    without annotations (and always for collectives) they are
+    reconstructed from the message boards and open rounds.  Tasks whose
+    dependency cannot be determined either way
     appear with an empty dependency list.
     """
     graph: Dict[object, List[Tuple[object, str]]] = {}

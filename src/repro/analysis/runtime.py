@@ -9,8 +9,8 @@ reports what was left behind:
 
 * a pending receive (``irecv`` posted, never awaited or cancelled) whose
   owning task is DONE;
-* an open rendezvous holding the arrival of a task that is DONE — the
-  rank joined a collective and then returned without its completion.
+* an open collective round holding the arrival of a task that is DONE —
+  the rank joined a collective and then returned without its completion.
 
 *warnings* (suspicious but sometimes intentional):
 
@@ -88,17 +88,18 @@ def check_runtime_leaks(universe) -> LeakReport:
                         f"receive (source={recv.source}, tag={recv.tag}) "
                         "still registered — irecv never awaited or "
                         "cancelled")
-        # open rendezvous held by finished tasks
-        for key, rv in getattr(state.rtable, "open", {}).items():
-            if rv.completed or rv.doomed is not None:
+        # open rounds held by finished tasks
+        for rnd in state.rounds.open.values():
+            if rnd.doom is not None:
                 continue
-            for uid, (proc, _v, _t, _f) in rv.arrivals.items():
+            for proc, arrived_at in zip(rnd.members, rnd.times):
                 task = getattr(proc, "task", None)
-                if task is not None and task.state in _FINISHED_CLEAN:
+                if arrived_at is not None and task is not None \
+                        and task.state in _FINISHED_CLEAN:
                     report.errors.append(
                         f"{name}: {proc.name} finished inside open "
-                        f"collective '{rv.op_name}' — the rendezvous can "
-                        "never complete for the remaining members")
+                        f"collective '{rnd.op}' — the round can never "
+                        "complete for the remaining members")
         # undelivered messages
         n_posted = sum(len(q) for q in
                        getattr(state.board, "posted", {}).values())

@@ -6,7 +6,7 @@ fully deterministic given (config, machine, kill plan/seed).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..ft.checkpoint import Disk
 from ..ft.failure_injection import FailureGenerator, Kill
@@ -18,31 +18,25 @@ from .metrics import RunMetrics
 
 
 def make_universe(cfg: AppConfig, machine: MachineSpec = OPL,
-                  n_spares: int = 0,
-                  batch: Optional[bool] = None) -> Tuple[Universe, int]:
-    """A universe sized for the config's layout (plus optional spare nodes).
-
-    ``batch`` overrides the batch-vectorised fast path (None: the universe
-    default — on, unless ``REPRO_BATCH=0``)."""
+                  n_spares: int = 0) -> Tuple[Universe, int]:
+    """A universe sized for the config's layout (plus optional spare nodes)."""
     total = cfg.layout().total_procs
     hostfile = Hostfile.for_ranks(total, slots=machine.cores_per_node,
                                   n_spares=n_spares)
-    return Universe(machine, hostfile=hostfile, batch=batch), total
+    return Universe(machine, hostfile=hostfile), total
 
 
 def run_app(cfg: AppConfig, machine: MachineSpec = OPL, *,
             kills: Sequence[Kill] = (), n_spares: int = 0,
-            tracer=None, batch: Optional[bool] = None) -> RunMetrics:
+            tracer=None) -> RunMetrics:
     """Execute one application run and return rank 0's metrics.
 
     ``tracer`` (a :class:`~repro.mpi.tracing.Tracer`) records the MPI
     event stream for offline analysis (``python -m repro analyze-trace``).
-    ``batch`` selects the substrate path explicitly (the property tests
-    pin batch-vs-event bit-identity through this switch).
     """
     if cfg.technique_code.upper() == "CR" and cfg.disk is None:
         cfg.disk = Disk()
-    universe, total = make_universe(cfg, machine, n_spares, batch=batch)
+    universe, total = make_universe(cfg, machine, n_spares)
     universe.tracer = tracer
     job = universe.launch(total, app_main, argv=(cfg,))
     if kills:

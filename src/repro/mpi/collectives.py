@@ -1,28 +1,50 @@
-"""Collective-operation rendezvous with ULFM failure semantics.
+"""Collective rounds with ULFM failure semantics — the one mechanism.
 
 Every collective call on a communicator is matched by *call order*: the
-``k``-th collective invoked by each member joins the same rendezvous.  A
-rendezvous completes when all expected members have arrived; its completion
-time is the latest arrival plus the machine-model cost, which is how
-collectives synchronise virtual clocks.
+``k``-th call of an operation on a channel, by each member, joins the same
+:class:`Round` (key ``(channel, op, k)``).  Members contribute into a
+slot-indexed row and park on the round's single shared future; the arrival
+that completes the round runs its finish rule once and wakes everybody
+through one batched engine event (``Engine.schedule_future_batch``) at
+``latest_arrival + cost`` — which is how collectives synchronise virtual
+clocks.  The first arriver supplies the round's cost and finish rules.
+
+Ordinary collectives share one ordered channel (``"coll"``), matching
+MPI's same-order rule.  The ULFM operations (agree, shrink) use their own
+channels: their fault-tolerant consensus protocols are independent of the
+regular collective stream, which is what makes the paper's differing
+parent/child call orders (Fig. 3 l.21-22 vs Fig. 5 l.14-15) legal.
 
 Two failure disciplines exist:
 
 * ``NORMAL`` — ordinary MPI collectives (barrier, bcast, ...): if any member
-  is dead, or dies while the rendezvous is open, *every* participant gets
-  :class:`ProcFailedError` (the paper's failure-detection barrier relies on
-  exactly this).
+  is dead when the round opens, or dies while it is open, the round is
+  *doomed* and every participant gets the same :class:`ProcFailedError`
+  ``detect`` seconds later (the paper's failure-detection barrier relies on
+  exactly this).  A doomed round lingers in the table so that members
+  arriving afterwards receive the original error, ``detect`` after *their*
+  arrival; it is dropped once every member has arrived or died.
 * ``SURVIVOR`` — the fault-tolerant ULFM operations (``OMPI_Comm_agree``,
-  ``OMPI_Comm_shrink``): dead members are excluded and the operation
-  completes among the survivors.
+  ``OMPI_Comm_shrink``): dead members are excluded and the round completes
+  among the survivors.  A death that leaves every survivor arrived completes
+  the round at ``max(latest_arrival + cost, death)`` — no detection latency
+  is charged.
+
+Revocation dooms every open round of either kind with one shared
+``RevokedError``.  Results are cloned at completion, never shared mutably
+across ranks; reductions fold left-to-right in rank order (no pairwise
+reassociation, so float sums are reproducible to the bit).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, List, Optional
+import operator
+from collections import defaultdict
+from typing import Any, Callable, Dict, List, Tuple
 
-from .errors import ProcFailedError
+from .datatypes import _IMMUTABLE_TYPES, clone_payload
+from .errors import ProcFailedError, RankError
 
 
 class RvKind(enum.Enum):
@@ -30,150 +52,323 @@ class RvKind(enum.Enum):
     SURVIVOR = "survivor"
 
 
-def doom_exception(op_name: str, ranks: tuple) -> ProcFailedError:
-    """The uniform collective-failure error.
+#: result shapes a finish rule returns with its payload
+SHARED = 0      # every rank reads the payload (immutable, or one new object)
+ROOT_ONLY = 1   # the round's root reads the payload; everyone else None
+PER_SLOT = 2    # slot i reads ``payload[i]``
 
-    Shared between the rendezvous event path and the batch fast path
-    (:mod:`repro.mpi.batchcoll`) so both produce byte-identical messages —
-    the property tests compare them directly.
+#: identity-keyed substitutions of the comm module's reduction lambdas by
+#: their C-level equivalents (populated by :mod:`repro.mpi.comm` at import
+#: time).  Only ops whose builtin is semantically identical for *every*
+#: payload type are listed; user-supplied operators are never touched.
+FAST_OPS: Dict[Callable, Callable] = {}
+
+
+def fold(values: List[Any], op: Callable):
+    """Left fold in slot order, skipping ``None`` contributions."""
+    op = FAST_OPS.get(op, op)
+    acc = None
+    for v in values:
+        if v is None:
+            continue
+        acc = v if acc is None else op(acc, v)
+    return acc
+
+
+# ----------------------------------------------------------------------
+# cost rules: (machine, members, largest contribution in bytes) -> seconds
+# ----------------------------------------------------------------------
+def payload_cost(machine, n: int, nbytes: int) -> float:
+    return machine.collective_cost(n, nbytes)
+
+
+def _barrier_cost(machine, n: int, nbytes: int) -> float:
+    return machine.barrier_cost(n)
+
+
+def fixed_cost(seconds: float) -> Callable:
+    return lambda machine, n, nbytes: seconds
+
+
+# ----------------------------------------------------------------------
+# finish rules of the seven hot collectives: round -> (shape, payload)
+# ----------------------------------------------------------------------
+def _per_slot_clones(value: Any, n: int) -> Tuple[int, Any]:
+    if type(value) in _IMMUTABLE_TYPES:
+        return SHARED, value
+    return PER_SLOT, [clone_payload(value) for _ in range(n)]
+
+
+def _finish_barrier(rnd: "Round"):
+    return SHARED, None
+
+
+def _finish_bcast(rnd: "Round"):
+    shape, out = _per_slot_clones(rnd.values[rnd.root], len(rnd.values))
+    if shape == PER_SLOT:
+        out[rnd.root] = rnd.values[rnd.root]    # root keeps its own object
+    return shape, out
+
+
+def _finish_gather(rnd: "Round"):
+    return ROOT_ONLY, list(rnd.values)          # the contributed objects
+
+
+def _finish_allgather(rnd: "Round"):
+    ordered = list(rnd.values)
+    return PER_SLOT, [clone_payload(ordered) for _ in ordered]
+
+
+def _finish_scatter(rnd: "Round"):
+    items, n = rnd.values[rnd.root], len(rnd.values)
+    if items is None or len(items) != n:
+        raise RankError(f"scatter root must supply {n} items")
+    return PER_SLOT, [clone_payload(item) for item in items]
+
+
+def _finish_reduce(rnd: "Round"):
+    return ROOT_ONLY, fold(rnd.values, rnd.arg)
+
+
+def _finish_allreduce(rnd: "Round"):
+    return _per_slot_clones(fold(rnd.values, rnd.arg), len(rnd.values))
+
+
+def finish_agree(rnd: "Round"):
+    """``OMPI_Comm_agree``: bitwise AND of the survivors' flags."""
+    return SHARED, fold(rnd.values, operator.and_)
+
+
+#: op name -> (cost rule, finish rule).  Long-tail operations pass their
+#: own pair to :meth:`RoundTable.join` instead.
+HOT_OPS: Dict[str, Tuple[Callable, Callable]] = {
+    "barrier": (_barrier_cost, _finish_barrier),
+    "bcast": (payload_cost, _finish_bcast),
+    "gather": (payload_cost, _finish_gather),
+    "allgather": (payload_cost, _finish_allgather),
+    "scatter": (payload_cost, _finish_scatter),
+    "reduce": (payload_cost, _finish_reduce),
+    "allreduce": (payload_cost, _finish_allreduce),
+}
+
+
+class Round:
+    """One open (or doomed and lingering) collective round.
+
+    ``members`` is the communicator's own member list, not a copy:
+    ``readmit`` swaps a member in place and then tells every round to await
+    the replacement.  ``times[slot]`` is the arrival instant of a member
+    that arrived and is still alive — the arrival record the deadlock
+    explainer and the leak audit read.
     """
-    return ProcFailedError(
-        f"collective {op_name} failed: dead ranks {ranks}",
-        failed_ranks=ranks)
 
+    __slots__ = ("fut", "key", "members", "kind", "cost_rule", "finish",
+                 "arg", "root", "values", "times", "n", "need", "max_nbytes",
+                 "doom", "shape", "result", "reads", "table")
 
-class Rendezvous:
-    """One in-flight collective operation."""
+    def __init__(self, table: "RoundTable"):
+        self.table = table
+        self.fut = table.engine.create_future()
+        self.values: List[Any] = []
+        self.times: List[Any] = []
+        self.doom = None
 
-    def __init__(self, engine, key, op_name: str, members: List, kind: RvKind,
-                 cost_fn: Callable[[Dict[int, Any]], float],
-                 finisher: Callable[[Dict[int, Any], List], Dict[int, Any]],
-                 detection_latency: float,
-                 rank_of: Callable[[Any], int]):
-        self.engine = engine
-        self.key = key
-        self.op_name = op_name
-        self.members = list(members)
-        self.kind = kind
-        self.cost_fn = cost_fn
-        self.finisher = finisher
-        self.detection_latency = detection_latency
-        self.rank_of = rank_of
-        #: proc uid -> (proc, value, arrival_time, future)
-        self.arrivals: Dict[int, tuple] = {}
-        self.doomed: Optional[BaseException] = None
-        self.completed = False
+    @property
+    def op(self) -> str:
+        return self.key[1]
 
-    # ------------------------------------------------------------------
-    def arrive(self, proc, value, future) -> None:
-        if proc.uid in self.arrivals:
-            raise RuntimeError(
-                f"{proc.name} joined collective {self.op_name}@{self.key} twice")
-        now = self.engine.now
-        if self.doomed is not None:
-            future.set_exception(self.doomed, at=now + self.detection_latency)
-            self.arrivals[proc.uid] = (proc, value, now, None)
-            return
-        self.arrivals[proc.uid] = (proc, value, now, future)
-        self._check(now)
+    def missing(self) -> List:
+        """Live members that have not arrived."""
+        return [m for m, t in zip(self.members, self.times)
+                if t is None and not m.dead]
 
-    def on_member_death(self, proc, now: float) -> None:
-        if self.completed or self.doomed is not None:
-            if self.doomed is not None:
-                # death may finish accounting for a doomed rendezvous
-                return
-            return
-        if self.kind is RvKind.NORMAL:
-            self._doom(now, dead=[proc])
+    def fail(self, exc: BaseException, at: float) -> None:
+        """Doom the round: everyone parked on it gets ``exc`` at ``at``."""
+        self.doom = exc
+        self.fut.set_exception(exc, at=at)
+
+    def take(self, slot: int):
+        """This slot's result; recycles the round once every rank has read."""
+        shape = self.shape
+        if shape == SHARED:
+            out = self.result
+        elif shape == ROOT_ONLY:
+            out = self.result if slot == self.root else None
         else:
-            self._check(now)
+            out = self.result[slot]
+        n = self.reads - 1
+        self.reads = n
+        if n == 0:
+            self.table._recycle(self)
+        return out
+
+
+class RoundTable:
+    """The open rounds of one communicator (intra or inter)."""
+
+    __slots__ = ("state", "engine", "machine", "stats", "universe", "detect",
+                 "diag", "open", "calls", "_pool", "_blank", "_counters")
+
+    def __init__(self, state, size: int):
+        uni = state.universe
+        self.state = state
+        self.universe = uni
+        self.engine = uni.engine
+        self.machine = uni.machine
+        self.stats = uni.stats
+        self.detect = uni.machine.failure_detection_latency
+        self.diag = uni.diagnostics
+        #: (channel, op, index) -> round
+        self.open: Dict[tuple, Round] = {}
+        #: channel -> proc uid -> collective calls made so far
+        self.calls: Dict[str, Dict[int, int]] = defaultdict(
+            lambda: defaultdict(int))
+        self._pool: List[Round] = []
+        self._blank: List[Any] = [None] * size
+        #: cached mpi_collectives counter instruments (one registry lookup
+        #: per op name per communicator instead of one per join)
+        self._counters: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    def _live_members(self):
-        return [m for m in self.members if m.alive]
+    def join(self, op: str, proc, slot: int, value: Any, nbytes: int,
+             members: List, kind: RvKind = RvKind.NORMAL,
+             channel: str = "coll", rule=None, arg: Any = None,
+             root: int = 0):
+        """Contribute ``value`` to this call's round; returns the future to
+        await.  It resolves to the round (read the result with
+        ``round.take(slot)``) or raises the round's doom."""
+        calls = self.calls[channel]
+        uid = proc.uid
+        idx = calls[uid]
+        calls[uid] = idx + 1
+        counter = self._counters.get(op)
+        if counter is None:
+            counter = self._counters[op] = self.stats.registry.counter(
+                "mpi_collectives", op=op)
+        counter.value += 1
+        uni = self.universe
+        if uni.tracer is not None:
+            state = self.state
+            uni.trace(proc.name, "coll",
+                      f"{op} {state.name} r{state.rank_of(proc)}")
+        key = (channel, op, idx)
+        now = self.engine.now
+        rnd = self.open.get(key)
+        if rnd is None:
+            rnd = self._open_round(key, now, members, kind, rule, arg, root)
+        if rnd.doom is not None:
+            # original error, one detection latency after *this* arrival
+            fut = self.engine.create_future(rnd.fut.label)
+            fut.set_exception(rnd.doom, at=now + self.detect)
+        else:
+            fut = rnd.fut
+            rnd.values[slot] = value
+            if nbytes > rnd.max_nbytes:
+                rnd.max_nbytes = nbytes
+        rnd.times[slot] = now
+        n = rnd.n = rnd.n + 1
+        if n == rnd.need:
+            self._settle(rnd, now)
+        return fut
 
-    def all_accounted(self) -> bool:
-        """True when no member can still arrive (cleanup criterion)."""
-        return all((m.uid in self.arrivals) or m.dead for m in self.members)
+    def _open_round(self, key, now, members, kind, rule, arg, root) -> Round:
+        pool = self._pool
+        rnd = pool.pop() if pool else Round(self)
+        n = len(members)
+        if len(rnd.values) != n:
+            rnd.values = [None] * n
+            rnd.times = [None] * n
+        rnd.key = key
+        rnd.members = members
+        rnd.kind = kind
+        rnd.cost_rule, rnd.finish = rule or HOT_OPS[key[1]]
+        rnd.arg = arg
+        rnd.root = root
+        rnd.n = 0
+        rnd.need = n
+        rnd.max_nbytes = 0
+        if self.diag:
+            rnd.fut.label = f"{key[1]}:{self.state.name}"
+        self.open[key] = rnd
+        if self.state.n_failed():
+            dead = [m for m in members if m.dead]
+            rnd.need = n - len(dead)
+            if dead and kind is RvKind.NORMAL:
+                rnd.fail(self._proc_failed(rnd, dead), now + self.detect)
+        return rnd
 
-    def _check(self, now: float) -> None:
-        if self.completed or self.doomed is not None:
+    def _proc_failed(self, rnd: Round, dead) -> ProcFailedError:
+        ranks = tuple(sorted(self.state.rank_of(p) for p in dead))
+        return ProcFailedError(
+            f"collective {rnd.op} failed: dead ranks {ranks}",
+            failed_ranks=ranks)
+
+    def _settle(self, rnd: Round, latest: float) -> None:
+        """Every live member has arrived: finish an open round (cost, finish
+        rule, one batched wake-up at ``latest + cost``); a doomed one has
+        nobody left to tell and is dropped."""
+        del self.open[rnd.key]
+        if rnd.doom is not None or rnd.n == 0:
             return
-        dead = [m for m in self.members if m.dead]
-        if self.kind is RvKind.NORMAL:
-            if dead:
-                self._doom(now, dead=dead)
-                return
-            if len(self.arrivals) == len(self.members):
-                self._complete()
-        else:  # SURVIVOR
-            live = self._live_members()
-            if live and all(m.uid in self.arrivals for m in live):
-                self._complete()
-
-    def _doom(self, now: float, dead) -> None:
-        ranks = tuple(sorted(self.rank_of(p) for p in dead))
-        self.doomed = doom_exception(self.op_name, ranks)
-        when = now + self.detection_latency
-        for proc, _value, _t, fut in self.arrivals.values():
-            if fut is not None and not fut.done:
-                fut.set_exception(self.doomed, at=when)
-
-    def _complete(self) -> None:
-        live = self._live_members()
-        arrived = {uid: v for uid, (p, v, t, f) in self.arrivals.items()
-                   if p.alive}
-        latest = max(t for p, v, t, f in self.arrivals.values() if p.alive)
         try:
-            cost = self.cost_fn(arrived)
-            results = self.finisher(arrived, live)
+            cost = rnd.cost_rule(self.machine, len(rnd.members),
+                                 rnd.max_nbytes)
+            rnd.shape, rnd.result = rnd.finish(rnd)
         except Exception as exc:
             # a malformed collective (e.g. scatter with the wrong list
             # length) fails uniformly on every participant, like MPI
-            self.doomed = exc
-            for _p, _v, _t, fut in self.arrivals.values():
-                if fut is not None and not fut.done:
-                    fut.set_exception(exc, at=self.engine.now)
+            rnd.fail(exc, self.engine.now)
             return
-        self.completed = True
-        done_at = latest + cost
-        for uid, (proc, _value, _t, fut) in self.arrivals.items():
-            if fut is None or fut.done:
+        rnd.reads = rnd.n
+        self.engine.schedule_future_batch(rnd.fut, rnd, latest + cost)
+
+    def _recycle(self, rnd: Round) -> None:
+        blank = self._blank
+        if len(rnd.values) != len(blank):
+            return
+        rnd.values[:] = blank
+        rnd.times[:] = blank
+        rnd.result = rnd.arg = rnd.members = None
+        rnd.fut.recycle()
+        self._pool.append(rnd)
+
+    # ------------------------------------------------------------------
+    # membership changes (cold paths)
+    # ------------------------------------------------------------------
+    def on_death(self, proc, now: float) -> None:
+        """A member died: NORMAL rounds it belongs to are doomed at
+        ``now + detect``; SURVIVOR rounds stop waiting for it."""
+        for rnd in list(self.open.values()):
+            try:
+                slot = rnd.members.index(proc)
+            except ValueError:
                 continue
-            fut.set_result(results.get(uid), at=done_at)
+            rnd.need -= 1
+            if rnd.times[slot] is not None:
+                # arrived, then died: its contribution no longer counts
+                rnd.times[slot] = rnd.values[slot] = None
+                rnd.n -= 1
+            if rnd.doom is None and rnd.kind is RvKind.NORMAL:
+                rnd.fail(self._proc_failed(rnd, [proc]), now + self.detect)
+            if rnd.n == rnd.need:
+                self._settle(rnd, max(
+                    (t for t in rnd.times if t is not None), default=now))
 
+    def on_revoke(self, exc: BaseException, now: float) -> None:
+        """Revocation: doom every open round with the shared exception."""
+        at = now + self.detect
+        for rnd in self.open.values():
+            if rnd.doom is None:
+                rnd.fail(exc, at)
 
-class RendezvousTable:
-    """Open rendezvous registry for one communicator."""
-
-    def __init__(self):
-        self.open: Dict[Any, Rendezvous] = {}
-
-    def get_or_create(self, key, factory: Callable[[], Rendezvous]) -> Rendezvous:
-        rv = self.open.get(key)
-        if rv is None:
-            rv = factory()
-            self.open[key] = rv
-        return rv
-
-    def cleanup(self) -> None:
-        for key in [k for k, rv in self.open.items()
-                    if (rv.completed or rv.doomed is not None) and rv.all_accounted()]:
-            del self.open[key]
-
-    def on_proc_death(self, proc, now: float) -> None:
-        for rv in list(self.open.values()):
-            if any(m.uid == proc.uid for m in rv.members):
-                rv.on_member_death(proc, now)
-        self.cleanup()
-
-    def doom_all(self, exc: BaseException, now: float, detection: float) -> None:
-        """Revocation: fail every open rendezvous."""
-        for rv in self.open.values():
-            if rv.completed or rv.doomed is not None:
-                continue
-            rv.doomed = exc
-            for _p, _v, _t, fut in rv.arrivals.values():
-                if fut is not None and not fut.done:
-                    fut.set_exception(exc, at=now + detection)
-        self.cleanup()
+    def on_readmit(self, old, proc) -> None:
+        """Dead member ``old`` was replaced in place by ``proc``: the
+        replacement inherits its per-channel call counts (staying aligned
+        with the survivors' streams) and every round now also waits for it.
+        That only ever *adds* a wait requirement, so no completion check is
+        needed."""
+        for calls in self.calls.values():
+            if old.uid in calls:
+                calls[proc.uid] = calls.pop(old.uid)
+        for rnd in self.open.values():
+            rnd.need += 1

@@ -13,12 +13,12 @@ import itertools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..simkernel.traps import Sleep
-from . import batchcoll
-from .batchcoll import BatchCollectives
-from .collectives import Rendezvous, RendezvousTable, RvKind
+from .collectives import (FAST_OPS, PER_SLOT, SHARED, RoundTable, RvKind,
+                          finish_agree, fixed_cost, fold, payload_cost)
 from .datatypes import clone_payload, freeze_payload, payload_nbytes
 from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
                      MPIError, ProcFailedError, RankError, RevokedError)
@@ -98,11 +98,10 @@ def BAND(a, b):
     return a & b
 
 
-# the batch fast path substitutes the C-level operator for the ops whose
-# builtin is semantically identical on every payload type (MIN/MAX/LAND
-# branch on the operand type, so they fold through the Python functions)
-batchcoll.FAST_OPS.update({SUM: operator.add, PROD: operator.mul,
-                           BAND: operator.and_})
+# reductions substitute the C-level operator for the ops whose builtin is
+# semantically identical on every payload type (MIN/MAX/LAND branch on the
+# operand type, so they fold through the Python functions)
+FAST_OPS.update({SUM: operator.add, PROD: operator.mul, BAND: operator.and_})
 
 
 class CommState:
@@ -118,8 +117,7 @@ class CommState:
         engine = universe.engine
         detect = universe.machine.failure_detection_latency
         self.board = MessageBoard(engine, detect)
-        self.rtable = RendezvousTable()
-        self._op_counts: Dict[tuple, int] = defaultdict(int)
+        self.rounds = RoundTable(self, len(self.procs))
         #: per-proc acknowledged failure snapshots (failure_ack)
         self.acked: Dict[int, tuple] = {}
         self.errhandlers: Dict[int, Callable] = {}
@@ -131,10 +129,6 @@ class CommState:
             i for i, p in enumerate(self.procs) if p.dead)
         #: cached diagnostics switch (future labels / waits_for annotations)
         self.diag = universe.diagnostics
-        #: batch-vectorised fast path for failure-free collective rounds
-        #: (None when the universe runs with batching disabled)
-        self.batch: Optional[BatchCollectives] = \
-            BatchCollectives(self) if universe.batch else None
         universe.stats.comms_created += 1
         for p in self.procs:
             p.comm_states.add(self)
@@ -151,22 +145,7 @@ class CommState:
         return self._dead_ranks
 
     def n_failed(self) -> int:
-        return sum(1 for p in self.procs if p.dead)
-
-    def next_op_index(self, proc: Proc, channel: str = "coll") -> int:
-        """Per-proc, per-channel collective sequence number.
-
-        Ordinary collectives share one ordered channel ("coll"), matching
-        MPI's same-order rule.  The ULFM operations (agree, shrink) use
-        their own channels: their fault-tolerant consensus protocols are
-        independent of the regular collective stream, which is what makes
-        the paper's differing parent/child call orders (Fig. 3 l.21-22 vs
-        Fig. 5 l.14-15) legal.
-        """
-        key = (proc.uid, channel)
-        idx = self._op_counts[key]
-        self._op_counts[key] = idx + 1
-        return idx
+        return len(self._dead_ranks)
 
     def handle(self, proc: Proc) -> "CommHandle":
         return CommHandle(self, proc)
@@ -177,9 +156,7 @@ class CommState:
         self._dead_ranks = self._dead_ranks | {rank}
         self.board.drop_waiters_of(rank)
         self.board.on_rank_death(rank, now)
-        self.rtable.on_proc_death(proc, now)
-        if self.batch is not None:
-            self.batch.on_death(rank, now)
+        self.rounds.on_death(proc, now)
 
     def readmit(self, rank: int, proc: Proc) -> None:
         """Replace the dead member at ``rank`` with ``proc`` in place.
@@ -191,13 +168,12 @@ class CommState:
         communicators.  Idempotent — every survivor of the repaired grid
         performs the same swap.
 
-        The swap patches the member lists of still-open rendezvous so a
-        fault-tolerant operation already in progress (e.g. a survivor-kind
-        ``agree`` that unaffected ranks have entered) starts waiting for the
-        replacement instead of skipping the dead member.  Patching only ever
-        *adds* a wait requirement, so no completion check is needed here.
-        The replacement inherits the dead member's per-channel collective
-        sequence numbers, keeping it aligned with the survivors' streams.
+        Open collective rounds see the swap too, so a fault-tolerant
+        operation already in progress (e.g. a survivor-kind ``agree`` that
+        unaffected ranks have entered) starts waiting for the replacement
+        instead of skipping the dead member, and the replacement inherits
+        the dead member's per-channel collective sequence numbers (see
+        :meth:`RoundTable.on_readmit`).
 
         Callers must guarantee no in-flight point-to-point traffic still
         addresses the dead member on this communicator (the non-collective
@@ -217,15 +193,7 @@ class CommState:
         self._rank_cache[proc.uid] = rank
         self._dead_ranks = self._dead_ranks - {rank}
         self.group = Group(self.procs)
-        for (uid, channel), count in list(self._op_counts.items()):
-            if uid == old.uid:
-                self._op_counts[(proc.uid, channel)] = count
-                del self._op_counts[(uid, channel)]
-        for rv in self.rtable.open.values():
-            if not rv.completed and rv.doomed is None:
-                for i, m in enumerate(rv.members):
-                    if m.uid == old.uid:
-                        rv.members[i] = proc
+        self.rounds.on_readmit(old, proc)
         old.comm_states.discard(self)
         proc.comm_states.add(self)
 
@@ -234,14 +202,8 @@ class CommState:
             return
         self.revoked = True
         self.universe.trace(self.name, "revoked", "propagated")
-        # one shared exception instance across every doomed operation,
-        # exactly like the historical doom_all-only path
-        exc = RevokedError(f"{self.name} revoked")
-        detect = self.universe.machine.failure_detection_latency
         self.board.revoke_all(now)
-        self.rtable.doom_all(exc, now, detect)
-        if self.batch is not None:
-            self.batch.on_revoke(exc, now)
+        self.rounds.on_revoke(RevokedError(f"{self.name} revoked"), now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = " revoked" if self.revoked else ""
@@ -265,11 +227,6 @@ class CommHandle:
         self._board = state.board
         self._stats = state.universe.stats
         self._uni = state.universe
-        # batch eligibility that is static for the handle's lifetime:
-        # diagnostics mode needs the per-operation futures/annotations the
-        # fast path skips.  Revocation and tracer attachment are checked
-        # per call (they can change mid-run).
-        self._batch = state.batch if not state.diag else None
         self._xop: Optional[ExchangeOp] = None  # reused fused-exchange op
 
     # -- basics ------------------------------------------------------------
@@ -470,7 +427,7 @@ class CommHandle:
         receive each ``(source, tag)``, wait for the sends — one awaited
         future instead of ``len(sends) + len(recvs)`` per phase.
 
-        Semantically (and, on the event path, literally) equivalent to::
+        Semantically (and, on the fallback path, literally) equivalent to::
 
             reqs = [self.isend(obj, d, t, copy=copy) for d, t, obj in sends]
             out = [await self.recv(s, t) for s, t in recvs]
@@ -478,15 +435,15 @@ class CommHandle:
                 await r.wait()
             return out
 
-        which is the halo-exchange idiom of both solvers.  The fast path
+        which is the halo-exchange idiom of both solvers.  The fused path
         requires a healthy communicator (no dead members — dead-target send
-        futures only exist on the event path), no tracer and no
+        futures only exist in the literal sequence), no tracer and no
         diagnostics; receives register sequentially at their predecessors'
         resolution instants, so failures landing mid-exchange surface with
-        event-path timing (see :class:`~repro.mpi.matching.ExchangeOp`).
+        the unfused timing (see :class:`~repro.mpi.matching.ExchangeOp`).
         """
         state = self.state
-        if (self._batch is None or state.revoked or state._dead_ranks
+        if (state.diag or state.revoked or state._dead_ranks
                 or self._uni.tracer is not None
                 or not self._valid_specs(sends, recvs)):
             reqs = [self.isend(obj, dest, tag, copy=copy)
@@ -521,9 +478,9 @@ class CommHandle:
         return result
 
     def _valid_specs(self, sends, recvs) -> bool:
-        """Range pre-check for the fused fast path; invalid specs take the
-        event path so the error surfaces exactly where the unfused sequence
-        would raise it."""
+        """Range pre-check for the fused path; invalid specs take the
+        literal sequence so the error surfaces exactly where it would raise
+        it."""
         n = self.state.size
         for dest, _tag, _obj in sends:
             if not 0 <= dest < n:
@@ -536,283 +493,113 @@ class CommHandle:
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    def _fast_round(self, op: str, value: Any, nbytes: int,
-                    reduce_op: Optional[Callable] = None, root: int = 0):
-        """Try to join the batch fast path for ``op``.
-
-        Returns a round (await its ``fut``, then ``take(rank)``) or ``None``
-        when the event path must run.  The gate mirrors the event path's
-        synchronous checks: a revoked communicator declines here and raises
-        in ``_check_usable``; an attached tracer needs the per-call trace
-        records only the event path emits.
-        """
-        b = self._batch
-        if b is None or self.state.revoked or self._uni.tracer is not None:
-            return None
-        return b.join(op, self.proc, self.rank, value, nbytes,
-                      reduce_op=reduce_op, root=root)
-
-    async def _collective(self, op_name: str, value: Any, *,
+    async def _collective(self, op: str, value: Any, nbytes: int = 0, *,
                           kind: RvKind = RvKind.NORMAL,
-                          cost_fn: Callable[[Dict[int, Any]], float],
-                          finisher: Callable[[Dict[int, Any], List[Proc]], Dict[int, Any]],
-                          channel: str = "coll"):
-        if kind is RvKind.NORMAL:
-            self._check_usable()
-        engine = self._engine
-        idx = self.state.next_op_index(self.proc, channel)
-        key = (channel, op_name, idx)
+                          channel: str = "coll", rule=None, arg: Any = None,
+                          root: int = 0):
+        """Join this call's round (see :mod:`repro.mpi.collectives`) and
+        return this rank's result.  ``rule`` is the ``(cost rule, finish
+        rule)`` pair of a long-tail operation; the seven hot collectives
+        leave it to the ``HOT_OPS`` table.  The public operations return
+        this coroutine itself, so a collective call costs one coroutine
+        frame."""
         state = self.state
-        detect = self._machine.failure_detection_latency
-
-        def factory():
-            return Rendezvous(engine, key, op_name, state.procs, kind,
-                              cost_fn, finisher, detect, state.rank_of)
-
-        rv = state.rtable.get_or_create(key, factory)
-        uni = state.universe
-        uni.stats.record_collective(op_name)
-        if uni.tracer is not None:
-            uni.trace(self.proc.name, "coll",
-                      f"{op_name} {state.name} r{self.rank}")
-        if state.diag:
-            fut = engine.create_future(
-                label=f"{op_name}:{state.name}:{self.rank}")
-            fut.waits_for = {"kind": "coll", "op": op_name, "state": state,
-                             "rank": self.rank, "rv": rv}
-        else:
-            fut = engine.create_future()
-        rv.arrive(self.proc, value, fut)
-        state.rtable.cleanup()
+        if state.revoked and kind is RvKind.NORMAL:
+            self._raise(RevokedError(f"{state.name} is revoked"))
+        fut = state.rounds.join(op, self.proc, self.rank, value, nbytes,
+                                state.procs, kind, channel, rule, arg, root)
         try:
-            return await fut
+            rnd = await fut
         except MPIError as exc:
             self._raise(exc)
+        return rnd.take(self.rank)
 
-    def _coll_cost(self, arrived: Dict[int, Any]) -> float:
-        nbytes = max((payload_nbytes(v) for v in arrived.values()), default=0)
-        return self._machine.collective_cost(self.state.size, nbytes)
-
-    async def barrier(self) -> None:
+    def barrier(self) -> Awaitable[None]:
         """``MPI_Barrier`` — fails with ProcFailedError if any member is dead
         (the paper's failure-detection probe, Fig. 3 line 13)."""
-        rnd = self._fast_round("barrier", None, 0)
-        if rnd is not None:
-            try:
-                await rnd.fut
-            except MPIError as exc:
-                self._raise(exc)
-            return rnd.take(self.rank)
-        n = self.state.size
-        await self._collective(
-            "barrier", None,
-            cost_fn=lambda arr: self._machine.barrier_cost(n),
-            finisher=lambda arr, live: {uid: None for uid in arr})
+        return self._collective("barrier", None)
 
-    async def bcast(self, obj: Any = None, root: int = 0):
+    def bcast(self, obj: Any = None, root: int = 0):
         self._check_rank(root)
         value = obj if self.rank == root else None
-        rnd = self._fast_round("bcast", value, payload_nbytes(value),
-                               root=root)
-        if rnd is not None:
-            try:
-                await rnd.fut
-            except MPIError as exc:
-                self._raise(exc)
-            return rnd.take(self.rank)
-        state = self.state
+        return self._collective("bcast", value, payload_nbytes(value),
+                                root=root)
 
-        def finisher(arrived, live):
-            root_uid = state.procs[root].uid
-            value = arrived.get(root_uid)
-            return {uid: (value if uid == root_uid else clone_payload(value))
-                    for uid in arrived}
-
-        return await self._collective(
-            "bcast", obj if self.rank == root else None,
-            cost_fn=self._coll_cost, finisher=finisher)
-
-    async def gather(self, obj: Any, root: int = 0):
+    def gather(self, obj: Any, root: int = 0):
         self._check_rank(root)
-        rnd = self._fast_round("gather", obj, payload_nbytes(obj), root=root)
-        if rnd is not None:
-            try:
-                await rnd.fut
-            except MPIError as exc:
-                self._raise(exc)
-            return rnd.take(self.rank)
-        state = self.state
+        return self._collective("gather", obj, payload_nbytes(obj),
+                                root=root)
 
-        def finisher(arrived, live):
-            root_uid = state.procs[root].uid
-            ordered = [arrived.get(p.uid) for p in state.procs]
-            return {uid: (ordered if uid == root_uid else None)
-                    for uid in arrived}
+    def allgather(self, obj: Any):
+        return self._collective("allgather", obj, payload_nbytes(obj))
 
-        return await self._collective(
-            "gather", obj, cost_fn=self._coll_cost, finisher=finisher)
-
-    async def allgather(self, obj: Any):
-        rnd = self._fast_round("allgather", obj, payload_nbytes(obj))
-        if rnd is not None:
-            try:
-                await rnd.fut
-            except MPIError as exc:
-                self._raise(exc)
-            return rnd.take(self.rank)
-        state = self.state
-
-        def finisher(arrived, live):
-            ordered = [arrived.get(p.uid) for p in state.procs]
-            return {uid: clone_payload(ordered) for uid in arrived}
-
-        return await self._collective(
-            "allgather", obj, cost_fn=self._coll_cost, finisher=finisher)
-
-    async def scatter(self, objs: Optional[Sequence] = None, root: int = 0):
+    def scatter(self, objs: Optional[Sequence] = None, root: int = 0):
         self._check_rank(root)
         value = objs if self.rank == root else None
-        rnd = self._fast_round("scatter", value, payload_nbytes(value),
-                               root=root)
-        if rnd is not None:
-            try:
-                await rnd.fut
-            except MPIError as exc:
-                self._raise(exc)
-            return rnd.take(self.rank)
-        state = self.state
+        return self._collective("scatter", value, payload_nbytes(value),
+                                root=root)
 
-        def finisher(arrived, live):
-            root_uid = state.procs[root].uid
-            items = arrived.get(root_uid)
-            if items is None or len(items) != state.size:
-                raise RankError(
-                    f"scatter root must supply {state.size} items")
-            return {p.uid: clone_payload(items[i])
-                    for i, p in enumerate(state.procs) if p.uid in arrived}
-
-        return await self._collective(
-            "scatter", objs if self.rank == root else None,
-            cost_fn=self._coll_cost, finisher=finisher)
-
-    async def reduce(self, obj: Any, op: Callable = SUM, root: int = 0):
+    def reduce(self, obj: Any, op: Callable = SUM, root: int = 0):
         self._check_rank(root)
-        rnd = self._fast_round("reduce", obj, payload_nbytes(obj),
-                               reduce_op=op, root=root)
-        if rnd is not None:
-            try:
-                await rnd.fut
-            except MPIError as exc:
-                self._raise(exc)
-            return rnd.take(self.rank)
-        state = self.state
+        return self._collective("reduce", obj, payload_nbytes(obj),
+                                arg=op, root=root)
 
-        def finisher(arrived, live):
-            acc = None
-            for p in state.procs:
-                v = arrived.get(p.uid)
-                if v is None:
-                    continue
-                acc = v if acc is None else op(acc, v)
-            root_uid = state.procs[root].uid
-            return {uid: (acc if uid == root_uid else None) for uid in arrived}
+    def allreduce(self, obj: Any, op: Callable = SUM):
+        return self._collective("allreduce", obj, payload_nbytes(obj),
+                                arg=op)
 
-        return await self._collective(
-            "reduce", obj, cost_fn=self._coll_cost, finisher=finisher)
-
-    async def allreduce(self, obj: Any, op: Callable = SUM):
-        rnd = self._fast_round("allreduce", obj, payload_nbytes(obj),
-                               reduce_op=op)
-        if rnd is not None:
-            try:
-                await rnd.fut
-            except MPIError as exc:
-                self._raise(exc)
-            return rnd.take(self.rank)
-        state = self.state
-
-        def finisher(arrived, live):
-            acc = None
-            for p in state.procs:
-                v = arrived.get(p.uid)
-                if v is None:
-                    continue
-                acc = v if acc is None else op(acc, v)
-            return {uid: clone_payload(acc) for uid in arrived}
-
-        return await self._collective(
-            "allreduce", obj, cost_fn=self._coll_cost, finisher=finisher)
-
-    async def scan(self, obj: Any, op: Callable = SUM):
+    def scan(self, obj: Any, op: Callable = SUM):
         """``MPI_Scan``: inclusive prefix reduction by rank order."""
-        state = self.state
+        def finish(rnd):
+            out, acc = [], None
+            for v in rnd.values:
+                if v is not None:
+                    acc = v if acc is None else op(acc, v)
+                out.append(None if v is None else clone_payload(acc))
+            return PER_SLOT, out
 
-        def finisher(arrived, live):
-            out = {}
-            acc = None
-            for p in state.procs:
-                v = arrived.get(p.uid)
-                if v is None:
-                    continue
-                acc = v if acc is None else op(acc, v)
-                out[p.uid] = clone_payload(acc)
-            return out
+        return self._collective("scan", obj, payload_nbytes(obj),
+                                rule=(payload_cost, finish))
 
-        return await self._collective(
-            "scan", obj, cost_fn=self._coll_cost, finisher=finisher)
-
-    async def exscan(self, obj: Any, op: Callable = SUM):
+    def exscan(self, obj: Any, op: Callable = SUM):
         """``MPI_Exscan``: exclusive prefix reduction (None on rank 0)."""
-        state = self.state
+        def finish(rnd):
+            out, acc = [], None
+            for v in rnd.values:
+                out.append(None if v is None else clone_payload(acc))
+                if v is not None:
+                    acc = v if acc is None else op(acc, v)
+            return PER_SLOT, out
 
-        def finisher(arrived, live):
-            out = {}
-            acc = None
-            for p in state.procs:
-                v = arrived.get(p.uid)
-                if v is None:
-                    continue
-                out[p.uid] = clone_payload(acc) if acc is not None else None
-                acc = v if acc is None else op(acc, v)
-            return out
+        return self._collective("exscan", obj, payload_nbytes(obj),
+                                rule=(payload_cost, finish))
 
-        return await self._collective(
-            "exscan", obj, cost_fn=self._coll_cost, finisher=finisher)
-
-    async def gatherv(self, obj: Any, root: int = 0):
+    def gatherv(self, obj: Any, root: int = 0):
         """``MPI_Gatherv``-style gather of variable-size contributions
         (the simulator imposes no size constraint, so this is gather with
         explicit naming for API parity)."""
-        return await self.gather(obj, root=root)
+        return self.gather(obj, root=root)
 
-    async def scatterv(self, objs: Optional[Sequence] = None, root: int = 0):
+    def scatterv(self, objs: Optional[Sequence] = None, root: int = 0):
         """``MPI_Scatterv``-style scatter of variable-size pieces."""
-        return await self.scatter(objs, root=root)
+        return self.scatter(objs, root=root)
 
-    async def reduce_scatter_block(self, objs: Sequence, op: Callable = SUM):
+    def reduce_scatter_block(self, objs: Sequence, op: Callable = SUM):
         """``MPI_Reduce_scatter_block``: element-wise reduce of per-rank
         lists, each rank receiving its own slot of the result."""
-        state = self.state
-        if len(objs) != state.size:
-            raise RankError(f"reduce_scatter needs {state.size} items")
+        n = self.state.size
+        if len(objs) != n:
+            raise RankError(f"reduce_scatter needs {n} items")
 
-        def finisher(arrived, live):
-            out = {}
-            for i, p in enumerate(state.procs):
-                if p.uid not in arrived:
-                    continue
-                acc = None
-                for q in state.procs:
-                    contrib = arrived.get(q.uid)
-                    if contrib is None:
-                        continue
-                    acc = contrib[i] if acc is None else op(acc, contrib[i])
-                out[p.uid] = clone_payload(acc)
-            return out
+        def finish(rnd):
+            return PER_SLOT, [
+                clone_payload(fold([c[i] for c in rnd.values], op))
+                for i in range(n)]
 
-        return await self._collective(
-            "reduce_scatter", list(objs), cost_fn=self._coll_cost,
-            finisher=finisher)
+        value = list(objs)
+        return self._collective("reduce_scatter", value,
+                                payload_nbytes(value),
+                                rule=(payload_cost, finish))
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
                ) -> Optional[Status]:
@@ -822,23 +609,18 @@ class CommHandle:
         best = self._board.probe(self.rank, source, tag, self._engine.now)
         return None if best is None else Status(best.src, best.tag)
 
-    async def alltoall(self, objs: Sequence):
-        state = self.state
-        if len(objs) != state.size:
-            raise RankError(f"alltoall needs {state.size} items")
+    def alltoall(self, objs: Sequence):
+        n = self.state.size
+        if len(objs) != n:
+            raise RankError(f"alltoall needs {n} items")
 
-        def finisher(arrived, live):
-            out = {}
-            for i, p in enumerate(state.procs):
-                if p.uid not in arrived:
-                    continue
-                out[p.uid] = [clone_payload(arrived[q.uid][i])
-                              if q.uid in arrived else None
-                              for q in state.procs]
-            return out
+        def finish(rnd):
+            return PER_SLOT, [[clone_payload(c[i]) for c in rnd.values]
+                              for i in range(n)]
 
-        return await self._collective(
-            "alltoall", list(objs), cost_fn=self._coll_cost, finisher=finisher)
+        value = list(objs)
+        return self._collective("alltoall", value, payload_nbytes(value),
+                                rule=(payload_cost, finish))
 
     # ------------------------------------------------------------------
     # communicator construction
@@ -847,31 +629,25 @@ class CommHandle:
         """``MPI_Comm_split``: the paper uses this with chosen keys to restore
         the original rank order after recovery (Fig. 3 l.24, Fig. 5 l.25)."""
         state = self.state
-        universe = state.universe
 
-        def finisher(arrived, live):
+        def finish(rnd):
             by_color: Dict[int, list] = defaultdict(list)
-            for i, p in enumerate(state.procs):
-                if p.uid not in arrived:
-                    continue
-                c, k = arrived[p.uid]
-                if c is None or c == UNDEFINED:
-                    continue
-                by_color[c].append((k, i, p))
-            results: Dict[int, Any] = {uid: None for uid in arrived}
+            for i, (c, k) in enumerate(rnd.values):
+                if c is not None and c != UNDEFINED:
+                    by_color[c].append((k, i))
+            out: List[Any] = [None] * len(rnd.values)
             for c, entries in sorted(by_color.items()):
-                entries.sort(key=lambda e: (e[0], e[1]))
-                new_state = CommState(universe,
-                                      [p for _k, _i, p in entries],
+                entries.sort()
+                new_state = CommState(state.universe,
+                                      [state.procs[i] for _k, i in entries],
                                       name=f"{state.name}.split{c}")
-                for _k, _i, p in entries:
-                    results[p.uid] = new_state
-            return results
+                for _k, i in entries:
+                    out[i] = new_state
+            return PER_SLOT, out
 
+        cost = self._machine.collective_cost(state.size, 16)
         new_state = await self._collective(
-            "split", (color, key),
-            cost_fn=lambda arr: self._machine.collective_cost(state.size, 16),
-            finisher=finisher)
+            "split", (color, key), rule=(fixed_cost(cost), finish))
         if new_state is None:
             return None
         return CommHandle(new_state, self.proc)
@@ -902,16 +678,15 @@ class CommHandle:
         n_cores = state.size + count
         cost = self._machine.ulfm.spawn(n_cores, count)
 
-        def finisher(arrived, live):
-            # children begin at the rendezvous completion time
-            inter_state = universe.create_spawned_job(
+        def finish(rnd):
+            # children begin at the round's completion time
+            return SHARED, universe.create_spawned_job(
                 state, count, entry, argv, host_names,
                 start_at=universe.engine.now + cost)
-            return {uid: inter_state for uid in arrived}
 
         inter_state = await self._collective(
             "spawn_multiple", (count, tuple(host_names or ())),
-            cost_fn=lambda arr: cost, finisher=finisher)
+            rule=(fixed_cost(cost), finish))
         return IntercommHandle(inter_state, self.proc, side="local")
 
     # ------------------------------------------------------------------
@@ -940,19 +715,17 @@ class CommHandle:
         else:
             cost = self._machine.ulfm.shrink(state.size, n_failed)
 
-        def finisher(arrived, live):
-            order = {p.uid: i for i, p in enumerate(state.procs)}
-            survivors = sorted(live, key=lambda p: order[p.uid])
-            new_state = CommState(universe, survivors,
-                                  name=f"{state.name}.shrunk")
-            return {uid: new_state for uid in arrived}
+        def finish(rnd):
+            return SHARED, CommState(universe,
+                                     [p for p in state.procs if p.alive],
+                                     name=f"{state.name}.shrunk")
 
         new_state = await self._collective(
-            "shrink", None, kind=RvKind.SURVIVOR,
-            cost_fn=lambda arr: cost, finisher=finisher, channel="shrink")
+            "shrink", None, kind=RvKind.SURVIVOR, channel="shrink",
+            rule=(fixed_cost(cost), finish))
         return CommHandle(new_state, self.proc)
 
-    async def agree(self, flag: int = 1) -> int:
+    def agree(self, flag: int = 1) -> Awaitable[int]:
         """``OMPI_Comm_agree``: fault-tolerant agreement among survivors;
         returns the bitwise AND of the contributed flags."""
         state = self.state
@@ -962,16 +735,9 @@ class CommHandle:
             cost = 4.0 * self._machine.collective_cost(state.size, 8)
         else:
             cost = self._machine.ulfm.agree(state.size, n_failed)
-
-        def finisher(arrived, live):
-            acc = None
-            for v in arrived.values():
-                acc = v if acc is None else (acc & v)
-            return {uid: acc for uid in arrived}
-
-        return await self._collective(
-            "agree", int(flag), kind=RvKind.SURVIVOR,
-            cost_fn=lambda arr: cost, finisher=finisher, channel="agree")
+        return self._collective(
+            "agree", int(flag), kind=RvKind.SURVIVOR, channel="agree",
+            rule=(fixed_cost(cost), finish_agree))
 
     async def readmit(self, rank: int, proc: Proc) -> "CommHandle":
         """Re-admit a repaired process into this communicator (local op).

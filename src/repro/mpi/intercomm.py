@@ -10,11 +10,11 @@ completeness.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Awaitable, Callable, Dict, List, Sequence
 
 from ..simkernel.traps import Sleep
-from .collectives import Rendezvous, RendezvousTable, RvKind
+from .collectives import (SHARED, RoundTable, RvKind, finish_agree,
+                          fixed_cost)
 from .comm import CommHandle, CommState
 from .datatypes import clone_payload, payload_nbytes
 from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
@@ -41,8 +41,7 @@ class IntercommState:
         detect = universe.machine.failure_detection_latency
         # board keyed by destination proc uid (ranks are ambiguous across sides)
         self.board = MessageBoard(engine, detect)
-        self.rtable = RendezvousTable()
-        self._op_counts: Dict[tuple, int] = defaultdict(int)
+        self.rounds = RoundTable(self, len(self.group_a) + len(self.group_b))
         self.errhandlers: Dict[int, Callable] = {}
         self.acked: Dict[int, tuple] = {}
         self._a_uids = {p.uid for p in self.group_a}
@@ -77,12 +76,6 @@ class IntercommState:
     def n_failed(self) -> int:
         return sum(1 for p in self.all_procs if p.dead)
 
-    def next_op_index(self, proc: Proc, channel: str = "coll") -> int:
-        key = (proc.uid, channel)
-        idx = self._op_counts[key]
-        self._op_counts[key] = idx + 1
-        return idx
-
     def on_proc_death(self, proc: Proc, now: float) -> None:
         self.board.drop_waiters_of(proc.uid)
         dead_rank = self.rank_of(proc)
@@ -95,7 +88,7 @@ class IntercommState:
                 ProcFailedError(f"intercomm peer rank {dead_rank} died",
                                 failed_ranks=(dead_rank,)),
                 at=now + detect)
-        self.rtable.on_proc_death(proc, now)
+        self.rounds.on_death(proc, now)
 
     def do_revoke(self, now: float) -> None:
         if self.revoked:
@@ -103,8 +96,7 @@ class IntercommState:
         self.revoked = True
         self.universe.trace(self.name, "revoked", "propagated")
         self.board.revoke_all(now)
-        self.rtable.doom_all(RevokedError(f"{self.name} revoked"), now,
-                             self.universe.machine.failure_detection_latency)
+        self.rounds.on_revoke(RevokedError(f"{self.name} revoked"), now)
 
 
 class IntercommHandle:
@@ -192,34 +184,20 @@ class IntercommHandle:
     # ------------------------------------------------------------------
     # collectives over the union
     # ------------------------------------------------------------------
-    async def _collective(self, op_name, value, *, kind, cost_fn, finisher,
-                          channel: str = "coll", members=None):
-        engine = self._engine
-        state = self.state
-        idx = state.next_op_index(self.proc, channel)
-        key = (channel, op_name, idx)
-        detect = self._machine.failure_detection_latency
-        members = state.all_procs if members is None else members
-
-        def factory():
-            return Rendezvous(engine, key, op_name, members, kind,
-                              cost_fn, finisher, detect, state.rank_of)
-
-        rv = state.rtable.get_or_create(key, factory)
-        state.universe.stats.record_collective(op_name)
-        state.universe.trace(self.proc.name, "coll",
-                             f"{op_name} {state.name} r{self.rank}")
-        fut = engine.create_future(label=f"{op_name}:{state.name}")
-        fut.waits_for = {"kind": "coll", "op": op_name, "state": state,
-                         "rank": self.rank, "rv": rv}
-        rv.arrive(self.proc, value, fut)
-        state.rtable.cleanup()
+    async def _collective(self, op: str, value: Any, slot: int,
+                          members: List[Proc], kind: RvKind, channel: str,
+                          rule):
+        """Join this call's round over ``members`` (the union, or the
+        caller's local group) as its ``slot``-th member."""
+        fut = self.state.rounds.join(op, self.proc, slot, value, 0, members,
+                                     kind, channel, rule)
         try:
-            return await fut
+            rnd = await fut
         except MPIError as exc:
             self._raise(exc)
+        return rnd.take(slot)
 
-    async def agree(self, flag: int = 1) -> int:
+    def agree(self, flag: int = 1) -> Awaitable[int]:
         """``OMPI_Comm_agree`` on an intercommunicator.
 
         Agreement is performed over the caller's *local* group.  This is
@@ -228,54 +206,43 @@ class IntercommHandle:
         l.14-15) while the children agree before merging (Fig. 3 l.21-22),
         so an agreement spanning both groups could never complete.
         """
-        state = self.state
-        side = state.side_of(self.proc)
-        group = state.group_a if side == "a" else state.group_b
+        group = self.local_group
         n = len(group)
         n_failed = sum(1 for p in group if p.dead)
         if n_failed == 0:
             cost = 4.0 * self._machine.collective_cost(n, 8)
         else:
             cost = self._machine.ulfm.agree(n, n_failed)
-
-        def finisher(arrived, live):
-            acc = None
-            for v in arrived.values():
-                acc = v if acc is None else (acc & v)
-            return {uid: acc for uid in arrived}
-
-        return await self._collective(
-            "agree", int(flag), kind=RvKind.SURVIVOR,
-            cost_fn=lambda arr: cost, finisher=finisher,
-            channel=f"agree-{side}", members=group)
+        return self._collective(
+            "agree", int(flag), self.rank, group, RvKind.SURVIVOR,
+            f"agree-{self.state.side_of(self.proc)}",
+            (fixed_cost(cost), finish_agree))
 
     async def merge(self, high: bool) -> CommHandle:
         """``MPI_Intercomm_merge``: form an intracommunicator over both
         groups; the group(s) passing ``high=True`` get the upper ranks
         (Fig. 2's merge step)."""
         state = self.state
-        universe = state.universe
-        n = len(state.all_procs)
-        cost = self._machine.ulfm.merge(n)
+        n_a = len(state.group_a)
+        cost = self._machine.ulfm.merge(n_a + len(state.group_b))
 
-        def finisher(arrived, live):
-            a_flags = {bool(arrived[p.uid]) for p in state.group_a
-                       if p.uid in arrived}
-            b_flags = {bool(arrived[p.uid]) for p in state.group_b
-                       if p.uid in arrived}
+        def finish(rnd):
+            a_flags = set(rnd.values[:n_a])
+            b_flags = set(rnd.values[n_a:])
             if len(a_flags) > 1 or len(b_flags) > 1 or a_flags == b_flags:
                 raise RankError(
                     f"inconsistent high flags in intercomm merge: "
                     f"a={a_flags}, b={b_flags}")
             low, highg = (state.group_a, state.group_b) \
                 if a_flags == {False} else (state.group_b, state.group_a)
-            new_state = CommState(universe, list(low) + list(highg),
-                                  name=f"{state.name}.merged")
-            return {uid: new_state for uid in arrived}
+            return SHARED, CommState(state.universe, low + highg,
+                                     name=f"{state.name}.merged")
 
+        slot = self.rank if self.local_group is state.group_a \
+            else n_a + self.rank
         new_state = await self._collective(
-            "merge", bool(high), kind=RvKind.NORMAL,
-            cost_fn=lambda arr: cost, finisher=finisher)
+            "merge", bool(high), slot, state.all_procs, RvKind.NORMAL, "coll",
+            (fixed_cost(cost), finish))
         return CommHandle(new_state, self.proc)
 
     def revoke(self) -> None:

@@ -10,7 +10,6 @@ process failures (the analogue of the paper's
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..machine import Hostfile, MachineSpec
@@ -145,19 +144,13 @@ class Universe:
         #: when True, communicators attach per-operation debugging
         #: bookkeeping (future labels and ``waits_for`` annotations).  The
         #: default is False — the deadlock explainer reconstructs wait info
-        #: from the message boards and open rendezvous on demand, so plain
+        #: from the message boards and open rounds on demand, so plain
         #: runs pay zero per-message overhead.  Tracing bookkeeping is
         #: independently free whenever ``tracer`` is None: call sites check
         #: before building detail strings.
         self.diagnostics = diagnostics
-        #: batch-vectorised fast path for failure-free collective rounds
-        #: and fused halo exchanges (bit-identical to the event path; see
-        #: repro.mpi.batchcoll).  On by default; ``batch=False`` — or the
-        #: ``REPRO_BATCH=0`` environment kill switch — forces every
-        #: operation through the per-rank event path.
-        if batch is None:
-            batch = os.environ.get("REPRO_BATCH", "1") != "0"
-        self.batch = bool(batch)
+        # ``batch`` selects nothing and is not stored: bench/probes.py (its
+        # only caller, frozen by BENCHMARK.json) still passes it.
 
     def trace(self, actor: str, kind: str, detail: str) -> None:
         if self.tracer is not None:

@@ -64,8 +64,8 @@ class _Event:
     * ``_EV_BATCH`` — ``a`` is a list of tasks resumed back-to-back (in list
       order) with the shared send value ``b``.  One heap/deque entry stands
       in for ``len(a)`` consecutive ``_EV_RESUME`` events with consecutive
-      seqs, which is exactly what makes the batch fast path bit-identical
-      to the per-task event path (see ``Engine.schedule_future_batch``).
+      seqs, which is exactly what makes a batched wake-up bit-identical
+      to per-task resume events (see ``Engine.schedule_future_batch``).
     """
 
     __slots__ = ("time", "seq", "kind", "a", "b", "c")
@@ -293,8 +293,8 @@ class Engine:
                 elif kind == _EV_CALL:
                     a(*b)
                 elif kind == _EV_BATCH:
-                    # count every logical resume so events/s stays comparable
-                    # between the batch and per-task paths
+                    # count every logical resume: events_processed means
+                    # task steps, however they were queued
                     processed += len(a) - 1
                     for task in a:
                         step(task, b, None)

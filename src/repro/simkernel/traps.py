@@ -143,8 +143,8 @@ class SimFuture:
     def recycle(self) -> None:
         """Reset to pristine-unresolved so the cell can be reused.
 
-        Only safe once every consumer has taken its result — the batch
-        collectives layer tracks a read countdown for exactly this purpose.
+        Only safe once every consumer has taken its result — collective
+        rounds track a read countdown for exactly this purpose.
         """
         self._done = False
         self._result = self._exception = None

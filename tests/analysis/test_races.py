@@ -149,3 +149,53 @@ def test_deadlock_on_missing_collective_participant():
     msg = str(excinfo.value)
     assert "barrier" in msg
     assert "wait-for graph" in msg
+
+
+def _deadlock_graph(n, entry):
+    uni = Universe(IDEAL)       # default universe: no diagnostics
+    uni.launch(n, entry)
+    with pytest.raises(DeadlockError) as excinfo:
+        uni.run()
+    return excinfo.value.wait_graph
+
+
+def _never(ctx):
+    return ctx.comm.recv(source=ctx.rank)    # parks forever
+
+
+@pytest.mark.parametrize("op", ["allreduce", "agree"])
+def test_deadlock_names_the_ranks_missing_from_an_open_round(op):
+    """Every open round — hot or long-tail, NORMAL or SURVIVOR — is in the
+    one table the explainer reads: ranks 1 and 3 never join."""
+    async def main(ctx):
+        if ctx.rank % 2:
+            await _never(ctx)
+        elif op == "allreduce":
+            await ctx.comm.allreduce(1.0)
+        else:
+            await ctx.comm.agree(1)
+
+    lines = _deadlock_graph(4, main).splitlines()
+    for waiter in (0, 2):
+        line = next(l for l in lines if f".{waiter} waits for {op} on" in l)
+        blocked_on = line.split("blocked on: ")[1]
+        assert [name.rsplit(".", 1)[1] for name in blocked_on.split(", ")] \
+            == ["1", "3"]
+
+
+def test_deadlock_names_the_ranks_missing_from_an_intercomm_merge():
+    """The children never merge: both parents wait on both children."""
+    async def child(ctx):
+        await _never(ctx)
+
+    async def main(ctx):
+        inter = await ctx.comm.spawn_multiple(2, child)
+        await inter.merge(high=False)
+
+    lines = _deadlock_graph(2, main).splitlines()
+    merging = [l for l in lines if "waits for merge on" in l]
+    assert len(merging) == 2
+    for line in merging:
+        assert line.count("spawn") >= 3      # the bridge and both children
+        blocked_on = line.split("blocked on: ")[1].split(", ")
+        assert len(blocked_on) == 2 and all("spawn" in b for b in blocked_on)

@@ -9,13 +9,12 @@ from repro.mpi.universe import Universe
 
 
 def run_ranks(n, entry, *, machine=IDEAL, argv=(), kills=(), hostfile=None,
-              raise_task_failures=True, batch=None):
+              raise_task_failures=True):
     """Run ``entry(ctx)`` on ``n`` ranks; returns (results, universe).
 
     ``kills`` is a sequence of (rank, time) fail-stop injections.
-    ``batch`` pins the substrate path (None: universe default).
     """
-    uni = Universe(machine, hostfile=hostfile, batch=batch)
+    uni = Universe(machine, hostfile=hostfile)
     job = uni.launch(n, entry, argv)
     for rank, at in kills:
         uni.kill_rank(job, rank, at=at)
