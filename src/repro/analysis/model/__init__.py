@@ -3,14 +3,15 @@
 The third analysis layer (see docs/analysis.md "Three analysis
 layers"): per-rank communication skeletons are extracted from annotated
 entry points into a small protocol IR (:mod:`.ir`, :mod:`.extract`),
-the shipped ``ft.reconstruct`` recovery pipeline is inlined, and an
+the shipped ``repro.ft`` repair code (the ``ft.reconstruct`` pipeline and
+the ``ft.strategy`` shrink and nc repair loops) is inlined, and an
 explicit-state checker (:mod:`.checker`) explores the cross-rank
 product state space under protocol-level failure injection, proving
 deadlock-freedom or reporting a per-rank counterexample timeline.
 Rules ULF016-ULF020 (:mod:`.rules`) surface the findings through the
-ordinary lint/SARIF pipeline; :mod:`.modes` holds the reference
-programs for the CR/RC/AC respawn configurations and the SHRINK and NC
-repair modes that ``python -m repro verify-protocol`` certifies.
+ordinary lint/SARIF pipeline; :mod:`.modes` holds the harnesses for
+the CR/RC/AC respawn configurations and the SHRINK and NC repair modes
+that ``python -m repro verify-protocol`` certifies.
 """
 
 from .checker import (CheckResult, ModelError, ModelViolation,

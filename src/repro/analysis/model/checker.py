@@ -273,6 +273,7 @@ class _Checker:
             self.progs["child"] = model.child
         self.result = CheckResult(model)
         self._seen_violations = set()
+        self._lineno = 0                # of the instruction being advanced
         # parent pointers for counterexample reconstruction:
         # state key -> (parent key | None, action label)
         self._parents: Dict[object, Tuple[object, str]] = {}
@@ -385,10 +386,20 @@ class _Checker:
 
     def _rank_of(self, proc: _Proc, v, st: _State) -> int:
         c = self._comm(v, st)
+        self._require_member(proc, c)
         if c.kind == "inter":
             side = c.side_a if proc.pid in c.side_a else c.side_b
             return side.index(proc.pid)
         return c.members.index(proc.pid)
+
+    def _require_member(self, proc: _Proc, c: _Comm) -> None:
+        """Using a communicator that never admitted the caller (a
+        replacement nobody re-admitted) is a finding, not a crash."""
+        if proc.pid not in c.members:
+            raise _Flag([("ULF017", self._lineno,
+                          f"rank uses a communicator it is not a member "
+                          f"of: {proc.label()} was never admitted to "
+                          f"communicator {c.cid}")])
 
     # -- violations --------------------------------------------------------
 
@@ -655,6 +666,7 @@ class _Checker:
 
     def _do_send(self, proc: _Proc, op: Op, st: _State) -> None:
         c = self._comm(self._eval(op.comm, proc, st), st)
+        self._require_member(proc, c)
         if c.revoked:
             self._raise(proc, _REVOKED, op.lineno)
             return
@@ -696,6 +708,7 @@ class _Checker:
 
     def _do_recv(self, proc: _Proc, op: Op, st: _State) -> None:
         c = self._comm(self._eval(op.comm, proc, st), st)
+        self._require_member(proc, c)
         if c.revoked:
             self._raise(proc, _REVOKED, op.lineno)
             return
@@ -852,6 +865,7 @@ class _Checker:
                 proc.status = "done"
                 return [(st, f"{proc.label()}: falls off program end")]
             instr = prog.instrs[proc.pc]
+            self._lineno = instr.lineno
             if isinstance(instr, SetVar):
                 proc.env[instr.name] = self._eval(instr.expr, proc, st)
                 proc.pc += 1

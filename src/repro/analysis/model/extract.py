@@ -4,7 +4,7 @@ The extractor abstracts one ``async def`` per-rank entry point into a
 :class:`~repro.analysis.model.ir.Skeleton`.  Communication calls become
 IR ops, control flow becomes branches with every loop unrolled to a
 failure-budget-derived bound, called protocol functions (module-local or
-the shipped ``ft.reconstruct`` pair) are inlined with renamed locals,
+the shipped ``repro.ft`` repair loops) are inlined with renamed locals,
 and everything else — timers, spans, error-handler plumbing, host
 placement — collapses to opaque values.  Branching on an opaque value
 makes the checker explore both outcomes, so dropping detail is always
@@ -27,9 +27,9 @@ Loop bounds
 
 Name resolution for calls, in order: context intrinsics
 (``ctx.get_parent`` and friends), protocol intrinsics
-(``failed_procs_list``, ``select_rank_key``, checkpoint and lint-stub
-vocabulary), communicator methods (the op table), inlinable functions
-(module-local defs, then the cross-module registry), then opaque.
+(``failed_procs_list``, ``replaced_ranks``, ``select_rank_key``, checkpoint
+and lint-stub vocabulary), communicator methods (the op table), inlinable
+functions (module-local defs, then the cross-module registry), then opaque.
 """
 
 from __future__ import annotations
@@ -126,17 +126,31 @@ def build_module_env(tree: ast.Module, path: str,
     return ModuleEnv(consts, funcs, path)
 
 
-def reconstruct_registry() -> Dict[str, Tuple[ast.AST, ModuleEnv]]:
+#: the shipped protocol functions, by source file under ``repro/ft``
+_SHIPPED = {
+    "reconstruct.py": ("communicator_reconstruct", "repair_comm"),
+    "strategy.py": ("shrink_detect_repair", "nc_detect_repair"),
+}
+
+
+def reconstruct_registry(sources: Optional[Dict[str, str]] = None
+                         ) -> Dict[str, Tuple[ast.AST, ModuleEnv]]:
     """The shipped recovery protocol as an inline registry: extraction
-    targets can call ``communicator_reconstruct`` / ``repair_comm`` and
-    get the *real* ``ft.reconstruct`` code inlined."""
+    targets call the Fig. 3/5 pipeline or a mode's detect-and-repair loop
+    by name and get the *real* ``repro.ft`` code inlined.  ``sources``
+    substitutes the text of a file (name -> source) for what is on disk,
+    which is how the mutation tests show the models read this code."""
     from ... import ft
-    path = str(Path(ft.__file__).parent / "reconstruct.py")
-    tree = ast.parse(Path(path).read_text())
-    env = build_module_env(tree, path)
-    return {name: (env.funcs[name], env)
-            for name in ("communicator_reconstruct", "repair_comm")
-            if name in env.funcs}
+    registry = {}
+    for fname, names in _SHIPPED.items():
+        path = Path(ft.__file__).parent / fname
+        text = (sources or {}).get(fname) or path.read_text()
+        env = build_module_env(ast.parse(text), str(path))
+        for name in names:
+            if name not in env.funcs:
+                raise ExtractError(f"{path} no longer defines {name}")
+            registry[name] = (env.funcs[name], env)
+    return registry
 
 
 # --------------------------------------------------------------------------
@@ -475,6 +489,9 @@ class Extractor:
             return ("failed_pair", self._expr(call.args[0], frame))
         if name == "failed_count":
             return ("failed_count", self._expr(call.args[0], frame))
+        if name == "replaced_ranks":   # the old communicator's dead slots
+            return ("index", ("failed_pair",
+                              self._expr(call.args[0], frame)), ("const", 0))
         if name == "known_failed_ranks":
             return ("known_failed",)
         if name == "world_comm":

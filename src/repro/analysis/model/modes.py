@@ -1,37 +1,37 @@
-"""Reference protocol programs for the shipped recovery configurations.
+"""Protocol harnesses for the five shipped recovery configurations.
 
-Each ``@protocol_model`` function below is the *communication skeleton*
-of one recovery configuration of :class:`repro.core.app.SolverApp`: the
-CR (checkpoint/restart), RC (resampling/copying) and AC (alternate
-combination) data-recovery techniques under the paper's global respawn
-repair, plus the two alternative repair modes of
-:mod:`repro.ft.strategy` — SHRINK (shrink-in-place: no spawn, the world
-contracts and survivors adopt the lost work) and NC (non-collective
-repair: only the damaged sub-grid's communicator is rebuilt and the
-replacements are re-admitted into the world by a local membership
-update) — written as per-rank async programs over the same vocabulary
-the extractor understands.  The bodies are **never
-executed**: ``python -m repro verify-protocol`` extracts them to
-protocol IR, inlines the *real* ``ft.reconstruct`` pipeline
-(``communicator_reconstruct`` / ``repair_comm``), and model-checks the
-cross-rank product state space over every failure placement.
+Each ``# repro: protocol`` function below is the *communication skeleton*
+of one configuration of :class:`repro.core.app.CombinationApp`: CR
+(checkpoint/restart), RC (resampling/copying) and AC (alternate
+combination) under the paper's global respawn repair, plus CR under the
+two alternative repair modes of :mod:`repro.ft.strategy`, SHRINK
+(shrink-in-place) and NC (non-collective per-grid repair).  The bodies
+are **never executed**: ``python -m repro verify-protocol`` extracts them
+to protocol IR and model-checks the cross-rank product state space over
+every failure placement.
 
-The model dimensions are deliberately small (two grids of two ranks,
-two solve segments): the protocol properties being proved — every
-survivor and every re-spawned process converge on the same collective
-sequence, the spawn/merge handshake matches, checkpoint epochs agree —
-are rank-count-symmetric beyond the first non-trivial configuration,
-while the state space is exponential in ranks.
+The repair in every skeleton is the code the simulator runs, inlined by
+name through ``extract.reconstruct_registry``: the Fig. 3/5 pipeline
+(``communicator_reconstruct`` / ``repair_comm``) and the SHRINK and NC
+loops (``shrink_detect_repair`` / ``nc_detect_repair``).  The rest is
+hand-written harness for the phase driver and the techniques — entry
+points (``CombinationApp.run``), segments, resync + CR failure branch
+(``rejoin`` / ``nc_rejoin``; inlining the shipped ``post_repair`` and
+``CheckpointRestart.on_failure`` would take an extractor that sees through
+``app.*`` state, checkpoint and solver calls) and finales.  ``# app:`` /
+``# ft:`` comments name the counterpart in ``core/app.py`` / ``repro.ft``.
 
-These functions double as the executable documentation of the recovery
-protocol: a step here corresponds one-to-one with a phase of
-``SolverApp`` (the ``# app:`` comments name the counterpart).
+The model is deliberately small (two grids of two ranks, two solve
+segments): the properties proved — survivors and re-spawned processes
+converge on one collective sequence, the spawn/merge handshake matches,
+checkpoint epochs agree — are rank-count-symmetric beyond the first
+non-trivial configuration, while the state space is exponential in ranks.
 """
 
 from __future__ import annotations
 
-from ...ft.detection import failed_procs_list
-from ...ft.reconstruct import communicator_reconstruct, repair_comm
+from ...ft.reconstruct import communicator_reconstruct
+from ...ft.strategy import nc_detect_repair, shrink_detect_repair
 from ...mpi.comm import MAX
 from ...mpi.errors import MPIError
 from .vocab import (ckpt_restore, ckpt_write, grids_of,
@@ -48,12 +48,12 @@ DEFAULT_RANKS = GRID_RANKS * NGRIDS
 
 
 async def rejoin(ctx, world, gid, target):
-    """Post-repair resynchronisation.  # app: _post_failure_resync +
-    _cr_failure_branch (every rank contributes what it knows — a
-    re-spawned root must not be the single source of truth).  The
-    shrink mode shares this resync verbatim: after the in-place repair
-    the contracted world re-splits and restores exactly the same way
-    (# app: _shrink_resync + _shrink_failure_branch)."""
+    """Post-repair resynchronisation and CR failure branch.  # ft:
+    RespawnStrategy.post_repair + CheckpointRestart.on_failure (every
+    rank contributes what it knows — a re-spawned root must not be the
+    single source of truth).  The shrink mode shares it: after the
+    in-place repair the contracted world re-splits and restores the same
+    way (# ft: ShrinkInPlaceStrategy.post_repair)."""
     known = await world.allgather(known_failed_ranks(ctx))
     lost = grids_of(known, GRID_RANKS)
     grid = await world.split(gid, world.rank)
@@ -72,7 +72,7 @@ async def rejoin(ctx, world, gid, target):
 
 
 async def cr_segment(ctx, world, grid, gid, seg):
-    """One guarded solve segment.  # app: _step_guarded + _cr_segments"""
+    """One guarded solve segment.  # app: _step_guarded + _segment_loop"""
     try:
         await grid.halo()
     except MPIError:
@@ -113,7 +113,7 @@ async def cr_parent(ctx, world):
 
 async def cr_child(ctx):
     """Checkpoint/restart mode, re-spawned-process entry point.
-    # app: SolverApp.run() with ctx.is_respawned"""
+    # app: CombinationApp.run with a parent; # ft: child_join"""
     world = await communicator_reconstruct(ctx, None, entry=cr_child)
     if world is None:
         return None  # orphan of an abandoned repair round
@@ -131,8 +131,8 @@ async def cr_child(ctx):
 
 async def sparse_step(ctx, world, grid, gid, entry):
     """One unsegmented solve + single repair round.  # app:
-    _plain_stepping (RC and AC do not checkpoint: one guarded solve,
-    one reconstruct, then resync)."""
+    _segment_loop over one segment (RC and AC do not checkpoint: one
+    guarded solve, one reconstruct, then resync)."""
     lost = ()
     try:
         await grid.halo()
@@ -150,7 +150,7 @@ async def sparse_step(ctx, world, grid, gid, entry):
 async def rc_finale(ctx, world, grid, gid, lost):
     """Resampling/copying recovery: the paired surviving grid root
     sends its field to each lost grid's root, which scatters it.
-    # app: _rc_recover + _combination_phase"""
+    # ft: ResamplingCopying.recover; # app: _combination_phase"""
     await world.barrier()
     for g in lost:
         src = NGRIDS - 1 - g
@@ -194,7 +194,7 @@ async def rc_child(ctx):
 async def ac_finale(ctx, world, grid, gid, lost):
     """Alternate-combination recovery: root recombines without the lost
     grids, then re-seeds each lost grid root from the combined field.
-    # app: AlternateCombination.recover + scatter_samples"""
+    # ft: AlternateCombination.recover + after_combine"""
     await world.barrier()
     await world.barrier()
     await world.barrier()
@@ -231,32 +231,15 @@ async def ac_child(ctx):
     await ac_finale(ctx, world, grid, gid, lost)
 
 
-async def shrink_repair(ctx, world):
-    """World-wide detection and in-place repair: agree + probe barrier;
-    on error revoke + shrink, and *no* spawn — the contracted
-    communicator simply becomes the world.  # app:
-    _shrink_detect_repair"""
-    for _attempt in range(16):
-        ok = await world.agree(1)
-        try:
-            await world.barrier()
-            return (world, _attempt > 0)
-        except MPIError:
-            pass
-        world.revoke()
-        shrunk = await world.shrink()
-        pair = failed_procs_list(world, shrunk)
-        world = shrunk
-
-
 async def shrink_segment(ctx, world, grid, gid, seg):
     """One guarded solve segment under in-place repair.  # app:
-    _cr_segment_loop with ShrinkInPlaceStrategy"""
+    _segment_loop; the repair is the shipped loop"""
     try:
         await grid.halo()
     except MPIError:
         grid.revoke()
-    state = await shrink_repair(ctx, world)
+    # timers and the membership map are bookkeeping the abstraction drops
+    state = await shrink_detect_repair(ctx, world, None, None, "CR")
     world = state[0]
     if state[1]:
         sub = await rejoin(ctx, world, gid, seg)
@@ -281,31 +264,10 @@ async def shrink_parent(ctx, world):
     await finale(ctx, world, grid, gid)
 
 
-async def nc_repair(ctx, world, grid):
-    """Per-grid detection and non-collective repair: only the damaged
-    grid's members stop; the unaffected grid never appears in this
-    exchange.  Replacements are re-admitted into the world by a purely
-    local membership update *before* the re-probe — the rebuilt grid's
-    agree + barrier double as the child's join point, so the child can
-    only proceed past them once its world slot is patched.  # app:
-    _nc_detect_repair"""
-    for _attempt in range(16):
-        ok = await grid.agree(1)
-        try:
-            await grid.barrier()
-            return (grid, _attempt > 0)
-        except MPIError:
-            pass
-        grid2 = await repair_comm(ctx, grid, entry=nc_child)
-        for r in known_failed_ranks(ctx):
-            await world.readmit(r)
-        grid = grid2
-
-
 async def nc_rejoin(ctx, world, grid, gid, target):
     """Post-repair resynchronisation, confined to the rebuilt grid:
     agree on the resume horizon and restore from the grid's own
-    checkpoints.  # app: _nc_cr_branch"""
+    checkpoints.  # ft: CheckpointRestart.on_failure, grid-local"""
     horizon = await grid.allreduce(target, op=MAX)
     epoch = ckpt_restore(gid)
     try:
@@ -317,12 +279,15 @@ async def nc_rejoin(ctx, world, grid, gid, target):
 
 async def nc_segment(ctx, world, grid, gid, seg):
     """One guarded solve segment; detection and repair stay grid-local.
-    # app: _cr_segment_loop with NonCollectiveStrategy"""
+    # app: _segment_loop; the repair is the shipped loop"""
     try:
         await grid.halo()
     except MPIError:
         grid.revoke()
-    state = await nc_repair(ctx, world, grid)
+    rank_map = (gid * GRID_RANKS, gid * GRID_RANKS + 1)
+    state = await nc_detect_repair(ctx, world, grid, rank_map, None,
+                                   entry=nc_child, argv=(), placement=None,
+                                   labels={})
     grid = state[0]
     if state[1]:
         horizon = await nc_rejoin(ctx, world, grid, gid, seg)
@@ -335,8 +300,8 @@ async def nc_segment(ctx, world, grid, gid, seg):
 async def nc_finale(ctx, world, grid, gid):
     """Deferred world resynchronisation — the mode's one world-wide
     exchange, after stepping completes — then the recovery/combination
-    phases.  # app: _nc_world_resync + _recovery_phase +
-    _combination_phase"""
+    phases.  # ft: NonCollectiveStrategy.world_resync; # app:
+    _recovery_phase + _combination_phase"""
     ok = await world.agree(1)
     known = await world.allgather(known_failed_ranks(ctx))
     lost = grids_of(known, GRID_RANKS)
@@ -356,7 +321,7 @@ async def nc_parent(ctx, world):
 async def nc_child(ctx):
     """Non-collective mode, re-spawned-process entry point: joins only
     its own grid's rebuild, then adopts the world whose membership the
-    survivors already patched.  # app: SolverApp._nc_child_join"""
+    survivors already patched.  # ft: NonCollectiveStrategy.child_join"""
     grid = await communicator_reconstruct(ctx, None, entry=nc_child)
     if grid is None:
         return None  # orphan of an abandoned repair round

@@ -148,12 +148,15 @@ def check_protocol_models(tree: ast.Module, path: str,
 
 def verify_modes(modes: Optional[List[str]] = None, *,
                  ranks: Optional[int] = None,
-                 failures: Optional[int] = None) -> List[ModeReport]:
+                 failures: Optional[int] = None,
+                 registry=None) -> List[ModeReport]:
     """Model-check the shipped recovery configurations
     (CR/RC/AC/SHRINK/NC).
 
     Returns one report per requested mode, in request order.  Unknown
     mode names raise ``ValueError`` (the CLI maps that to exit 2).
+    ``registry`` overrides :func:`reconstruct_registry` (the shipped
+    ``repro.ft`` code the skeletons inline).
     """
     from . import modes as modes_module
 
@@ -166,7 +169,7 @@ def verify_modes(modes: Optional[List[str]] = None, *,
     path = str(Path(modes_module.__file__))
     source = Path(path).read_text()
     by_name = {sm.name: sm for sm in iter_source_models(
-        source, path, ranks=ranks, failures=failures)}
+        source, path, ranks=ranks, failures=failures, registry=registry)}
     reports = []
     for mode in wanted:
         entry = modes_module.MODES[mode]

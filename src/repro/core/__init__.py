@@ -1,7 +1,7 @@
 """The paper's application: layout, fault-tolerant solver app, run harness."""
 
-from .app import (AC_COEFF_FLOPS, RECOVERY_TAG, AppConfig, CombinationApp,
-                  app_main, restrict_periodic)
+from ..ft.recovery import AC_COEFF_FLOPS, RECOVERY_TAG, restrict_periodic
+from .app import AppConfig, CombinationApp, app_main
 from .layout import GridAssignment, Layout, layout_for
 from .metrics import RunMetrics
 from .runner import (baseline_solve_time, choose_lost_grids,

@@ -19,46 +19,33 @@ Both *real* failures (actual kills, Figs. 8/11, Table I) and *simulated*
 losses (grids declared lost at the end, Figs. 9/10 — the paper does the
 same) are supported.
 
-*How* the world is repaired is pluggable (``cfg.recovery_mode``, see
-:mod:`repro.ft.strategy`): the paper's global respawn pipeline, the
-shrink-in-place mode (no spawn — the world contracts and survivors
-re-decompose), or the non-collective mode (only the failed sub-grid's
-communicator is rebuilt; replacements are re-admitted into the world by a
-local membership update and unaffected grids never stop solving).
+This module is the *phase driver* only: solve → detect → repair → recover
+→ combine, plus the per-run state those phases share.  *How* the world is
+repaired (``cfg.recovery_mode``) is the body of a
+:class:`~repro.ft.strategy.RecoveryStrategy` — the paper's global respawn
+pipeline, shrink-in-place, or the non-collective per-grid rebuild — and
+*how* lost data comes back (``cfg.technique_code``) is the body of a
+:class:`~repro.ft.recovery.RecoveryTechnique`.  The driver calls their
+hooks and never asks which one it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from ..ft.checkpoint import (CheckpointStats, Disk, checkpoint_interval_steps,
-                             restore_checkpoint, restore_checkpoint_remapped,
-                             write_checkpoint)
-from ..ft.detection import failed_procs_list
-from ..ft.reconstruct import (PLACE_SAME_HOST, ReconstructTimers,
-                              communicator_reconstruct, repair_comm)
+from ..ft.checkpoint import CheckpointStats, Disk, write_checkpoint
+from ..ft.reconstruct import PLACE_SAME_HOST, ReconstructTimers
 from ..ft.recovery import (AlternateCombination, RecoveryTechnique,
                            technique_by_code)
-from ..mpi.comm import MAX
 from ..mpi.errors import MPIError
 from ..pde.advection import AdvectionProblem
-from ..pde.lax_wendroff import periodic_from_nodal
 from ..pde.norms import l1, l2, linf
 from ..pde.parallel_solver import DistributedAdvectionSolver
 from ..sparsegrid.interpolation import axis_points
-from ..sparsegrid.parallel_combine import combine_on_root, scatter_samples
-from .layout import Layout, SurvivorView, layout_for
+from ..sparsegrid.parallel_combine import combine_on_root
+from .layout import Layout, layout_for
 from .metrics import RunMetrics
-
-#: base tag for recovery data motion (offset by destination gid)
-RECOVERY_TAG = 7000
-
-#: virtual flops charged for computing one set of alternate coefficients
-#: (a Möbius sum over the scheme's small index lattice)
-AC_COEFF_FLOPS = 2.0e4
 
 
 @dataclass
@@ -135,17 +122,12 @@ async def app_main(ctx):
     return await CombinationApp(ctx, cfg).run()
 
 
-def restrict_periodic(arr: np.ndarray, src_ix: Tuple[int, int],
-                      dst_ix: Tuple[int, int]) -> np.ndarray:
-    """Exact restriction of a periodic (no duplicated boundary) array."""
-    dx, dy = src_ix[0] - dst_ix[0], src_ix[1] - dst_ix[1]
-    if dx < 0 or dy < 0:
-        raise ValueError(f"cannot restrict {src_ix} onto finer {dst_ix}")
-    return np.ascontiguousarray(arr[::1 << dx, ::1 << dy])
-
-
 class CombinationApp:
-    """Per-rank application object."""
+    """Per-rank application object: the run's state and its phase driver."""
+
+    #: what a repair re-launches (the paper's ``./ApplicationName argv``);
+    #: the strategies reach the entry point through the app
+    entry = staticmethod(app_main)
 
     def __init__(self, ctx, cfg: AppConfig):
         self.ctx = ctx
@@ -186,29 +168,21 @@ class CombinationApp:
     # ------------------------------------------------------------------
     async def run(self):
         ctx, cfg = self.ctx, self.cfg
-        respawned = ctx.get_parent() is not None
-        if respawned and self.strategy.mode == "nc":
-            # Non-collective replacement: rejoin only the failed sub-grid's
-            # communicator (the parents re-admit us into the world).
-            if await self._nc_child_join() is None:
+        targets = self.technique.segment_targets(cfg.steps,
+                                                 self.checkpoint_count)
+        if ctx.get_parent() is not None:
+            # Re-spawned replacement: rejoin through the strategy's child
+            # branch, then enter the failure branch of the segment the
+            # survivors are executing (they match these collectives).  The
+            # agreed horizon — NOT the local step count — filters the
+            # remaining segments: if this very recompute is interrupted by
+            # another failure the step count stalls, but the segment
+            # schedule (one detection point per boundary) marches on for
+            # everyone.
+            if not await self.strategy.child_join(self):
                 return None  # orphan of an aborted repair attempt
-        elif respawned:
-            # Re-spawned replacement: rejoin through the child branch of the
-            # reconstruction protocol, regaining the predecessor's rank.
-            self.world = await communicator_reconstruct(
-                ctx, ctx.comm, entry=app_main, argv=(cfg,),
-                placement=cfg.placement, timers=self.timers)
-            if self.world is None:
-                return None  # orphan of an aborted repair attempt
-            self.gid = self.layout.gid_of(self.world.rank)
-            if self.technique.needs_checkpoints:
-                # resync happens inside the failure branch of the segment
-                # the survivors are currently executing
-                await self._cr_segments(resume=True)
-            else:
-                # RC/AC children: resync now; data recovery happens in the
-                # shared recovery/combination phases
-                await self._post_failure_resync(make_solver=True)
+            horizon = await self.technique.on_failure(self, None)
+            await self._segment_loop([t for t in targets if t > horizon])
         else:
             self.world = ctx.comm
             if self.world.size != self.layout.total_procs:
@@ -219,22 +193,18 @@ class CombinationApp:
             self.grid_comm = await self.world.split(self.gid, self.world.rank)
             self._make_solver()
             t0 = ctx.wtime()
-            if self.technique.needs_checkpoints:
-                await self._cr_segments(resume=False)
-            else:
-                await self._plain_stepping()
+            await self._segment_loop(targets)
             self.metrics.t_solve = ctx.wtime() - t0
 
-        if self.strategy.mode == "nc":
-            # grids repaired independently; agree on the global loss set
-            # before entering the world-collective phases
-            await self._nc_world_resync()
+        await self.strategy.world_resync(self)
         if cfg.simulated_lost_gids and not self.lost:
             self.lost = sorted(set(cfg.simulated_lost_gids))
         await self._recovery_phase()
         combined = await self._combination_phase()
         return self._finish(combined)
 
+    # ------------------------------------------------------------------
+    # state the strategies and techniques share
     # ------------------------------------------------------------------
     def _make_solver(self):
         sub = self.scheme[self.gid]
@@ -260,38 +230,27 @@ class CombinationApp:
             raise ValueError(
                 f"unknown decomposition {self.cfg.decomposition!r}")
 
-    async def _post_failure_resync(self, make_solver: bool) -> None:
-        """Shared resync after a reconstruction: learn the loss set, rebuild
-        grid communicators (and, for new processes, the solver shell).
+    def fold_failed(self, ranks: Iterable[int]) -> None:
+        """Fold an agreed set of failed ranks (launch-time world numbering)
+        into the failure history and the lost-grid set, so replacements
+        report the same history as survivors."""
+        ranks = set(ranks)
+        t = self.timers
+        t.failed_ranks[:] = sorted(ranks.union(t.failed_ranks))
+        t.total_failed = len(t.failed_ranks)
+        self.mark_lost(self.base_layout.grids_of_ranks(ranks))
 
-        The loss set is the union of every rank's locally-observed failed
-        ranks, never a single rank's view: a re-spawned replacement —
-        including a replacement rank 0 — joins with an empty failure
-        record, so a rank-0 broadcast would announce an empty loss set and
-        no grid would ever restore."""
-        world = self.world
-        views = await world.allgather(tuple(self.timers.failed_ranks))
-        union = sorted({r for view in views for r in view})
-        # fold the agreed set back into the local record so replacements
-        # report the same failure history as survivors
-        for r in union:
-            if r not in self.timers.failed_ranks:
-                self.timers.failed_ranks.append(r)
-        self.timers.failed_ranks.sort()
-        self.timers.total_failed = len(self.timers.failed_ranks)
-        lost_gids = self.layout.grids_of_ranks(union)
-        for g in lost_gids:
-            if g not in self.lost:
-                self.lost.append(g)
-        self.lost.sort()
-        self.grid_comm = await world.split(self.gid, world.rank)
-        if make_solver or self.solver is None:
-            self._make_solver()
-        else:
-            self.solver.rebind(self.grid_comm)
+    def mark_lost(self, gids: Iterable[int]) -> None:
+        """Add grids whose data must come back through the technique."""
+        self.lost[:] = sorted(set(gids).union(self.lost))
+
+    def disk(self) -> Disk:
+        if self.cfg.disk is None:
+            self.cfg.disk = Disk()
+        return self.cfg.disk
 
     # ------------------------------------------------------------------
-    # RC/AC: step everything, detect at the end
+    # solve: segments, each closed by the strategy's detection point
     # ------------------------------------------------------------------
     async def _step_guarded(self, n: int) -> None:
         """Step the solver, converting a peer failure into a group-wide
@@ -306,512 +265,59 @@ class CombinationApp:
         except MPIError:
             self.grid_comm.revoke()
 
-    async def _plain_stepping(self) -> None:
-        cfg = self.cfg
-        with self.ctx.span("solve", technique=self.technique.code,
-                           gid=self.gid):
-            await self._step_guarded(cfg.steps - self.solver.step_count)
-        if await self.strategy.detect_and_repair(self):
-            await self.strategy.post_repair(self)
-
-    # ------------------------------------------------------------------
-    # respawn mode (the paper's protocol)
-    # ------------------------------------------------------------------
-    async def _respawn_detect_repair(self) -> bool:
-        """Detection point of the paper's protocol: the Fig. 3 loop (agree +
-        probe barrier; full global repair on error).  Returns True when the
-        world was repaired."""
-        cfg = self.cfg
-        world2 = await communicator_reconstruct(
-            self.ctx, self.world, entry=app_main, argv=(cfg,),
-            placement=cfg.placement, timers=self.timers)
-        changed = world2.state is not self.world.state
-        if changed:
-            self.world = world2
-        return changed
-
-    # ------------------------------------------------------------------
-    # CR: segment loop with detection + checkpoint at each boundary
-    # ------------------------------------------------------------------
-    def _segment_targets(self) -> List[int]:
-        cfg = self.cfg
-        interval = checkpoint_interval_steps(cfg.steps, self.checkpoint_count)
-        targets = list(range(interval, cfg.steps + 1, interval))
-        if not targets or targets[-1] != cfg.steps:
-            targets.append(cfg.steps)
-        return targets
-
-    async def _cr_segments(self, resume: bool) -> None:
-        """The Checkpoint/Restart protocol.
-
-        Per segment: step to the boundary; test for failures (the paper
-        checks "prior to initiating the checkpoint write"); on failure
-        reconstruct, restore the affected grids from their checkpoints and
-        recompute; otherwise write a checkpoint.  ``resume=True`` is the
-        re-spawned-child path: it joins at the current boundary (its state
-        is restored by the failure branch of the segment in progress).
-        """
-        targets = self._segment_targets()
-        if resume:
-            # restore immediately: the survivors are inside the failure
-            # branch of some segment and will match these collectives; the
-            # broadcast horizon equals the failing segment's boundary, so
-            # the remaining segments are exactly those past it.  The global
-            # horizon — NOT the local step count — must drive the filter:
-            # if this very recompute is interrupted by another failure, the
-            # step count stalls but the segment schedule (and its one
-            # detection collective per boundary) marches on for everyone.
-            horizon = await self._cr_failure_branch(first_join=True)
-            targets = [t for t in targets if t > horizon]
-        await self._cr_segment_loop(targets)
-
-    async def _cr_segment_loop(self, targets: List[int]) -> None:
+    async def _segment_loop(self, targets: List[int]) -> None:
+        """Per segment: step to the boundary; run the detection point (the
+        paper tests for failures "prior to initiating the checkpoint
+        write"); on failure the technique's failure branch resyncs and
+        brings the data back; otherwise a checkpointing technique writes
+        its checkpoint.  RC and AC solve one segment — the whole run."""
         ctx, cfg = self.ctx, self.cfg
         for target in targets:
-            with self.ctx.span("solve", technique=self.technique.code,
-                               gid=self.gid):
+            with ctx.span("solve", technique=self.technique.code,
+                          gid=self.gid):
                 await self._step_guarded(target - self.solver.step_count)
-            # the paper tests for failures "prior to initiating the
-            # checkpoint write" — the strategy's detection point is that
-            # test (and the repair, when it fails)
             failed = await self.strategy.detect_and_repair(self)
             if failed:
-                await self._cr_post_failure(target)
+                await self.technique.on_failure(self, target)
             elif target < cfg.steps and self.checkpoint_count > 0:
-                await write_checkpoint(ctx, self._disk(), self.gid,
+                await write_checkpoint(ctx, self.disk(), self.gid,
                                        self.grid_comm.rank, self.solver,
                                        self.cr_stats)
-
-    async def _cr_post_failure(self, target: int) -> None:
-        """Mode-specific CR failure branch at a segment boundary."""
-        mode = self.strategy.mode
-        if mode == "respawn":
-            await self._cr_failure_branch(first_join=False, target=target)
-        elif mode == "shrink":
-            await self._shrink_failure_branch(target)
-        else:  # nc
-            await self._nc_cr_branch(target)
-
-    async def _cr_failure_branch(self, first_join: bool,
-                                 target: Optional[int] = None) -> int:
-        """Post-reconstruction work inside the CR segment loop: resync,
-        restore affected grids from checkpoints, recompute lost steps.
-
-        Returns the agreed global segment horizon (the boundary of the
-        segment in which the failure was detected).
-        """
-        ctx = self.ctx
-        await self._post_failure_resync(make_solver=first_join)
-        # Every rank must agree on the recompute horizon.  MAX-allreduce,
-        # not a rank-0 broadcast: a replacement for a dead rank 0 joins
-        # with ``target=None`` and would broadcast horizon 0, silently
-        # cancelling the recompute on every survivor.
-        horizon = await self.world.allreduce(
-            target if target is not None else 0, op=MAX)
-        if self.gid in self.lost:
-            await self._restore_grid()
-            recompute = max(0, horizon - self.solver.step_count)
-            with ctx.span("recompute", technique="CR", gid=self.gid):
-                await self._step_guarded(recompute)
-            self.cr_stats.recompute_steps += recompute
-        try:
-            await self.world.barrier()
-        except MPIError:
-            pass  # another failure landed; the next detection point repairs
-        return horizon
-
-    async def _restore_grid(self) -> None:
-        """Restore this grid from its checkpoints, remapping when the group
-        size changed (shrink mode re-decomposed the grid over survivors).
-
-        ``old_n_parts`` is always the *launch-time* group size: checkpoints
-        written after an earlier shrink live under a different decomposition
-        and are rejected by the remapped restore's shape validation, which
-        then falls back to the latest pre-shrink step (or the initial
-        condition) — older data, never wrong data."""
-        base_n = len(self.base_layout.group_ranks(self.gid))
-        if self.grid_comm.size != base_n:
-            await restore_checkpoint_remapped(
-                self.ctx, self._disk(), self.gid, self.grid_comm,
-                self.solver, old_n_parts=base_n, stats=self.cr_stats)
-        else:
-            await restore_checkpoint(
-                self.ctx, self._disk(), self.gid, self.grid_comm,
-                self.solver, self.cr_stats)
-
-    def _disk(self) -> Disk:
-        if self.cfg.disk is None:
-            self.cfg.disk = Disk()
-        return self.cfg.disk
-
-    # ------------------------------------------------------------------
-    # shrink-in-place mode
-    # ------------------------------------------------------------------
-    async def _shrink_detect_repair(self) -> bool:
-        """Detection point of the shrink-in-place mode: agree + probe
-        barrier on the world; on error revoke + shrink — no spawn, no
-        merge.  Loops so failures landing *during* the shrink are caught by
-        the re-probe.  Returns True when the world contracted."""
-        ctx = self.ctx
-        wtime = ctx.wtime
-        changed = False
-        while True:
-            t0 = wtime()
-            with ctx.span("agree", technique=self.technique.code):
-                await self.world.agree(1)
-            self.timers.charge("agree", wtime() - t0)
-            try:
-                await self.world.barrier()
-                return changed
-            except MPIError:
-                pass
-            changed = True
-            t0 = wtime()
-            with ctx.span("detect"):
-                self.world.revoke()
-                t1 = wtime()
-                with ctx.span("shrink"):
-                    shrunk = await self.world.shrink()
-                shrink_time = wtime() - t1
-                self.timers.charge("shrink", shrink_time)
-                t1 = wtime()
-                failed, _ = failed_procs_list(self.world, shrunk)
-                self.timers.charge("failed_list",
-                                   (wtime() - t1) + shrink_time)
-            # record the dead in *original* world numbering, then contract
-            # the membership map — the group difference is in current ranks
-            for i in failed:
-                w = self._members[i]
-                if w not in self.timers.failed_ranks:
-                    self.timers.failed_ranks.append(w)
-            self.timers.failed_ranks.sort()
-            self.timers.total_failed = len(self.timers.failed_ranks)
-            dead = set(failed)
-            self._members = [m for i, m in enumerate(self._members)
-                             if i not in dead]
-            self.world = shrunk
-            self.timers.iterations += 1
-            self.timers.charge("reconstruct", wtime() - t0)
-
-    async def _shrink_resync(self) -> None:
-        """Post-shrink membership/data resync: re-express the layout in
-        survivor numbering, re-split grid communicators, and re-decompose
-        any grid whose group contracted."""
-        ctx = self.ctx
-        with ctx.span("redistribute", technique=self.technique.code,
-                      gid=self.gid):
-            for g in self.base_layout.grids_of_ranks(self.timers.failed_ranks):
-                if g not in self.lost:
-                    self.lost.append(g)
-            # orphan adoption: CR restores the adopted grid from its
-            # checkpoints and RC from its replica/resample source, so a
-            # fully-lost grid migrates onto a donor; AC drops lost grids
-            # from the combination instead, so donating would only destroy
-            # a healthy grid's data
-            self.layout = SurvivorView(self.base_layout, self._members,
-                                       adopt_orphans=self.technique.code
-                                       != "AC")
-            for donor_gid in self.layout.adoptions.values():
-                # the donor's old group contracted without failing; it
-                # needs restoration like any damaged grid
-                if donor_gid not in self.lost:
-                    self.lost.append(donor_gid)
-            self.lost.sort()
-            new_gid = self.layout.gid_of(self.world.rank)
-            adopted = new_gid != self.gid
-            self.gid = new_gid
-            old_size = self.grid_comm.size
-            self.grid_comm = await self.world.split(self.gid, self.world.rank)
-            if not adopted and self.grid_comm.size == old_size:
-                # untouched grid: the split preserved relative order, so
-                # every member keeps its grid rank — and its slab, bit for
-                # bit
-                self.solver.rebind(self.grid_comm)
-            else:
-                # contracted or adopted grid: fresh solver over the
-                # re-balanced decomposition; data comes back via the
-                # recovery technique
-                self._make_solver()
-
-    async def _shrink_failure_branch(self, target: Optional[int]) -> int:
-        """CR failure branch of the shrink mode: resync, then the affected
-        (now smaller) grids restore via the remapped migration plan and
-        recompute to the agreed horizon."""
-        ctx = self.ctx
-        await self._shrink_resync()
-        horizon = await self.world.allreduce(
-            target if target is not None else 0, op=MAX)
-        if self.gid in self.lost:
-            await self._restore_grid()
-            recompute = max(0, horizon - self.solver.step_count)
-            with ctx.span("recompute", technique="CR", gid=self.gid):
-                await self._step_guarded(recompute)
-            self.cr_stats.recompute_steps += recompute
-        try:
-            await self.world.barrier()
-        except MPIError:
-            pass  # another failure landed; the next detection point repairs
-        return horizon
-
-    # ------------------------------------------------------------------
-    # non-collective mode
-    # ------------------------------------------------------------------
-    async def _nc_detect_repair(self) -> bool:
-        """Detection point of the non-collective mode: agree + probe barrier
-        on *this grid's* communicator only.  On error, Fig. 5 runs against
-        the sub-grid communicator and the replacements are re-admitted into
-        the world by a local membership update — other grids never notice.
-
-        The loop-head agree+barrier doubles as the join point with the
-        re-spawned child (the tail of its reconstruction loop): readmits
-        happen before the parents enter it, so once it completes the child
-        is a world member everywhere."""
-        ctx, cfg = self.ctx, self.cfg
-        changed = False
-        while True:
-            t0 = ctx.wtime()
-            with ctx.span("agree", technique=self.technique.code,
-                          gid=self.gid):
-                await self.grid_comm.agree(1)
-            self.timers.charge("agree", ctx.wtime() - t0)
-            try:
-                await self.grid_comm.barrier()
-                return changed
-            except MPIError:
-                pass
-            changed = True
-            t0 = ctx.wtime()
-            with ctx.span("rebuild", technique=self.technique.code,
-                          gid=self.gid):
-                rank_map = list(self.layout.group_ranks(self.gid))
-                old_state = self.grid_comm.state
-                grid2 = await repair_comm(
-                    ctx, self.grid_comm, entry=app_main,
-                    argv=(cfg, self.world.state, self.gid),
-                    placement=cfg.placement, timers=self.timers,
-                    rank_map=rank_map)
-                for i in range(grid2.size):
-                    p = grid2.state.procs[i]
-                    if p is not old_state.procs[i]:
-                        await self.world.readmit(rank_map[i], p)
-                self.grid_comm = grid2
-                self.solver.rebind(grid2)
-            self.timers.iterations += 1
-            self.timers.charge("reconstruct", ctx.wtime() - t0)
-
-    async def _nc_child_join(self):
-        """Child branch of the non-collective mode: rejoin the *sub-grid*
-        communicator through the reconstruction protocol, then adopt the
-        world communicator the parents re-admitted us into (shipped in the
-        spawn argv, membership already patched by the time the join barrier
-        completes)."""
-        ctx, cfg = self.ctx, self.cfg
-        grid = await communicator_reconstruct(
-            ctx, ctx.comm, entry=app_main, argv=ctx.argv,
-            placement=cfg.placement, timers=self.timers)
-        if grid is None:
-            return None  # orphan of an aborted repair attempt
-        self.gid = int(ctx.argv[2])
-        self.grid_comm = grid
-        self.world = ctx.argv[1].handle(ctx.proc)
-        self._make_solver()
-        if self.technique.needs_checkpoints:
-            # the survivors are inside the CR failure branch of some
-            # segment; join it, then run the remaining segments with them
-            horizon = await self._nc_cr_branch(None)
-            await self._cr_segment_loop(
-                [t for t in self._segment_targets() if t > horizon])
-        elif self.gid not in self.lost:
-            # RC/AC: this grid's data comes back in the recovery phase
-            self.lost.append(self.gid)
-        return grid
-
-    async def _nc_cr_branch(self, target: Optional[int]) -> int:
-        """CR failure branch of the non-collective mode: grid-local — the
-        affected grid agrees on its horizon, restores and recomputes while
-        every other grid keeps stepping its own segments."""
-        ctx = self.ctx
-        if self.gid not in self.lost:
-            self.lost.append(self.gid)
-            self.lost.sort()
-        horizon = await self.grid_comm.allreduce(
-            target if target is not None else 0, op=MAX)
-        await self._restore_grid()
-        recompute = max(0, horizon - self.solver.step_count)
-        with ctx.span("recompute", technique="CR", gid=self.gid):
-            await self._step_guarded(recompute)
-        self.cr_stats.recompute_steps += recompute
-        return horizon
-
-    async def _nc_world_resync(self) -> None:
-        """Rejoin the world after grid-local repairs: one agreement plus an
-        allgather unions every grid's locally-observed loss set — the first
-        (and only) world-collective step the non-collective mode takes."""
-        ctx = self.ctx
-        world = self.world
-        t0 = ctx.wtime()
-        with ctx.span("agree", technique=self.technique.code):
-            await world.agree(1)
-        self.timers.charge("agree", ctx.wtime() - t0)
-        t = self.timers
-        payload = (tuple(t.failed_ranks), t.reconstruct, t.shrink, t.spawn,
-                   t.merge, t.failed_list, t.iterations)
-        try:
-            views = await world.allgather(payload)
-        except MPIError:
-            raise RuntimeError(
-                "non-collective repair cannot recover a grid that lost "
-                "every member (no survivor is left to rebuild it); use "
-                "shrink or respawn mode for full-grid losses") from None
-        union = sorted({r for view in views for r in view[0]})
-        # repairs ran grid-locally: adopt the slowest grid's repair costs
-        # everywhere (the wall-clock convention rank 0's metrics report)
-        t.reconstruct = max(v[1] for v in views)
-        t.shrink = max(v[2] for v in views)
-        t.spawn = max(v[3] for v in views)
-        t.merge = max(v[4] for v in views)
-        t.failed_list = max(v[5] for v in views)
-        t.iterations = max(v[6] for v in views)
-        for r in union:
-            if r not in self.timers.failed_ranks:
-                self.timers.failed_ranks.append(r)
-        self.timers.failed_ranks.sort()
-        self.timers.total_failed = len(self.timers.failed_ranks)
-        for g in self.layout.grids_of_ranks(union):
-            if g not in self.lost:
-                self.lost.append(g)
-        self.lost.sort()
 
     # ------------------------------------------------------------------
     # recovery phase (lost-set already agreed by every rank)
     # ------------------------------------------------------------------
     async def _recovery_phase(self) -> None:
-        ctx, cfg = self.ctx, self.cfg
+        ctx = self.ctx
         world = self.world
         await world.barrier()
         t0 = ctx.wtime()
         if self.lost:
-            code = self.technique.code
-            with ctx.span("recovery", technique=code, gid=self.gid,
-                          n_lost=len(self.lost)):
-                if code == "CR":
-                    await self._cr_recover_simulated()
-                elif code == "RC":
-                    await self._rc_recover()
-                elif code == "AC":
-                    # "only the time needed for creating the combination
-                    # coefficients ... is used as recovery overhead"
-                    await ctx.compute(
-                        flops=AC_COEFF_FLOPS * max(1, len(self.lost)))
+            with ctx.span("recovery", technique=self.technique.code,
+                          gid=self.gid, n_lost=len(self.lost)):
+                await self.technique.recover(self)
         await world.barrier()
         self.metrics.t_recovery = ctx.wtime() - t0
-
-    async def _cr_recover_simulated(self) -> None:
-        """CR recovery for losses declared at the end of the run (the
-        simulated-failure mode of Figs. 9/10): affected grids restore their
-        latest checkpoint and recompute up to the final step."""
-        if self.gid not in self.lost:
-            return
-        ctx, cfg = self.ctx, self.cfg
-        if self.solver.step_count >= cfg.steps and self.cr_stats.recompute_steps:
-            return  # already recovered in the segment loop (real failure)
-        await self._restore_grid()
-        recompute = max(0, cfg.steps - self.solver.step_count)
-        if recompute:
-            with ctx.span("recompute", technique="CR", gid=self.gid):
-                await self.solver.step(recompute)
-        self.cr_stats.recompute_steps += recompute
-
-    async def _rc_recover(self) -> None:
-        """RC recovery: copy a lost grid from its replica, or resample a
-        lost lower grid from the finer diagonal grid above it."""
-        ctx, cfg = self.ctx, self.cfg
-        world = self.world
-        plan = self.technique.recovery_plan(self.scheme, self.lost)
-        for dst_gid, src_gid in plan:
-            if not self.layout.group_ranks(dst_gid) or \
-                    not self.layout.group_ranks(src_gid):
-                # shrink mode: a grid that lost every process cannot send
-                # or receive — the combination proceeds without it
-                continue
-            src_ix = self.scheme[src_gid].index
-            dst_ix = self.scheme[dst_gid].index
-            if self.gid == src_gid:
-                full = await self.solver.gather_full(0)
-                if self.grid_comm.rank == 0:
-                    await world.send(full, dest=self.layout.root_rank(dst_gid),
-                                     tag=RECOVERY_TAG + dst_gid)
-            if self.gid == dst_gid:
-                if self.grid_comm.rank == 0:
-                    full = await world.recv(
-                        source=self.layout.root_rank(src_gid),
-                        tag=RECOVERY_TAG + dst_gid)
-                    data = restrict_periodic(full, src_ix, dst_ix)
-                else:
-                    data = None
-                await self.solver.scatter_full(data, 0,
-                                               step_count=cfg.steps)
 
     # ------------------------------------------------------------------
     # combination phase
     # ------------------------------------------------------------------
-    def _coefficients(self) -> Dict[Tuple[int, int], float]:
-        return self.technique.combination_coefficients(self.scheme, self.lost)
-
-    def _contributes(self, coeffs) -> bool:
-        """Does this rank's grid supply data to the combination?
-
-        Group roots of grids whose index carries a non-zero coefficient
-        contribute — except AC-lost grids, whose data is gone (they receive
-        a sample of the combined solution instead).  When an index appears
-        twice (diagonal + duplicate), the primary contributes unless lost.
-        """
-        sub = self.scheme[self.gid]
-        if self.grid_comm.rank != 0:
-            return False
-        if coeffs.get(sub.index, 0.0) == 0.0:
-            return False
-        if self.technique.code == "AC" and self.gid in self.lost:
-            return False
-        if sub.role == "duplicate":
-            # only step in when the primary copy is lost
-            return sub.partner in self.lost
-        if self.technique.code == "RC" and self.gid in self.lost:
-            # recovered by now, but prefer the replica's pristine copy for
-            # diagonal grids; lower grids have no replica so they (being
-            # freshly resampled) still contribute
-            partner = self.scheme.resample_source(self.gid)
-            if partner is not None and self.scheme[partner].role == "duplicate":
-                return False
-        return True
-
     async def _combination_phase(self):
         ctx, cfg = self.ctx, self.cfg
         world = self.world
         await world.barrier()
         t0 = ctx.wtime()
         with ctx.span("combine", technique=self.technique.code, gid=self.gid):
-            coeffs = self._coefficients()
+            coeffs = self.technique.combination_coefficients(self.scheme,
+                                                             self.lost)
             self.metrics.coefficients = dict(coeffs)
             nodal = await self.solver.gather_nodal(0)
             parts = {}
-            if self._contributes(coeffs) and nodal is not None:
+            if self.technique.contributes(self, coeffs) and nodal is not None:
                 parts[self.scheme[self.gid].index] = nodal
             combined = await combine_on_root(world, parts, coeffs, cfg.target,
                                              root=0)
-            # AC: lost grids receive a sample of the combined solution
-            if self.technique.code == "AC" and self.lost:
-                wanted = {self.layout.root_rank(g): self.scheme[g].index
-                          for g in self.lost
-                          if self.layout.group_ranks(g)}
-                sample = await scatter_samples(world, combined, cfg.target,
-                                               wanted, root=0)
-                if self.gid in self.lost:
-                    data = periodic_from_nodal(sample) \
-                        if self.grid_comm.rank == 0 and sample is not None \
-                        else None
-                    await self.solver.scatter_full(data, 0,
-                                                   step_count=cfg.steps)
+            await self.technique.after_combine(self, combined)
         await world.barrier()
         self.metrics.t_combine = ctx.wtime() - t0
         # aggregate per-rank checkpoint accounting on rank 0: wall-clock

@@ -111,6 +111,11 @@ class Layout:
         failure generator together with :meth:`gid_of`)."""
         return self.scheme.rc_conflict_pairs()
 
+    def survivors(self, members, adopt_orphans: bool) -> "SurvivorView":
+        """This layout after a shrink left only ``members`` (launch-time
+        ranks, indexed by current world rank)."""
+        return SurvivorView(self, members, adopt_orphans)
+
     def describe(self) -> str:
         lines = [f"Layout: {self.total_procs} processes over "
                  f"{len(self.assignments)} grids"]
@@ -172,8 +177,10 @@ class SurvivorView:
         for a in base.assignments:  # gid order: deterministic everywhere
             if groups[a.gid]:
                 continue
+            # an orphan adopted earlier in this loop is back to its base
+            # size but still has to be refilled, like its donor's group
             damaged = {g for g, rs in groups.items()
-                       if len(rs) < base_sizes[g]}
+                       if len(rs) < base_sizes[g]} | set(self.adoptions)
             cands = [g for g, rs in groups.items() if len(rs) >= 2]
             safe = [g for g in cands if not (conflict.get(g, set()) & damaged)]
             pool = safe or cands  # conflicting donor beats no donor: the

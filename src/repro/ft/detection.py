@@ -32,6 +32,14 @@ def failed_procs_list(broken_comm, shrunk_comm) -> Tuple[List[int], int]:
     return failed_ranks, total_failed
 
 
+def replaced_ranks(old_comm, new_comm) -> List[int]:
+    """Ranks whose process differs between a communicator and its repaired
+    successor (same size and rank order): the slots now held by re-spawned
+    replacements."""
+    old, new = old_comm.state.procs, new_comm.state.procs
+    return [i for i in range(len(new)) if new[i] is not old[i]]
+
+
 def make_error_handler(sink: Optional[Callable] = None):
     """Fig. 4: the communicator error handler.
 

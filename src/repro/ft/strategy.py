@@ -15,22 +15,41 @@ alternatives, and this module puts all three behind one interface:
   into the enclosing world communicator by a purely local membership
   update.
 
-A strategy object is stateless and shared; per-run state lives on the
-:class:`~repro.core.app.CombinationApp`.  Each strategy supplies
+Each strategy *is* its mode's protocol; the phase driver
+(:class:`~repro.core.app.CombinationApp`) only calls the hooks below and
+holds the per-run state they work on (``app.world``, ``app.grid_comm``,
+``app.timers``, ``app.lost``, ...).  A strategy object is stateless and
+shared:
 
-* ``detect_and_repair(app)`` — run this mode's failure-detection point
-  (and, on error, its repair pipeline); returns True when membership
-  changed;
-* ``post_repair(app)`` — the mode's membership/data resync after a repair
+* ``detect_and_repair(app)`` — the mode's failure-detection point (and,
+  on error, its repair loop); returns True when membership changed;
+* ``post_repair(app)`` — the membership/data resync after a repair
   (world re-split, survivor redistribution, or lost-grid marking);
+* ``grid_local`` — whether a repair synchronises only the failed grid's
+  communicator (the CR failure branch agrees its horizon there);
+* ``child_join(app)`` — how a re-spawned process rejoins;
+* ``world_resync(app)`` — the deferred world agreement before the
+  world-collective phases (non-collective mode only);
 * ``cost_estimate(machine, comm_size, n_failed)`` — the machine-model cost
   entries the mode's repair charges, for planning and the mode-comparison
   experiment.
+
+The shrink and non-collective repair loops are module-level functions over
+explicit communicators — the shape of
+:func:`~repro.ft.reconstruct.communicator_reconstruct` — because
+``repro verify-protocol`` extracts *them*, not a transcription, into the
+SHRINK and NC protocol models (``analysis/model/extract.py``'s registry).
+The checker collapses a tuple with an untracked element, so they return
+communicators and booleans only and update ``timers``/``members`` in place.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Sequence
+
+from ..mpi.errors import MPIError
+from .detection import failed_procs_list, replaced_ranks
+from .reconstruct import communicator_reconstruct, repair_comm
 
 
 class RecoveryStrategy:
@@ -62,11 +81,23 @@ class RecoveryStrategy:
         """
         raise NotImplementedError
 
+    #: does a repair synchronise only the failed grid's communicator?
+    grid_local: bool = False
+
     async def detect_and_repair(self, app) -> bool:
         raise NotImplementedError
 
     async def post_repair(self, app) -> None:
         """Resync after ``detect_and_repair`` reported a change."""
+        raise NotImplementedError
+
+    async def child_join(self, app) -> bool:
+        """Re-spawned process: rejoin the communicator the survivors are
+        repairing.  False for the orphan of an aborted repair attempt."""
+        raise NotImplementedError
+
+    async def world_resync(self, app) -> None:
+        """Before the world-collective recovery and combination phases."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}()"
@@ -87,11 +118,46 @@ class RespawnStrategy(RecoveryStrategy):
                 "merge": u.merge(comm_size),  # noqa: ULF007 — cost model, not a comm
                 "agree": u.agree(comm_size, n_failed)}
 
+    async def _reconstruct(self, app, comm):
+        return await communicator_reconstruct(
+            app.ctx, comm, entry=app.entry, argv=(app.cfg,),
+            placement=app.cfg.placement, timers=app.timers)
+
     async def detect_and_repair(self, app) -> bool:
-        return await app._respawn_detect_repair()
+        """The Fig. 3 loop: agree + probe barrier; full global repair on
+        error."""
+        world = await self._reconstruct(app, app.world)
+        changed = world.state is not app.world.state
+        if changed:
+            app.world = world
+        return changed
 
     async def post_repair(self, app) -> None:
-        await app._post_failure_resync(make_solver=False)
+        """Learn the loss set, rebuild grid communicators (and, for new
+        processes, the solver shell).
+
+        The loss set is the union of every rank's locally-observed failed
+        ranks, never a single rank's view: a re-spawned replacement —
+        including a replacement rank 0 — joins with an empty failure
+        record, so a rank-0 broadcast would announce an empty loss set and
+        no grid would ever restore."""
+        world = app.world
+        views = await world.allgather(tuple(app.timers.failed_ranks))
+        app.fold_failed(r for view in views for r in view)
+        app.grid_comm = await world.split(app.gid, world.rank)
+        if app.solver is None:
+            app._make_solver()
+        else:
+            app.solver.rebind(app.grid_comm)
+
+    async def child_join(self, app) -> bool:
+        """The child branch of Fig. 3: regain the predecessor's rank."""
+        world = await self._reconstruct(app, app.ctx.comm)
+        if world is None:
+            return False
+        app.world = world
+        app.gid = app.layout.gid_of(world.rank)
+        return True
 
 
 class ShrinkInPlaceStrategy(RecoveryStrategy):
@@ -116,10 +182,40 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
                 "agree": u.agree(comm_size, n_failed)}
 
     async def detect_and_repair(self, app) -> bool:
-        return await app._shrink_detect_repair()
+        app.world, changed = await shrink_detect_repair(
+            app.ctx, app.world, app.timers, app._members,
+            app.technique.code)
+        return changed
 
     async def post_repair(self, app) -> None:
-        await app._shrink_resync()
+        """Re-express the layout in survivor numbering, re-split grid
+        communicators, and re-decompose any grid whose group contracted."""
+        with app.ctx.span("redistribute", technique=app.technique.code,
+                          gid=app.gid):
+            app.fold_failed(app.timers.failed_ranks)
+            # orphan adoption: a technique that restores lost grids (CR
+            # from checkpoints, RC from the replica/resample source) lets a
+            # fully-lost grid migrate onto a donor; AC drops lost grids
+            # from the combination instead, so donating would only destroy
+            # a healthy grid's data
+            app.layout = app.base_layout.survivors(
+                app._members, app.technique.restores_lost_grids)
+            # a donor's old group contracted without failing; it needs
+            # restoration like any damaged grid
+            app.mark_lost(app.layout.adoptions.values())
+            old_gid, old_size = app.gid, app.grid_comm.size
+            app.gid = app.layout.gid_of(app.world.rank)
+            app.grid_comm = await app.world.split(app.gid, app.world.rank)
+            if app.gid == old_gid and app.grid_comm.size == old_size:
+                # untouched grid: the split preserved relative order, so
+                # every member keeps its grid rank — and its slab, bit for
+                # bit
+                app.solver.rebind(app.grid_comm)
+            else:
+                # contracted or adopted grid: fresh solver over the
+                # re-balanced decomposition; data comes back via the
+                # recovery technique
+                app._make_solver()
 
 
 class NonCollectiveStrategy(RecoveryStrategy):
@@ -145,16 +241,145 @@ class NonCollectiveStrategy(RecoveryStrategy):
                 "agree": u.agree(comm_size, n_failed),
                 "readmit": u.readmit(comm_size)}
 
+    grid_local = True
+
     async def detect_and_repair(self, app) -> bool:
-        return await app._nc_detect_repair()
+        grid, changed = await nc_detect_repair(
+            app.ctx, app.world, app.grid_comm,
+            app.layout.group_ranks(app.gid), app.timers,
+            entry=app.entry, argv=(app.cfg, app.world.state, app.gid),
+            placement=app.cfg.placement,
+            labels={"technique": app.technique.code, "gid": app.gid})
+        if changed:
+            app.grid_comm = grid
+            app.solver.rebind(grid)
+        return changed
 
     async def post_repair(self, app) -> None:
         # the grid was rebuilt in place; its data is only partially intact
         # (replacements start fresh), so the grid joins the lost set and
-        # the technique's end-phase recovery restores it
-        if app.gid not in app.lost:
-            app.lost.append(app.gid)
-            app.lost.sort()
+        # the technique restores it
+        app.mark_lost([app.gid])
+
+    async def child_join(self, app) -> bool:
+        """Rejoin the *sub-grid* communicator through the reconstruction
+        protocol, then adopt the world communicator the parents re-admitted
+        us into (shipped in the spawn argv, membership already patched by
+        the time the join barrier completes)."""
+        ctx = app.ctx
+        grid = await communicator_reconstruct(
+            ctx, ctx.comm, entry=app.entry, argv=ctx.argv,
+            placement=app.cfg.placement, timers=app.timers)
+        if grid is None:
+            return False
+        app.gid = int(ctx.argv[2])
+        app.grid_comm = grid
+        app.world = ctx.argv[1].handle(ctx.proc)
+        app._make_solver()
+        return True
+
+    async def world_resync(self, app) -> None:
+        """Rejoin the world after grid-local repairs: one agreement plus an
+        allgather unions every grid's locally-observed loss set — the first
+        (and only) world-collective step the non-collective mode takes."""
+        ctx, world, t = app.ctx, app.world, app.timers
+        t0 = ctx.wtime()
+        with ctx.span("agree", technique=app.technique.code):
+            await world.agree(1)
+        t.charge("agree", ctx.wtime() - t0)
+        costs = ("reconstruct", "shrink", "spawn", "merge", "failed_list",
+                 "iterations")
+        payload = (tuple(t.failed_ranks), *(getattr(t, c) for c in costs))
+        try:
+            views = await world.allgather(payload)
+        except MPIError:
+            raise RuntimeError(
+                "non-collective repair cannot recover a grid that lost "
+                "every member (no survivor is left to rebuild it); use "
+                "shrink or respawn mode for full-grid losses") from None
+        # repairs ran grid-locally: adopt the slowest grid's repair costs
+        # everywhere (the wall-clock convention rank 0's metrics report)
+        for i, cost in enumerate(costs, 1):
+            setattr(t, cost, max(v[i] for v in views))
+        app.fold_failed(r for view in views for r in view[0])
+
+
+async def shrink_detect_repair(ctx, world, timers, members: List[int],
+                               code: str):
+    """Detection point of the shrink-in-place mode: agree + probe barrier
+    on the world; on error revoke + shrink — no spawn, no merge.  Loops so
+    failures landing *during* the shrink are caught by the re-probe.
+
+    ``members`` maps current world ranks to launch-time ranks and is
+    contracted in place; the dead are appended to ``timers.failed_ranks``
+    in launch-time numbering.  Returns ``(world, changed)``."""
+    wtime = ctx.wtime
+    changed = False
+    while True:
+        t0 = wtime()
+        with ctx.span("agree", technique=code):
+            await world.agree(1)
+        timers.charge("agree", wtime() - t0)
+        try:
+            await world.barrier()
+            return (world, changed)
+        except MPIError:
+            pass
+        changed = True
+        t0 = wtime()
+        with ctx.span("detect"):
+            world.revoke()
+            t1 = wtime()
+            with ctx.span("shrink"):
+                shrunk = await world.shrink()
+            shrink_time = wtime() - t1
+            timers.charge("shrink", shrink_time)
+            t1 = wtime()
+            failed, _ = failed_procs_list(world, shrunk)
+            timers.charge("failed_list", (wtime() - t1) + shrink_time)
+        # the group difference is in current ranks
+        dead = set(failed)
+        timers.failed_ranks.extend(members[i] for i in failed)
+        members[:] = [m for i, m in enumerate(members) if i not in dead]
+        world = shrunk
+        timers.iterations += 1
+        timers.charge("reconstruct", wtime() - t0)
+
+
+async def nc_detect_repair(ctx, world, grid, rank_map: Sequence[int], timers,
+                           *, entry, argv, placement, labels):
+    """Detection point of the non-collective mode: agree + probe barrier on
+    *this grid's* communicator only.  On error, Fig. 5 runs against the
+    sub-grid communicator (``rank_map``: its ranks in world terms) and the
+    replacements are re-admitted into the world by a local membership
+    update — other grids never notice.
+
+    The loop-head agree+barrier doubles as the join point with the
+    re-spawned child (the tail of its reconstruction loop): readmits
+    happen before the parents enter it, so once it completes the child
+    is a world member everywhere.  Returns ``(grid, changed)``."""
+    changed = False
+    while True:
+        t0 = ctx.wtime()
+        with ctx.span("agree", **labels):
+            await grid.agree(1)
+        timers.charge("agree", ctx.wtime() - t0)
+        try:
+            await grid.barrier()
+            return (grid, changed)
+        except MPIError:
+            pass
+        changed = True
+        t0 = ctx.wtime()
+        with ctx.span("rebuild", **labels):
+            rebuilt = await repair_comm(
+                ctx, grid, entry=entry, argv=argv, placement=placement,
+                timers=timers, rank_map=rank_map)
+            for i in replaced_ranks(grid, rebuilt):
+                await world.readmit(rank_map[i], rebuilt.state.procs[i])
+            grid = rebuilt
+        timers.iterations += 1
+        timers.charge("reconstruct", ctx.wtime() - t0)
 
 
 STRATEGIES: Dict[str, RecoveryStrategy] = {

@@ -114,6 +114,27 @@ def test_collective_signature_divergence_is_ulf016():
         for v in r.violations)
 
 
+def test_rank_in_a_foreign_communicator_is_a_finding_not_a_crash():
+    """Every rank splits into its own communicator and rank 0 broadcasts
+    its handle: rank 1 asking for its rank in it used to escape as
+    ``ValueError: tuple.index(x): x not in tuple`` (what a replacement
+    the NC model never re-admitted did to ``verify-protocol``)."""
+    a = Asm()
+    a.emit(Op("split", W, out="mine",
+              args={"color": ("rank", W), "key": ("const", 0)}, lineno=1))
+    a.emit(Op("bcast", W, out="theirs",
+              args={"value": ("var", "mine"), "root": ("const", 0)},
+              lineno=2))
+    a.emit(SetVar("r", ("rank", ("var", "theirs")), lineno=3))
+    a.emit(Return(lineno=4))
+    r = check_model(ProtocolModel(a.finish("foreign", "<test>"), ranks=2,
+                                  failures=0))
+    (v,) = r.violations
+    assert (v.rule, v.lineno) == ("ULF017", 3)
+    assert "not a member" in v.message
+    assert "r1" in v.timeline
+
+
 def test_zero_failure_budget_cannot_kill():
     for prog in (guarded_recovery(), unguarded(), stranded()):
         r = check_model(ProtocolModel(prog, ranks=3, failures=0))

@@ -202,6 +202,30 @@ async def plain(ctx, world):
 
 def test_reconstruct_registry_has_repair_entry_points():
     reg = reconstruct_registry()
-    assert "communicator_reconstruct" in reg
-    func, env = reg["communicator_reconstruct"]
-    assert isinstance(func, (ast.AsyncFunctionDef, ast.FunctionDef))
+    assert set(reg) == {"communicator_reconstruct", "repair_comm",
+                        "shrink_detect_repair", "nc_detect_repair"}
+    for name, source_file in [("communicator_reconstruct", "reconstruct.py"),
+                              ("nc_detect_repair", "strategy.py")]:
+        func, env = reg[name]
+        assert isinstance(func, ast.AsyncFunctionDef)
+        assert env.path.endswith(source_file)
+    # the nc loop reaches Fig. 5 and the readmit through the same registry
+    sk = extract("""
+async def f(ctx, world):
+    grid = await world.split(0, world.rank)
+    await nc_detect_repair(ctx, world, grid, (0, 1), None, entry=f,
+                           argv=(), placement=None, labels={})
+""", "f", registry=reg)
+    assert {"agree", "barrier", "spawn", "merge", "readmit"} <= \
+        set(op_kinds(sk))
+
+
+def test_reconstruct_registry_reads_substituted_source():
+    reg = reconstruct_registry({"strategy.py": """
+async def shrink_detect_repair(ctx, world): return (world, False)
+async def nc_detect_repair(ctx, world, grid): return (grid, False)
+"""})
+    assert reg["shrink_detect_repair"][0].args.args[-1].arg == "world"
+    with pytest.raises(ExtractError, match="nc_detect_repair"):
+        reconstruct_registry(
+            {"strategy.py": "async def shrink_detect_repair(): pass"})

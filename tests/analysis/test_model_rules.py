@@ -2,15 +2,19 @@
 
 Covers the lint hook (annotated functions model-checked inside
 ``lint_file``), the shipped-mode verifier (CR/RC/AC/SHRINK/NC
-deadlock-free with the real ft.reconstruct inlined), and error
-reporting.
+deadlock-free with the shipped ``repro.ft`` repair code inlined — which
+the mutation test demonstrates), and error reporting.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint_file
 from repro.analysis.linter import RULES, SEVERITY
-from repro.analysis.model import MODEL_RULES, verify_modes
+from repro.analysis.model import (MODEL_RULES, reconstruct_registry,
+                                  verify_modes)
+from repro.ft import strategy
 
 
 def test_model_rules_are_catalogued_as_errors():
@@ -28,6 +32,31 @@ def test_shipped_modes_are_deadlock_free():
         assert rep.ok, (rep.mode, [v.message for v in rep.result.violations])
         assert rep.result.states > 0
         assert rep.result.kills_explored >= 1  # single-failure injection ran
+
+
+@pytest.mark.parametrize("mode, line, rules", [
+    # the replacement adopts a world nobody re-admitted it into
+    ("NC", "await world.readmit(rank_map[i], rebuilt.state.procs[i])",
+     {"ULF017"}),
+    # the re-spawned child's join agree has no partner
+    ("NC", "await grid.agree(1)", {"ULF017"}),
+    # the retry loop re-probes the broken world until its budget runs out
+    ("SHRINK", "world = shrunk", {"ULF017"}),
+])
+def test_models_inline_the_shipped_repair_loops(mode, line, rules):
+    """The SHRINK and NC skeletons are the code ``ft/strategy.py`` ships:
+    delete one line of *its* text and the mode stops verifying."""
+    shipped = Path(strategy.__file__).read_text()
+    assert shipped.count(line) == 1
+
+    def verify(text):
+        (report,) = verify_modes(
+            [mode], registry=reconstruct_registry({"strategy.py": text}))
+        return report
+
+    assert verify(shipped).ok
+    mutant = verify(shipped.replace(line, "pass"))
+    assert {v.rule for v in mutant.result.violations} == rules
 
 
 def test_mode_subset_and_case_insensitive():

@@ -265,6 +265,20 @@ def test_survivor_view_adoption_is_deterministic():
     assert sorted(seen) == list(range(len(members)))
 
 
+def test_second_orphan_spares_the_first_orphans_rc_source():
+    """Found by ``test_random_kills_during_solve[4-RC-shrink]``: ranks 8 and
+    10 orphan grids 4 and 6; grid 4 refills by resampling grid 1, so grid 1
+    must not donate to grid 6 — once adopted, grid 4 is back to full size
+    but is still waiting for that data."""
+    cfg = cfg_for("RC")
+    base = cfg.layout()
+    members = [r for r in range(base.total_procs) if r not in (8, 10)]
+    v = base.survivors(members, adopt_orphans=True)
+    assert set(v.adoptions) == {4, 6}
+    lost = set(v.adoptions) | set(v.adoptions.values())
+    cfg.technique().validate_losses(cfg.scheme(), lost)   # must not raise
+
+
 def test_survivor_view_no_donor_raises():
     from repro.core.layout import SurvivorView
 

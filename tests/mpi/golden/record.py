@@ -27,6 +27,13 @@ victims) plus a rank-0 kill; the kill instants are a fixed fraction of
 each configuration's failure-free solve time, because the old absolute
 instants (0.5 s and later) fall after an AC or RC run has already ended.
 
+The RC/AC x shrink/nc cells and the three shrink full-grid-loss runs
+(``OTHER_CELLS``, ``FULL_GRID_LOSS``) were added by re-running this file at
+commit ``08c9736``, the last one whose recovery-mode logic lived in
+``core/app.py``; every older entry came out byte-identical.  A run that
+overrides the common configuration stores the overrides (``"config"``)
+and the replay passes them back.
+
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.
 """
@@ -420,12 +427,24 @@ def program_scenarios():
 CONFIGURATIONS = (("CR", "respawn"), ("RC", "respawn"), ("AC", "respawn"),
                   ("CR", "shrink"), ("CR", "nc"))
 PLANS = ("quiet", "seed0", "seed1", "seed2", "rank0")
+#: the other four technique x mode cells, recorded at commit ``08c9736``
+#: (the last one whose mode logic lived in ``core/app.py``): 1d, two plans
+OTHER_CELLS = (("RC", "shrink"), ("AC", "shrink"), ("RC", "nc"), ("AC", "nc"))
+OTHER_PLANS = ("seed0", "rank0")
+#: shrink-mode loss of a grid's only member, same commit — the scenarios of
+#: ``tests/core/test_recovery_modes.py``: CR adopts the orphan onto a donor
+#: and restores it, RC refills it through the plan, AC drops it.
+#: code -> (config overrides, the sole member)
+_SMALL = {"n": 5, "level": 3, "steps": 4, "checkpoint_count": 2}
+FULL_GRID_LOSS = {"CR": (_SMALL, 7), "RC": (_SMALL, 7), "AC": ({}, 9)}
 
 
-def app_config(code, mode, decomposition):
-    return AppConfig(n=6, level=4, technique_code=code, steps=16,
-                     diag_procs=2, checkpoint_count=4,
-                     decomposition=decomposition, recovery_mode=mode)
+def app_config(code, mode, decomposition, **overrides):
+    fields = dict(n=6, level=4, technique_code=code, steps=16,
+                  diag_procs=2, checkpoint_count=4,
+                  decomposition=decomposition, recovery_mode=mode)
+    fields.update(overrides)
+    return AppConfig(**fields)
 
 
 def canonical(metrics: RunMetrics) -> str:
@@ -436,8 +455,9 @@ def canonical(metrics: RunMetrics) -> str:
     return json.dumps(d, sort_keys=True, default=repr)
 
 
-def run_solver(code, mode, decomposition, kills, *, traced=False):
-    cfg = app_config(code, mode, decomposition)
+def run_solver(code, mode, decomposition, kills, *, traced=False,
+               **overrides):
+    cfg = app_config(code, mode, decomposition, **overrides)
     if code == "CR":
         cfg.disk = Disk()
     uni, total = make_universe(cfg, OPL)
@@ -446,6 +466,8 @@ def run_solver(code, mode, decomposition, kills, *, traced=False):
     job = uni.launch(total, app_main, argv=(cfg,))
     FailureGenerator().inject(uni, job, [Kill(r, at) for r, at in kills])
     doc = {"kills": [[r, at.hex()] for r, at in kills]}
+    if overrides:
+        doc["config"] = overrides
     try:
         uni.run()
     except SimError as exc:
@@ -490,6 +512,16 @@ def record_all():
             for plan, kills in kill_plans(code, mode, decomposition).items():
                 doc["runs"][f"{code}-{mode}-{decomposition}-{plan}"] = \
                     run_solver(code, mode, decomposition, kills)
+    for code, mode in OTHER_CELLS:
+        plans = kill_plans(code, mode, "1d")
+        for plan in OTHER_PLANS:
+            doc["runs"][f"{code}-{mode}-1d-{plan}"] = \
+                run_solver(code, mode, "1d", plans[plan])
+    for code, (overrides, victim) in FULL_GRID_LOSS.items():
+        quiet = run_solver(code, "shrink", "1d", (), **overrides)
+        at = 0.6 * json.loads(quiet["metrics"])["t_solve"]
+        doc["runs"][f"{code}-shrink-1d-fullgrid"] = run_solver(
+            code, "shrink", "1d", ((victim, at),), **overrides)
     return doc
 
 

@@ -43,9 +43,10 @@ def test_program_matches_golden(name):
 
 def _replay(name, **kw):
     code, mode, decomposition, _plan = name.split("-")
-    kills = [(rank, float.fromhex(at))
-             for rank, at in GOLDEN["runs"][name]["kills"]]
-    return run_solver(code, mode, decomposition, kills, **kw)
+    golden = GOLDEN["runs"][name]
+    kills = [(rank, float.fromhex(at)) for rank, at in golden["kills"]]
+    return run_solver(code, mode, decomposition, kills,
+                      **golden.get("config", {}), **kw)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["runs"]))

@@ -17,10 +17,10 @@ from repro.machine.presets import OPL
 
 
 def fuzz_run(code, kills, *, n=6, diag_procs=2, steps=16, n_spares=0,
-             decomposition="1d"):
+             decomposition="1d", recovery_mode="respawn"):
     cfg = AppConfig(n=n, level=4, technique_code=code, steps=steps,
                     diag_procs=diag_procs, checkpoint_count=4,
-                    decomposition=decomposition)
+                    decomposition=decomposition, recovery_mode=recovery_mode)
     uni, total = make_universe(cfg, OPL, n_spares=n_spares)
     job = uni.launch(total, app_main, argv=(cfg,))
     gen = FailureGenerator()
@@ -39,9 +39,14 @@ def _solve_window(code, n=6, diag_procs=2, steps=16):
     return m.t_solve, m.t_total, cfg.layout()
 
 
-@pytest.mark.parametrize("code", ["CR", "RC", "AC"])
+# respawn cells keep their pre-mode ids (``[4-RC]``); the others append the
+# mode (``[4-RC-shrink]``)
+@pytest.mark.parametrize("code, recovery_mode", [
+    pytest.param(code, mode,
+                 id=code if mode == "respawn" else f"{code}-{mode}")
+    for mode in ("respawn", "shrink", "nc") for code in ("CR", "RC", "AC")])
 @pytest.mark.parametrize("seed", range(6))
-def test_random_kills_during_solve(code, seed):
+def test_random_kills_during_solve(code, seed, recovery_mode):
     t_solve, _t_total, layout = _solve_window(code)
     pairs = layout.conflict_pairs_ranks() if code == "RC" else ()
     gen = FailureGenerator(seed, protect={0}, conflict_pairs=pairs,
@@ -50,9 +55,20 @@ def test_random_kills_during_solve(code, seed):
     frac = 0.15 + 0.7 * ((seed * 37) % 10) / 10.0
     kills = gen.plan(layout.total_procs, n_failures,
                      at=max(t_solve * frac, 1e-9))
-    m = fuzz_run(code, kills)
+    while recovery_mode == "nc" and any(
+            {k.rank for k in kills}.issuperset(layout.group_ranks(g))
+            for g in layout.grids_of_ranks(k.rank for k in kills)):
+        # a grid with no survivor cannot rebuild itself: documented-fatal
+        # in this mode (test_nc_full_grid_loss_is_fatal), so redraw
+        kills = gen.plan(layout.total_procs, n_failures, at=kills[0].at)
+    m = fuzz_run(code, kills, recovery_mode=recovery_mode)
     assert m.n_failures == n_failures
     assert len(m.lost_gids) >= 1
+    if code == "CR":
+        clean = run_app(AppConfig(n=6, level=4, technique_code="CR",
+                                  steps=16, diag_procs=2,
+                                  checkpoint_count=4), OPL)
+        assert m.error_l1 == pytest.approx(clean.error_l1, rel=1e-12)
 
 
 @pytest.mark.parametrize("code", ["CR", "AC"])
