@@ -45,6 +45,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from .datatypes import _IMMUTABLE_TYPES, clone_payload
 from .errors import ProcFailedError, RankError
+from .matching import RingClocks
 
 
 class RvKind(enum.Enum):
@@ -372,3 +373,92 @@ class RoundTable:
                 calls[proc.uid] = calls.pop(old.uid)
         for rnd in self.open.values():
             rnd.need += 1
+
+
+class SegmentRound:
+    """One process group's rendezvous for a co-simulated solve segment
+    (``CommHandle.ring_segment``).  ``CommState.segment`` is the oldest one
+    still awaiting a member, ``next`` the one opened after it by a member
+    that left this one ahead of the others.
+
+    A ``NORMAL`` round whose members park on one future *each*.  Arrivals
+    feed :class:`~repro.mpi.matching.RingClocks`; a member leaves, charged
+    its ``2 * n`` halo rows, at its own resume instant as soon as that is
+    known and :meth:`take`s its share of the numerics when it resumes.
+    Failure follows the ``NORMAL`` discipline above.  A death *after* a member
+    was released changes nothing for it: a victim never resumes, its peers
+    finish the segment and meet the failure at their next operation."""
+
+    def __init__(self, state, n: int, nbytes: int, advance: Callable):
+        self.state = state
+        self.n, self.nbytes, self.advance = n, nbytes, advance
+        self.need = size = len(state.procs)
+        self.clocks = RingClocks(
+            size, state.universe.machine.p2p_cost(nbytes), n)
+        self.futs, self.times, self.values = ([None] * size for _ in range(3))
+        self.arrived = 0
+        self.outs = self.doom = self.next = None
+
+    def missing(self) -> List:
+        """Live members that have not arrived (the deadlock explainer asks)."""
+        return [p for p, t in zip(self.state.procs, self.times)
+                if t is None and not p.dead]
+
+    def join(self, rank: int, value: Any, compute: float):
+        """Returns the future to await; it resolves to this round."""
+        state, futs = self.state, self.futs
+        uni = state.universe
+        fut = uni.engine.create_future(f"segment:{state.name}")
+        fut.waits_for = {"kind": "coll", "op": "segment", "state": state,
+                         "rnd": self}
+        now = self.times[rank] = uni.engine.now
+        self.arrived += 1
+        if self.doom is not None:
+            fut.set_exception(self.doom, at=now + state.rounds.detect)
+        else:
+            futs[rank], self.values[rank] = fut, value
+            done = self.clocks.start(rank, now, compute)
+            if len(futs) > 1:
+                uni.stats.messages += 2 * self.n * len(done)
+                uni.stats.bytes_sent += 2 * self.n * len(done) * self.nbytes
+            for i, at in done:
+                futs[i].set_result(self, at=at)
+                futs[i] = None
+            if self.arrived == len(futs):   # every value is in: one advance
+                self.outs, self.values = self.advance(self.values, self.n), ()
+        if self.arrived == self.need:
+            state.segment = self.next
+        return fut
+
+    def take(self, rank: int) -> Any:
+        """``rank``'s share, on resume.  A member that resumes before the
+        last one arrived advances the arc it needs, ``n`` members either
+        side (the ends' garbage gets ``n`` rows in)."""
+        n, values = self.n, self.values
+        if self.outs is not None:
+            return self.outs[rank]
+        return self.advance([values[(rank + d) % len(values)]
+                             for d in range(-n, n + 1)], n)[n]
+
+    def fail(self, exc: BaseException, at: float) -> None:
+        """Doom the round and those after it: everyone parked gets ``exc``."""
+        if self.doom is None:
+            self.doom = exc
+            for fut in self.futs:
+                if fut is not None:
+                    fut.set_exception(exc, at=at)
+        if self.next is not None:
+            self.next.fail(exc, at)
+
+    def on_death(self, rank: int, now: float) -> None:
+        self.need -= 1
+        if self.times[rank] is not None:
+            self.times[rank] = None
+            self.arrived -= 1
+        self.fail(ProcFailedError(
+            f"collective segment failed: dead ranks {(rank,)}",
+            failed_ranks=(rank,)), now + self.state.rounds.detect)
+        if self.arrived == self.need:
+            self.state.segment = self.next
+        if self.next is not None:
+            self.next.on_death(rank, now)

@@ -18,7 +18,8 @@ from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
 
 from ..simkernel.traps import Sleep
 from .collectives import (FAST_OPS, PER_SLOT, SHARED, RoundTable, RvKind,
-                          finish_agree, fixed_cost, fold, payload_cost)
+                          SegmentRound, finish_agree, fixed_cost, fold,
+                          payload_cost)
 from .datatypes import clone_payload, freeze_payload, payload_nbytes
 from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
                      MPIError, ProcFailedError, RankError, RevokedError)
@@ -118,6 +119,9 @@ class CommState:
         detect = universe.machine.failure_detection_latency
         self.board = MessageBoard(engine, detect)
         self.rounds = RoundTable(self, len(self.procs))
+        #: oldest open solve segment; standing decision against opening one
+        self.segment: Optional[SegmentRound] = None
+        self.per_message = False
         #: per-proc acknowledged failure snapshots (failure_ack)
         self.acked: Dict[int, tuple] = {}
         self.errhandlers: Dict[int, Callable] = {}
@@ -157,6 +161,8 @@ class CommState:
         self.board.drop_waiters_of(rank)
         self.board.on_rank_death(rank, now)
         self.rounds.on_death(proc, now)
+        if self.segment is not None:
+            self.segment.on_death(rank, now)
 
     def readmit(self, rank: int, proc: Proc) -> None:
         """Replace the dead member at ``rank`` with ``proc`` in place.
@@ -194,6 +200,8 @@ class CommState:
         self._dead_ranks = self._dead_ranks - {rank}
         self.group = Group(self.procs)
         self.rounds.on_readmit(old, proc)
+        # open segments are doomed and the replacement was never part of them
+        self.segment, self.per_message = None, True
         old.comm_states.discard(self)
         proc.comm_states.add(self)
 
@@ -203,7 +211,10 @@ class CommState:
         self.revoked = True
         self.universe.trace(self.name, "revoked", "propagated")
         self.board.revoke_all(now)
-        self.rounds.on_revoke(RevokedError(f"{self.name} revoked"), now)
+        exc = RevokedError(f"{self.name} revoked")
+        self.rounds.on_revoke(exc, now)
+        if self.segment is not None:
+            self.segment.fail(exc, now + self.rounds.detect)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = " revoked" if self.revoked else ""
@@ -489,6 +500,45 @@ class CommHandle:
             if source != ANY_SOURCE and not 0 <= source < n:
                 return False
         return bool(recvs)
+
+    async def ring_segment(self, n: int, nbytes: int, compute: float,
+                           value: Any, advance: Callable):
+        """Co-simulate ``n`` halo-exchange steps of this whole group: one
+        rendezvous (:class:`~repro.mpi.collectives.SegmentRound`) instead of
+        ``n`` calls of :meth:`exchange` + ``ctx.compute`` per rank.
+
+        ``advance(values, n)`` steps the group (or an arc of it) and every
+        rank gets its entry of the result (never None) at the clock that
+        loop would have reached.  Returns None when the group must run the
+        loop instead: diagnostics, a tracer, a revoked communicator, a dead
+        member, one with a kill scheduled (``Universe.doomed``) or a pair
+        (docs/performance.md).  The first arriver decides for the group, for
+        the life of the communicator (a repair replaces it or, in place,
+        decides the same), so a kill that fires or is scheduled between two
+        arrivals cannot split the group across the two paths.
+        """
+        state, rank = self.state, self.rank
+        seg, last = state.segment, None
+        while seg is not None and seg.times[rank] is not None:
+            seg, last = seg.next, seg   # joined that one, then ran ahead
+        if seg is None:
+            if not state.per_message:
+                state.per_message = bool(
+                    state.diag or state.revoked or state._dead_ranks
+                    or len(state.procs) == 2 or self._uni.tracer is not None
+                    or not self._uni.doomed.isdisjoint(state.procs))
+            if state.per_message:
+                return None
+            seg = SegmentRound(state, n, nbytes, advance)
+            if last is None:
+                state.segment = seg
+            else:
+                last.next = seg
+        try:
+            seg = await seg.join(rank, value, compute)
+        except MPIError as exc:
+            self._raise(exc)
+        return seg.take(rank)
 
     # ------------------------------------------------------------------
     # collectives

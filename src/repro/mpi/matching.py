@@ -391,3 +391,47 @@ class ExchangeOp:
         if self.fut._done:  # pragma: no cover - defensive
             return
         self.fut.set_exception(exc, at=at)
+
+
+class RingClocks:
+    """The clocks of a periodic ring of ranks after ``n`` halo steps — the
+    closed form of what ``CommHandle.exchange`` + :class:`ExchangeOp` +
+    ``ctx.compute`` do event by event on a healthy communicator.
+
+    Every send is one halo row and costs ``cost``.  Per step a rank's sends
+    arrive at ``now + cost`` — its op's ``floor`` — and each receive resolves
+    at the neighbour's arrival or its own registration instant, which the
+    floor dominates because ``cost >= 0``: the op completes at the ``max`` of
+    the three and ``Sleep`` resumes ``compute`` later.  Same floats, same
+    order, same bits.  A one-rank ring exchanges nothing.  ``rows[k][i]`` is
+    rank ``i``'s clock after ``k`` steps, known once the ranks within ``k``
+    hops have started: a rank far from a late starter finishes without it.
+    """
+
+    __slots__ = ("cost", "compute", "rows")
+
+    def __init__(self, size: int, cost: float, n: int):
+        self.cost = cost if size > 1 else 0.0
+        self.compute = [0.0] * size
+        self.rows = [[None] * size for _ in range(n + 1)]
+
+    def start(self, rank: int, at: float, compute: float) -> list:
+        """Rank ``rank`` starts at ``at``, sleeping ``compute`` per step: the
+        ``(rank, clock)`` of every rank that settles (none before ``at``)."""
+        rows, cost, comp = self.rows, self.cost, self.compute
+        size, last = len(comp), len(rows) - 1
+        comp[rank], rows[0][rank] = compute, at
+        done, todo = [], [(0, rank)]
+        while todo:
+            k, i = todo.pop()
+            if k == last:
+                done.append((i, rows[k][i]))
+                continue
+            row, nxt = rows[k], rows[k + 1]
+            for m in ((i - 1) % size, i, (i + 1) % size):
+                a, b, c = row[m - 1], row[m], row[(m + 1) % size]
+                if (nxt[m] is None and a is not None and b is not None
+                        and c is not None):
+                    nxt[m] = max(b + cost, a + cost, c + cost) + comp[m]
+                    todo.append((k + 1, m))
+        return done

@@ -10,7 +10,7 @@ process failures (the analogue of the paper's
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..machine import Hostfile, MachineSpec
 from ..machine.presets import OPL
@@ -81,9 +81,14 @@ class RankContext:
         return self.universe.obs.span(self.proc.name, phase, **labels)
 
     # -- virtual costs ---------------------------------------------------
+    def compute_seconds(self, seconds: float = 0.0, *,
+                        flops: float = 0.0) -> float:
+        """The virtual seconds :meth:`compute` charges for this work."""
+        return seconds + (self.machine.compute_cost(flops) if flops else 0.0)
+
     async def compute(self, seconds: float = 0.0, *, flops: float = 0.0):
         """Charge computation to the virtual clock."""
-        total = seconds + (self.machine.compute_cost(flops) if flops else 0.0)
+        total = self.compute_seconds(seconds, flops=flops)
         if total > 0:
             await Sleep(total)
 
@@ -137,7 +142,8 @@ class Universe:
         self.all_procs: Dict[int, Proc] = {}
         #: observability bundle: metrics registry + recovery-phase spans
         #: (closing a span also lands in ``tracer`` when one is attached)
-        self.obs = Observability(self.engine.stamp, self.trace)
+        self.obs = Observability(self.engine.stamp, self.trace,
+                                 lambda: self.tracer is not None)
         self.stats = CommStats(self.obs.registry)
         #: optional MPI-level event recorder (see repro.mpi.tracing)
         self.tracer = None
@@ -149,6 +155,9 @@ class Universe:
         #: independently free whenever ``tracer`` is None: call sites check
         #: before building detail strings.
         self.diagnostics = diagnostics
+        #: processes with a kill scheduled and not yet fired: their groups
+        #: solve on the per-message path (``CommHandle.ring_segment``)
+        self.doomed: Set[Proc] = set()
         # ``batch`` selects nothing and is not stored: bench/probes.py (its
         # only caller, frozen by BENCHMARK.json) still passes it.
 
@@ -248,6 +257,8 @@ class Universe:
         if at is None or at <= self.engine.now:
             self._do_kill(proc)
         else:
+            if not proc.dead:
+                self.doomed.add(proc)
             self.engine.call_at(at, self._do_kill, proc)
 
     def kill_rank(self, job_or_comm, rank: int, at: Optional[float] = None) -> None:
@@ -256,6 +267,7 @@ class Universe:
         self.kill_proc(state.procs[rank], at=at)
 
     def _do_kill(self, proc: Proc) -> None:
+        self.doomed.discard(proc)
         if proc.dead:
             return
         now = self.engine.now

@@ -101,11 +101,14 @@ class SpanRecorder:
     def __init__(self, stamp: Callable[[], tuple],
                  registry: Optional[MetricsRegistry] = None,
                  trace_sink: Optional[Callable[[str, str, str], None]] = None,
+                 trace_live: Callable[[], bool] = lambda: True,
                  max_spans: int = 100_000):
         self.stamp = stamp
         self.registry = registry if registry is not None else MetricsRegistry()
         #: ``trace_sink(actor, kind, detail)`` — normally ``Universe.trace``
         self.trace_sink = trace_sink
+        #: is the sink recording right now?  A close formats its line if so
+        self.trace_live = trace_live
         self.spans: List[Span] = []
         self.max_spans = max_spans
         self.dropped = 0
@@ -127,7 +130,7 @@ class SpanRecorder:
         self.registry.histogram(
             "phase_seconds", phase=s.phase,
             technique=s.labels.get("technique", "")).observe(s.duration)
-        if self.trace_sink is not None:
+        if self.trace_sink is not None and self.trace_live():
             extra = "".join(f" {k}={v}" for k, v in sorted(s.labels.items()))
             self.trace_sink(
                 s.actor, "span",
@@ -194,9 +197,10 @@ class Observability:
     """
 
     def __init__(self, stamp: Callable[[], tuple],
-                 trace_sink: Optional[Callable[[str, str, str], None]] = None):
+                 trace_sink: Optional[Callable[[str, str, str], None]] = None,
+                 trace_live: Callable[[], bool] = lambda: True):
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(stamp, self.registry, trace_sink)
+        self.spans = SpanRecorder(stamp, self.registry, trace_sink, trace_live)
 
     def span(self, actor: str, phase: str, **labels) -> _OpenSpan:
         return self.spans.span(actor, phase, **labels)

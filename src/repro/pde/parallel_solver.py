@@ -5,6 +5,10 @@ slab of the periodic array; each step exchanges one halo row with each
 periodic neighbour, computes the stencil on the padded block, and charges
 the virtual-time cost of the flops.
 
+A healthy group does not run that loop rank by rank: ``step(n)`` is one
+rendezvous (``CommHandle.ring_segment``) that steps the whole sub-grid ``n``
+times; the loop is its degenerate case and the tested oracle.
+
 The solver also provides the state-motion primitives the recovery
 techniques need: ``gather_full`` (root assembles the whole sub-grid),
 ``scatter_full`` (root redistributes a replacement state, e.g. after
@@ -19,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import SlabDecomposition, choose_axis
-from .lax_wendroff import (FLOPS_PER_POINT, nodal_view,
-                           periodic_from_initial)
+from .lax_wendroff import FLOPS_PER_POINT, nodal_view
 
 _HALO_TAG_UP = 101
 _HALO_TAG_DOWN = 102
@@ -45,10 +48,13 @@ class DistributedAdvectionSolver:
         n_axis = 1 << (level_x if self.axis == 0 else level_y)
         self.decomp = SlabDecomposition(n_axis, comm.size, self.axis)
         self.step_count = 0
+        # the initial field on this slab only (elementwise: bit-equal to a slice)
+        nx, ny = 1 << level_x, 1 << level_y
+        xs, ys = np.arange(nx) / nx, np.arange(ny) / ny
         lo, hi = self.decomp.bounds(comm.rank)
-        full = periodic_from_initial(problem, level_x, level_y)
         self.u = np.ascontiguousarray(
-            full[lo:hi, :] if self.axis == 0 else full[:, lo:hi])
+            problem.initial(xs[lo:hi, None], ys[None, :]) if self.axis == 0
+            else problem.initial(xs[:, None], ys[None, lo:hi]))
         # persistent step buffers (lazily sized; only used when the problem
         # provides allocation-free kernels)
         self._w = self._buf_a = self._buf_b = self._ti = self._scratch = None
@@ -102,7 +108,50 @@ class DistributedAdvectionSolver:
         w[:, -1] = w[:, 1]
         return w
 
+    def _advance_group(self, slabs, n: int) -> list:
+        """``n`` steps of the periodic array assembled from ``slabs`` (the
+        group's in rank order, or an arc of it), split back into owned
+        C-contiguous slabs.  The kernel call is the one every rank's ``step``
+        makes — same orientation: ``transposed`` swaps the x/y accumulation
+        order, ``step_periodic`` would not — on a block whose ghost rows are
+        the array's own; the stencil is pointwise, so more rows change no bit.
+        """
+        problem, lx, ly, dt = self.problem, self.level_x, self.level_y, self.dt
+        transposed = self.axis == 1
+        parts = [u.T for u in slabs] if transposed else slabs
+        rows, cols = sum(len(part) for part in parts), parts[0].shape[1]
+        w = np.empty((rows + 2, cols + 2), dtype=parts[0].dtype)
+        np.concatenate(parts, axis=0, out=w[1:-1, 1:-1])
+        inplace = getattr(problem, "inplace_kernels", False)
+        if inplace:
+            spare, scratch = np.empty_like(w), np.empty((rows, cols), w.dtype)
+        for _ in range(n):
+            w[0, 1:-1] = w[-2, 1:-1]
+            w[-1, 1:-1] = w[1, 1:-1]
+            w[:, 0] = w[:, -2]
+            w[:, -1] = w[:, 1]
+            if inplace:
+                problem.step_interior(w, lx, ly, dt, transposed=transposed,
+                                      out=spare[1:-1, 1:-1], scratch=scratch)
+                w, spare = spare, w
+            else:
+                w[1:-1, 1:-1] = problem.step_interior(
+                    w, lx, ly, dt, transposed=transposed)
+        full = w[1:-1, 1:-1].T if transposed else w[1:-1, 1:-1]
+        cuts = np.cumsum([len(part) for part in parts[:-1]], dtype=int)
+        return [part.copy() for part in np.split(full, cuts, axis=self.axis)]
+
     async def step(self, n: int = 1) -> None:
+        if n > 0:
+            slab = await self.comm.ring_segment(
+                n, self.u.shape[1 - self.axis] * self.u.itemsize,
+                self.ctx.compute_seconds(
+                    flops=FLOPS_PER_POINT * self.u.size * self.compute_scale),
+                self.u, self._advance_group)
+            if slab is not None:
+                self.u = slab
+                self.step_count += n
+                return
         transposed = self.axis == 1
         inplace = getattr(self.problem, "inplace_kernels", False)
         for _ in range(n):

@@ -252,3 +252,36 @@ def test_cr_rank_zero_failure_error_equals_baseline():
     m = run_app(cfg_for("CR"), OPL, kills=[Kill(0, base.t_solve * 0.6)])
     assert m.error_l1 == pytest.approx(base.error_l1, rel=1e-12)
     assert m.recompute_steps > 0
+
+
+# ---------------------------------------------------------------------------
+# a count guard, not a stopwatch: a healthy solve is one event per rank
+# ---------------------------------------------------------------------------
+def test_wide_failure_free_run_costs_segments_not_steps():
+    """One ``ranks_wide`` point (392 ranks, slabs of 2-4 rows).  Stepped
+    rank by rank it is 4 events per rank per step (16 856 in all); stepped
+    as co-simulated segments it is one per rank per segment (4 704) for the
+    same messages — a regression to per-step events fails on any host."""
+    from repro.core.app import app_main
+    from repro.core.runner import make_universe
+    from repro.mpi.tracing import Tracer
+
+    def run(traced):
+        cfg = AppConfig(technique_code="AC", n=8, level=4, steps=8,
+                        diag_procs=64, layout_mode="paper")
+        uni, total = make_universe(cfg, OPL)
+        if traced:
+            uni.tracer = Tracer()
+        job = uni.launch(total, app_main, argv=(cfg,))
+        uni.run()
+        return uni, job.results()[0]
+
+    uni, metrics = run(traced=False)
+    assert metrics.world_size == 392
+    assert uni.engine.events_processed <= 6000
+    assert uni.stats.messages == 6272
+    oracle, oracle_metrics = run(traced=True)
+    assert oracle.engine.events_processed > 16856
+    assert oracle.stats.messages == 6272
+    assert oracle.stats.bytes_sent == uni.stats.bytes_sent
+    assert metrics.to_dict() == oracle_metrics.to_dict()

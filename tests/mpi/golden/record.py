@@ -34,6 +34,12 @@ commit ``08c9736``, the last one whose recovery-mode logic lived in
 overrides the common configuration stores the overrides (``"config"``)
 and the replay passes them back.
 
+``events`` of the 36 1d runs was recorded again when healthy process
+groups began to advance as co-simulated segments (one resume per rank per
+segment instead of four events per rank per step).  ``--check`` is how that
+was shown to move nothing else: it records in memory and prints, per
+scenario, the keys that differ from the committed file.
+
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.
 """
@@ -525,8 +531,23 @@ def record_all():
     return doc
 
 
+def check(doc, committed):
+    """Print which keys of which scenarios differ from ``committed``."""
+    for kind in ("programs", "runs"):
+        moved = {name: sorted(k for k in {*new, *committed[kind].get(name, {})}
+                              if new.get(k) != committed[kind].get(name, {}).get(k))
+                 for name, new in doc[kind].items()}
+        moved = {name: keys for name, keys in moved.items() if keys}
+        print(f"{kind}: {len(moved)} of {len(doc[kind])} differ")
+        for name, keys in sorted(moved.items()):
+            print(f"  {name}: {', '.join(keys)}")
+
+
 if __name__ == "__main__":
     import sys
+    if sys.argv[1:] == ["--check"]:
+        check(record_all(), json.loads(GOLDEN_PATH.read_text()))
+        sys.exit()
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN_PATH
     out.write_text(json.dumps(record_all(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

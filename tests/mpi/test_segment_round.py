@@ -1,0 +1,350 @@
+"""The co-simulated solve segment at the MPI layer: ``RingClocks`` against
+the per-message loop it stands for, the group's choice of path, and what
+late and repeated kills do to ``SegmentRound`` and ``Universe.doomed``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.races import format_wait_for_graph
+from repro.analysis.runtime import check_runtime_leaks
+from repro.machine.presets import OPL
+from repro.mpi import MPIError, ProcFailedError, RevokedError, Universe
+from repro.mpi.matching import RingClocks
+from repro.mpi.tracing import Tracer
+from repro.simkernel.errors import DeadlockError, TaskFailedError
+
+ROW = 64 * 8        # halo-row bytes of the ring programs below
+_UP, _DOWN = 21, 22
+
+
+def _advance(values, n):
+    return [v + n for v in values]
+
+
+def ring_clocks(starts, cost, compute, n, order=None):
+    """Every rank's clock after ``n`` steps, the starts fed in ``order``."""
+    ring, clocks = RingClocks(len(starts), cost, n), {}
+    for r in order or range(len(starts)):
+        done = ring.start(r, starts[r], compute[r])
+        assert all(at >= starts[r] for _rank, at in done)
+        clocks.update(done)
+    return [clocks[r] for r in range(len(starts))]
+
+
+def launch(size, main, *, traced=False, machine=OPL):
+    uni = Universe(machine)
+    if traced:
+        uni.tracer = Tracer()
+    return uni, uni.launch(size, main)
+
+
+# ----------------------------------------------------------------------
+# the recurrence is the per-message loop, to the bit
+# ----------------------------------------------------------------------
+@settings(max_examples=25, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 5, 64]), n=st.integers(1, 8),
+       traced=st.booleans(), data=st.data())
+def test_ring_clocks_equal_the_exchange_loop(size, n, traced, data):
+    """Arbitrary start skews and per-rank compute times: the closed form
+    gives the clocks ``exchange`` + ``ctx.compute`` reach, on the fused
+    exchange and (under a tracer) on its literal isend/recv sequence."""
+    skews = data.draw(st.lists(st.floats(0.0, 1e-4), min_size=size,
+                               max_size=size))
+    comps = data.draw(st.lists(st.floats(0.0, 1e-5), min_size=size,
+                               max_size=size))
+
+    async def main(ctx):
+        comm, r = ctx.comm, ctx.rank
+        await ctx.compute(skews[r])
+        start = ctx.wtime()
+        row = np.zeros(ROW // 8)
+        for _ in range(n):
+            if size > 1:
+                await comm.exchange(
+                    (((r - 1) % size, _UP, row.copy()),
+                     ((r + 1) % size, _DOWN, row.copy())),
+                    (((r - 1) % size, _DOWN), ((r + 1) % size, _UP)),
+                    copy=False)
+            await ctx.compute(comps[r])
+        return start, ctx.wtime()
+
+    uni, job = launch(size, main, traced=traced)
+    uni.run()
+    starts, ends = zip(*job.results())
+    order = sorted(range(size), key=lambda r: (starts[r], r))
+    assert ring_clocks(starts, OPL.p2p_cost(ROW), comps, n, order) \
+        == list(ends)
+
+
+def test_ring_segment_resumes_each_rank_at_its_own_clock():
+    size, n = 5, 3
+    skews = [0.0, 1e-6, 0.5e-6, 0.0, 1.5e-6]
+    comps = [1e-6 * (r + 1) for r in range(size)]
+
+    async def main(ctx):
+        await ctx.compute(skews[ctx.rank])
+        out = await ctx.comm.ring_segment(n, ROW, comps[ctx.rank],
+                                          10 * ctx.rank, _advance)
+        return out, ctx.wtime()
+
+    uni, job = launch(size, main)
+    uni.run()
+    outs, clocks = zip(*job.results())
+    assert list(outs) == [10 * r + n for r in range(size)]
+    assert list(clocks) == ring_clocks(skews, OPL.p2p_cost(ROW), comps, n)
+    assert uni.stats.messages == 2 * size * n
+    assert uni.stats.bytes_sent == 2 * size * n * ROW
+    # launch + skew sleep + one resume per rank for the whole segment
+    # (rank 0 and 3 skip the zero sleep)
+    assert uni.engine.events_processed == 3 * size - 2
+    assert job.world_state.segment is None and not job.world_state.per_message
+
+
+def test_one_rank_group_exchanges_nothing():
+    async def main(ctx):
+        return await ctx.comm.ring_segment(4, ROW, 1e-6, 7, _advance), \
+            ctx.wtime()
+
+    uni, job = launch(1, main)
+    uni.run()
+    assert job.results() == [(11, 1e-6 + 1e-6 + 1e-6 + 1e-6)]
+    assert uni.stats.messages == 0
+
+
+def _arc_advance(values, n):
+    """Every member's value plus the sum of its ``n`` neighbours either
+    side — what a member far from a late starter must get from its arc."""
+    size = len(values)
+    return [sum(values[(i + d) % size] for d in range(-n, n + 1))
+            for i in range(size)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.sampled_from([3, 5, 8, 64]), n=st.integers(1, 4),
+       data=st.data())
+def test_a_member_leaves_as_soon_as_its_neighbourhood_has_arrived(size, n,
+                                                                  data):
+    """Start skews far longer than the segment (a CR restore reading one
+    checkpoint piece more than its neighbour is seconds against microsecond
+    steps): a member more than ``n`` hops from every late starter is done
+    before the last one arrives, exactly as in the per-message loop."""
+    skews = data.draw(st.lists(st.sampled_from([0.0, 1e-6, 0.5, 1.0]),
+                               min_size=size, max_size=size))
+    comps = [1e-6 * (r % 3) for r in range(size)]
+
+    async def main(ctx):
+        await ctx.compute(skews[ctx.rank])
+        out = await ctx.comm.ring_segment(n, ROW, comps[ctx.rank],
+                                          2 ** ctx.rank, _arc_advance)
+        return out, ctx.wtime()
+
+    uni, job = launch(size, main)
+    uni.run()
+    outs, clocks = zip(*job.results())
+    assert list(clocks) == ring_clocks(skews, OPL.p2p_cost(ROW), comps, n)
+    assert list(outs) == _arc_advance([2 ** r for r in range(size)], n)
+    assert uni.stats.messages == 2 * size * n
+    assert job.world_state.segment is None
+    assert check_runtime_leaks(uni).errors == []
+
+
+# ----------------------------------------------------------------------
+# the first arriver decides, for the group, for good
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("why", ["tracer", "diagnostics", "revoked", "dead",
+                                 "doomed"])
+def test_every_term_of_the_predicate_sends_the_group_per_message(why):
+    async def main(ctx):
+        await ctx.compute(1.0)
+        try:
+            return await ctx.comm.ring_segment(2, ROW, 0.0, 0, _advance)
+        except MPIError as exc:     # pragma: no cover - would be a bug
+            return exc
+
+    uni = Universe(OPL, diagnostics=why == "diagnostics")
+    if why == "tracer":
+        uni.tracer = Tracer()
+    job = uni.launch(3, main)
+    state = job.world_state
+    if why == "revoked":
+        state.do_revoke(0.0)
+    elif why == "dead":
+        uni.kill_rank(job, 2)
+    elif why == "doomed":
+        uni.kill_rank(job, 2, at=5.0)
+        assert uni.doomed == {state.procs[2]}
+    uni.run(raise_task_failures=False)
+    assert job.results()[:2] == [None, None]
+    assert state.per_message and state.segment is None
+    assert not uni.doomed
+
+
+def test_a_kill_aimed_at_another_group_leaves_this_one_co_simulating():
+    async def main(ctx):
+        sub = await ctx.comm.split(ctx.rank // 3, ctx.rank)
+        out = await sub.ring_segment(2, ROW, 1e-6, ctx.rank, _advance)
+        return out, sub.state.per_message
+
+    uni, job = launch(6, main)
+    uni.kill_rank(job, 5, at=1.0)
+    uni.run(raise_task_failures=False)
+    assert job.results() == [(2, False), (3, False), (4, False)] \
+        + [(None, True)] * 3
+
+
+def test_a_pair_keeps_the_loop():
+    """Both neighbours of a rank are the same process: the least to save
+    (and docs/performance.md on what co-simulating pairs costs a server)."""
+    async def main(ctx):
+        return await ctx.comm.ring_segment(2, ROW, 1e-6, 0, _advance)
+
+    uni, job = launch(2, main)
+    uni.run()
+    assert job.results() == [None, None] and job.world_state.per_message
+
+
+def test_a_communicator_repaired_in_place_stays_per_message():
+    """``readmit`` swaps a replacement into the membership: a segment that
+    was open is doomed and the newcomer never joined it, so the group takes
+    the standing decision a dead member would have given it."""
+    async def main(ctx):
+        if ctx.rank == 1:
+            return await ctx.compute(1.0)
+        with pytest.raises(ProcFailedError):
+            await ctx.comm.ring_segment(1, ROW, 0.0, 0, _advance)
+        await ctx.compute(2.0)
+        return await ctx.comm.ring_segment(1, ROW, 0.0, 0, _advance)
+
+    async def idle(ctx):
+        pass
+
+    uni, job = launch(3, main)
+    spare = uni.launch(1, idle)
+    state = job.world_state
+    uni.engine.call_at(0.5, uni.kill_rank, job, 1)   # ranks 0 and 2 parked
+    uni.engine.call_at(1.5, state.readmit, 1, spare.procs[0])
+    uni.run(raise_task_failures=False)
+    assert not state._dead_ranks and state.per_message
+    assert state.segment is None
+    assert job.results() == [None, None, None]
+
+
+def test_the_decision_is_standing_even_if_the_reason_goes_away():
+    async def main(ctx):
+        first = await ctx.comm.ring_segment(1, ROW, 0.0, 0, _advance)
+        if ctx.rank == 0:
+            ctx.universe.tracer = None      # between two members' arrivals
+        await ctx.compute(0.1 * ctx.rank)
+        return first, await ctx.comm.ring_segment(1, ROW, 0.0, 0, _advance)
+
+    uni, job = launch(3, main, traced=True)
+    uni.run()
+    assert job.results() == [(None, None)] * 3
+
+
+# ----------------------------------------------------------------------
+# late and repeated kills
+# ----------------------------------------------------------------------
+def staggered(n_steps=4, then_barrier=False):
+    """Rank r reaches the segment at r microseconds; survivors report how
+    they left it (and, optionally, what the next barrier told them)."""
+    async def main(ctx):
+        await ctx.compute(1e-6 * ctx.rank)
+        try:
+            out = await ctx.comm.ring_segment(n_steps, ROW, 1e-6, ctx.rank,
+                                              _advance)
+        except MPIError as exc:
+            return type(exc).__name__, ctx.wtime()
+        left = ctx.wtime()
+        if then_barrier:
+            with pytest.raises(ProcFailedError):
+                await ctx.comm.barrier()
+        return out, left
+    return main
+
+
+@pytest.mark.parametrize("victim", [0, 3], ids=["parked", "not-yet-arrived"])
+def test_kill_scheduled_after_part_of_the_group_parked(victim):
+    """Only an engine callback can schedule a kill this late.  Ranks 0 and
+    1 are parked and rank 2 joins the open round before the kill fires:
+    everyone gets the error a NORMAL collective round would give them."""
+    uni, job = launch(4, staggered())
+    state = job.world_state
+    uni.engine.call_at(1.5e-6, uni.kill_rank, job, victim, 2.5e-6)
+    uni.run(raise_task_failures=False)          # never a DeadlockError
+    detect = OPL.failure_detection_latency
+    for r, res in enumerate(job.results()):
+        if r == victim:
+            assert res is None
+        elif r == 3:    # arrived after the doom: detect after *its* arrival
+            assert res == ("ProcFailedError", 3e-6 + detect)
+        else:
+            assert res == ("ProcFailedError", 2.5e-6 + detect)
+    assert state.segment is None and not uni.doomed
+    assert check_runtime_leaks(uni).errors == []
+
+
+def test_kill_after_the_rendezvous_completed_takes_effect_at_the_boundary():
+    """The round completes at 3 us and every rank's resume is later than
+    that; rank 1 dies in between.  It never resumes; its peers finish the
+    segment with the slabs and clocks of the failure-free run and meet the
+    failure at the detection point."""
+    uni, job = launch(4, staggered(then_barrier=True))
+    uni.engine.call_at(3.5e-6, uni.kill_rank, job, 1)
+    uni.run(raise_task_failures=False)
+    quiet, qjob = launch(4, staggered())
+    quiet.run()
+    assert min(t for _, t in qjob.results()) > 3.5e-6
+    expected = qjob.results()
+    expected[1] = None
+    assert job.results() == expected
+    assert uni.stats.kills == 1 and not uni.doomed
+    assert check_runtime_leaks(uni).errors == []
+
+
+def test_repeated_and_posthumous_kills_leave_no_doomed_entry():
+    """A stale entry would silently pin its group to the per-message path."""
+    uni, job = launch(4, staggered())
+    procs = job.world_state.procs
+    uni.kill_rank(job, 2, at=1.0)
+    uni.kill_rank(job, 2, at=2.0)               # two kills, one process
+    uni.kill_rank(job, 3)                       # dead now ...
+    uni.kill_rank(job, 3, at=3.0)               # ... and killed again later
+    assert uni.doomed == {procs[2]}
+    uni.run(raise_task_failures=False)
+    assert not uni.doomed and uni.stats.kills == 2
+
+
+def test_revoke_dooms_the_open_round_like_any_normal_round():
+    async def main(ctx):
+        if ctx.rank == 2:
+            await ctx.compute(1e-6)
+            ctx.comm.revoke()
+            await ctx.compute(1.0)
+        with pytest.raises(RevokedError):
+            await ctx.comm.ring_segment(1, ROW, 0.0, 0, _advance)
+        return ctx.wtime()
+
+    uni, job = launch(3, main)
+    uni.run()
+    revoked_at = 1e-6 + OPL.ulfm.revoke(3)
+    detect = OPL.failure_detection_latency
+    assert job.results() == [revoked_at + detect, revoked_at + detect,
+                             1e-6 + 1.0 + detect]
+    assert job.world_state.segment is None
+
+
+def test_the_deadlock_explainer_names_the_segment_and_who_is_missing():
+    async def main(ctx):
+        if ctx.rank != 2:       # rank 2 returns without ever stepping
+            await ctx.comm.ring_segment(1, ROW, 0.0, 0, _advance)
+
+    uni, job = launch(3, main)
+    with pytest.raises(DeadlockError) as excinfo:
+        uni.run()
+    name = job.name
+    assert (f"{name}.0 waits for segment on {name}.world <- blocked on: "
+            f"{name}.2") in str(excinfo.value)
+    blocked = [p.task for p in job.procs[:2]]
+    assert "segment on" in format_wait_for_graph(blocked)

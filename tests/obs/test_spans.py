@@ -109,6 +109,61 @@ def test_spans_emitted_to_trace_sink():
     assert "dur=4.0" in detail and "attempt=0" in detail
 
 
+def test_traced_span_line_is_pinned_byte_for_byte():
+    clk = FakeClock()
+    sunk = []
+    rec = SpanRecorder(clk.stamp, trace_sink=lambda *a: sunk.append(a),
+                       trace_live=lambda: True)
+    clk.advance(0.125)
+    with rec.span("job0.3", "solve", technique="AC", gid=7):
+        clk.advance(1.0 / 3.0)
+    assert sunk == [("job0.3", "span", "solve start=0.125000000 "
+                     "dur=0.333333333 gid=7 technique=AC")]
+
+
+def test_untraced_close_formats_nothing():
+    """``Universe.trace`` drops everything while no tracer is attached, so
+    a close must not build the line: its labels are never read."""
+    class Unformattable:
+        def __str__(self):
+            return self
+
+        def __format__(self, spec):     # pragma: no cover - the failure
+            raise AssertionError("span line built for a dead sink")
+
+    clk = FakeClock()
+    live, sunk = [False], []
+    rec = SpanRecorder(clk.stamp, trace_sink=lambda *a: sunk.append(a),
+                       trace_live=lambda: live[0])
+    with rec.span("r0", "solve") as open_span:
+        open_span.labels = {"gid": Unformattable()}
+    assert len(rec.spans) == 1 and sunk == []
+    live[0] = True
+    with rec.span("r0", "detect"):
+        pass
+    assert [d for _a, _k, d in sunk] == ["detect start=0.000000000 "
+                                         "dur=0.000000000"]
+
+
+def test_universe_spans_reach_the_tracer_only_while_one_is_attached():
+    from repro.mpi import Universe
+    from repro.mpi.tracing import Tracer
+
+    async def main(ctx):
+        with ctx.span("solve"):
+            await ctx.compute(1.0)
+        ctx.universe.tracer = Tracer()
+        with ctx.span("detect"):
+            await ctx.compute(1.0)
+
+    uni = Universe()
+    uni.launch(1, main)
+    uni.run()
+    assert [s.phase for s in uni.obs.spans.spans] == ["solve", "detect"]
+    assert [e.detail.split()[0] for e in uni.tracer.events
+            if e.kind == "span"] == ["detect"]
+
+
 def test_max_spans_bound():
     clk = FakeClock()
     rec = SpanRecorder(clk.stamp, max_spans=2)

@@ -1,0 +1,121 @@
+"""Co-simulated solve segments against their oracle, the per-message loop.
+
+A tracer forces every rank through ``exchange_halos`` + ``step_interior`` +
+``ctx.compute``; without one a healthy group advances as one array step.
+The two must agree to the bit — slabs, clocks, step counts, message and
+byte counters — for every ring size, slab shape, orientation and kernel.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.machine.presets import OPL
+from repro.mpi import Universe
+from repro.mpi.tracing import Tracer
+from repro.pde import (AdvectionProblem, DiffusionProblem,
+                       DistributedAdvectionSolver, periodic_from_initial)
+
+ADVECTION = AdvectionProblem(velocity=(1.0, 0.5))
+
+
+class Allocating:
+    """The advection kernels without the allocation-free variants."""
+
+    def __init__(self, inner=ADVECTION):
+        self.initial, self.stable_dt = inner.initial, inner.stable_dt
+        self._step_interior = inner.step_interior
+
+    def step_interior(self, w, level_x, level_y, dt, transposed=False):
+        return self._step_interior(w, level_x, level_y, dt, transposed)
+
+
+PROBLEMS = {"advection": ADVECTION, "diffusion": DiffusionProblem(),
+            "allocating": Allocating()}
+
+
+def solve(size, problem, levels, segments, skews, *, traced):
+    lx, ly = levels
+
+    async def main(ctx):
+        sol = DistributedAdvectionSolver(ctx, ctx.comm, problem, lx, ly,
+                                         problem.stable_dt(max(lx, ly)))
+        await ctx.compute(skews[ctx.rank])
+        clocks = []
+        for n in segments:
+            await sol.step(n)
+            clocks.append(ctx.wtime())
+        return sol.u, sol.step_count, clocks
+
+    uni = Universe(OPL)
+    if traced:
+        uni.tracer = Tracer()
+    job = uni.launch(size, main)
+    uni.run()
+    return job.results(), uni
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([1, 2, 3, 5, 64]),
+       levels=st.sampled_from([(7, 3), (3, 7), (6, 6), (6, 7)]),
+       segments=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+       problem=st.sampled_from(sorted(PROBLEMS)), data=st.data())
+def test_untraced_step_is_the_traced_step(size, levels, segments, problem,
+                                          data):
+    # start skews from none to far longer than a segment: members then
+    # leave before the last one arrives, on an arc of the group's slabs
+    skews = data.draw(st.lists(
+        st.one_of(st.floats(0.0, OPL.alpha), st.sampled_from([0.0, 1.0])),
+        min_size=size, max_size=size))
+    args = (size, PROBLEMS[problem], levels, segments, skews)
+    oracle, traced_uni = solve(*args, traced=True)
+    got, uni = solve(*args, traced=False)
+    for (u, count, clocks), (ref, ref_count, ref_clocks) in zip(got, oracle):
+        assert np.array_equal(u, ref) and u.shape == ref.shape
+        assert u.flags.c_contiguous and u.flags.owndata and u.flags.writeable
+        assert (count, clocks) == (ref_count, ref_clocks)
+    assert uni.stats.messages == traced_uni.stats.messages
+    assert uni.stats.bytes_sent == traced_uni.stats.bytes_sent
+    if size == 2:
+        # a pair keeps the loop (``ring_segment``): at least its two halo rows
+        # and its compute sleep per rank per step
+        assert uni.engine.events_processed >= 2 * 3 * sum(segments)
+    else:
+        # launch, the skew sleep, then one resume per rank per segment
+        assert uni.engine.events_processed <= size * (2 + len(segments))
+
+
+def test_ranks_own_their_slabs_after_a_segment():
+    """No two ranks (and no later segment) may share memory."""
+    results, _uni = solve(3, ADVECTION, (5, 3), [2], [0.0] * 3, traced=False)
+    slabs = [u for u, _count, _clocks in results]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(slabs)
+                   for b in slabs[i + 1:])
+
+
+# ----------------------------------------------------------------------
+# the initial field, evaluated on the slab only
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 64, 128])
+def test_slab_initial_field_is_the_slice_of_the_whole_field(size):
+    """Bit-equal for every level pair up to 10 and every rank.  If a numpy
+    build ever disagrees (a vectorised ``sin`` whose lanes depend on the
+    array length), go back to slicing rather than loosen this."""
+    checked = 0
+    for lx in range(11):
+        for ly in range(11):
+            if (1 << max(lx, ly)) < size:
+                continue
+            full = periodic_from_initial(ADVECTION, lx, ly)
+            for rank in range(size):
+                sol = DistributedAdvectionSolver(
+                    None, SimpleNamespace(size=size, rank=rank), ADVECTION,
+                    lx, ly, 1e-3)
+                lo, hi = sol.decomp.bounds(rank)
+                ref = full[lo:hi, :] if sol.axis == 0 else full[:, lo:hi]
+                assert np.array_equal(sol.u, ref), (lx, ly, rank)
+                assert sol.u.flags.c_contiguous
+                checked += 1
+    assert checked
