@@ -226,3 +226,29 @@ def test_modes_experiment_shapes():
             by[(mode, "CR", 0)].error_l1, rel=1e-9)
     text = format_modes(pts)
     assert "mode" in text and "shrink" in text and "nc" in text
+
+
+# ---------------------------------------------------------------------------
+# the registered quick experiments, byte for byte
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shared_runner():
+    from repro.sweep import SweepRunner
+    return SweepRunner(workers=1)
+
+
+@pytest.mark.parametrize("name", ["table1", "fig8", "fig9", "fig10", "fig11",
+                                  "modes"])
+def test_quick_experiment_matches_golden(name, shared_runner):
+    """``run_experiment(name, quick=True)`` reproduces the recorded document
+    and text table exactly (``golden/record.py`` says how they were made).
+
+    Re-recording is legitimate only in a commit that also bumps
+    ``RESULTS_EPOCH`` (computed values moved) or
+    ``EXPERIMENT_SCHEMA_VERSION`` (the document's shape moved); a refactor
+    of the experiment, sweep or service layers must leave every byte alone.
+    """
+    from .golden.record import GOLDEN_DIR, render
+
+    for fname, text in render(name, shared_runner).items():
+        assert text == (GOLDEN_DIR / fname).read_text(), fname
