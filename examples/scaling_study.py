@@ -8,13 +8,12 @@ Run:  python examples/scaling_study.py           (quick, ~1 min)
 
 import sys
 
-from repro.experiments.fig11 import (format_fig11, run_fig11,
-                                     run_fig11_paper_scale)
+from repro.experiments.fig11 import FULL, format_fig11, run_fig11
 
 
 def main():
     if "--paper" in sys.argv:
-        pts = run_fig11_paper_scale()
+        pts = run_fig11(**FULL)
     else:
         pts = run_fig11(n=7, steps=16, diag_procs=(2, 4, 8),
                         failure_counts=(0, 2), compute_scale=200.0)

@@ -467,7 +467,7 @@ def bench_service_shards(tmp_dir: Path, smoke: bool) -> list:
     """Put/get/scan latency of the sharded store vs entry count."""
     import hashlib
 
-    from repro.service.store import SharedStore
+    from repro.sweep.store import SharedStore
 
     counts = (32,) if smoke else SERVICE_SHARD_COUNTS
     probes = 16 if smoke else SERVICE_SHARD_PROBES

@@ -3,6 +3,10 @@
 and dump the formatted tables.  Slower than the benchmark suite; intended
 to be run once to refresh EXPERIMENTS.md.
 
+Every section but Fig. 9a is the registered experiment at its ``FULL``
+parameter table — the same runs ``python -m repro experiment NAME``
+executes — so no parameterisation is spelled here a second time.
+
 All sections run through one shared sweep runner, so runs common to
 several experiments (the fig8/table1 failure-free baselines, fig11's
 zero-failure points) are computed once and served from the memoised run
@@ -21,7 +25,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.experiments import fig8, fig9, fig10, fig11, table1  # noqa: E402
+from repro.experiments import fig9  # noqa: E402
+from repro.experiments.registry import (format_experiment,  # noqa: E402
+                                        run_experiment)
 from repro.sweep import RunCache, SweepRunner  # noqa: E402
 
 
@@ -48,31 +54,33 @@ def main(argv=None):
         print(f"[wall {time.time() - t0:.0f}s]", file=out)
         out.flush()
 
+    def full(name):
+        """The registered experiment at its ``FULL`` table — what
+        ``python -m repro experiment NAME`` prints."""
+        points, _ = run_experiment(name, False, runner)
+        return format_experiment(name, points)
+
     section("Table I (2 real failures, 19..304 cores)",
-            lambda: table1.format_table1(
-                table1.run_table1(steps=8, runner=runner)))
+            lambda: full("table1"))
 
     section("Fig. 8 (failure identification / reconstruction, avg 3 seeds)",
-            lambda: fig8.format_fig8(fig8.run_fig8(steps=8, seeds=(0, 1, 2),
-                                                   runner=runner)))
+            lambda: full("fig8"))
 
+    # the one section that is not a registered parameterisation, so its
+    # parameters stay explicit: EXPERIMENTS.md quotes Fig. 9a at n=8 over
+    # three seeds, not at the paper-scale regime of fig9's FULL table (9b)
     section("Fig. 9a (recovery overhead, OPL + Raijin, avg 3 seeds)",
             lambda: fig9.format_fig9(fig9.run_fig9(
                 n=8, steps=8, diag_procs=8, seeds=(0, 1, 2),
                 runner=runner)))
 
     section("Fig. 9b (paper-scale process-time overhead)",
-            lambda: fig9.format_fig9(fig9.run_fig9_paper_scale(
-                seeds=(0,), runner=runner)))
+            lambda: full("fig9"))
 
-    section("Fig. 10 (accuracy, n=9, avg 10 seeds)",
-            lambda: fig10.format_fig10(fig10.run_fig10(
-                n=9, steps=128, lost_counts=(0, 1, 2, 3, 4, 5),
-                seeds=tuple(range(10)), runner=runner)))
+    section("Fig. 10 (accuracy, n=9, avg 10 seeds)", lambda: full("fig10"))
 
     section("Fig. 11 (paper-scale execution time / efficiency)",
-            lambda: fig11.format_fig11(
-                fig11.run_fig11_paper_scale(runner=runner)))
+            lambda: full("fig11"))
 
     stats = runner.cache.stats()
     print(f"\n[sweep] workers={runner.workers} cache: {stats['hits']} "

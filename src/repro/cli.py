@@ -141,26 +141,25 @@ def cmd_experiment(args) -> int:
 
     runner = SweepRunner(workers=args.workers,
                          cache=RunCache(directory=args.cache))
-    name = args.name
     t0 = time.perf_counter()  # noqa: ULF002 — host-side sweep timing, not simulated time
-    points = run_experiment(name, bool(args.quick), runner)
+    points, doc = run_experiment(args.name, bool(args.quick), runner)
     wall = time.perf_counter() - t0  # noqa: ULF002 — host-side sweep timing
+    stats = runner.cache.stats()
     if args.json:
-        from .experiments.report import write_experiment_json
         # wall_s and workers vary run to run; cache stats are functions of
         # the batch alone (strip the former when diffing documents)
-        stats = runner.cache.stats()
-        write_experiment_json(args.json, name, points,
-                              params={"quick": bool(args.quick),
-                                      "workers": runner.workers,
-                                      "wall_s": wall,
-                                      "cache_hits": stats["hits"],
-                                      "cache_misses": stats["misses"]})
-        if args.json != "-":
+        doc["params"].update(workers=runner.workers, wall_s=wall,
+                             cache_hits=stats["hits"],
+                             cache_misses=stats["misses"])
+        text = json.dumps(doc, indent=2, default=str)
+        if args.json == "-":
+            print(text)
+        else:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
             print(f"wrote {args.json}", file=sys.stderr)
     else:
-        print(format_experiment(name, points))
-        stats = runner.cache.stats()
+        print(format_experiment(args.name, points))
         print(f"[sweep] workers={runner.workers} wall={wall:.2f}s "
               f"cache: {stats['hits']} hit(s), {stats['misses']} miss(es)",
               file=sys.stderr)
@@ -179,7 +178,7 @@ def cmd_cache(args) -> int:
     # exit codes follow the lint contract: 0 clean, 1 findings, 2 usage
     import os
 
-    from .service.store import SharedStore
+    from .sweep.store import SharedStore
 
     if not os.path.isdir(args.cache):
         print(f"error: no such cache directory: {args.cache}",
@@ -213,9 +212,7 @@ def cmd_cache(args) -> int:
             print(json.dumps(report, indent=2))
         else:
             print(f"gc: removed {report['tmp_removed']} tmp file(s) and "
-                  f"{report['corrupt_removed']} quarantined blob(s), "
-                  f"migrated {report['migrated']} flat entr(ies) into "
-                  f"shards")
+                  f"{report['corrupt_removed']} quarantined blob(s)")
         return 0
     raise SystemExit(f"unknown cache action {args.action}")  # pragma: no cover
 
@@ -455,6 +452,7 @@ def cmd_verify_protocol(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments.registry import experiment_names
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Fault-tolerant sparse-grid PDE solver (IPDPSW 2014 "
@@ -483,9 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure")
-    p_exp.add_argument("name",
-                       choices=["table1", "fig8", "fig9", "fig10", "fig11",
-                                "modes"])
+    p_exp.add_argument("name", choices=experiment_names())
     p_exp.add_argument("--quick", action="store_true",
                        help="small fast variant")
     p_exp.add_argument("--json", metavar="FILE",
@@ -525,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("action", choices=["stats", "verify", "gc"],
                          help="stats: entry/byte/shard counts; verify: "
                               "load every blob and report corruption; "
-                              "gc: drop tmp/quarantined files and migrate "
-                              "pre-sharding flat entries")
+                              "gc: drop tmp and quarantined files")
     p_cache.add_argument("--cache", metavar="DIR", required=True,
                          help="the cache directory to operate on")
     p_cache.add_argument("--json", action="store_true",

@@ -8,8 +8,13 @@
 * :mod:`repro.experiments.modes`  — recovery-mode comparison (respawn vs
   shrink-in-place vs non-collective repair)
 
-Each exposes ``run_*`` (returns structured points) and ``format_*``
-(paper-style text table); ``python -m repro.experiments.<name>`` runs one.
+Each holds a *plan* — ``run_*``, a generator that yields its batches of
+:class:`repro.sweep.SweepPoint` and is sent their metrics, wrapped by
+:func:`repro.sweep.planned` so ``run_*(**params, runner=r)`` returns the
+structured points — its two parameter tables ``QUICK`` and ``FULL``, and
+``format_*`` (paper-style text table).  :mod:`repro.experiments.registry`
+builds the catalogue from them; ``python -m repro experiment NAME
+[--quick]`` (or ``/v1/experiment/NAME``) is the way to run one.
 """
 
 from . import fig8, fig9, fig10, fig11, modes, report, table1

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence
 
 from ..core import AppConfig, choose_lost_grids_for_scheme
 from ..machine.presets import IDEAL
-from ..sweep import SweepPoint, make_runner
+from ..sweep import SweepPoint, planned
 from .report import format_table, merge_phases, scale_phases
 
 TECH_CODES = ("CR", "RC", "AC")
@@ -38,13 +38,15 @@ class Fig10Point:
         return self.error_l1 / self.baseline_l1 if self.baseline_l1 else 0.0
 
 
+QUICK = dict(n=7, steps=32, seeds=(0, 1, 2))
+FULL = dict(n=9, steps=128, seeds=tuple(range(10)))
+
+
+@planned
 def run_fig10(*, n: int = 7, level: int = 4, steps: int = 32,  # repro: cacheable
               diag_procs: int = 2, lost_counts: Sequence[int] = (0, 1, 2, 3, 4, 5),
               seeds: Sequence[int] = tuple(range(5)), machine=IDEAL,
-              checkpoint_count: int = 4,
-              workers=None, cache=None, runner=None) -> List[Fig10Point]:
-    sweep = make_runner(runner, workers, cache)
-
+              checkpoint_count: int = 4):
     def _cfg(code, lost):
         return AppConfig(n=n, level=level, technique_code=code,
                          steps=steps, diag_procs=diag_procs,
@@ -61,7 +63,7 @@ def run_fig10(*, n: int = 7, level: int = 4, steps: int = 32,  # repro: cacheabl
                 tasks.append(SweepPoint(_cfg(code, lost), machine))
                 if n_lost == 0:
                     break  # deterministic without losses
-    metrics = iter(sweep.run(tasks))
+    metrics = iter((yield tasks))
 
     points = []
     for code in TECH_CODES:
@@ -89,26 +91,3 @@ def format_fig10(points: List[Fig10Point]) -> str:
         ["tech", "lost", "l1 error", "vs baseline"], rows,
         title="Fig. 10: average l1 approximation error of the combined "
               "solution", floatfmt="12.4e")
-
-
-def main(argv=None):  # pragma: no cover - CLI
-    import argparse
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="small fast variant")
-    ap.add_argument("--json", metavar="FILE",
-                    help="write the experiment document ('-' = stdout)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="parallel sweep workers (default: REPRO_WORKERS or 1)")
-    args = ap.parse_args(argv)
-    pts = run_fig10(seeds=tuple(range(3)), workers=args.workers) \
-        if args.quick else run_fig10(workers=args.workers)
-    if args.json:
-        from .report import write_experiment_json
-        write_experiment_json(args.json, "fig10", pts)
-    else:
-        print(format_fig10(pts))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

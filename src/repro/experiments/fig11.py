@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence
 
 from ..core import AppConfig, plan_failures
 from ..machine.presets import OPL
-from ..sweep import SweepPoint, make_runner
+from ..sweep import SweepPoint, planned
 from .report import format_table, merge_phases, scale_phases
 
 TECH_CODES = ("CR", "RC", "AC")
@@ -36,14 +36,22 @@ class Fig11Point:
     phases: Dict[str, float] = field(default_factory=dict)
 
 
+QUICK = dict(n=7, steps=16, diag_procs=(2, 4, 8), compute_scale=200.0)
+# A compute-dominated problem size.  Parallel efficiency is only meaningful
+# when solve time dominates fixed overheads; this raises the per-step
+# virtual cost to the paper's regime so AC/RC sit above ~80% efficiency at
+# zero failures, with CR dragged down by its per-checkpoint detection +
+# write costs.
+FULL = dict(n=9, level=4, steps=64, diag_procs=(2, 4, 8, 16), seeds=(0,),
+            checkpoint_count=4, compute_scale=2400.0)
+
+
+@planned
 def run_fig11(*, n: int = 7, level: int = 4, steps: int = 16,  # repro: cacheable
               diag_procs: Sequence[int] = (2, 4, 8, 16),
               failure_counts: Sequence[int] = (0, 1, 2),
               seeds: Sequence[int] = (0,), machine=OPL,
-              checkpoint_count=4, compute_scale: float = 1.0,
-              workers=None, cache=None, runner=None) -> List[Fig11Point]:
-    sweep = make_runner(runner, workers, cache)
-
+              checkpoint_count=4, compute_scale: float = 1.0):
     def _cfg(code, p):
         return AppConfig(n=n, level=level, technique_code=code,
                          steps=steps, diag_procs=p,
@@ -55,7 +63,7 @@ def run_fig11(*, n: int = 7, level: int = 4, steps: int = 16,  # repro: cacheabl
     base_points = [SweepPoint(_cfg(code, p), machine)
                    for code in TECH_CODES for p in diag_procs]
     t_solves = {(bp.cfg.technique_code, bp.cfg.diag_procs): m.t_solve
-                for bp, m in zip(base_points, sweep.run(base_points))}
+                for bp, m in zip(base_points, (yield base_points))}
 
     # stage 2: the full (technique, failures, scale, seed) grid
     tasks: List[SweepPoint] = []
@@ -69,7 +77,7 @@ def run_fig11(*, n: int = 7, level: int = 4, steps: int = 16,  # repro: cacheabl
                         seed=seed) if nf else ()
                     tasks.append(SweepPoint(cfg, machine,
                                             kills=tuple(kills)))
-    metrics = iter(sweep.run(tasks))
+    metrics = iter((yield tasks))
 
     points: List[Fig11Point] = []
     for code in TECH_CODES:
@@ -94,19 +102,6 @@ def run_fig11(*, n: int = 7, level: int = 4, steps: int = 16,  # repro: cacheabl
     return points
 
 
-def run_fig11_paper_scale(seeds: Sequence[int] = (0,), workers=None,  # repro: cacheable
-                          cache=None, runner=None) -> List[Fig11Point]:
-    """Fig. 11 at a compute-dominated problem size.
-
-    Parallel efficiency is only meaningful when solve time dominates fixed
-    overheads; this preset raises the per-step virtual cost to the paper's
-    regime so AC/RC sit above ~80% efficiency at zero failures, with CR
-    dragged down by its per-checkpoint detection + write costs."""
-    return run_fig11(n=9, level=4, steps=64, diag_procs=(2, 4, 8, 16),
-                     seeds=seeds, checkpoint_count=4, compute_scale=2400.0,
-                     workers=workers, cache=cache, runner=runner)
-
-
 def format_fig11(points: List[Fig11Point]) -> str:
     rows = [[p.technique, p.n_failures, p.cores, p.t_total, p.efficiency]
             for p in points]
@@ -114,26 +109,3 @@ def format_fig11(points: List[Fig11Point]) -> str:
         ["tech", "failures", "cores", "total(s)", "efficiency"], rows,
         title="Fig. 11: overall execution time (a) and parallel "
               "efficiency (b)")
-
-
-def main(argv=None):  # pragma: no cover - CLI
-    import argparse
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="small fast variant")
-    ap.add_argument("--json", metavar="FILE",
-                    help="write the experiment document ('-' = stdout)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="parallel sweep workers (default: REPRO_WORKERS or 1)")
-    args = ap.parse_args(argv)
-    pts = run_fig11(diag_procs=(2, 4, 8), workers=args.workers) \
-        if args.quick else run_fig11(workers=args.workers)
-    if args.json:
-        from .report import write_experiment_json
-        write_experiment_json(args.json, "fig11", pts)
-    else:
-        print(format_fig11(pts))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence
 
 from ..core import AppConfig, plan_failures
 from ..machine.presets import OPL
-from ..sweep import SweepPoint, make_runner
+from ..sweep import SweepPoint, planned
 from .report import format_table, merge_phases, scale_phases
 from .table1 import SWEEP_DIAG_PROCS
 
@@ -33,13 +33,15 @@ class Fig8Point:
     phases: Dict[str, float] = field(default_factory=dict)
 
 
+QUICK = dict(steps=8, seeds=(0,))
+FULL = dict(steps=8, seeds=(0, 1, 2))
+
+
+@planned
 def run_fig8(*, n: int = 7, level: int = 4, steps: int = 8,  # repro: cacheable
              diag_procs: Sequence[int] = SWEEP_DIAG_PROCS,
              failure_counts: Sequence[int] = (1, 2),
-             seeds: Sequence[int] = (0,), machine=OPL,
-             workers=None, cache=None, runner=None) -> List[Fig8Point]:
-    sweep = make_runner(runner, workers, cache)
-
+             seeds: Sequence[int] = (0,), machine=OPL):
     def _cfg(p):
         return AppConfig(n=n, level=level, technique_code="CR", steps=steps,
                          diag_procs=p, layout_mode="sweep",
@@ -49,7 +51,7 @@ def run_fig8(*, n: int = 7, level: int = 4, steps: int = 8,  # repro: cacheable
     # experiments run on one cache)
     base_points = [SweepPoint(_cfg(p), machine) for p in diag_procs]
     t_solves = {bp.cfg.diag_procs: m.t_solve
-                for bp, m in zip(base_points, sweep.run(base_points))}
+                for bp, m in zip(base_points, (yield base_points))}
 
     # stage 2: the killed runs
     tasks: List[SweepPoint] = []
@@ -61,7 +63,7 @@ def run_fig8(*, n: int = 7, level: int = 4, steps: int = 8,  # repro: cacheable
                                       max(t_solves[p] * 0.5, 1e-9),
                                       seed=seed)
                 tasks.append(SweepPoint(cfg, machine, kills=tuple(kills)))
-    metrics = iter(sweep.run(tasks))
+    metrics = iter((yield tasks))
 
     points = []
     for p in diag_procs:
@@ -87,26 +89,3 @@ def format_fig8(points: List[Fig8Point]) -> str:
         ["cores", "failures", "failed-list(s)", "reconstruct(s)"], rows,
         title="Fig. 8: failure identification (a) and communicator "
               "reconstruction (b) wall times")
-
-
-def main(argv=None):  # pragma: no cover - CLI
-    import argparse
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="small fast variant")
-    ap.add_argument("--json", metavar="FILE",
-                    help="write the experiment document ('-' = stdout)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="parallel sweep workers (default: REPRO_WORKERS or 1)")
-    args = ap.parse_args(argv)
-    pts = run_fig8(seeds=(0,), workers=args.workers) if args.quick \
-        else run_fig8(seeds=(0, 1, 2), workers=args.workers)
-    if args.json:
-        from .report import write_experiment_json
-        write_experiment_json(args.json, "fig8", pts)
-    else:
-        print(format_fig8(pts))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

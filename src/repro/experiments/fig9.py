@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core import AppConfig, choose_lost_grids_for_scheme
 from ..machine.presets import OPL, RAIJIN
-from ..sweep import SweepPoint, make_runner
+from ..sweep import SweepPoint, planned
 from .report import format_table, merge_phases, scale_phases
 
 TECH_CODES = ("CR", "RC", "AC")
@@ -64,13 +64,24 @@ def recovery_overhead(m) -> float:
     return m.t_recovery
 
 
+QUICK = dict(n=7, steps=16, seeds=(0,))
+# The paper-scale timing regime.  The paper's Fig. 9b result set — CR
+# worst / AC best on OPL, CR *best* on Raijin — emerges only when the
+# application time is large enough to amortise checkpointing on a fast
+# disk (the paper runs n=13 for 2^13 steps).  ``compute_scale`` raises the
+# virtual per-step cost to that regime (t_app ~ 10 s) without paying the
+# full numerics, and checkpoint counts are machine-optimal
+# (``checkpoint_count=None``) as a real deployment would choose them.
+FULL = dict(n=9, level=4, steps=256, diag_procs=8, seeds=(0,),
+            checkpoint_count=None, compute_scale=600.0)
+
+
+@planned
 def run_fig9(*, n: int = 7, level: int = 4, steps: int = 16,  # repro: cacheable
              diag_procs: int = 8, lost_counts: Sequence[int] = (1, 2, 3, 4, 5),
              seeds: Sequence[int] = (0, 1, 2),
              machines=(OPL, RAIJIN), checkpoint_count=4,
-             compute_scale: float = 1.0,
-             workers=None, cache=None, runner=None) -> List[Fig9Point]:
-    sweep = make_runner(runner, workers, cache)
+             compute_scale: float = 1.0):
     # lost-grid sets depend only on the scheme (derived once per
     # technique), not on the machine or per-seed probe configs
     lost_sets: Dict[Tuple[str, int, int], Tuple[int, ...]] = {}
@@ -91,7 +102,7 @@ def run_fig9(*, n: int = 7, level: int = 4, steps: int = 16,  # repro: cacheable
                                   lost_sets[code, n_lost, seed],
                                   checkpoint_count, compute_scale)
                     tasks.append(SweepPoint(cfg, machine))
-    metrics = iter(sweep.run(tasks))
+    metrics = iter((yield tasks))
 
     points = []
     for machine in machines:
@@ -131,44 +142,3 @@ def format_fig9(points: List[Fig9Point]) -> str:
         rows,
         title="Fig. 9: data recovery overhead (a) and process-time "
               "overhead (b)", floatfmt="12.5f")
-
-
-def run_fig9_paper_scale(seeds: Sequence[int] = (0, 1, 2),  # repro: cacheable
-                         workers=None, cache=None,
-                         runner=None) -> List[Fig9Point]:
-    """Fig. 9 with the paper-scale timing regime.
-
-    The paper's Fig. 9b result set — CR worst / AC best on OPL, CR *best*
-    on Raijin — emerges only when the application time is large enough to
-    amortise checkpointing on a fast disk (the paper runs n=13 for 2^13
-    steps).  ``compute_scale`` raises the virtual per-step cost to that
-    regime (t_app ~ 10 s) without paying the full numerics, and checkpoint
-    counts are machine-optimal (``checkpoint_count=None``) as a real
-    deployment would choose them."""
-    return run_fig9(n=9, level=4, steps=256, diag_procs=8, seeds=seeds,
-                    checkpoint_count=None, compute_scale=600.0,
-                    workers=workers, cache=cache, runner=runner)
-
-
-def main(argv=None):  # pragma: no cover - CLI
-    import argparse
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="small fast variant")
-    ap.add_argument("--json", metavar="FILE",
-                    help="write the experiment document ('-' = stdout)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="parallel sweep workers (default: REPRO_WORKERS or 1)")
-    args = ap.parse_args(argv)
-    kw = dict(workers=args.workers)
-    pts = run_fig9(steps=16, seeds=(0,), **kw) if args.quick \
-        else run_fig9(**kw)
-    if args.json:
-        from .report import write_experiment_json
-        write_experiment_json(args.json, "fig9", pts)
-    else:
-        print(format_fig9(pts))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence
 from ..core import AppConfig
 from ..ft.failure_injection import Kill
 from ..machine.presets import OPL
-from ..sweep import SweepPoint, make_runner
+from ..sweep import SweepPoint, planned
 from .report import format_table, merge_phases
 
 RECOVERY_MODES = ("respawn", "shrink", "nc")
@@ -95,15 +95,17 @@ def mode_kill_plan(cfg: AppConfig, n_failures: int, at: float) -> List[Kill]:
     return kills
 
 
+QUICK = dict(n=6, steps=16, diag_procs=2, failure_counts=(1, 2))
+FULL = dict(n=7, steps=32, diag_procs=4, failure_counts=(1, 2, 3))
+
+
+@planned
 def run_modes(*, n: int = 6, level: int = 4, steps: int = 16,  # repro: cacheable
               diag_procs: int = 2, checkpoint_count: int = 4,
               failure_counts: Sequence[int] = (1, 2),
               techniques: Sequence[str] = TECH_CODES,
               modes: Sequence[str] = RECOVERY_MODES,
-              machine=OPL,
-              workers=None, cache=None, runner=None) -> List[ModesPoint]:
-    sweep = make_runner(runner, workers, cache)
-
+              machine=OPL):
     def _cfg(mode, code):
         return AppConfig(n=n, level=level, technique_code=code,
                          recovery_mode=mode, steps=steps,
@@ -116,7 +118,7 @@ def run_modes(*, n: int = 6, level: int = 4, steps: int = 16,  # repro: cacheabl
     base_points = [SweepPoint(_cfg(mode, code), machine)
                    for mode in modes for code in techniques]
     baselines = {(bp.cfg.recovery_mode, bp.cfg.technique_code): m
-                 for bp, m in zip(base_points, sweep.run(base_points))}
+                 for bp, m in zip(base_points, (yield base_points))}
 
     # stage 2: the killed runs, each kill placed mid-solve of its own
     # baseline (checkpoint writes stretch CR's solve, so the kill time is
@@ -130,7 +132,7 @@ def run_modes(*, n: int = 6, level: int = 4, steps: int = 16,  # repro: cacheabl
                 kills = mode_kill_plan(_cfg(mode, code), nf, at)
                 tasks.append(SweepPoint(_cfg(mode, code), machine,
                                         kills=tuple(kills)))
-    metrics = iter(sweep.run(tasks))
+    metrics = iter((yield tasks))
 
     points = []
     for mode in modes:
@@ -160,27 +162,3 @@ def format_modes(points: List[ModesPoint]) -> str:
          "repair(s)", "recover(s)", "l1 error"], rows,
         title="Recovery-mode comparison: respawn vs shrink-in-place vs "
               "non-collective repair", floatfmt="10.4g")
-
-
-def main(argv=None):  # pragma: no cover - CLI
-    import argparse
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="small fast variant")
-    ap.add_argument("--json", metavar="FILE",
-                    help="write the experiment document ('-' = stdout)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="parallel sweep workers (default: REPRO_WORKERS or 1)")
-    args = ap.parse_args(argv)
-    pts = run_modes(workers=args.workers) if args.quick \
-        else run_modes(n=7, steps=32, diag_procs=4,
-                       failure_counts=(1, 2, 3), workers=args.workers)
-    if args.json:
-        from .report import write_experiment_json
-        write_experiment_json(args.json, "modes", pts)
-    else:
-        print(format_modes(pts))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,22 +1,24 @@
 """One registry of the runnable experiments.
 
-``python -m repro experiment`` and the HTTP service
-(``/v1/experiment/<name>``) run the same drivers with the same quick /
-full parameterisations; this module is the single place those are
-spelled so the two front ends cannot drift.
+``python -m repro experiment NAME`` and the HTTP service
+(``/v1/experiment/NAME``) are the only two ways in, and both call
+:func:`run_experiment`: the same plan, the same quick / full parameter
+table (the ``QUICK`` / ``FULL`` dicts beside each plan — the single place
+a parameterisation is spelled), the same validated document.
 
-Every driver takes the shared :class:`repro.sweep.SweepRunner`, so the
-caller decides the worker count and cache (the service passes its
-persistent shared cache; misses computed for one client are hits for
-every later one).
+The caller supplies the :class:`repro.sweep.SweepRunner` and with it the
+worker count and cache (the service passes its persistent shared cache;
+misses computed for one client are hits for every later one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
+from ..obs.schema import validate_experiment_doc
 from . import fig8, fig9, fig10, fig11, modes, table1
+from .report import experiment_json
 
 __all__ = ["EXPERIMENTS", "ExperimentSpec", "experiment_names",
            "format_experiment", "run_experiment"]
@@ -31,62 +33,42 @@ class ExperimentSpec:
     run: Callable[[bool, object], Sequence]
     #: ``fmt(points) -> str`` (the human-readable table)
     fmt: Callable[[Sequence], str]
+    #: the parameter tables ``run`` selects between; the selected one is
+    #: part of the document's content key
+    quick: Mapping = field(default_factory=dict)
+    full: Mapping = field(default_factory=dict)
 
 
-def _run_table1(quick: bool, runner) -> List:
-    return table1.run_table1(steps=8, runner=runner)
+def _spec(name: str, module, run, fmt) -> ExperimentSpec:
+    """A planned experiment: ``run`` with the module's ``QUICK`` or
+    ``FULL`` table."""
+    quick, full = module.QUICK, module.FULL
+    return ExperimentSpec(
+        name, lambda q, runner: run(**(quick if q else full), runner=runner),
+        fmt, quick, full)
 
 
-def _run_fig8(quick: bool, runner) -> List:
-    seeds = (0,) if quick else (0, 1, 2)
-    return fig8.run_fig8(steps=8, seeds=seeds, runner=runner)
-
-
-def _run_fig9(quick: bool, runner) -> List:
-    if quick:
-        return fig9.run_fig9(n=7, steps=16, seeds=(0,), runner=runner)
-    return fig9.run_fig9_paper_scale(seeds=(0,), runner=runner)
-
-
-def _run_fig10(quick: bool, runner) -> List:
-    seeds = tuple(range(3 if quick else 10))
-    n = 7 if quick else 9
-    steps = 32 if quick else 128
-    return fig10.run_fig10(n=n, steps=steps, seeds=seeds, runner=runner)
-
-
-def _run_fig11(quick: bool, runner) -> List:
-    if quick:
-        return fig11.run_fig11(n=7, steps=16, diag_procs=(2, 4, 8),
-                               compute_scale=200.0, runner=runner)
-    return fig11.run_fig11_paper_scale(runner=runner)
-
-
-def _run_modes(quick: bool, runner) -> List:
-    if quick:
-        return modes.run_modes(runner=runner)
-    return modes.run_modes(n=7, steps=32, diag_procs=4,
-                           failure_counts=(1, 2, 3), runner=runner)
-
-
-EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    "table1": ExperimentSpec("table1", _run_table1, table1.format_table1),
-    "fig8": ExperimentSpec("fig8", _run_fig8, fig8.format_fig8),
-    "fig9": ExperimentSpec("fig9", _run_fig9, fig9.format_fig9),
-    "fig10": ExperimentSpec("fig10", _run_fig10, fig10.format_fig10),
-    "fig11": ExperimentSpec("fig11", _run_fig11, fig11.format_fig11),
-    "modes": ExperimentSpec("modes", _run_modes, modes.format_modes),
-}
+EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
+    _spec("table1", table1, table1.run_table1, table1.format_table1),
+    _spec("fig8", fig8, fig8.run_fig8, fig8.format_fig8),
+    _spec("fig9", fig9, fig9.run_fig9, fig9.format_fig9),
+    _spec("fig10", fig10, fig10.run_fig10, fig10.format_fig10),
+    _spec("fig11", fig11, fig11.run_fig11, fig11.format_fig11),
+    _spec("modes", modes, modes.run_modes, modes.format_modes),
+)}
 
 
 def experiment_names() -> Tuple[str, ...]:
     return tuple(EXPERIMENTS)
 
 
-def run_experiment(name: str, quick: bool, runner) -> Sequence:
-    """Run one experiment through ``runner``; raises ``KeyError`` for an
-    unknown name (front ends validate first)."""
-    return EXPERIMENTS[name].run(quick, runner)
+def run_experiment(name: str, quick: bool, runner) -> Tuple[Sequence, dict]:
+    """Run one experiment through ``runner``: its points and the validated
+    document (deterministic — ``params`` holds ``quick`` only).  Raises
+    ``KeyError`` for an unknown name (front ends validate first)."""
+    points = EXPERIMENTS[name].run(quick, runner)
+    doc = experiment_json(name, points, params={"quick": bool(quick)})
+    return points, validate_experiment_doc(doc)
 
 
 def format_experiment(name: str, points: Sequence) -> str:

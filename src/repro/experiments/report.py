@@ -3,7 +3,6 @@ plus the machine-readable (``--json``) experiment document."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, is_dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -105,17 +104,3 @@ def experiment_json(name: str, points: Sequence,
         doc["params"] = dict(params)
     return doc
 
-
-def write_experiment_json(path: str, name: str, points: Sequence,
-                          params: Optional[dict] = None) -> dict:
-    """Validate and write the experiment document; '-' writes stdout."""
-    from ..obs.schema import validate_experiment_doc
-    doc = experiment_json(name, points, params)
-    validate_experiment_doc(doc)
-    text = json.dumps(doc, indent=2, default=str)
-    if path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return doc

@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core import AppConfig, plan_failures
 from ..machine.presets import OPL
-from ..sweep import SweepPoint, make_runner
+from ..sweep import SweepPoint, planned
 from .report import format_table
 
 #: the paper's measurements (cores -> spawn, shrink, agree, merge seconds)
@@ -40,12 +40,14 @@ class Table1Row:
     phases: Dict[str, float] = field(default_factory=dict)
 
 
+# the quick variant is the full one: five runs at the paper's core counts
+QUICK = FULL = dict(steps=8, diag_procs=SWEEP_DIAG_PROCS)
+
+
+@planned
 def run_table1(*, n: int = 7, level: int = 4, steps: int = 8,  # repro: cacheable
                diag_procs: Sequence[int] = SWEEP_DIAG_PROCS,
-               n_failures: int = 2, seed: int = 0, machine=OPL,
-               workers=None, cache=None, runner=None) -> List[Table1Row]:
-    sweep = make_runner(runner, workers, cache)
-
+               n_failures: int = 2, seed: int = 0, machine=OPL):
     def _cfg(p):
         return AppConfig(n=n, level=level, technique_code="CR", steps=steps,
                          diag_procs=p, layout_mode="sweep",
@@ -55,7 +57,7 @@ def run_table1(*, n: int = 7, level: int = 4, steps: int = 8,  # repro: cacheabl
     # then the two-failure runs
     base_points = [SweepPoint(_cfg(p), machine) for p in diag_procs]
     t_solves = {bp.cfg.diag_procs: m.t_solve
-                for bp, m in zip(base_points, sweep.run(base_points))}
+                for bp, m in zip(base_points, (yield base_points))}
     tasks = []
     for p in diag_procs:
         cfg = _cfg(p)
@@ -64,7 +66,7 @@ def run_table1(*, n: int = 7, level: int = 4, steps: int = 8,  # repro: cacheabl
         tasks.append(SweepPoint(cfg, machine, kills=tuple(kills)))
 
     rows = []
-    for m in sweep.run(tasks):
+    for m in (yield tasks):
         rows.append(Table1Row(m.world_size, m.t_spawn, m.t_shrink,
                               m.t_agree, m.t_merge,
                               dict(m.phase_breakdown)))
@@ -87,26 +89,3 @@ def format_table1(rows: List[Table1Row]) -> str:
         out_rows,
         title="Table I: ULFM op wall times (s), 2 process failures "
               "[measured vs paper]")
-
-
-def main(argv=None):  # pragma: no cover - CLI
-    import argparse
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="small fast variant")
-    ap.add_argument("--json", metavar="FILE",
-                    help="write the experiment document ('-' = stdout)")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="parallel sweep workers (default: REPRO_WORKERS or 1)")
-    args = ap.parse_args(argv)
-    rows = run_table1(diag_procs=(4, 8), workers=args.workers) \
-        if args.quick else run_table1(workers=args.workers)
-    if args.json:
-        from .report import write_experiment_json
-        write_experiment_json(args.json, "table1", rows)
-    else:
-        print(format_table1(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,11 +1,13 @@
 """The persistent results service.
 
-Three layers turn the per-process sweep engine into a shared results
-store (ROADMAP item 4, "heavy traffic from millions of users"):
+The top of the results path — it imports :mod:`repro.sweep` and
+:mod:`repro.experiments`, never the reverse — turning the per-process
+sweep engine into a shared results store:
 
-* :mod:`repro.service.store` — a sharded, multi-process-safe on-disk
-  blob store (the persistent layer under
-  :class:`repro.sweep.cache.RunCache`);
+* :class:`SharedStore` / :class:`StoreStats` — the sharded,
+  multi-process-safe on-disk blob store, re-exported from
+  :mod:`repro.sweep.store` (it is the disk tier of
+  :class:`repro.sweep.cache.RunCache`, so it lives below this package);
 * :mod:`repro.service.jobqueue` — a bounded worker queue that coalesces
   duplicate in-flight requests (N identical misses -> 1 execution);
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a small
@@ -14,9 +16,10 @@ store (ROADMAP item 4, "heavy traffic from millions of users"):
   with 202 + poll semantics.
 """
 
+from ..sweep.store import SharedStore, StoreStats
 from .client import ServiceClient, ServiceError
 from .jobqueue import Job, JobQueue, QueueFull
-from .store import SharedStore, StoreStats
+from .server import ServiceState, create_server, serve
 
 __all__ = [
     "Job", "JobQueue", "QueueFull",
@@ -24,15 +27,3 @@ __all__ = [
     "ServiceState", "create_server", "serve",
     "SharedStore", "StoreStats",
 ]
-
-_SERVER_NAMES = ("ServiceState", "create_server", "serve")
-
-
-def __getattr__(name):
-    # the server module imports the sweep engine, which itself uses
-    # .store as its disk layer — resolve server names lazily so the
-    # package import graph stays acyclic
-    if name in _SERVER_NAMES:
-        from . import server
-        return getattr(server, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

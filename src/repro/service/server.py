@@ -28,7 +28,9 @@ until ``?retry=1`` resubmits it.
 Experiment documents are deterministic — they embed no wall-clock or
 worker-count params — and are persisted in the same shared store as the
 individual runs, keyed by a content fingerprint of ``(results epoch,
-name, quick, schema version)``: a warm document survives restarts, and
+name, quick, schema version, the experiment's quick or full parameter
+table)``: a warm document survives restarts, editing a parameter makes
+the old document unreachable instead of stale, and
 a cold document's underlying runs are themselves cached, fleet-wide, so
 even a "cold" document after a restart only re-aggregates warm runs.
 """
@@ -41,7 +43,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from ..experiments.registry import EXPERIMENTS, run_experiment
 from ..obs.registry import MetricsRegistry
+from ..obs.schema import EXPERIMENT_SCHEMA_VERSION
+from ..sweep import RunCache, SweepRunner, cache as run_cache
 from .jobqueue import JobQueue, QueueFull, wall_now
 
 __all__ = ["ServiceState", "create_server", "serve"]
@@ -61,7 +66,6 @@ class ServiceState:
     def __init__(self, cache=None, queue_workers: int = 2,
                  max_pending: int = 32, sweep_workers: int = 1,
                  registry: Optional[MetricsRegistry] = None):
-        from ..sweep import RunCache
         self.cache = cache if cache is not None else RunCache()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
@@ -80,24 +84,20 @@ class ServiceState:
     @staticmethod
     def experiment_key(name: str, quick: bool) -> str:
         """Content key of one experiment document (the unit the queue
-        coalesces on and the store persists)."""
-        from ..obs.schema import EXPERIMENT_SCHEMA_VERSION
-        from ..sweep.cache import RESULTS_EPOCH, fingerprint
-        return fingerprint(("experiment-doc", RESULTS_EPOCH, name,
-                            bool(quick), EXPERIMENT_SCHEMA_VERSION))
+        coalesces on and the store persists): everything that decides
+        its bytes, including the parameter table the run selects (empty
+        for a spec without one)."""
+        spec = EXPERIMENTS.get(name)
+        table = (spec.quick if quick else spec.full) if spec else {}
+        return run_cache.fingerprint(
+            ("experiment-doc", run_cache.RESULTS_EPOCH, name, bool(quick),
+             EXPERIMENT_SCHEMA_VERSION, table))
 
     def _compute_experiment(self, name: str, quick: bool, key: str):
         """The job body: run the experiment through the shared cache and
         persist the validated document under ``key``."""
-        from ..experiments.registry import run_experiment
-        from ..experiments.report import experiment_json
-        from ..obs.schema import validate_experiment_doc
-        from ..sweep import SweepRunner
-
         runner = SweepRunner(workers=self.sweep_workers, cache=self.cache)
-        points = run_experiment(name, quick, runner)
-        doc = experiment_json(name, points, params={"quick": bool(quick)})
-        validate_experiment_doc(doc)
+        _, doc = run_experiment(name, quick, runner)
         self.cache.put(key, doc)
         self._failures.pop(key, None)
         return doc
@@ -120,7 +120,6 @@ class ServiceState:
 
     def experiment(self, name: str, quick: bool,
                    retry: bool) -> Tuple[int, dict]:
-        from ..experiments.registry import EXPERIMENTS
         if name not in EXPERIMENTS:
             return 404, {"error": f"unknown experiment {name!r}",
                          "known": sorted(EXPERIMENTS)}
@@ -259,7 +258,6 @@ def create_server(host: str = "127.0.0.1", port: int = 0,
     (``server.server_address[1]`` reports it).  The caller owns the
     lifecycle: ``serve_forever()`` / ``shutdown()`` / ``server_close()``,
     plus ``server.state.queue.shutdown()`` for the workers."""
-    from ..sweep import RunCache
     state = ServiceState(cache=RunCache(directory=cache_dir),
                          queue_workers=queue_workers,
                          max_pending=max_pending,

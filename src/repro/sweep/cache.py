@@ -5,7 +5,7 @@ n_spares)`` — :mod:`repro.core.runner` documents this contract — so its
 :class:`~repro.core.metrics.RunMetrics` can be reused whenever the exact
 same point recurs: the zero-lost baselines that Fig. 10/11 request once
 per failure count, Table I / Fig. 8 sharing their two-failure CR runs,
-or a ``run_fig9_paper_scale`` rerun against a warm on-disk cache.
+or a full ``fig9`` rerun against a warm on-disk cache.
 
 Keys are a SHA-256 over a *canonical structural fingerprint* of the run
 inputs, not over pickles: pickle bytes are not stable across dict
@@ -22,14 +22,14 @@ mutate freely, and the serial (``workers=1``) path exercises exactly the
 same transport contract as the process pool, so "it only breaks under
 ``--workers``" bugs cannot exist.
 
-The on-disk layer is a :class:`repro.service.store.SharedStore`:
-sharded fingerprint-prefix subdirectories, atomic tmp-file +
-``os.replace`` writes, and lock-free last-writer-wins reads, so any
-number of processes (sweep clients, ``repro serve`` workers) may share
-one ``--cache DIR``.  A blob that fails to unpickle — a crashed writer
-on a pre-sharding cache, a torn copy — is quarantined on disk and the
-key reads as a miss, so corruption can cost a recompute but never an
-exception or a wrong result.
+This class hides the codec and the memory tier; the on-disk layout is
+:class:`repro.sweep.store.SharedStore`'s alone (sharded
+fingerprint-prefix subdirectories, atomic tmp-file + ``os.replace``
+writes, lock-free last-writer-wins reads), so any number of processes
+(sweep clients, ``repro serve`` workers) may share one ``--cache DIR``.
+A blob that fails to unpickle — a torn copy, a foreign file — is
+quarantined on disk and the key reads as a miss, so corruption can cost
+a recompute but never an exception or a wrong result.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import threading
 from dataclasses import fields, is_dataclass
 from typing import Dict, Optional
 
-from ..service.store import SharedStore
+from .store import SharedStore
 
 __all__ = ["RESULTS_EPOCH", "RunCache", "cacheable", "fingerprint",
            "run_key"]
@@ -120,9 +120,9 @@ class RunCache:
     """Pickle-blob store of run metrics, in memory plus optional disk.
 
     The in-memory layer is always on; passing ``directory`` adds a
-    write-through on-disk :class:`~repro.service.store.SharedStore`
+    write-through on-disk :class:`~repro.sweep.store.SharedStore`
     layer (sharded, atomic, multi-process-safe) that survives the
-    process — the ``--cache DIR`` flag of the experiment drivers and the
+    process — the ``--cache DIR`` flag of ``repro experiment`` and the
     store behind ``repro serve``.  ``hits``/``misses`` count lookups,
     including points a :class:`~repro.sweep.runner.SweepRunner`
     deduplicated within a single batch (computed once, served twice is
@@ -156,9 +156,9 @@ class RunCache:
         return blob
 
     def _loads(self, key: str, blob: bytes):
-        """Unpickle ``blob``; a corrupt blob (torn write on a
-        pre-sharding cache, bad copy) is quarantined on disk, dropped
-        from memory, and reads as a miss."""
+        """Unpickle ``blob``; a corrupt blob (torn copy, foreign file)
+        is quarantined on disk, dropped from memory, and reads as a
+        miss."""
         try:
             return pickle.loads(blob)
         except Exception:  # noqa: ULF001 - any unpickle failure means corrupt, not MPI
@@ -218,11 +218,6 @@ class RunCache:
 
     def __contains__(self, key: str) -> bool:
         return self._blob(key) is not None
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
         with self._lock:

@@ -15,12 +15,19 @@ core inside the simulator.  :class:`SweepRunner` executes such a grid:
   :class:`~repro.sweep.cache.RunCache` (in-memory always; on-disk when
   the cache was built with a directory).
 
+An experiment is a *plan*: a generator that yields its batches of
+points, is sent each batch's metrics, and returns its aggregated result.
+A plan never sees a runner, a cache or a worker count — it is a pure
+function of its parameters and the metrics it is sent — and
+:meth:`SweepRunner.drive` is the only thing that executes one.
+
 Worker count resolution: an explicit ``workers=`` argument wins, then
 the ``REPRO_WORKERS`` environment variable, then 1 (serial).
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +40,7 @@ from ..ft.failure_injection import Kill
 from ..machine import MachineSpec
 from .cache import RunCache, cacheable, run_key
 
-__all__ = ["SweepPoint", "SweepRunner", "make_runner", "resolve_workers"]
+__all__ = ["SweepPoint", "SweepRunner", "planned", "resolve_workers"]
 
 #: environment override for the default worker count
 WORKERS_ENV = "REPRO_WORKERS"
@@ -109,7 +116,7 @@ class SweepRunner:
     """Executes batches of sweep points with memoisation and fan-out.
 
     One runner (and its cache) is meant to live for a whole experiment —
-    or several: sharing a runner across ``run_fig8``/``run_table1``
+    or several: driving ``fig8`` and ``table1`` on one runner
     deduplicates their common baseline runs.
     """
 
@@ -165,6 +172,16 @@ class SweepRunner:
         """Convenience: one point through the same cache."""
         return self.run([point])[0]
 
+    def drive(self, plan):
+        """Execute a plan: :meth:`run` each batch it yields, send the
+        metrics back in declaration order, return what it returns."""
+        try:
+            batch = next(plan)
+            while True:
+                batch = plan.send(self.run(batch))
+        except StopIteration as done:
+            return done.value
+
     # ------------------------------------------------------------------
     def _execute_batch(self, points: Sequence[SweepPoint]) -> List:
         if self.workers > 1 and len(points) > 1:
@@ -175,11 +192,13 @@ class SweepRunner:
         return [_execute(p) for p in points]
 
 
-def make_runner(runner: Optional[SweepRunner] = None,
-                workers: Optional[int] = None,
-                cache: Optional[RunCache] = None) -> SweepRunner:
-    """The experiment drivers' entry: reuse ``runner`` if given, else
-    build one from ``workers``/``cache``."""
-    if runner is not None:
-        return runner
-    return SweepRunner(workers=workers, cache=cache)
+def planned(plan):
+    """Turn a plan function into a callable that runs it:
+    ``planned(f)(**params, runner=r)`` drives ``f(**params)`` on ``r``
+    (a fresh default :class:`SweepRunner` when none is given)."""
+    @functools.wraps(plan)
+    def run(*, runner: Optional[SweepRunner] = None, **params):
+        if runner is None:
+            runner = SweepRunner()
+        return runner.drive(plan(**params))
+    return run

@@ -1,7 +1,8 @@
 """Sharded, multi-process-safe on-disk blob store.
 
 This is the persistent layer under :class:`repro.sweep.cache.RunCache`
-and the HTTP service: one pickle blob per content key, laid out in
+and, through it, the HTTP service (:mod:`repro.service` re-exports
+:class:`SharedStore` and :class:`StoreStats`): one pickle blob per content key, laid out in
 fingerprint-prefix shard subdirectories (``<dir>/<key[:2]>/<key>.pkl``)
 so directory listings stay cheap past a few thousand entries — a flat
 directory degrades linearly in entry count on every lookup-by-listing
@@ -20,8 +21,10 @@ Concurrency model (no locks, no daemons):
   to load is renamed to ``<key>.corrupt`` (kept for post-mortems,
   invisible to lookups) and the key reads as a miss.
 
-The store also reads the flat ``<key>.pkl`` layout that pre-dated
-sharding; ``gc`` migrates such entries into their shards.
+Opening a store reads nothing and writes nothing: the directory and its
+``STORE_META.json`` stamp appear with the first ``put``, so ``repro cache
+stats|verify`` never plant a file in a directory they were only asked to
+look at.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ class StoreStats:
     bytes: int
     shards: int
     corrupt: int
-    legacy_flat: int
     tmp_files: int
     format_version: int
 
@@ -73,7 +75,7 @@ class StoreStats:
         return {
             "entries": self.entries, "bytes": self.bytes,
             "shards": self.shards, "corrupt": self.corrupt,
-            "legacy_flat": self.legacy_flat, "tmp_files": self.tmp_files,
+            "tmp_files": self.tmp_files,
             "format_version": self.format_version,
         }
 
@@ -88,8 +90,6 @@ class SharedStore:
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._write_meta_if_absent()
 
     # ------------------------------------------------------------------
     # layout
@@ -100,20 +100,6 @@ class SharedStore:
     def path_for(self, key: str) -> Path:
         """The sharded blob path (where ``put`` writes)."""
         return self.shard_dir(key) / f"{key}{_BLOB_SUFFIX}"
-
-    def _legacy_path(self, key: str) -> Path:
-        return self.directory / f"{key}{_BLOB_SUFFIX}"
-
-    def _find(self, key: str) -> Optional[Path]:
-        """The existing blob file for ``key`` — sharded first, then the
-        pre-sharding flat layout."""
-        path = self.path_for(key)
-        if path.is_file():
-            return path
-        legacy = self._legacy_path(key)
-        if legacy.is_file():
-            return legacy
-        return None
 
     def _write_meta_if_absent(self) -> None:
         meta = self.directory / _META_NAME
@@ -155,36 +141,27 @@ class SharedStore:
     def get(self, key: str) -> Optional[bytes]:
         """The blob for ``key``, or ``None``.  A file that vanishes
         mid-read (a concurrent ``gc``) reads as a miss."""
-        path = self._find(key)
-        if path is None:
-            return None
         try:
-            return path.read_bytes()
+            return self.path_for(key).read_bytes()
         except OSError:
             return None
 
     def put(self, key: str, blob: bytes) -> None:
         dest = self.path_for(key)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(dest, blob)
-
-    def delete(self, key: str) -> bool:
-        removed = False
-        for path in (self.path_for(key), self._legacy_path(key)):
-            try:
-                path.unlink()
-                removed = True
-            except OSError:
-                pass
-        return removed
+        try:
+            self._atomic_write(dest, blob)
+        except FileNotFoundError:
+            # the first blob of its shard — or of the whole store, which
+            # is when the directory is created and stamped
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            self._write_meta_if_absent()
+            self._atomic_write(dest, blob)
 
     def quarantine(self, key: str) -> Optional[Path]:
         """Move ``key``'s blob aside as ``<key>.corrupt`` (kept for
         post-mortems, invisible to every lookup).  Returns the new path,
         or ``None`` when the blob is already gone."""
-        path = self._find(key)
-        if path is None:
-            return None
+        path = self.path_for(key)
         dest = path.with_suffix(_CORRUPT_SUFFIX)
         try:
             os.replace(path, dest)
@@ -200,10 +177,7 @@ class SharedStore:
         if not root.is_dir():
             return
         for entry in sorted(root.iterdir()):
-            if entry.is_file():
-                if entry.suffix == _BLOB_SUFFIX:
-                    yield entry                      # legacy flat layout
-            elif entry.is_dir():
+            if entry.is_dir():
                 for blob in sorted(entry.glob(f"*{_BLOB_SUFFIX}")):
                     if blob.is_file():
                         yield blob
@@ -212,44 +186,27 @@ class SharedStore:
         return [p.stem for p in self._blob_files()]
 
     def __contains__(self, key: str) -> bool:
-        return self._find(key) is not None
+        return self.path_for(key).is_file()
 
     def __len__(self) -> int:
         return sum(1 for _ in self._blob_files())
 
-    def index(self) -> List[dict]:
-        """Per-entry metadata: key, byte size, mtime, shard."""
-        out = []
-        for path in self._blob_files():
-            try:
-                st = path.stat()
-            except OSError:
-                continue                             # raced with a gc
-            shard = path.parent.name if path.parent != self.directory \
-                else ""
-            out.append({"key": path.stem, "size": st.st_size,
-                        "mtime": st.st_mtime, "shard": shard})
-        return out
-
     def stats(self) -> StoreStats:
-        entries = n_bytes = legacy = 0
+        entries = n_bytes = 0
         shards = set()
         for path in self._blob_files():
             try:
                 n_bytes += path.stat().st_size
             except OSError:
-                continue
+                continue                             # raced with a gc
             entries += 1
-            if path.parent == self.directory:
-                legacy += 1
-            else:
-                shards.add(path.parent.name)
+            shards.add(path.parent.name)
         corrupt = sum(1 for _ in self.directory.rglob(
             f"*{_CORRUPT_SUFFIX}"))
         tmp = sum(1 for _ in self.directory.rglob(f"*{_TMP_SUFFIX}"))
         return StoreStats(entries=entries, bytes=n_bytes,
                           shards=len(shards), corrupt=corrupt,
-                          legacy_flat=legacy, tmp_files=tmp,
+                          tmp_files=tmp,
                           format_version=self.format_version())
 
     # ------------------------------------------------------------------
@@ -275,10 +232,9 @@ class SharedStore:
         return {"ok": ok, "corrupt": corrupt}
 
     def gc(self) -> dict:
-        """Housekeeping: drop leftover tmp files and quarantined blobs,
-        migrate legacy flat entries into their shards.  Returns counts
-        of each action."""
-        tmp_removed = corrupt_removed = migrated = 0
+        """Housekeeping: drop leftover tmp files and quarantined blobs.
+        Returns counts of each action."""
+        tmp_removed = corrupt_removed = 0
         for path in list(self.directory.rglob(f"*{_TMP_SUFFIX}")):
             try:
                 path.unlink()
@@ -291,16 +247,5 @@ class SharedStore:
                 corrupt_removed += 1
             except OSError:
                 pass
-        for path in list(self.directory.glob(f"*{_BLOB_SUFFIX}")):
-            if not path.is_file():
-                continue
-            dest = self.path_for(path.stem)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(path, dest)
-                migrated += 1
-            except OSError:
-                pass
         return {"tmp_removed": tmp_removed,
-                "corrupt_removed": corrupt_removed,
-                "migrated": migrated}
+                "corrupt_removed": corrupt_removed}

@@ -4,7 +4,9 @@
 ``python -m repro experiment <name> --quick`` produces — the ``--json``
 document with only the deterministic ``{"quick": true}`` params, and the
 text table — recorded at commit ``2a07ed0``, the last one where every
-experiment module carried its own runner plumbing and ``main()``::
+experiment module carried its own runner plumbing and ``main()`` (there
+``run_experiment`` returned the points alone and :func:`render` built
+and validated the document itself; nothing else in this file differed)::
 
     PYTHONPATH=src python -m tests.experiments.golden.record
 
@@ -21,8 +23,6 @@ from pathlib import Path
 
 from repro.experiments.registry import (experiment_names, format_experiment,
                                         run_experiment)
-from repro.experiments.report import experiment_json
-from repro.obs.schema import validate_experiment_doc
 from repro.sweep import SweepRunner
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -30,9 +30,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 
 def render(name: str, runner) -> dict:
     """``{file name: text}`` of one quick experiment run through ``runner``."""
-    points = run_experiment(name, True, runner)
-    doc = validate_experiment_doc(
-        experiment_json(name, points, {"quick": True}))
+    points, doc = run_experiment(name, True, runner)
     return {f"{name}.quick.json": json.dumps(doc, indent=2, default=str) + "\n",
             f"{name}.quick.txt": format_experiment(name, points) + "\n"}
 

@@ -158,6 +158,67 @@ def test_failed_experiment_answers_500_until_retry(service, monkeypatch):
     assert doc["points"] == [{"value": 1.5, "quick": True}]
 
 
+def test_full_disk_is_a_miss_a_500_and_recoverable(service, monkeypatch):
+    """A write that fails (``ENOSPC``) leaves the key a miss in memory and
+    on disk, no tmp file, a 500 for that document only, and ``?retry=1``
+    succeeds once writes work again."""
+    import errno
+    import os
+    from pathlib import Path
+
+    from repro.core import AppConfig
+    from repro.machine.presets import IDEAL
+    from repro.service.server import ServiceState
+    from repro.sweep import SweepPoint
+
+    server, client = service
+    cache = server.state.cache
+    point = SweepPoint(AppConfig(n=6, level=4, technique_code="AC", steps=2,
+                                 diag_procs=1), IDEAL)
+    monkeypatch.setitem(EXPERIMENTS, "onerun", ExperimentSpec(
+        "onerun",
+        lambda quick, runner: [{"ranks": runner.run_one(point).world_size}],
+        str))
+    doc_key = ServiceState.experiment_key("onerun", True)
+    real_write = Path.write_bytes
+
+    def full_disk(self, data):
+        if self.suffix == ".tmp":
+            real_write(self, data[: len(data) // 2])   # a partial tmp file
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(self, data)
+
+    def settled():
+        for _ in range(600):
+            status, payload = client.experiment_once("onerun")
+            if status != 202:
+                return status, payload
+            threading.Event().wait(0.05)
+        raise AssertionError("onerun still pending")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", full_disk)
+        assert client.experiment_once("onerun")[0] == 202
+        status, payload = settled()
+        assert status == 500
+        assert "No space left on device" in payload["error"]
+        assert payload["experiment"] == "onerun"
+        for key in (point.key(), doc_key):
+            assert key not in cache and key not in cache.store
+        assert cache.stats()["entries"] == 0
+        assert not list(cache.store.directory.rglob("*.tmp"))
+        # only that document is affected: the server is up and serving
+        assert client.healthz()["status"] == "ok"
+        assert client.get("/v1/experiment/nope")[0] == 404
+        # a retry while the disk is still full fails the same way
+        assert client.get("/v1/experiment/onerun?retry=1")[0] == 202
+        assert settled()[0] == 500
+
+    assert client.get("/v1/experiment/onerun?retry=1")[0] == 202
+    assert client.experiment("onerun", timeout=30)["points"][0]["ranks"] > 0
+    assert point.key() in cache.store and doc_key in cache.store
+
+
 def test_run_endpoint_serves_cached_metrics(service):
     server, client = service
     metrics = RunMetrics(technique="CR", machine="OPL", n=6, level=4,
@@ -269,3 +330,48 @@ def test_document_survives_restart(tmp_path, fake_experiments):
         server.shutdown()
         server.server_close()
         server.state.queue.shutdown()
+
+
+# ----------------------------------------------------------------------
+# document keys
+# ----------------------------------------------------------------------
+def test_document_key_is_stable_across_interpreters():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.service.server import ServiceState
+
+    code = ("from repro.service.server import ServiceState; "
+            "print(ServiceState.experiment_key('fig9', False))")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    keys = {subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src,
+                            PYTHONHASHSEED=seed)).stdout.strip()
+        for seed in ("1", "2")}
+    assert keys == {ServiceState.experiment_key("fig9", False)}
+
+
+def test_document_key_covers_the_parameter_table(monkeypatch):
+    """Regression: the key named the experiment but not what it ran, so
+    an edited parameterisation kept serving the old warm document."""
+    import dataclasses
+
+    from repro.service.server import ServiceState
+
+    key = ServiceState.experiment_key
+    spec = EXPERIMENTS["fig10"]
+    quick_before, full_before = key("fig10", True), key("fig10", False)
+    monkeypatch.setitem(EXPERIMENTS, "fig10", dataclasses.replace(
+        spec, quick={**spec.quick, "seeds": tuple(range(5))}))
+    assert key("fig10", True) != quick_before
+    assert key("fig10", False) == full_before      # its table did not move
+    # equal tables (table1 today) are still two documents
+    assert EXPERIMENTS["table1"].quick == EXPERIMENTS["table1"].full
+    assert key("table1", True) != key("table1", False)
+    # a spec without tables (the fakes above) keys on the empty table
+    monkeypatch.setitem(EXPERIMENTS, "fake",
+                        ExperimentSpec("fake", _fake_points, str))
+    assert key("fake", True) != key("fake", False)

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.service.store import STORE_FORMAT_VERSION, SharedStore
+from repro.sweep.store import STORE_FORMAT_VERSION, SharedStore
 
 
 @pytest.fixture
@@ -37,11 +37,29 @@ def test_sharded_layout(store):
 def test_meta_file_written_once(tmp_path):
     s1 = SharedStore(tmp_path)
     assert s1.format_version() == STORE_FORMAT_VERSION
-    # reopening does not rewrite it
+    s1.put("aa00", b"x")
+    # neither reopening nor a later put rewrites it
     meta = tmp_path / "STORE_META.json"
     before = meta.stat().st_mtime_ns
-    SharedStore(tmp_path)
+    SharedStore(tmp_path).put("bb00", b"y")
     assert meta.stat().st_mtime_ns == before
+
+
+def test_reading_a_store_writes_nothing(tmp_path):
+    """Regression: opening a store stamped it, so ``repro cache stats`` on
+    an empty or foreign directory planted ``STORE_META.json`` there."""
+    store = SharedStore(tmp_path)
+    assert store.stats().entries == 0
+    assert store.verify() == {"ok": [], "corrupt": []}
+    assert store.get("abcd") is None and "abcd" not in store
+    assert store.keys() == [] and len(store) == 0
+    assert store.quarantine("abcd") is None
+    assert store.gc() == {"tmp_removed": 0, "corrupt_removed": 0}
+    assert list(tmp_path.iterdir()) == []
+    # the stamp appears with the first blob
+    store.put("abcd", b"x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["STORE_META.json", "ab"]
 
 
 def test_invalid_keys_rejected(store):
@@ -88,28 +106,6 @@ def test_quarantine_hides_entry(store):
     assert store.quarantine("abcd") is None
 
 
-def test_legacy_flat_entries_are_served_and_migrated(store):
-    # the pre-sharding layout: <dir>/<key>.pkl
-    (store.directory / "deadbeef.pkl").write_bytes(b"legacy")
-    assert store.get("deadbeef") == b"legacy"
-    assert "deadbeef" in store
-    assert store.stats().legacy_flat == 1
-    report = store.gc()
-    assert report["migrated"] == 1
-    assert (store.directory / "de" / "deadbeef.pkl").is_file()
-    assert store.get("deadbeef") == b"legacy"
-    assert store.stats().legacy_flat == 0
-
-
-def test_index_metadata(store):
-    store.put("abcd", b"12345")
-    (idx,) = store.index()
-    assert idx["key"] == "abcd"
-    assert idx["size"] == 5
-    assert idx["shard"] == "ab"
-    assert idx["mtime"] > 0
-
-
 def test_verify_reports_and_quarantines_corrupt(store):
     store.put("aa00", pickle.dumps([1, 2]))
     store.put("bb00", pickle.dumps([1, 2])[:-3])     # truncated
@@ -145,13 +141,6 @@ def test_stats_counts(store):
     assert s.shards == 2
     assert s.format_version == STORE_FORMAT_VERSION
     assert s.to_dict()["entries"] == 6
-
-
-def test_delete(store):
-    store.put("abcd", b"x")
-    assert store.delete("abcd")
-    assert store.get("abcd") is None
-    assert not store.delete("abcd")
 
 
 def test_atomic_write_never_exposes_partial(store):

@@ -153,8 +153,8 @@ def test_disk_layer_is_sharded_and_atomic(tmp_path):
 
 
 def test_corrupt_disk_blob_is_a_miss_and_quarantined(tmp_path):
-    """Regression: a truncated blob (crashed writer on the pre-sharding
-    layout) must read as a miss, not crash ``pickle.loads``."""
+    """Regression: a truncated blob (a torn copy) must read as a miss,
+    not crash ``pickle.loads``."""
     d = str(tmp_path / "cache")
     c1 = RunCache(directory=d)
     c1.put("deadbeef", _metrics(t_total=3.0))
@@ -171,16 +171,6 @@ def test_corrupt_disk_blob_is_a_miss_and_quarantined(tmp_path):
     # the key is writable again and round-trips
     c2.put("deadbeef", _metrics(t_total=4.0))
     assert RunCache(directory=d).get("deadbeef").t_total == 4.0
-
-
-def test_corrupt_legacy_flat_blob_is_quarantined(tmp_path):
-    d = tmp_path / "cache"
-    d.mkdir()
-    (d / "deadbeef.pkl").write_bytes(b"not a pickle")
-    c = RunCache(directory=str(d))
-    assert c.get("deadbeef") is None
-    assert not (d / "deadbeef.pkl").exists()
-    assert (d / "deadbeef.corrupt").exists()
 
 
 def test_fresh_process_counts_disk_entries(tmp_path):
@@ -201,15 +191,3 @@ def test_fresh_process_counts_disk_entries(tmp_path):
     c2.get("deadbeef")
     assert c2.stats()["entries"] == 2
     assert c2.stats()["memory_entries"] == 1
-
-
-def test_legacy_flat_cache_dir_still_serves(tmp_path):
-    """Caches written before sharding (flat <key>.pkl) keep working."""
-    import pickle
-
-    d = tmp_path / "cache"
-    d.mkdir()
-    (d / "deadbeef.pkl").write_bytes(pickle.dumps(_metrics(t_total=7.0)))
-    c = RunCache(directory=str(d))
-    assert c.get("deadbeef").t_total == 7.0
-    assert len(c) == 1

@@ -5,7 +5,7 @@ import pytest
 from repro.core import AppConfig, run_app
 from repro.ft.checkpoint import Disk
 from repro.machine.presets import IDEAL, OPL
-from repro.sweep import (RunCache, SweepPoint, SweepRunner, make_runner,
+from repro.sweep import (RunCache, SweepPoint, SweepRunner, planned,
                          resolve_workers)
 
 
@@ -135,11 +135,62 @@ def test_shared_cache_across_runners():
     assert cache.stats()["hits"] == 1
 
 
-def test_make_runner_reuses_existing():
+# ----------------------------------------------------------------------
+# plans and the driver
+# ----------------------------------------------------------------------
+
+def test_drive_sends_each_batch_its_metrics_in_order():
+    pts = [SweepPoint(cfg(steps=s), IDEAL) for s in (2, 4, 6)]
+
+    def plan():
+        first = yield pts[:2]
+        second = yield pts[2:] + pts[:1]
+        return [m.steps for m in first], [m.steps for m in second]
+
+    runner = SweepRunner(workers=1)
+    assert runner.drive(plan()) == ([2, 4], [6, 2])
+    # the repeated point of the second batch came from the runner's cache
+    assert runner.cache.stats()["misses"] == 3
+    assert runner.cache.stats()["hits"] == 1
+
+
+def test_drive_returns_the_value_of_a_plan_without_batches():
+    def plan():
+        return "nothing to run"
+        yield  # pragma: no cover - makes this a generator
+
+    runner = SweepRunner(workers=1)
+    assert runner.drive(plan()) == "nothing to run"
+    assert runner.cache.stats()["misses"] == 0
+
+
+def test_exception_inside_a_plan_propagates_with_its_frame():
+    import traceback
+
+    def exploding_plan():
+        metrics = yield [SweepPoint(cfg(), IDEAL)]
+        raise LookupError(f"aggregating {len(metrics)} run(s)")
+
+    with pytest.raises(LookupError, match="aggregating 1 run") as info:
+        SweepRunner(workers=1).drive(exploding_plan())
+    frames = [f.name for f in traceback.extract_tb(info.value.__traceback__)]
+    assert frames[-1] == "exploding_plan" and "drive" in frames
+
+
+def test_planned_uses_the_given_runner_and_nothing_else(monkeypatch):
+    @planned
+    def run_steps(*, steps=(2,)):
+        """Steps of each run."""
+        metrics = yield [SweepPoint(cfg(steps=s), IDEAL) for s in steps]
+        return [m.steps for m in metrics]
+
+    assert run_steps.__name__ == "run_steps" and run_steps.__doc__
+    assert run_steps() == [2]                    # a runner of its own
+
     r = SweepRunner(workers=1)
-    assert make_runner(r, workers=5, cache=None) is r
-    fresh = make_runner(None, workers=2, cache=None)
-    assert fresh.workers == 2
+    monkeypatch.setattr("repro.sweep.runner.SweepRunner", None)
+    assert run_steps(steps=(2, 4), runner=r) == [2, 4]
+    assert r.cache.stats()["misses"] == 2        # every run went through r
 
 
 def test_cached_run_matches_direct_run_app():

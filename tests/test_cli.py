@@ -207,6 +207,16 @@ def test_cache_verify_flags_corrupt_blob(tmp_path, capsys):
     assert main(["cache", "verify", "--cache", str(d)]) == 0
 
 
+def test_cache_stats_and_verify_leave_an_empty_directory_empty(tmp_path,
+                                                              capsys):
+    """Regression: the read-only subcommands stamped ``STORE_META.json``
+    into whatever directory they were pointed at."""
+    assert main(["cache", "stats", "--cache", str(tmp_path)]) == 0
+    assert main(["cache", "verify", "--cache", str(tmp_path)]) == 0
+    assert "verified 0" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_missing_directory_is_usage_error(capsys):
     rc = main(["cache", "stats", "--cache", "/nonexistent/cache"])
     assert rc == 2
