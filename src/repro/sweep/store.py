@@ -90,6 +90,9 @@ class SharedStore:
 
     def __init__(self, directory):
         self.directory = Path(directory)
+        #: this instance has seen to the ``STORE_META.json`` stamp (the
+        #: first ``put`` writes it if absent; opening writes nothing)
+        self._stamped = False
 
     # ------------------------------------------------------------------
     # layout
@@ -148,14 +151,11 @@ class SharedStore:
 
     def put(self, key: str, blob: bytes) -> None:
         dest = self.path_for(key)
-        try:
-            self._atomic_write(dest, blob)
-        except FileNotFoundError:
-            # the first blob of its shard — or of the whole store, which
-            # is when the directory is created and stamped
-            dest.parent.mkdir(parents=True, exist_ok=True)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        if not self._stamped:
             self._write_meta_if_absent()
-            self._atomic_write(dest, blob)
+            self._stamped = True
+        self._atomic_write(dest, blob)
 
     def quarantine(self, key: str) -> Optional[Path]:
         """Move ``key``'s blob aside as ``<key>.corrupt`` (kept for
