@@ -32,10 +32,10 @@ design rationale and the rule catalog.
 """
 
 from .cfg import CFG, Block, build_cfg, walk_shallow
-from .driver import analyze_module, module_int_constants
+from .driver import analyze_module, module_constants
 from .effects import EffectsStore
 from .engine import Analysis, solve
 
 __all__ = ["CFG", "Block", "build_cfg", "walk_shallow",
            "Analysis", "solve", "EffectsStore",
-           "analyze_module", "module_int_constants"]
+           "analyze_module", "module_constants"]

@@ -2,7 +2,7 @@
 
 :func:`analyze_module` is the linter's entry into this package: given a
 parsed module it builds one CFG per function (shared across analyses),
-harvests module-level integer constants (so ``tag=MERGE_TAG`` resolves),
+harvests module-level constants (so ``tag=MERGE_TAG`` resolves),
 and runs
 
 * the communicator typestate pass (ULF007/ULF008) per function,
@@ -34,20 +34,20 @@ from .pickling import check_pool_pickling
 from .purity import check_purity
 from .typestate import check_typestate
 
-__all__ = ["analyze_module", "module_int_constants"]
+__all__ = ["analyze_module", "module_constants"]
 
 
-def module_int_constants(tree: ast.Module) -> Dict[str, int]:
-    """Top-level ``NAME = <int literal>`` bindings (e.g. tag constants).
-    Later rebindings win; non-literal rebindings invalidate the name."""
-    consts: Dict[str, int] = {}
+def module_constants(tree: ast.Module) -> Dict[str, object]:
+    """Top-level ``NAME = <int/str/bool literal>`` bindings (tag
+    constants, model sizes).  Later rebindings win; non-literal
+    rebindings invalidate the name."""
+    consts: Dict[str, object] = {}
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
                 isinstance(stmt.targets[0], ast.Name):
             name = stmt.targets[0].id
             if isinstance(stmt.value, ast.Constant) and \
-                    isinstance(stmt.value.value, int) and \
-                    not isinstance(stmt.value.value, bool):
+                    isinstance(stmt.value.value, (int, str)):
                 consts[name] = stmt.value.value
             else:
                 consts.pop(name, None)
@@ -75,7 +75,8 @@ def analyze_module(tree: ast.Module, path: str,
 
     funcs = collect_functions(tree)
     cfgs: Dict[str, CFG] = {}
-    consts = module_int_constants(tree)
+    consts = {name: v for name, v in module_constants(tree).items()
+              if type(v) is int}
     for fi in funcs:
         cfg = build_cfg(fi.node, fi.qualname)
         cfgs[fi.qualname] = cfg

@@ -49,7 +49,7 @@ import ast
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cfg import walk_shallow
-from .ckptsync import FuncInfo, Resolver, collect_functions
+from .ckptsync import FuncInfo, Resolver, _call_name, collect_functions
 
 __all__ = ["Effect", "EffectSummary", "EffectsStore", "EFFECT_KINDS",
            "FROZEN_PROVIDERS"]
@@ -143,8 +143,9 @@ class EffectSummary:
 
 
 class _ImportMap:
-    """Module/from-import alias tracking, enough to resolve ``mod.fn``
-    and bare from-imported calls (mirrors the ULF002 resolution)."""
+    """Module/from-import aliases of the whole module, enough for
+    ``linter.resolve_call`` (the ULF002 resolution) to resolve ``mod.fn``
+    and bare from-imported calls."""
 
     def __init__(self, tree: ast.Module):
         self.module_aliases: Dict[str, str] = {}
@@ -158,35 +159,6 @@ class _ImportMap:
                 for alias in node.names:
                     self.from_imports[alias.asname or alias.name] = \
                         (node.module, alias.name)
-
-    def resolve(self, call: ast.Call) -> Optional[Tuple[str, str]]:
-        f = call.func
-        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-            mod = self.module_aliases.get(f.value.id)
-            if mod is not None:
-                return mod, f.attr
-            origin = self.from_imports.get(f.value.id)
-            if origin is not None:
-                return f"{origin[0]}.{origin[1]}", f.attr
-        elif isinstance(f, ast.Attribute) and \
-                isinstance(f.value, ast.Attribute) and \
-                isinstance(f.value.value, ast.Name):
-            mod = self.module_aliases.get(f.value.value.id)
-            if mod is not None:
-                return f"{mod}.{f.value.attr}", f.attr
-        elif isinstance(f, ast.Name):
-            origin = self.from_imports.get(f.id)
-            if origin is not None:
-                return origin
-        return None
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
 
 
 def _decorator_names(func: ast.AST):
@@ -364,15 +336,16 @@ class EffectsStore:
             summary.add(Effect("io", node,
                                f".{name}() performs file/disk I/O", ()))
             return
-        resolved = self.imports.resolve(node)
-        if resolved is None:
-            return
-        mod, fn = resolved
         # lazy import: linter's top level has no dataflow dependency, but
         # importing it at *our* module top would still cycle through
         # repro.analysis.__init__ during package import
         from ...analysis.linter import (_GLOBAL_RANDOM, _WALLCLOCK_DATETIME,
-                                        _WALLCLOCK_TIME)
+                                        _WALLCLOCK_TIME, resolve_call)
+        resolved = resolve_call(node, self.imports.module_aliases,
+                                self.imports.from_imports)
+        if resolved is None:
+            return
+        mod, fn = resolved
         if mod == "time" and fn in _WALLCLOCK_TIME:
             summary.add(Effect("clock", node,
                                f"time.{fn}() reads the wall clock", ()))

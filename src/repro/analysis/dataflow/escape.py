@@ -43,9 +43,10 @@ import ast
 from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from .cfg import CFG, build_cfg, walk_shallow
-from .ckptsync import FuncInfo, collect_functions
+from .ckptsync import FuncInfo, _call_name, collect_functions
 from .effects import FROZEN_PROVIDERS, EffectsStore
 from .engine import Analysis, solve
+from .typestate import _ref_of
 
 __all__ = ["check_escape"]
 
@@ -58,18 +59,6 @@ _STORE_METHODS = frozenset({"append", "add", "insert", "extend",
 
 #: state: ref -> taint levels it may carry
 _State = Dict[str, FrozenSet[str]]
-
-
-def _ref_of(expr: ast.expr) -> Optional[str]:
-    parts = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _root_name(expr: ast.expr) -> Optional[str]:
@@ -93,14 +82,6 @@ def module_level_names(tree: ast.Module) -> FrozenSet[str]:
                     if isinstance(e, ast.Name):
                         names.add(e.id)
     return frozenset(names)
-
-
-def _call_name(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
 
 
 class _SharedTaint(Analysis):

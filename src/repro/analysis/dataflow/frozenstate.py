@@ -37,6 +37,7 @@ from typing import Callable, FrozenSet, List, Optional
 from .cfg import CFG, build_cfg, walk_shallow
 from .effects import FROZEN_PROVIDERS
 from .engine import Analysis, solve
+from .typestate import _ref_of
 
 __all__ = ["check_frozen_state", "MUTATOR_METHODS"]
 
@@ -86,19 +87,6 @@ def _tracked_prefix(expr: ast.expr, state: _State) -> Optional[str]:
         if ref in state:
             return ref
     return None
-
-
-def _ref_of(expr: ast.expr) -> Optional[str]:
-    """Exact dotted reference (no subscripts) — assignable identity."""
-    parts = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _provider_call(expr: Optional[ast.expr]) -> bool:

@@ -34,7 +34,7 @@ import ast
 import re
 from typing import Callable, List, Optional
 
-from .effects import EFFECT_KINDS, EffectsStore
+from .effects import EFFECT_KINDS, EffectsStore, _decorator_names
 
 __all__ = ["check_purity", "cacheable_entry_points", "CACHEABLE_RE"]
 
@@ -45,15 +45,6 @@ CACHEABLE_RE = re.compile(r"#\s*repro:\s*cacheable\b")
 _ENTRY_DECORATORS = frozenset({"pure", "cacheable"})
 
 _IMPURE_KINDS = tuple(k for k in EFFECT_KINDS if k != "shared_return")
-
-
-def _decorator_names(func: ast.AST):
-    for dec in getattr(func, "decorator_list", ()):
-        node = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.Name):
-            yield node.id
 
 
 def cacheable_entry_points(store: EffectsStore,

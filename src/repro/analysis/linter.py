@@ -223,6 +223,33 @@ def _call_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def resolve_call(node: ast.Call, module_aliases: Dict[str, str],
+                 from_imports: Dict[str, Tuple[str, str]]
+                 ) -> Optional[Tuple[str, str]]:
+    """(module, function) of a call through tracked imports (alias ->
+    module, alias -> (module, name)), or None."""
+    f = node.func
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+        mod = module_aliases.get(f.value.id)
+        if mod is not None:
+            return mod, f.attr
+        # datetime.datetime.now: `datetime` name bound by from-import
+        origin = from_imports.get(f.value.id)
+        if origin is not None:
+            return f"{origin[0]}.{origin[1]}", f.attr
+    elif isinstance(f, ast.Attribute) and \
+            isinstance(f.value, ast.Attribute) and \
+            isinstance(f.value.value, ast.Name):
+        mod = module_aliases.get(f.value.value.id)
+        if mod is not None:
+            return f"{mod}.{f.value.attr}", f.attr
+    elif isinstance(f, ast.Name):
+        origin = from_imports.get(f.id)
+        if origin is not None:
+            return origin
+    return None
+
+
 def _except_names(handler: ast.ExceptHandler) -> Set[str]:
     """Leaf names of the handler's exception type(s); empty for bare."""
     t = handler.type
@@ -336,31 +363,9 @@ class _FileLinter(ast.NodeVisitor):
         self._check_determinism(node)
         self.generic_visit(node)
 
-    def _resolve_call(self, node: ast.Call) -> Optional[Tuple[str, str]]:
-        """(module, function) of a call through tracked imports, or None."""
-        f = node.func
-        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-            mod = self.module_aliases.get(f.value.id)
-            if mod is not None:
-                return mod, f.attr
-            # datetime.datetime.now: `datetime` name bound by from-import
-            origin = self.from_imports.get(f.value.id)
-            if origin is not None:
-                return f"{origin[0]}.{origin[1]}", f.attr
-        elif isinstance(f, ast.Attribute) and \
-                isinstance(f.value, ast.Attribute) and \
-                isinstance(f.value.value, ast.Name):
-            mod = self.module_aliases.get(f.value.value.id)
-            if mod is not None:
-                return f"{mod}.{f.value.attr}", f.attr
-        elif isinstance(f, ast.Name):
-            origin = self.from_imports.get(f.id)
-            if origin is not None:
-                return origin
-        return None
-
     def _check_determinism(self, node: ast.Call) -> None:
-        resolved = self._resolve_call(node)
+        resolved = resolve_call(node, self.module_aliases,
+                                self.from_imports)
         if resolved is None:
             return
         mod, fn = resolved

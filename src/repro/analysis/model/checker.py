@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .ir import (FT_OPS, OPAQUE, Branch, FailStop, Jump, Op, Return,
-                 SetVar, Skeleton, TryPop, TryPush)
+                 SetVar, Skeleton)
 
 __all__ = ["ProtocolModel", "CheckResult", "ModelViolation", "ModelError",
            "check_model"]
@@ -151,15 +151,14 @@ class _Comm:
 
 
 class _Proc:
-    __slots__ = ("pid", "prog", "pc", "env", "trystack", "status",
-                 "blocked", "slot", "spawned")
+    __slots__ = ("pid", "prog", "pc", "env", "status", "blocked", "slot",
+                 "spawned")
 
     def __init__(self, pid, prog, slot, spawned=False):
         self.pid = pid
         self.prog = prog                # "main" | "child"
         self.pc = 0
         self.env: Dict[str, object] = {}
-        self.trystack: List[int] = []
         self.status = "run"             # run|blocked|done|dead
         self.blocked = None             # arrival tuple, see _arrive
         self.slot = slot                # world rank (original numbering)
@@ -176,14 +175,13 @@ class _Proc:
         p = _Proc(self.pid, self.prog, self.slot, self.spawned)
         p.pc = self.pc
         p.env = dict(self.env)
-        p.trystack = list(self.trystack)
         p.status = self.status
         p.blocked = self.blocked
         return p
 
     def key(self):
         return (self.pid, self.prog, self.pc, self.status, self.slot,
-                self.spawned, self.blocked, tuple(self.trystack),
+                self.spawned, self.blocked,
                 tuple(sorted((k, _vkey(v)) for k, v in self.env.items())))
 
 
@@ -297,6 +295,9 @@ class _Checker:
         if tag == "tuple":
             vals = [self._eval(x, proc, st) for x in e[1:]]
             return OPAQUE if any(v is OPAQUE for v in vals) else tuple(vals)
+        if tag == "range":
+            vals = [self._eval(x, proc, st) for x in e[1:]]
+            return OPAQUE if any(v is OPAQUE for v in vals) else range(*vals)
         if tag == "known_failed":
             if proc.spawned:
                 return (proc.slot,)
@@ -337,6 +338,10 @@ class _Checker:
             return OPAQUE if a is OPAQUE else (not a)
         if tag == "len":
             return OPAQUE if a is OPAQUE else len(a)
+        if tag == "enumerate":
+            return OPAQUE if a is OPAQUE else tuple(enumerate(a))
+        if tag == "short":
+            return a is not OPAQUE and len(a) <= e[2]
         if tag == "rank":
             return self._rank_of(proc, a, st)
         if tag == "size":
@@ -415,9 +420,13 @@ class _Checker:
     # -- raising inside the model -----------------------------------------
 
     def _raise(self, proc: _Proc, kind: str, lineno: int) -> None:
+        """An MPI error surfaces at the op ``proc`` is executing or
+        blocked in (its pc already points past it): resume at the op's
+        covering handler, if it has one."""
         proc.blocked = None
-        if proc.trystack:
-            proc.pc = proc.trystack.pop()
+        handler = self.progs[proc.prog].instrs[proc.pc - 1].handler
+        if handler is not None:
+            proc.pc = handler
             proc.status = "run"
             return
         # unhandled: the failure escapes the protocol
@@ -871,13 +880,6 @@ class _Checker:
                 proc.pc += 1
             elif isinstance(instr, Jump):
                 proc.pc = instr.target
-            elif isinstance(instr, TryPush):
-                proc.trystack.append(instr.handler)
-                proc.pc += 1
-            elif isinstance(instr, TryPop):
-                if proc.trystack:
-                    proc.trystack.pop()
-                proc.pc += 1
             elif isinstance(instr, Return):
                 proc.status = "done"
                 return [(st, f"{proc.label()}: returns")]

@@ -1,29 +1,42 @@
 """Protocol-skeleton extraction: Python AST -> protocol IR.
 
 The extractor abstracts one ``async def`` per-rank entry point into a
-:class:`~repro.analysis.model.ir.Skeleton`.  Communication calls become
-IR ops, control flow becomes branches with every loop unrolled to a
-failure-budget-derived bound, called protocol functions (module-local or
-the shipped ``repro.ft`` repair loops) are inlined with renamed locals,
-and everything else — timers, spans, error-handler plumbing, host
-placement — collapses to opaque values.  Branching on an opaque value
-makes the checker explore both outcomes, so dropping detail is always
-sound (it can only add behaviours, never hide one).
+:class:`~repro.analysis.model.ir.Skeleton`.  Control flow is lowered in
+one place for the whole analyzer, ``dataflow.cfg.build_cfg`` (the graph
+ULF005-ULF015 run on), and the skeleton is a projection of that graph:
+each basic block becomes a run of IR instructions, each edge a ``Jump``
+or ``Branch``.  Communication calls become IR ops, called protocol
+functions (module-local or the shipped ``repro.ft`` repair loops) are
+inlined block by block with renamed locals, and everything else —
+timers, spans, error-handler plumbing, host placement — collapses to
+opaque values.  Branching on an opaque value makes the checker explore
+both outcomes, so dropping detail is always sound (it can only add
+behaviours, never hide one).
 
-Loop bounds
------------
+Handlers are static
+-------------------
 
-* ``range(...)`` over a small static count (<= ``FULL_UNROLL_LIMIT``)
-  is unrolled completely — segment loops.
-* ``range(...)`` over a large static count is a retry loop: it is
-  unrolled ``failures + 1`` times (one attempt per possible failure
-  plus the final clean attempt) followed by a ``FailStop`` — reaching
-  it would mean the protocol needed more retries than failures, which
-  the checker reports.
-* ``while`` loops unroll ``failures + 2`` times (detect, repair,
-  validate) with the same ``FailStop`` backstop.
-* loops over a runtime sequence (failed-rank lists) unroll ``failures``
-  times, each iteration guarded by a length check.
+An op's covering ``except`` suite is the target of its block's CFG
+``exc`` edge; an inlined callee's uncovered ops inherit the call site's.
+The pc is stored on the ``Op`` itself, so leaving a ``try`` body by
+``return``/``break``/``continue`` cannot leave a handler armed — there
+is nothing to disarm.  (One ``except`` per ``try``, no ``finally``, no
+``else`` suites: anything else is an :class:`ExtractError`.)
+
+Loops stay loops
+----------------
+
+A CFG back edge is a backward ``Jump`` and every loop head counts its
+iterations; the checker evaluates the iterable and runs
+
+* a concrete sequence of up to ``_RUN_OUT_LIMIT`` items (segment loops,
+  failed-rank lists) to exhaustion;
+* a longer or untracked iterable ``failures + 1`` times (one attempt per
+  possible failure plus the final clean attempt);
+* a ``while`` loop ``failures + 2`` times (detect, repair, validate);
+
+and then reaches a ``FailStop`` — the protocol needed more rounds than
+failures, which the checker reports.
 
 Name resolution for calls, in order: context intrinsics
 (``ctx.get_parent`` and friends), protocol intrinsics
@@ -39,16 +52,18 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .ir import Asm, Branch, FailStop, Jump, Op, Return, SetVar, Skeleton, \
-    TryPop, TryPush
+from ..dataflow.cfg import Block, build_cfg
+from ..dataflow.driver import module_constants
+from .ir import Asm, Branch, FailStop, Jump, Label, Op, Return, SetVar, \
+    Skeleton
 
 __all__ = ["ExtractError", "ModuleEnv", "build_module_env",
            "extract_function", "find_protocol_models",
-           "reconstruct_registry", "FULL_UNROLL_LIMIT"]
+           "reconstruct_registry"]
 
-#: static loop counts up to this are unrolled in full; larger counts are
-#: treated as retry bounds
-FULL_UNROLL_LIMIT = 8
+#: a concrete iterable up to this long is run to exhaustion; longer ones
+#: are retry loops, bounded by the failure budget
+_RUN_OUT_LIMIT = 8
 
 _MAX_INLINE_DEPTH = 5
 
@@ -76,12 +91,18 @@ _OP_METHODS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "readmit": ("readmit", ("rank",)),
 }
 
-#: args dropped from ops (modelled implicitly or irrelevant)
-_DROPPED_OP_ARGS = {"entry", "argv", "host_names", "op_root"}
-
 #: reduction-op constant names -> model vocabulary
 _REDUCE_NAMES = {"MAX": "max", "MIN": "min", "SUM": "sum",
                  "LAND": "and", "BAND": "and", "PROD": "sum"}
+
+#: CFG vocabulary: loop-head block labels, the edge kinds that re-enter a
+#: running loop, and the suites the abstraction does not model
+_LOOP_HEADS = ("for.head", "while.head")
+_BACK_EDGES = ("loop", "continue")
+_UNSUPPORTED = {"finally": "try finally/else unsupported",
+                "try.else": "try finally/else unsupported",
+                "for.else": "loop else unsupported",
+                "while.else": "loop else unsupported"}
 
 _CTX = object()   # varmap marker: this name is the context object
 
@@ -108,22 +129,10 @@ class ModuleEnv:
         self.path = path
 
 
-def build_module_env(tree: ast.Module, path: str,
-                     const_overrides: Optional[Dict[str, object]] = None
-                     ) -> ModuleEnv:
-    consts: Dict[str, object] = {}
-    funcs: Dict[str, ast.AST] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, (int, str, bool)):
-            consts[node.targets[0].id] = node.value.value
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            funcs[node.name] = node
-    if const_overrides:
-        consts.update(const_overrides)
-    return ModuleEnv(consts, funcs, path)
+def build_module_env(tree: ast.Module, path: str) -> ModuleEnv:
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return ModuleEnv(module_constants(tree), funcs, path)
 
 
 #: the shipped protocol functions, by source file under ``repro/ft``
@@ -218,17 +227,17 @@ def _comment_params(line: str) -> Optional[Dict[str, object]]:
 
 class _Frame:
     def __init__(self, env: ModuleEnv, prefix: str, lineno_base: int,
-                 retvar: Optional[str]):
+                 retvar: Optional[str], handler: Optional[Label]):
         self.env = env
         self.prefix = prefix
         # inlined frames anchor every instruction at the call site so
         # findings always point into the annotated file
         self.lineno_base = lineno_base
         self.retvar = retvar            # None in the top frame
+        # the except suite covering the op being emitted: the current
+        # block's own, else the one covering the call site
+        self.handler = handler
         self.varmap: Dict[str, object] = {}
-        self.const_hints: Dict[str, int] = {}
-        self.ret_jumps: List[int] = []
-        self.loop_stack: List[Dict[str, List[int]]] = []
 
     def var(self, name: str) -> str:
         mapped = self.varmap.get(name)
@@ -252,7 +261,8 @@ class Extractor:
 
     def extract(self, func: ast.AST, env: ModuleEnv,
                 name: Optional[str] = None) -> Skeleton:
-        frame = _Frame(env, prefix="", lineno_base=0, retvar=None)
+        frame = _Frame(env, prefix="", lineno_base=0, retvar=None,
+                       handler=None)
         args = func.args.args
         if args and args[0].arg in ("ctx", "self"):
             frame.varmap[args[0].arg] = _CTX
@@ -262,11 +272,93 @@ class Extractor:
         for extra in args[1:]:
             self.asm.emit(SetVar(frame.var(extra.arg), ("opaque",),
                                  func.lineno))
-        self._stmts(func.body, frame)
-        for idx in frame.ret_jumps:
-            self.asm.patch(idx, "target")
+        self._body(func, frame)
         self.asm.emit(Return(("const", None), _last_line(func)))
         return self.asm.finish(name or func.name, env.path)
+
+    # -- control flow: one CFG block at a time -----------------------------
+
+    def _body(self, func: ast.AST, frame: _Frame) -> None:
+        """Emit ``func``'s body from its CFG.  Blocks are laid out in
+        source order with the (empty) exit block last, so every way out
+        of the function falls to whatever the caller emits next."""
+        cfg = build_cfg(func)
+        blocks = _layout(cfg)
+        labels = {b.bid: Label() for b in blocks}
+        inits = {b.bid: Label() for b in blocks if b.label in _LOOP_HEADS}
+        outer = frame.handler
+
+        def dest(target: int, kind: str) -> Label:
+            # entering a loop resets its counter; a back edge must not
+            if kind in _BACK_EDGES:
+                return labels[target]
+            return inits.get(target, labels[target])
+
+        for block, following in zip(blocks, blocks[1:] + [None]):
+            line = frame.lineno_base or _first_line(block)
+            handlers = [t for t, kind in block.succs if kind == "exc"]
+            flow = {kind: t for t, kind in block.succs
+                    if kind not in ("exc", "raise")}
+            if block.label in _UNSUPPORTED:
+                raise ExtractError(_UNSUPPORTED[block.label], line)
+            if isinstance(block.branch, ast.Match):
+                raise ExtractError("unsupported statement Match", line)
+            if len(handlers) > 1:
+                raise ExtractError("exactly one except handler supported",
+                                   line)
+            frame.handler = labels[handlers[0]] if handlers else outer
+            if block.label in _LOOP_HEADS:
+                self.asm.place(inits[block.bid])
+                self._loop_head(block, frame, labels[block.bid],
+                                dest(flow.pop("false"), "false"), line)
+            else:
+                self.asm.place(labels[block.bid])
+                # the CFG keeps ``break``/``continue`` as the block's last
+                # statement; here they are just the edge
+                leaves = {"break", "continue"} & flow.keys()
+                for stmt in block.stmts[:-1] if leaves else block.stmts:
+                    self._stmt(stmt, frame)
+                if block.test is not None:
+                    self.asm.emit(Branch(
+                        self._expr(block.test, frame),
+                        dest(flow.pop("true"), "true"),
+                        dest(flow.pop("false"), "false"), line))
+            # what is left is the block's one way on; falling into the
+            # block laid out next needs no jump
+            for kind, target in flow.items():
+                if kind in _BACK_EDGES or target != following.bid:
+                    self.asm.emit(Jump(dest(target, kind), line))
+        frame.handler = outer
+
+    def _loop_head(self, block: Block, frame: _Frame, head: Label,
+                   after: Label, line: int) -> None:
+        """Reset the iteration counter (the entry edge lands here), then
+        at ``head`` (where back edges land): leave when the loop is
+        exhausted, ``FailStop`` past the iteration bound, else bind the
+        target, count the iteration and fall into the body."""
+        count = f"__n{self.asm.here()}__"
+        n = ("var", count)
+        if block.label == "for.head":
+            seq = f"__seq{self.asm.here()}__"
+            self.asm.emit(SetVar(seq, self._expr(block.test, frame), line))
+            more = ("cmp", "<", n, ("len", ("var", seq)))
+            within = ("or", ("cmp", "<", n, ("const", self.failures + 1)),
+                      ("short", ("var", seq), _RUN_OUT_LIMIT))
+        else:
+            more = self._expr(block.test, frame)
+            within = ("cmp", "<", n, ("const", self.failures + 2))
+        self.asm.emit(SetVar(count, ("const", 0), line))
+        self.asm.place(head)
+        self.asm.emit(Branch(more, self.asm.here() + 1, after, line))
+        self.asm.emit(Branch(within, self.asm.here() + 2,
+                             self.asm.here() + 1, line))
+        self.asm.emit(FailStop(
+            f"loop at line {line} needs more iterations than the failure "
+            f"budget allows", line))
+        if block.label == "for.head":
+            self._bind(block.branch.target, ("index", ("var", seq), n),
+                       frame, line)
+        self.asm.emit(SetVar(count, ("bin", "+", n, ("const", 1)), line))
 
     # -- helpers -----------------------------------------------------------
 
@@ -274,10 +366,6 @@ class Extractor:
         if frame.lineno_base:
             return frame.lineno_base
         return getattr(node, "lineno", 0)
-
-    def _stmts(self, body, frame: _Frame) -> None:
-        for node in body:
-            self._stmt(node, frame)
 
     # -- statements --------------------------------------------------------
 
@@ -308,27 +396,12 @@ class Extractor:
                 if op is None:
                     raise ExtractError("unsupported augmented op", line)
                 var = frame.var(node.target.id)
-                frame.const_hints.pop(var, None)
                 self.asm.emit(SetVar(
                     var, ("bin", op, ("var", var),
                           self._expr(node.value, frame)), line))
             return
-        if isinstance(node, ast.If):
-            self._if(node, frame)
-            return
-        if isinstance(node, ast.While):
-            self._while(node, frame)
-            return
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            self._for(node, frame)
-            return
-        if isinstance(node, ast.Try):
-            self._try(node, frame)
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            self._stmts(node.body, frame)
-            return
         if isinstance(node, ast.Return):
+            # the jump to the function's exit is the block's CFG edge
             value = _unwrap_await(node.value) if node.value else None
             if isinstance(value, ast.Call):
                 tmp = f"__ret{self.asm.here()}__"
@@ -342,56 +415,44 @@ class Extractor:
                 self.asm.emit(Return(expr, line))
             else:
                 self.asm.emit(SetVar(frame.retvar, expr, line))
-                frame.ret_jumps.append(self.asm.emit(Jump(lineno=line)))
             return
         if isinstance(node, ast.Raise):
             self.asm.emit(FailStop(f"explicit raise at line {line}", line))
-            return
-        if isinstance(node, ast.Break):
-            if not frame.loop_stack:
-                raise ExtractError("break outside loop", line)
-            frame.loop_stack[-1]["breaks"].append(
-                self.asm.emit(Jump(lineno=line)))
-            return
-        if isinstance(node, ast.Continue):
-            if not frame.loop_stack:
-                raise ExtractError("continue outside loop", line)
-            frame.loop_stack[-1]["continues"].append(
-                self.asm.emit(Jump(lineno=line)))
             return
         raise ExtractError(
             f"unsupported statement {type(node).__name__}", line)
 
     def _assign(self, target, value, frame: _Frame, line: int) -> None:
         value = _unwrap_await(value)
-        if isinstance(target, ast.Name):
-            out = frame.var(target.id)
-            frame.const_hints.pop(out, None)
-            if isinstance(value, ast.Call):
-                self._call_stmt(value, frame, out=out, line=line)
-            else:
-                expr = self._expr(value, frame)
-                if expr[0] == "const" and isinstance(expr[1], int) \
-                        and not isinstance(expr[1], bool):
-                    frame.const_hints[out] = expr[1]
-                self.asm.emit(SetVar(out, expr, line))
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
-            tmp = f"__tmp{self.asm.here()}__"
-            if isinstance(value, ast.Call):
-                self._call_stmt(value, frame, out=tmp, line=line)
-            else:
-                self.asm.emit(SetVar(tmp, self._expr(value, frame), line))
-            for i, elt in enumerate(target.elts):
-                if not isinstance(elt, ast.Name):
-                    raise ExtractError("nested unpack unsupported", line)
-                self.asm.emit(SetVar(
-                    frame.var(elt.id),
-                    ("index", ("var", tmp), ("const", i)), line))
-            return
         if isinstance(target, (ast.Attribute, ast.Subscript)):
             return  # attribute/container state is outside the abstraction
-        raise ExtractError("unsupported assignment target", line)
+        if not isinstance(value, ast.Call):
+            self._bind(target, self._expr(value, frame), frame, line)
+        elif isinstance(target, ast.Name):
+            self._call_stmt(value, frame, out=frame.var(target.id),
+                            line=line)
+        else:
+            tmp = f"__tmp{self.asm.here()}__"
+            self._call_stmt(value, frame, out=tmp, line=line)
+            self._bind(target, ("var", tmp), frame, line)
+
+    def _bind(self, target, expr: tuple, frame: _Frame, line: int) -> None:
+        """``target = expr`` for a name or a flat tuple of names (also
+        the per-iteration binding of a ``for`` target)."""
+        if isinstance(target, ast.Name):
+            self.asm.emit(SetVar(frame.var(target.id), expr, line))
+            return
+        if not isinstance(target, (ast.Tuple, ast.List)):
+            raise ExtractError("unsupported assignment target", line)
+        if expr[0] != "var":
+            tmp = f"__tmp{self.asm.here()}__"
+            self.asm.emit(SetVar(tmp, expr, line))
+            expr = ("var", tmp)
+        for i, elt in enumerate(target.elts):
+            if not isinstance(elt, ast.Name):
+                raise ExtractError("nested unpack unsupported", line)
+            self.asm.emit(SetVar(frame.var(elt.id),
+                                 ("index", expr, ("const", i)), line))
 
     # -- calls -------------------------------------------------------------
 
@@ -467,7 +528,7 @@ class Extractor:
             args.pop(dropped, None)
         if kind == "spawn" and "count" not in args:
             raise ExtractError("spawn without a child count", line)
-        self.asm.emit(Op(kind, comm, out, args, line))
+        self.asm.emit(Op(kind, comm, out, args, line, frame.handler))
 
     @staticmethod
     def _reduce_op(node) -> tuple:
@@ -485,6 +546,11 @@ class Extractor:
         name = func.id
         if name == "len" and len(call.args) == 1:
             return ("len", self._expr(call.args[0], frame))
+        if name == "range" and not call.keywords:
+            return ("range",) + tuple(self._expr(a, frame)
+                                      for a in call.args)
+        if name == "enumerate" and len(call.args) == 1:
+            return ("enumerate", self._expr(call.args[0], frame))
         if name == "failed_procs_list":
             return ("failed_pair", self._expr(call.args[0], frame))
         if name == "failed_count":
@@ -530,12 +596,10 @@ class Extractor:
         self._stack.append(func.name)
         prefix = f"__in{self._depth}_{func.name}__"
         sub = _Frame(env, prefix, lineno_base=line,
-                     retvar=f"{prefix}ret")
+                     retvar=f"{prefix}ret", handler=frame.handler)
         self._bind_params(func, call, frame, sub, line)
         self.asm.emit(SetVar(sub.retvar, ("const", None), line))
-        self._stmts(func.body, sub)
-        for idx in sub.ret_jumps:
-            self.asm.patch(idx, "target")
+        self._body(func, sub)
         self._stack.pop()
         self._depth -= 1
         if out:
@@ -572,11 +636,7 @@ class Extractor:
                 expr = self._default_expr(kw_defaults[name])
             else:
                 expr = ("opaque",)
-            var = sub.var(name)
-            if expr[0] == "const" and isinstance(expr[1], int) \
-                    and not isinstance(expr[1], bool):
-                sub.const_hints[var] = expr[1]
-            self.asm.emit(SetVar(var, expr, line))
+            self.asm.emit(SetVar(sub.var(name), expr, line))
 
     @staticmethod
     def _default_expr(node) -> tuple:
@@ -586,213 +646,6 @@ class Extractor:
         if isinstance(node, ast.Tuple) and not node.elts:
             return ("const", ())
         return ("opaque",)
-
-    # -- control flow ------------------------------------------------------
-
-    def _if(self, node: ast.If, frame: _Frame) -> None:
-        line = self._line(node, frame)
-        br = self.asm.emit(Branch(self._expr(node.test, frame),
-                                  lineno=line))
-        self.asm.patch(br, "then_pc")
-        self._stmts(node.body, frame)
-        j = self.asm.emit(Jump(lineno=line))
-        self.asm.patch(br, "else_pc")
-        self._stmts(node.orelse, frame)
-        self.asm.patch(j, "target")
-
-    def _try(self, node: ast.Try, frame: _Frame) -> None:
-        line = self._line(node, frame)
-        if node.finalbody or node.orelse:
-            raise ExtractError("try finally/else unsupported", line)
-        if len(node.handlers) != 1:
-            raise ExtractError("exactly one except handler supported", line)
-        handler = node.handlers[0]
-        tp = self.asm.emit(TryPush(lineno=line))
-        self._stmts(node.body, frame)
-        self.asm.emit(TryPop(lineno=line))
-        j = self.asm.emit(Jump(lineno=line))
-        self.asm.patch(tp, "handler")
-        self._stmts(handler.body, frame)
-        self.asm.patch(j, "target")
-
-    def _while(self, node: ast.While, frame: _Frame) -> None:
-        line = self._line(node, frame)
-        bound = self.failures + 2
-        ctx = {"breaks": [], "continues": []}
-        frame.loop_stack.append(ctx)
-        exits: List[int] = []
-        for _ in range(bound):
-            for idx in ctx["continues"]:
-                self.asm.patch(idx, "target")
-            ctx["continues"] = []
-            br = self.asm.emit(Branch(self._expr(node.test, frame),
-                                      lineno=line))
-            self.asm.patch(br, "then_pc")
-            exits.append(br)
-            self._stmts(node.body, frame)
-        for idx in ctx["continues"]:
-            self.asm.patch(idx, "target")
-        final = self.asm.emit(Branch(self._expr(node.test, frame),
-                                     lineno=line))
-        self.asm.patch(final, "then_pc")
-        self.asm.emit(FailStop(
-            f"loop at line {line} exceeded {bound} unrolled iterations",
-            line))
-        self.asm.patch(final, "else_pc")
-        for br in exits:
-            self.asm.patch(br, "else_pc")
-        frame.loop_stack.pop()
-        for idx in ctx["breaks"]:
-            self.asm.patch(idx, "target")
-
-    def _for(self, node, frame: _Frame) -> None:
-        line = self._line(node, frame)
-        if node.orelse:
-            raise ExtractError("for-else unsupported", line)
-        rng = self._static_range(node.iter, frame)
-        if rng is not None and len(rng) <= FULL_UNROLL_LIMIT:
-            self._for_static(node, frame, rng, line)
-        elif rng is not None:
-            self._for_retry(node, frame, line)
-        else:
-            self._for_dynamic(node, frame, line)
-
-    def _for_static(self, node, frame: _Frame, values, line: int) -> None:
-        if not isinstance(node.target, ast.Name):
-            raise ExtractError("static loop target must be a name", line)
-        ctx = {"breaks": [], "continues": []}
-        frame.loop_stack.append(ctx)
-        var = frame.var(node.target.id)
-        for v in values:
-            for idx in ctx["continues"]:
-                self.asm.patch(idx, "target")
-            ctx["continues"] = []
-            frame.const_hints[var] = v
-            self.asm.emit(SetVar(var, ("const", v), line))
-            self._stmts(node.body, frame)
-        frame.const_hints.pop(var, None)
-        frame.loop_stack.pop()
-        for idx in ctx["continues"] + ctx["breaks"]:
-            self.asm.patch(idx, "target")
-
-    def _for_retry(self, node, frame: _Frame, line: int) -> None:
-        """A wide static range is a retry loop: one attempt per possible
-        failure plus one clean attempt, then the abstraction bound."""
-        ctx = {"breaks": [], "continues": []}
-        frame.loop_stack.append(ctx)
-        attempts = self.failures + 1
-        var = frame.var(node.target.id) if isinstance(node.target, ast.Name) \
-            else None
-        for k in range(attempts):
-            for idx in ctx["continues"]:
-                self.asm.patch(idx, "target")
-            ctx["continues"] = []
-            if var:
-                self.asm.emit(SetVar(var, ("const", k), line))
-            self._stmts(node.body, frame)
-        for idx in ctx["continues"]:
-            self.asm.patch(idx, "target")
-        self.asm.emit(FailStop(
-            f"retry loop at line {line} exceeded {attempts} attempts "
-            f"within the failure budget", line))
-        frame.loop_stack.pop()
-        for idx in ctx["breaks"]:
-            self.asm.patch(idx, "target")
-
-    def _for_dynamic(self, node, frame: _Frame, line: int) -> None:
-        """Loop over a runtime sequence (e.g. the failed-rank list):
-        unroll to the failure budget with a length guard per copy."""
-        it = node.iter
-        enum = False
-        if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) \
-                and it.func.id == "enumerate":
-            enum = True
-            it = it.args[0]
-        seq = self._expr(it, frame)
-        tmp = f"__seq{self.asm.here()}__"
-        self.asm.emit(SetVar(tmp, seq, line))
-        ctx = {"breaks": [], "continues": []}
-        frame.loop_stack.append(ctx)
-        guards: List[int] = []
-        for k in range(max(self.failures, 1)):
-            for idx in ctx["continues"]:
-                self.asm.patch(idx, "target")
-            ctx["continues"] = []
-            br = self.asm.emit(Branch(
-                ("cmp", ">", ("len", ("var", tmp)), ("const", k)),
-                lineno=line))
-            self.asm.patch(br, "then_pc")
-            guards.append(br)
-            self._bind_loop_target(node.target, tmp, k, enum, frame, line)
-            self._stmts(node.body, frame)
-        for idx in ctx["continues"]:
-            self.asm.patch(idx, "target")
-        over = self.asm.emit(Branch(
-            ("cmp", ">", ("len", ("var", tmp)),
-             ("const", max(self.failures, 1))), lineno=line))
-        self.asm.patch(over, "then_pc")
-        self.asm.emit(FailStop(
-            f"sequence loop at line {line} longer than the failure "
-            f"budget", line))
-        self.asm.patch(over, "else_pc")
-        for br in guards:
-            self.asm.patch(br, "else_pc")
-        frame.loop_stack.pop()
-        for idx in ctx["breaks"]:
-            self.asm.patch(idx, "target")
-
-    def _bind_loop_target(self, target, tmp: str, k: int, enum: bool,
-                          frame: _Frame, line: int) -> None:
-        item = ("index", ("var", tmp), ("const", k))
-        if enum:
-            if not (isinstance(target, ast.Tuple)
-                    and len(target.elts) == 2
-                    and all(isinstance(e, ast.Name) for e in target.elts)):
-                raise ExtractError("enumerate target must be (i, x)", line)
-            self.asm.emit(SetVar(frame.var(target.elts[0].id),
-                                 ("const", k), line))
-            self.asm.emit(SetVar(frame.var(target.elts[1].id), item, line))
-        elif isinstance(target, ast.Name):
-            self.asm.emit(SetVar(frame.var(target.id), item, line))
-        else:
-            raise ExtractError("unsupported loop target", line)
-
-    def _static_range(self, it, frame: _Frame) -> Optional[range]:
-        if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
-                and it.func.id == "range" and not it.keywords):
-            return None
-        vals = [self._const_int(a, frame) for a in it.args]
-        if any(v is None for v in vals):
-            return None
-        if len(vals) == 1:
-            return range(vals[0])
-        if len(vals) == 2:
-            return range(vals[0], vals[1])
-        return range(vals[0], vals[1], vals[2])
-
-    def _const_int(self, node, frame: _Frame) -> Optional[int]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-                and not isinstance(node.value, bool):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id in frame.env.consts and \
-                    isinstance(frame.env.consts[node.id], int):
-                if node.id not in frame.varmap:
-                    return frame.env.consts[node.id]
-            mapped = frame.varmap.get(node.id)
-            if isinstance(mapped, str):
-                return frame.const_hints.get(mapped)
-            return None
-        if isinstance(node, ast.BinOp):
-            a = self._const_int(node.left, frame)
-            b = self._const_int(node.right, frame)
-            op = _BINOPS.get(type(node.op))
-            if a is None or b is None or op is None:
-                return None
-            return {"+": a + b, "-": a - b, "*": a * b,
-                    "//": a // b if b else None,
-                    "%": a % b if b else None}.get(op)
-        return None
 
     # -- expressions -------------------------------------------------------
 
@@ -906,6 +759,26 @@ def _is_protocol_function(fn) -> bool:
                     n.func.id in ("ckpt_write", "ckpt_restore"):
                 return True
     return False
+
+
+def _first_line(block: Block) -> int:
+    """Source line of the block's first statement or test; 0 if empty."""
+    return min((n.lineno for n in [*block.stmts, block.test]
+                if n is not None), default=0)
+
+
+def _layout(cfg) -> List[Block]:
+    """The blocks control can reach: entry first, the rest in source
+    order (empty join blocks after them, by id), exit last."""
+    live, todo = set(), [cfg.entry]
+    while todo:
+        bid = todo.pop()
+        if bid not in live:
+            live.add(bid)
+            todo.extend(t for t, _ in cfg.blocks[bid].succs)
+    inner = sorted(live - {cfg.entry, cfg.exit}, key=lambda bid: (
+        _first_line(cfg.blocks[bid]) or float("inf"), bid))
+    return [cfg.blocks[bid] for bid in [cfg.entry, *inner, cfg.exit]]
 
 
 def _last_line(func) -> int:

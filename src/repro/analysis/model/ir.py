@@ -2,27 +2,34 @@
 
 A :class:`Skeleton` is one per-rank program abstracted from real solver /
 ``ft.reconstruct`` code: a flat instruction list over a tiny expression
-language.  Everything that is not communication, control flow or
-checkpoint traffic is dropped by the extractor; everything that *is* kept
-evaluates to concrete, hashable values so the cross-rank product state
-space stays finite and canonical.
+language, laid out block by block from the function's control-flow graph
+(``dataflow.cfg``).  Everything that is not communication, control flow
+or checkpoint traffic is dropped by the extractor; everything that *is*
+kept evaluates to concrete, hashable values so the cross-rank product
+state space stays finite and canonical.
 
 Instructions
 ------------
 
 =========  ============================================================
 Op         a visible protocol step: collective, p2p, ULFM action or
-           checkpoint access (``kind`` below)
+           checkpoint access (``kind`` below).  ``handler`` is the pc of
+           the ``except MPIError`` suite covering it, or None: exception
+           routing is static, like the CFG's ``exc`` edges
 SetVar     bind a local variable to the value of an expression
 Branch     conditional jump (two explicit targets)
-Jump       unconditional jump
-TryPush    enter a ``try``-region whose ``except MPIError`` handler
-           starts at ``handler``
-TryPop     leave the region (fall through past the handler)
-Return     terminate the program (value recorded for inlined calls)
-FailStop   abstraction boundary reached (e.g. a retry loop unrolled past
-           its bound): the process counts as crashed
+Jump       unconditional jump; a CFG back edge is a backward one
+Return     terminate the program
+FailStop   abstraction boundary reached (e.g. a loop past its iteration
+           bound): the process counts as crashed
 =========  ============================================================
+
+Loops stay loops.  A loop head is ordinary instructions: a counter
+variable reset on entry, a ``Branch`` on exhaustion (the ``while`` test,
+or counter < ``len`` of the iterated value), a ``Branch`` on the
+iteration bound with a ``FailStop`` behind it, the target binding, the
+increment — so the checker runs the iterations the evaluated iterable
+and the failure budget allow, each over the same instructions.
 
 ``Op.kind`` is one of::
 
@@ -60,6 +67,10 @@ environment and the global model state::
     ("is", a, b) / ("isnot", a, b)   identity (communicators: same cid)
     ("in", a, b)            membership in a tuple value
     ("len", e) / ("index", a, i)
+    ("range", *args)        ``range(...)`` over evaluated bounds
+    ("enumerate", e)        tuple of ``(i, item)`` pairs of a tuple value
+    ("short", e, k)         e is a tracked sequence of at most k items
+                            (False, never opaque, for an untracked one)
     ("failed_pair", e)      (failed-rank tuple, count) of communicator e
                             — the model of ``failed_procs_list``
     ("failed_count", e)     number of dead members of communicator e
@@ -83,10 +94,10 @@ branching on an opaque condition explores both outcomes.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional
 
-__all__ = ["OPAQUE", "Op", "SetVar", "Branch", "Jump", "TryPush", "TryPop",
-           "Return", "FailStop", "Skeleton", "Asm", "OP_KINDS", "FT_OPS",
+__all__ = ["OPAQUE", "Op", "SetVar", "Branch", "Jump", "Return", "FailStop",
+           "Label", "Skeleton", "Asm", "OP_KINDS", "FT_OPS",
            "COLLECTIVE_KINDS"]
 
 
@@ -130,12 +141,14 @@ class Op(Instr):
     """A visible protocol step.  ``comm`` is an expression evaluating to a
     communicator (None for checkpoint ops); ``out`` names the variable
     receiving the result; ``args`` is a kind-specific dict of
-    expressions."""
+    expressions; ``handler`` is where an MPI error raised here resumes
+    (None: it escapes the protocol)."""
 
-    __slots__ = ("kind", "comm", "out", "args")
+    __slots__ = ("kind", "comm", "out", "args", "handler")
 
     def __init__(self, kind: str, comm=None, out: Optional[str] = None,
-                 args: Optional[dict] = None, lineno: int = 0):
+                 args: Optional[dict] = None, lineno: int = 0,
+                 handler=None):
         super().__init__(lineno)
         if kind not in OP_KINDS:
             raise ValueError(f"unknown op kind {kind!r}")
@@ -143,12 +156,14 @@ class Op(Instr):
         self.comm = comm
         self.out = out
         self.args = args or {}
+        self.handler = handler
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(self.args.items()))
         target = f"{self.out} = " if self.out else ""
         on = f" on {_fmt(self.comm)}" if self.comm is not None else ""
-        return f"{target}{self.kind}({args}){on}"
+        exc = f" except -> {self.handler}" if self.handler is not None else ""
+        return f"{target}{self.kind}({args}){on}{exc}"
 
 
 class SetVar(Instr):
@@ -188,24 +203,6 @@ class Jump(Instr):
 
     def __repr__(self) -> str:
         return f"jump -> {self.target}"
-
-
-class TryPush(Instr):
-    __slots__ = ("handler",)
-
-    def __init__(self, handler: int = -1, lineno: int = 0):
-        super().__init__(lineno)
-        self.handler = handler
-
-    def __repr__(self) -> str:
-        return f"try (handler -> {self.handler})"
-
-
-class TryPop(Instr):
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "end try"
 
 
 class Return(Instr):
@@ -258,20 +255,30 @@ class Skeleton:
         return [i for i in self.instrs if isinstance(i, Op)]
 
     def describe(self) -> str:
-        """Readable listing, pinned by the golden extraction tests so model
-        drift against the real protocol code is caught in review."""
+        """Readable listing, one instruction per line (a debugging aid)."""
         lines = [f"skeleton {self.name} ({len(self.instrs)} instr(s))"]
         lines += [f"  {pc:3d}  {instr!r}" for pc, instr in
                   enumerate(self.instrs)]
         return "\n".join(lines)
 
 
+class Label:
+    """A jump target whose pc is known once :meth:`Asm.place` puts it."""
+
+    __slots__ = ("pc",)
+
+    def __init__(self):
+        self.pc = -1
+
+
 class Asm:
-    """Small assembler: emit instructions, create/patch labels."""
+    """Small assembler: emit instructions that name their targets by
+    :class:`Label`; :meth:`finish` resolves the labels to pcs."""
+
+    _TARGETS = ("then_pc", "else_pc", "target", "handler")
 
     def __init__(self):
         self.instrs: List[Instr] = []
-        self._patches: List[Tuple[int, str, Any]] = []
 
     def emit(self, instr: Instr) -> int:
         self.instrs.append(instr)
@@ -280,14 +287,18 @@ class Asm:
     def here(self) -> int:
         return len(self.instrs)
 
-    def patch(self, idx: int, field: str) -> None:
-        """Point ``instrs[idx].<field>`` at the next emitted position."""
-        setattr(self.instrs[idx], field, self.here())
+    def place(self, label: Label) -> None:
+        """Bind ``label`` to the next emitted position."""
+        label.pc = self.here()
 
     def finish(self, name: str, path: str) -> Skeleton:
         for instr in self.instrs:
-            for field in ("then_pc", "else_pc", "target", "handler"):
-                if hasattr(instr, field) and getattr(instr, field) < 0:
+            for field in self._TARGETS:
+                target = getattr(instr, field, None)
+                if isinstance(target, Label):
+                    target = target.pc
+                    setattr(instr, field, target)
+                if target is not None and target < 0:
                     raise ValueError(
-                        f"unpatched {field} in {instr!r} of {name}")
+                        f"unplaced {field} in {instr!r} of {name}")
         return Skeleton(name, path, self.instrs)

@@ -83,7 +83,7 @@ def iter_source_models(source: str, path: str, *,
     """Extract every annotated protocol model in ``source``.
 
     ``ranks``/``failures`` override the annotation (CLI flags); loop
-    unrolling depends on the failure budget, so overriding re-extracts
+    bounds depend on the failure budget, so overriding re-extracts
     rather than just re-checking.  Raises :class:`ExtractError` on an
     annotation the extractor cannot honour.
     """

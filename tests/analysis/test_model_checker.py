@@ -9,8 +9,8 @@ classification, timelines) are isolated from the extractor.
 import pytest
 
 from repro.analysis.model.checker import (ProtocolModel, check_model)
-from repro.analysis.model.ir import (Asm, Branch, Jump, Op, Return, SetVar,
-                                     TryPush, TryPop)
+from repro.analysis.model.ir import (Asm, Branch, Jump, Label, Op, Return,
+                                     SetVar)
 
 W = ("var", "__world__")
 
@@ -18,13 +18,12 @@ W = ("var", "__world__")
 def guarded_recovery():
     """try: halo / except: revoke; shrink; barrier on survivors."""
     a = Asm()
-    t = a.emit(TryPush(lineno=1))
-    a.emit(Op("halo", W, lineno=2))
-    a.emit(TryPop(lineno=3))
-    j = a.emit(Jump(lineno=3))
-    a.patch(t, "handler")
+    handler, after = Label(), Label()
+    a.emit(Op("halo", W, lineno=2, handler=handler))
+    a.emit(Jump(after, lineno=3))
+    a.place(handler)
     a.emit(Op("revoke", W, lineno=4))
-    a.patch(j, "target")
+    a.place(after)
     a.emit(Op("shrink", W, out="alive", lineno=5))
     a.emit(Op("barrier", ("var", "alive"), lineno=6))
     a.emit(Return(lineno=7))
@@ -43,25 +42,21 @@ def unguarded():
 def stranded():
     """After repair, survivor rank 0 recvs a message no live rank sends."""
     a = Asm()
-    t = a.emit(TryPush(lineno=1))
-    a.emit(Op("halo", W, lineno=2))
-    a.emit(TryPop(lineno=3))
-    j = a.emit(Jump(lineno=3))
-    a.patch(t, "handler")
+    handler, after, closing = Label(), Label(), Label()
+    a.emit(Op("halo", W, lineno=2, handler=handler))
+    a.emit(Jump(after, lineno=3))
+    a.place(handler)
     a.emit(Op("revoke", W, lineno=4))
-    a.patch(j, "target")
+    a.place(after)
     a.emit(Op("shrink", W, out="alive", lineno=5))
-    br = a.emit(Branch(("cmp", ">", ("failed_count", W), ("const", 0)),
-                       lineno=6))
-    a.patch(br, "then_pc")
-    br2 = a.emit(Branch(("cmp", "==", ("rank", ("var", "alive")),
-                         ("const", 0)), lineno=7))
-    a.patch(br2, "then_pc")
+    a.emit(Branch(("cmp", ">", ("failed_count", W), ("const", 0)),
+                  a.here() + 1, closing, lineno=6))
+    a.emit(Branch(("cmp", "==", ("rank", ("var", "alive")), ("const", 0)),
+                  a.here() + 1, closing, lineno=7))
     a.emit(Op("recv", ("var", "alive"), out="x",
               args={"source": ("const", 1), "tag": ("const", 7)},
               lineno=8))
-    a.patch(br2, "else_pc")
-    a.patch(br, "else_pc")
+    a.place(closing)
     a.emit(Op("barrier", ("var", "alive"), lineno=9))
     a.emit(Return(lineno=10))
     return a.finish("stranded", "<test>")
@@ -71,16 +66,48 @@ def divergent():
     """Rank 0 enters barrier; everyone else enters bcast — a cross-rank
     collective-sequence divergence, even without failures."""
     a = Asm()
-    br = a.emit(Branch(("cmp", "==", ("rank", W), ("const", 0)), lineno=2))
-    a.patch(br, "then_pc")
+    other, after = Label(), Label()
+    a.emit(Branch(("cmp", "==", ("rank", W), ("const", 0)),
+                  a.here() + 1, other, lineno=2))
     a.emit(Op("barrier", W, lineno=3))
-    j = a.emit(Jump(lineno=3))
-    a.patch(br, "else_pc")
+    a.emit(Jump(after, lineno=3))
+    a.place(other)
     a.emit(Op("bcast", W, out="x",
               args={"value": ("const", 0), "root": ("const", 0)}, lineno=4))
-    a.patch(j, "target")
+    a.place(after)
     a.emit(Return(lineno=5))
     return a.finish("divergent", "<test>")
+
+
+def probe_then_halo():
+    """A guarded probe barrier, then a halo nothing guards — what a probe
+    that ``return``s from inside its ``try`` leaves its caller with."""
+    a = Asm()
+    failed, after = Label(), Label()
+    a.emit(Op("barrier", W, lineno=2, handler=failed))
+    a.emit(Jump(after, lineno=2))
+    a.place(failed)
+    a.emit(Return(lineno=3))
+    a.place(after)
+    a.emit(Op("halo", W, lineno=4))
+    a.emit(Return(lineno=5))
+    return a.finish("probe_then_halo", "<test>")
+
+
+def test_a_handler_covers_only_the_ops_that_name_it():
+    """Handlers are a property of the op, not a stack the process carries:
+    the probe's handler cannot catch the halo's failure, however the
+    probe was left."""
+    r = check_model(ProtocolModel(probe_then_halo(), ranks=2, failures=1))
+    assert {(v.rule, v.lineno) for v in r.violations} == {("ULF017", 4)}
+    assert "[raises -> handler]" not in r.violations[0].timeline
+
+
+def test_unplaced_label_is_rejected():
+    a = Asm()
+    a.emit(Jump(Label(), lineno=1))
+    with pytest.raises(ValueError, match="unplaced target"):
+        a.finish("dangling", "<test>")
 
 
 def test_guarded_recovery_is_deadlock_free():
