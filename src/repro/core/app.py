@@ -38,8 +38,10 @@ from ..ft.checkpoint import CheckpointStats, Disk, write_checkpoint
 from ..ft.reconstruct import PLACE_SAME_HOST, ReconstructTimers
 from ..ft.recovery import (AlternateCombination, RecoveryTechnique,
                            technique_by_code)
+from ..mpi.cart import CartHandle
 from ..mpi.errors import MPIError
 from ..pde.advection import AdvectionProblem
+from ..pde.decomposition import choose_dims
 from ..pde.norms import l1, l2, linf
 from ..pde.parallel_solver import DistributedAdvectionSolver
 from ..sparsegrid.interpolation import axis_points
@@ -77,7 +79,8 @@ class AppConfig:
     #: virtual-compute multiplier per step (timing-shape experiments model
     #: the paper's full problem scale without paying its numerics)
     compute_scale: float = 1.0
-    #: "1d" slab decomposition or "2d" Cartesian blocks per sub-grid
+    #: each sub-grid's process grid: "1d" a ring of slabs along the longer
+    #: axis, "2d" balanced Cartesian blocks (``pde.decomposition.choose_dims``)
     decomposition: str = "1d"
 
     def estimated_solve_time(self, machine) -> float:
@@ -208,27 +211,15 @@ class CombinationApp:
     # ------------------------------------------------------------------
     def _make_solver(self):
         sub = self.scheme[self.gid]
-        if self.cfg.decomposition == "2d":
-            from ..mpi.cart import CartHandle
-            from ..pde.parallel_solver2d import (Distributed2DAdvectionSolver,
-                                                 choose_dims)
-            # wrap the grid communicator directly (non-collective) so a
-            # re-spawned member stays in step with surviving members
-            dims = choose_dims(self.grid_comm.size, sub.level_x, sub.level_y)
-            cart = CartHandle(self.grid_comm.state, self.ctx.proc, dims,
-                              (True, True))
-            self.solver = Distributed2DAdvectionSolver(
-                self.ctx, cart, self.cfg.problem,
-                sub.level_x, sub.level_y, self.dt,
-                compute_scale=self.cfg.compute_scale)
-        elif self.cfg.decomposition == "1d":
-            self.solver = DistributedAdvectionSolver(
-                self.ctx, self.grid_comm, self.cfg.problem,
-                sub.level_x, sub.level_y, self.dt,
-                compute_scale=self.cfg.compute_scale)
-        else:
-            raise ValueError(
-                f"unknown decomposition {self.cfg.decomposition!r}")
+        dims = choose_dims(self.grid_comm.size, sub.level_x, sub.level_y,
+                           self.cfg.decomposition)
+        # wrap the grid communicator directly (non-collective) so a
+        # re-spawned member stays in step with surviving members
+        cart = CartHandle(self.grid_comm.state, self.ctx.proc, dims,
+                          (True, True))
+        self.solver = DistributedAdvectionSolver(
+            self.ctx, cart, self.cfg.problem, sub.level_x, sub.level_y,
+            self.dt, compute_scale=self.cfg.compute_scale)
 
     def fold_failed(self, ranks: Iterable[int]) -> None:
         """Fold an agreed set of failed ranks (launch-time world numbering)

@@ -195,10 +195,7 @@ async def restore_checkpoint(ctx, disk: Disk, gid: int, grid_comm, solver,
             0 if my_latest is None else my_latest, op=MIN)
         if common <= 0:
             cost = await ctx.disk_read(solver.u.nbytes)
-            from ..pde.lax_wendroff import periodic_from_initial
-            full = periodic_from_initial(solver.problem, solver.level_x,
-                                         solver.level_y)
-            solver.u = solver._slab(full)
+            solver.u = solver.initial_block()
             solver.step_count = 0
             restored = 0
         else:
@@ -288,10 +285,7 @@ async def restore_checkpoint_remapped(ctx, disk: Disk, gid: int, grid_comm,
                 break
         if common <= 0:
             cost = await ctx.disk_read(solver.u.nbytes)
-            from ..pde.lax_wendroff import periodic_from_initial
-            full = periodic_from_initial(solver.problem, solver.level_x,
-                                         solver.level_y)
-            solver.u = solver._slab(full)
+            solver.u = solver.initial_block()
             solver.step_count = 0
             restored = 0
         else:

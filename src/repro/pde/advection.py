@@ -17,6 +17,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .lax_wendroff import (courant_numbers, fill_periodic_halo,
+                           lw_step_interior_into, lw_step_periodic_into)
+
 
 def sinusoid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Default initial condition: a smooth periodic product of sines."""
@@ -70,50 +73,27 @@ class AdvectionProblem:
         return cfl * h / speed
 
     # -- stencil kernels (generic solver interface) ----------------------
-    #: solvers check this before passing out/work/scratch buffers; problem
-    #: objects without the allocation-free kernel variants omit it
-    inplace_kernels = True
-
-    def _courant(self, level_x: int, level_y: int, dt: float):
-        a, b = self.velocity
-        return a * dt * (1 << level_x), b * dt * (1 << level_y)
-
     def step_periodic(self, u: np.ndarray, level_x: int, level_y: int,
-                      dt: float, *, out: np.ndarray = None,
-                      work: np.ndarray = None,
-                      scratch: np.ndarray = None) -> np.ndarray:
-        """One periodic step (the same kernel with or without buffers).
-
-        When ``out``/``work``/``scratch`` are given (shapes ``u.shape``,
-        ``u.shape + 2`` and ``u.shape``), the step allocates nothing and
-        writes the result into ``out``.
-        """
-        cx, cy = self._courant(level_x, level_y, dt)
-        if out is None:
-            from .lax_wendroff import lw_step_periodic
-            return lw_step_periodic(u, cx, cy)
-        from .lax_wendroff import lw_step_periodic_into
+                      dt: float, *, out: np.ndarray, work: np.ndarray,
+                      scratch: np.ndarray) -> np.ndarray:
+        """One periodic step into ``out``, allocating nothing (``work`` has
+        shape ``u.shape + 2``, ``out`` and ``scratch`` ``u.shape``)."""
+        cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
         return lw_step_periodic_into(u, cx, cy, out, work, scratch)
 
     def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
                       dt: float, transposed: bool = False, *,
-                      out: np.ndarray = None,
-                      scratch: np.ndarray = None) -> np.ndarray:
-        """Stencil update of a halo-padded block.
+                      out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Stencil update of a halo-padded block into ``out`` (``out`` and
+        ``scratch`` interior-shaped), allocating nothing.
 
         ``transposed=True`` means the block's axis 0 is the physical y
-        axis (the slab solver decomposing along y presents its data
-        transposed), so the two Courant numbers swap roles.  With
-        ``out``/``scratch`` (interior-shaped) the update is allocation-free;
-        without them the same kernel runs on fresh buffers.
+        axis (a grid decomposed along y presents its data transposed), so
+        the two Courant numbers swap roles.
         """
-        cx, cy = self._courant(level_x, level_y, dt)
+        cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
         if transposed:
             cx, cy = cy, cx
-        if out is None:
-            from .lax_wendroff import lw_step_interior
-            return lw_step_interior(w, cx, cy)
-        from .lax_wendroff import lw_step_interior_into
         return lw_step_interior_into(w, cx, cy, out, scratch)
 
 
@@ -151,8 +131,6 @@ class DiffusionProblem:
         h = 1.0 / (1 << max_level)
         return cfl * 0.25 * h * h / self.kappa
 
-    inplace_kernels = True
-
     def _fourier(self, level_x: int, level_y: int, dt: float):
         rx = self.kappa * dt * float(1 << level_x) ** 2
         ry = self.kappa * dt * float(1 << level_y) ** 2
@@ -161,8 +139,7 @@ class DiffusionProblem:
     @staticmethod
     def _ftcs_into(w: np.ndarray, rx: float, ry: float,
                    out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Allocation-free FTCS update of the interior of ``w``; same
-        left-to-right association as the expression form, so bit-identical."""
+        """Allocation-free FTCS update of the interior of ``w``."""
         u = w[1:-1, 1:-1]
         t = scratch
         np.multiply(2.0, u, out=t)
@@ -178,28 +155,16 @@ class DiffusionProblem:
         return out
 
     def step_periodic(self, u: np.ndarray, level_x: int, level_y: int,
-                      dt: float, *, out: np.ndarray = None,
-                      work: np.ndarray = None,
-                      scratch: np.ndarray = None) -> np.ndarray:
+                      dt: float, *, out: np.ndarray, work: np.ndarray,
+                      scratch: np.ndarray) -> np.ndarray:
         rx, ry = self._fourier(level_x, level_y, dt)
-        if out is None:
-            return (u
-                    + rx * (np.roll(u, -1, 0) - 2.0 * u + np.roll(u, 1, 0))
-                    + ry * (np.roll(u, -1, 1) - 2.0 * u + np.roll(u, 1, 1)))
-        from .lax_wendroff import fill_periodic_halo
         fill_periodic_halo(u, work)
         return self._ftcs_into(work, rx, ry, out, scratch)
 
     def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
                       dt: float, transposed: bool = False, *,
-                      out: np.ndarray = None,
-                      scratch: np.ndarray = None) -> np.ndarray:
+                      out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         rx, ry = self._fourier(level_x, level_y, dt)
         if transposed:
             rx, ry = ry, rx
-        if out is None:
-            u = w[1:-1, 1:-1]
-            return (u
-                    + rx * (w[2:, 1:-1] - 2.0 * u + w[:-2, 1:-1])
-                    + ry * (w[1:-1, 2:] - 2.0 * u + w[1:-1, :-2]))
         return self._ftcs_into(w, rx, ry, out, scratch)

@@ -1,14 +1,19 @@
-"""1D (slab) domain decomposition with periodic neighbours.
+"""Domain decomposition of a periodic sub-grid over a process grid.
 
-Each sub-grid's process group decomposes its array along the axis with the
-most points; the other axis stays local, so the Lax–Wendroff corner
-couplings wrap locally and halo exchange needs only two messages per step.
+Each sub-grid's process group is a periodic ``px x py`` grid
+(:func:`choose_dims`) and each axis is split into balanced contiguous parts
+(:class:`SlabDecomposition`).  The ``"1d"`` choice is the one-row grid along
+the axis with the most points: a ring of slabs, whose other axis stays
+local, so the Lax–Wendroff corner couplings wrap locally and a halo
+exchange needs only two messages per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Tuple
+
+from ..mpi.cart import dims_create
 
 
 @dataclass(frozen=True)
@@ -50,9 +55,35 @@ class SlabDecomposition:
         return ((part - 1) % self.n_parts, (part + 1) % self.n_parts)
 
 
-def choose_axis(level_x: int, level_y: int) -> int:
-    """Decompose along the axis with more points (ties -> x)."""
-    return 0 if level_x >= level_y else 1
+def choose_dims(n_procs: int, level_x: int, level_y: int,
+                decomposition: str) -> Tuple[int, int]:
+    """Process-grid shape ``(px, py)`` of a ``"1d"`` or ``"2d"`` decomposition.
+
+    ``"1d"``: all processes along the axis with more points (ties -> x).
+    ``"2d"``: balanced factors, the larger along the larger grid axis,
+    clipped so no axis is over-decomposed."""
+    if decomposition == "1d":
+        return (n_procs, 1) if level_x >= level_y else (1, n_procs)
+    if decomposition != "2d":
+        raise ValueError(f"unknown decomposition {decomposition!r}")
+    px, py = dims_create(n_procs, 2)
+    if (level_x >= level_y) != (px >= py):
+        px, py = py, px
+    # never split an axis into more parts than it has points
+    nx, ny = 1 << level_x, 1 << level_y
+    while px > nx:
+        if px % 2:
+            raise ValueError(f"cannot fit {n_procs} procs on grid "
+                             f"({level_x},{level_y})")
+        px //= 2
+        py *= 2
+    while py > ny:
+        if py % 2:
+            raise ValueError(f"cannot fit {n_procs} procs on grid "
+                             f"({level_x},{level_y})")
+        py //= 2
+        px *= 2
+    return px, py
 
 
 def rebalance(decomp: SlabDecomposition, n_parts: int) -> SlabDecomposition:

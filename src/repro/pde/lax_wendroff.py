@@ -172,36 +172,26 @@ class SerialAdvectionSolver:
     def __post_init__(self):
         self.u = periodic_from_initial(self.problem, self.level_x, self.level_y)
         self.step_count = 0
-        # persistent buffers for the allocation-free kernel path (lazily
-        # sized on first step; unused for problems without into-kernels)
-        self._buf_a = self._buf_b = self._work = self._scratch = None
+        nx, ny = self.u.shape
+        # persistent buffers: the step allocates nothing
+        self._buf_a = np.empty_like(self.u)
+        self._buf_b = np.empty_like(self.u)
+        self._work = np.empty((nx + 2, ny + 2), dtype=self.u.dtype)
+        self._scratch = np.empty_like(self.u)
 
     @property
     def time(self) -> float:
         return self.step_count * self.dt
 
     def step(self, n: int = 1) -> None:
-        if getattr(self.problem, "inplace_kernels", False):
-            if self._buf_a is None:
-                nx, ny = self.u.shape
-                self._buf_a = np.empty_like(self.u)
-                self._buf_b = np.empty_like(self.u)
-                self._work = np.empty((nx + 2, ny + 2), dtype=self.u.dtype)
-                self._scratch = np.empty_like(self.u)
-            for _ in range(n):
-                # double buffer: write into whichever private buffer the
-                # state does not currently occupy (never into a caller-
-                # assigned array)
-                out = self._buf_b if self.u is self._buf_a else self._buf_a
-                self.problem.step_periodic(
-                    self.u, self.level_x, self.level_y, self.dt,
-                    out=out, work=self._work, scratch=self._scratch)
-                self.u = out
-                self.step_count += 1
-            return
         for _ in range(n):
-            self.u = self.problem.step_periodic(
-                self.u, self.level_x, self.level_y, self.dt)
+            # double buffer: write into whichever private buffer the state
+            # does not currently occupy (never into a caller-assigned array)
+            out = self._buf_b if self.u is self._buf_a else self._buf_a
+            self.problem.step_periodic(
+                self.u, self.level_x, self.level_y, self.dt,
+                out=out, work=self._work, scratch=self._scratch)
+            self.u = out
             self.step_count += 1
 
     def nodal(self) -> np.ndarray:

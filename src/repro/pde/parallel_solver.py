@@ -1,18 +1,31 @@
 """Domain-decomposed Lax–Wendroff solver running over a simulated MPI group.
 
-One instance lives on each rank of a sub-grid's process group.  State is a
-slab of the periodic array; each step exchanges one halo row with each
-periodic neighbour, computes the stencil on the padded block, and charges
-the virtual-time cost of the flops.
+One instance lives on each rank of a sub-grid's process group.  The group
+is a periodic ``px x py`` process grid, ranks laid out row-major: a
+communicator carrying a Cartesian topology (:class:`~repro.mpi.cart.
+CartHandle`) brings its ``dims``, any other is the ``"1d"`` ring of
+:func:`~repro.pde.decomposition.choose_dims`.  State is this rank's block of
+the periodic array; each step exchanges one ghost layer with the periodic
+neighbours, computes the stencil on the padded block, and charges the
+virtual-time cost of the flops.
 
-A healthy group does not run that loop rank by rank: ``step(n)`` is one
+The exchange works on the block with the decomposed axis first — a grid
+with one process row along y presents its block transposed and runs the
+``transposed=True`` kernel — in two phases: along that axis with interior
+rows, then along the other with full columns, which carry the fresh ghosts
+so the corners the cross term needs arrive without diagonal messages.  A
+phase along an axis with one process is a local wrap, so a one-row grid (a
+ring of slabs) sends two messages per step.
+
+A healthy ring does not run that loop rank by rank: ``step(n)`` is one
 rendezvous (``CommHandle.ring_segment``) that steps the whole sub-grid ``n``
-times; the loop is its degenerate case and the tested oracle.
+times; the loop is its degenerate case and the tested oracle.  A true 2-D
+grid steps per message.
 
 The solver also provides the state-motion primitives the recovery
 techniques need: ``gather_full`` (root assembles the whole sub-grid),
 ``scatter_full`` (root redistributes a replacement state, e.g. after
-restart or resampling), and ``snapshot``/``restore`` of the local slab for
+restart or resampling), and ``snapshot``/``restore`` of the local block for
 checkpointing.
 """
 
@@ -22,11 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import SlabDecomposition, choose_axis
+from .decomposition import SlabDecomposition, choose_dims
 from .lax_wendroff import FLOPS_PER_POINT, nodal_view
 
 _HALO_TAG_UP = 101
 _HALO_TAG_DOWN = 102
+_HALO_TAG_LEFT = 103
+_HALO_TAG_RIGHT = 104
 
 
 class DistributedAdvectionSolver:
@@ -44,19 +59,27 @@ class DistributedAdvectionSolver:
         #: expensive per-cell physics (or a finer grid) without changing
         #: the actual numerics; see DESIGN.md on timing-scale substitution
         self.compute_scale = compute_scale
-        self.axis = choose_axis(level_x, level_y)
-        n_axis = 1 << (level_x if self.axis == 0 else level_y)
-        self.decomp = SlabDecomposition(n_axis, comm.size, self.axis)
+        self.dims = px, py = getattr(comm, "dims", None) \
+            or choose_dims(comm.size, level_x, level_y, "1d")
+        #: a ring (one process row) co-simulates its segments
+        self.ring = px == 1 or py == 1
+        #: the axis the block is presented first along: the decomposed one
+        #: of a ring (the longer one of a single process), x otherwise
+        self.axis = 1 if px == 1 and (py > 1 or level_y > level_x) else 0
+        self.decomp_x = SlabDecomposition(1 << level_x, px, 0)
+        self.decomp_y = SlabDecomposition(1 << level_y, py, 1)
+        #: the ring's slab decomposition (shrink-in-place re-balances it)
+        self.decomp = self.decomp_y if self.axis else self.decomp_x
+        cx, cy = divmod(comm.rank, py)
+        (x_prev, x_next), (y_prev, y_next) = \
+            self.decomp_x.neighbours(cx), self.decomp_y.neighbours(cy)
+        along_x = (px, (x_prev * py + cy, x_next * py + cy))
+        along_y = (py, (cx * py + y_prev, cx * py + y_next))
+        #: (parts, (previous, next)) of the two exchange phases, in order
+        self._phases = (along_y, along_x) if self.axis else (along_x, along_y)
         self.step_count = 0
-        # the initial field on this slab only (elementwise: bit-equal to a slice)
-        nx, ny = 1 << level_x, 1 << level_y
-        xs, ys = np.arange(nx) / nx, np.arange(ny) / ny
-        lo, hi = self.decomp.bounds(comm.rank)
-        self.u = np.ascontiguousarray(
-            problem.initial(xs[lo:hi, None], ys[None, :]) if self.axis == 0
-            else problem.initial(xs[:, None], ys[None, lo:hi]))
-        # persistent step buffers (lazily sized; only used when the problem
-        # provides allocation-free kernels)
+        self.u = self.initial_block()
+        # persistent step buffers (lazily sized)
         self._w = self._buf_a = self._buf_b = self._ti = self._scratch = None
 
     # ------------------------------------------------------------------
@@ -68,53 +91,71 @@ class DistributedAdvectionSolver:
     def shape(self):
         return (1 << self.level_x, 1 << self.level_y)
 
-    def _slab(self, arr: np.ndarray) -> np.ndarray:
-        """My slab of a full periodic array."""
-        lo, hi = self.decomp.bounds(self.comm.rank)
+    def _block(self, rank: int):
+        """Index of ``rank``'s block in the full periodic array."""
+        cx, cy = divmod(rank, self.dims[1])
+        return (slice(*self.decomp_x.bounds(cx)),
+                slice(*self.decomp_y.bounds(cy)))
+
+    def initial_block(self) -> np.ndarray:
+        """The initial field on my block only (elementwise, so bit-equal to
+        the block of the whole field)."""
+        nx, ny = self.shape
+        bx, by = self._block(self.comm.rank)
+        xs, ys = np.arange(nx) / nx, np.arange(ny) / ny
         return np.ascontiguousarray(
-            arr[lo:hi, :] if self.axis == 0 else arr[:, lo:hi])
+            self.problem.initial(xs[bx, None], ys[None, by]))
 
     # ------------------------------------------------------------------
     # time stepping
     # ------------------------------------------------------------------
     async def exchange_halos(self) -> np.ndarray:
-        """Return the padded block (one ghost layer on all four sides).
+        """Return the padded block, decomposed axis first (one ghost layer
+        on all four sides).
 
         The padded buffer is persistent (every cell is overwritten each
-        call).  Halo rows are sent with ``copy=False``: the ``.copy()``
-        here already transfers ownership of a private row, so the MPI layer
-        need not clone it again (the receiver gets a read-only view).
+        call).  Halos are sent with ``copy=False``: the ``.copy()`` here
+        already transfers ownership of a private row, so the MPI layer need
+        not clone it again (the receiver gets a read-only view).
         """
-        comm = self.comm
-        u = self.u if self.axis == 0 else self.u.T
-        prev_r, next_r = self.decomp.neighbours(comm.rank)
-        if comm.size == 1:
-            lo_ghost, hi_ghost = u[-1, :], u[0, :]
-        else:
-            lo_ghost, hi_ghost = await comm.exchange(
-                ((prev_r, _HALO_TAG_UP, u[0, :].copy()),
-                 (next_r, _HALO_TAG_DOWN, u[-1, :].copy())),
-                ((prev_r, _HALO_TAG_DOWN), (next_r, _HALO_TAG_UP)),
-                copy=False)
-        nloc, ny = u.shape
+        v = self.u.T if self.axis else self.u
+        rows, cols = v.shape
         w = self._w
-        if w is None or w.shape != (nloc + 2, ny + 2):
-            w = self._w = np.empty((nloc + 2, ny + 2), dtype=u.dtype)
-        w[1:-1, 1:-1] = u
-        w[0, 1:-1] = lo_ghost
-        w[-1, 1:-1] = hi_ghost
-        # periodic wrap in the non-decomposed axis (corners included)
-        w[:, 0] = w[:, -2]
-        w[:, -1] = w[:, 1]
+        if w is None or w.shape != (rows + 2, cols + 2):
+            w = self._w = np.empty((rows + 2, cols + 2), dtype=v.dtype)
+        w[1:-1, 1:-1] = v
+        (parts_a, (prev_a, next_a)), (parts_b, (prev_b, next_b)) = \
+            self._phases
+        # phase 1: along axis 0, interior rows only
+        if parts_a == 1:
+            w[0, 1:-1] = v[-1, :]
+            w[-1, 1:-1] = v[0, :]
+        else:
+            w[0, 1:-1], w[-1, 1:-1] = await self.comm.exchange(
+                ((prev_a, _HALO_TAG_UP, v[0, :].copy()),
+                 (next_a, _HALO_TAG_DOWN, v[-1, :].copy())),
+                ((prev_a, _HALO_TAG_DOWN), (next_a, _HALO_TAG_UP)),
+                copy=False)
+        # phase 2: along axis 1, full columns (phase-1 ghosts -> corners)
+        if parts_b == 1:
+            w[:, 0] = w[:, -2]
+            w[:, -1] = w[:, 1]
+        else:
+            w[:, 0], w[:, -1] = await self.comm.exchange(
+                ((prev_b, _HALO_TAG_LEFT, w[:, 1].copy()),
+                 (next_b, _HALO_TAG_RIGHT, w[:, -2].copy())),
+                ((prev_b, _HALO_TAG_RIGHT), (next_b, _HALO_TAG_LEFT)),
+                copy=False)
         return w
 
     def _advance_group(self, slabs, n: int) -> list:
-        """``n`` steps of the periodic array assembled from ``slabs`` (the
-        group's in rank order, or an arc of it), split back into owned
-        C-contiguous slabs.  The kernel call is the one every rank's ``step``
-        makes — same orientation: ``transposed`` swaps the x/y accumulation
-        order, ``step_periodic`` would not — on a block whose ghost rows are
-        the array's own; the stencil is pointwise, so more rows change no bit.
+        """``n`` steps of the periodic array assembled from a ring's
+        ``slabs`` (the group's in rank order, or an arc of it), split back
+        into owned C-contiguous slabs.  The kernel call is the one every
+        rank's ``step`` makes — same orientation: ``transposed`` swaps the
+        x/y accumulation order, ``step_periodic`` would not — on a block
+        whose ghost rows are the array's own; the stencil is pointwise, so
+        more rows change no bit.
         """
         problem, lx, ly, dt = self.problem, self.level_x, self.level_y, self.dt
         transposed = self.axis == 1
@@ -122,27 +163,21 @@ class DistributedAdvectionSolver:
         rows, cols = sum(len(part) for part in parts), parts[0].shape[1]
         w = np.empty((rows + 2, cols + 2), dtype=parts[0].dtype)
         np.concatenate(parts, axis=0, out=w[1:-1, 1:-1])
-        inplace = getattr(problem, "inplace_kernels", False)
-        if inplace:
-            spare, scratch = np.empty_like(w), np.empty((rows, cols), w.dtype)
+        spare, scratch = np.empty_like(w), np.empty((rows, cols), w.dtype)
         for _ in range(n):
             w[0, 1:-1] = w[-2, 1:-1]
             w[-1, 1:-1] = w[1, 1:-1]
             w[:, 0] = w[:, -2]
             w[:, -1] = w[:, 1]
-            if inplace:
-                problem.step_interior(w, lx, ly, dt, transposed=transposed,
-                                      out=spare[1:-1, 1:-1], scratch=scratch)
-                w, spare = spare, w
-            else:
-                w[1:-1, 1:-1] = problem.step_interior(
-                    w, lx, ly, dt, transposed=transposed)
+            problem.step_interior(w, lx, ly, dt, transposed=transposed,
+                                  out=spare[1:-1, 1:-1], scratch=scratch)
+            w, spare = spare, w
         full = w[1:-1, 1:-1].T if transposed else w[1:-1, 1:-1]
         cuts = np.cumsum([len(part) for part in parts[:-1]], dtype=int)
         return [part.copy() for part in np.split(full, cuts, axis=self.axis)]
 
     async def step(self, n: int = 1) -> None:
-        if n > 0:
+        if n > 0 and self.ring:
             slab = await self.comm.ring_segment(
                 n, self.u.shape[1 - self.axis] * self.u.itemsize,
                 self.ctx.compute_seconds(
@@ -153,36 +188,28 @@ class DistributedAdvectionSolver:
                 self.step_count += n
                 return
         transposed = self.axis == 1
-        inplace = getattr(self.problem, "inplace_kernels", False)
         for _ in range(n):
             w = await self.exchange_halos()
-            if inplace:
-                if self._buf_a is None or self._buf_a.shape != self.u.shape:
-                    self._buf_a = np.empty_like(self.u)
-                    self._buf_b = np.empty_like(self.u)
-                    interior = (w.shape[0] - 2, w.shape[1] - 2)
-                    self._scratch = np.empty(interior, dtype=self.u.dtype)
-                    self._ti = (None if not transposed
-                                else np.empty(interior, dtype=self.u.dtype))
-                # double buffer: write into whichever private buffer the
-                # state does not currently occupy
-                out = self._buf_b if self.u is self._buf_a else self._buf_a
-                if transposed:
-                    unew = self.problem.step_interior(
-                        w, self.level_x, self.level_y, self.dt,
-                        transposed=True, out=self._ti, scratch=self._scratch)
-                    np.copyto(out, unew.T)
-                else:
-                    self.problem.step_interior(
-                        w, self.level_x, self.level_y, self.dt,
-                        transposed=False, out=out, scratch=self._scratch)
-                self.u = out
-            else:
+            if self._buf_a is None or self._buf_a.shape != self.u.shape:
+                self._buf_a = np.empty_like(self.u)
+                self._buf_b = np.empty_like(self.u)
+                interior = (w.shape[0] - 2, w.shape[1] - 2)
+                self._scratch = np.empty(interior, dtype=self.u.dtype)
+                self._ti = (None if not transposed
+                            else np.empty(interior, dtype=self.u.dtype))
+            # double buffer: write into whichever private buffer the state
+            # does not currently occupy
+            out = self._buf_b if self.u is self._buf_a else self._buf_a
+            if transposed:
                 unew = self.problem.step_interior(
                     w, self.level_x, self.level_y, self.dt,
-                    transposed=transposed)
-                self.u = unew if self.axis == 0 \
-                    else np.ascontiguousarray(unew.T)
+                    transposed=True, out=self._ti, scratch=self._scratch)
+                np.copyto(out, unew.T)
+            else:
+                self.problem.step_interior(
+                    w, self.level_x, self.level_y, self.dt,
+                    transposed=False, out=out, scratch=self._scratch)
+            self.u = out
             self.step_count += 1
             await self.ctx.compute(
                 flops=FLOPS_PER_POINT * self.u.size * self.compute_scale)
@@ -191,7 +218,8 @@ class DistributedAdvectionSolver:
         """Swap in a replacement communicator after reconstruction.
 
         The repaired communicator preserves size and rank order, so the
-        decomposition (and this rank's slab) stays valid.
+        process grid (and this rank's block) stays valid; a plain
+        communicator is fine, the neighbours come from ``dims``.
         """
         if new_comm.size != self.comm.size or new_comm.rank != self.comm.rank:
             raise ValueError(
@@ -208,7 +236,10 @@ class DistributedAdvectionSolver:
         parts = await self.comm.gather(self.u, root=root)
         if parts is None:
             return None
-        return np.concatenate(parts, axis=self.axis)
+        full = np.empty(self.shape, dtype=self.u.dtype)
+        for rank, block in enumerate(parts):
+            full[self._block(rank)] = block
+        return full
 
     async def gather_nodal(self, root: int = 0) -> Optional[np.ndarray]:
         full = await self.gather_full(root)
@@ -218,11 +249,8 @@ class DistributedAdvectionSolver:
                            step_count: Optional[int] = None) -> None:
         """Replace the state from a full periodic array held by ``root``."""
         if self.comm.rank == root:
-            chunks = []
-            for p in range(self.comm.size):
-                lo, hi = self.decomp.bounds(p)
-                chunks.append(full[lo:hi, :] if self.axis == 0
-                              else np.ascontiguousarray(full[:, lo:hi]))
+            chunks = [np.ascontiguousarray(full[self._block(p)])
+                      for p in range(self.comm.size)]
         else:
             chunks = None
         self.u = await self.comm.scatter(chunks, root=root)
@@ -230,7 +258,7 @@ class DistributedAdvectionSolver:
             self.step_count = step_count
 
     # ------------------------------------------------------------------
-    # checkpoint support (local slab only; the Disk charges I/O cost)
+    # checkpoint support (local block only; the Disk charges I/O cost)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         return {"u": self.u.copy(), "step_count": self.step_count,

@@ -50,8 +50,10 @@ __all__ = ["RESULTS_EPOCH", "RunCache", "cacheable", "fingerprint",
 #: values (even in the last bits) so a ``--cache`` directory written by
 #: an older commit reads as cold instead of serving values a fresh run
 #: no longer reproduces.  2: level-by-level combination, 9-coefficient
-#: Lax-Wendroff kernel.
-RESULTS_EPOCH = 2
+#: Lax-Wendroff kernel.  3: a ``"2d"`` sub-grid whose process grid has
+#: one row runs as the ``"1d"`` ring of slabs (its halos and kernel
+#: orientation, hence its values, moved).
+RESULTS_EPOCH = 3
 
 
 def _canonical(obj):

@@ -40,6 +40,12 @@ segment instead of four events per rank per step).  ``--check`` is how that
 was shown to move nothing else: it records in memory and prints, per
 scenario, the keys that differ from the committed file.
 
+The 15 respawn ``2d`` runs were recorded again when a process grid with
+one row became the ``1d`` ring it is (same halo rows, same kernel
+orientation, co-simulated segments): every grid of the ``diag_procs=2``
+layout has one or two members, so each of those runs now equals its ``1d``
+twin field for field.  ``--check`` showed nothing else moved.
+
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.
 """

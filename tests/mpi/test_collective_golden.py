@@ -54,14 +54,14 @@ def test_run_matches_golden(name):
     assert _replay(name) == GOLDEN["runs"][name]
 
 
-@pytest.mark.parametrize("name", sorted(n for n in GOLDEN["runs"]
-                                        if "-1d-" in n))
+@pytest.mark.parametrize("name", sorted(GOLDEN["runs"]))
 def test_traced_run_returns_the_untraced_metrics(name):
     """A tracer changes what is recorded, not what runs — except that a
     healthy group steps rank by rank instead of as one co-simulated segment
     and the fused halo exchange falls back to its literal send/recv
     sequence (more wake-ups for the same virtual-time program).  The traced
-    run is the per-message oracle of every 1d golden."""
+    run is the per-message oracle of every golden (the 2d ones have one-row
+    process grids, which co-simulate like the 1d rings they are)."""
     traced, golden = _replay(name, traced=True), GOLDEN["runs"][name]
     assert traced.pop("events") >= golden["events"]
     assert traced == {k: v for k, v in golden.items() if k != "events"}

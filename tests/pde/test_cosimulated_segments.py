@@ -16,24 +16,28 @@ from repro.machine.presets import OPL
 from repro.mpi import Universe
 from repro.mpi.tracing import Tracer
 from repro.pde import (AdvectionProblem, DiffusionProblem,
-                       DistributedAdvectionSolver, periodic_from_initial)
+                       DistributedAdvectionSolver, choose_dims,
+                       periodic_from_initial)
 
 ADVECTION = AdvectionProblem(velocity=(1.0, 0.5))
 
 
-class Allocating:
-    """The advection kernels without the allocation-free variants."""
+class Bare:
+    """The advection kernels behind nothing but the protocol the solver
+    uses: ``initial``, ``stable_dt`` and a buffer-taking ``step_interior``."""
 
     def __init__(self, inner=ADVECTION):
         self.initial, self.stable_dt = inner.initial, inner.stable_dt
         self._step_interior = inner.step_interior
 
-    def step_interior(self, w, level_x, level_y, dt, transposed=False):
-        return self._step_interior(w, level_x, level_y, dt, transposed)
+    def step_interior(self, w, level_x, level_y, dt, transposed=False, *,
+                      out, scratch):
+        return self._step_interior(w, level_x, level_y, dt, transposed,
+                                   out=out, scratch=scratch)
 
 
 PROBLEMS = {"advection": ADVECTION, "diffusion": DiffusionProblem(),
-            "allocating": Allocating()}
+            "bare": Bare()}
 
 
 def solve(size, problem, levels, segments, skews, *, traced):
@@ -96,26 +100,34 @@ def test_ranks_own_their_slabs_after_a_segment():
 
 
 # ----------------------------------------------------------------------
-# the initial field, evaluated on the slab only
+# the initial field, evaluated on the block only
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 64, 128])
-def test_slab_initial_field_is_the_slice_of_the_whole_field(size):
-    """Bit-equal for every level pair up to 10 and every rank.  If a numpy
+@pytest.mark.parametrize("grid", [1, 2, 3, 5, 8, 64, 128,
+                                  (2, 2), (2, 1), (1, 3), (4, 2)],
+                         ids=lambda g: "x".join(map(str, g))
+                         if isinstance(g, tuple) else str(g))
+def test_slab_initial_field_is_the_slice_of_the_whole_field(grid):
+    """Bit-equal for every level pair up to 10 and every rank, on a "1d"
+    ring of ``grid`` ranks or on the process grid ``grid``.  If a numpy
     build ever disagrees (a vectorised ``sin`` whose lanes depend on the
     array length), go back to slicing rather than loosen this."""
     checked = 0
     for lx in range(11):
         for ly in range(11):
-            if (1 << max(lx, ly)) < size:
+            dims = grid if isinstance(grid, tuple) \
+                else choose_dims(grid, lx, ly, "1d")
+            if (1 << lx) < dims[0] or (1 << ly) < dims[1]:
                 continue
             full = periodic_from_initial(ADVECTION, lx, ly)
-            for rank in range(size):
-                sol = DistributedAdvectionSolver(
-                    None, SimpleNamespace(size=size, rank=rank), ADVECTION,
-                    lx, ly, 1e-3)
-                lo, hi = sol.decomp.bounds(rank)
-                ref = full[lo:hi, :] if sol.axis == 0 else full[:, lo:hi]
-                assert np.array_equal(sol.u, ref), (lx, ly, rank)
+            for rank in range(dims[0] * dims[1]):
+                comm = SimpleNamespace(size=dims[0] * dims[1], rank=rank)
+                if isinstance(grid, tuple):
+                    comm.dims = grid
+                sol = DistributedAdvectionSolver(None, comm, ADVECTION,
+                                                 lx, ly, 1e-3)
+                assert sol.dims == dims
+                assert np.array_equal(sol.u, full[sol._block(rank)]), \
+                    (lx, ly, rank)
                 assert sol.u.flags.c_contiguous
                 checked += 1
     assert checked

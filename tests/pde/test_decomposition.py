@@ -1,9 +1,9 @@
-"""Slab decomposition properties."""
+"""Slab decomposition properties and the process-grid choice."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.pde import SlabDecomposition, choose_axis
+from repro.pde import SlabDecomposition, choose_dims
 
 
 def test_bounds_cover_domain():
@@ -44,10 +44,34 @@ def test_bounds_out_of_range():
         d.bounds(2)
 
 
-def test_choose_axis():
-    assert choose_axis(5, 3) == 0
-    assert choose_axis(3, 5) == 1
-    assert choose_axis(4, 4) == 0
+def test_choose_dims_1d_is_a_ring_along_the_longer_axis():
+    assert choose_dims(4, 5, 3, "1d") == (4, 1)
+    assert choose_dims(4, 3, 5, "1d") == (1, 4)
+    assert choose_dims(4, 4, 4, "1d") == (4, 1)     # ties -> x
+
+
+def test_choose_dims_orients_to_grid():
+    assert choose_dims(4, 5, 3, "2d") == (2, 2)
+    px, py = choose_dims(8, 6, 3, "2d")
+    assert px >= py and px * py == 8
+    px, py = choose_dims(8, 3, 6, "2d")
+    assert py >= px
+    # a prime count has one row, along the longer axis like "1d"
+    assert choose_dims(3, 5, 4, "2d") == choose_dims(3, 5, 4, "1d") == (3, 1)
+    assert choose_dims(3, 4, 5, "2d") == choose_dims(3, 4, 5, "1d") == (1, 3)
+
+
+def test_choose_dims_never_overdecomposes():
+    px, py = choose_dims(8, 2, 6, "2d")   # x axis has only 4 points
+    assert px <= 4 and px * py == 8
+    assert choose_dims(4, 0, 5, "2d") == (1, 4)
+
+
+def test_choose_dims_rejects():
+    with pytest.raises(ValueError, match="cannot fit 3 procs"):
+        choose_dims(3, 1, 0, "2d")        # 3 parts, 2 x points, 1 y point
+    with pytest.raises(ValueError, match="unknown decomposition"):
+        choose_dims(4, 4, 4, "3d")
 
 
 @given(st.integers(1, 200), st.integers(1, 32))

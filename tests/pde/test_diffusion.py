@@ -69,12 +69,12 @@ def test_parallel_diffusion_axis1_path():
 
 
 def test_parallel_diffusion_2d_blocks():
-    from repro.pde.parallel_solver2d import Distributed2DAdvectionSolver
+    from repro.mpi.cart import CartHandle
 
     async def main(ctx):
         dt = PROB.stable_dt(4)
-        sol = await Distributed2DAdvectionSolver.create(
-            ctx, ctx.comm, PROB, 4, 4, dt)
+        cart = CartHandle(ctx.comm.state, ctx.proc, (2, 2), (True, True))
+        sol = DistributedAdvectionSolver(ctx, cart, PROB, 4, 4, dt)
         await sol.step(10)
         return await sol.gather_full(0)
 

@@ -168,9 +168,10 @@ def test_every_entry_point_is_the_same_arithmetic():
     state = u.copy()
     lax_wendroff.lw_step_periodic_into(state, 0.3, 0.25, state, work, scratch)
     assert np.array_equal(state, fresh)
-    # and the problem object reaches the same kernel with or without buffers
+    # and the problem object reaches the same kernel
     prob = AdvectionProblem(velocity=(1.0, 0.5))
+    cx, cy = courant_numbers(prob.velocity, 4, 3, 0.01)
     assert np.array_equal(
-        prob.step_periodic(u, 4, 3, 0.01),
         prob.step_periodic(u, 4, 3, 0.01, out=out, work=work,
-                           scratch=scratch))
+                           scratch=scratch),
+        lw_step_periodic(u, cx, cy))
