@@ -12,9 +12,10 @@ Two independent tools live here:
 
 * :func:`format_wait_for_graph` — given the blocked tasks of a
   :class:`~repro.simkernel.errors.DeadlockError`, reconstructs who waits on
-  whom (via the ``waits_for`` annotations the MPI layer leaves on its
-  futures) and renders the wait-for graph including any cycle.  The engine
-  attaches this to the deadlock message.
+  whom (from the message boards and open rounds at deadlock time, or the
+  ``waits_for`` annotation of a segment or intercommunicator receive) and
+  renders the wait-for graph including any cycle.  The engine attaches this
+  to the deadlock message.
 
 Happens-before edges used by the vector clocks:
 
@@ -226,9 +227,10 @@ def _blockers(task, info) -> List[Tuple[object, str]]:
 def _reconstruct_waits_for(task, fut) -> Optional[dict]:
     """Rebuild the wait info for an unannotated future.
 
-    With ``Universe(diagnostics=False)`` the MPI layer skips the per-call
-    ``waits_for`` bookkeeping, so at deadlock time we search the runtime
-    registries instead: a future blocked in a receive is referenced by
+    The MPI layer keeps no per-call ``waits_for`` bookkeeping on its
+    point-to-point and collective futures, so at deadlock time we search
+    the runtime registries instead: a future blocked in a receive is
+    referenced by
     exactly one :class:`~repro.mpi.matching.PendingRecv` on some
     communicator's message board, and a future blocked in a collective is
     the shared future of exactly one open round.  Both searches walk only
@@ -261,11 +263,11 @@ def build_wait_for_graph(blocked_tasks) -> Dict[object, List[Tuple[object, str]]
     """Map each blocked task to the tasks it is waiting on (with reasons).
 
     Dependencies come from the ``waits_for`` annotations the MPI layer
-    sets on its receive futures when ``Universe(diagnostics=True)``;
-    without annotations (and always for collectives) they are
+    sets unconditionally (a co-simulated segment's future, an
+    intercommunicator receive); every other future's dependency is
     reconstructed from the message boards and open rounds.  Tasks whose
-    dependency cannot be determined either way
-    appear with an empty dependency list.
+    dependency cannot be determined either way appear with an empty
+    dependency list.
     """
     graph: Dict[object, List[Tuple[object, str]]] = {}
     for task in blocked_tasks:

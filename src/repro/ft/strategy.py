@@ -171,9 +171,9 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
     def validate_config(self, cfg) -> None:
         if cfg.decomposition != "1d":
             raise ValueError(
-                "shrink-in-place recovery requires the 1d slab "
-                "decomposition (re-balancing 2d Cartesian blocks over an "
-                "arbitrary survivor count is not supported)")
+                "shrink-in-place recovery requires the 1d decomposition "
+                "(a grid with more than one process row and column cannot "
+                "be re-decomposed over the survivors)")
 
     def cost_estimate(self, machine, comm_size, n_failed):
         u = machine.ulfm
@@ -228,9 +228,9 @@ class NonCollectiveStrategy(RecoveryStrategy):
     def validate_config(self, cfg) -> None:
         if cfg.decomposition != "1d":
             raise ValueError(
-                "non-collective recovery requires the 1d slab "
-                "decomposition (the 2d solver wraps its communicator in a "
-                "Cartesian topology the per-grid repair cannot rebuild)")
+                "non-collective recovery requires the 1d decomposition "
+                "(a grid with more than one process row and column cannot "
+                "be rebuilt by the per-grid repair)")
 
     def cost_estimate(self, machine, comm_size, n_failed):
         u = machine.ulfm  # cost-table lookups, not communicator calls

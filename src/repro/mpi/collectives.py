@@ -208,7 +208,7 @@ class RoundTable:
     """The open rounds of one communicator (intra or inter)."""
 
     __slots__ = ("state", "engine", "machine", "stats", "universe", "detect",
-                 "diag", "open", "calls", "_pool", "_blank", "_counters")
+                 "open", "calls", "_pool", "_blank", "_counters")
 
     def __init__(self, state, size: int):
         uni = state.universe
@@ -218,7 +218,6 @@ class RoundTable:
         self.machine = uni.machine
         self.stats = uni.stats
         self.detect = uni.machine.failure_detection_latency
-        self.diag = uni.diagnostics
         #: (channel, op, index) -> round
         self.open: Dict[tuple, Round] = {}
         #: channel -> proc uid -> collective calls made so far
@@ -259,7 +258,7 @@ class RoundTable:
             rnd = self._open_round(key, now, members, kind, rule, arg, root)
         if rnd.doom is not None:
             # original error, one detection latency after *this* arrival
-            fut = self.engine.create_future(rnd.fut.label)
+            fut = self.engine.create_future()
             fut.set_exception(rnd.doom, at=now + self.detect)
         else:
             fut = rnd.fut
@@ -288,8 +287,6 @@ class RoundTable:
         rnd.n = 0
         rnd.need = n
         rnd.max_nbytes = 0
-        if self.diag:
-            rnd.fut.label = f"{key[1]}:{self.state.name}"
         self.open[key] = rnd
         if self.state.n_failed():
             dead = [m for m in members if m.dead]

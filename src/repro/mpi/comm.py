@@ -24,7 +24,7 @@ from .datatypes import clone_payload, freeze_payload, payload_nbytes
 from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
                      MPIError, ProcFailedError, RankError, RevokedError)
 from .group import Group
-from .matching import ExchangeOp, MessageBoard
+from .matching import MessageBoard
 from .process import Proc
 
 _comm_ids = itertools.count()
@@ -131,8 +131,6 @@ class CommState:
         #: scan over every member
         self._dead_ranks = frozenset(
             i for i, p in enumerate(self.procs) if p.dead)
-        #: cached diagnostics switch (future labels / waits_for annotations)
-        self.diag = universe.diagnostics
         universe.stats.comms_created += 1
         for p in self.procs:
             p.comm_states.add(self)
@@ -238,7 +236,6 @@ class CommHandle:
         self._board = state.board
         self._stats = state.universe.stats
         self._uni = state.universe
-        self._xop: Optional[ExchangeOp] = None  # reused fused-exchange op
 
     # -- basics ------------------------------------------------------------
     @property
@@ -324,13 +321,7 @@ class CommHandle:
             self._raise(RevokedError(f"{state.name} is revoked"))
         if source != ANY_SOURCE and not 0 <= source < len(state.procs):
             raise RankError(f"rank {source} out of range for {state.name}")
-        if state.diag:
-            fut = self._engine.create_future(
-                label=f"recv:{state.name}:{self.rank}")
-            fut.waits_for = {"kind": "recv", "state": state,
-                             "rank": self.rank, "source": source, "tag": tag}
-        else:
-            fut = self._engine.create_future()
+        fut = self._engine.create_future()
         self._board.register_recv(self.rank, source, tag, fut,
                                   state._dead_ranks)
         try:
@@ -372,11 +363,7 @@ class CommHandle:
         state = self.state
         machine = self._machine
         engine = self._engine
-        if state.diag:
-            fut = engine.create_future(
-                label=f"isend:{state.name}:{self.rank}")
-        else:
-            fut = engine.create_future()
+        fut = engine.create_future()
         target = state.procs[dest]
         if target.dead:
             fut.set_exception(
@@ -407,13 +394,7 @@ class CommHandle:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         self._check_usable()
         state = self.state
-        if state.diag:
-            fut = self._engine.create_future(
-                label=f"irecv:{state.name}:{self.rank}")
-            fut.waits_for = {"kind": "recv", "state": state,
-                             "rank": self.rank, "source": source, "tag": tag}
-        else:
-            fut = self._engine.create_future()
+        fut = self._engine.create_future()
         self._board.register_recv(self.rank, source, tag, fut,
                                   state._dead_ranks)
 
@@ -424,82 +405,18 @@ class CommHandle:
 
         return Request(fut, transform=_complete)
 
-    def _post_unrevoked(self, dest: int, tag: int, payload: Any,
-                        arrival: float) -> None:
-        """Deferred message delivery for :meth:`exchange` (same revocation
-        guard as ``isend``'s post closure, without the per-send future)."""
-        if not self.state.revoked:
-            self._board.post(self.rank, dest, tag, payload, arrival)
-
     async def exchange(self, sends: Sequence[Tuple[int, int, Any]],
                        recvs: Sequence[Tuple[int, int]], *,
                        copy: bool = True) -> List[Any]:
-        """Fused neighbour exchange: ``isend`` each ``(dest, tag, payload)``,
-        receive each ``(source, tag)``, wait for the sends — one awaited
-        future instead of ``len(sends) + len(recvs)`` per phase.
-
-        Semantically (and, on the fallback path, literally) equivalent to::
-
-            reqs = [self.isend(obj, d, t, copy=copy) for d, t, obj in sends]
-            out = [await self.recv(s, t) for s, t in recvs]
-            for r in reqs:
-                await r.wait()
-            return out
-
-        which is the halo-exchange idiom of both solvers.  The fused path
-        requires a healthy communicator (no dead members — dead-target send
-        futures only exist in the literal sequence), no tracer and no
-        diagnostics; receives register sequentially at their predecessors'
-        resolution instants, so failures landing mid-exchange surface with
-        the unfused timing (see :class:`~repro.mpi.matching.ExchangeOp`).
-        """
-        state = self.state
-        if (state.diag or state.revoked or state._dead_ranks
-                or self._uni.tracer is not None
-                or not self._valid_specs(sends, recvs)):
-            reqs = [self.isend(obj, dest, tag, copy=copy)
-                    for dest, tag, obj in sends]
-            out = [await self.recv(source, tag) for source, tag in recvs]
-            for r in reqs:
-                await r.wait()
-            return out
-        engine = self._engine
-        machine = self._machine
-        stats = self._stats
-        now = engine.now
-        floor = now
-        post = self._post_unrevoked
-        for dest, tag, obj in sends:
-            nbytes = payload_nbytes(obj)
-            stats.record_message(nbytes)
-            payload = clone_payload(obj) if copy else freeze_payload(obj)
-            arrival = now + machine.p2p_cost(nbytes)
-            if arrival > floor:
-                floor = arrival
-            engine.call_at(arrival, post, dest, tag, payload, arrival)
-        xop = self._xop
-        if xop is None or xop.active:
-            xop = self._xop = ExchangeOp(self._board, state, self.rank)
-        try:
-            payloads = await xop.begin(recvs, floor)
-        except MPIError as exc:
-            self._raise(exc)
-        result = list(payloads)
-        xop.finish()
-        return result
-
-    def _valid_specs(self, sends, recvs) -> bool:
-        """Range pre-check for the fused path; invalid specs take the
-        literal sequence so the error surfaces exactly where it would raise
-        it."""
-        n = self.state.size
-        for dest, _tag, _obj in sends:
-            if not 0 <= dest < n:
-                return False
-        for source, _tag in recvs:
-            if source != ANY_SOURCE and not 0 <= source < n:
-                return False
-        return bool(recvs)
+        """Neighbour exchange, the solvers' halo idiom: ``isend`` each
+        ``(dest, tag, payload)``, receive each ``(source, tag)`` in order,
+        then wait for the sends."""
+        reqs = [self.isend(obj, dest, tag, copy=copy)
+                for dest, tag, obj in sends]
+        out = [await self.recv(source, tag) for source, tag in recvs]
+        for r in reqs:
+            await r.wait()
+        return out
 
     async def ring_segment(self, n: int, nbytes: int, compute: float,
                            value: Any, advance: Callable):
@@ -510,8 +427,8 @@ class CommHandle:
         ``advance(values, n)`` steps the group (or an arc of it) and every
         rank gets its entry of the result (never None) at the clock that
         loop would have reached.  Returns None when the group must run the
-        loop instead: diagnostics, a tracer, a revoked communicator, a dead
-        member, one with a kill scheduled (``Universe.doomed``) or a pair
+        loop instead: a tracer, a revoked communicator, a dead member, one
+        with a kill scheduled (``Universe.doomed``) or a pair
         (docs/performance.md).  The first arriver decides for the group, for
         the life of the communicator (a repair replaces it or, in place,
         decides the same), so a kill that fires or is scheduled between two
@@ -524,7 +441,7 @@ class CommHandle:
         if seg is None:
             if not state.per_message:
                 state.per_message = bool(
-                    state.diag or state.revoked or state._dead_ranks
+                    state.revoked or state._dead_ranks
                     or len(state.procs) == 2 or self._uni.tracer is not None
                     or not self._uni.doomed.isdisjoint(state.procs))
             if state.per_message:

@@ -304,108 +304,20 @@ class MessageBoard:
         self._wild.pop(dst, None)
 
 
-class ExchangeOp:
-    """Fused multi-receive for one rank's halo-exchange phase.
-
-    Stands in for a :class:`~repro.simkernel.traps.SimFuture` on the board
-    (it duck-types ``set_result``/``set_exception``), collecting the
-    payloads of several receives while the owning task parks on a *single*
-    future — one park/resume per exchange phase instead of one per message.
-
-    Receives are registered **sequentially**: spec ``i+1`` is registered
-    from inside spec ``i``'s resolution (which runs at the matched
-    message's arrival instant, or immediately on an already-posted match).
-    That is exactly the order and timing the unfused ``recv``-after-``recv``
-    sequence produces, so every failure behaviour falls out byte-identical:
-    a source that dies before its spec is *reached* fails at
-    registration-time + detect (via ``register_recv``'s dead-source check),
-    a source that dies while its spec is *parked* fails at death + detect
-    (via ``on_rank_death``), and a revocation landing mid-exchange fails at
-    the next registration instant — when the unfused code would have raised
-    from its next ``recv`` call.
-
-    The op completes at ``max(latest receive resolution, floor)`` where
-    ``floor`` is the latest send-completion time of the phase — the fused
-    equivalent of awaiting the send requests after the receives.
-    """
-
-    __slots__ = ("board", "state", "dst", "fut", "specs", "idx", "payloads",
-                 "floor", "latest", "active")
-
-    def __init__(self, board: MessageBoard, state, dst: int):
-        from ..simkernel.traps import SimFuture  # late: avoid import cycle
-        self.board = board
-        self.state = state
-        self.dst = dst
-        self.fut = SimFuture(board.engine)
-        self.active = False
-
-    def begin(self, specs, floor: float):
-        """Start the phase: ``specs`` is a sequence of ``(source, tag)``
-        pairs; ``floor`` is the latest send arrival.  Returns the future
-        the caller should await (resolved with the payload list)."""
-        if self.active:  # pragma: no cover - comm layer replaces active ops
-            raise RuntimeError("ExchangeOp already active")
-        self.active = True
-        self.specs = specs
-        self.idx = 0
-        self.payloads = [None] * len(specs)
-        self.floor = floor
-        self.latest = floor
-        self._register_next()
-        return self.fut
-
-    def finish(self) -> None:
-        """Recycle after a successful await (single consumer by design)."""
-        self.active = False
-        self.specs = None
-        self.payloads = None
-        self.fut.recycle()
-
-    # -- board-facing future protocol ----------------------------------
-    def _register_next(self) -> None:
-        state = self.state
-        if state.revoked:
-            # the unfused sequence would raise from its next recv call
-            self.fut.set_exception(
-                RevokedError(f"{state.name} is revoked"),
-                at=self.board.engine.now)
-            return
-        source, tag = self.specs[self.idx]
-        self.board.register_recv(self.dst, source, tag, self,
-                                 state._dead_ranks)
-
-    def set_result(self, msg: Message, at: float = 0.0) -> None:
-        if self.fut._done:  # pragma: no cover - defensive
-            return
-        self.payloads[self.idx] = msg.payload
-        if at > self.latest:
-            self.latest = at
-        self.idx += 1
-        if self.idx == len(self.specs):
-            self.fut.set_result(self.payloads, at=self.latest)
-        else:
-            self._register_next()
-
-    def set_exception(self, exc: BaseException, at: float = 0.0) -> None:
-        if self.fut._done:  # pragma: no cover - defensive
-            return
-        self.fut.set_exception(exc, at=at)
-
-
 class RingClocks:
     """The clocks of a periodic ring of ranks after ``n`` halo steps — the
-    closed form of what ``CommHandle.exchange`` + :class:`ExchangeOp` +
+    closed form of what ``CommHandle.exchange`` (isend, recv, wait) +
     ``ctx.compute`` do event by event on a healthy communicator.
 
     Every send is one halo row and costs ``cost``.  Per step a rank's sends
-    arrive at ``now + cost`` — its op's ``floor`` — and each receive resolves
-    at the neighbour's arrival or its own registration instant, which the
-    floor dominates because ``cost >= 0``: the op completes at the ``max`` of
-    the three and ``Sleep`` resumes ``compute`` later.  Same floats, same
-    order, same bits.  A one-rank ring exchanges nothing.  ``rows[k][i]`` is
-    rank ``i``'s clock after ``k`` steps, known once the ranks within ``k``
-    hops have started: a rank far from a late starter finishes without it.
+    arrive at ``now + cost``, each receive resolves at the neighbour's
+    arrival or the instant it was posted, and the wait for the sends, which
+    dominates every posting instant because ``cost >= 0``, ends the exchange
+    at the ``max`` of the three arrivals; ``Sleep`` resumes ``compute``
+    later.  Same floats, same order, same bits.  A one-rank ring exchanges
+    nothing.  ``rows[k][i]`` is rank ``i``'s clock after ``k`` steps, known
+    once the ranks within ``k`` hops have started: a rank far from a late
+    starter finishes without it.
     """
 
     __slots__ = ("cost", "compute", "rows")

@@ -133,7 +133,6 @@ class Universe:
     def __init__(self, machine: MachineSpec = OPL, *,
                  hostfile: Optional[Hostfile] = None,
                  engine: Optional[Engine] = None,
-                 diagnostics: bool = False,
                  batch: Optional[bool] = None):
         self.machine = machine
         self.engine = engine or Engine()
@@ -145,16 +144,9 @@ class Universe:
         self.obs = Observability(self.engine.stamp, self.trace,
                                  lambda: self.tracer is not None)
         self.stats = CommStats(self.obs.registry)
-        #: optional MPI-level event recorder (see repro.mpi.tracing)
+        #: optional MPI-level event recorder (see repro.mpi.tracing); call
+        #: sites check it before building detail strings
         self.tracer = None
-        #: when True, communicators attach per-operation debugging
-        #: bookkeeping (future labels and ``waits_for`` annotations).  The
-        #: default is False — the deadlock explainer reconstructs wait info
-        #: from the message boards and open rounds on demand, so plain
-        #: runs pay zero per-message overhead.  Tracing bookkeeping is
-        #: independently free whenever ``tracer`` is None: call sites check
-        #: before building detail strings.
-        self.diagnostics = diagnostics
         #: processes with a kill scheduled and not yet fired: their groups
         #: solve on the per-message path (``CommHandle.ring_segment``)
         self.doomed: Set[Proc] = set()

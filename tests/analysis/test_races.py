@@ -152,7 +152,7 @@ def test_deadlock_on_missing_collective_participant():
 
 
 def _deadlock_graph(n, entry):
-    uni = Universe(IDEAL)       # default universe: no diagnostics
+    uni = Universe(IDEAL)
     uni.launch(n, entry)
     with pytest.raises(DeadlockError) as excinfo:
         uni.run()

@@ -14,7 +14,8 @@ The retired run-it-twice tests of ``test_batch_property.py`` live on here:
 ``kill-mid-round``, ``rounds_after_failure`` -> ``rounds-after-failure``,
 ``solver_run_metrics[AC|CR-1d|2d]`` -> runs ``*-respawn-*-quiet``,
 ``recovery_sweep_metrics[AC|CR-0..2]`` -> runs ``*-respawn-1d-seed0..2``;
-the three fused-exchange tests moved to ``test_exchange_fused.py``.
+the three exchange programs are ``ring-ideal``/``ring-opl``,
+``exchange-dead-neighbour`` and ``exchange-kill-mid-flight``.
 """
 
 import json
@@ -58,8 +59,7 @@ def test_run_matches_golden(name):
 def test_traced_run_returns_the_untraced_metrics(name):
     """A tracer changes what is recorded, not what runs — except that a
     healthy group steps rank by rank instead of as one co-simulated segment
-    and the fused halo exchange falls back to its literal send/recv
-    sequence (more wake-ups for the same virtual-time program).  The traced
+    (more wake-ups for the same virtual-time program).  The traced
     run is the per-message oracle of every golden (the 2d ones have one-row
     process grids, which co-simulate like the 1d rings they are)."""
     traced, golden = _replay(name, traced=True), GOLDEN["runs"][name]

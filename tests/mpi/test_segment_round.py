@@ -47,8 +47,8 @@ def launch(size, main, *, traced=False, machine=OPL):
        traced=st.booleans(), data=st.data())
 def test_ring_clocks_equal_the_exchange_loop(size, n, traced, data):
     """Arbitrary start skews and per-rank compute times: the closed form
-    gives the clocks ``exchange`` + ``ctx.compute`` reach, on the fused
-    exchange and (under a tracer) on its literal isend/recv sequence."""
+    gives the clocks ``exchange`` + ``ctx.compute`` reach, with or without
+    a tracer recording them."""
     skews = data.draw(st.lists(st.floats(0.0, 1e-4), min_size=size,
                                max_size=size))
     comps = data.draw(st.lists(st.floats(0.0, 1e-5), min_size=size,
@@ -152,8 +152,7 @@ def test_a_member_leaves_as_soon_as_its_neighbourhood_has_arrived(size, n,
 # ----------------------------------------------------------------------
 # the first arriver decides, for the group, for good
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("why", ["tracer", "diagnostics", "revoked", "dead",
-                                 "doomed"])
+@pytest.mark.parametrize("why", ["tracer", "revoked", "dead", "doomed"])
 def test_every_term_of_the_predicate_sends_the_group_per_message(why):
     async def main(ctx):
         await ctx.compute(1.0)
@@ -162,7 +161,7 @@ def test_every_term_of_the_predicate_sends_the_group_per_message(why):
         except MPIError as exc:     # pragma: no cover - would be a bug
             return exc
 
-    uni = Universe(OPL, diagnostics=why == "diagnostics")
+    uni = Universe(OPL)
     if why == "tracer":
         uni.tracer = Tracer()
     job = uni.launch(3, main)

@@ -174,7 +174,7 @@ async def _decline(self, *_args):
 def _outcome(cfg_fields, kills, path="co-simulated"):
     """Everything a run reports, in the golden file's exact forms, with
     healthy groups ``"co-simulated"``, every group ``"per-message"``, or
-    ``"traced"`` (per-message, and the fused halo exchange literal too)."""
+    ``"traced"`` (per-message, recorded by a tracer)."""
     cfg = AppConfig(**cfg_fields, disk=Disk())
     uni, total = make_universe(cfg, OPL)
     if path == "traced":
@@ -217,12 +217,7 @@ def test_untraced_run_is_the_traced_run(code, mode, shape, data):
     step); up to two kills of any rank (rank 0 and two victims of one group
     included) at any instant from before the first step to after the last:
     identical ``RunMetrics``, phase totals, message and byte counts — or
-    the identical failure.
-
-    With kills the oracle is the per-message path *without* a tracer: a
-    tracer also turns the fused halo exchange into its literal sequence,
-    and those two differ on their own when a kill lands while the victim's
-    last halo row is in flight (see the xfail below)."""
+    the identical failure."""
     n, diag_procs = shape
     steps = 16 if n == 6 else 8
     fields = dict(n=n, level=4, technique_code=code, steps=steps,
@@ -239,7 +234,8 @@ def test_untraced_run_is_the_traced_run(code, mode, shape, data):
     kills = [Kill(rank, data.draw(st.floats(0.0, 1.2 * t_solve)))
              for rank in data.draw(st.lists(st.integers(0, world - 1),
                                             max_size=2, unique=True))]
-    assert _outcome(fields, kills) == _outcome(fields, kills, "per-message")
+    assert _outcome(fields, kills) == _outcome(fields, kills, "per-message") \
+        == _outcome(fields, kills, "traced")
 
 
 @pytest.mark.parametrize("rank", [0, 5, 17])
@@ -261,18 +257,15 @@ def test_cr_shrink_recompute_starts_unsynchronised(checkpoint_count, when,
     assert got == _outcome(fields, kills, "per-message")
 
 
-@pytest.mark.xfail(strict=True, reason="ExchangeOp registers its second "
-                   "receive from inside the first one's post, before a post "
-                   "of the same instant that the literal recv-after-recv "
-                   "sequence would already see (found by the test above; "
-                   "at the parent commit too)")
-def test_fused_exchange_is_the_literal_one_when_a_kill_lands_mid_flight():
+def test_exchange_is_the_literal_sequence_when_a_kill_lands_mid_flight():
     """Rank 0 dies while its last halo row to rank 7 is in flight.  Rank 7
-    receives it on the literal path (and fails one step later); its fused
-    exchange reaches that receive before the row is posted, finds the
-    source dead and fails this step: one halo message fewer."""
+    still receives it and fails one step later, traced or not: its second
+    receive is posted when it resumes from the first, after the row that
+    arrives at that same instant has been delivered.  (A fused exchange
+    that posted it from inside the first receive's delivery found the
+    source dead instead and sent one halo message fewer.)"""
     fields = dict(n=6, level=4, technique_code="RC", steps=16, diag_procs=8,
                   checkpoint_count=4, recovery_mode="respawn")
     kills = [Kill(0, 4.848769920873535e-05)]
-    assert _outcome(fields, kills, "per-message") \
+    assert _outcome(fields, kills) == _outcome(fields, kills, "per-message") \
         == _outcome(fields, kills, "traced")
