@@ -41,7 +41,7 @@ import ast
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cfg import CFG, build_cfg, walk_shallow
-from .engine import Analysis, solve
+from .engine import Analysis, report, solve
 
 __all__ = ["check_checkpoint_sync", "FuncInfo", "Resolver",
            "SYNC_CALLS", "collect_functions"]
@@ -209,11 +209,8 @@ def _has_writes(info: FuncInfo, resolver: Resolver,
                 summaries: Dict[str, Summary], cfg: CFG) -> bool:
     """Would the must-sync pass emit anything for this function?"""
     hits: List[str] = []
-    analysis = _MustSync(info, resolver, summaries)
-    in_states, _ = solve(cfg, analysis)
-    for bid, block in cfg.blocks.items():
-        analysis.transfer_block(block, in_states[bid],
-                                lambda rule, node, msg: hits.append(rule))
+    report(cfg, _MustSync(info, resolver, summaries),
+           lambda rule, node, msg: hits.append(rule))
     return bool(hits)
 
 
@@ -283,17 +280,4 @@ def check_checkpoint_sync(tree: ast.Module, flag: Callable,
             # call site raises ULF010 in *their* pass; flagging inside
             # this helper too would double-report
             continue
-        analysis = _MustSync(fi, resolver, summaries)
-        cfg = cfgs[fi.qualname]
-        in_states, _ = solve(cfg, analysis)
-        seen = set()
-
-        def emit(rule, node, message):
-            key = (rule, getattr(node, "lineno", 0),
-                   getattr(node, "col_offset", 0))
-            if key not in seen:
-                seen.add(key)
-                flag(rule, node, message)
-
-        for bid, block in cfg.blocks.items():
-            analysis.transfer_block(block, in_states[bid], emit)
+        report(cfgs[fi.qualname], _MustSync(fi, resolver, summaries), flag)

@@ -5,11 +5,13 @@ parsed module it builds one CFG per function (shared across analyses),
 harvests module-level constants (so ``tag=MERGE_TAG`` resolves),
 and runs
 
-* the communicator typestate pass (ULF007/ULF008) per function,
-* the collective-matching + tag-constancy pass (ULF006/ULF009) per
-  function, and
-* the interprocedural checkpoint-synchronisation pass (ULF005/ULF010)
-  over the whole module, and
+* per function: the communicator typestate (ULF007/ULF008), collective
+  matching and tag constancy (ULF006/ULF009), set/iteration-order taint
+  (ULF014) and pool-pickling (ULF015) passes;
+* over the whole module: the interprocedural checkpoint-synchronisation
+  pass (ULF005/ULF010); the effects store, whose call classifier also
+  reports ULF002 and which the purity (ULF012) and shared-reference
+  (ULF011/ULF013) passes read;
 * the protocol-model pass (ULF016-ULF020) for functions annotated
   ``@protocol_model`` / ``# repro: protocol`` — extraction plus
   explicit-state model checking (:mod:`repro.analysis.model`),
@@ -26,12 +28,11 @@ from typing import Dict, List, Optional
 from .cfg import CFG, build_cfg
 from .ckptsync import check_checkpoint_sync, collect_functions
 from .collmatch import check_collectives
-from .effects import EffectsStore
-from .escape import check_escape
-from .frozenstate import check_frozen_state
+from .effects import EffectsStore, check_clock_rng
 from .nondet import check_nondeterminism
 from .pickling import check_pool_pickling
 from .purity import check_purity
+from .sharedref import check_shared_refs
 from .typestate import check_typestate
 
 __all__ = ["analyze_module", "module_constants"]
@@ -56,10 +57,10 @@ def module_constants(tree: ast.Module) -> Dict[str, object]:
 
 def analyze_module(tree: ast.Module, path: str,
                    source: Optional[str] = None) -> List:
-    """All dataflow-rule violations for one parsed module.  ``source``
-    (when available) lets the purity pass see ``# repro: cacheable``
-    annotation comments."""
-    from ..linter import LintViolation, RULES
+    """All ULF002 and dataflow/model-rule violations for one parsed
+    module.  ``source`` (when available) lets the purity pass see
+    ``# repro: cacheable`` annotation comments."""
+    from ..linter import LintViolation
 
     violations: List[LintViolation] = []
 
@@ -67,11 +68,6 @@ def analyze_module(tree: ast.Module, path: str,
         violations.append(LintViolation(
             rule, path, getattr(node, "lineno", 1),
             getattr(node, "col_offset", 0) + 1, message))
-
-    assert all(r in RULES for r in
-               ("ULF005", "ULF006", "ULF007", "ULF008", "ULF009", "ULF010",
-                "ULF011", "ULF012", "ULF013", "ULF014", "ULF015",
-                "ULF016", "ULF017", "ULF018", "ULF019", "ULF020"))
 
     funcs = collect_functions(tree)
     cfgs: Dict[str, CFG] = {}
@@ -82,13 +78,13 @@ def analyze_module(tree: ast.Module, path: str,
         cfgs[fi.qualname] = cfg
         check_typestate(fi.node, flag, cfg=cfg)
         check_collectives(fi.node, flag, module_consts=consts, cfg=cfg)
-        check_frozen_state(fi.node, flag, cfg=cfg)
         check_nondeterminism(fi.node, flag, cfg=cfg)
         check_pool_pickling(fi, flag)
     check_checkpoint_sync(tree, flag, funcs=funcs, cfgs=cfgs)
     store = EffectsStore.build(tree, funcs)
+    check_clock_rng(tree, flag, store.imports)
     check_purity(tree, flag, store=store, source=source)
-    check_escape(tree, flag, store=store, funcs=funcs, cfgs=cfgs)
+    check_shared_refs(tree, flag, store, cfgs)
     if source is not None:
         # third layer: protocol-model checking of annotated entry points
         # (lazy import: the model package reuses the linter's records)

@@ -1,4 +1,5 @@
-"""Interprocedural effects/escape summaries (the ULF012/ULF013 substrate).
+"""Call classification and interprocedural effect summaries (ULF002, and
+the substrate of ULF011-ULF013).
 
 The sweep engine's content-addressed :class:`~repro.sweep.cache.RunCache`
 is only sound if a cacheable task is a *pure function* of its arguments,
@@ -39,6 +40,13 @@ Calls that resolve to nothing module-local (imports, methods of other
 objects) are opaque and assumed pure — the same deliberately optimistic
 stance as ULF010, traded for zero false positives on foreign APIs.
 
+:func:`classify_call` is the one classifier of direct effects: the
+store runs it per function body, and :func:`check_clock_rng` runs it over
+the whole module (class bodies and module level included) to report its
+``clock``/``rng`` calls as ULF002.  :func:`_shared_value` is the one
+predicate for a shared-instance producer, used by the shared-reference
+taint (:mod:`~.sharedref`).
+
 ``EffectsStore.describe()`` renders a stable one-line-per-function dump
 pinned by the golden tests in ``tests/analysis/test_effects.py``.
 """
@@ -46,13 +54,14 @@ pinned by the golden tests in ``tests/analysis/test_effects.py``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .cfg import walk_shallow
 from .ckptsync import FuncInfo, Resolver, _call_name, collect_functions
 
 __all__ = ["Effect", "EffectSummary", "EffectsStore", "EFFECT_KINDS",
-           "FROZEN_PROVIDERS"]
+           "FROZEN_PROVIDERS", "ImportMap", "check_clock_rng",
+           "classify_call"]
 
 #: impurity kinds, in reporting/describe order
 EFFECT_KINDS = ("global_write", "io", "rng", "clock", "shared_return")
@@ -77,6 +86,16 @@ _OS_IO = frozenset({
 })
 #: whole modules that are I/O by construction
 _IO_MODULES = frozenset({"shutil", "subprocess"})
+#: wall-clock functions of the ``time`` module
+_WALLCLOCK_TIME = frozenset({"time", "time_ns", "monotonic", "monotonic_ns",
+                             "perf_counter", "perf_counter_ns", "sleep"})
+_WALLCLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
+#: module-level functions of ``random`` that use the global RNG
+_GLOBAL_RANDOM = frozenset({
+    "random", "randint", "randrange", "choice", "choices", "shuffle",
+    "sample", "uniform", "gauss", "betavariate", "expovariate",
+    "normalvariate", "getrandbits", "seed",
+})
 
 #: decorators that memoise: the function's results are shared instances
 _MEMO_DECORATORS = frozenset({"lru_cache", "cache"})
@@ -142,10 +161,10 @@ class EffectSummary:
         return f"{self.qualname}: {', '.join(parts) if parts else 'pure'}"
 
 
-class _ImportMap:
-    """Module/from-import aliases of the whole module, enough for
-    ``linter.resolve_call`` (the ULF002 resolution) to resolve ``mod.fn``
-    and bare from-imported calls."""
+class ImportMap:
+    """Module/from-import aliases of the whole module (function-local and
+    class-body imports included), enough to resolve ``mod.fn``,
+    ``mod.cls.fn`` and bare from-imported calls."""
 
     def __init__(self, tree: ast.Module):
         self.module_aliases: Dict[str, str] = {}
@@ -159,6 +178,75 @@ class _ImportMap:
                 for alias in node.names:
                     self.from_imports[alias.asname or alias.name] = \
                         (node.module, alias.name)
+
+    def resolve(self, node: ast.Call) -> Optional[Tuple[str, str]]:
+        """(module, function) of a call through the imports, or None."""
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            mod = self.module_aliases.get(f.value.id)
+            if mod is not None:
+                return mod, f.attr
+            # datetime.datetime.now: `datetime` name bound by from-import
+            origin = self.from_imports.get(f.value.id)
+            if origin is not None:
+                return f"{origin[0]}.{origin[1]}", f.attr
+        elif isinstance(f, ast.Attribute) and \
+                isinstance(f.value, ast.Attribute) and \
+                isinstance(f.value.value, ast.Name):
+            mod = self.module_aliases.get(f.value.value.id)
+            if mod is not None:
+                return f"{mod}.{f.value.attr}", f.attr
+        elif isinstance(f, ast.Name):
+            return self.from_imports.get(f.id)
+        return None
+
+
+def classify_call(node: ast.Call,
+                  imports: ImportMap) -> Optional[Tuple[str, str, str]]:
+    """``(kind, detail, advice)`` of a call with a direct effect, else
+    None.  For ``clock``/``rng`` calls ``detail + advice`` is the ULF002
+    message; ``advice`` is empty for ``io``."""
+    name = _call_name(node)
+    if isinstance(node.func, ast.Name) and name in _IO_NAME_CALLS:
+        return "io", f"{name}() opens a file", ""
+    if isinstance(node.func, ast.Attribute) and name in _IO_METHODS:
+        return "io", f".{name}() performs file/disk I/O", ""
+    resolved = imports.resolve(node)
+    if resolved is None:
+        return None
+    mod, fn = resolved
+    if mod == "time" and fn in _WALLCLOCK_TIME:
+        return ("clock", f"time.{fn}() reads the wall clock",
+                "; simulated code must use ctx.wtime() / engine.now "
+                "(virtual time)")
+    if mod in ("datetime", "datetime.datetime", "datetime.date") \
+            and fn in _WALLCLOCK_DATETIME:
+        return ("clock", f"datetime {fn}() reads the wall clock",
+                "; derive timestamps from virtual time instead")
+    if mod == "random" and fn in _GLOBAL_RANDOM:
+        return ("rng", f"random.{fn}() uses the global unseeded RNG",
+                "; create a random.Random(seed) owned by the caller")
+    if mod == "random" and fn == "Random" and not node.args \
+            and not node.keywords:
+        return ("rng", "random.Random() without a seed",
+                " is nondeterministic; pass an explicit seed")
+    if mod == "os" and fn in _OS_IO:
+        return "io", f"os.{fn}() is I/O or reads ambient process state", ""
+    if mod.split(".")[0] in _IO_MODULES:
+        return "io", f"{mod}.{fn}() is I/O", ""
+    return None
+
+
+def check_clock_rng(tree: ast.Module, flag: Callable,
+                    imports: ImportMap) -> None:
+    """ULF002: every wall-clock or unseeded-randomness call anywhere in
+    the module (function bodies, class bodies, module level), classified
+    exactly as the ``clock``/``rng`` effects are."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            found = classify_call(node, imports)
+            if found is not None and found[0] in ("clock", "rng"):
+                flag("ULF002", node, found[1] + found[2])
 
 
 def _decorator_names(func: ast.AST):
@@ -187,16 +275,19 @@ def _assigned_names(stmt: ast.stmt):
                     yield elt.id
 
 
-def _shared_value(expr: ast.expr, shared_locals: frozenset) -> bool:
-    """Is ``expr`` directly a shared-instance producer?  (A frozen
-    provider call, or a call to a module-local function known to return
-    shared instances.)"""
+def _shared_value(expr: ast.expr, store: "EffectsStore",
+                  info: FuncInfo) -> bool:
+    """Is ``expr``, inside function ``info``, a call producing a shared
+    cached instance?  A frozen-provider call, or a call resolving to a
+    module-local function whose summary says ``shared_return``."""
     if isinstance(expr, ast.Await):
         expr = expr.value
     if not isinstance(expr, ast.Call):
         return False
-    name = _call_name(expr)
-    return name in FROZEN_PROVIDERS or name in shared_locals
+    if _call_name(expr) in FROZEN_PROVIDERS:
+        return True
+    target = store.resolver.resolve(expr, info)
+    return target is not None and store.summary(target).has("shared_return")
 
 
 class _FuncFacts(NamedTuple):
@@ -204,38 +295,32 @@ class _FuncFacts(NamedTuple):
 
     calls: List[Tuple[str, ast.Call]]          # resolved local call sites
     return_calls: List[str]                    # local callees in `return f()`
-    returns_provider: Optional[ast.AST]        # `return cached_scheme(...)`
     returned_names: frozenset                  # names appearing in `return x`
-    provider_bound: frozenset                  # names bound from providers
-    local_bound: Dict[str, str]                # name -> local callee binding
+    bound: Dict[str, Optional[str]]            # name -> callee (None: provider)
 
 
 class EffectsStore:
     """Solved effect summaries for every function of one module."""
 
     def __init__(self, funcs: List[FuncInfo], resolver: Resolver,
-                 imports: _ImportMap):
+                 imports: ImportMap):
         self.funcs = funcs
         self.resolver = resolver
         self.imports = imports
         self.summaries: Dict[str, EffectSummary] = {}
-        self.calls: Dict[str, List[Tuple[str, ast.Call]]] = {}
 
     # -- construction ----------------------------------------------------
     @classmethod
     def build(cls, tree: ast.Module,
               funcs: Optional[List[FuncInfo]] = None) -> "EffectsStore":
         funcs = funcs if funcs is not None else collect_functions(tree)
-        store = cls(funcs, Resolver(funcs), _ImportMap(tree))
+        store = cls(funcs, Resolver(funcs), ImportMap(tree))
         facts: Dict[str, _FuncFacts] = {}
-        memoised = {fi.qualname for fi in funcs
-                    if set(_decorator_names(fi.node)) & _MEMO_DECORATORS}
         for fi in funcs:
             summary = EffectSummary(fi.qualname)
             store.summaries[fi.qualname] = summary
             facts[fi.qualname] = store._scan_direct(fi, summary)
-            store.calls[fi.qualname] = facts[fi.qualname].calls
-            if fi.qualname in memoised:
+            if set(_decorator_names(fi.node)) & _MEMO_DECORATORS:
                 summary.add(Effect("shared_return", fi.node,
                                    "memoised (lru_cache): results are "
                                    "shared instances", ()))
@@ -257,23 +342,23 @@ class EffectsStore:
     # -- phase 1: direct effects ----------------------------------------
     def _scan_direct(self, fi: FuncInfo,
                      summary: EffectSummary) -> _FuncFacts:
-        declared: set = set()        # global/nonlocal-declared names
-        decl_nodes: Dict[str, ast.stmt] = {}
+        declared: Dict[str, ast.stmt] = {}   # global/nonlocal name -> decl
+        written: set = set()
         calls: List[Tuple[str, ast.Call]] = []
         return_calls: List[str] = []
         returns_provider: Optional[ast.AST] = None
         returned_names: set = set()
-        provider_bound: set = set()
-        local_bound: Dict[str, str] = {}
+        bound: Dict[str, Optional[str]] = {}
 
         for stmt in fi.node.body:
             for node in walk_shallow(stmt):
                 if isinstance(node, (ast.Global, ast.Nonlocal)):
-                    declared.update(node.names)
                     for n in node.names:
-                        decl_nodes.setdefault(n, node)
+                        declared.setdefault(n, node)
                 elif isinstance(node, ast.Call):
-                    self._classify_call(node, summary)
+                    found = classify_call(node, self.imports)
+                    if found is not None:
+                        summary.add(Effect(found[0], node, found[1], ()))
                     target = self.resolver.resolve(node, fi)
                     if target is not None:
                         calls.append((target, node))
@@ -284,87 +369,40 @@ class EffectsStore:
                     if isinstance(value, ast.Name):
                         returned_names.add(value.id)
                     elif isinstance(value, ast.Call):
-                        name = _call_name(value)
-                        if name in FROZEN_PROVIDERS:
+                        if _call_name(value) in FROZEN_PROVIDERS:
                             returns_provider = value
                         else:
                             target = self.resolver.resolve(value, fi)
                             if target is not None:
                                 return_calls.append(target)
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    value = getattr(node, "value", None)
+                elif isinstance(node, (ast.Assign, ast.AugAssign,
+                                       ast.AnnAssign)):
+                    names = list(_assigned_names(node))
+                    written.update(names)
+                    value = node.value
                     if isinstance(value, ast.Await):
                         value = value.value
-                    if isinstance(value, ast.Call):
-                        name = _call_name(value)
-                        names = list(_assigned_names(node))
-                        if name in FROZEN_PROVIDERS:
-                            provider_bound.update(names)
-                        else:
-                            target = self.resolver.resolve(value, fi)
-                            if target is not None:
-                                for n in names:
-                                    local_bound[n] = target
+                    if isinstance(node, ast.AugAssign) or \
+                            not isinstance(value, ast.Call):
+                        continue
+                    provider = _call_name(value) in FROZEN_PROVIDERS
+                    target = None if provider \
+                        else self.resolver.resolve(value, fi)
+                    if provider or target is not None:
+                        bound.update(dict.fromkeys(names, target))
 
         # a global/nonlocal decl only matters if one declared name is
         # actually written in this function
-        written = set()
-        for stmt in fi.node.body:
-            for node in walk_shallow(stmt):
-                if isinstance(node, (ast.Assign, ast.AugAssign,
-                                     ast.AnnAssign)):
-                    written.update(_assigned_names(node))
-        for name in sorted(declared & written):
+        for name in sorted(declared.keys() & written):
             summary.add(Effect(
-                "global_write", decl_nodes[name],
+                "global_write", declared[name],
                 f"writes module/enclosing state '{name}'", ()))
 
         if returns_provider is not None:
             summary.add(Effect("shared_return", returns_provider,
                                "returns a frozen-provider result", ()))
-        return _FuncFacts(calls, return_calls, returns_provider,
-                          frozenset(returned_names),
-                          frozenset(provider_bound), local_bound)
-
-    def _classify_call(self, node: ast.Call,
-                       summary: EffectSummary) -> None:
-        name = _call_name(node)
-        if isinstance(node.func, ast.Name) and name in _IO_NAME_CALLS:
-            summary.add(Effect("io", node, f"{name}() opens a file", ()))
-            return
-        if isinstance(node.func, ast.Attribute) and name in _IO_METHODS:
-            summary.add(Effect("io", node,
-                               f".{name}() performs file/disk I/O", ()))
-            return
-        # lazy import: linter's top level has no dataflow dependency, but
-        # importing it at *our* module top would still cycle through
-        # repro.analysis.__init__ during package import
-        from ...analysis.linter import (_GLOBAL_RANDOM, _WALLCLOCK_DATETIME,
-                                        _WALLCLOCK_TIME, resolve_call)
-        resolved = resolve_call(node, self.imports.module_aliases,
-                                self.imports.from_imports)
-        if resolved is None:
-            return
-        mod, fn = resolved
-        if mod == "time" and fn in _WALLCLOCK_TIME:
-            summary.add(Effect("clock", node,
-                               f"time.{fn}() reads the wall clock", ()))
-        elif mod in ("datetime", "datetime.datetime", "datetime.date") \
-                and fn in _WALLCLOCK_DATETIME:
-            summary.add(Effect("clock", node,
-                               f"datetime {fn}() reads the wall clock", ()))
-        elif mod == "random" and fn in _GLOBAL_RANDOM:
-            summary.add(Effect("rng", node,
-                               f"random.{fn}() uses the global RNG", ()))
-        elif mod == "random" and fn == "Random" and not node.args \
-                and not node.keywords:
-            summary.add(Effect("rng", node,
-                               "random.Random() without a seed", ()))
-        elif mod == "os" and fn in _OS_IO:
-            summary.add(Effect("io", node, f"os.{fn}() is I/O or reads "
-                               "ambient process state", ()))
-        elif mod.split(".")[0] in _IO_MODULES:
-            summary.add(Effect("io", node, f"{mod}.{fn}() is I/O", ()))
+        return _FuncFacts(calls, return_calls, frozenset(returned_names),
+                          bound)
 
     # -- phase 2: transitive closure ------------------------------------
     def _propagate(self, facts: Dict[str, _FuncFacts]) -> None:
@@ -388,15 +426,12 @@ class EffectsStore:
                             changed = True
                 if caller.has("shared_return"):
                     continue
-                shared = any(
-                    self.summaries[t].has("shared_return")
-                    for t in fact.return_calls
-                ) or any(
-                    n in fact.provider_bound or (
-                        n in fact.local_bound and
-                        self.summaries[fact.local_bound[n]]
-                        .has("shared_return"))
-                    for n in fact.returned_names)
+                sources = fact.return_calls + [
+                    fact.bound[n] for n in fact.returned_names
+                    if n in fact.bound]
+                shared = any(t is None or
+                             self.summaries[t].has("shared_return")
+                             for t in sources)
                 if shared:
                     caller.add(Effect("shared_return", fi.node,
                                       "passes a shared instance through",

@@ -1,14 +1,19 @@
 """Worklist fixpoint solver for dataflow analyses over a :class:`~repro.analysis.dataflow.cfg.CFG`.
 
 An analysis is a small strategy object (lattice + transfer); the solver
-is direction-agnostic and iterates block states to a fixed point.  All
-the ULF dataflow rules are instances:
+is direction-agnostic and iterates block states to a fixed point.  The
+analyses that run on it:
 
 * rank-taint propagation (forward, may)      — ULF006/ULF009
 * collectives-to-exit (backward, may)        — ULF006
 * integer constant propagation (forward)     — ULF009
 * communicator typestate (forward, may)      — ULF007/ULF008
 * checkpoint synchronisation (forward, must) — ULF005/ULF010
+* shared-reference taint (forward, may)      — ULF011/ULF013
+* set/iteration-order taint (forward, may)   — ULF014
+
+:func:`report` is the common reporting driver: solve, then replay each
+block once with an ``emit`` that forwards every finding once.
 
 States must be treated as immutable by ``transfer_stmt`` (return a new
 state rather than mutating), because the solver caches and compares them
@@ -21,11 +26,11 @@ findings.
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from .cfg import CFG
 
-__all__ = ["Analysis", "solve"]
+__all__ = ["Analysis", "MayMap", "report", "solve"]
 
 
 class Analysis:
@@ -59,6 +64,29 @@ class Analysis:
         for stmt in stmts:
             state = self.transfer_stmt(stmt, state, emit)
         return state
+
+
+class MayMap(Analysis):
+    """A forward may-analysis whose state maps each tracked reference to
+    the frozenset of facts it may carry on some path: empty at entry,
+    joined by a union per reference."""
+
+    def boundary(self, cfg: CFG) -> Dict[str, FrozenSet[str]]:
+        return {}
+
+    def bottom(self) -> Dict[str, FrozenSet[str]]:
+        return {}
+
+    def join(self, a: Dict[str, FrozenSet[str]],
+             b: Dict[str, FrozenSet[str]]) -> Dict[str, FrozenSet[str]]:
+        if not a:
+            return b
+        if not b:
+            return a
+        out = dict(a)
+        for ref, facts in b.items():
+            out[ref] = out.get(ref, frozenset()) | facts
+        return out
 
 
 def solve(cfg: CFG, analysis: Analysis) -> Tuple[Dict[int, Any],
@@ -114,3 +142,21 @@ def solve(cfg: CFG, analysis: Analysis) -> Tuple[Dict[int, Any],
             if d not in worklist:
                 worklist.append(d)
     return in_states, out_states
+
+
+def report(cfg: CFG, analysis: Analysis, flag: Callable) -> None:
+    """Solve ``analysis`` over ``cfg``, then replay every block with an
+    ``emit`` that passes each ``(rule, line, col)`` to ``flag(rule, node,
+    message)`` once."""
+    in_states, _ = solve(cfg, analysis)
+    seen = set()
+
+    def emit(rule, node, message):
+        key = (rule, getattr(node, "lineno", 0),
+               getattr(node, "col_offset", 0))
+        if key not in seen:
+            seen.add(key)
+            flag(rule, node, message)
+
+    for bid, block in cfg.blocks.items():
+        analysis.transfer_block(block, in_states[bid], emit)

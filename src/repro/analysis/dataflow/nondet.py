@@ -35,7 +35,7 @@ import ast
 from typing import Callable, Dict, FrozenSet, Optional
 
 from .cfg import CFG, build_cfg, walk_shallow
-from .engine import Analysis, solve
+from .engine import Analysis, report
 
 __all__ = ["check_nondeterminism"]
 
@@ -201,16 +201,4 @@ def check_nondeterminism(func: ast.AST, flag: Callable,
         for node in walk_shallow(stmt):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iter_to_for[_pos(node.iter)] = node
-    analysis = _SetTaint(iter_to_for)
-    in_states, _ = solve(cfg, analysis)
-    seen = set()
-
-    def emit(rule, node, message):
-        key = (rule, getattr(node, "lineno", 0),
-               getattr(node, "col_offset", 0))
-        if key not in seen:
-            seen.add(key)
-            flag(rule, node, message)
-
-    for bid, block in cfg.blocks.items():
-        analysis.transfer_block(block, in_states[bid], emit)
+    report(cfg, _SetTaint(iter_to_for), flag)

@@ -19,9 +19,10 @@ For each entry point the rule consults the module's
 shape as ULF010 — and flags one witness per impurity kind
 (``global_write`` / ``io`` / ``rng`` / ``clock``).  Inherited effects
 are flagged at the call site inside the entry point, with the local
-call chain in the message; direct rng/clock effects are already ULF002,
-so the witness sites here are typically global writes, I/O, and the
-call sites that *reach* such effects through helpers.
+call chain in the message.  A direct rng/clock call is also ULF002 (one
+classifier, :func:`~.effects.classify_call`, decides both), so the
+witness sites here are typically global writes, I/O, and the call sites
+that *reach* such effects through helpers.
 
 Calls that resolve to nothing module-local are assumed pure (same
 optimistic stance as ULF010): the rule proves the module-local part of

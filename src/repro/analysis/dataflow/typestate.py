@@ -30,7 +30,7 @@ import ast
 from typing import Callable, Dict, FrozenSet, Optional
 
 from .cfg import CFG, build_cfg, walk_shallow
-from .engine import Analysis, solve
+from .engine import MayMap, report
 
 __all__ = ["check_typestate", "MPI_OPS", "FT_OPS"]
 
@@ -67,25 +67,7 @@ def _ref_of(expr: ast.expr) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-class _Typestate(Analysis):
-    direction = "forward"
-
-    def boundary(self, cfg: CFG) -> _State:
-        return {}
-
-    def bottom(self) -> _State:
-        return {}
-
-    def join(self, a: _State, b: _State) -> _State:
-        if not a:
-            return b
-        if not b:
-            return a
-        out = dict(a)
-        for ref, states in b.items():
-            out[ref] = out.get(ref, frozenset()) | states
-        return out
-
+class _Typestate(MayMap):
     # -- transfer --------------------------------------------------------
     def transfer_stmt(self, stmt: ast.stmt, state: _State,
                       emit: Optional[Callable] = None) -> _State:
@@ -170,16 +152,4 @@ def check_typestate(func: ast.AST, flag: Callable,
                     cfg: Optional[CFG] = None) -> None:
     """Run the typestate analysis over one function; ``flag(rule, node,
     message)`` receives each violation."""
-    cfg = cfg or build_cfg(func)
-    analysis = _Typestate()
-    in_states, _ = solve(cfg, analysis)
-    seen = set()
-
-    def emit(rule, node, message):
-        key = (rule, getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-        if key not in seen:
-            seen.add(key)
-            flag(rule, node, message)
-
-    for bid, block in cfg.blocks.items():
-        analysis.transfer_block(block, in_states[bid], emit)
+    report(cfg or build_cfg(func), _Typestate(), flag)

@@ -1,4 +1,4 @@
-"""AST + dataflow lint for ULFM/simulation idioms (rules ULF001-ULF015).
+"""AST + dataflow lint for ULFM/simulation idioms (rules ULF001-ULF020).
 
 The simulator's correctness leans on a handful of conventions that plain
 Python happily lets you break: failure exceptions must reach the recovery
@@ -7,9 +7,13 @@ retried from inside the very handler that caught their failure, and —
 since the sweep engine's content-addressed cache landed — sweep tasks
 must be pure and shared cached objects must stay frozen.  This linter
 walks the AST of every target file and flags violations of those
-conventions; the flow-sensitive rules run on the control-flow graphs and
-fixpoint engine of :mod:`repro.analysis.dataflow`.  See
-``docs/analysis.md`` for the full catalog with violation/fix examples.
+conventions.  Layer 1, the AST visitor here, checks ULF001, ULF003 and
+ULF004.  ULF002 comes from the call classifier of
+:mod:`repro.analysis.dataflow.effects` (the one that also records the
+``clock``/``rng`` effects ULF012 checks), and the flow-sensitive rules
+run on the control-flow graphs and fixpoint engine of
+:mod:`repro.analysis.dataflow`.  See ``docs/analysis.md`` for the full
+catalog with violation/fix examples.
 
 ========  ================================================================
 ULF001    bare/broad ``except`` that can swallow ``ProcFailedError`` /
@@ -73,7 +77,7 @@ import ast
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 __all__ = ["LintViolation", "RULES", "SEVERITY", "lint_file", "lint_paths",
            "default_lint_paths", "format_report"]
@@ -129,19 +133,8 @@ _BLOCKING_COLLECTIVES = {"barrier", "bcast", "reduce", "allreduce",
                          "scan", "exscan", "gatherv", "scatterv",
                          "reduce_scatter_block",
                          "merge", "split", "dup", "spawn_multiple"}
-#: fault-tolerant operations, fine inside failure handlers
-_SURVIVOR_CALLS = {"agree", "shrink", "revoke", "failure_ack",
-                   "failure_get_acked"}
 #: methods returning a fresh communicator (ULF003)
 _COMM_CREATORS = {"dup", "split", "shrink", "merge"}
-#: wall-clock attributes of the ``time`` module (ULF002)
-_WALLCLOCK_TIME = {"time", "time_ns", "monotonic", "monotonic_ns",
-                   "perf_counter", "perf_counter_ns", "sleep"}
-_WALLCLOCK_DATETIME = {"now", "utcnow", "today"}
-#: module-level functions of ``random`` that use the global RNG (ULF002)
-_GLOBAL_RANDOM = {"random", "randint", "randrange", "choice", "choices",
-                  "shuffle", "sample", "uniform", "gauss", "betavariate",
-                  "expovariate", "normalvariate", "getrandbits", "seed"}
 
 #: the directive itself; code parsing happens token-wise afterwards so
 #: trailing prose ("# noqa: ULF002 justified because ...") cannot leak
@@ -213,43 +206,6 @@ def _call_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _call_name(node: ast.AST) -> Optional[str]:
-    """Either the attribute (``x.y(...)``) or plain (``y(...)``) name."""
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Attribute):
-            return node.func.attr
-        if isinstance(node.func, ast.Name):
-            return node.func.id
-    return None
-
-
-def resolve_call(node: ast.Call, module_aliases: Dict[str, str],
-                 from_imports: Dict[str, Tuple[str, str]]
-                 ) -> Optional[Tuple[str, str]]:
-    """(module, function) of a call through tracked imports (alias ->
-    module, alias -> (module, name)), or None."""
-    f = node.func
-    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-        mod = module_aliases.get(f.value.id)
-        if mod is not None:
-            return mod, f.attr
-        # datetime.datetime.now: `datetime` name bound by from-import
-        origin = from_imports.get(f.value.id)
-        if origin is not None:
-            return f"{origin[0]}.{origin[1]}", f.attr
-    elif isinstance(f, ast.Attribute) and \
-            isinstance(f.value, ast.Attribute) and \
-            isinstance(f.value.value, ast.Name):
-        mod = module_aliases.get(f.value.value.id)
-        if mod is not None:
-            return f"{mod}.{f.value.attr}", f.attr
-    elif isinstance(f, ast.Name):
-        origin = from_imports.get(f.id)
-        if origin is not None:
-            return origin
-    return None
-
-
 def _except_names(handler: ast.ExceptHandler) -> Set[str]:
     """Leaf names of the handler's exception type(s); empty for bare."""
     t = handler.type
@@ -266,35 +222,19 @@ def _except_names(handler: ast.ExceptHandler) -> Set[str]:
 
 
 class _FileLinter(ast.NodeVisitor):
-    """Syntactic rules (ULF001-ULF004). ``noqa`` suppression happens
-    centrally in :func:`lint_file`, over syntactic and dataflow
+    """Syntactic rules (ULF001, ULF003, ULF004). ``noqa`` suppression
+    happens centrally in :func:`lint_file`, over syntactic and dataflow
     violations alike."""
 
-    def __init__(self, path: str, source: str):
+    def __init__(self, path: str):
         self.path = path
         self.violations: List[LintViolation] = []
-        # import tracking for ULF002
-        self.module_aliases: Dict[str, str] = {}     # alias -> module
-        self.from_imports: Dict[str, Tuple[str, str]] = {}  # alias -> (mod, name)
 
     # -- plumbing --------------------------------------------------------
     def flag(self, rule: str, node: ast.AST, message: str) -> None:
         self.violations.append(LintViolation(
             rule, self.path, getattr(node, "lineno", 1),
             getattr(node, "col_offset", 0) + 1, message))
-
-    # -- imports (ULF002 support) ---------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.module_aliases[alias.asname or alias.name] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module:
-            for alias in node.names:
-                self.from_imports[alias.asname or alias.name] = \
-                    (node.module, alias.name)
-        self.generic_visit(node)
 
     # -- ULF001: broad excepts ------------------------------------------
     def visit_Try(self, node: ast.Try) -> None:
@@ -358,36 +298,6 @@ class _FileLinter(ast.NodeVisitor):
                     if isinstance(n, ast.Await):
                         yield n
 
-    # -- ULF002: wall clock / unseeded randomness ------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        self._check_determinism(node)
-        self.generic_visit(node)
-
-    def _check_determinism(self, node: ast.Call) -> None:
-        resolved = resolve_call(node, self.module_aliases,
-                                self.from_imports)
-        if resolved is None:
-            return
-        mod, fn = resolved
-        if mod == "time" and fn in _WALLCLOCK_TIME:
-            self.flag("ULF002", node,
-                      f"time.{fn}() reads the wall clock; simulated code "
-                      "must use ctx.wtime() / engine.now (virtual time)")
-        elif mod in ("datetime", "datetime.datetime", "datetime.date") \
-                and fn in _WALLCLOCK_DATETIME:
-            self.flag("ULF002", node,
-                      f"datetime {fn}() reads the wall clock; derive "
-                      "timestamps from virtual time instead")
-        elif mod == "random" and fn in _GLOBAL_RANDOM:
-            self.flag("ULF002", node,
-                      f"random.{fn}() uses the global unseeded RNG; create "
-                      "a random.Random(seed) owned by the caller")
-        elif mod == "random" and fn == "Random" and not node.args \
-                and not node.keywords:
-            self.flag("ULF002", node,
-                      "random.Random() without a seed is nondeterministic; "
-                      "pass an explicit seed")
-
     # -- ULF003: discarded communicator ----------------------------------
     def visit_Expr(self, node: ast.Expr) -> None:
         val = node.value
@@ -414,8 +324,8 @@ def lint_file(path, *, source: Optional[str] = None,
     """Lint one Python file; syntax errors become a single pseudo-violation
     (rule ``ULF000``) rather than an exception.
 
-    Runs the syntactic visitor (ULF001-ULF004) and the dataflow/model
-    analyses (ULF005-ULF020), then applies ``noqa`` suppression to the
+    Runs the syntactic visitor (ULF001/ULF003/ULF004) and the dataflow/
+    model analyses (ULF002, ULF005-ULF020), then applies ``noqa`` suppression to the
     combined result.  ``keep_suppressed=True`` returns suppressed findings
     too, marked ``suppressed=True``, instead of dropping them — the SARIF
     emitter uses this to preserve the suppression audit trail."""
@@ -430,7 +340,7 @@ def lint_file(path, *, source: Optional[str] = None,
         return [LintViolation("ULF000", p, exc.lineno or 1,
                               (exc.offset or 0) + 1,
                               f"syntax error: {exc.msg}")]
-    linter = _FileLinter(p, source)
+    linter = _FileLinter(p)
     linter.visit(tree)
     violations = linter.violations + analyze_module(tree, p, source=source)
     lines = source.splitlines()

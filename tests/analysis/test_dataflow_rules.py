@@ -1,4 +1,4 @@
-"""Acceptance tests for the dataflow rules (ULF006-ULF010).
+"""Acceptance tests for the dataflow and protocol-model rules (ULF005-ULF020).
 
 Each fixture file pairs violating functions (lines tagged ``# BAD``)
 with corrected variants.  The contract per rule is exact: the rule fires
@@ -100,3 +100,62 @@ def test_ulf007_message_names_the_revoked_comm():
     (v,) = lint_file("x.py", source=src)
     assert v.rule == "ULF007"
     assert "comm" in v.message and "revoke" in v.message.lower()
+
+
+# One shared-reference taint decides ULF011 and ULF013: an attribute of a
+# shared object is shared, and a module-local provider is a source for
+# both rules.  Each BAD shape went unreported while the two rules were
+# separate taints; each twin must stay clean.
+SHARED_REF_CASES = {
+    "attribute_of_shared_stored_on_self": ((
+        "from repro.core.layout import layout_for\n"
+        "class Holder:\n"
+        "    def __init__(self, scheme, mode, procs):\n"
+        "        layout = layout_for(scheme, mode, procs)\n"
+        "        self.owners = layout.owners\n"
+    ), [("ULF013", 5)]),
+    "alias_then_store_on_self": ((
+        "from repro.core.layout import layout_for\n"
+        "class Holder:\n"
+        "    def __init__(self, scheme, mode, procs):\n"
+        "        layout = layout_for(scheme, mode, procs)\n"
+        "        owners = layout.owners\n"
+        "        self.owners = owners\n"
+    ), [("ULF013", 6)]),
+    "local_provider_result_mutated": ((
+        "from repro.sparsegrid.index import cached_scheme\n"
+        "def scheme_for(n, level):\n"
+        "    return cached_scheme(n, level)\n"
+        "def extend(n, level):\n"
+        "    s = scheme_for(n, level)\n"
+        "    s.grids.append(None)\n"
+    ), [("ULF011", 6)]),
+    "attribute_of_shared_returned": ((
+        "from repro.core.layout import layout_for\n"
+        "def owners_of(scheme, mode, procs):\n"
+        "    layout = layout_for(scheme, mode, procs)\n"
+        "    return layout.owners\n"
+    ), []),
+    "owned_copy_stored_on_self": ((
+        "from repro.core.layout import layout_for\n"
+        "class Holder:\n"
+        "    def __init__(self, scheme, mode, procs):\n"
+        "        layout = layout_for(scheme, mode, procs)\n"
+        "        self.owners = layout.owners.copy()\n"
+    ), []),
+    "local_provider_result_read": ((
+        "from repro.sparsegrid.index import cached_scheme\n"
+        "def scheme_for(n, level):\n"
+        "    return cached_scheme(n, level)\n"
+        "def count(n, level):\n"
+        "    s = scheme_for(n, level)\n"
+        "    return len(s.grids)\n"
+    ), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_REF_CASES))
+def test_shared_reference_taint(case):
+    src, expected = SHARED_REF_CASES[case]
+    assert [(v.rule, v.line) for v in lint_file("x.py", source=src)] \
+        == expected

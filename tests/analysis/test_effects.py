@@ -1,10 +1,14 @@
-"""Golden tests for the interprocedural effects/escape summary store
-(repro.analysis.dataflow.effects), the substrate under ULF012/ULF013."""
+"""Golden tests for the call classifier and the interprocedural effects
+summary store (repro.analysis.dataflow.effects): the source of ULF002 and
+the substrate under ULF011-ULF013."""
 
 import ast
 import textwrap
 
-from repro.analysis.dataflow.effects import EffectsStore
+import pytest
+
+from repro.analysis import lint_file
+from repro.analysis.dataflow.effects import EffectsStore, classify_call
 
 
 def store_for(source):
@@ -173,3 +177,55 @@ def test_shared_return_is_not_impure():
         return cached_scheme(n, 4)
     """)
     assert store.summary("provider").pure
+
+
+# ---------------------------------------------------------------------------
+# one classifier: ULF002 is the store's clock/rng classification
+# ---------------------------------------------------------------------------
+#: (source, ULF002 fires, kinds of direct effect the store records)
+CLOCK_RNG_CASES = {
+    "module_alias": ("import time as tm\n"
+                     "def f():\n    return tm.time()\n", True, {"clock"}),
+    "from_import_alias": ("from time import perf_counter as pc\n"
+                          "def f():\n    return pc()\n", True, {"clock"}),
+    "function_local_import": ("def f():\n    import random\n"
+                              "    return random.random()\n", True, {"rng"}),
+    # the store charges effects to functions, and a class body is none
+    "class_body": ("import time\n"
+                   "class C:\n    stamp = time.time()\n", True, set()),
+    "datetime_module": ("import datetime\n"
+                        "def f():\n    return datetime.datetime.now()\n",
+                        True, {"clock"}),
+    "datetime_class": ("from datetime import datetime\n"
+                       "def f():\n    return datetime.now()\n",
+                       True, {"clock"}),
+    "unseeded_random": ("import random\n"
+                        "def f():\n    return random.Random()\n",
+                        True, {"rng"}),
+    "seeded_random": ("import random\n"
+                      "def f():\n    return random.Random(42)\n",
+                      False, set()),
+    "getenv_is_io_only": ("import os\n"
+                          "def f():\n    return os.getenv('HOME')\n",
+                          False, {"io"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOCK_RNG_CASES))
+def test_ulf002_is_the_stores_clock_rng_classification(case):
+    source, fires, kinds = CLOCK_RNG_CASES[case]
+    tree = ast.parse(source)
+    store = EffectsStore.build(tree)
+    direct = [e for s in store.summaries.values() for e in s.direct_effects()]
+    flagged = {(v.line, v.col - 1) for v in lint_file("x.py", source=source)
+               if v.rule == "ULF002"}
+    classified = {(n.lineno, n.col_offset) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and (classify_call(n, store.imports) or ("",))[0]
+                  in ("clock", "rng")}
+    assert bool(flagged) is fires
+    assert classified == flagged
+    assert {e.kind for e in direct} == kinds
+    if kinds & {"clock", "rng"}:
+        assert {(e.node.lineno, e.node.col_offset) for e in direct} \
+            == flagged
