@@ -63,7 +63,7 @@ def _comm_states(universe) -> list:
     return states
 
 
-def _owner_of(universe, state, dst):
+def _slot_proc(universe, state, dst):
     """Proc owning a board slot: rank-indexed on intracommunicators,
     uid-keyed on intercommunicators."""
     procs = getattr(state, "procs", None)
@@ -80,7 +80,7 @@ def check_runtime_leaks(universe) -> LeakReport:
         # pending receives whose owner already returned
         for dst, queue in getattr(state.board, "waiting", {}).items():
             for recv in queue:
-                proc = _owner_of(universe, state, dst)
+                proc = _slot_proc(universe, state, dst)
                 task = getattr(proc, "task", None)
                 if task is not None and task.state in _FINISHED_CLEAN:
                     report.errors.append(

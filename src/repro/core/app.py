@@ -140,8 +140,8 @@ class CombinationApp:
         self.strategy.validate_config(cfg)
         self.scheme = self.technique.make_scheme(cfg.n, cfg.level)
         self.layout = cfg.layout()
-        #: the launch-time layout; ``self.layout`` becomes a
-        #: :class:`SurvivorView` after a shrink-in-place repair
+        #: the launch-time layout; after a shrink-in-place repair
+        #: ``self.layout`` is its :meth:`~Layout.survivors` layout
         self.base_layout = self.layout
         #: original world rank of each current world rank (shrink mode
         #: contracts this list; the other modes never change it)

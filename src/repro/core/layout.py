@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sparsegrid.index import CombinationScheme
 
@@ -44,12 +44,35 @@ class GridAssignment:
 
 
 class Layout:
-    """Immutable grid -> process-group map over a contiguous rank range."""
+    """Immutable grid -> process-group map: ``groups[gid]`` are the world
+    ranks of grid ``gid``.
 
-    def __init__(self, scheme: CombinationScheme, counts: Dict[int, int]):
+    A launch layout (:meth:`paper`, :meth:`sweep`) assigns contiguous ranks
+    in gid order; :meth:`survivors` re-expresses one in survivor numbering
+    after a shrink, where a group may be empty and ``adoptions`` records
+    the orphan grids that took a donor (``{}`` on a launch layout).
+    """
+
+    def __init__(self, scheme: CombinationScheme,
+                 groups: Sequence[Sequence[int]],
+                 adoptions: Optional[Dict[int, int]] = None):
         self.scheme = scheme
-        self.counts = dict(counts)
-        assignments: List[GridAssignment] = []
+        self.assignments: Tuple[GridAssignment, ...] = tuple(
+            GridAssignment(g.gid, g.index, g.role, tuple(ranks))
+            for g, ranks in zip(scheme.grids, groups))
+        self.adoptions: Dict[int, int] = dict(adoptions or {})
+        self.total_procs = sum(map(len, groups))
+        self._rank_to_gid = [0] * self.total_procs
+        for a in self.assignments:
+            for r in a.ranks:
+                self._rank_to_gid[r] = a.gid
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_counts(cls, scheme: CombinationScheme,
+                    counts: Dict[int, int]) -> "Layout":
+        """Contiguous ranks in gid order, ``counts[gid]`` for grid ``gid``."""
+        groups: List[range] = []
         next_rank = 0
         for g in scheme.grids:
             n = counts[g.gid]
@@ -60,17 +83,10 @@ class Layout:
                 raise ValueError(
                     f"grid {g.gid} {g.index} cannot host {n} slabs "
                     f"(longest axis has {max_axis} points)")
-            ranks = tuple(range(next_rank, next_rank + n))
-            assignments.append(GridAssignment(g.gid, g.index, g.role, ranks))
+            groups.append(range(next_rank, next_rank + n))
             next_rank += n
-        self.assignments: Tuple[GridAssignment, ...] = tuple(assignments)
-        self.total_procs = next_rank
-        self._rank_to_gid = [0] * next_rank
-        for a in assignments:
-            for r in a.ranks:
-                self._rank_to_gid[r] = a.gid
+        return cls(scheme, groups)
 
-    # ------------------------------------------------------------------
     @classmethod
     def paper(cls, scheme: CombinationScheme, diag_procs: int = 8) -> "Layout":
         """Halving rule: layer k gets ``diag_procs >> k`` processes (min 1);
@@ -78,7 +94,7 @@ class Layout:
         counts = {}
         for g in scheme.grids:
             counts[g.gid] = max(1, diag_procs >> g.layer)
-        return cls(scheme, counts)
+        return cls.from_counts(scheme, counts)
 
     @classmethod
     def sweep(cls, scheme: CombinationScheme, diag_procs: int = 4) -> "Layout":
@@ -87,7 +103,7 @@ class Layout:
         counts = {}
         for g in scheme.grids:
             counts[g.gid] = max(1, diag_procs >> (2 * g.layer))
-        return cls(scheme, counts)
+        return cls.from_counts(scheme, counts)
 
     # ------------------------------------------------------------------
     def gid_of(self, rank: int) -> int:
@@ -97,7 +113,11 @@ class Layout:
         return self.assignments[gid]
 
     def root_rank(self, gid: int) -> int:
-        return self.assignments[gid].root
+        a = self.assignments[gid]
+        if not a.ranks:
+            raise ValueError(
+                f"grid {gid} has no surviving processes after shrink")
+        return a.root
 
     def group_ranks(self, gid: int) -> Tuple[int, ...]:
         return self.assignments[gid].ranks
@@ -111,116 +131,66 @@ class Layout:
         failure generator together with :meth:`gid_of`)."""
         return self.scheme.rc_conflict_pairs()
 
-    def survivors(self, members, adopt_orphans: bool) -> "SurvivorView":
-        """This layout after a shrink left only ``members`` (launch-time
-        ranks, indexed by current world rank)."""
-        return SurvivorView(self, members, adopt_orphans)
+    def survivors(self, members, adopt_orphans: bool) -> "Layout":
+        """This layout in *survivor* world numbering after a shrink left
+        only ``members`` (launch-time ranks, indexed by current world rank).
 
-    def describe(self) -> str:
-        lines = [f"Layout: {self.total_procs} processes over "
-                 f"{len(self.assignments)} grids"]
-        for a in self.assignments:
-            lines.append(f"  grid {a.gid:2d} {a.role:9s} {a.index} -> ranks "
-                         f"{a.ranks[0]}..{a.ranks[-1]} ({a.n_procs})")
-        return "\n".join(lines)
+        The shrink-in-place recovery mode never replaces dead processes:
+        the world contracts and every surviving rank gets a new, smaller
+        world rank (original relative order preserved).  A grid that lost
+        members shrinks, a grid that lost everyone becomes empty
+        (``n_procs == 0``).
 
+        With ``adopt_orphans``, a grid that lost every member is instead
+        *adopted*: a donor rank is taken from a surviving group (preferring
+        groups with no losses, then the largest, then the lowest gid; never
+        a group's sole member, and — soft preference — never a group whose
+        RC replica/resample partner is already damaged) and reassigned to
+        the orphan grid, so the lost grid's work migrates onto a survivor
+        that can restore it through the recovery technique.  The choice is
+        a pure function of ``(self, members)``, so every rank computes the
+        same adoption.  ``adoptions`` maps orphan gid -> the donor's
+        original gid (the donor's old group contracted and needs
+        restoration too).
+        """
+        groups: List[List[int]] = [[] for _ in self.assignments]
+        for r, m in enumerate(members):
+            groups[self.gid_of(m)].append(r)
+        adoptions = self._adopt_orphans(groups) if adopt_orphans else {}
+        return Layout(self.scheme, [sorted(g) for g in groups], adoptions)
 
-class SurvivorView:
-    """A layout re-expressed in *survivor* world numbering after a shrink.
-
-    The shrink-in-place recovery mode never replaces dead processes: the
-    world contracts and every surviving rank gets a new, smaller world rank
-    (original relative order preserved).  This view wraps the base
-    :class:`Layout` plus the list of original world ranks that survived
-    (indexed by current world rank) and answers the same queries in the new
-    numbering: a grid that lost members shrinks, a grid that lost everyone
-    becomes empty (``n_procs == 0``).
-
-    With ``adopt_orphans=True``, a grid that lost every member is instead
-    *adopted*: a donor rank is taken from a surviving group (preferring
-    groups with no losses, then the largest, then the lowest gid; never a
-    group's sole member, and — soft preference — never a group whose RC
-    replica/resample partner is already damaged) and reassigned to the
-    orphan grid, so the lost grid's work migrates onto a survivor that can
-    restore it through the recovery technique.  The choice is a pure
-    function of ``(base, members)``, so every rank computes the same
-    adoption.  ``adoptions`` maps orphan gid -> the donor's original gid
-    (the donor's old group contracted and needs restoration too).
-    """
-
-    def __init__(self, base, members, adopt_orphans: bool = False):
-        self.base = base
-        self.scheme = base.scheme
-        self.members: Tuple[int, ...] = tuple(members)
-        self.total_procs = len(self.members)
-        groups: Dict[int, List[int]] = {a.gid: [] for a in base.assignments}
-        for r, m in enumerate(self.members):
-            groups[base.gid_of(m)].append(r)
-        self.adoptions: Dict[int, int] = {}
-        if adopt_orphans:
-            self._adopt_orphans(base, groups)
-        self._rank_to_gid = [0] * self.total_procs
-        for g, ranks in groups.items():
-            for r in ranks:
-                self._rank_to_gid[r] = g
-        self.assignments = tuple(
-            GridAssignment(a.gid, a.index, a.role, tuple(sorted(groups[a.gid])))
-            for a in base.assignments)
-
-    def _adopt_orphans(self, base, groups: Dict[int, List[int]]) -> None:
-        base_sizes = {a.gid: len(base.group_ranks(a.gid))
-                      for a in base.assignments}
+    def _adopt_orphans(self, groups: List[List[int]]) -> Dict[int, int]:
+        base_sizes = [len(a.ranks) for a in self.assignments]
         conflict: Dict[int, set] = {}
         for x, y in self.scheme.rc_conflict_pairs():
             conflict.setdefault(x, set()).add(y)
             conflict.setdefault(y, set()).add(x)
-        for a in base.assignments:  # gid order: deterministic everywhere
-            if groups[a.gid]:
+        adoptions: Dict[int, int] = {}
+        for gid, orphan in enumerate(groups):  # deterministic everywhere
+            if orphan:
                 continue
             # an orphan adopted earlier in this loop is back to its base
             # size but still has to be refilled, like its donor's group
-            damaged = {g for g, rs in groups.items()
-                       if len(rs) < base_sizes[g]} | set(self.adoptions)
-            cands = [g for g, rs in groups.items() if len(rs) >= 2]
+            damaged = {g for g, rs in enumerate(groups)
+                       if len(rs) < base_sizes[g]} | set(adoptions)
+            cands = [g for g, rs in enumerate(groups) if len(rs) >= 2]
             safe = [g for g in cands if not (conflict.get(g, set()) & damaged)]
             pool = safe or cands  # conflicting donor beats no donor: the
             # technique's own loss validation reports the real constraint
             if not pool:
                 raise RuntimeError(
-                    f"shrink-in-place cannot re-balance: grid {a.gid} lost "
+                    f"shrink-in-place cannot re-balance: grid {gid} lost "
                     f"every member and no surviving grid can spare a donor "
                     f"process (all groups are down to one member)")
             pool.sort(key=lambda g: (len(groups[g]) < base_sizes[g],
                                      -len(groups[g]), g))
             donor_gid = pool[0]
-            groups[a.gid].append(groups[donor_gid].pop())
-            self.adoptions[a.gid] = donor_gid
-
-    # same query surface as Layout ------------------------------------
-    def gid_of(self, rank: int) -> int:
-        return self._rank_to_gid[rank]
-
-    def assignment(self, gid: int) -> GridAssignment:
-        return self.assignments[gid]
-
-    def root_rank(self, gid: int) -> int:
-        a = self.assignments[gid]
-        if not a.ranks:
-            raise ValueError(
-                f"grid {gid} has no surviving processes after shrink")
-        return a.ranks[0]
-
-    def group_ranks(self, gid: int) -> Tuple[int, ...]:
-        return self.assignments[gid].ranks
-
-    def grids_of_ranks(self, ranks) -> List[int]:
-        return sorted({self.gid_of(r) for r in ranks})
-
-    def conflict_pairs_ranks(self) -> List[Tuple[int, int]]:
-        return self.scheme.rc_conflict_pairs()
+            orphan.append(groups[donor_gid].pop())
+            adoptions[gid] = donor_gid
+        return adoptions
 
     def describe(self) -> str:
-        lines = [f"SurvivorView: {self.total_procs} survivors over "
+        lines = [f"Layout: {self.total_procs} processes over "
                  f"{len(self.assignments)} grids"]
         for a in self.assignments:
             span = (f"ranks {a.ranks[0]}..{a.ranks[-1]}" if a.ranks

@@ -3,7 +3,7 @@
 from .checkpoint import (CheckpointStats, Disk, FileDisk,
                          checkpoint_interval_steps, optimal_checkpoint_count,
                          paper_eq2_checkpoint_count, restore_checkpoint,
-                         restore_checkpoint_remapped, write_checkpoint)
+                         write_checkpoint)
 from .detection import failed_procs_list, make_error_handler
 from .failure_injection import FailureGenerator, Kill
 from .reconstruct import (MERGE_TAG, PLACE_FIRST_FIT, PLACE_SAME_HOST,
@@ -24,7 +24,7 @@ __all__ = [
     "PLACE_SAME_HOST", "PLACE_SPARE", "PLACE_FIRST_FIT",
     "FailureGenerator", "Kill",
     "Disk", "FileDisk", "CheckpointStats", "write_checkpoint",
-    "restore_checkpoint", "restore_checkpoint_remapped",
+    "restore_checkpoint",
     "optimal_checkpoint_count", "paper_eq2_checkpoint_count",
     "checkpoint_interval_steps",
     "RecoveryTechnique", "CheckpointRestart", "ResamplingCopying",

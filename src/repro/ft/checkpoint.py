@@ -1,10 +1,14 @@
 """Checkpoint/Restart — exact data recovery from periodic disk checkpoints.
 
-Each process writes its local solver slab to (simulated) disk at a fixed
+Each process writes its local solver block to (simulated) disk at a fixed
 step interval; after a failure the affected sub-grid restores the most
-recent checkpoint and recomputes the steps taken since.  The virtual-time
-disk model charges the cluster's per-checkpoint write latency ``T_I/O``
-(3.52 s on OPL, 0.03 s on Raijin) plus streaming time.
+recent checkpoint and recomputes the steps taken since.  One restore serves
+every recovery mode: it reads the overlaps of the blocks the checkpoints
+were written under with the blocks of the grid's current process grid, so
+a group that shrank in place — over any ``dims`` — restores from the same
+files as one that re-spawned.  The virtual-time disk model charges the
+cluster's per-checkpoint write latency ``T_I/O`` (3.52 s on OPL, 0.03 s on
+Raijin) plus streaming time.
 
 On the optimal checkpoint count: the paper's Eq. 2 prints ``C = T / T_IO``
 (T = MTBF), but that makes the total checkpoint overhead ``C x T_IO = T``
@@ -98,10 +102,6 @@ class Disk:
     def available_steps(self, gid: int, grid_rank: int) -> Tuple[int, ...]:
         return tuple(sorted(self._store.get((gid, grid_rank), {})))
 
-    def latest_step(self, gid: int, grid_rank: int = 0) -> Optional[int]:
-        steps = self.available_steps(gid, grid_rank)
-        return steps[-1] if steps else None
-
 
 class FileDisk(Disk):
     """Disk backend that writes checkpoints to an actual directory.
@@ -165,7 +165,7 @@ class CheckpointStats:
 
 async def write_checkpoint(ctx, disk: Disk, gid: int, grid_rank: int,
                            solver, stats: Optional[CheckpointStats] = None) -> None:
-    """Write this rank's slab; charges ``T_I/O`` + streaming."""
+    """Write this rank's block; charges ``T_I/O`` + streaming."""
     with ctx.span("checkpoint_write", gid=gid):
         snap = solver.snapshot()
         cost = await ctx.disk_write(snap["u"].nbytes)
@@ -176,132 +176,76 @@ async def write_checkpoint(ctx, disk: Disk, gid: int, grid_rank: int,
 
 
 async def restore_checkpoint(ctx, disk: Disk, gid: int, grid_comm, solver,
+                             old_dims: Tuple[int, int],
                              stats: Optional[CheckpointStats] = None) -> int:
-    """Group-coordinated restore: roll the whole sub-grid back to the
-    latest checkpoint step available to *every* group member.
+    """Group-coordinated restore of this rank's block from checkpoints
+    written over the process grid ``old_dims``.
+
+    After a shrink-in-place repair the solver's ``dims`` are smaller than
+    the grid the checkpoints were written under.  Each rank reads exactly
+    the parts of the old blocks that overlap its new block and assembles
+    it locally — the migration is fully distributed, with no root gather.
+    An unchanged grid reads one piece: the rank's own snapshot.
 
     A failure can interrupt a checkpoint round (survivors completed the
-    write, the victim did not), so members may differ in their newest
-    snapshot; restoring each rank's own latest would silently desynchronise
-    the group.  The group agrees on ``min(latest)`` — step 0 (the initial
-    condition, always reconstructible) acts as the fallback checkpoint.
+    write, the victim did not), so a step is restorable only if *every*
+    old rank checkpointed it — the disk survives process death, so the
+    victims' complete checkpoints still count.  A step is
+    valid for this rank when each overlapping snapshot exists with the
+    solver's levels and the old block's shape: a grid that shrank before
+    re-writes its low slots under the contracted grid, and those steps are
+    missing for the higher old ranks or have the wrong shape.  Every old
+    block overlaps some new one, so one ``BAND`` allreduce of the validity
+    mask (bit ``s`` for step ``s``) leaves the steps valid everywhere; the
+    group restores the newest, and step 0 (the initial condition, always
+    reconstructible) is the fallback.
 
     Returns the restored step count.
-    """
-    from ..mpi.comm import MIN
-    with ctx.span("checkpoint_read", gid=gid):
-        my_latest = disk.latest_step(gid, grid_comm.rank)
-        common = await grid_comm.allreduce(
-            0 if my_latest is None else my_latest, op=MIN)
-        if common <= 0:
-            cost = await ctx.disk_read(solver.u.nbytes)
-            solver.u = solver.initial_block()
-            solver.step_count = 0
-            restored = 0
-        else:
-            snap = disk.read(gid, grid_comm.rank, common)
-            if snap is None:  # pragma: no cover - history too short
-                raise RuntimeError(
-                    f"checkpoint step {common} missing for grid {gid} rank "
-                    f"{grid_comm.rank}; increase Disk.KEEP")
-            cost = await ctx.disk_read(snap["u"].nbytes)
-            solver.restore(snap)
-            restored = common
-    if stats is not None:
-        stats.read_time += cost
-    return restored
-
-
-async def restore_checkpoint_remapped(ctx, disk: Disk, gid: int, grid_comm,
-                                      solver, old_n_parts: int,
-                                      stats: Optional[CheckpointStats] = None
-                                      ) -> int:
-    """Restore a sub-grid whose process group *changed size* (shrink mode).
-
-    Checkpoints on disk are keyed by the grid's **original** decomposition
-    (``old_n_parts`` slabs); after a shrink-in-place repair the group has
-    fewer members and a re-balanced decomposition.  Each surviving rank
-    reads exactly the overlapping regions of the old ranks' checkpoints
-    (per :func:`~repro.pde.decomposition.migration_plan`) and assembles its
-    new slab locally — the migration is fully distributed, with no root
-    gather.
-
-    The restore step is the latest step every *old* rank checkpointed (the
-    disk survives process death, so the victims' last complete checkpoints
-    are still readable).  Step 0 (the initial condition) is the fallback
-    when any old rank has no complete checkpoint.  Returns the restored
-    step count.
     """
     import numpy as np
 
     from ..mpi.comm import BAND
-    from ..pde.decomposition import migration_plan, rebalance
+    from ..pde.decomposition import block_bounds
 
-    old = rebalance(solver.decomp, old_n_parts)
-    plan = migration_plan(old, solver.decomp)[grid_comm.rank]
+    shape, levels = solver.shape, (solver.level_x, solver.level_y)
+    (x0, x1), (y0, y1) = block_bounds(shape, solver.dims, grid_comm.rank)
+    # (old rank, its block's shape, where the overlap sits in its block,
+    # where it goes in mine) for every old block overlapping mine
+    pieces = []
+    for q in range(old_dims[0] * old_dims[1]):
+        (a0, a1), (b0, b1) = block_bounds(shape, old_dims, q)
+        lx, hx, ly, hy = max(a0, x0), min(a1, x1), max(b0, y0), min(b1, y1)
+        if lx < hx and ly < hy:
+            pieces.append((q, (a1 - a0, b1 - b0),
+                           np.s_[lx - a0:hx - a0, ly - b0:hy - b0],
+                           np.s_[lx - x0:hx - x0, ly - y0:hy - y0]))
     with ctx.span("checkpoint_read", gid=gid):
-        # candidate steps: checkpointed by *every* old rank, newest first.
-        # A grid that shrank before may carry later checkpoints written
-        # under its resized decomposition; those steps are absent for the
-        # higher old ranks, so the intersection naturally excludes them.
-        step_sets = [set(disk.available_steps(gid, r))
-                     for r in range(old_n_parts)]
-        candidates = [s for s in sorted(set.intersection(*step_sets),
-                                        reverse=True) if s > 0] \
-            if step_sets and all(step_sets) else []
-        cache: Dict[Tuple[int, int], Optional[dict]] = {}
+        snaps: Dict[Tuple[int, int], dict] = {}
 
-        def _valid(step: int) -> bool:
-            """My plan's pieces exist at ``step`` with old-slab extents
-            (a step re-written under a different decomposition has the
-            wrong shape and must be rejected)."""
-            for q, _s, _e in plan:
-                snap = cache.get((q, step))
-                if snap is None:
-                    snap = cache[(q, step)] = disk.read(gid, q, step)
-                if snap is None:
-                    return False
-                if (snap["level_x"], snap["level_y"]) != (solver.level_x,
-                                                          solver.level_y):
-                    return False
-                a, b = old.bounds(q)
-                u = snap["u"]
-                if (u.shape[0] if solver.axis == 0 else u.shape[1]) != b - a:
+        def valid(step: int) -> bool:
+            for q, old_shape, _src, _dst in pieces:
+                snap = snaps[q, step] = disk.read(gid, q, step)
+                if snap is None or snap["u"].shape != old_shape or \
+                        (snap["level_x"], snap["level_y"]) != levels:
                     return False
             return True
 
-        mask = 0
-        for i, s in enumerate(candidates):
-            if _valid(s):
-                mask |= 1 << i
-        # the chosen step must be readable and shape-consistent on every
-        # rank: agree bitwise over the shared candidate list (identical
-        # everywhere — the disk is shared state)
-        common_mask = await grid_comm.allreduce(mask, op=BAND)
-        common = 0
-        for i, s in enumerate(candidates):
-            if common_mask & (1 << i):
-                common = s
-                break
-        if common <= 0:
+        mask = sum(1 << s for s in disk.available_steps(gid, pieces[0][0])
+                   if s > 0 and valid(s))
+        mask = await grid_comm.allreduce(mask, op=BAND)
+        common = max(mask.bit_length() - 1, 0)
+        if common == 0:
             cost = await ctx.disk_read(solver.u.nbytes)
             solver.u = solver.initial_block()
-            solver.step_count = 0
-            restored = 0
         else:
             cost = 0.0
-            pieces = []
-            for q, s, e in plan:
-                u = cache[(q, common)]["u"]
-                a, _b = old.bounds(q)
-                piece = u[s - a:e - a, :] if solver.axis == 0 \
-                    else u[:, s - a:e - a]
+            u = np.empty((x1 - x0, y1 - y0), dtype=solver.u.dtype)
+            for q, _shape, src, dst in pieces:
+                piece = snaps[q, common]["u"][src]
                 cost += await ctx.disk_read(piece.nbytes)
-                pieces.append(piece)
-            solver.u = np.ascontiguousarray(
-                np.concatenate(pieces, axis=solver.axis))
-            solver.step_count = common
-            restored = common
+                u[dst] = piece
+            solver.u = u
+        solver.step_count = common
     if stats is not None:
         stats.read_time += cost
-    return restored
+    return common

@@ -21,12 +21,12 @@ import numpy as np
 
 from ..mpi.comm import MAX
 from ..mpi.errors import MPIError
+from ..pde.decomposition import choose_dims
 from ..pde.lax_wendroff import periodic_from_nodal
 from ..sparsegrid import (CombinationScheme, alternate_coefficients_for)
 from ..sparsegrid.index import cached_scheme
 from ..sparsegrid.parallel_combine import scatter_samples
-from .checkpoint import (checkpoint_interval_steps, restore_checkpoint,
-                         restore_checkpoint_remapped)
+from .checkpoint import checkpoint_interval_steps, restore_checkpoint
 
 GridIx = Tuple[int, int]
 
@@ -164,23 +164,20 @@ class CheckpointRestart(RecoveryTechnique):
         return horizon
 
     async def restore_grid(self, app) -> None:
-        """Restore this grid from its checkpoints, remapping when the group
-        size changed (shrink mode re-decomposed the grid over survivors).
+        """Restore this grid from its checkpoints onto its current process
+        grid (smaller than at launch after a shrink-in-place repair).
 
-        ``old_n_parts`` is always the *launch-time* group size: checkpoints
-        written after an earlier shrink live under a different decomposition
-        and are rejected by the remapped restore's shape validation, which
-        then falls back to the latest pre-shrink step (or the initial
-        condition) — older data, never wrong data."""
-        base_n = len(app.base_layout.group_ranks(app.gid))
-        if app.grid_comm.size != base_n:
-            await restore_checkpoint_remapped(
-                app.ctx, app.disk(), app.gid, app.grid_comm,
-                app.solver, old_n_parts=base_n, stats=app.cr_stats)
-        else:
-            await restore_checkpoint(
-                app.ctx, app.disk(), app.gid, app.grid_comm,
-                app.solver, app.cr_stats)
+        The old grid is always the *launch-time* one: checkpoints written
+        after an earlier shrink live under a different grid and are
+        rejected by the restore's shape validation, which then falls back
+        to the latest pre-shrink step (or the initial condition) — older
+        data, never wrong data."""
+        sub = app.scheme[app.gid]
+        old_dims = choose_dims(len(app.base_layout.group_ranks(app.gid)),
+                               sub.level_x, sub.level_y,
+                               app.cfg.decomposition)
+        await restore_checkpoint(app.ctx, app.disk(), app.gid, app.grid_comm,
+                                 app.solver, old_dims, app.cr_stats)
 
     async def recover(self, app):
         """Losses declared at the end of the run (the simulated-failure

@@ -7,8 +7,9 @@ alternatives, and this module puts all three behind one interface:
 * ``respawn`` — the paper's global revoke + shrink + spawn + merge + split
   pipeline; the world keeps its original size and rank order.
 * ``shrink`` — shrink-in-place ("Shrink or Substitute"): no spawn, no
-  merge; the world contracts, surviving ranks get a re-balanced
-  decomposition and the lost sub-grids' work migrates onto survivors.
+  merge; the world contracts, each contracted sub-grid is re-decomposed
+  over its survivors (``choose_dims``, so any process grid) and the lost
+  sub-grids' work migrates onto survivors.
 * ``nc`` — non-collective repair (Rocco & Palermo): only the failed
   sub-grid's communicator is rebuilt, via its own local-group operations;
   unaffected grids never stop solving.  Replacements are *re-admitted*
@@ -168,13 +169,6 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
     respawns = False
     preserves_world = False
 
-    def validate_config(self, cfg) -> None:
-        if cfg.decomposition != "1d":
-            raise ValueError(
-                "shrink-in-place recovery requires the 1d decomposition "
-                "(a grid with more than one process row and column cannot "
-                "be re-decomposed over the survivors)")
-
     def cost_estimate(self, machine, comm_size, n_failed):
         u = machine.ulfm
         return {"revoke": u.revoke(comm_size),
@@ -213,7 +207,7 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
                 app.solver.rebind(app.grid_comm)
             else:
                 # contracted or adopted grid: fresh solver over the
-                # re-balanced decomposition; data comes back via the
+                # survivors' process grid; data comes back via the
                 # recovery technique
                 app._make_solver()
 

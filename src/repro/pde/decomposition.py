@@ -2,7 +2,8 @@
 
 Each sub-grid's process group is a periodic ``px x py`` grid
 (:func:`choose_dims`) and each axis is split into balanced contiguous parts
-(:class:`SlabDecomposition`).  The ``"1d"`` choice is the one-row grid along
+(:class:`SlabDecomposition`), which give each rank its block
+(:func:`block_bounds`).  The ``"1d"`` choice is the one-row grid along
 the axis with the most points: a ring of slabs, whose other axis stays
 local, so the Lax–Wendroff corner couplings wrap locally and a halo
 exchange needs only two messages per step.
@@ -16,13 +17,18 @@ from typing import List, Tuple
 from ..mpi.cart import dims_create
 
 
+def _part_bounds(n_points: int, n_parts: int, part: int) -> Tuple[int, int]:
+    base, rem = divmod(n_points, n_parts)
+    start = part * base + min(part, rem)
+    return start, start + base + (1 if part < rem else 0)
+
+
 @dataclass(frozen=True)
 class SlabDecomposition:
     """Balanced contiguous split of ``n_points`` (periodic) into ``n_parts``."""
 
     n_points: int
     n_parts: int
-    axis: int
 
     def __post_init__(self):
         if self.n_parts < 1:
@@ -35,20 +41,10 @@ class SlabDecomposition:
         """Half-open [start, stop) owned by ``part``."""
         if not (0 <= part < self.n_parts):
             raise IndexError(f"part {part} out of range")
-        base, rem = divmod(self.n_points, self.n_parts)
-        start = part * base + min(part, rem)
-        stop = start + base + (1 if part < rem else 0)
-        return start, stop
+        return _part_bounds(self.n_points, self.n_parts, part)
 
     def sizes(self) -> List[int]:
         return [b - a for a, b in (self.bounds(p) for p in range(self.n_parts))]
-
-    def owner_of(self, index: int) -> int:
-        base, rem = divmod(self.n_points, self.n_parts)
-        big = (base + 1) * rem  # points covered by the rem larger parts
-        if index < big:
-            return index // (base + 1)
-        return rem + (index - big) // base if base else rem
 
     def neighbours(self, part: int) -> Tuple[int, int]:
         """(previous, next) part in the periodic direction."""
@@ -86,37 +82,15 @@ def choose_dims(n_procs: int, level_x: int, level_y: int,
     return px, py
 
 
-def rebalance(decomp: SlabDecomposition, n_parts: int) -> SlabDecomposition:
-    """The same domain re-split over a different part count.
+def block_bounds(shape: Tuple[int, int], dims: Tuple[int, int],
+                 rank: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """Half-open ``((x0, x1), (y0, y1))`` of ``rank``'s block of a ``shape``
+    array over the row-major process grid ``dims`` (each axis split as
+    :class:`SlabDecomposition` splits it).
 
-    The shrink-in-place recovery mode re-decomposes a grid over its
-    surviving processes; the balanced contiguous rule is what makes the
-    result independent of *which* ranks died."""
-    return SlabDecomposition(decomp.n_points, n_parts, decomp.axis)
-
-
-def migration_plan(old: SlabDecomposition,
-                   new: SlabDecomposition) -> List[List[Tuple[int, int, int]]]:
-    """Which old slabs each new part must read to assemble its slab.
-
-    Returns, for each new part, the list of ``(old_part, start, stop)``
-    half-open global index intervals covering the new part's bounds, in
-    ascending order.  Used by the shrink-in-place checkpoint restore: each
-    surviving rank reads exactly the overlapping regions of the old ranks'
-    checkpoints, so the migration is fully distributed.
-    """
-    if old.n_points != new.n_points or old.axis != new.axis:
-        raise ValueError(
-            f"cannot migrate between decompositions of different domains "
-            f"({old.n_points}@axis{old.axis} vs {new.n_points}@axis{new.axis})")
-    plan: List[List[Tuple[int, int, int]]] = []
-    for p in range(new.n_parts):
-        lo, hi = new.bounds(p)
-        pieces: List[Tuple[int, int, int]] = []
-        for q in range(old.owner_of(lo), old.owner_of(hi - 1) + 1):
-            a, b = old.bounds(q)
-            s, e = max(a, lo), min(b, hi)
-            if s < e:
-                pieces.append((q, s, e))
-        plan.append(pieces)
-    return plan
+    The balanced contiguous split depends only on ``dims``, so a grid
+    re-decomposed over its survivors knows every old and new block without
+    asking which ranks died."""
+    cx, cy = divmod(rank, dims[1])
+    return (_part_bounds(shape[0], dims[0], cx),
+            _part_bounds(shape[1], dims[1], cy))

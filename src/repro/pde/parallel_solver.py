@@ -25,7 +25,7 @@ grid steps per message.
 The solver also provides the state-motion primitives the recovery
 techniques need: ``gather_full`` (root assembles the whole sub-grid),
 ``scatter_full`` (root redistributes a replacement state, e.g. after
-restart or resampling), and ``snapshot``/``restore`` of the local block for
+restart or resampling), and ``snapshot`` of the local block for
 checkpointing.
 """
 
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import SlabDecomposition, choose_dims
+from .decomposition import SlabDecomposition, block_bounds, choose_dims
 from .lax_wendroff import FLOPS_PER_POINT, nodal_view
 
 _HALO_TAG_UP = 101
@@ -66,13 +66,10 @@ class DistributedAdvectionSolver:
         #: the axis the block is presented first along: the decomposed one
         #: of a ring (the longer one of a single process), x otherwise
         self.axis = 1 if px == 1 and (py > 1 or level_y > level_x) else 0
-        self.decomp_x = SlabDecomposition(1 << level_x, px, 0)
-        self.decomp_y = SlabDecomposition(1 << level_y, py, 1)
-        #: the ring's slab decomposition (shrink-in-place re-balances it)
-        self.decomp = self.decomp_y if self.axis else self.decomp_x
         cx, cy = divmod(comm.rank, py)
         (x_prev, x_next), (y_prev, y_next) = \
-            self.decomp_x.neighbours(cx), self.decomp_y.neighbours(cy)
+            SlabDecomposition(1 << level_x, px).neighbours(cx), \
+            SlabDecomposition(1 << level_y, py).neighbours(cy)
         along_x = (px, (x_prev * py + cy, x_next * py + cy))
         along_y = (py, (cx * py + y_prev, cx * py + y_next))
         #: (parts, (previous, next)) of the two exchange phases, in order
@@ -93,9 +90,8 @@ class DistributedAdvectionSolver:
 
     def _block(self, rank: int):
         """Index of ``rank``'s block in the full periodic array."""
-        cx, cy = divmod(rank, self.dims[1])
-        return (slice(*self.decomp_x.bounds(cx)),
-                slice(*self.decomp_y.bounds(cy)))
+        (x0, x1), (y0, y1) = block_bounds(self.shape, self.dims, rank)
+        return slice(x0, x1), slice(y0, y1)
 
     def initial_block(self) -> np.ndarray:
         """The initial field on my block only (elementwise, so bit-equal to
@@ -258,14 +254,9 @@ class DistributedAdvectionSolver:
             self.step_count = step_count
 
     # ------------------------------------------------------------------
-    # checkpoint support (local block only; the Disk charges I/O cost)
+    # checkpoint support (local block only; the Disk charges I/O cost, and
+    # ``ft.checkpoint.restore_checkpoint`` reassembles blocks)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         return {"u": self.u.copy(), "step_count": self.step_count,
                 "level_x": self.level_x, "level_y": self.level_y}
-
-    def restore(self, snap: dict) -> None:
-        if (snap["level_x"], snap["level_y"]) != (self.level_x, self.level_y):
-            raise ValueError("checkpoint is for a different sub-grid")
-        self.u = snap["u"].copy()
-        self.step_count = snap["step_count"]

@@ -60,7 +60,7 @@ def test_conflict_pairs_forwarded():
 def test_too_many_procs_for_grid_rejected():
     scheme = CombinationScheme(4, 4)  # smallest grids 2^1 x ...
     with pytest.raises(ValueError):
-        Layout(scheme, {g.gid: 1000 for g in scheme.grids})
+        Layout.from_counts(scheme, {g.gid: 1000 for g in scheme.grids})
 
 
 def test_zero_procs_rejected():
@@ -68,13 +68,31 @@ def test_zero_procs_rejected():
     counts = {g.gid: 1 for g in scheme.grids}
     counts[0] = 0
     with pytest.raises(ValueError):
-        Layout(scheme, counts)
+        Layout.from_counts(scheme, counts)
 
 
 def test_describe():
     layout = Layout.paper(CombinationScheme(8, 4), 2)
     text = layout.describe()
     assert "grid  0" in text and "11 processes" in text
+
+
+def test_survivors_renumber_and_keep_an_empty_group():
+    """Without adoption a grid that lost its only member stays empty: it
+    has no root, and the survivors are renumbered in their old order."""
+    layout = Layout.paper(CombinationScheme(8, 4), 2)
+    assert layout.adoptions == {}
+    lone = next(a for a in layout.assignments if a.n_procs == 1)
+    dead = lone.ranks[0]
+    members = [r for r in range(layout.total_procs) if r != dead]
+    after = layout.survivors(members, adopt_orphans=False)
+    assert after.adoptions == {} and after.total_procs == len(members)
+    assert after.group_ranks(lone.gid) == ()
+    with pytest.raises(ValueError, match="no surviving processes"):
+        after.root_rank(lone.gid)
+    assert "no survivors" in after.describe()
+    for r, m in enumerate(members):
+        assert after.gid_of(r) == layout.gid_of(m)
 
 
 @given(st.integers(1, 64).filter(lambda p: p & (p - 1) == 0))

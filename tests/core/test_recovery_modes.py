@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core import AppConfig, run_app
+from repro.core.runner import baseline_solve_time, plan_failures
 from repro.ft import PLACE_SPARE, STRATEGIES, strategy_by_mode
 from repro.ft.failure_injection import Kill
 from repro.machine.presets import IDEAL, OPL
+from repro.simkernel.errors import TaskFailedError
 
 
 def cfg_for(code, **kw):
@@ -57,7 +59,7 @@ def test_cost_estimate_shapes():
     assert sum(costs["shrink"].values()) < sum(costs["respawn"].values())
 
 
-@pytest.mark.parametrize("mode", ["shrink", "nc"])
+@pytest.mark.parametrize("mode", ["nc"])
 def test_modes_require_1d_decomposition(mode):
     with pytest.raises(ValueError, match="1d"):
         strategy_by_mode(mode).validate_config(
@@ -190,6 +192,23 @@ def test_nc_full_grid_loss_is_fatal():
                 kills=[Kill(6, at), Kill(7, at)])
 
 
+@pytest.mark.xfail(raises=TaskFailedError, strict=True,
+                   reason="a bystander grid's communicator is revoked under "
+                          "it and it never reaches a handler")
+@pytest.mark.parametrize("code", ["CR", "AC"])
+@pytest.mark.parametrize("seed", range(4))
+def test_nc_single_kill_on_a_22_rank_world(code, seed):
+    """Open regression points of the non-collective repair: one seeded kill
+    mid-solve on the ``diag_procs=4`` layout (victims 13, 5, 2, 8) ends in
+    a ``RevokedError`` on a ``world.split`` communicator."""
+    cfg = cfg_for(code, recovery_mode="nc", diag_procs=4)
+    kills = plan_failures(cfg, 1, at=0.5 * baseline_solve_time(cfg, OPL),
+                          seed=seed)
+    m = run_app(cfg, OPL, kills=kills)
+    assert m.failed_ranks == [kills[0].rank]
+    assert np.isfinite(m.error_l1)
+
+
 # ---------------------------------------------------------------------------
 # mode bookkeeping
 # ---------------------------------------------------------------------------
@@ -246,14 +265,12 @@ def test_shrink_full_grid_loss_ac_drops_grid():
 
 
 def test_survivor_view_adoption_is_deterministic():
-    from repro.core.layout import SurvivorView
-
     cfg = small_cfg("CR")
     base = cfg.layout()
     members = [r for r in range(base.total_procs) if r != 7]
-    v = SurvivorView(base, members, adopt_orphans=True)
-    assert v.adoptions == dict(SurvivorView(base, members,
-                                            adopt_orphans=True).adoptions)
+    v = base.survivors(members, adopt_orphans=True)
+    assert v.adoptions == dict(base.survivors(members,
+                                              adopt_orphans=True).adoptions)
     orphan_ranks = v.group_ranks(4)
     assert len(orphan_ranks) == 1     # the donor
     donor_gid = v.adoptions[4]
@@ -280,10 +297,8 @@ def test_second_orphan_spares_the_first_orphans_rc_source():
 
 
 def test_survivor_view_no_donor_raises():
-    from repro.core.layout import SurvivorView
-
     cfg = small_cfg("CR", diag_procs=1)   # every grid single-member
     base = cfg.layout()
     members = [r for r in range(base.total_procs) if r != 2]
     with pytest.raises(RuntimeError, match="cannot re-balance"):
-        SurvivorView(base, members, adopt_orphans=True)
+        base.survivors(members, adopt_orphans=True)

@@ -6,6 +6,7 @@ import pytest
 from repro.ft import (CheckpointStats, Disk, checkpoint_interval_steps,
                       optimal_checkpoint_count, paper_eq2_checkpoint_count,
                       restore_checkpoint, write_checkpoint)
+from repro.mpi.cart import CartHandle
 from repro.pde import AdvectionProblem, DistributedAdvectionSolver
 
 from ..conftest import run_ranks as run
@@ -19,11 +20,9 @@ def test_disk_versioned_by_step():
         d.write(1, 0, {"u": np.zeros(2), "step_count": step,
                        "level_x": 3, "level_y": 3})
     assert d.available_steps(1, 0) == (4, 8, 12)
-    assert d.latest_step(1, 0) == 12
     snap = d.read(1, 0, 8)
     assert snap["step_count"] == 8
     assert d.read(1, 0, 99) is None
-    assert d.latest_step(9, 9) is None
 
 
 def test_disk_history_bounded():
@@ -32,7 +31,6 @@ def test_disk_history_bounded():
         d.write(0, 0, {"u": np.zeros(1), "step_count": step,
                        "level_x": 1, "level_y": 1})
     assert len(d.available_steps(0, 0)) == Disk.KEEP
-    assert d.latest_step(0, 0) == 9
 
 
 def test_disk_read_returns_owned_copy():
@@ -105,7 +103,7 @@ def test_write_restore_roundtrip_charges_io(opl):
         saved = sol.u.copy()
         await sol.step(3)
         restored = await restore_checkpoint(ctx, disk, 0, ctx.comm, sol,
-                                            stats)
+                                            sol.dims, stats)
         assert restored == 3
         assert np.allclose(sol.u, saved)
         assert stats.writes == 1
@@ -130,7 +128,8 @@ def test_coordinated_restore_rolls_back_to_common_step():
         await sol.step(4)
         if ctx.rank == 0:  # rank 1 "died" before writing round 2
             await write_checkpoint(ctx, disk, 0, ctx.comm.rank, sol)
-        restored = await restore_checkpoint(ctx, disk, 0, ctx.comm, sol)
+        restored = await restore_checkpoint(ctx, disk, 0, ctx.comm, sol,
+                                            sol.dims)
         return (restored, sol.step_count)
 
     res, _ = run(2, main)
@@ -148,10 +147,10 @@ def test_restore_step_rerestore_bit_identical():
                                          PROB.stable_dt(4))
         await sol.step(3)
         await write_checkpoint(ctx, disk, 0, ctx.comm.rank, sol)
-        await restore_checkpoint(ctx, disk, 0, ctx.comm, sol)
+        await restore_checkpoint(ctx, disk, 0, ctx.comm, sol, sol.dims)
         first = sol.u.copy()
         await sol.step(5)          # mutate the restored array in place
-        await restore_checkpoint(ctx, disk, 0, ctx.comm, sol)
+        await restore_checkpoint(ctx, disk, 0, ctx.comm, sol, sol.dims)
         assert sol.step_count == 3
         return np.array_equal(first, sol.u)  # bit-identical, not allclose
 
@@ -167,10 +166,55 @@ def test_restore_without_any_checkpoint_resets_to_initial():
                                          PROB.stable_dt(4))
         u0 = sol.u.copy()
         await sol.step(5)
-        restored = await restore_checkpoint(ctx, disk, 0, ctx.comm, sol)
+        restored = await restore_checkpoint(ctx, disk, 0, ctx.comm, sol,
+                                            sol.dims)
         assert restored == 0
         assert np.allclose(sol.u, u0)
         return sol.step_count
 
     res, _ = run(2, main)
     assert res == [0, 0]
+
+
+def _on_grid(ctx, dims, lx, ly):
+    cart = CartHandle(ctx.comm.state, ctx.proc, dims, (True, True))
+    return DistributedAdvectionSolver(ctx, cart, PROB, lx, ly,
+                                      PROB.stable_dt(max(lx, ly)))
+
+
+@pytest.mark.parametrize("old, new, torn", [
+    ((4, 1), (3, 1), False), ((1, 4), (1, 3), False),
+    ((2, 2), (3, 1), False), ((2, 2), (2, 2), False),
+    ((2, 2), (1, 1), False), ((2, 2), (3, 1), True)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple)
+    else ("torn" if v else "whole"))
+def test_restore_reads_block_overlaps_onto_any_grid(old, new, torn):
+    """A group over ``old`` dims checkpoints a known field at steps 4, 8
+    and 12; a group over ``new`` dims restores it, every block equal to
+    its slice of the field.  With ``torn``, old rank 0's step-12 snapshot
+    has the wrong shape, so the group falls back to step 8."""
+    lx, ly = 4, 3
+    disk = Disk()
+
+    def field(step):
+        return np.arange(16.0 * 8).reshape(16, 8) + 1000.0 * step
+
+    async def write(ctx):
+        sol = _on_grid(ctx, old, lx, ly)
+        for step in (4, 8, 12):
+            sol.u = np.ascontiguousarray(field(step)[sol._block(ctx.rank)])
+            if torn and step == 12 and ctx.rank == 0:
+                sol.u = sol.u[:-1]
+            sol.step_count = step
+            await write_checkpoint(ctx, disk, 0, ctx.rank, sol)
+
+    async def restore(ctx):
+        sol = _on_grid(ctx, new, lx, ly)
+        step = await restore_checkpoint(ctx, disk, 0, ctx.comm, sol, old)
+        want = field(step)[sol._block(ctx.rank)]
+        return step, sol.step_count, np.array_equal(sol.u, want)
+
+    run(old[0] * old[1], write)
+    res, _ = run(new[0] * new[1], restore)
+    step = 8 if torn else 12
+    assert res == [(step, step, True)] * (new[0] * new[1])

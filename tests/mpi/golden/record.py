@@ -55,6 +55,14 @@ programs of the retired diagnostics option were dropped and the two
 ``validate_config`` messages were reworded; ``--check`` showed nothing
 else moved.
 
+Exactly the five ``CR-shrink-2d-*`` runs were recorded again when one
+checkpoint restore that reads block overlaps replaced the same-size and
+the 1-d remapped restores, and shrink-in-place stopped rejecting ``"2d"``.
+``quiet`` had stored the rejection and the four kill plans did not exist.
+Before re-recording, ``--check`` reported 0 of 23 programs and those 5 of
+57 runs differing, so every other run, respawn ``2d`` and shrink ``1d``
+included, is byte-identical across the change.
+
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.
 """

@@ -7,39 +7,31 @@ from repro.pde import SlabDecomposition, choose_dims
 
 
 def test_bounds_cover_domain():
-    d = SlabDecomposition(10, 3, axis=0)
+    d = SlabDecomposition(10, 3)
     assert [d.bounds(p) for p in range(3)] == [(0, 4), (4, 7), (7, 10)]
     assert d.sizes() == [4, 3, 3]
 
 
 def test_even_split():
-    d = SlabDecomposition(8, 4, axis=0)
+    d = SlabDecomposition(8, 4)
     assert d.sizes() == [2, 2, 2, 2]
 
 
-def test_owner_of():
-    d = SlabDecomposition(10, 3, axis=0)
-    for p in range(3):
-        lo, hi = d.bounds(p)
-        for i in range(lo, hi):
-            assert d.owner_of(i) == p
-
-
 def test_neighbours_periodic():
-    d = SlabDecomposition(8, 4, axis=0)
+    d = SlabDecomposition(8, 4)
     assert d.neighbours(0) == (3, 1)
     assert d.neighbours(3) == (2, 0)
 
 
 def test_too_many_parts_rejected():
     with pytest.raises(ValueError):
-        SlabDecomposition(3, 4, axis=0)
+        SlabDecomposition(3, 4)
     with pytest.raises(ValueError):
-        SlabDecomposition(4, 0, axis=0)
+        SlabDecomposition(4, 0)
 
 
 def test_bounds_out_of_range():
-    d = SlabDecomposition(4, 2, axis=0)
+    d = SlabDecomposition(4, 2)
     with pytest.raises(IndexError):
         d.bounds(2)
 
@@ -78,7 +70,7 @@ def test_choose_dims_rejects():
 def test_partition_properties(n, p):
     if p > n:
         p = n
-    d = SlabDecomposition(n, p, axis=0)
+    d = SlabDecomposition(n, p)
     sizes = d.sizes()
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1           # balanced
@@ -89,8 +81,3 @@ def test_partition_properties(n, p):
         assert lo == cursor and hi > lo
         cursor = hi
     assert cursor == n
-    # owner_of consistent with bounds
-    for idx in {0, n // 2, n - 1}:
-        owner = d.owner_of(idx)
-        lo, hi = d.bounds(owner)
-        assert lo <= idx < hi

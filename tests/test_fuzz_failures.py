@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import AppConfig, baseline_solve_time, run_app
 from repro.core.app import app_main
 from repro.core.runner import make_universe
-from repro.ft.checkpoint import Disk
+from repro.ft import recovery
+from repro.ft.checkpoint import Disk, restore_checkpoint
 from repro.ft.failure_injection import FailureGenerator, Kill
 from repro.machine.presets import OPL
 from repro.mpi.comm import CommHandle
@@ -138,16 +139,37 @@ def test_kill_landing_mid_reconstruction(code):
     assert m.n_failures == 2
 
 
-@pytest.mark.parametrize("code", ["CR", "RC", "AC"])
-def test_fuzz_2d_decomposition(code):
+@pytest.mark.parametrize("code, recovery_mode", [
+    pytest.param(code, mode,
+                 id=code if mode == "respawn" else f"{code}-{mode}")
+    for mode in ("respawn", "shrink") for code in ("CR", "RC", "AC")])
+def test_fuzz_2d_decomposition(code, recovery_mode):
+    """Under shrink a contracted 2-D grid is re-decomposed over its
+    survivors and CR restores it from the launch-time blocks' checkpoints
+    — not from step 0.  The result is not bit-equal: a (2, 2) grid that
+    contracts to (1, 3) runs the transposed kernel."""
     t_solve, _, layout = _solve_window(code, diag_procs=4)
     gen = FailureGenerator(5, protect={0},
                            conflict_pairs=layout.conflict_pairs_ranks()
                            if code == "RC" else (),
                            rank_to_grid=layout.gid_of)
     kills = gen.plan(layout.total_procs, 2, at=max(t_solve * 0.4, 1e-9))
-    m = fuzz_run(code, kills, diag_procs=4, decomposition="2d")
+    restored = []
+
+    async def spy(*args, **kwargs):
+        restored.append(await restore_checkpoint(*args, **kwargs))
+        return restored[-1]
+
+    with mock.patch.object(recovery, "restore_checkpoint", spy):
+        m = fuzz_run(code, kills, diag_procs=4, decomposition="2d",
+                     recovery_mode=recovery_mode)
     assert m.n_failures == 2
+    if code == "CR" and recovery_mode == "shrink":
+        clean = run_app(AppConfig(n=6, level=4, technique_code="CR",
+                                  steps=16, diag_procs=4, checkpoint_count=4,
+                                  decomposition="2d"), OPL)
+        assert m.error_l1 == pytest.approx(clean.error_l1, rel=1e-12)
+        assert restored and min(restored) > 0
 
 
 def test_many_failures_half_the_grids():
