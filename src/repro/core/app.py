@@ -341,10 +341,8 @@ class CombinationApp:
         tx, ty = cfg.target
         xs = axis_points(tx)
         ys = axis_points(ty)
-        exact = cfg.problem.exact(xs, ys, t_end)
-        m.error_l1 = l1(combined, exact)
-        m.error_l2 = l2(combined, exact)
-        m.error_linf = linf(combined, exact)
+        d = combined - cfg.problem.exact(xs, ys, t_end)
+        m.error_l1, m.error_l2, m.error_linf = l1(d), l2(d), linf(d)
         if cfg.collect_arrays:
             m.combined = combined
         return m

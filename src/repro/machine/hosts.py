@@ -77,11 +77,15 @@ class Hostfile:
     def spare_hosts(self) -> List[Host]:
         return [h for h in self.hosts if h.spare]
 
-    def host_of_rank(self, rank: int, slots: Optional[int] = None) -> Host:
-        """Fig. 5 lines 5–7: the host on whose slots ``rank`` was launched."""
+    def host_of_rank(self, rank: int, slots: Optional[int] = None,
+                     regular: Optional[List[Host]] = None) -> Host:
+        """Fig. 5 lines 5–7: the host on whose slots ``rank`` was launched.
+
+        A caller placing many ranks passes ``regular_hosts`` once as
+        ``regular`` instead of having it rebuilt per rank."""
         slots = slots if slots is not None else self.hosts[0].slots
         index = rank // slots
-        regular = self.regular_hosts
+        regular = self.regular_hosts if regular is None else regular
         if index >= len(regular):
             raise IndexError(
                 f"rank {rank} maps to hostfile line {index}, but only "

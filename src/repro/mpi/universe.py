@@ -171,11 +171,11 @@ class Universe:
         """Launch ``n`` ranks running ``entry(ctx)``, placed block-by-slot on
         the hostfile (rank r goes to host r // slots, as the paper assumes)."""
         hostfile = self._ensure_hostfile(n)
-        slots = hostfile[0].slots
+        slots, regular = hostfile[0].slots, hostfile.regular_hosts
         name = name or f"job{next(_job_ids)}"
         procs = []
         for r in range(n):
-            host = hostfile.host_of_rank(r, slots)
+            host = hostfile.host_of_rank(r, slots, regular)
             if host.free_slots <= 0:
                 raise RuntimeError(f"no free slot on {host.name} for rank {r}")
             proc = Proc(f"{name}.{r}", host)

@@ -17,8 +17,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .lax_wendroff import (courant_numbers, fill_periodic_halo,
-                           lw_step_interior_into, lw_step_periodic_into)
+from .lax_wendroff import courant_numbers, flat_blocks, lw_step_into
 
 
 def sinusoid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -40,9 +39,10 @@ class AdvectionProblem:
     """Problem definition: velocity, initial condition, domain [0,1]^2.
 
     Implements the generic problem interface the solvers consume:
-    ``initial`` / ``exact`` / ``stable_dt`` plus the stencil kernels
-    ``step_periodic`` (whole array, wrap-around) and ``step_interior``
-    (halo-padded block).  The scheme is 2D Lax–Wendroff.
+    ``initial`` / ``exact`` / ``stable_dt`` plus the one stencil kernel
+    ``step_interior`` (halo-padded block into a padded buffer, whole
+    periodic arrays included: their halo is the wrapped interior).  The
+    scheme is 2D Lax–Wendroff.
     """
 
     velocity: Tuple[float, float] = (1.0, 0.5)
@@ -72,20 +72,13 @@ class AdvectionProblem:
             return cfl * h
         return cfl * h / speed
 
-    # -- stencil kernels (generic solver interface) ----------------------
-    def step_periodic(self, u: np.ndarray, level_x: int, level_y: int,
-                      dt: float, *, out: np.ndarray, work: np.ndarray,
-                      scratch: np.ndarray) -> np.ndarray:
-        """One periodic step into ``out``, allocating nothing (``work`` has
-        shape ``u.shape + 2``, ``out`` and ``scratch`` ``u.shape``)."""
-        cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
-        return lw_step_periodic_into(u, cx, cy, out, work, scratch)
-
+    # -- stencil kernel (generic solver interface) -----------------------
     def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
                       dt: float, transposed: bool = False, *,
                       out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Stencil update of a halo-padded block into ``out`` (``out`` and
-        ``scratch`` interior-shaped), allocating nothing.
+        """Stencil update of the halo-padded block ``w`` into the interior
+        of the padded ``out``, allocating nothing (``scratch`` flat; see
+        :func:`~repro.pde.lax_wendroff.lw_step_into`).
 
         ``transposed=True`` means the block's axis 0 is the physical y
         axis (a grid decomposed along y presents its data transposed), so
@@ -94,7 +87,7 @@ class AdvectionProblem:
         cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
         if transposed:
             cx, cy = cy, cx
-        return lw_step_interior_into(w, cx, cy, out, scratch)
+        return lw_step_into(w, cx, cy, out, scratch)
 
 
 @dataclass(frozen=True)
@@ -139,27 +132,23 @@ class DiffusionProblem:
     @staticmethod
     def _ftcs_into(w: np.ndarray, rx: float, ry: float,
                    out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Allocation-free FTCS update of the interior of ``w``."""
-        u = w[1:-1, 1:-1]
-        t = scratch
-        np.multiply(2.0, u, out=t)
-        np.subtract(w[2:, 1:-1], t, out=t)
-        t += w[:-2, 1:-1]
-        t *= rx
-        np.add(u, t, out=out)
-        np.multiply(2.0, u, out=t)
-        np.subtract(w[1:-1, 2:], t, out=t)
-        t += w[1:-1, :-2]
-        t *= ry
-        out += t
+        """Allocation-free FTCS update of the interior of ``w``, one flat
+        pass as :func:`~repro.pde.lax_wendroff.lw_step_into` makes."""
+        wf, of, blocks = flat_blocks(w, out, scratch)
+        s = w.shape[1]
+        for lo, hi in blocks:
+            u, o, t = wf[lo:hi], of[lo:hi], scratch[:hi - lo]
+            np.multiply(2.0, u, out=t)
+            np.subtract(wf[lo + s:hi + s], t, out=t)
+            t += wf[lo - s:hi - s]
+            t *= rx
+            np.add(u, t, out=o)
+            np.multiply(2.0, u, out=t)
+            np.subtract(wf[lo + 1:hi + 1], t, out=t)
+            t += wf[lo - 1:hi - 1]
+            t *= ry
+            o += t
         return out
-
-    def step_periodic(self, u: np.ndarray, level_x: int, level_y: int,
-                      dt: float, *, out: np.ndarray, work: np.ndarray,
-                      scratch: np.ndarray) -> np.ndarray:
-        rx, ry = self._fourier(level_x, level_y, dt)
-        fill_periodic_halo(u, work)
-        return self._ftcs_into(work, rx, ry, out, scratch)
 
     def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
                       dt: float, transposed: bool = False, *,

@@ -12,8 +12,8 @@ with Courant numbers :math:`c_x = a\\,\\Delta t/\\Delta x`,
 :math:`c_y = b\\,\\Delta t/\\Delta y` (:math:`\\delta` a central
 difference, :math:`\\delta^2` a second difference, :math:`\\delta_{xy}` the
 difference of the four corners).  There is one stencil kernel,
-:func:`lw_step_interior_into`; it evaluates the formula collected per
-stencil point,
+:func:`lw_step_into`; it evaluates the formula collected per stencil
+point,
 
 .. math::
 
@@ -22,7 +22,10 @@ stencil point,
                  + \\tfrac{c_x c_y}{4}\\delta_{xy} u, \\qquad
     c_0 = 1 - c_x^2 - c_y^2, \\quad c_{x\\pm} = \\tfrac{c_x}{2}(c_x \\mp 1),
 
-over cache-sized row blocks, and every other entry point (periodic or
+in one pass over the halo-padded buffer read as a flat array: with ``s``
+the padded row length the eight neighbours sit at flat offsets ``±s``,
+``±1`` and ``±s±1``, so each of the 14 operations is a contiguous 1-D
+ufunc over a cache-sized block.  Every other entry point (periodic or
 halo-padded, allocating or not) is a wrapper around it, so all solvers
 share one arithmetic.  Periodic arrays are stored *without*
 the duplicated right/top boundary (shape ``2^i × 2^j``); ``nodal_view``
@@ -70,89 +73,89 @@ def courant_numbers(velocity: Tuple[float, float], level_x: int, level_y: int,
     return a * dt * (1 << level_x), b * dt * (1 << level_y)
 
 
-#: grid points per kernel block: the padded input rows, the output rows and
-#: the scratch rows of one block (3 x 128 KiB of float64) stay cache-resident
-#: across the kernel's 14 passes instead of streaming the whole slab each time
-_BLOCK_POINTS = 1 << 14
+#: flat points per kernel block: the block's input window, output and
+#: scratch (3 x 256 KiB of float64) stay cache-resident across the
+#: kernel's 14 passes instead of streaming the whole slab each time
+_BLOCK_POINTS = 1 << 15
 
 
-def fill_periodic_halo(u: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Copy ``u`` into the interior of the ``(nx+2, ny+2)`` buffer ``work``
-    and fill the ghost layer (corners included) by periodic wrap-around."""
-    work[1:-1, 1:-1] = u
-    work[0, 1:-1] = u[-1, :]
-    work[-1, 1:-1] = u[0, :]
-    work[:, 0] = work[:, -2]
-    work[:, -1] = work[:, 1]
-    return work
+def wrap_halo(w: np.ndarray) -> np.ndarray:
+    """Fill the ghost layer of the padded buffer ``w`` (corners included)
+    from its own interior by periodic wrap-around, in place."""
+    w[0, 1:-1] = w[-2, 1:-1]
+    w[-1, 1:-1] = w[1, 1:-1]
+    w[:, 0] = w[:, -2]
+    w[:, -1] = w[:, 1]
+    return w
 
 
-def _lw_block(w: np.ndarray, coeffs, out: np.ndarray, t: np.ndarray) -> None:
-    """The 9-coefficient stencil on one halo-padded block, into ``out``."""
-    c0, c_xp, c_xm, c_yp, c_ym, c_xy = coeffs
-    np.multiply(w[1:-1, 1:-1], c0, out=out)
-    np.multiply(w[2:, 1:-1], c_xp, out=t)
-    out += t
-    np.multiply(w[:-2, 1:-1], c_xm, out=t)
-    out += t
-    np.multiply(w[1:-1, 2:], c_yp, out=t)
-    out += t
-    np.multiply(w[1:-1, :-2], c_ym, out=t)
-    out += t
-    np.subtract(w[2:, 2:], w[2:, :-2], out=t)
-    t -= w[:-2, 2:]
-    t += w[:-2, :-2]
-    t *= c_xy
-    out += t
+def scratch_for(w: np.ndarray) -> np.ndarray:
+    """A flat scratch buffer large enough for a kernel pass over ``w``."""
+    return np.empty(min(_BLOCK_POINTS, w.size), dtype=w.dtype)
 
 
-def lw_step_interior_into(w: np.ndarray, cx: float, cy: float,
-                          out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """One step on the interior of a halo-padded block ``w``, into ``out``.
+def flat_blocks(w: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """Check the buffers of a flat pass over ``w`` into ``out`` (flat
+    offsets on a view or an overlap would be silently wrong) and return
+    both flattened, with the ``(lo, hi)`` blocks of at most
+    ``_BLOCK_POINTS`` that tile ``[s + 1, w.size - s - 1)``."""
+    if (w.ndim != 2 or out.shape != w.shape or scratch.ndim != 1
+            or not (w.flags.c_contiguous and out.flags.c_contiguous)
+            or scratch.size < min(_BLOCK_POINTS, w.size)
+            or np.may_share_memory(w, out)):
+        raise ValueError(f"flat kernel needs separate C-contiguous w/out of "
+                         f"one shape: {w.shape}, {out.shape}, {scratch.shape}")
+    s, stop = w.shape[1], w.size - w.shape[1] - 1
+    return w.reshape(-1), out.reshape(-1), [
+        (lo, min(lo + _BLOCK_POINTS, stop))
+        for lo in range(s + 1, stop, _BLOCK_POINTS)]
 
-    ``w`` has one ghost layer on every side (already exchanged); ``out``
-    and ``scratch`` have the interior shape ``w.shape - 2`` and are
-    overwritten; ``out`` is returned.  Neither may overlap ``w`` (``out``
-    *may* alias the array the caller copied into ``w``).  Allocates
-    nothing.  The stencil is purely pointwise in ``w``, so the row
-    blocking cannot change a single bit of the result.
+
+def lw_step_into(w: np.ndarray, cx: float, cy: float,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """One step of the halo-padded block ``w`` into the interior of the
+    padded ``out`` (same shape; ``scratch`` flat, :func:`scratch_for`);
+    returns ``out``, allocates nothing.  The flat range from the first
+    interior point to the last also covers ``out``'s ghost columns, which
+    receive finite garbage the next halo fill overwrites.  The stencil is
+    pointwise, so neither the blocking nor the flat layout changes a bit.
     """
-    coeffs = (1.0 - cx * cx - cy * cy,
-              0.5 * cx * (cx - 1.0), 0.5 * cx * (cx + 1.0),
-              0.5 * cy * (cy - 1.0), 0.5 * cy * (cy + 1.0),
-              0.25 * cx * cy)
-    n, ny = out.shape
-    rows = max(1, _BLOCK_POINTS // ny)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        _lw_block(w[lo:hi + 2], coeffs, out[lo:hi], scratch[:hi - lo])
+    c0, c_xp, c_xm, c_yp, c_ym, c_xy = (
+        1.0 - cx * cx - cy * cy, 0.5 * cx * (cx - 1.0), 0.5 * cx * (cx + 1.0),
+        0.5 * cy * (cy - 1.0), 0.5 * cy * (cy + 1.0), 0.25 * cx * cy)
+    wf, of, blocks = flat_blocks(w, out, scratch)
+    s = w.shape[1]
+    for lo, hi in blocks:
+        o, t = of[lo:hi], scratch[:hi - lo]
+        np.multiply(wf[lo:hi], c0, out=o)
+        np.multiply(wf[lo + s:hi + s], c_xp, out=t)
+        o += t
+        np.multiply(wf[lo - s:hi - s], c_xm, out=t)
+        o += t
+        np.multiply(wf[lo + 1:hi + 1], c_yp, out=t)
+        o += t
+        np.multiply(wf[lo - 1:hi - 1], c_ym, out=t)
+        o += t
+        np.subtract(wf[lo + s + 1:hi + s + 1], wf[lo + s - 1:hi + s - 1],
+                    out=t)
+        t -= wf[lo - s + 1:hi - s + 1]
+        t += wf[lo - s - 1:hi - s - 1]
+        t *= c_xy
+        o += t
     return out
 
 
-def lw_step_periodic_into(u: np.ndarray, cx: float, cy: float,
-                          out: np.ndarray, work: np.ndarray,
-                          scratch: np.ndarray) -> np.ndarray:
-    """One step on a fully periodic array ``u``, into ``out``.
-
-    ``work`` is a ``(nx+2, ny+2)`` halo buffer; ``out`` and ``scratch``
-    have the shape of ``u``.  ``out`` may alias ``u`` (the state is staged
-    through ``work`` before ``out`` is written).  Allocates nothing.
-    """
-    fill_periodic_halo(u, work)
-    return lw_step_interior_into(work, cx, cy, out, scratch)
-
-
 def lw_step_interior(w: np.ndarray, cx: float, cy: float) -> np.ndarray:
-    """:func:`lw_step_interior_into` with freshly allocated buffers."""
-    out = np.empty((w.shape[0] - 2, w.shape[1] - 2), dtype=w.dtype)
-    return lw_step_interior_into(w, cx, cy, out, np.empty_like(out))
+    """:func:`lw_step_into` with fresh buffers: the interior of the step."""
+    out = np.empty_like(w)
+    return lw_step_into(w, cx, cy, out, scratch_for(w))[1:-1, 1:-1]
 
 
 def lw_step_periodic(u: np.ndarray, cx: float, cy: float) -> np.ndarray:
-    """:func:`lw_step_periodic_into` with freshly allocated buffers."""
-    work = np.empty((u.shape[0] + 2, u.shape[1] + 2), dtype=u.dtype)
-    return lw_step_periodic_into(u, cx, cy, np.empty_like(u), work,
-                                 np.empty_like(u))
+    """One step of the fully periodic array ``u``, freshly allocated."""
+    w = np.empty((u.shape[0] + 2, u.shape[1] + 2), dtype=u.dtype)
+    w[1:-1, 1:-1] = u
+    return lw_step_interior(wrap_halo(w), cx, cy)
 
 
 @dataclass
@@ -160,8 +163,10 @@ class SerialAdvectionSolver:
     """Single-process reference solver on one anisotropic sub-grid.
 
     Despite the historical name this solver is problem-generic: it drives
-    whatever ``step_periodic`` kernel the problem object provides
-    (Lax–Wendroff advection, FTCS diffusion, ...).
+    whatever ``step_interior`` kernel the problem object provides
+    (Lax–Wendroff advection, FTCS diffusion, ...).  The state lives in the
+    interior of a padded double buffer whose ghost layer is wrapped in
+    place before each step; ``u`` is a view of that interior.
     """
 
     problem: object
@@ -170,14 +175,17 @@ class SerialAdvectionSolver:
     dt: float
 
     def __post_init__(self):
-        self.u = periodic_from_initial(self.problem, self.level_x, self.level_y)
-        self.step_count = 0
-        nx, ny = self.u.shape
+        u = periodic_from_initial(self.problem, self.level_x, self.level_y)
         # persistent buffers: the step allocates nothing
-        self._buf_a = np.empty_like(self.u)
-        self._buf_b = np.empty_like(self.u)
-        self._work = np.empty((nx + 2, ny + 2), dtype=self.u.dtype)
-        self._scratch = np.empty_like(self.u)
+        self._w = np.empty((u.shape[0] + 2, u.shape[1] + 2), dtype=u.dtype)
+        self._w[1:-1, 1:-1] = u
+        self._spare = np.empty_like(self._w)
+        self._scratch = scratch_for(self._w)
+        self.step_count = 0
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._w[1:-1, 1:-1]
 
     @property
     def time(self) -> float:
@@ -185,13 +193,10 @@ class SerialAdvectionSolver:
 
     def step(self, n: int = 1) -> None:
         for _ in range(n):
-            # double buffer: write into whichever private buffer the state
-            # does not currently occupy (never into a caller-assigned array)
-            out = self._buf_b if self.u is self._buf_a else self._buf_a
-            self.problem.step_periodic(
-                self.u, self.level_x, self.level_y, self.dt,
-                out=out, work=self._work, scratch=self._scratch)
-            self.u = out
+            self.problem.step_interior(
+                wrap_halo(self._w), self.level_x, self.level_y, self.dt,
+                out=self._spare, scratch=self._scratch)
+            self._w, self._spare = self._spare, self._w
             self.step_count += 1
 
     def nodal(self) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import SlabDecomposition, block_bounds, choose_dims
-from .lax_wendroff import FLOPS_PER_POINT, nodal_view
+from .lax_wendroff import FLOPS_PER_POINT, nodal_view, scratch_for, wrap_halo
 
 _HALO_TAG_UP = 101
 _HALO_TAG_DOWN = 102
@@ -77,7 +77,7 @@ class DistributedAdvectionSolver:
         self.step_count = 0
         self.u = self.initial_block()
         # persistent step buffers (lazily sized)
-        self._w = self._buf_a = self._buf_b = self._ti = self._scratch = None
+        self._w = self._pad = self._buf_a = self._buf_b = self._scratch = None
 
     # ------------------------------------------------------------------
     @property
@@ -149,9 +149,9 @@ class DistributedAdvectionSolver:
         ``slabs`` (the group's in rank order, or an arc of it), split back
         into owned C-contiguous slabs.  The kernel call is the one every
         rank's ``step`` makes — same orientation: ``transposed`` swaps the
-        x/y accumulation order, ``step_periodic`` would not — on a block
-        whose ghost rows are the array's own; the stencil is pointwise, so
-        more rows change no bit.
+        x/y accumulation order — into a padded double buffer whose ghost
+        layer ``wrap_halo`` refills from the array's own edges; the
+        stencil is pointwise, so more rows change no bit.
         """
         problem, lx, ly, dt = self.problem, self.level_x, self.level_y, self.dt
         transposed = self.axis == 1
@@ -159,14 +159,11 @@ class DistributedAdvectionSolver:
         rows, cols = sum(len(part) for part in parts), parts[0].shape[1]
         w = np.empty((rows + 2, cols + 2), dtype=parts[0].dtype)
         np.concatenate(parts, axis=0, out=w[1:-1, 1:-1])
-        spare, scratch = np.empty_like(w), np.empty((rows, cols), w.dtype)
+        spare, scratch = np.empty_like(w), scratch_for(w)
         for _ in range(n):
-            w[0, 1:-1] = w[-2, 1:-1]
-            w[-1, 1:-1] = w[1, 1:-1]
-            w[:, 0] = w[:, -2]
-            w[:, -1] = w[:, 1]
-            problem.step_interior(w, lx, ly, dt, transposed=transposed,
-                                  out=spare[1:-1, 1:-1], scratch=scratch)
+            problem.step_interior(wrap_halo(w), lx, ly, dt,
+                                  transposed=transposed, out=spare,
+                                  scratch=scratch)
             w, spare = spare, w
         full = w[1:-1, 1:-1].T if transposed else w[1:-1, 1:-1]
         cuts = np.cumsum([len(part) for part in parts[:-1]], dtype=int)
@@ -189,22 +186,15 @@ class DistributedAdvectionSolver:
             if self._buf_a is None or self._buf_a.shape != self.u.shape:
                 self._buf_a = np.empty_like(self.u)
                 self._buf_b = np.empty_like(self.u)
-                interior = (w.shape[0] - 2, w.shape[1] - 2)
-                self._scratch = np.empty(interior, dtype=self.u.dtype)
-                self._ti = (None if not transposed
-                            else np.empty(interior, dtype=self.u.dtype))
-            # double buffer: write into whichever private buffer the state
-            # does not currently occupy
+                self._pad, self._scratch = np.empty_like(w), scratch_for(w)
+            self.problem.step_interior(
+                w, self.level_x, self.level_y, self.dt,
+                transposed=transposed, out=self._pad, scratch=self._scratch)
+            # double buffer: copy the interior into whichever private
+            # buffer the state does not currently occupy
             out = self._buf_b if self.u is self._buf_a else self._buf_a
-            if transposed:
-                unew = self.problem.step_interior(
-                    w, self.level_x, self.level_y, self.dt,
-                    transposed=True, out=self._ti, scratch=self._scratch)
-                np.copyto(out, unew.T)
-            else:
-                self.problem.step_interior(
-                    w, self.level_x, self.level_y, self.dt,
-                    transposed=False, out=out, scratch=self._scratch)
+            inner = self._pad[1:-1, 1:-1]
+            np.copyto(out, inner.T if transposed else inner)
             self.u = out
             self.step_count += 1
             await self.ctx.compute(

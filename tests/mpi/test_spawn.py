@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.machine import Hostfile
-from repro.mpi import RankError
+from repro.machine import Host, Hostfile
+from repro.machine.presets import IDEAL
+from repro.mpi import RankError, Universe
 
 from ..conftest import run_ranks as run
 
@@ -35,6 +36,30 @@ def test_initial_launch_has_no_parent():
 
     res, _ = run(2, main)
     assert all(res)
+
+
+def test_launch_places_by_slot_around_spares_and_refuses_overflow():
+    """Rank r lands on regular host r // slots wherever the spares sit in
+    the hostfile; a full host or a rank past the last regular host still
+    raises, with the same messages."""
+    def hostfile():
+        return Hostfile([Host("a", 2), Host("s0", 2, spare=True),
+                         Host("b", 2), Host("s1", 2, spare=True),
+                         Host("c", 2)])
+
+    async def main(ctx):
+        return None
+
+    uni = Universe(IDEAL, hostfile=hostfile())
+    job = uni.launch(5, main)
+    assert [p.host.name for p in job.procs] == ["a", "a", "b", "b", "c"]
+    assert [h.occupied for h in uni.hostfile] == [2, 0, 2, 0, 1]
+    with pytest.raises(RuntimeError, match="no free slot on a for rank 0"):
+        uni.launch(1, main)
+    uni.run()
+    with pytest.raises(IndexError, match="rank 6 maps to hostfile line 3, "
+                       "but only 3 regular hosts exist"):
+        Universe(IDEAL, hostfile=hostfile()).launch(7, main)
 
 
 def test_merge_low_high_ordering():

@@ -1,13 +1,15 @@
 """Serial Lax-Wendroff stepper: convergence, invariants, nodal views."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.pde import lax_wendroff
-from repro.pde import (AdvectionProblem, SerialAdvectionSolver,
-                       courant_numbers, l1, lw_step_interior,
-                       lw_step_periodic, nodal_view, periodic_from_initial,
-                       periodic_from_nodal)
+from repro.pde import lax_wendroff, parallel_solver
+from repro.pde import (AdvectionProblem, DistributedAdvectionSolver,
+                       SerialAdvectionSolver, courant_numbers, l1,
+                       lw_step_interior, lw_step_periodic, nodal_view,
+                       periodic_from_initial, periodic_from_nodal)
 
 
 def test_constant_field_is_fixed_point():
@@ -116,8 +118,9 @@ def test_periodic_from_initial_drops_boundary():
 # ----------------------------------------------------------------------
 
 def padded(u):
-    return lax_wendroff.fill_periodic_halo(
-        u, np.empty((u.shape[0] + 2, u.shape[1] + 2), dtype=u.dtype))
+    w = np.empty((u.shape[0] + 2, u.shape[1] + 2), dtype=u.dtype)
+    w[1:-1, 1:-1] = u
+    return lax_wendroff.wrap_halo(w)
 
 
 def docstring_formula(w, cx, cy):
@@ -135,24 +138,94 @@ def docstring_formula(w, cx, cy):
                                    - w[:-2, 2:] + w[:-2, :-2]))
 
 
-@pytest.mark.parametrize("cx,cy", [(0.3, 0.25), (-0.4, 0.15), (0.05, -0.6),
-                                   (0.2, 0.0)])
-def test_kernel_matches_extended_precision_formula(cx, cy):
-    rng = np.random.default_rng(4)
-    w = padded(rng.random((24, 40)) * 2.0 - 1.0)
+def assert_matches_formula(w, cx, cy):
     exact = docstring_formula(w.astype(np.longdouble), cx, cy)
     out = lw_step_interior(w, cx, cy)
     ulp = np.finfo(float).eps * np.abs(w).max()
     assert float(np.abs(out - exact).max()) <= 4 * ulp
 
 
-def test_row_blocking_does_not_change_a_bit(monkeypatch):
+@pytest.mark.parametrize("cx,cy", [(0.3, 0.25), (-0.4, 0.15), (0.05, -0.6),
+                                   (0.2, 0.0)])
+def test_kernel_matches_extended_precision_formula(cx, cy):
+    rng = np.random.default_rng(4)
+    assert_matches_formula(padded(rng.random((24, 40)) * 2.0 - 1.0), cx, cy)
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (24, 1), (1, 1)])
+def test_one_row_and_one_column_blocks_match_the_formula(shape):
+    """The flat range of a one-row block is exactly that row; a
+    one-column block computes its ghost columns too, which must not leak
+    into the interior."""
+    rng = np.random.default_rng(7)
+    u = rng.random(shape) * 2.0 - 1.0
+    assert_matches_formula(padded(u), 0.3, -0.45)
+    assert lw_step_interior(padded(u), 0.3, -0.45).shape == shape
+
+
+def test_flat_blocking_does_not_change_a_bit(monkeypatch):
     rng = np.random.default_rng(5)
     w = padded(rng.random((37, 16)))
-    whole = lw_step_interior(w, 0.3, 0.25)
-    for points in (16, 5 * 16, 36 * 16, 7):   # 1 row, 5 rows, 36 + 1, < a row
+    s = w.shape[1]
+    whole = lw_step_interior(w, 0.3, 0.25).copy()
+    for points in (1, 7, s - 1, s, s + 1, 5 * s, w.size + 1):
         monkeypatch.setattr(lax_wendroff, "_BLOCK_POINTS", points)
-        assert np.array_equal(lw_step_interior(w, 0.3, 0.25), whole)
+        out = np.full_like(w, np.nan)     # a skipped point stays NaN
+        lax_wendroff.lw_step_into(w, 0.3, 0.25, out,
+                                  lax_wendroff.scratch_for(w))
+        assert np.array_equal(out[1:-1, 1:-1], whole), points
+
+
+def test_non_contiguous_buffers_are_rejected():
+    w = padded(np.random.default_rng(8).random((8, 6)))
+    out, scratch = np.empty_like(w), lax_wendroff.scratch_for(w)
+    wide = np.empty((w.shape[0], 2 * w.shape[1]))
+    for bad_w, bad_out in ((np.asfortranarray(w), out), (w, out.T.copy().T),
+                           (wide[:, ::2], out), (w, wide[:, :w.shape[1]]),
+                           (w, w), (w, np.empty((8, 6)))):
+        with pytest.raises(ValueError):
+            lax_wendroff.lw_step_into(bad_w, 0.3, 0.25, bad_out, scratch)
+    with pytest.raises(ValueError):
+        lax_wendroff.lw_step_into(w, 0.3, 0.25, out, scratch.reshape(1, -1))
+
+
+class _NaNEmpty:
+    """numpy, except that fresh buffers start out as NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+    @staticmethod
+    def empty_like(a):
+        return np.full_like(a, np.nan)
+
+
+def test_poisoned_buffers_change_nothing(monkeypatch):
+    """Every buffer the solvers allocate (state ghosts, padded output,
+    scratch) starts as NaN: after 16 steps the state is finite and
+    bit-equal to a run on clean buffers."""
+    prob = AdvectionProblem(velocity=(1.0, 0.5))
+    dt = prob.stable_dt(6)
+
+    def run():
+        serial = SerialAdvectionSolver(prob, 6, 4, dt)
+        serial.step(16)
+        group = [DistributedAdvectionSolver(
+            None, SimpleNamespace(size=1, rank=0), prob, lx, ly, dt)
+            for lx, ly in ((6, 4), (4, 6))]
+        return [serial.u.copy()] + [
+            sol._advance_group([sol.u], 16)[0] for sol in group]
+
+    clean = run()
+    for module in (lax_wendroff, parallel_solver):
+        monkeypatch.setattr(module, "np", _NaNEmpty())
+    assert np.isnan(lax_wendroff.scratch_for(np.zeros((3, 3)))).all()
+    for got, ref in zip(run(), clean):
+        assert np.isfinite(got).all() and np.array_equal(got, ref)
 
 
 def test_every_entry_point_is_the_same_arithmetic():
@@ -160,18 +233,22 @@ def test_every_entry_point_is_the_same_arithmetic():
     u = rng.random((16, 8))
     fresh = lw_step_periodic(u, 0.3, 0.25)
     assert np.array_equal(lw_step_interior(padded(u), 0.3, 0.25), fresh)
-    out, work, scratch = np.empty_like(u), np.empty((18, 10)), \
-        np.empty_like(u)
-    lax_wendroff.lw_step_periodic_into(u, 0.3, 0.25, out, work, scratch)
-    assert np.array_equal(out, fresh)
-    # out may alias the state: it is staged through ``work`` first
-    state = u.copy()
-    lax_wendroff.lw_step_periodic_into(state, 0.3, 0.25, state, work, scratch)
-    assert np.array_equal(state, fresh)
-    # and the problem object reaches the same kernel
+    w = padded(u)
+    out, scratch = np.empty_like(w), lax_wendroff.scratch_for(w)
+    assert lax_wendroff.lw_step_into(w, 0.3, 0.25, out, scratch) is out
+    assert np.array_equal(out[1:-1, 1:-1], fresh)
+    # the problem object reaches the same kernel, and the serial solver
+    # steps through it
     prob = AdvectionProblem(velocity=(1.0, 0.5))
     cx, cy = courant_numbers(prob.velocity, 4, 3, 0.01)
-    assert np.array_equal(
-        prob.step_periodic(u, 4, 3, 0.01, out=out, work=work,
-                           scratch=scratch),
-        lw_step_periodic(u, cx, cy))
+    prob.step_interior(w, 4, 3, 0.01, out=out, scratch=scratch)
+    assert np.array_equal(out[1:-1, 1:-1], lw_step_periodic(u, cx, cy))
+    s = SerialAdvectionSolver(prob, 4, 3, 0.01)
+    ref = lw_step_periodic(s.u, cx, cy)
+    s.step()
+    assert np.array_equal(s.u, ref)
+    # transposed swaps the Courant numbers, nothing else
+    t_out = prob.step_interior(padded(u.T.copy()), 4, 3, 0.01,
+                               transposed=True, out=np.empty((10, 18)),
+                               scratch=scratch)
+    assert np.array_equal(t_out[1:-1, 1:-1], lw_step_periodic(u.T, cy, cx))
