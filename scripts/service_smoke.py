@@ -72,71 +72,73 @@ def run_smoke() -> int:
         cache_dir = str(Path(tmp) / "cache")
         port = free_port()
         proc = start_server(port, cache_dir)
-        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60)
         try:
-            client.wait_healthy(timeout=30)
+            with ServiceClient(f"http://127.0.0.1:{port}",
+                               timeout=60) as client:
+                client.wait_healthy(timeout=30)
 
-            # 1. cold: 202 + job id, poll to a schema-valid 200
-            status, ticket = client.experiment_once("table1")
-            failures += not check(
-                "cold request answers 202 with a job id",
-                status == 202 and ticket.get("job", "").startswith("job-"),
-                f"status={status}")
-            doc = client.experiment("table1", timeout=600)
-            validate_experiment_doc(doc)
-            failures += not check(
-                "poll reaches a schema-valid 200 document",
-                doc["experiment"] == "table1" and len(doc["points"]) > 0)
+                # 1. cold: 202 + job id, poll to a schema-valid 200
+                status, ticket = client.experiment_once("table1")
+                failures += not check(
+                    "cold request answers 202 with a job id",
+                    status == 202 and ticket.get("job", "").startswith("job-"),
+                    f"status={status}")
+                doc = client.experiment("table1", timeout=600)
+                validate_experiment_doc(doc)
+                failures += not check(
+                    "poll reaches a schema-valid 200 document",
+                    doc["experiment"] == "table1" and len(doc["points"]) > 0)
 
-            # 2. warm: immediate 200
-            t0 = time.perf_counter()
-            status, _ = client.experiment_once("table1")
-            warm_ms = (time.perf_counter() - t0) * 1000.0
-            failures += not check("warm request answers 200 immediately",
-                                  status == 200, f"{warm_ms:.1f}ms")
+                # 2. warm: immediate 200
+                t0 = time.perf_counter()
+                status, _ = client.experiment_once("table1")
+                warm_ms = (time.perf_counter() - t0) * 1000.0
+                failures += not check("warm request answers 200 immediately",
+                                      status == 200, f"{warm_ms:.1f}ms")
 
-            # 3. concurrent identical cold requests coalesce
-            before = client.cache_stats()["queue"]
-            barrier = threading.Barrier(DEDUP_CLIENTS)
-            tickets = []
-            lock = threading.Lock()
+                # 3. concurrent identical cold requests coalesce
+                before = client.cache_stats()["queue"]
+                barrier = threading.Barrier(DEDUP_CLIENTS)
+                tickets = []
+                lock = threading.Lock()
 
-            def fire():
-                barrier.wait()
-                result = client.experiment_once("fig10")
-                with lock:
-                    tickets.append(result)
+                def fire():
+                    barrier.wait()
+                    result = client.experiment_once("fig10")
+                    with lock:
+                        tickets.append(result)
 
-            threads = [threading.Thread(target=fire)
-                       for _ in range(DEDUP_CLIENTS)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            fired = client.cache_stats()["queue"]
-            client.experiment("fig10", timeout=600)
-            after = client.cache_stats()["queue"]
-            executed = after["executed"] - before["executed"]
-            deduped = fired["deduped"] - before["deduped"]
-            jobs = {p["job"] for s, p in tickets if s == 202}
-            failures += not check(
-                f"{DEDUP_CLIENTS} concurrent requests -> 1 execution",
-                executed == 1 and len(jobs) <= 1,
-                f"executed={executed} deduped={deduped}")
+                threads = [threading.Thread(target=fire)
+                           for _ in range(DEDUP_CLIENTS)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                fired = client.cache_stats()["queue"]
+                client.experiment("fig10", timeout=600)
+                after = client.cache_stats()["queue"]
+                executed = after["executed"] - before["executed"]
+                deduped = fired["deduped"] - before["deduped"]
+                jobs = {p["job"] for s, p in tickets if s == 202}
+                failures += not check(
+                    f"{DEDUP_CLIENTS} concurrent requests -> 1 execution",
+                    executed == 1 and len(jobs) <= 1,
+                    f"executed={executed} deduped={deduped}")
         finally:
             stop_server(proc)
 
         # 4. a restarted server over the same store is warm at once
         port = free_port()
         proc = start_server(port, cache_dir)
-        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60)
         try:
-            client.wait_healthy(timeout=30)
-            status, doc = client.experiment_once("table1")
-            failures += not check(
-                "restarted server serves the document warm",
-                status == 200 and doc.get("experiment") == "table1",
-                f"status={status}")
+            with ServiceClient(f"http://127.0.0.1:{port}",
+                               timeout=60) as client:
+                client.wait_healthy(timeout=30)
+                status, doc = client.experiment_once("table1")
+                failures += not check(
+                    "restarted server serves the document warm",
+                    status == 200 and doc.get("experiment") == "table1",
+                    f"status={status}")
         finally:
             stop_server(proc)
 

@@ -2,21 +2,24 @@
 
 Wraps the 202-poll-200 protocol so callers just ask for a document::
 
-    client = ServiceClient("http://127.0.0.1:8642")
-    doc = client.experiment("fig9")          # polls until computed
-    stats = client.cache_stats()
+    with ServiceClient("http://127.0.0.1:8642") as client:
+        doc = client.experiment("fig9")      # polls until computed
+        stats = client.cache_stats()
 
-Built on ``urllib.request`` only — usable from CI shells, benchmarks
-and notebooks without installing anything.
+Built on ``http.client`` only, with one kept-alive connection per
+calling thread — usable from CI shells, benchmarks and notebooks
+without installing anything.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Optional, Tuple
+from urllib.parse import urlsplit
 
 from .jobqueue import wall_now
 
@@ -39,27 +42,67 @@ def _sleep(seconds: float) -> None:
 
 
 class ServiceClient:
-    """Minimal blocking client; one instance per base URL."""
+    """Minimal blocking client; one instance per base URL, shareable
+    between threads.  ``close()`` (or leaving a ``with`` block) closes
+    every thread's connection; a later request reconnects."""
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        self._conn_class = http.client.HTTPSConnection \
+            if url.scheme == "https" else http.client.HTTPConnection
+        self._netloc, self._prefix = url.netloc, url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns = weakref.WeakSet()     # every live thread's connection
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._conn_class(
+                self._netloc, timeout=self.timeout)
+            with self._lock:
+                self._conns.add(conn)
+        return conn
 
     # ------------------------------------------------------------------
     def get(self, path: str) -> Tuple[int, dict]:
         """One GET; returns (status, decoded JSON) without raising on
-        4xx/5xx (the poll loop needs the status)."""
-        url = f"{self.base_url}{path}"
+        4xx/5xx (the poll loop needs the status); a non-JSON error body
+        reads as ``{"error": body}``."""
+        conn, resp = self._connection(), None
+        reused = conn.sock is not None
         try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read().decode())
-        except urllib.error.HTTPError as err:
-            body = err.read().decode()
-            try:
-                payload = json.loads(body)
-            except (ValueError, TypeError):
-                payload = {"error": body or str(err)}
-            return err.code, payload
+            conn.request("GET", self._prefix + path)
+            resp = conn.getresponse()
+            body = resp.read().decode()
+        except BaseException as exc:
+            conn.close()
+            # the server dropped the idle kept-alive connection before
+            # answering: send once more, on a fresh one
+            if reused and resp is None and isinstance(exc, ConnectionError):
+                return self.get(path)
+            raise
+        if resp.status < 400:
+            return resp.status, json.loads(body)
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            payload = {"error": body or f"HTTP {resp.status} {resp.reason}"}
+        return resp.status, payload
 
     def _expect(self, path: str, ok=(200,)) -> dict:
         status, payload = self.get(path)
@@ -78,7 +121,7 @@ class ServiceClient:
         while True:
             try:
                 return self.healthz()
-            except (ServiceError, OSError):
+            except (ServiceError, OSError, http.client.HTTPException):
                 if wall_now() >= deadline:
                     raise
                 _sleep(interval)

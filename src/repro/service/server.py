@@ -95,10 +95,14 @@ class ServiceState:
 
     def _compute_experiment(self, name: str, quick: bool, key: str):
         """The job body: run the experiment through the shared cache and
-        persist the validated document under ``key``."""
-        runner = SweepRunner(workers=self.sweep_workers, cache=self.cache)
-        _, doc = run_experiment(name, quick, runner)
-        self.cache.put(key, doc)
+        persist the validated document under ``key`` — unless a job that
+        finished just before this one was submitted already did."""
+        doc = self.cache.load(key)
+        if doc is None:
+            runner = SweepRunner(workers=self.sweep_workers,
+                                 cache=self.cache)
+            _, doc = run_experiment(name, quick, runner)
+            self.cache.put(key, doc)
         self._failures.pop(key, None)
         return doc
 
@@ -183,6 +187,9 @@ class ServiceState:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: a response is two writes (headers, body); on a kept-alive
+    #: connection Nagle would hold the body for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     #: set by create_server on the handler class
     state: ServiceState = None
@@ -229,11 +236,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if status == 503:
             self.send_header("Retry-After", "1")
-        self.end_headers()
         try:
+            self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
-            pass                    # client went away; nothing to serve
+            self.close_connection = True    # the client went away
         reg = self.state.registry
         reg.counter("service_requests", endpoint=endpoint,
                     status=status).inc()

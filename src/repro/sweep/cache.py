@@ -205,30 +205,24 @@ class RunCache:
             self.hits += 1
 
     # ------------------------------------------------------------------
-    def _all_keys(self) -> set:
-        with self._lock:
-            keys = set(self._mem)
-        if self.store is not None:
-            keys.update(self.store.keys())
-        return keys
-
     def __len__(self) -> int:
         """Distinct entries across both layers: a fresh process pointed
         at a warm ``--cache DIR`` counts the disk entries it can serve,
         not the none it has touched."""
-        return len(self._all_keys())
+        return self.stats()["entries"]
 
     def __contains__(self, key: str) -> bool:
         return self._blob(key) is not None
 
     def stats(self) -> dict:
+        disk = self.store.keys() if self.store is not None else []
         with self._lock:
             memory_entries = len(self._mem)
+            entries = len(self._mem.keys() | set(disk))
             hits, misses = self.hits, self.misses
-        disk_entries = len(self.store) if self.store is not None else 0
         total = hits + misses
-        return {"entries": len(self),
+        return {"entries": entries,
                 "memory_entries": memory_entries,
-                "disk_entries": disk_entries,
+                "disk_entries": len(disk),
                 "hits": hits, "misses": misses,
                 "hit_rate": round(hits / total, 4) if total else 0.0}

@@ -33,9 +33,9 @@ import json
 import os
 import pickle
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["SharedStore", "StoreStats", "STORE_FORMAT_VERSION"]
 
@@ -60,6 +60,16 @@ def _check_key(key: str) -> str:
     return key
 
 
+def _listdir(path) -> List[os.DirEntry]:
+    """``path``'s entries by name; none when it does not exist (a store
+    nothing has been written to yet)."""
+    try:
+        with os.scandir(path) as entries:
+            return sorted(entries, key=lambda entry: entry.name)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
 @dataclass(frozen=True)
 class StoreStats:
     """One ``stats()`` snapshot (all counts from a directory scan)."""
@@ -72,12 +82,7 @@ class StoreStats:
     format_version: int
 
     def to_dict(self) -> dict:
-        return {
-            "entries": self.entries, "bytes": self.bytes,
-            "shards": self.shards, "corrupt": self.corrupt,
-            "tmp_files": self.tmp_files,
-            "format_version": self.format_version,
-        }
+        return asdict(self)
 
 
 class SharedStore:
@@ -172,41 +177,47 @@ class SharedStore:
     # ------------------------------------------------------------------
     # scans
     # ------------------------------------------------------------------
-    def _blob_files(self) -> Iterator[Path]:
-        root = self.directory
-        if not root.is_dir():
-            return
-        for entry in sorted(root.iterdir()):
-            if entry.is_dir():
-                for blob in sorted(entry.glob(f"*{_BLOB_SUFFIX}")):
-                    if blob.is_file():
-                        yield blob
+    def _scan(self) -> Tuple[List[Tuple[str, str, os.DirEntry]],
+                             Dict[str, List[str]]]:
+        """The one walk every scan reads: the root and each shard
+        directory (the whole layout), each listed once.  Returns the
+        blobs as ``(shard, key, entry)`` in key order and the paths of
+        the leftover files by suffix (tmp files, quarantined blobs)."""
+        blobs, leftovers = [], {_TMP_SUFFIX: [], _CORRUPT_SUFFIX: []}
+        for entry in _listdir(self.directory):
+            shard = entry.name if entry.is_dir() else None
+            for item in _listdir(entry.path) if shard else [entry]:
+                key, suffix = os.path.splitext(item.name)
+                if suffix in leftovers:
+                    leftovers[suffix].append(item.path)
+                elif shard and suffix == _BLOB_SUFFIX and item.is_file():
+                    blobs.append((shard, key, item))
+        return blobs, leftovers
 
     def keys(self) -> List[str]:
-        return [p.stem for p in self._blob_files()]
+        return [key for _, key, _ in self._scan()[0]]
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).is_file()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._blob_files())
+        return len(self._scan()[0])
 
     def stats(self) -> StoreStats:
+        blobs, leftovers = self._scan()
         entries = n_bytes = 0
         shards = set()
-        for path in self._blob_files():
+        for shard, _, item in blobs:
             try:
-                n_bytes += path.stat().st_size
+                n_bytes += item.stat().st_size
             except OSError:
                 continue                             # raced with a gc
             entries += 1
-            shards.add(path.parent.name)
-        corrupt = sum(1 for _ in self.directory.rglob(
-            f"*{_CORRUPT_SUFFIX}"))
-        tmp = sum(1 for _ in self.directory.rglob(f"*{_TMP_SUFFIX}"))
+            shards.add(shard)
         return StoreStats(entries=entries, bytes=n_bytes,
-                          shards=len(shards), corrupt=corrupt,
-                          tmp_files=tmp,
+                          shards=len(shards),
+                          corrupt=len(leftovers[_CORRUPT_SUFFIX]),
+                          tmp_files=len(leftovers[_TMP_SUFFIX]),
                           format_version=self.format_version())
 
     # ------------------------------------------------------------------
@@ -219,10 +230,9 @@ class SharedStore:
         ones.  Returns ``{"ok": [...keys], "corrupt": [...keys]}``."""
         ok: List[str] = []
         corrupt: List[str] = []
-        for path in list(self._blob_files()):
-            key = path.stem
+        for _, key, item in self._scan()[0]:
             try:
-                loads(path.read_bytes())
+                loads(Path(item.path).read_bytes())
             except Exception:  # noqa: ULF001 - any load failure means corrupt, not MPI
                 corrupt.append(key)
                 if quarantine:
@@ -234,18 +244,13 @@ class SharedStore:
     def gc(self) -> dict:
         """Housekeeping: drop leftover tmp files and quarantined blobs.
         Returns counts of each action."""
-        tmp_removed = corrupt_removed = 0
-        for path in list(self.directory.rglob(f"*{_TMP_SUFFIX}")):
-            try:
-                path.unlink()
-                tmp_removed += 1
-            except OSError:
-                pass
-        for path in list(self.directory.rglob(f"*{_CORRUPT_SUFFIX}")):
-            try:
-                path.unlink()
-                corrupt_removed += 1
-            except OSError:
-                pass
-        return {"tmp_removed": tmp_removed,
-                "corrupt_removed": corrupt_removed}
+        removed = dict.fromkeys((_TMP_SUFFIX, _CORRUPT_SUFFIX), 0)
+        for suffix, paths in self._scan()[1].items():
+            for path in paths:
+                try:
+                    os.unlink(path)
+                    removed[suffix] += 1
+                except OSError:
+                    pass                # a concurrent gc got there first
+        return {"tmp_removed": removed[_TMP_SUFFIX],
+                "corrupt_removed": removed[_CORRUPT_SUFFIX]}

@@ -81,9 +81,11 @@ def test_sigkill_inside_a_job_leaves_only_whole_blobs(tmp_path, capsys):
         finally:
             os.close(fd)                     # EOF on ``stopped`` if it dies
         try:
-            assert client.experiment_once("modes")[0] == 202
-            assert select.select([stopped], [], [], 120)[0], "never stopped"
-            assert os.read(stopped, 1) == b"!"
+            with client:
+                assert client.experiment_once("modes")[0] == 202
+                assert select.select([stopped], [], [], 120)[0], \
+                    "never stopped"
+                assert os.read(stopped, 1) == b"!"
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
@@ -108,7 +110,8 @@ def test_sigkill_inside_a_job_leaves_only_whole_blobs(tmp_path, capsys):
 
     proc, client = _serve(cache_dir)
     try:
-        doc = client.experiment("modes", timeout=120)
+        with client:
+            doc = client.experiment("modes", timeout=120)
     finally:
         proc.terminate()
         proc.wait(timeout=30)

@@ -5,6 +5,8 @@ Experiment endpoints are exercised against *fake* registry entries
 covered by the CLI/experiment suites and the end-to-end smoke script.
 """
 
+import contextlib
+import socket
 import threading
 
 import pytest
@@ -33,19 +35,30 @@ def fake_experiments(monkeypatch):
         ExperimentSpec("broken", broken, lambda pts: "broken"))
 
 
+def _url(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+@contextlib.contextmanager
+def _running(cache_dir, **kwargs):
+    """An in-process server on ``cache_dir`` and a healthy client for it."""
+    server = create_server(port=0, cache_dir=str(cache_dir), **kwargs)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        with ServiceClient(_url(server), timeout=10) as client:
+            client.wait_healthy()
+            yield server, client
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.state.queue.shutdown()
+
+
 @pytest.fixture
 def service(tmp_path, fake_experiments):
-    server = create_server(port=0, cache_dir=str(tmp_path / "cache"),
-                           queue_workers=2, max_pending=8)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient(
-        f"http://127.0.0.1:{server.server_address[1]}", timeout=10)
-    client.wait_healthy()
-    yield server, client
-    server.shutdown()
-    server.server_close()
-    server.state.queue.shutdown()
+    with _running(tmp_path / "cache", queue_workers=2,
+                  max_pending=8) as running:
+        yield running
 
 
 def test_healthz(service):
@@ -127,12 +140,49 @@ def test_concurrent_identical_requests_coalesce(service, monkeypatch):
     release.set()
     assert [s for s, _ in tickets] == [202] * 5
     assert len({p["job"] for _, p in tickets}) == 1     # one shared job
+    # handshake: the job has stored its document and settled its counters
+    # before the first poll, so no poll can straddle its end
+    assert server.state.queue.job(tickets[0][1]["job"]).wait(10)
     doc = client.experiment("slow", timeout=30)
     assert doc["points"] == [{"value": 2.0}]
     queue_stats = client.cache_stats()["queue"]
     assert queue_stats["deduped"] >= 4
     # the job body ran exactly once for this key
     assert queue_stats["executed"] == 1
+
+
+def test_a_request_racing_a_jobs_end_computes_nothing(service,
+                                                     monkeypatch):
+    """A lookup that misses just before a job stores its document, then a
+    submit just after the job left the queue, starts a second job for the
+    same key; that job finds the document and computes nothing."""
+    server, client = service
+    calls = []
+
+    def counted(quick, runner):
+        calls.append(quick)
+        return [{"value": 3.0}]
+
+    monkeypatch.setitem(EXPERIMENTS, "once",
+                        ExperimentSpec("once", counted, lambda pts: "once"))
+    _, first = client.experiment_once("once")
+    assert server.state.queue.job(first["job"]).wait(10)
+    doc = client.experiment("once", timeout=30)
+    cache, stale = server.state.cache, [first["key"]]
+    load = cache.load
+
+    def racing_load(key):
+        if key in stale:           # the next lookup of the key misses
+            stale.remove(key)
+            return None
+        return load(key)
+
+    monkeypatch.setattr(cache, "load", racing_load)
+    status, second = client.experiment_once("once")
+    assert status == 202 and second["job"] != first["job"]
+    assert server.state.queue.job(second["job"]).wait(10)
+    assert client.experiment("once", timeout=30) == doc
+    assert calls == [True]
 
 
 def test_failed_experiment_answers_500_until_retry(service, monkeypatch):
@@ -256,37 +306,29 @@ def test_job_endpoint(service):
 
 
 def test_queue_full_answers_503(tmp_path, fake_experiments, monkeypatch):
-    server = create_server(port=0, cache_dir=str(tmp_path / "c2"),
-                           queue_workers=1, max_pending=1)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient(
-        f"http://127.0.0.1:{server.server_address[1]}", timeout=10)
-    client.wait_healthy()
     release = threading.Event()
     started = threading.Event()
-    try:
-        def slow(quick, runner):
-            started.set()
-            release.wait(10)
-            return [{"v": 1}]
 
-        for name in ("s1", "s2", "s3"):
-            monkeypatch.setitem(
-                EXPERIMENTS, name,
-                ExperimentSpec(name, slow, lambda pts: name))
-        assert client.experiment_once("s1")[0] == 202   # worker busy
-        assert started.wait(10)
-        assert client.experiment_once("s2")[0] == 202   # queue full now
-        status, payload = client.experiment_once("s3")
-        assert status == 503
-        assert "capacity" in payload["error"]
-        assert payload["retry_after_s"] == 1
-    finally:
-        release.set()
-        server.shutdown()
-        server.server_close()
-        server.state.queue.shutdown()
+    def slow(quick, runner):
+        started.set()
+        release.wait(10)
+        return [{"v": 1}]
+
+    for name in ("s1", "s2", "s3"):
+        monkeypatch.setitem(
+            EXPERIMENTS, name, ExperimentSpec(name, slow, lambda pts: name))
+    with _running(tmp_path / "c2", queue_workers=1,
+                  max_pending=1) as (_, client):
+        try:
+            assert client.experiment_once("s1")[0] == 202   # worker busy
+            assert started.wait(10)
+            assert client.experiment_once("s2")[0] == 202   # queue full now
+            status, payload = client.experiment_once("s3")
+            assert status == 503
+            assert "capacity" in payload["error"]
+            assert payload["retry_after_s"] == 1
+        finally:
+            release.set()
 
 
 def test_cache_stats_endpoint_shape(service):
@@ -304,32 +346,159 @@ def test_cache_stats_endpoint_shape(service):
 
 
 def test_document_survives_restart(tmp_path, fake_experiments):
-    cache_dir = str(tmp_path / "persist")
-
-    def boot():
-        server = create_server(port=0, cache_dir=cache_dir)
-        t = threading.Thread(target=server.serve_forever, daemon=True)
-        t.start()
-        client = ServiceClient(
-            f"http://127.0.0.1:{server.server_address[1]}", timeout=10)
-        client.wait_healthy()
-        return server, client
-
-    server, client = boot()
-    client.experiment("fake", timeout=30)
-    server.shutdown()
-    server.server_close()
-    server.state.queue.shutdown()
-
-    server, client = boot()
-    try:
+    cache_dir = tmp_path / "persist"
+    with _running(cache_dir) as (_, client):
+        client.experiment("fake", timeout=30)
+    with _running(cache_dir) as (_, client):
         status, doc = client.experiment_once("fake")
         assert status == 200                 # warm straight from disk
         assert doc["points"] == [{"value": 1.5, "quick": True}]
-    finally:
-        server.shutdown()
-        server.server_close()
-        server.state.queue.shutdown()
+
+
+# ----------------------------------------------------------------------
+# connections
+# ----------------------------------------------------------------------
+def _accepted(server) -> list:
+    """The sockets ``server`` accepts from now on: its bound handler's
+    ``setup`` runs once per connection, so it is wrapped to record them."""
+    handler, accepted = server.RequestHandlerClass, []
+    setup = handler.setup
+
+    def recording(self):
+        accepted.append(self.request)
+        setup(self)
+
+    handler.setup = recording
+    return accepted
+
+
+def test_one_client_holds_one_connection(service):
+    server, _ = service
+    accepted = _accepted(server)
+    with ServiceClient(_url(server), timeout=10) as client:
+        for _ in range(50):
+            assert client.healthz()["status"] == "ok"
+    assert len(accepted) == 1
+
+
+def test_each_thread_gets_its_own_connection(service):
+    server, _ = service
+    keys = [f"{i:02d}" * 20 for i in range(4)]
+    for ranks, key in enumerate(keys, start=2):
+        server.state.cache.put(key, RunMetrics(
+            technique="CR", machine="OPL", n=6, level=4, steps=4,
+            world_size=ranks))
+    accepted = _accepted(server)
+    barrier = threading.Barrier(len(keys))
+    answers = {}
+
+    def read(key):
+        barrier.wait(10)
+        answers[key] = {client.run(key)["metrics"]["world_size"]
+                        for _ in range(20)}
+
+    with ServiceClient(_url(server), timeout=10) as client:
+        threads = [threading.Thread(target=read, args=(key,))
+                   for key in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert answers == {key: {ranks} for ranks, key in enumerate(keys, 2)}
+    assert len(accepted) == len(keys)
+
+
+def test_a_dropped_idle_connection_is_replaced(service):
+    server, _ = service
+    accepted = _accepted(server)
+    with ServiceClient(_url(server), timeout=10) as client:
+        assert client.healthz()["status"] == "ok"
+        accepted[0].shutdown(socket.SHUT_RDWR)   # the server hangs up
+        assert client.healthz()["status"] == "ok"
+    assert len(accepted) == 2
+
+
+def test_a_dropped_fresh_connection_is_not_resent(service):
+    """One silent resend, and only for a kept-alive connection: when the
+    server hangs up on every connection, a reused one costs two and a
+    fresh one a single attempt."""
+    server, _ = service
+    accepted = _accepted(server)
+    with ServiceClient(_url(server), timeout=10) as client:
+        assert client.healthz()["status"] == "ok"
+        setup = server.RequestHandlerClass.setup
+
+        def hang_up(self):
+            setup(self)
+            self.connection.shutdown(socket.SHUT_RDWR)
+
+        server.RequestHandlerClass.setup = hang_up
+        accepted[0].shutdown(socket.SHUT_RDWR)
+        with pytest.raises(ConnectionError):
+            client.healthz()                  # reused, then one fresh
+        assert len(accepted) == 2
+        with pytest.raises(ConnectionError):
+            client.healthz()                  # fresh: no second try
+        assert len(accepted) == 3
+
+
+def test_a_timeout_is_not_resent(service, monkeypatch):
+    server, _ = service
+    accepted, calls, release = _accepted(server), [], threading.Event()
+
+    def stalled():
+        calls.append(1)
+        release.wait(10)
+        return 200, {"status": "ok"}
+
+    with ServiceClient(_url(server), timeout=0.2) as client:
+        assert client.healthz()["status"] == "ok"
+        monkeypatch.setattr(server.state, "healthz", stalled)
+        try:
+            with pytest.raises(TimeoutError):
+                client.healthz()
+        finally:
+            release.set()
+    assert calls == [1] and len(accepted) == 1
+
+
+def test_error_answers_keep_the_connection(service, monkeypatch):
+    server, _ = service
+    accepted = _accepted(server)
+
+    def broken(job_id):
+        raise RuntimeError("job table exploded")
+
+    monkeypatch.setattr(server.state, "job", broken)
+    with ServiceClient(_url(server), timeout=10) as client:
+        assert client.get("/v1/nope")[0] == 404
+        assert client.healthz()["status"] == "ok"
+        status, payload = client.get("/v1/job/job-1")
+        assert status == 500 and "job table exploded" in payload["error"]
+        assert client.healthz()["status"] == "ok"
+    assert len(accepted) == 1
+
+
+def test_a_non_json_error_body_is_the_error(service):
+    """``send_error`` answers in HTML and closes the connection: the body
+    is the error, and the next request opens a fresh connection."""
+    server, _ = service
+    handler = server.RequestHandlerClass
+    accepted, do_get = _accepted(server), handler.do_GET
+
+    def teapot(self):
+        if self.path == "/teapot":
+            self.send_error(418, "short and stout")
+        else:
+            do_get(self)
+
+    handler.do_GET = teapot
+    with ServiceClient(_url(server), timeout=10) as client:
+        status, payload = client.get("/teapot")
+        assert status == 418
+        assert "short and stout" in payload["error"]
+        assert client.healthz()["status"] == "ok"
+    assert len(accepted) == 2
 
 
 # ----------------------------------------------------------------------
