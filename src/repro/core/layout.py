@@ -152,12 +152,10 @@ class Layout:
         same adoption.  ``adoptions`` maps orphan gid -> the donor's
         original gid (the donor's old group contracted and needs
         restoration too).
+
+        Memoised: every survivor of one repair shares one layout.
         """
-        groups: List[List[int]] = [[] for _ in self.assignments]
-        for r, m in enumerate(members):
-            groups[self.gid_of(m)].append(r)
-        adoptions = self._adopt_orphans(groups) if adopt_orphans else {}
-        return Layout(self.scheme, [sorted(g) for g in groups], adoptions)
+        return _survivor_layout(self, tuple(members), adopt_orphans)
 
     def _adopt_orphans(self, groups: List[List[int]]) -> Dict[int, int]:
         base_sizes = [len(a.ranks) for a in self.assignments]
@@ -212,3 +210,14 @@ def layout_for(scheme: CombinationScheme, mode: str,
     if mode == "sweep":
         return Layout.sweep(scheme, diag_procs)
     raise ValueError(f"unknown layout mode {mode!r}")
+
+
+@lru_cache(maxsize=64)
+def _survivor_layout(layout: Layout, members: Tuple[int, ...],
+                     adopt_orphans: bool) -> Layout:
+    """:meth:`Layout.survivors`, keyed on the launch layout's identity."""
+    groups: List[List[int]] = [[] for _ in layout.assignments]
+    for r, m in enumerate(members):
+        groups[layout.gid_of(m)].append(r)
+    adoptions = layout._adopt_orphans(groups) if adopt_orphans else {}
+    return Layout(layout.scheme, [sorted(g) for g in groups], adoptions)

@@ -144,7 +144,7 @@ class RespawnStrategy(RecoveryStrategy):
         no grid would ever restore."""
         world = app.world
         views = await world.allgather(tuple(app.timers.failed_ranks))
-        app.fold_failed(r for view in views for r in view)
+        app.fold_failed(set().union(*views))
         app.grid_comm = await world.split(app.gid, world.rank)
         if app.solver is None:
             app._make_solver()

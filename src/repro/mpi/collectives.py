@@ -30,8 +30,9 @@ Two failure disciplines exist:
   the round at ``max(latest_arrival + cost, death)`` — no detection latency
   is charged.
 
-Revocation dooms every open round of either kind with one shared
-``RevokedError``.  Results are cloned at completion, never shared mutably
+Revocation dooms every open ``NORMAL`` round with one shared
+``RevokedError``; ``SURVIVOR`` rounds outlive it, as ULFM's agree and
+shrink do.  Results are cloned at completion, never shared mutably
 across ranks; reductions fold left-to-right in rank order (no pairwise
 reassociation, so float sums are reproducible to the bit).
 """
@@ -115,9 +116,24 @@ def _finish_gather(rnd: "Round"):
     return ROOT_ONLY, list(rnd.values)          # the contributed objects
 
 
+def _frozen(value: Any) -> bool:
+    """Immutable all the way down: an immutable scalar, str, bytes, or a
+    tuple of frozen values.  Ranks may share such an object."""
+    t = type(value)
+    return t in _IMMUTABLE_TYPES or \
+        (t is tuple and all(_frozen(v) for v in value))
+
+
 def _finish_allgather(rnd: "Round"):
+    """Every slot gets its own list; only contributions that can change
+    are cloned per receiver."""
     ordered = list(rnd.values)
-    return PER_SLOT, [clone_payload(ordered) for _ in ordered]
+    mutable = [i for i, v in enumerate(ordered) if not _frozen(v)]
+    rows = [ordered.copy() for _ in ordered]
+    for row in rows:
+        for i in mutable:
+            row[i] = clone_payload(ordered[i])
+    return PER_SLOT, rows
 
 
 def _finish_scatter(rnd: "Round"):
@@ -353,10 +369,11 @@ class RoundTable:
                     (t for t in rnd.times if t is not None), default=now))
 
     def on_revoke(self, exc: BaseException, now: float) -> None:
-        """Revocation: doom every open round with the shared exception."""
+        """Revocation: doom every open NORMAL round with the shared
+        exception; agree/shrink rounds run on, as in ULFM."""
         at = now + self.detect
         for rnd in self.open.values():
-            if rnd.doom is None:
+            if rnd.doom is None and rnd.kind is RvKind.NORMAL:
                 rnd.fail(exc, at)
 
     def on_readmit(self, old, proc) -> None:

@@ -20,13 +20,16 @@ UNEQUAL = 2     #: different members
 
 
 class Group:
-    """Immutable ordered set of processes; rank == position."""
+    """Immutable ordered set of processes; rank == position.  ``uids``
+    and a uid -> rank index are built once and answer every lookup."""
 
-    __slots__ = ("procs",)
+    __slots__ = ("procs", "uids", "_rank")
 
     def __init__(self, procs: Iterable):
         self.procs: Tuple = tuple(procs)
-        if len(set(p.uid for p in self.procs)) != len(self.procs):
+        self.uids: Tuple[int, ...] = tuple(p.uid for p in self.procs)
+        self._rank = {uid: i for i, uid in enumerate(self.uids)}
+        if len(self._rank) != len(self.procs):
             raise RankError("duplicate process in group")
 
     # -- basics ------------------------------------------------------------
@@ -41,21 +44,17 @@ class Group:
         return iter(self.procs)
 
     def __contains__(self, proc) -> bool:
-        return any(p.uid == proc.uid for p in self.procs)
+        return proc.uid in self._rank
 
     def rank_of(self, proc) -> int:
         """Rank of ``proc`` in this group, or ``UNDEFINED``."""
-        for i, p in enumerate(self.procs):
-            if p.uid == proc.uid:
-                return i
-        return UNDEFINED
+        return self._rank.get(proc.uid, UNDEFINED)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Group) and \
-            [p.uid for p in self.procs] == [p.uid for p in other.procs]
+        return isinstance(other, Group) and self.uids == other.uids
 
     def __hash__(self):
-        return hash(tuple(p.uid for p in self.procs))
+        return hash(self.uids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group[{', '.join(p.name for p in self.procs)}]"
@@ -63,26 +62,21 @@ class Group:
     # -- MPI group algebra ---------------------------------------------------
     def compare(self, other: "Group") -> int:
         """``MPI_Group_compare``: IDENT, SIMILAR or UNEQUAL."""
-        mine = [p.uid for p in self.procs]
-        theirs = [p.uid for p in other.procs]
-        if mine == theirs:
+        if self.uids == other.uids:
             return IDENT
-        if sorted(mine) == sorted(theirs):
+        if self._rank.keys() == other._rank.keys():
             return SIMILAR
         return UNEQUAL
 
     def difference(self, other: "Group") -> "Group":
         """``MPI_Group_difference``: my members not in ``other`` (my order)."""
-        theirs = {p.uid for p in other.procs}
-        return Group(p for p in self.procs if p.uid not in theirs)
+        return Group(p for p in self.procs if p.uid not in other._rank)
 
     def intersection(self, other: "Group") -> "Group":
-        theirs = {p.uid for p in other.procs}
-        return Group(p for p in self.procs if p.uid in theirs)
+        return Group(p for p in self.procs if p.uid in other._rank)
 
     def union(self, other: "Group") -> "Group":
-        mine = {p.uid for p in self.procs}
-        extra = [p for p in other.procs if p.uid not in mine]
+        extra = [p for p in other.procs if p.uid not in self._rank]
         return Group(list(self.procs) + extra)
 
     def incl(self, ranks: Sequence[int]) -> "Group":
@@ -108,5 +102,5 @@ class Group:
         for r in ranks:
             if not (0 <= r < self.size):
                 raise RankError(f"rank {r} out of range in translate_ranks")
-            out.append(other.rank_of(self.procs[r]))
+            out.append(other._rank.get(self.uids[r], UNDEFINED))
         return out

@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 from ..machine import Hostfile, MachineSpec
 from ..machine.presets import OPL
 from ..obs import Observability
+from ..obs.spans import OpenSpan
 from ..simkernel import Engine, Sleep
 from .comm import CommHandle, CommState
 from .intercomm import IntercommHandle, IntercommState
@@ -78,7 +79,8 @@ class RankContext:
         Spans accumulate in ``universe.obs`` per actor and label (e.g.
         ``technique``, ``gid``); see :mod:`repro.obs.spans`.
         """
-        return self.universe.obs.span(self.proc.name, phase, **labels)
+        return OpenSpan(self.universe.obs.spans, self.proc.name, phase,
+                        {k: str(v) for k, v in labels.items()})
 
     # -- virtual costs ---------------------------------------------------
     def compute_seconds(self, seconds: float = 0.0, *,

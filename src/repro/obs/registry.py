@@ -111,6 +111,15 @@ class Histogram:
             if value <= edge:
                 self.bucket_counts[i] += 1
 
+    @classmethod
+    def of(cls, name: str, labels: LabelKey,
+           values: Iterable[float]) -> "Histogram":
+        """A histogram that observed ``values`` in order."""
+        hist = cls(name, labels)
+        for value in values:
+            hist.observe(value)
+        return hist
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

@@ -8,10 +8,10 @@ machine-readable form of the paper's timing breakdowns (Figs. 8-11,
 Table I): detection, communicator reconstruction (ack/agree, revoke+shrink,
 spawn+merge+split) and per-technique data recovery.
 
-Spans accumulate into the owning :class:`~repro.obs.registry.MetricsRegistry`
-(histogram ``phase_seconds`` labelled by phase/technique) and, when a
-:class:`~repro.mpi.tracing.Tracer` is attached, also land in the event
-stream (kind ``span``) so ``python -m repro timeline`` can render them.
+Closed spans form one flat log; every aggregate, the ``phase_seconds``
+histograms (by phase/technique) included, is derived from it on demand.
+When a :class:`~repro.mpi.tracing.Tracer` is attached, a close also lands
+in the event stream (kind ``span``) for ``python -m repro timeline``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from .registry import MetricsRegistry
+from .registry import Histogram, MetricsRegistry
 
 #: canonical phase names, in pipeline order (the timeline exporter and the
 #: experiment JSON schema validate against this list)
@@ -68,7 +68,7 @@ class Span:
                    dict(d.get("labels", {})))
 
 
-class _OpenSpan:
+class OpenSpan:
     """Context manager returned by :meth:`SpanRecorder.span`."""
 
     __slots__ = ("recorder", "actor", "phase", "labels", "t_start", "seq")
@@ -80,7 +80,7 @@ class _OpenSpan:
         self.phase = phase
         self.labels = labels
 
-    def __enter__(self) -> "_OpenSpan":
+    def __enter__(self) -> "OpenSpan":
         self.t_start, self.seq = self.recorder.stamp()
         return self
 
@@ -95,48 +95,47 @@ class SpanRecorder:
     """Collects spans; aggregates per phase / per rank / per label.
 
     ``stamp`` is a callable returning a monotone ``(virtual_time, seq)``
-    pair — normally :meth:`repro.simkernel.Engine.stamp`.
+    pair — normally :meth:`repro.simkernel.Engine.stamp`.  ``log`` holds
+    one ``(actor, phase, t_start, t_end, seq, labels)`` record per span.
     """
 
     def __init__(self, stamp: Callable[[], tuple],
-                 registry: Optional[MetricsRegistry] = None,
                  trace_sink: Optional[Callable[[str, str, str], None]] = None,
                  trace_live: Callable[[], bool] = lambda: True,
                  max_spans: int = 100_000):
         self.stamp = stamp
-        self.registry = registry if registry is not None else MetricsRegistry()
         #: ``trace_sink(actor, kind, detail)`` — normally ``Universe.trace``
         self.trace_sink = trace_sink
         #: is the sink recording right now?  A close formats its line if so
         self.trace_live = trace_live
-        self.spans: List[Span] = []
+        self.log: List[tuple] = []
         self.max_spans = max_spans
         self.dropped = 0
 
     # ------------------------------------------------------------------
-    def span(self, actor: str, phase: str, **labels) -> _OpenSpan:
+    def span(self, actor: str, phase: str, **labels) -> OpenSpan:
         """Open a phase span; use as a context manager."""
-        return _OpenSpan(self, actor, phase,
-                         {k: str(v) for k, v in labels.items()})
+        return OpenSpan(self, actor, phase,
+                        {k: str(v) for k, v in labels.items()})
 
-    def close(self, open_span: _OpenSpan) -> Optional[Span]:
+    def close(self, open_span: OpenSpan) -> None:
         t_end, _ = self.stamp()
-        if len(self.spans) >= self.max_spans:
+        if len(self.log) >= self.max_spans:
             self.dropped += 1
-            return None
-        s = Span(open_span.actor, open_span.phase, open_span.t_start, t_end,
-                 open_span.seq, open_span.labels)
-        self.spans.append(s)
-        self.registry.histogram(
-            "phase_seconds", phase=s.phase,
-            technique=s.labels.get("technique", "")).observe(s.duration)
+            return
+        o = open_span
+        self.log.append((o.actor, o.phase, o.t_start, t_end, o.seq, o.labels))
         if self.trace_sink is not None and self.trace_live():
-            extra = "".join(f" {k}={v}" for k, v in sorted(s.labels.items()))
+            extra = "".join(f" {k}={v}" for k, v in sorted(o.labels.items()))
             self.trace_sink(
-                s.actor, "span",
-                f"{s.phase} start={s.t_start:.9f} dur={s.duration:.9f}"
+                o.actor, "span",
+                f"{o.phase} start={o.t_start:.9f} dur={t_end - o.t_start:.9f}"
                 f"{extra}")
-        return s
+
+    @property
+    def spans(self) -> List[Span]:
+        """The log as :class:`Span` objects, in close order."""
+        return [Span(*record) for record in self.log]
 
     # ------------------------------------------------------------------
     # aggregation
@@ -164,29 +163,39 @@ class SpanRecorder:
     def by_actor(self) -> Dict[str, Dict[str, float]]:
         """actor -> phase -> accumulated seconds."""
         out: Dict[str, Dict[str, float]] = {}
-        for s in self.spans:
-            out.setdefault(s.actor, {})
-            out[s.actor][s.phase] = \
-                out[s.actor].get(s.phase, 0.0) + s.duration
+        for actor, phase, t_start, t_end, _seq, _labels in self.log:
+            phases = out.setdefault(actor, {})
+            phases[phase] = phases.get(phase, 0.0) + (t_end - t_start)
         return out
 
     def by_label(self, key: str) -> Dict[str, Dict[str, float]]:
         """label value -> phase -> accumulated seconds (spans lacking the
         label are skipped); e.g. ``by_label("gid")`` for per-grid totals."""
         out: Dict[str, Dict[str, float]] = {}
-        for s in self.spans:
-            val = s.labels.get(key)
+        for _actor, phase, t_start, t_end, _seq, labels in self.log:
+            val = labels.get(key)
             if val is None:
                 continue
-            out.setdefault(val, {})
-            out[val][s.phase] = out[val].get(s.phase, 0.0) + s.duration
+            phases = out.setdefault(val, {})
+            phases[phase] = phases.get(phase, 0.0) + (t_end - t_start)
         return out
+
+    def phase_histograms(self) -> List[Histogram]:
+        """``phase_seconds`` histograms labelled by phase/technique, one
+        observation per span in close order, sorted by labels."""
+        durations: Dict[tuple, List[float]] = {}
+        for _actor, phase, t_start, t_end, _seq, labels in self.log:
+            key = (("phase", phase),
+                   ("technique", str(labels.get("technique", ""))))
+            durations.setdefault(key, []).append(t_end - t_start)
+        return [Histogram.of("phase_seconds", key, values)
+                for key, values in sorted(durations.items())]
 
     def to_dicts(self) -> List[dict]:
         return [s.to_dict() for s in self.spans]
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self.log)
 
 
 class Observability:
@@ -200,14 +209,18 @@ class Observability:
                  trace_sink: Optional[Callable[[str, str, str], None]] = None,
                  trace_live: Callable[[], bool] = lambda: True):
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(stamp, self.registry, trace_sink, trace_live)
+        self.spans = SpanRecorder(stamp, trace_sink, trace_live)
 
-    def span(self, actor: str, phase: str, **labels) -> _OpenSpan:
+    def span(self, actor: str, phase: str, **labels) -> OpenSpan:
         return self.spans.span(actor, phase, **labels)
 
     def phase_totals(self, reduce: str = "max") -> Dict[str, float]:
         return self.spans.phase_totals(reduce)
 
     def to_dict(self) -> dict:
-        return {"metrics": self.registry.to_dict(),
-                "spans": self.spans.to_dicts()}
+        """Registry snapshot, span-derived histograms included."""
+        metrics = self.registry.to_dict()
+        hists = self.registry.histograms() + self.spans.phase_histograms()
+        hists.sort(key=lambda h: (h.name, h.labels))
+        metrics["histograms"] = [h.to_dict() for h in hists]
+        return {"metrics": metrics, "spans": self.spans.to_dicts()}

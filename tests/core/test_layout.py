@@ -95,6 +95,30 @@ def test_survivors_renumber_and_keep_an_empty_group():
         assert after.gid_of(r) == layout.gid_of(m)
 
 
+def test_survivors_memoised_per_member_list():
+    """Every survivor of one repair asks with an equal member list and
+    shares one layout; ``adopt_orphans`` is part of the key, and the cache
+    is bounded."""
+    from repro.core.layout import _survivor_layout
+
+    layout = Layout.paper(CombinationScheme(8, 4), 2)
+    lone = next(a for a in layout.assignments if a.n_procs == 1)
+    members = [r for r in range(layout.total_procs) if r != lone.ranks[0]]
+    kept = layout.survivors(members, adopt_orphans=False)
+    again = layout.survivors(list(members), adopt_orphans=False)
+    assert again is kept
+    adopted = layout.survivors(tuple(members), adopt_orphans=True)
+    assert adopted is not kept
+    assert adopted.adoptions and not kept.adoptions
+    assert adopted.group_ranks(lone.gid) != ()
+    fresh = Layout.paper(CombinationScheme(8, 4), 2)    # equal, not cached
+    twin = fresh.survivors(members, adopt_orphans=True)
+    assert [a.ranks for a in twin.assignments] == \
+        [a.ranks for a in adopted.assignments]
+    assert twin.adoptions == adopted.adoptions
+    assert _survivor_layout.cache_info().maxsize is not None
+
+
 @given(st.integers(1, 64).filter(lambda p: p & (p - 1) == 0))
 @settings(max_examples=20)
 def test_paper_rule_halves_per_layer(p):

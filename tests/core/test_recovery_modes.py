@@ -9,7 +9,6 @@ from repro.core.runner import baseline_solve_time, plan_failures
 from repro.ft import PLACE_SPARE, STRATEGIES, strategy_by_mode
 from repro.ft.failure_injection import Kill
 from repro.machine.presets import IDEAL, OPL
-from repro.simkernel.errors import TaskFailedError
 
 
 def cfg_for(code, **kw):
@@ -192,15 +191,14 @@ def test_nc_full_grid_loss_is_fatal():
                 kills=[Kill(6, at), Kill(7, at)])
 
 
-@pytest.mark.xfail(raises=TaskFailedError, strict=True,
-                   reason="a bystander grid's communicator is revoked under "
-                          "it and it never reaches a handler")
 @pytest.mark.parametrize("code", ["CR", "AC"])
 @pytest.mark.parametrize("seed", range(4))
 def test_nc_single_kill_on_a_22_rank_world(code, seed):
-    """Open regression points of the non-collective repair: one seeded kill
-    mid-solve on the ``diag_procs=4`` layout (victims 13, 5, 2, 8) ends in
-    a ``RevokedError`` on a ``world.split`` communicator."""
+    """One seeded kill mid-solve on the ``diag_procs=4`` layout (victims
+    13, 5, 2, 8).  The victim's grid mates revoke their grid communicator
+    and enter the loop-head agree; the revoke must not doom an agree
+    already open (ULFM exempts agree/shrink), or a survivor dies of
+    ``RevokedError``."""
     cfg = cfg_for(code, recovery_mode="nc", diag_procs=4)
     kills = plan_failures(cfg, 1, at=0.5 * baseline_solve_time(cfg, OPL),
                           seed=seed)

@@ -63,6 +63,12 @@ Before re-recording, ``--check`` reported 0 of 23 programs and those 5 of
 57 runs differing, so every other run, respawn ``2d`` and shrink ``1d``
 included, is byte-identical across the change.
 
+The program ``revoke-two-open-rounds`` alone was rewritten and recorded
+again when a revoke stopped dooming open agree/shrink rounds (ULFM exempts
+them).  Its old script deadlocks under that rule, two ranks agreeing
+while two shrink; now every rank agrees.  ``--check`` reported it as the
+only entry, program or run, that differs.
+
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.
 """
@@ -370,21 +376,21 @@ async def readmit_during_agree(ctx):
 
 async def revoke_two_open_rounds(ctx):
     """Rank 0 is parked in an allreduce and rank 1 in an agree when rank
-    2's revoke lands; rank 3 reaches the doomed agree afterwards."""
+    2's revoke lands: the allreduce is doomed, the agree runs on (ULFM
+    exempts agree and shrink from revocation).  Rank 3 is refused a
+    barrier afterwards, and every rank then completes rank 1's agree."""
     comm, r = ctx.comm, ctx.rank
     out = []
     if r == 0:
         out.append(await attempt(ctx, comm.allreduce(1.0)))
-    elif r == 1:
-        out.append(await attempt(ctx, comm.agree(1)))
     elif r == 2:
         await ctx.compute(0.5)
         comm.revoke()
         await ctx.compute(0.1)
-    else:
+    elif r == 3:
         await ctx.compute(1.0)
         out.append(await attempt(ctx, comm.barrier()))
-        out.append(await attempt(ctx, comm.agree(1)))
+    out.append(await attempt(ctx, comm.agree(0xF ^ (1 << r))))
     shrunk = await comm.shrink()
     out.append(await attempt(ctx, shrunk.allreduce(r, op=SUM)))
     return out

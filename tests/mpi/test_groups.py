@@ -121,3 +121,45 @@ def test_group_algebra_properties(a_idx, b_idx):
     assert u.size == len(a_idx | b_idx)
     # compare is reflexive-IDENT
     assert a.compare(a) == IDENT
+
+
+# linear-scan reference definitions of the indexed lookups
+def ref_rank_of(group, proc):
+    for i, p in enumerate(group.procs):
+        if p.uid == proc.uid:
+            return i
+    return UNDEFINED
+
+
+def ref_compare(a, b):
+    mine, theirs = [p.uid for p in a.procs], [p.uid for p in b.procs]
+    if mine == theirs:
+        return IDENT
+    return SIMILAR if sorted(mine) == sorted(theirs) else UNEQUAL
+
+
+@st.composite
+def group_pairs(draw):
+    """Two ordered groups over one pool of 10 processes; the second is a
+    permutation of the first about a third of the time."""
+    order = draw(st.lists(st.integers(0, 9), unique=True, max_size=10))
+    other = draw(st.one_of(st.permutations(order),
+                           st.lists(st.integers(0, 9), unique=True,
+                                    max_size=10)))
+    return order, other
+
+
+@given(group_pairs())
+def test_indexed_lookups_equal_linear_scans(pair):
+    procs = mk_procs(10)
+    a = Group(procs[i] for i in pair[0])
+    b = Group(procs[i] for i in pair[1])
+    assert a.compare(b) == ref_compare(a, b)
+    assert b.compare(a) == ref_compare(b, a)
+    for p in procs:
+        assert a.rank_of(p) == ref_rank_of(a, p)
+        assert (p in a) == (ref_rank_of(a, p) != UNDEFINED)
+    assert [p.uid for p in a.difference(b)] == \
+        [p.uid for p in a.procs if ref_rank_of(b, p) == UNDEFINED]
+    assert a.translate_ranks(range(a.size), b) == \
+        [ref_rank_of(b, p) for p in a.procs]

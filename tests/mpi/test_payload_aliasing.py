@@ -96,3 +96,77 @@ def test_copy_false_freezes_arrays_inside_containers():
             return got["row"].tolist()
 
     assert _run(main)[1] == [0.0, 1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# allgather: one fresh list per rank, clones only for what can change
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def clone_calls(monkeypatch):
+    """Counts the allgather finish rule's ``clone_payload`` calls."""
+    from repro.mpi import collectives
+
+    calls = []
+    real = collectives.clone_payload
+
+    def counting(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(collectives, "clone_payload", counting)
+    return calls
+
+
+FROZEN = [7, "two", (3, ("x", b"y"), 1.5), (None, True, frozenset({4}))]
+
+
+def test_frozen_allgather_contributions_are_never_cloned(clone_calls):
+    async def main(ctx):
+        return await ctx.comm.allgather(FROZEN[ctx.rank])
+
+    results = _run(main, n=4)
+    assert all(got == FROZEN for got in results)
+    assert clone_calls == []
+
+
+def test_allgather_gives_every_rank_its_own_list():
+    async def main(ctx):
+        got = await ctx.comm.allgather((ctx.rank, "tag"))
+        if ctx.rank == 0:
+            got[1] = "mutated"
+            got.append("extra")
+        await ctx.comm.barrier()
+        return got
+
+    results = _run(main, n=3)
+    assert results[0] == [(0, "tag"), "mutated", (2, "tag"), "extra"]
+    assert results[1] == results[2] == [(0, "tag"), (1, "tag"), (2, "tag")]
+    assert len({id(got) for got in results}) == 3
+
+
+@pytest.mark.parametrize("mutable", [
+    lambda r: np.full(2, float(r)),
+    lambda r: (r, [r, r]),
+], ids=["ndarray", "list-in-tuple"])
+def test_mutable_allgather_contributions_cloned_per_receiver(clone_calls,
+                                                             mutable):
+    n = 3
+
+    async def main(ctx):
+        mine = mutable(ctx.rank)
+        got = await ctx.comm.allgather(mine if ctx.rank else 5)
+        assert got[ctx.rank] is not mine or ctx.rank == 0
+        return got
+
+    results = _run(main, n=n)
+    assert len(clone_calls) == n * (n - 1)     # every receiver, every slot
+    for slot in range(1, n):
+        copies = [got[slot] for got in results]
+        assert len({id(c) for c in copies}) == n
+        if isinstance(copies[0], tuple):
+            assert len({id(c[1]) for c in copies}) == n
+            copies[0][1].append("changed")
+            assert copies[1][1] == [slot, slot]
+        else:
+            copies[0][:] = -1.0
+            assert copies[1].tolist() == [float(slot)] * 2

@@ -69,8 +69,8 @@ def expected(arrivals, deaths, revoke_at, kind, detect, cost):
                 doom = ("ProcFailedError", (r,))
                 resume(doom, t + detect)
         else:
-            revoked = True
-            if opened and not closed and doom is None:
+            revoked = True              # ULFM: agree/shrink outlive it
+            if opened and not closed and doom is None and kind is NORMAL:
                 doom = "RevokedError"
                 resume(doom, t + detect)
         if doom is None and parked and \

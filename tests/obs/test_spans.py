@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import PHASES, Observability, Span, SpanRecorder
+from repro.obs import (PHASES, MetricsRegistry, Observability, Span,
+                       SpanRecorder)
 
 
 class FakeClock:
@@ -90,7 +91,7 @@ def test_spans_observed_into_registry_histogram():
     rec = SpanRecorder(clk.stamp)
     with rec.span("r0", "shrink", technique="RC"):
         clk.advance(0.75)
-    (h,) = rec.registry.histograms("phase_seconds")
+    (h,) = rec.phase_histograms()
     assert h.count == 1 and h.sum == pytest.approx(0.75)
     assert dict(h.labels) == {"phase": "shrink", "technique": "RC"}
 
@@ -197,3 +198,60 @@ def test_phase_names_are_canonical():
               "reconstruct", "checkpoint_write", "checkpoint_read",
               "recompute", "recovery", "combine"):
         assert p in PHASES
+
+
+# ---------------------------------------------------------------------------
+# the log against references computed from the materialised spans
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def killed_run():
+    """A multi-rank CR respawn run with two kills mid-solve."""
+    from repro.core import AppConfig
+    from repro.core.app import app_main
+    from repro.core.runner import make_universe
+    from repro.ft.checkpoint import Disk
+    from repro.ft.failure_injection import FailureGenerator, Kill
+    from repro.machine.presets import OPL
+
+    cfg = AppConfig(n=5, level=3, technique_code="CR", steps=4,
+                    diag_procs=2, checkpoint_count=2, disk=Disk())
+    uni, total = make_universe(cfg, OPL)
+    job = uni.launch(total, app_main, argv=(cfg,))
+    FailureGenerator().inject(uni, job, [Kill(3, 1e-3), Kill(6, 2e-3)])
+    uni.run()
+    return uni.obs
+
+
+def test_log_aggregates_equal_span_references(killed_run):
+    spans = killed_run.spans.spans
+    assert len({s.actor for s in spans}) > 4
+    assert {"detect", "shrink", "spawn", "merge"} <= {s.phase for s in spans}
+    by_actor, by_gid = {}, {}
+    for s in spans:
+        phases = by_actor.setdefault(s.actor, {})
+        phases[s.phase] = phases.get(s.phase, 0.0) + s.duration
+        if "gid" in s.labels:
+            phases = by_gid.setdefault(s.labels["gid"], {})
+            phases[s.phase] = phases.get(s.phase, 0.0) + s.duration
+    totals_max, totals_sum = {}, {}
+    for phases in by_actor.values():
+        for phase, dur in phases.items():
+            totals_max[phase] = max(totals_max.get(phase, 0.0), dur)
+            totals_sum[phase] = totals_sum.get(phase, 0.0) + dur
+    assert killed_run.spans.by_actor() == by_actor
+    assert killed_run.spans.by_label("gid") == by_gid
+    assert killed_run.phase_totals() == totals_max
+    assert killed_run.phase_totals("sum") == totals_sum
+
+
+def test_derived_histograms_equal_one_observe_per_span(killed_run):
+    ref = MetricsRegistry()
+    for s in killed_run.spans.spans:
+        ref.histogram("phase_seconds", phase=s.phase,
+                      technique=s.labels.get("technique", "")
+                      ).observe(s.duration)
+    expected = [h.to_dict() for h in ref.histograms()]
+    assert len(expected) > 5
+    assert [h.to_dict() for h in killed_run.spans.phase_histograms()] == \
+        expected
+    assert killed_run.to_dict()["metrics"]["histograms"] == expected
