@@ -6,10 +6,12 @@ subprocess over real HTTP — the exact deployment CI and users run — and
 asserts the service contract end to end:
 
 1. cold experiment: 202 with a job id, then polls to a schema-valid 200;
-2. warm experiment: immediate 200 straight from the shared store;
+2. warm experiment: immediate 200 straight from the shared store, and
+   two warm reads decode equal to the polled document;
 3. N concurrent identical cold requests coalesce onto one job
-   (asserted via ``/v1/cache/stats``);
-4. a restarted server over the same ``--cache`` answers warm at once;
+   (asserted via ``/v1/cache/stats`` once ``/v1/job/<id>`` reads done);
+4. a restarted server over the same ``--cache`` answers warm at once,
+   with the document the first server served;
 5. ``python -m repro cache stats|verify`` agree with the store on disk.
 
 Exit code 0 on success, 1 on any failed check.
@@ -36,6 +38,7 @@ from repro.obs.schema import validate_experiment_doc  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 
 DEDUP_CLIENTS = 6
+JOB_TIMEOUT_S = 600.0
 
 
 def free_port() -> int:
@@ -58,6 +61,16 @@ def stop_server(proc: subprocess.Popen) -> None:
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
+
+
+def wait_job(client: ServiceClient, job_id: str) -> str:
+    """Poll ``/v1/job/<id>`` until the job has finished; its status."""
+    deadline = time.monotonic() + JOB_TIMEOUT_S
+    while True:
+        status = client.job(job_id)["status"]
+        if status in ("done", "failed") or time.monotonic() > deadline:
+            return status
+        time.sleep(0.05)
 
 
 def check(label: str, ok: bool, detail: str = "") -> bool:
@@ -89,12 +102,16 @@ def run_smoke() -> int:
                     "poll reaches a schema-valid 200 document",
                     doc["experiment"] == "table1" and len(doc["points"]) > 0)
 
-                # 2. warm: immediate 200
+                # 2. warm: immediate 200, the same document every read
                 t0 = time.perf_counter()
-                status, _ = client.experiment_once("table1")
+                status, warm = client.experiment_once("table1")
                 warm_ms = (time.perf_counter() - t0) * 1000.0
                 failures += not check("warm request answers 200 immediately",
                                       status == 200, f"{warm_ms:.1f}ms")
+                again = client.experiment_once("table1")
+                failures += not check(
+                    "two warm reads decode equal to the polled document",
+                    again == (200, warm) and warm == doc)
 
                 # 3. concurrent identical cold requests coalesce
                 before = client.cache_stats()["queue"]
@@ -115,15 +132,19 @@ def run_smoke() -> int:
                 for t in threads:
                     t.join()
                 fired = client.cache_stats()["queue"]
-                client.experiment("fig10", timeout=600)
+                jobs = {p["job"] for s, p in tickets if s == 202}
+                # a job reads done only once it is counted, and no poll
+                # straddles its end, so ``executed`` is exact
+                finished = [wait_job(client, job) for job in sorted(jobs)]
                 after = client.cache_stats()["queue"]
                 executed = after["executed"] - before["executed"]
                 deduped = fired["deduped"] - before["deduped"]
-                jobs = {p["job"] for s, p in tickets if s == 202}
                 failures += not check(
                     f"{DEDUP_CLIENTS} concurrent requests -> 1 execution",
-                    executed == 1 and len(jobs) <= 1,
-                    f"executed={executed} deduped={deduped}")
+                    executed == 1 and finished == ["done"],
+                    f"executed={executed} deduped={deduped} "
+                    f"jobs={finished}")
+                client.experiment("fig10", timeout=600)
         finally:
             stop_server(proc)
 
@@ -134,11 +155,13 @@ def run_smoke() -> int:
             with ServiceClient(f"http://127.0.0.1:{port}",
                                timeout=60) as client:
                 client.wait_healthy(timeout=30)
-                status, doc = client.experiment_once("table1")
+                status, restarted = client.experiment_once("table1")
                 failures += not check(
                     "restarted server serves the document warm",
-                    status == 200 and doc.get("experiment") == "table1",
-                    f"status={status}")
+                    status == 200, f"status={status}")
+                failures += not check(
+                    "restarted server serves the first server's document",
+                    restarted == doc)
         finally:
             stop_server(proc)
 

@@ -167,15 +167,16 @@ class JobQueue:
             self._depth.dec()
             job.started = wall_now()
             job.state = RUNNING
+            # a job seen done or failed has already been counted
             try:
                 job.result = fn()
             except Exception as exc:   # jobs must never kill a worker
                 job.error = f"{type(exc).__name__}: {exc}"
-                job.state = FAILED
                 self._count("failed")
+                job.state = FAILED
             else:
-                job.state = DONE
                 self._count("executed")
+                job.state = DONE
             job.finished = wall_now()
             self._seconds.observe(job.finished - job.started)
             with self._lock:

@@ -33,6 +33,14 @@ table)``: a warm document survives restarts, editing a parameter makes
 the old document unreachable instead of stale, and
 a cold document's underlying runs are themselves cached, fleet-wide, so
 even a "cold" document after a restart only re-aggregates warm runs.
+
+A content key fixes the bytes of its 200, so the server encodes each
+``/v1/experiment`` and ``/v1/run`` 200 once per process and writes the
+stored bytes on every later read (no unpickle, no ``to_dict``, no JSON
+encode).  Only 200s are kept: a 404, 202 or 500 for a key is answered
+afresh each time, as are ``/healthz``, ``/v1/cache/stats`` and
+``/v1/job``.  The kept bodies live as long as the cache's memory tier
+and have its bound: every key this process has read.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from __future__ import annotations
 import json
 import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..experiments.registry import EXPERIMENTS, run_experiment
@@ -59,6 +67,13 @@ _JOB_RE = re.compile(r"^job-\d+$")
 _REQUEST_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0,
                     5.0, 30.0)
 
+#: an endpoint's answer: a payload to encode, or a kept, encoded 200 body
+Payload = Union[dict, bytes]
+
+
+def _encode(payload: dict) -> bytes:
+    return json.dumps(payload, default=str).encode()
+
 
 class ServiceState:
     """Everything the handlers share: cache, queue, metrics, doc keys."""
@@ -75,11 +90,19 @@ class ServiceState:
         self.sweep_workers = sweep_workers
         self.started = wall_now()
         self._failures: dict = {}   # doc key -> last job error
+        #: (endpoint, content key) -> encoded 200; a document's key is
+        #: also a /v1/run key, with another body
+        self._bodies: Dict[Tuple[str, str], bytes] = {}
 
     # ------------------------------------------------------------------
     def _count_lookup(self, kind: str, result: str) -> None:
         self.registry.counter("service_cache", kind=kind,
                               result=result).inc()
+
+    def _keep(self, endpoint: str, key: str, payload: dict) -> bytes:
+        """Encode ``key``'s 200 once.  Racing first reads encode equal
+        bytes and ``setdefault`` keeps one, so no lock is needed."""
+        return self._bodies.setdefault((endpoint, key), _encode(payload))
 
     @staticmethod
     def experiment_key(name: str, quick: bool) -> str:
@@ -115,23 +138,28 @@ class ServiceState:
 
     def cache_stats(self) -> Tuple[int, dict]:
         store = self.cache.store
+        disk, walked = store.survey() if store is not None else ([], None)
         return 200, {
-            "cache": self.cache.stats(),
-            "store": store.stats().to_dict() if store is not None else None,
+            "cache": self.cache.stats(disk),
+            "store": walked.to_dict() if walked is not None else None,
             "queue": self.queue.stats(),
             "metrics": self.registry.to_dict(),
         }
 
     def experiment(self, name: str, quick: bool,
-                   retry: bool) -> Tuple[int, dict]:
+                   retry: bool) -> Tuple[int, Payload]:
         if name not in EXPERIMENTS:
             return 404, {"error": f"unknown experiment {name!r}",
                          "known": sorted(EXPERIMENTS)}
         key = self.experiment_key(name, quick)
-        doc = self.cache.load(key)
-        if doc is not None:
+        body = self._bodies.get(("experiment", key))
+        if body is None:
+            doc = self.cache.load(key)
+            body = None if doc is None else self._keep("experiment", key,
+                                                       doc)
+        if body is not None:
             self._count_lookup("experiment", "hit")
-            return 200, doc
+            return 200, body
         self._count_lookup("experiment", "miss")
         if retry:
             self._failures.pop(key, None)
@@ -160,19 +188,24 @@ class ServiceState:
                      "poll": f"/v1/experiment/{name}?quick="
                              f"{1 if quick else 0}"}
 
-    def run(self, key: str) -> Tuple[int, dict]:
+    def run(self, key: str) -> Tuple[int, Payload]:
         if not _KEY_RE.match(key):
             return 400, {"error": f"malformed run key {key!r} "
                                   "(expected a hex fingerprint)"}
-        value = self.cache.load(key)
-        if value is None:
-            self._count_lookup("run", "miss")
-            return 404, {"error": f"no cached run {key}",
-                         "hint": "runs are keyed by content fingerprint; "
-                                 "a key alone cannot be recomputed"}
+        body = self._bodies.get(("run", key))
+        if body is None:
+            value = self.cache.load(key)
+            if value is None:
+                self._count_lookup("run", "miss")
+                return 404, {"error": f"no cached run {key}",
+                             "hint": "runs are keyed by content "
+                                     "fingerprint; a key alone cannot "
+                                     "be recomputed"}
+            payload = value.to_dict() if hasattr(value, "to_dict") \
+                else value
+            body = self._keep("run", key, {"key": key, "metrics": payload})
         self._count_lookup("run", "hit")
-        payload = value.to_dict() if hasattr(value, "to_dict") else value
-        return 200, {"key": key, "metrics": payload}
+        return 200, body
 
     def job(self, job_id: str) -> Tuple[int, dict]:
         if not _JOB_RE.match(job_id):
@@ -200,7 +233,8 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, path: str, query: dict) -> Tuple[str, int, dict]:
+    def _dispatch(self, path: str,
+                  query: dict) -> Tuple[str, int, Payload]:
         """(endpoint label, status, payload) for one GET."""
         state = self.state
         if path in ("/healthz", "/health"):
@@ -230,7 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:   # a handler bug must not kill the server
             endpoint, status = "internal", 500
             payload = {"error": f"{type(exc).__name__}: {exc}"}
-        body = json.dumps(payload, default=str).encode()
+        body = payload if isinstance(payload, bytes) else _encode(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -38,7 +38,7 @@ import hashlib
 import pickle
 import threading
 from dataclasses import fields, is_dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .store import SharedStore
 
@@ -214,8 +214,11 @@ class RunCache:
     def __contains__(self, key: str) -> bool:
         return self._blob(key) is not None
 
-    def stats(self) -> dict:
-        disk = self.store.keys() if self.store is not None else []
+    def stats(self, disk: Optional[List[str]] = None) -> dict:
+        """Entry and lookup counts; ``disk`` is the store's key list when
+        the caller has walked the store already."""
+        if disk is None:
+            disk = self.store.keys() if self.store is not None else []
         with self._lock:
             memory_entries = len(self._mem)
             entries = len(self._mem.keys() | set(disk))

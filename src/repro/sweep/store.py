@@ -204,6 +204,10 @@ class SharedStore:
         return len(self._scan()[0])
 
     def stats(self) -> StoreStats:
+        return self.survey()[1]
+
+    def survey(self) -> Tuple[List[str], StoreStats]:
+        """:meth:`keys` and :meth:`stats` from one walk."""
         blobs, leftovers = self._scan()
         entries = n_bytes = 0
         shards = set()
@@ -214,11 +218,11 @@ class SharedStore:
                 continue                             # raced with a gc
             entries += 1
             shards.add(shard)
-        return StoreStats(entries=entries, bytes=n_bytes,
-                          shards=len(shards),
-                          corrupt=len(leftovers[_CORRUPT_SUFFIX]),
-                          tmp_files=len(leftovers[_TMP_SUFFIX]),
-                          format_version=self.format_version())
+        return [key for _, key, _ in blobs], StoreStats(
+            entries=entries, bytes=n_bytes, shards=len(shards),
+            corrupt=len(leftovers[_CORRUPT_SUFFIX]),
+            tmp_files=len(leftovers[_TMP_SUFFIX]),
+            format_version=self.format_version())
 
     # ------------------------------------------------------------------
     # maintenance (the ``repro cache`` subcommands)

@@ -132,3 +132,27 @@ def test_registry_metrics_flow(q):
 def test_rejects_zero_workers():
     with pytest.raises(ValueError):
         JobQueue(workers=0)
+
+
+def test_a_job_seen_finished_has_been_counted(q, monkeypatch):
+    """``done``/``failed`` is set after the job's counter moves, so a
+    reader polling a job's status never finds it finished but uncounted."""
+    count = q._count
+
+    def slow_count(event):
+        threading.Event().wait(0.05)     # widen the count -> state window
+        count(event)
+
+    def boom():
+        raise RuntimeError("driver exploded")
+
+    monkeypatch.setattr(q, "_count", slow_count)
+    for key, fn, state, event in (("ok", lambda: 1, DONE, "executed"),
+                                  ("bad", boom, FAILED, "failed")):
+        job = q.submit(key, fn)
+        for _ in range(100_000):
+            if job.done:
+                break
+            threading.Event().wait(0.0001)
+        assert job.state == state
+        assert q.stats()[event] == 1, event

@@ -167,9 +167,11 @@ def test_a_request_racing_a_jobs_end_computes_nothing(service,
                         ExperimentSpec("once", counted, lambda pts: "once"))
     _, first = client.experiment_once("once")
     assert server.state.queue.job(first["job"]).wait(10)
-    doc = client.experiment("once", timeout=30)
+    # the race is only open before the key's first 200: the server keeps
+    # that body and never looks the key up again
     cache, stale = server.state.cache, [first["key"]]
     load = cache.load
+    doc = load(first["key"])
 
     def racing_load(key):
         if key in stale:           # the next lookup of the key misses
@@ -198,10 +200,12 @@ def test_failed_experiment_answers_500_until_retry(service, monkeypatch):
         threading.Event().wait(0.05)
     assert status == 500
     assert "driver exploded" in payload["error"]
-    # a repaired driver + ?retry=1 recomputes
+    assert client.experiment_once("broken")[0] == 500
+    # a repaired driver + ?retry=1 recomputes; without it, still a 500
     monkeypatch.setitem(
         EXPERIMENTS, "broken",
         ExperimentSpec("broken", _fake_points, lambda pts: "broken"))
+    assert client.experiment_once("broken")[0] == 500
     status, _ = client.get("/v1/experiment/broken?retry=1")
     assert status == 202
     doc = client.experiment("broken", timeout=30)
@@ -353,6 +357,151 @@ def test_document_survives_restart(tmp_path, fake_experiments):
         status, doc = client.experiment_once("fake")
         assert status == 200                 # warm straight from disk
         assert doc["points"] == [{"value": 1.5, "quick": True}]
+
+
+# ----------------------------------------------------------------------
+# kept 200 bodies
+# ----------------------------------------------------------------------
+def _raw(server, path: str):
+    """(status, body bytes) of one GET on its own connection."""
+    import http.client
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1],
+                                      timeout=10)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def _counting_loads(monkeypatch, cache) -> list:
+    """The keys ``cache.load`` is called with from now on."""
+    loaded, load = [], cache.load
+
+    def counting(key):
+        loaded.append(key)
+        return load(key)
+
+    monkeypatch.setattr(cache, "load", counting)
+    return loaded
+
+
+def test_warm_bodies_are_encoded_once_and_byte_identical(service,
+                                                         monkeypatch):
+    import json
+
+    from repro.service.server import ServiceState
+
+    server, client = service
+    cache = server.state.cache
+    _, ticket = client.experiment_once("fake")
+    assert server.state.queue.job(ticket["job"]).wait(10)
+    doc_key = ServiceState.experiment_key("fake", True)
+    run_key = "ef" * 20
+    metrics = RunMetrics(technique="RC", machine="OPL", n=6, level=4,
+                         steps=4, world_size=7)
+    cache.put(run_key, metrics)
+    expected = {
+        "/v1/experiment/fake?quick=1": json.dumps(
+            cache.load(doc_key), default=str).encode(),
+        f"/v1/run/{run_key}": json.dumps(
+            {"key": run_key, "metrics": metrics.to_dict()},
+            default=str).encode(),
+    }
+    loaded = _counting_loads(monkeypatch, cache)
+    for path, body in expected.items():
+        assert [_raw(server, path) for _ in range(3)] == [(200, body)] * 3
+    assert loaded == [doc_key, run_key]          # the first read of each
+    hits = {tuple(c.labels): c.value
+            for c in server.state.registry.counters("service_cache")}
+    assert hits[(("kind", "experiment"), ("result", "hit"))] == 3
+    assert hits[(("kind", "run"), ("result", "hit"))] == 3
+    # a document's key is a run key too, with the run endpoint's body
+    assert _raw(server, f"/v1/run/{doc_key}") == (200, json.dumps(
+        {"key": doc_key, "metrics": cache.load(doc_key)},
+        default=str).encode())
+
+
+def test_racing_first_reads_keep_one_body(tmp_path):
+    """Threads racing to a key's first read all write the one kept body:
+    ``setdefault`` lets one encoding win without a lock."""
+    import json
+    import sys
+
+    from repro.service.server import ServiceState
+    from repro.sweep import RunCache
+
+    state = ServiceState(cache=RunCache(directory=str(tmp_path)),
+                         queue_workers=1)
+    keys = [f"{i:02x}" * 20 for i in range(8)]
+    for ranks, key in enumerate(keys, start=2):
+        state.cache.put(key, RunMetrics(technique="AC", machine="OPL", n=6,
+                                        level=4, steps=4, world_size=ranks))
+    readers = 8
+    barrier = threading.Barrier(readers)
+    bodies = {key: [] for key in keys}
+
+    def read():
+        barrier.wait(10)
+        for key in keys:
+            bodies[key].append(state.run(key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+        state.queue.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    for key in keys:
+        expected = json.dumps({"key": key, "metrics": state.cache.load(
+            key).to_dict()}, default=str).encode()
+        (status, kept), *rest = bodies[key]
+        assert status == 200 and kept == expected
+        assert len(rest) == readers - 1
+        assert all(s == 200 and body is kept for s, body in rest)
+
+
+def test_only_a_200_is_kept(service, monkeypatch):
+    server, client = service
+    cache = server.state.cache
+    # a run key's 404 is not kept: once put, the key answers 200
+    key = "0a" * 20
+    loaded = _counting_loads(monkeypatch, cache)
+    assert client.get(f"/v1/run/{key}")[0] == 404
+    assert client.get(f"/v1/run/{key}")[0] == 404
+    cache.put(key, RunMetrics(technique="CR", machine="OPL", n=6, level=4,
+                              steps=4, world_size=5))
+    assert client.run(key)["metrics"]["world_size"] == 5
+    assert loaded == [key] * 3
+    # stats, job status and health are encoded on each request
+    before = client.cache_stats()
+    cache.put("0b" * 20, {"stored": "between the two reads"})
+    after = client.cache_stats()
+    assert after["cache"]["entries"] == before["cache"]["entries"] + 1
+    assert after["store"]["entries"] == before["store"]["entries"] + 1
+    release = threading.Event()
+
+    def slow(quick, runner):
+        release.wait(10)
+        return [{"value": 4.0}]
+
+    monkeypatch.setitem(EXPERIMENTS, "slow",
+                        ExperimentSpec("slow", slow, lambda pts: "slow"))
+    _, ticket = client.experiment_once("slow")
+    assert client.job(ticket["job"])["status"] in ("pending", "running")
+    release.set()
+    assert server.state.queue.job(ticket["job"]).wait(10)
+    assert client.job(ticket["job"])["status"] == "done"
+    first = client.healthz()["uptime_s"]
+    threading.Event().wait(0.01)
+    assert client.healthz()["uptime_s"] > first
 
 
 # ----------------------------------------------------------------------

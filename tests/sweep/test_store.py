@@ -109,3 +109,15 @@ def test_each_scan_lists_the_root_once(messy, monkeypatch):
     assert len(listed) == 1
     assert stats["disk_entries"] == 6 and stats["entries"] == 6
     assert stats["memory_entries"] == 1
+    # /v1/cache/stats answers both halves from that one walk
+    from repro.service.server import ServiceState
+    state = ServiceState(cache=cache, queue_workers=1)
+    try:
+        listed.clear()
+        status, doc = state.cache_stats()
+        assert len(listed) == 1
+    finally:
+        state.queue.shutdown()
+    assert status == 200
+    assert doc["cache"] == stats
+    assert doc["store"] == messy.stats().to_dict()
