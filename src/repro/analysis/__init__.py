@@ -7,7 +7,8 @@ Three analyzers (see ``docs/analysis.md``):
   exposed as ``python -m repro lint`` (``--format sarif`` emits SARIF
   2.1.0 via :mod:`repro.analysis.sarif`); the flow-sensitive rules are
   built on the CFG/fixpoint engine in :mod:`repro.analysis.dataflow`,
-  entry points are declared with :mod:`repro.analysis.annotations`;
+  entry points are declared by ``# repro: cacheable`` and
+  ``# repro: protocol`` comments;
 * :mod:`repro.analysis.protocol` — replay of a recorded trace against the
   paper's revoke/shrink/spawn/merge/split recovery state machine,
   exposed as ``python -m repro analyze-trace``;
@@ -20,7 +21,6 @@ resources; :mod:`repro.analysis.pytest_plugin` wires the leak and race
 checks into the mpi-layer test suite.
 """
 
-from .annotations import pure
 from .dataflow import CFG, build_cfg, solve
 from .events import ParsedEvent, TruncatedTraceError, parse_events
 from .linter import (LintViolation, RULES, SEVERITY, default_lint_paths,
@@ -34,7 +34,7 @@ from .runtime import LeakReport, check_runtime_leaks
 
 __all__ = [
     "ParsedEvent", "TruncatedTraceError", "parse_events",
-    "CFG", "build_cfg", "solve", "pure",
+    "CFG", "build_cfg", "solve",
     "LintViolation", "RULES", "SEVERITY", "default_lint_paths",
     "format_report", "lint_file", "lint_paths",
     "to_sarif", "validate_sarif",

@@ -13,7 +13,7 @@ and runs
   reports ULF002 and which the purity (ULF012) and shared-reference
   (ULF011/ULF013) passes read;
 * the protocol-model pass (ULF016-ULF020) for functions annotated
-  ``@protocol_model`` / ``# repro: protocol`` — extraction plus
+  ``# repro: protocol`` — extraction plus
   explicit-state model checking (:mod:`repro.analysis.model`),
 
 returning plain :class:`~repro.analysis.linter.LintViolation` records so

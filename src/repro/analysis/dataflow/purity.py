@@ -8,11 +8,8 @@ state, touches the filesystem, draws from the process-global RNG, or
 reads the wall clock produces results that silently differ between a
 cache miss and a cache hit.
 
-Entry points are declared (satellite convention, see docs/analysis.md):
-
-* a ``# repro: cacheable`` comment on the ``def`` line, or
-* a decorator named ``pure`` or ``cacheable`` (e.g.
-  :func:`repro.analysis.annotations.pure`).
+Entry points are declared by a ``# repro: cacheable`` comment on the
+``def`` line (see docs/analysis.md).
 
 For each entry point the rule consults the module's
 :class:`~.effects.EffectsStore` — the same two-phase summary-fixpoint
@@ -35,15 +32,12 @@ import ast
 import re
 from typing import Callable, List, Optional
 
-from .effects import EFFECT_KINDS, EffectsStore, _decorator_names
+from .effects import EFFECT_KINDS, EffectsStore
 
 __all__ = ["check_purity", "cacheable_entry_points", "CACHEABLE_RE"]
 
 #: the annotation comment, on the ``def`` line of the entry point
 CACHEABLE_RE = re.compile(r"#\s*repro:\s*cacheable\b")
-
-#: decorator names that declare a cacheable/pure entry point
-_ENTRY_DECORATORS = frozenset({"pure", "cacheable"})
 
 _IMPURE_KINDS = tuple(k for k in EFFECT_KINDS if k != "shared_return")
 
@@ -54,9 +48,6 @@ def cacheable_entry_points(store: EffectsStore,
     lines = source.splitlines() if source else []
     entries = []
     for fi in store.funcs:
-        if set(_decorator_names(fi.node)) & _ENTRY_DECORATORS:
-            entries.append(fi)
-            continue
         ln = getattr(fi.node, "lineno", 0)
         if 1 <= ln <= len(lines) and CACHEABLE_RE.search(lines[ln - 1]):
             entries.append(fi)

@@ -40,8 +40,8 @@ ULF011    mutation of a shared cached object (frozen-provider result or
           ``writeable=False`` array): in-place ops, mutator methods,
           subscript/attribute stores, thawing
 ULF012    impurity (global writes, file I/O, unseeded RNG, wall clock)
-          reachable from a ``# repro: cacheable`` / ``@pure`` entry
-          point whose results the sweep cache replays
+          reachable from a ``# repro: cacheable`` entry point whose
+          results the sweep cache replays
 ULF013    shared cached reference escapes into long-lived state, or a
           view of one is returned, without an owned ``.copy()``
 ULF014    unordered-set iteration / id()-derived keys feeding
@@ -60,8 +60,8 @@ ULF020    revoke-propagation gap: a post-failure collective is reachable
           before every member observes the revoke (model checker)
 ========  ================================================================
 
-Rules ULF016-ULF020 run only on functions annotated ``@protocol_model``
-or ``# repro: protocol``: the protocol-skeleton extractor lowers the
+Rules ULF016-ULF020 run only on functions annotated
+``# repro: protocol``: the protocol-skeleton extractor lowers the
 function (and the shipped recovery pipeline it calls) to protocol IR and
 an explicit-state model checker explores every failure placement; see
 ``repro verify-protocol`` for counterexample timelines.

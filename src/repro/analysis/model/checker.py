@@ -244,13 +244,6 @@ def _initial_state(model: ProtocolModel) -> _State:
 # exceptions raised *inside the model* (control flow, not Python errors)
 
 
-class _MpiRaise(Exception):
-    def __init__(self, kind: str, lineno: int):
-        super().__init__(kind)
-        self.kind = kind
-        self.lineno = lineno
-
-
 class _Flag(Exception):
     """A protocol violation was detected while building a successor."""
 

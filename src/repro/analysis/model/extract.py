@@ -168,17 +168,17 @@ def reconstruct_registry(sources: Optional[Dict[str, str]] = None
 
 def find_protocol_models(tree: ast.Module, source: str
                          ) -> List[Tuple[ast.AST, Dict[str, object]]]:
-    """Top-level functions marked as protocol models, via the
-    ``@protocol_model(...)`` decorator or a ``# repro: protocol`` comment
-    on the ``def`` line.  Returns ``(funcdef, params)`` pairs with params
-    like ``{"ranks": 4, "failures": 1, "child": "name"}``."""
+    """Top-level functions marked as protocol models by a
+    ``# repro: protocol`` comment on (or just above) the ``def`` line.
+    Returns ``(funcdef, params)`` pairs with params like
+    ``{"ranks": 4, "failures": 1, "child": "name"}``."""
     lines = source.splitlines()
     found = []
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        params = _decorator_params(node)
-        if params is None and node.lineno <= len(lines):
+        params = None
+        if node.lineno <= len(lines):
             params = _comment_params(lines[node.lineno - 1])
         if params is None and node.lineno >= 2:
             prev = lines[node.lineno - 2].strip()
@@ -187,25 +187,6 @@ def find_protocol_models(tree: ast.Module, source: str
         if params is not None:
             found.append((node, params))
     return found
-
-
-def _decorator_params(node) -> Optional[Dict[str, object]]:
-    for dec in node.decorator_list:
-        call = dec if isinstance(dec, ast.Call) else None
-        target = call.func if call else dec
-        name = target.attr if isinstance(target, ast.Attribute) else \
-            (target.id if isinstance(target, ast.Name) else None)
-        if name != "protocol_model":
-            continue
-        params: Dict[str, object] = {}
-        if call:
-            for kw in call.keywords:
-                if isinstance(kw.value, ast.Constant):
-                    params[kw.arg] = kw.value.value
-                elif isinstance(kw.value, ast.Name):
-                    params[kw.arg] = kw.value.id
-        return params
-    return None
 
 
 def _comment_params(line: str) -> Optional[Dict[str, object]]:

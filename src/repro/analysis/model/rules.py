@@ -1,8 +1,8 @@
 """Protocol-model rules ULF016-ULF020: extraction + checking as a lint pass.
 
 This is the third analysis layer (after the syntactic visitor and the
-dataflow engine): any top-level function annotated ``@protocol_model``
-or ``# repro: protocol`` is extracted to protocol IR and model-checked
+dataflow engine): any top-level function annotated
+``# repro: protocol`` is extracted to protocol IR and model-checked
 over every failure placement at its annotated rank count.  Violations
 come back as ordinary :class:`~repro.analysis.linter.LintViolation`
 objects, so ``repro lint`` and the SARIF emitter pick them up with no

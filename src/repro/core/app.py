@@ -32,7 +32,7 @@ hooks and never asks which one it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ft.checkpoint import CheckpointStats, Disk, write_checkpoint
 from ..ft.reconstruct import PLACE_SAME_HOST, ReconstructTimers
@@ -72,7 +72,6 @@ class AppConfig:
     checkpoint_count: Optional[int] = 4
     placement: str = PLACE_SAME_HOST
     simulated_lost_gids: Tuple[int, ...] = ()
-    combine_target: Optional[Tuple[int, int]] = None
     disk: Optional[Disk] = None
     collect_arrays: bool = False
     extra_layers: int = 2               #: AC redundancy depth
@@ -116,7 +115,7 @@ class AppConfig:
 
     @property
     def target(self) -> Tuple[int, int]:
-        return self.combine_target or (self.n, self.n)
+        return (self.n, self.n)
 
 
 async def app_main(ctx):
@@ -137,7 +136,6 @@ class CombinationApp:
         self.cfg = cfg
         self.technique = cfg.technique()
         self.strategy = cfg.strategy()
-        self.strategy.validate_config(cfg)
         self.scheme = self.technique.make_scheme(cfg.n, cfg.level)
         self.layout = cfg.layout()
         #: the launch-time layout; after a shrink-in-place repair
@@ -147,6 +145,9 @@ class CombinationApp:
         #: contracts this list; the other modes never change it)
         self._members: List[int] = list(range(self.layout.total_procs))
         self.timers = ReconstructTimers()
+        #: repair seconds reported in place of this rank's own span totals
+        #: (``nc``: the slowest grid's, set by ``world_resync``)
+        self.repair_seconds: Dict[str, float] = {}
         self.metrics = RunMetrics(
             technique=self.technique.code, recovery_mode=self.strategy.mode,
             machine=ctx.machine.name,
@@ -327,7 +328,7 @@ class CombinationApp:
     def _finish(self, combined):
         ctx, cfg = self.ctx, self.cfg
         m = self.metrics
-        m.absorb_timers(self.timers)
+        m.absorb_repair(self.timers, {**ctx.spent(), **self.repair_seconds})
         m.lost_gids = list(self.lost)
         m.real_failures = bool(self.timers.failed_ranks)
         m.checkpoint_writes = self.cr_stats.writes

@@ -64,13 +64,16 @@ class RunMetrics:
     coefficients: Dict[Tuple[int, int], float] = field(default_factory=dict)
     combined: Optional[object] = None  # ndarray when cfg.collect_arrays
 
-    def absorb_timers(self, t: ReconstructTimers) -> None:
-        self.t_detect = t.failed_list
-        self.t_reconstruct = t.reconstruct
-        self.t_shrink = t.shrink
-        self.t_spawn = t.spawn
-        self.t_merge = t.merge
-        self.t_agree = t.agree
+    def absorb_repair(self, t: ReconstructTimers,
+                      spent: Dict[str, float]) -> None:
+        """The failure record from ``t``; the Fig. 8 / Table I times from
+        ``spent``, the reporting rank's span seconds per phase."""
+        self.t_detect = spent.get("detect", 0.0)
+        self.t_reconstruct = spent.get("reconstruct", 0.0)
+        self.t_shrink = spent.get("shrink", 0.0)
+        self.t_spawn = spent.get("spawn", 0.0)
+        self.t_merge = spent.get("merge", 0.0)
+        self.t_agree = spent.get("agree", 0.0)
         self.reconstruct_iterations = t.iterations
         self.failed_ranks = list(t.failed_ranks)
         self.n_failures = t.total_failed

@@ -12,8 +12,9 @@ re-spawn them on the hosts they occupied before the failure (preserving
 load balance) → merge → distribute old ranks → split with the keys of
 Fig. 7.
 
-Timers for every step are recorded into a :class:`ReconstructTimers`,
-feeding the Fig. 8 / Table I experiments.
+Every step runs inside a ``ctx.span(...)``; the spans are the Fig. 8 /
+Table I clock (``RunMetrics`` reads the reporting rank's span totals).  A
+:class:`ReconstructTimers` keeps the failure record.
 """
 
 from __future__ import annotations
@@ -36,26 +37,12 @@ PLACE_FIRST_FIT = "first-fit"   # naive policy, for the placement ablation
 
 @dataclass
 class ReconstructTimers:
-    """Virtual-time measurements of one reconstruction, per Fig. 8/Table I."""
+    """The failure record of one rank's reconstructions (Fig. 8 / Table I
+    times are the rank's spans, not fields here)."""
 
-    failed_list: float = 0.0      #: Fig. 8a — creating the failed-process list
-    reconstruct: float = 0.0      #: Fig. 8b — total repair time
-    shrink: float = 0.0           #: Table I  — OMPI_Comm_shrink
-    spawn: float = 0.0            #: Table I  — MPI_Comm_spawn_multiple
-    merge: float = 0.0            #: Table I  — MPI_Intercomm_merge
-    agree: float = 0.0            #: Table I  — OMPI_Comm_agree
     iterations: int = 0
     total_failed: int = 0
     failed_ranks: List[int] = field(default_factory=list)
-
-    def charge(self, phase: str, seconds: float) -> None:
-        """Attribute ``seconds`` to one Table I phase bucket.
-
-        The retry loop calls this exactly once per phase per attempt —
-        including for the phase an attempt *aborted in* — so the timers
-        agree with the obs spans, which also close on error.
-        """
-        setattr(self, phase, getattr(self, phase) + seconds)
 
 
 class PlacementError(RuntimeError):
@@ -167,23 +154,16 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
     the same error and exit (see :func:`communicator_reconstruct`).
     """
     t = timers or ReconstructTimers()
-    wtime = ctx.wtime
 
     for _attempt in range(max_attempts):
         with ctx.span("detect", attempt=_attempt):
             # the failed-process list is derived *from* the shrunk
             # communicator, so its cost includes the shrink (Fig. 8a)
             broken_comm.revoke()                             # Fig. 5 l.2
-            t0 = wtime()
             with ctx.span("shrink", attempt=_attempt):
                 shrunk = await broken_comm.shrink()          # Fig. 5 l.3
-            shrink_time = wtime() - t0
-            t.charge("shrink", shrink_time)
-
-            t0 = wtime()
             failed_ranks, total_failed = failed_procs_list(broken_comm,
                                                            shrunk)
-            t.charge("failed_list", (wtime() - t0) + shrink_time)
         for r in failed_ranks:  # accumulate across repeated repairs
             w = rank_map[r] if rank_map is not None else r
             if w not in t.failed_ranks:
@@ -194,51 +174,30 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
             if rank_map is not None else failed_ranks
         host_names = _placement_hosts(ctx.universe, placed, placement)
 
-        # Each attempt charges the phase it is in when it aborts — once,
-        # into the right bucket: ``phase`` names the in-flight phase and
-        # the handler closes its timer.  (The old form charged only on
-        # success, so an attempt aborted mid-spawn vanished from the
-        # timers while its span still recorded the time, and the retry's
-        # shrink looked slower than the spans said.)
-        phase = "spawn"
-        t0 = wtime()
+        # a span closes on error too, so an attempt aborted by a further
+        # failure still counts the time its in-flight phase spent
         try:
             with ctx.span("spawn", attempt=_attempt):
                 inter = await shrunk.spawn_multiple(         # Fig. 5 l.13
                     total_failed, entry, argv, host_names=host_names)
-            t.charge(phase, wtime() - t0)
-
-            phase = "merge"
-            t0 = wtime()
             with ctx.span("merge", attempt=_attempt):
                 unordered = await inter.merge(high=False)    # Fig. 5 l.14
-            t.charge(phase, wtime() - t0)
-
-            phase = "agree"
-            t0 = wtime()
             with ctx.span("agree", attempt=_attempt):
                 await inter.agree(1)                         # Fig. 5 l.15
-            t.charge(phase, wtime() - t0)
-
-            phase = "merge"
-            t0 = wtime()
-            shrunk_size = shrunk.size
-            # Fig. 5 l.21-23: rank 0 tells each child its old (failed) rank
-            if unordered.rank == 0:
-                for i, old_rank in enumerate(failed_ranks):
-                    await unordered.send(old_rank, dest=shrunk_size + i,
-                                         tag=MERGE_TAG)
-            # Fig. 5 l.24-25: re-order so survivors regain original ranks
-            key = select_rank_key(unordered.rank, shrunk_size, failed_ranks,
-                                  broken_comm.size)
-            repaired = await unordered.split(0, key)
-            t.charge(phase, wtime() - t0)
+            with ctx.span("merge", attempt=_attempt):
+                shrunk_size = shrunk.size
+                # Fig. 5 l.21-23: rank 0 tells each child its old rank
+                if unordered.rank == 0:
+                    for i, old_rank in enumerate(failed_ranks):
+                        await unordered.send(old_rank, dest=shrunk_size + i,
+                                             tag=MERGE_TAG)
+                # Fig. 5 l.24-25: re-order so survivors regain original ranks
+                key = select_rank_key(unordered.rank, shrunk_size,
+                                      failed_ranks, broken_comm.size)
+                repaired = await unordered.split(0, key)
             return repaired
         except MPIError:
-            # another failure mid-repair: close the aborted phase's timer
-            # and retry from revoke
-            t.charge(phase, wtime() - t0)
-            continue
+            continue  # another failure mid-repair: retry from revoke
     raise RuntimeError(f"communicator repair failed {max_attempts} times")
 
 
@@ -268,19 +227,15 @@ async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
             if iter_counter == 0:
                 reconstructed = my_world                     # Fig. 3 l.8
             reconstructed.set_errhandler(handler)            # Fig. 3 l.11
-            t0 = ctx.wtime()
             with ctx.span("agree"):
                 await reconstructed.agree(1)                 # Fig. 3 l.12
-            t.agree += ctx.wtime() - t0
             try:
                 await reconstructed.barrier()                # Fig. 3 l.13
             except MPIError:
-                t0 = ctx.wtime()
                 with ctx.span("reconstruct"):
                     reconstructed = await repair_comm(       # Fig. 3 l.15
                         ctx, reconstructed, entry=entry, argv=argv,
                         placement=placement, timers=t)
-                t.reconstruct += ctx.wtime() - t0
                 failure = True
         else:                                                # child branch
             parent.set_errhandler(handler)                   # Fig. 3 l.20

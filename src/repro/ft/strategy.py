@@ -42,6 +42,7 @@ explicit communicators — the shape of
 SHRINK and NC protocol models (``analysis/model/extract.py``'s registry).
 The checker collapses a tuple with an untracked element, so they return
 communicators and booleans only and update ``timers``/``members`` in place.
+Their time is their spans: no hook keeps a clock of its own.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ from typing import Dict, List, Sequence
 from ..mpi.errors import MPIError
 from .detection import failed_procs_list, replaced_ranks
 from .reconstruct import communicator_reconstruct, repair_comm
+
+#: the repair phases that run grid-locally in ``nc`` mode, whose slowest
+#: grid's seconds every rank reports (``world_resync``)
+GRID_REPAIR_PHASES = ("reconstruct", "shrink", "spawn", "merge", "detect")
 
 
 class RecoveryStrategy:
@@ -62,9 +67,6 @@ class RecoveryStrategy:
     respawns: bool = False
     #: does the world communicator keep its original size across repair?
     preserves_world: bool = True
-
-    def validate_config(self, cfg) -> None:
-        """Raise ValueError for configurations the mode cannot run."""
 
     def needs_placement(self) -> bool:
         """Does this mode ever consult the replacement-placement policy?
@@ -219,13 +221,6 @@ class NonCollectiveStrategy(RecoveryStrategy):
     name = "non-collective repair (per-grid rebuild + world readmit)"
     respawns = True
 
-    def validate_config(self, cfg) -> None:
-        if cfg.decomposition != "1d":
-            raise ValueError(
-                "non-collective recovery requires the 1d decomposition "
-                "(a grid with more than one process row and column cannot "
-                "be rebuilt by the per-grid repair)")
-
     def cost_estimate(self, machine, comm_size, n_failed):
         u = machine.ulfm  # cost-table lookups, not communicator calls
         return {"revoke": u.revoke(comm_size),
@@ -277,13 +272,12 @@ class NonCollectiveStrategy(RecoveryStrategy):
         allgather unions every grid's locally-observed loss set — the first
         (and only) world-collective step the non-collective mode takes."""
         ctx, world, t = app.ctx, app.world, app.timers
-        t0 = ctx.wtime()
         with ctx.span("agree", technique=app.technique.code):
             await world.agree(1)
-        t.charge("agree", ctx.wtime() - t0)
-        costs = ("reconstruct", "shrink", "spawn", "merge", "failed_list",
-                 "iterations")
-        payload = (tuple(t.failed_ranks), *(getattr(t, c) for c in costs))
+        spent = ctx.spent()
+        payload = (tuple(t.failed_ranks),
+                   *(spent.get(p, 0.0) for p in GRID_REPAIR_PHASES),
+                   t.iterations)
         try:
             views = await world.allgather(payload)
         except MPIError:
@@ -293,8 +287,9 @@ class NonCollectiveStrategy(RecoveryStrategy):
                 "shrink or respawn mode for full-grid losses") from None
         # repairs ran grid-locally: adopt the slowest grid's repair costs
         # everywhere (the wall-clock convention rank 0's metrics report)
-        for i, cost in enumerate(costs, 1):
-            setattr(t, cost, max(v[i] for v in views))
+        app.repair_seconds = {p: max(v[i] for v in views)
+                              for i, p in enumerate(GRID_REPAIR_PHASES, 1)}
+        t.iterations = max(v[-1] for v in views)
         app.fold_failed(r for view in views for r in view[0])
 
 
@@ -307,37 +302,28 @@ async def shrink_detect_repair(ctx, world, timers, members: List[int],
     ``members`` maps current world ranks to launch-time ranks and is
     contracted in place; the dead are appended to ``timers.failed_ranks``
     in launch-time numbering.  Returns ``(world, changed)``."""
-    wtime = ctx.wtime
     changed = False
     while True:
-        t0 = wtime()
         with ctx.span("agree", technique=code):
             await world.agree(1)
-        timers.charge("agree", wtime() - t0)
         try:
             await world.barrier()
             return (world, changed)
         except MPIError:
             pass
         changed = True
-        t0 = wtime()
-        with ctx.span("detect"):
-            world.revoke()
-            t1 = wtime()
-            with ctx.span("shrink"):
-                shrunk = await world.shrink()
-            shrink_time = wtime() - t1
-            timers.charge("shrink", shrink_time)
-            t1 = wtime()
-            failed, _ = failed_procs_list(world, shrunk)
-            timers.charge("failed_list", (wtime() - t1) + shrink_time)
-        # the group difference is in current ranks
-        dead = set(failed)
-        timers.failed_ranks.extend(members[i] for i in failed)
-        members[:] = [m for i, m in enumerate(members) if i not in dead]
-        world = shrunk
-        timers.iterations += 1
-        timers.charge("reconstruct", wtime() - t0)
+        with ctx.span("reconstruct"):
+            with ctx.span("detect"):
+                world.revoke()
+                with ctx.span("shrink"):
+                    shrunk = await world.shrink()
+                failed, _ = failed_procs_list(world, shrunk)
+            # the group difference is in current ranks
+            dead = set(failed)
+            timers.failed_ranks.extend(members[i] for i in failed)
+            members[:] = [m for i, m in enumerate(members) if i not in dead]
+            world = shrunk
+            timers.iterations += 1
 
 
 async def nc_detect_repair(ctx, world, grid, rank_map: Sequence[int], timers,
@@ -354,18 +340,15 @@ async def nc_detect_repair(ctx, world, grid, rank_map: Sequence[int], timers,
     is a world member everywhere.  Returns ``(grid, changed)``."""
     changed = False
     while True:
-        t0 = ctx.wtime()
         with ctx.span("agree", **labels):
             await grid.agree(1)
-        timers.charge("agree", ctx.wtime() - t0)
         try:
             await grid.barrier()
             return (grid, changed)
         except MPIError:
             pass
         changed = True
-        t0 = ctx.wtime()
-        with ctx.span("rebuild", **labels):
+        with ctx.span("reconstruct", **labels):
             rebuilt = await repair_comm(
                 ctx, grid, entry=entry, argv=argv, placement=placement,
                 timers=timers, rank_map=rank_map)
@@ -373,7 +356,6 @@ async def nc_detect_repair(ctx, world, grid, rank_map: Sequence[int], timers,
                 await world.readmit(rank_map[i], rebuilt.state.procs[i])
             grid = rebuilt
         timers.iterations += 1
-        timers.charge("reconstruct", ctx.wtime() - t0)
 
 
 STRATEGIES: Dict[str, RecoveryStrategy] = {

@@ -113,11 +113,6 @@ class MessageBoard:
                 for dst, buckets in self._waiting.items() if buckets}
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _matches(recv: PendingRecv, msg: Message) -> bool:
-        return ((recv.source == ANY_SOURCE or recv.source == msg.src) and
-                (recv.tag == ANY_TAG or recv.tag == msg.tag))
-
     def post(self, src: int, dst: int, tag: int, payload: Any, arrival: float) -> None:
         """Deliver/enqueue a message; wakes a matching blocked receiver."""
         self._seq += 1
@@ -284,12 +279,6 @@ class MessageBoard:
                     ProcFailedError(f"recv source rank {rank} died",
                                     failed_ranks=(rank,)),
                     at=at)
-
-    def fail_rank_waiters(self, dst: int, exc, at: float) -> None:
-        """Fail every blocked receive of rank ``dst`` (used when dst dies is
-        handled by task kill; this is used for revocation)."""
-        for recv in self._pop_matching_waiters(dst, lambda _s, _t: True):
-            recv.future.set_exception(exc, at=at)
 
     def revoke_all(self, now: float) -> None:
         """Fail every blocked receive: the communicator was revoked."""

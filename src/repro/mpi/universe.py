@@ -82,6 +82,11 @@ class RankContext:
         return OpenSpan(self.universe.obs.spans, self.proc.name, phase,
                         {k: str(v) for k, v in labels.items()})
 
+    def spent(self) -> Dict[str, float]:
+        """This rank's closed-span seconds per phase (a copy) — the clock
+        the Table I / Fig. 8 repair times are read from."""
+        return dict(self.universe.obs.spans.totals.get(self.proc.name, {}))
+
     # -- virtual costs ---------------------------------------------------
     def compute_seconds(self, seconds: float = 0.0, *,
                         flops: float = 0.0) -> float:

@@ -8,8 +8,11 @@ machine-readable form of the paper's timing breakdowns (Figs. 8-11,
 Table I): detection, communicator reconstruction (ack/agree, revoke+shrink,
 spawn+merge+split) and per-technique data recovery.
 
-Closed spans form one flat log; every aggregate, the ``phase_seconds``
-histograms (by phase/technique) included, is derived from it on demand.
+Closed spans form one flat log, with per-actor phase totals kept beside
+it; the totals are also the run's repair clock (``RunMetrics.t_*``, read
+through :meth:`~repro.mpi.universe.RankContext.spent`).  Every other
+aggregate, the ``phase_seconds`` histograms (by phase/technique) included,
+is derived from the log on demand.
 When a :class:`~repro.mpi.tracing.Tracer` is attached, a close also lands
 in the event stream (kind ``span``) for ``python -m repro timeline``.
 """
@@ -37,7 +40,6 @@ PHASES = (
     "recovery",          # technique data-recovery window (Fig. 9a)
     "combine",           # gather-scatter combination
     "redistribute",      # shrink-in-place: survivor re-decomposition + migration
-    "rebuild",           # non-collective repair of one sub-grid communicator
 )
 
 
@@ -96,7 +98,9 @@ class SpanRecorder:
 
     ``stamp`` is a callable returning a monotone ``(virtual_time, seq)``
     pair — normally :meth:`repro.simkernel.Engine.stamp`.  ``log`` holds
-    one ``(actor, phase, t_start, t_end, seq, labels)`` record per span.
+    one ``(actor, phase, t_start, t_end, seq, labels)`` record per span, up
+    to ``max_spans``; ``totals`` (actor -> phase -> seconds) counts every
+    close, those past ``max_spans`` included, adding in close order.
     """
 
     def __init__(self, stamp: Callable[[], tuple],
@@ -109,6 +113,7 @@ class SpanRecorder:
         #: is the sink recording right now?  A close formats its line if so
         self.trace_live = trace_live
         self.log: List[tuple] = []
+        self.totals: Dict[str, Dict[str, float]] = {}
         self.max_spans = max_spans
         self.dropped = 0
 
@@ -120,10 +125,12 @@ class SpanRecorder:
 
     def close(self, open_span: OpenSpan) -> None:
         t_end, _ = self.stamp()
+        o = open_span
+        phases = self.totals.setdefault(o.actor, {})
+        phases[o.phase] = phases.get(o.phase, 0.0) + (t_end - o.t_start)
         if len(self.log) >= self.max_spans:
             self.dropped += 1
             return
-        o = open_span
         self.log.append((o.actor, o.phase, o.t_start, t_end, o.seq, o.labels))
         if self.trace_sink is not None and self.trace_live():
             extra = "".join(f" {k}={v}" for k, v in sorted(o.labels.items()))
@@ -150,9 +157,8 @@ class SpanRecorder:
         """
         if reduce not in ("max", "sum"):
             raise ValueError(f"reduce must be 'max' or 'sum', got {reduce!r}")
-        per_actor = self.by_actor()
         totals: Dict[str, float] = {}
-        for phases in per_actor.values():
+        for phases in self.totals.values():
             for phase, dur in phases.items():
                 if reduce == "sum":
                     totals[phase] = totals.get(phase, 0.0) + dur
@@ -161,12 +167,8 @@ class SpanRecorder:
         return totals
 
     def by_actor(self) -> Dict[str, Dict[str, float]]:
-        """actor -> phase -> accumulated seconds."""
-        out: Dict[str, Dict[str, float]] = {}
-        for actor, phase, t_start, t_end, _seq, _labels in self.log:
-            phases = out.setdefault(actor, {})
-            phases[phase] = phases.get(phase, 0.0) + (t_end - t_start)
-        return out
+        """actor -> phase -> accumulated seconds (a copy of ``totals``)."""
+        return {actor: dict(phases) for actor, phases in self.totals.items()}
 
     def by_label(self, key: str) -> Dict[str, Dict[str, float]]:
         """label value -> phase -> accumulated seconds (spans lacking the

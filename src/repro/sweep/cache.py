@@ -52,8 +52,11 @@ __all__ = ["RESULTS_EPOCH", "RunCache", "cacheable", "fingerprint",
 #: no longer reproduces.  2: level-by-level combination, 9-coefficient
 #: Lax-Wendroff kernel.  3: a ``"2d"`` sub-grid whose process grid has
 #: one row runs as the ``"1d"`` ring of slabs (its halos and kernel
-#: orientation, hence its values, moved).
-RESULTS_EPOCH = 3
+#: orientation, hence its values, moved).  4: the repair times are the
+#: reporting rank's span totals (``t_merge`` moved where a replacement
+#: reports or nc's slowest grid took in a join), and ``AppConfig`` lost
+#: ``combine_target``.
+RESULTS_EPOCH = 4
 
 
 def _canonical(obj):

@@ -1,16 +1,13 @@
 """Seeded violations for ULF012 (impure cacheable entry points).
 
 Entry points are declared with the ``# repro: cacheable`` def-line
-comment or the ``@pure`` decorator; the cache replays their recorded
-results, so any effect below them silently vanishes on a cache hit.
+comment; the cache replays their recorded results, so any effect below them silently vanishes on a cache hit.
 Only lines tagged ``BAD`` may trip ULF012 (rng/clock impurities are
 exercised in the ULF002 suite — here the seeds are global writes and
 file I/O so this fixture trips exactly one rule).
 """
 
 from pathlib import Path
-
-from repro.analysis import pure
 
 _calls = 0
 
@@ -28,14 +25,12 @@ def run_counted(cfg, counter):
 
 
 # --- direct file I/O ----------------------------------------------------
-@pure
-def run_and_log(cfg, path):
+def run_and_log(cfg, path):  # repro: cacheable
     Path(path).write_text(str(cfg))  # BAD
     return cfg
 
 
-@pure
-def run_pure(cfg, path):
+def run_pure(cfg, path):  # repro: cacheable
     return cfg, str(path)
 
 

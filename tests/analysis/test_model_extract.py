@@ -409,11 +409,9 @@ async def f(ctx, world):
 
 
 def test_find_protocol_models_both_annotation_forms():
+    """The comment on the def line and the comment just above it."""
     src = '''
-from repro.analysis.annotations import protocol_model
-
-@protocol_model(ranks=3, failures=1)
-async def deco(ctx, world):
+async def inline(ctx, world):  # repro: protocol ranks=3 failures=1
     await world.barrier()
 
 # repro: protocol ranks=2 failures=1 child=kid
@@ -428,8 +426,8 @@ async def plain(ctx, world):
 '''
     found = find_protocol_models(ast.parse(src), src)
     by_name = {f.name: params for f, params in found}
-    assert set(by_name) == {"deco", "comment"}
-    assert by_name["deco"]["ranks"] == 3
+    assert set(by_name) == {"inline", "comment"}
+    assert by_name["inline"] == {"ranks": 3, "failures": 1}
     assert by_name["comment"] == {"ranks": 2, "failures": 1, "child": "kid"}
 
 

@@ -6,12 +6,12 @@ from repro.core.metrics import RunMetrics
 from repro.ft.reconstruct import ReconstructTimers
 
 
-def test_absorb_timers_copies_every_field():
-    t = ReconstructTimers(failed_list=1.0, reconstruct=2.0, shrink=0.5,
-                          spawn=0.7, merge=0.1, agree=0.3, iterations=2,
-                          total_failed=2, failed_ranks=[3, 5])
+def test_absorb_repair_copies_every_field():
+    t = ReconstructTimers(iterations=2, total_failed=2, failed_ranks=[3, 5])
+    spent = {"detect": 1.0, "reconstruct": 2.0, "shrink": 0.5,
+             "spawn": 0.7, "merge": 0.1, "agree": 0.3, "solve": 9.0}
     m = RunMetrics()
-    m.absorb_timers(t)
+    m.absorb_repair(t, spent)
     assert m.t_detect == 1.0
     assert m.t_reconstruct == 2.0
     assert m.t_shrink == 0.5 and m.t_spawn == 0.7

@@ -58,13 +58,6 @@ def test_cost_estimate_shapes():
     assert sum(costs["shrink"].values()) < sum(costs["respawn"].values())
 
 
-@pytest.mark.parametrize("mode", ["nc"])
-def test_modes_require_1d_decomposition(mode):
-    with pytest.raises(ValueError, match="1d"):
-        strategy_by_mode(mode).validate_config(
-            cfg_for("CR", decomposition="2d", recovery_mode=mode))
-
-
 # ---------------------------------------------------------------------------
 # shrink-in-place
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""ReconstructTimers accumulation semantics."""
+"""ReconstructTimers: the failure record (the times are spans)."""
 
 from repro.ft.reconstruct import ReconstructTimers
 
 
 def test_defaults():
     t = ReconstructTimers()
-    assert t.failed_list == 0.0 and t.reconstruct == 0.0
     assert t.failed_ranks == []
-    assert t.iterations == 0
+    assert t.iterations == 0 and t.total_failed == 0
+
+
+def test_holds_only_the_failure_record():
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(ReconstructTimers)] == [
+        "iterations", "total_failed", "failed_ranks"]
 
 
 def test_independent_instances():

@@ -48,12 +48,11 @@ layout has one or two members, so each of those runs now equals its ``1d``
 twin field for field.  ``--check`` showed nothing else moved.
 
 ``events`` of the ring programs, ``exchange-kill-mid-flight`` and 51 of
-the 53 runs (all but the two that fail in ``validate_config``) was
+the 53 runs (all but the two that a mode's 1d-only guard refused) was
 recorded again, and rose, when ``CommHandle.exchange`` became the literal
 isend/recv/wait sequence instead of one fused future per phase.  The two
 programs of the retired diagnostics option were dropped and the two
-``validate_config`` messages were reworded; ``--check`` showed nothing
-else moved.
+guards' messages were reworded; ``--check`` showed nothing else moved.
 
 Exactly the five ``CR-shrink-2d-*`` runs were recorded again when one
 checkpoint restore that reads block overlaps replaced the same-size and
@@ -68,6 +67,17 @@ again when a revoke stopped dooming open agree/shrink rounds (ULFM exempts
 them).  Its old script deadlocks under that rule, two ranks agreeing
 while two shrink; now every rank agrees.  ``--check`` reported it as the
 only entry, program or run, that differs.
+
+The 33 shrink, nc and rank-0-kill runs that moved were recorded again
+when the span log became the only repair clock and nc stopped refusing
+``"2d"``.  ``metrics`` moved in the six respawn ``rank0`` runs only:
+``t_merge`` is now the replacement rank 0's own merge span, where the
+hand-kept timers left it at 0.  ``phases`` moved in every shrink run
+(the repair is one ``reconstruct`` span) and every nc run (``rebuild``
+became ``reconstruct``).  ``CR-nc-2d-quiet`` now runs instead of storing
+the refusal, and its four kill plans are new; ``seed1`` kills both
+members of one grid, which nc still cannot repair (``run_error``).
+``--check`` reported 0 of 23 programs and exactly these 33 of 61 runs.
 
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.

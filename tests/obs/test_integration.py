@@ -45,9 +45,14 @@ def test_real_failure_run_reports_recovery_phases():
         assert bd.get(phase, 0.0) > 0.0, f"missing phase {phase}"
     # sub-phases are bounded by their enclosing reconstruction
     assert bd["shrink"] <= bd["reconstruct"] + 1e-9
-    # span-measured shrink matches the ReconstructTimers measurement
+    # rank 0's Table I fields are its own span sums: here the slowest
     assert bd["shrink"] == pytest.approx(m.t_shrink, rel=1e-6)
     assert bd["reconstruct"] == pytest.approx(m.t_reconstruct, rel=1e-6)
+    # shrink-in-place times its whole repair as one reconstruct span too
+    shrunk = run_app(cr_cfg(n=7, diag_procs=4, recovery_mode="shrink"), OPL,
+                     kills=kills)
+    assert shrunk.phase_breakdown.get("reconstruct", 0.0) > 0.0
+    assert shrunk.t_reconstruct > 0.0
 
 
 def test_phase_by_grid_keys_are_grid_ids():

@@ -166,13 +166,17 @@ def test_universe_spans_reach_the_tracer_only_while_one_is_attached():
 
 
 def test_max_spans_bound():
+    """The log stops at ``max_spans``; the totals count every close."""
     clk = FakeClock()
     rec = SpanRecorder(clk.stamp, max_spans=2)
     for _ in range(5):
         with rec.span("r0", "solve"):
-            clk.advance(0.1)
+            clk.advance(0.25)
     assert len(rec) == 2
     assert rec.dropped == 3
+    assert rec.totals == {"r0": {"solve": 1.25}}
+    assert rec.by_actor() == {"r0": {"solve": 1.25}}
+    assert rec.phase_totals() == {"solve": 1.25}
 
 
 def test_span_dict_round_trip():

@@ -142,12 +142,13 @@ def test_kill_landing_mid_reconstruction(code):
 @pytest.mark.parametrize("code, recovery_mode", [
     pytest.param(code, mode,
                  id=code if mode == "respawn" else f"{code}-{mode}")
-    for mode in ("respawn", "shrink") for code in ("CR", "RC", "AC")])
+    for mode in ("respawn", "shrink", "nc") for code in ("CR", "RC", "AC")])
 def test_fuzz_2d_decomposition(code, recovery_mode):
     """Under shrink a contracted 2-D grid is re-decomposed over its
     survivors and CR restores it from the launch-time blocks' checkpoints
     — not from step 0.  The result is not bit-equal: a (2, 2) grid that
-    contracts to (1, 3) runs the transposed kernel."""
+    contracts to (1, 3) runs the transposed kernel.  nc rebuilds a 2-D
+    grid in place, so its CR run equals the clean one too."""
     t_solve, _, layout = _solve_window(code, diag_procs=4)
     gen = FailureGenerator(5, protect={0},
                            conflict_pairs=layout.conflict_pairs_ranks()
@@ -164,7 +165,7 @@ def test_fuzz_2d_decomposition(code, recovery_mode):
         m = fuzz_run(code, kills, diag_procs=4, decomposition="2d",
                      recovery_mode=recovery_mode)
     assert m.n_failures == 2
-    if code == "CR" and recovery_mode == "shrink":
+    if code == "CR" and recovery_mode != "respawn":
         clean = run_app(AppConfig(n=6, level=4, technique_code="CR",
                                   steps=16, diag_procs=4, checkpoint_count=4,
                                   decomposition="2d"), OPL)
