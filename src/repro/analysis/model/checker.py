@@ -49,6 +49,7 @@ counterexample rendered as a per-rank step timeline.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from .ir import (FT_OPS, OPAQUE, Branch, FailStop, Jump, Op, Return,
@@ -59,6 +60,13 @@ __all__ = ["ProtocolModel", "CheckResult", "ModelViolation", "ModelError",
 
 #: hard cap on explored states — hitting it means the abstraction blew up
 STATE_LIMIT = 250_000
+
+#: the ``bin`` and ``cmp`` operators
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "//": operator.floordiv, "%": operator.mod, "max": max,
+              "min": min, "==": operator.eq, "!=": operator.ne,
+              "<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge}
 
 _REVOKED = "revoked"
 _PROC_FAILED = "proc_failed"
@@ -182,13 +190,15 @@ class _Proc:
     def key(self):
         return (self.pid, self.prog, self.pc, self.status, self.slot,
                 self.spawned, self.blocked,
-                tuple(sorted((k, _vkey(v)) for k, v in self.env.items())))
+                # values are hashable: ints, strs, None, OPAQUE, ranges,
+                # ("c", cid) refs and tuples of those
+                tuple(sorted(self.env.items())))
 
 
-def _vkey(v):
-    # values are always hashable (ints, strs, None, OPAQUE, tuples of
-    # those, ("c", cid) refs) so they key as themselves
-    return v
+def _untracked(v) -> bool:
+    """Is ``v`` opaque, or a tuple holding an opaque value anywhere?"""
+    return v is OPAQUE or (isinstance(v, tuple) and any(
+        _untracked(x) for x in v))
 
 
 class _State:
@@ -286,8 +296,7 @@ class _Checker:
         if tag == "opaque":
             return OPAQUE
         if tag == "tuple":
-            vals = [self._eval(x, proc, st) for x in e[1:]]
-            return OPAQUE if any(v is OPAQUE for v in vals) else tuple(vals)
+            return tuple(self._eval(x, proc, st) for x in e[1:])
         if tag == "range":
             vals = [self._eval(x, proc, st) for x in e[1:]]
             return OPAQUE if any(v is OPAQUE for v in vals) else range(*vals)
@@ -297,6 +306,12 @@ class _Checker:
             return tuple(sorted(st.dead_slots))
         if tag == "world_comm":
             return ("c", 0)
+        if tag == "slot":
+            return proc.slot
+        if tag == "ifexp":
+            c = self._eval(e[1], proc, st)
+            return OPAQUE if c is OPAQUE else \
+                self._eval(e[2] if c else e[3], proc, st)
         if tag in ("bin", "cmp"):
             op = e[1]
             a = self._eval(e[2], proc, st)
@@ -304,13 +319,7 @@ class _Checker:
             if a is OPAQUE or b is OPAQUE:
                 return OPAQUE
             try:
-                if tag == "bin":
-                    return {"+": lambda: a + b, "-": lambda: a - b,
-                            "*": lambda: a * b, "//": lambda: a // b,
-                            "%": lambda: a % b}[op]()
-                return {"==": lambda: a == b, "!=": lambda: a != b,
-                        "<": lambda: a < b, "<=": lambda: a <= b,
-                        ">": lambda: a > b, ">=": lambda: a >= b}[op]()
+                return _OPERATORS[op](a, b)
             except TypeError:
                 return OPAQUE
         if tag in ("and", "or"):
@@ -349,19 +358,25 @@ class _Checker:
             c = self._comm(a, st)
             return sum(1 for pid in c.members if not st.procs[pid].alive)
         if tag == "union_flat":
-            if a is OPAQUE:
+            if _untracked(a):
                 return OPAQUE
             out = set()
             for part in a:
-                if part is OPAQUE:
-                    return OPAQUE
                 out.update(part if isinstance(part, tuple) else (part,))
             return tuple(sorted(out))
         b = self._eval(e[2], proc, st) if len(e) > 2 else None
         if tag == "map_div":
-            if a is OPAQUE or b is OPAQUE:
+            if _untracked(a) or b is OPAQUE:
                 return OPAQUE
             return tuple(sorted({v // b for v in a}))
+        if tag == "column":
+            if a is OPAQUE:
+                return OPAQUE
+            return tuple(OPAQUE if x is OPAQUE else x[b] for x in a)
+        if tag == "lookup":
+            if _untracked(a):
+                return OPAQUE
+            return tuple(dict(b).get(v, OPAQUE) for v in a)
         if tag == "index":
             if a is OPAQUE or b is OPAQUE:
                 return OPAQUE
@@ -369,7 +384,7 @@ class _Checker:
         if tag == "in":
             if a is OPAQUE or b is OPAQUE:
                 return OPAQUE
-            return a in b
+            return True if a in b else (OPAQUE if _untracked(b) else False)
         if tag in ("is", "isnot"):
             if a is OPAQUE or b is OPAQUE:
                 return OPAQUE
@@ -644,12 +659,13 @@ class _Checker:
         st.next_cid += 1
         for ch in children:
             ch.env["__parent__"] = ("c", bridge.cid)
+            ch.env["__world__"] = None   # its own spawn group: untracked
         for p in arrived:
             deliver(p, ("c", bridge.cid))
 
     @staticmethod
     def _reduce(op, values):
-        if any(v is OPAQUE for v in values):
+        if any(_untracked(v) for v in values):
             return OPAQUE
         if op in (None, "max"):
             return max(values)

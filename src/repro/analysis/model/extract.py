@@ -38,11 +38,24 @@ iterations; the checker evaluates the iterable and runs
 and then reaches a ``FailStop`` — the protocol needed more rounds than
 failures, which the checker reports.
 
-Name resolution for calls, in order: context intrinsics
-(``ctx.get_parent`` and friends), protocol intrinsics
-(``failed_procs_list``, ``replaced_ranks``, ``select_rank_key``, checkpoint
-and lint-stub vocabulary), communicator methods (the op table), inlinable
-functions (module-local defs, then the cross-module registry), then opaque.
+Name resolution for calls, in order: protocol intrinsics
+(``failed_procs_list``, ``replaced_ranks``, ``select_rank_key``, ...),
+the table (``ctx.get_parent`` and friends, the checkpoint vocabulary,
+then the abstraction table), methods of statically bound objects,
+communicator methods (the op table), inlinable functions (module-local
+defs, then the cross-module registry), then opaque.
+
+The app record
+--------------
+
+:func:`extract_app` extracts ``CombinationApp.run`` with one mode's
+strategy and technique bound.  In the app object an attribute path is a
+model variable (``app.world``, ``app.solver.step_count``), opaque until
+assigned.  The abstraction table (``modes.ABSTRACTION``) names the
+attributes that are objects resolved statically (``ctx``, ``cfg``,
+``layout``, ``timers``, the strategy and technique) and states what
+the shipped callees that are not protocol code communicate.  A method
+of a bound object is inlined from the nearest class defining it.
 """
 
 from __future__ import annotations
@@ -57,7 +70,7 @@ from ..dataflow.driver import module_constants
 from .ir import Asm, Branch, FailStop, Jump, Label, Op, Return, SetVar, \
     Skeleton
 
-__all__ = ["ExtractError", "ModuleEnv", "build_module_env",
+__all__ = ["ExtractError", "ModuleEnv", "build_module_env", "extract_app",
            "extract_function", "find_protocol_models",
            "reconstruct_registry"]
 
@@ -104,7 +117,24 @@ _UNSUPPORTED = {"finally": "try finally/else unsupported",
                 "for.else": "loop else unsupported",
                 "while.else": "loop else unsupported"}
 
-_CTX = object()   # varmap marker: this name is the context object
+#: varmap markers for objects the model resolves statically instead of
+#: storing: ``("object", name)`` (the context, a table object) or
+#: ``("class", name)`` (an instance of a registry class; the app's
+#: attributes are the app record)
+_CTX = ("object", "ctx")
+_APP = ("class", "CombinationApp")
+
+#: the table every extraction starts from (entries as in
+#: ``modes.ABSTRACTION``): the context's parent intercommunicator and the
+#: checkpoint vocabulary of ``vocab``
+_VOCABULARY = {
+    "ctx.get_parent": ("var", "__parent__"),
+    "ctx.set_parent_null": (("set", "__parent__", ("const", None)),),
+    "ckpt_write": (("op", "ckpt_write", None, {
+        "group": ("arg", 0, "group"), "epoch": ("arg", 1, "epoch")}),),
+    "ckpt_restore": (("op", "ckpt_restore", None, {
+        "group": ("arg", 0, "group")}),),
+}
 
 _PROTOCOL_RE = re.compile(
     r"#\s*repro:\s*protocol\b(?P<params>[^#]*)")
@@ -135,30 +165,38 @@ def build_module_env(tree: ast.Module, path: str) -> ModuleEnv:
     return ModuleEnv(module_constants(tree), funcs, path)
 
 
-#: the shipped protocol functions, by source file under ``repro/ft``
+#: the shipped protocol code, by source file under ``repro``: the repair
+#: functions, and the phase driver with its strategies and techniques
 _SHIPPED = {
-    "reconstruct.py": ("communicator_reconstruct", "repair_comm"),
-    "strategy.py": ("shrink_detect_repair", "nc_detect_repair"),
+    "ft/reconstruct.py": ("communicator_reconstruct", "repair_comm"),
+    "ft/strategy.py": ("shrink_detect_repair", "nc_detect_repair",
+                       "RecoveryStrategy", "RespawnStrategy",
+                       "ShrinkInPlaceStrategy", "NonCollectiveStrategy"),
+    "ft/recovery.py": ("RecoveryTechnique", "CheckpointRestart",
+                       "ResamplingCopying", "AlternateCombination"),
+    "core/app.py": ("CombinationApp",),
 }
 
 
 def reconstruct_registry(sources: Optional[Dict[str, str]] = None
                          ) -> Dict[str, Tuple[ast.AST, ModuleEnv]]:
-    """The shipped recovery protocol as an inline registry: extraction
-    targets call the Fig. 3/5 pipeline or a mode's detect-and-repair loop
-    by name and get the *real* ``repro.ft`` code inlined.  ``sources``
-    substitutes the text of a file (name -> source) for what is on disk,
-    which is how the mutation tests show the models read this code."""
-    from ... import ft
+    """The shipped recovery protocol as an inline registry: name ->
+    (function or class definition, its module).  ``sources`` substitutes
+    the text of a file (base name -> source) for what is on disk, which
+    is how the mutation tests show the models read this code."""
+    import repro
     registry = {}
-    for fname, names in _SHIPPED.items():
-        path = Path(ft.__file__).parent / fname
-        text = (sources or {}).get(fname) or path.read_text()
-        env = build_module_env(ast.parse(text), str(path))
+    for rel, names in _SHIPPED.items():
+        path = Path(repro.__file__).parent / rel
+        text = (sources or {}).get(path.name) or path.read_text()
+        tree = ast.parse(text)
+        env = build_module_env(tree, str(path))
+        defs = {n.name: n for n in tree.body if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
         for name in names:
-            if name not in env.funcs:
+            if name not in defs:
                 raise ExtractError(f"{path} no longer defines {name}")
-            registry[name] = (env.funcs[name], env)
+            registry[name] = (defs[name], env)
     return registry
 
 
@@ -231,9 +269,11 @@ class _Frame:
 class Extractor:
     def __init__(self, *, failures: int = 1,
                  registry: Optional[Dict[str, Tuple[ast.AST, ModuleEnv]]]
-                 = None):
+                 = None, table: Optional[dict] = None):
         self.failures = failures
         self.registry = registry or {}
+        self.table = {**_VOCABULARY, **(table or {})}
+        self._reads: set = set()        # app-record variables read
         self.asm = Asm()
         self._depth = 0
         self._stack: List[str] = []
@@ -254,8 +294,27 @@ class Extractor:
             self.asm.emit(SetVar(frame.var(extra.arg), ("opaque",),
                                  func.lineno))
         self._body(func, frame)
+        return self._finish(func, env, name or func.name)
+
+    def extract_app(self, name: str) -> Skeleton:
+        """``CombinationApp(ctx, cfg).run()``: the constructor, inlined,
+        then the phase driver, with ``self`` the app record."""
+        run, env = self._method(_APP, "run")
+        frame = _Frame(env, prefix="", lineno_base=0, retvar=None,
+                       handler=None)
+        frame.varmap.update(self=_APP, ctx=_CTX, cfg=("object", "cfg"))
+        call = ast.parse("CombinationApp(ctx, cfg)", mode="eval").body
+        self._inline(*self._method(_APP, "__init__"), call, frame, None,
+                     run.lineno, self_obj=_APP)
+        self._body(run, frame)
+        return self._finish(run, env, name)
+
+    def _finish(self, func, env: ModuleEnv, name: str) -> Skeleton:
         self.asm.emit(Return(("const", None), _last_line(func)))
-        return self.asm.finish(name or func.name, env.path)
+        # an app-record variable read before any assignment is opaque
+        return self.asm.finish(name, env.path, prologue=[
+            SetVar(var, ("opaque",), func.lineno)
+            for var in sorted(self._reads)])
 
     # -- control flow: one CFG block at a time -----------------------------
 
@@ -372,11 +431,13 @@ class Extractor:
                 self._assign(node.target, node.value, frame, line)
             return
         if isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Name):
+            var = frame.var(node.target.id) \
+                if isinstance(node.target, ast.Name) \
+                else self._record_var(node.target, frame)
+            if var is not None:
                 op = _BINOPS.get(type(node.op))
                 if op is None:
                     raise ExtractError("unsupported augmented op", line)
-                var = frame.var(node.target.id)
                 self.asm.emit(SetVar(
                     var, ("bin", op, ("var", var),
                           self._expr(node.value, frame)), line))
@@ -405,23 +466,40 @@ class Extractor:
 
     def _assign(self, target, value, frame: _Frame, line: int) -> None:
         value = _unwrap_await(value)
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            return  # attribute/container state is outside the abstraction
-        if not isinstance(value, ast.Call):
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) \
+                and len(target.elts) == len(value.elts) and not (
+                    _names(target) & _names(value)):
+            for elt, val in zip(target.elts, value.elts):
+                self._assign(elt, val, frame, line)   # pairwise is exact
+            return
+        obj = self._object(value, frame)
+        if isinstance(target, ast.Name) and obj is not None:
+            frame.varmap[target.id] = obj
+        elif not isinstance(value, ast.Call):
             self._bind(target, self._expr(value, frame), frame, line)
         elif isinstance(target, ast.Name):
             self._call_stmt(value, frame, out=frame.var(target.id),
                             line=line)
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            # state outside the app record still runs the call
+            self._call_stmt(value, frame, self._record_var(target, frame),
+                            line)
         else:
             tmp = f"__tmp{self.asm.here()}__"
             self._call_stmt(value, frame, out=tmp, line=line)
             self._bind(target, ("var", tmp), frame, line)
 
     def _bind(self, target, expr: tuple, frame: _Frame, line: int) -> None:
-        """``target = expr`` for a name or a flat tuple of names (also
-        the per-iteration binding of a ``for`` target)."""
+        """``target = expr`` for a name, an app-record attribute or a flat
+        tuple of those (also the per-iteration binding of a ``for``
+        target).  Attributes outside the record are dropped."""
         if isinstance(target, ast.Name):
             self.asm.emit(SetVar(frame.var(target.id), expr, line))
+            return
+        if isinstance(target, (ast.Attribute, ast.Subscript)):
+            var = self._record_var(target, frame)
+            if var is not None:
+                self.asm.emit(SetVar(var, expr, line))
             return
         if not isinstance(target, (ast.Tuple, ast.List)):
             raise ExtractError("unsupported assignment target", line)
@@ -430,10 +508,9 @@ class Extractor:
             self.asm.emit(SetVar(tmp, expr, line))
             expr = ("var", tmp)
         for i, elt in enumerate(target.elts):
-            if not isinstance(elt, ast.Name):
+            if isinstance(elt, (ast.Tuple, ast.List, ast.Starred)):
                 raise ExtractError("nested unpack unsupported", line)
-            self.asm.emit(SetVar(frame.var(elt.id),
-                                 ("index", expr, ("const", i)), line))
+            self._bind(elt, ("index", expr, ("const", i)), frame, line)
 
     # -- calls -------------------------------------------------------------
 
@@ -441,39 +518,27 @@ class Extractor:
                    out: Optional[str], line: int) -> None:
         """A call in statement position: op, intrinsic, inline or drop."""
         func = call.func
-        # context methods
-        if isinstance(func, ast.Attribute) and \
-                frame.varmap.get(_receiver_name(func)) is _CTX:
-            if func.attr == "get_parent":
-                if out:
-                    self.asm.emit(SetVar(out, ("var", "__parent__"), line))
-                return
-            if func.attr == "set_parent_null":
-                self.asm.emit(SetVar("__parent__", ("const", None), line))
-                return
-            if out:  # wtime(), compute(), universe accessors, ...
-                self.asm.emit(SetVar(out, ("opaque",), line))
-            return
-        # checkpoint vocabulary
-        if isinstance(func, ast.Name) and func.id == "ckpt_write":
-            self.asm.emit(Op("ckpt_write", None, None,
-                             {"group": self._expr(call.args[0], frame),
-                              "epoch": self._expr(call.args[1], frame)},
-                             line))
-            return
-        if isinstance(func, ast.Name) and func.id == "ckpt_restore":
-            self.asm.emit(Op("ckpt_restore", None, out,
-                             {"group": self._expr(call.args[0], frame)},
-                             line))
-            return
+        obj, path = self._ref(func, frame) or (None, "")
         # intrinsic value calls (also usable in expression position)
         intr = self._intrinsic_expr(call, frame)
         if intr is not None:
             if out:
                 self.asm.emit(SetVar(out, intr, line))
             return
-        # communicator methods
-        if isinstance(func, ast.Attribute) and func.attr in _OP_METHODS:
+        # the context, the checkpoint vocabulary and the abstraction
+        # table, then methods of bound objects
+        entry = self._lookup(obj, path) if obj else \
+            self.table.get(getattr(func, "id", None))
+        if entry is not None:
+            self._apply(entry, call, frame, out, line)
+            return
+        found = self._method(obj, path) if obj else None
+        if found and _is_protocol_function(found[0]):
+            self._inline(*found, call, frame, out, line, self_obj=obj)
+            return
+        if isinstance(func, ast.Attribute) and func.attr in _OP_METHODS \
+                and obj in (None, _APP):
+            # communicator methods (an app-record receiver is a variable)
             self._op_call(call, frame, out, line)
             return
         # inlinable protocol functions
@@ -484,6 +549,119 @@ class Extractor:
                 return
         if out:
             self.asm.emit(SetVar(out, ("opaque",), line))
+
+    # -- bound objects and the abstraction table ---------------------------
+
+    def _ref(self, node, frame: _Frame) -> Optional[Tuple[tuple, str]]:
+        """``(object, attribute path)`` for a chain of attributes and
+        constant subscripts rooted at a bound object, else None.  An
+        attribute the table declares an object starts a new chain."""
+        if isinstance(node, ast.Name):
+            obj = frame.varmap.get(node.id)
+            return (obj, "") if isinstance(obj, tuple) else None
+        if isinstance(node, ast.Attribute):
+            part = "." + node.attr
+        elif isinstance(node, ast.Subscript) and \
+                isinstance(node.slice, ast.Constant):
+            part = f"[{node.slice.value!r}]"
+        else:
+            return None
+        base = self._ref(node.value, frame)
+        if base is None:
+            return None
+        path = (base[1] + part).lstrip(".")
+        entry = self._lookup(base[0], path)
+        if entry is not None and entry[0] in ("object", "class"):
+            return (entry, "")
+        return (base[0], path)
+
+    def _object(self, node, frame: _Frame) -> Optional[tuple]:
+        obj, path = self._ref(node, frame) or (None, "")
+        return None if path else obj
+
+    def _record_var(self, node, frame: _Frame) -> Optional[str]:
+        """The model variable for an app-record attribute, else None."""
+        obj, path = self._ref(node, frame) or (None, "")
+        return "app." + path if obj == _APP and path else None
+
+    def _classes(self, obj: tuple) -> List[str]:
+        """The registry classes a bound object's methods and class
+        attributes come from, nearest first."""
+        node = self.registry.get(obj[1], (None,))[0]
+        if obj[0] != "class" or not isinstance(node, ast.ClassDef):
+            return []
+        return [obj[1]] + [c for base in node.bases if isinstance(
+            base, ast.Name) for c in self._classes(("class", base.id))]
+
+    def _lookup(self, obj: tuple, path: str):
+        names = self._classes(obj) or [obj[1]]
+        return next((self.table[f"{name}.{path}"] for name in names
+                     if f"{name}.{path}" in self.table), None)
+
+    def _members(self, obj: tuple):
+        """``(statement, module env)`` of every class-body statement of a
+        bound object, nearest class first."""
+        return [(item, self.registry[c][1]) for c in self._classes(obj)
+                for item in self.registry[c][0].body]
+
+    def _method(self, obj: tuple, name: str):
+        return next(((item, env) for item, env in self._members(obj)
+                     if isinstance(item, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     and item.name == name), None)
+
+    def _class_const(self, obj: tuple, name: str) -> tuple:
+        """A class attribute bound to a literal, else opaque."""
+        for item, _ in self._members(obj):
+            target = item.targets[0] if isinstance(item, ast.Assign) \
+                else getattr(item, "target", None)
+            if isinstance(target, ast.Name) and target.id == name:
+                return self._default_expr(getattr(item, "value", None))
+        return ("opaque",)
+
+    def _apply(self, entry, call: ast.Call, frame: _Frame,
+               out: Optional[str], line: int) -> None:
+        """Emit a table entry for ``call``: a value, or its effects."""
+        if isinstance(entry[0], str):
+            if out:
+                self.asm.emit(SetVar(out, self._subst(entry, call, frame,
+                                                      None), line))
+            return
+        result = out or f"__tmp{self.asm.here()}__"
+
+        def sub(expr):
+            return self._subst(expr, call, frame, result)
+
+        for effect in entry:
+            if effect[0] == "op":
+                _, kind, comm, args = effect
+                self.asm.emit(Op(kind, comm and sub(comm), result,
+                                 {k: sub(v) for k, v in args.items()},
+                                 line, frame.handler))
+            else:
+                self.asm.emit(SetVar(effect[1], sub(effect[2]), line))
+
+    def _subst(self, expr: tuple, call, frame: _Frame,
+               result: Optional[str]) -> tuple:
+        """``expr`` with ``("arg", i, name)`` lowered from ``call``'s
+        argument ``i`` or keyword ``name``, and ``("result",)`` the
+        effect's result variable."""
+        tag = expr[0]
+        if tag == "const":
+            return expr
+        if tag == "result":
+            return ("var", result)
+        if tag == "var" and expr[1].startswith("app."):
+            self._reads.add(expr[1])
+        if tag == "arg":
+            args = call.args if call is not None else []
+            node = args[expr[1]] if expr[1] < len(args) else next(
+                (kw.value for kw in (call.keywords if call else [])
+                 if kw.arg == expr[2]), None)
+            return ("opaque",) if node is None else self._expr(node, frame)
+        return (tag,) + tuple(self._subst(x, call, frame, result)
+                              if isinstance(x, tuple) else x
+                              for x in expr[1:])
 
     def _op_call(self, call: ast.Call, frame: _Frame,
                  out: Optional[str], line: int) -> None:
@@ -532,6 +710,9 @@ class Extractor:
                                       for a in call.args)
         if name == "enumerate" and len(call.args) == 1:
             return ("enumerate", self._expr(call.args[0], frame))
+        if name in ("max", "min") and len(call.args) == 2:
+            return ("bin", name, self._expr(call.args[0], frame),
+                    self._expr(call.args[1], frame))
         if name == "failed_procs_list":
             return ("failed_pair", self._expr(call.args[0], frame))
         if name == "failed_count":
@@ -539,34 +720,24 @@ class Extractor:
         if name == "replaced_ranks":   # the old communicator's dead slots
             return ("index", ("failed_pair",
                               self._expr(call.args[0], frame)), ("const", 0))
-        if name == "known_failed_ranks":
-            return ("known_failed",)
-        if name == "world_comm":
-            return ("world_comm",)
         if name == "select_rank_key":
             a = [self._expr(x, frame) for x in call.args]
             return ("select_key", a[0], a[1], a[2], a[3])
-        if name == "grids_of":
-            return ("map_div", ("union_flat",
-                                self._expr(call.args[0], frame)),
-                    self._expr(call.args[1], frame))
-        if name in ("sorted", "tuple", "list"):
+        if name in ("sorted", "tuple", "list", "int"):
             return self._expr(call.args[0], frame) if call.args else None
         return None
 
     def _resolve_inline(self, name: str, frame: _Frame
                         ) -> Optional[Tuple[ast.AST, ModuleEnv]]:
-        if name in frame.env.funcs:
-            fn = frame.env.funcs[name]
-            if _is_protocol_function(fn):
-                return (fn, frame.env)
-            return None
-        if name in self.registry:
-            return self.registry[name]
-        return None
+        fn, env = (frame.env.funcs[name], frame.env) \
+            if name in frame.env.funcs else self.registry.get(name, (0, 0))
+        return (fn, env) if _is_protocol_function(fn) else None
 
     def _inline(self, func: ast.AST, env: ModuleEnv, call: ast.Call,
-                frame: _Frame, out: Optional[str], line: int) -> None:
+                frame: _Frame, out: Optional[str], line: int,
+                self_obj: Optional[tuple] = None) -> None:
+        """Inline ``func`` at ``call``; a method gets ``self_obj`` as its
+        first parameter."""
         if func.name in self._stack:
             raise ExtractError(
                 f"recursive protocol call to {func.name}", line)
@@ -578,7 +749,10 @@ class Extractor:
         prefix = f"__in{self._depth}_{func.name}__"
         sub = _Frame(env, prefix, lineno_base=line,
                      retvar=f"{prefix}ret", handler=frame.handler)
-        self._bind_params(func, call, frame, sub, line)
+        params = list(func.args.posonlyargs) + list(func.args.args)
+        if self_obj is not None:
+            sub.varmap[params.pop(0).arg] = self_obj
+        self._bind_params(func, params, call, frame, sub, line)
         self.asm.emit(SetVar(sub.retvar, ("const", None), line))
         self._body(func, sub)
         self._stack.pop()
@@ -586,9 +760,8 @@ class Extractor:
         if out:
             self.asm.emit(SetVar(out, ("var", sub.retvar), line))
 
-    def _bind_params(self, func: ast.AST, call: ast.Call, frame: _Frame,
-                     sub: _Frame, line: int) -> None:
-        params = list(func.args.posonlyargs) + list(func.args.args)
+    def _bind_params(self, func: ast.AST, params: list, call: ast.Call,
+                     frame: _Frame, sub: _Frame, line: int) -> None:
         defaults = list(func.args.defaults)
         bound: Dict[str, object] = {}
         for i, arg in enumerate(call.args):
@@ -605,9 +778,8 @@ class Extractor:
         for p in params + list(func.args.kwonlyargs):
             name = p.arg
             node = bound.get(name)
-            if node is not None and isinstance(node, ast.Name) and \
-                    frame.varmap.get(node.id) is _CTX:
-                sub.varmap[name] = _CTX
+            if node is not None and self._object(node, frame) is not None:
+                sub.varmap[name] = self._object(node, frame)
                 continue
             if node is not None:
                 expr = self._expr(node, frame)
@@ -631,6 +803,12 @@ class Extractor:
     # -- expressions -------------------------------------------------------
 
     def _expr(self, node, frame: _Frame) -> tuple:
+        if isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
+            # an awaited call inside an expression runs first, into a
+            # temporary (``if not await strategy.child_join(app)``)
+            tmp = f"__tmp{self.asm.here()}__"
+            self._call_stmt(node.value, frame, tmp, self._line(node, frame))
+            return ("var", tmp)
         node = _unwrap_await(node)
         if isinstance(node, ast.Constant):
             v = node.value
@@ -639,25 +817,50 @@ class Extractor:
             return ("opaque",)
         if isinstance(node, ast.Name):
             mapped = frame.varmap.get(node.id)
-            if mapped is _CTX:
-                return ("opaque",)
             if isinstance(mapped, str):
                 return ("var", mapped)
-            if node.id in frame.env.consts:
+            if mapped is None and node.id in frame.env.consts:
                 return ("const", frame.env.consts[node.id])
             if node.id in ("True", "False", "None"):
                 return ("const", {"True": True, "False": False,
                                   "None": None}[node.id])
             return ("opaque",)
+        if isinstance(node, ast.Attribute) and \
+                node.attr in ("rank", "size", "state"):
+            base = self._expr(node.value, frame)
+            if base != ("opaque",):
+                # the model's communicator is its own state
+                return base if node.attr == "state" else (node.attr, base)
+        ref = self._ref(node, frame) if isinstance(
+            node, (ast.Attribute, ast.Subscript)) else None
+        if ref is not None:
+            obj, path = ref
+            entry = self._lookup(obj, path) if path else None
+            if entry is not None and isinstance(entry[0], str):
+                return self._subst(entry, None, frame, None)
+            if obj == _APP and path:
+                self._reads.add("app." + path)
+                return ("var", "app." + path)
+            if obj[0] == "class" and "." not in path:
+                return self._class_const(obj, path)
+            return ("opaque",)
         if isinstance(node, ast.Attribute):
-            if node.attr in ("rank", "size"):
-                base = self._expr(node.value, frame)
-                if base != ("opaque",):
-                    return (node.attr, base)
             return ("opaque",)
         if isinstance(node, (ast.Tuple, ast.List)):
-            return ("tuple",) + tuple(self._expr(e, frame)
-                                      for e in node.elts)
+            # a starred element and those after it are one opaque tail
+            stars = [isinstance(e, ast.Starred) for e in node.elts] + [True]
+            return ("tuple",) + tuple(self._expr(e, frame) for e in
+                                      node.elts[:stars.index(True)]) + \
+                (("opaque",),) * any(stars[:-1])
+        if isinstance(node, ast.IfExp):
+            return ("ifexp", self._expr(node.test, frame),
+                    self._expr(node.body, frame),
+                    self._expr(node.orelse, frame))
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp)) and \
+                _is_column(node):
+            (gen,) = node.generators
+            return ("column", self._expr(gen.iter, frame),
+                    ("const", node.elt.slice.value))
         if isinstance(node, ast.BinOp):
             op = _BINOPS.get(type(node.op))
             if op is None:
@@ -683,28 +886,23 @@ class Extractor:
                 return ("opaque",)
             a = self._expr(node.left, frame)
             b = self._expr(node.comparators[0], frame)
-            cmp = node.ops[0]
-            if isinstance(cmp, ast.Is):
-                return ("is", a, b)
-            if isinstance(cmp, ast.IsNot):
-                return ("isnot", a, b)
-            if isinstance(cmp, ast.In):
-                return ("in", a, b)
-            if isinstance(cmp, ast.NotIn):
+            cmp = type(node.ops[0])
+            if cmp is ast.NotIn:
                 return ("not", ("in", a, b))
-            sym = _CMPOPS.get(type(cmp))
+            if cmp in _RELATIONS:
+                return (_RELATIONS[cmp], a, b)
+            sym = _CMPOPS.get(cmp)
             return ("cmp", sym, a, b) if sym else ("opaque",)
         if isinstance(node, ast.Subscript):
             return ("index", self._expr(node.value, frame),
                     self._expr(node.slice, frame))
         if isinstance(node, ast.Call):
+            ref = self._ref(node.func, frame)
+            entry = self._lookup(*ref) if ref else None
+            if entry is not None and isinstance(entry[0], str):
+                return self._subst(entry, node, frame, None)
             intr = self._intrinsic_expr(node, frame)
             return intr if intr is not None else ("opaque",)
-        if isinstance(node, (ast.IfExp, ast.JoinedStr, ast.Dict,
-                             ast.Set, ast.ListComp, ast.SetComp,
-                             ast.GeneratorExp, ast.DictComp,
-                             ast.Starred, ast.Lambda)):
-            return ("opaque",)
         return ("opaque",)
 
 
@@ -712,14 +910,25 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*",
            ast.FloorDiv: "//", ast.Mod: "%"}
 _CMPOPS = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
            ast.Gt: ">", ast.GtE: ">="}
+_RELATIONS = {ast.Is: "is", ast.IsNot: "isnot", ast.In: "in"}
 
 
 def _unwrap_await(node):
     return node.value if isinstance(node, ast.Await) else node
 
 
-def _receiver_name(func: ast.Attribute) -> Optional[str]:
-    return func.value.id if isinstance(func.value, ast.Name) else None
+def _names(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _is_column(node) -> bool:
+    """``x[i] for x in e``: one plain ``for``, no filter, a constant
+    subscript of the loop variable."""
+    gen, elt = node.generators[0], node.elt
+    return (len(node.generators) == 1 and not gen.ifs
+            and isinstance(elt, ast.Subscript)
+            and isinstance(elt.slice, ast.Constant)
+            and getattr(elt.value, "id", 0) == getattr(gen.target, "id", 1))
 
 
 def _is_protocol_function(fn) -> bool:
@@ -771,3 +980,11 @@ def extract_function(func: ast.AST, env: ModuleEnv, *, failures: int = 1,
     """Extract one entry-point function into a skeleton."""
     return Extractor(failures=failures, registry=registry).extract(
         func, env, name)
+
+
+def extract_app(registry, table: dict, *, failures: int = 1,
+                name: str = "CombinationApp.run") -> Skeleton:
+    """Extract the shipped app's entry point — one skeleton for launched
+    and re-spawned ranks alike — through the abstraction ``table``."""
+    return Extractor(failures=failures, registry=registry,
+                     table=table).extract_app(name)

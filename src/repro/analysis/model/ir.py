@@ -58,13 +58,14 @@ environment and the global model state::
 
     ("const", v)            literal
     ("var", name)           local variable
-    ("tuple", *items)       tuple construction
+    ("tuple", *items)       tuple construction (an item may be opaque)
     ("rank", e)             caller's rank in communicator e
     ("size", e)             total size of communicator e (incl. dead)
-    ("bin", op, a, b)       + - * // %
+    ("bin", op, a, b)       + - * // % max min
     ("cmp", op, a, b)       == != < <= > >=
     ("and", a, b) / ("or", a, b) / ("not", a)
     ("is", a, b) / ("isnot", a, b)   identity (communicators: same cid)
+    ("ifexp", c, a, b)      ``a if c else b``
     ("in", a, b)            membership in a tuple value
     ("len", e) / ("index", a, i)
     ("range", *args)        ``range(...)`` over evaluated bounds
@@ -77,13 +78,15 @@ environment and the global model state::
     ("known_failed",)       the failed world ranks this process knows:
                             survivors know the full history, a re-spawned
                             process knows (only) its own slot
-    ("world_comm",)         the world communicator (the model of the
-                            ``world_comm(ctx)`` vocabulary marker: a
-                            re-admitted process resolving the enclosing
-                            world it was patched into)
+    ("slot",)               this process's world slot (launch rank)
+    ("world_comm",)         the launched world communicator (re-admitted
+                            processes are patched into it)
     ("union_flat", e)       sorted deduplicated union of a tuple of
                             tuples (allgather post-processing)
     ("map_div", e, k)       sorted {v // k for v in e} (ranks -> grids)
+    ("column", e, i)        tuple of item i of every tuple in e
+    ("lookup", e, t)        tuple of t's value for every item of e (t a
+                            tuple of key-value pairs)
     ("select_key", r, s, f, t)  the Fig. 7 split key, evaluated with the
                             *real* ``repro.ft.reconstruct.select_rank_key``
     ("opaque",)             a value the extractor could not track
@@ -291,14 +294,18 @@ class Asm:
         """Bind ``label`` to the next emitted position."""
         label.pc = self.here()
 
-    def finish(self, name: str, path: str) -> Skeleton:
+    def finish(self, name: str, path: str,
+               prologue: List[Instr] = ()) -> Skeleton:
+        """Resolve the labels; ``prologue`` runs first (every target
+        moves past it)."""
         for instr in self.instrs:
             for field in self._TARGETS:
                 target = getattr(instr, field, None)
                 if isinstance(target, Label):
                     target = target.pc
-                    setattr(instr, field, target)
                 if target is not None and target < 0:
                     raise ValueError(
                         f"unplaced {field} in {instr!r} of {name}")
-        return Skeleton(name, path, self.instrs)
+                if target is not None:
+                    setattr(instr, field, target + len(prologue))
+        return Skeleton(name, path, list(prologue) + self.instrs)

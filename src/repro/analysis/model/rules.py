@@ -36,8 +36,9 @@ from typing import Dict, Iterator, List, Optional
 
 from ..linter import LintViolation
 from .checker import CheckResult, ModelError, ProtocolModel, check_model
-from .extract import (ExtractError, build_module_env, extract_function,
-                      find_protocol_models, reconstruct_registry)
+from .extract import (ExtractError, build_module_env, extract_app,
+                      extract_function, find_protocol_models,
+                      reconstruct_registry)
 
 __all__ = ["MODEL_RULES", "SourceModel", "ModeReport", "iter_source_models",
            "check_protocol_models", "verify_modes"]
@@ -58,7 +59,6 @@ class SourceModel:
 
     name: str
     path: str
-    params: Dict[str, object]
     model: ProtocolModel
     lineno: int
 
@@ -76,28 +76,17 @@ class ModeReport:
         return self.result.ok
 
 
-def iter_source_models(source: str, path: str, *,
-                       ranks: Optional[int] = None,
-                       failures: Optional[int] = None,
-                       registry=None) -> Iterator[SourceModel]:
-    """Extract every annotated protocol model in ``source``.
-
-    ``ranks``/``failures`` override the annotation (CLI flags); loop
-    bounds depend on the failure budget, so overriding re-extracts
-    rather than just re-checking.  Raises :class:`ExtractError` on an
-    annotation the extractor cannot honour.
-    """
+def iter_source_models(source: str, path: str) -> Iterator[SourceModel]:
+    """Extract every annotated protocol model in ``source``.  Raises
+    :class:`ExtractError` on an annotation the extractor cannot honour."""
     tree = ast.parse(source, filename=path)
     annotated = find_protocol_models(tree, source)
     if not annotated:
         return
     env = build_module_env(tree, path)
-    if registry is None:
-        registry = reconstruct_registry()
+    registry = reconstruct_registry()
     for func, params in annotated:
-        f = int(failures if failures is not None
-                else params.get("failures", 1))
-        r = int(ranks if ranks is not None else params.get("ranks", 4))
+        f = int(params.get("failures", 1))
         main = extract_function(func, env, failures=f, registry=registry)
         child = None
         child_name = params.get("child")
@@ -109,10 +98,9 @@ def iter_source_models(source: str, path: str, *,
                     f"{child_name!r} not found in {path}", func.lineno)
             child = extract_function(child_fn, env, failures=f,
                                      registry=registry)
-        yield SourceModel(func.name, path, dict(params),
-                          ProtocolModel(main, ranks=r, child=child,
-                                        failures=f),
-                          func.lineno)
+        model = ProtocolModel(main, ranks=int(params.get("ranks", 4)),
+                              child=child, failures=f)
+        yield SourceModel(func.name, path, model, func.lineno)
 
 
 def check_protocol_models(tree: ast.Module, path: str,
@@ -151,32 +139,40 @@ def verify_modes(modes: Optional[List[str]] = None, *,
                  failures: Optional[int] = None,
                  registry=None) -> List[ModeReport]:
     """Model-check the shipped recovery configurations
-    (CR/RC/AC/SHRINK/NC).
+    (CR/RC/AC/SHRINK/NC): ``CombinationApp.run`` extracted with each
+    mode's strategy and technique bound (:mod:`.modes`).
 
     Returns one report per requested mode, in request order.  Unknown
     mode names raise ``ValueError`` (the CLI maps that to exit 2).
     ``registry`` overrides :func:`reconstruct_registry` (the shipped
-    ``repro.ft`` code the skeletons inline).
+    code the models are extracted from).
     """
-    from . import modes as modes_module
+    from ...ft.recovery import technique_by_code
+    from ...ft.strategy import strategy_by_mode
+    from . import modes as world
 
-    wanted = [m.upper() for m in (modes or list(modes_module.MODES))]
-    unknown = [m for m in wanted if m not in modes_module.MODES]
+    wanted = [m.upper() for m in (modes or list(world.MODES))]
+    unknown = [m for m in wanted if m not in world.MODES]
     if unknown:
         raise ValueError(
             f"unknown recovery mode(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(modes_module.MODES)}")
-    path = str(Path(modes_module.__file__))
-    source = Path(path).read_text()
-    by_name = {sm.name: sm for sm in iter_source_models(
-        source, path, ranks=ranks, failures=failures, registry=registry)}
+            f"choose from {', '.join(world.MODES)}")
+    if registry is None:
+        registry = reconstruct_registry()
+    f = 1 if failures is None else int(failures)
+    r = world.DEFAULT_RANKS if ranks is None else int(ranks)
     reports = []
     for mode in wanted:
-        entry = modes_module.MODES[mode]
-        sm = by_name.get(entry)
-        if sm is None:
-            raise ExtractError(
-                f"mode {mode}: entry point {entry!r} is not annotated "
-                f"as a protocol model in {path}")
-        reports.append(ModeReport(mode, sm, check_model(sm.model)))
+        strategy, technique = world.MODES[mode]
+        table = dict(world.ABSTRACTION)
+        table["CombinationApp.strategy"] = ("class",
+                                 type(strategy_by_mode(strategy)).__name__)
+        table["CombinationApp.technique"] = ("class",
+                                  type(technique_by_code(technique)).__name__)
+        sk = extract_app(registry, table, failures=f,
+                         name=f"CombinationApp.run[{strategy}, {technique}]")
+        model = ProtocolModel(sk, ranks=r, child=sk, failures=f)
+        source = SourceModel(sk.name, sk.path, model,
+                             registry["CombinationApp"][0].lineno)
+        reports.append(ModeReport(mode, source, check_model(model)))
     return reports

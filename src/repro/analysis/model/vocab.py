@@ -1,22 +1,21 @@
 """Protocol-model vocabulary: names the skeleton extractor understands.
 
-Reference programs (:mod:`.modes`) and fixtures call these so their
-bodies are valid, importable Python, but the functions are **markers**:
-the extractor recognises them by name and lowers each to its protocol-IR
-meaning (see ``extract.Extractor._intrinsic_expr``).  The runtime
+Protocol fixtures call these so their bodies are valid, importable
+Python, but the functions are **markers**: the extractor recognises them
+by name and lowers each to its protocol-IR op (see
+``extract.Extractor._call_stmt``).  The runtime
 implementations exist only so accidental execution fails loudly instead
 of silently computing nothing.
 """
 
 from __future__ import annotations
 
-__all__ = ["ckpt_write", "ckpt_restore", "known_failed_ranks", "grids_of",
-           "world_comm"]
+__all__ = ["ckpt_write", "ckpt_restore"]
 
 
 def _marker(name: str):
     raise RuntimeError(
-        f"{name} is a protocol-model marker: reference programs are "
+        f"{name} is a protocol-model marker: protocol fixtures are "
         f"extracted by repro.analysis.model, never executed")
 
 
@@ -36,32 +35,3 @@ def ckpt_restore(group):
     the epochs observed by restores of the same repair round (ULF018).
     """
     _marker("ckpt_restore")
-
-
-def known_failed_ranks(ctx):
-    """The failed world ranks this process knows of.
-
-    Survivors know the full failure history; a re-spawned process knows
-    only its own slot — which is exactly the asymmetry that makes
-    single-source resync protocols wrong (see ``rejoin``).
-    """
-    _marker("known_failed_ranks")
-
-
-def grids_of(known, grid_ranks):
-    """Sorted grid ids owning any of the ranks in ``known`` (a
-    per-rank tuple-of-tuples as returned by ``allgather``)."""
-    _marker("grids_of")
-
-
-def world_comm(ctx):
-    """The enclosing world communicator of the calling process.
-
-    Models a re-admitted replacement adopting the world whose membership
-    ``CommHandle.readmit`` patched it into (the app's
-    ``ctx.argv[1].handle(ctx.proc)``): the checker resolves it to the
-    initial world communicator, whose member table the ``readmit`` op
-    has already updated by the time the rebuilt grid's join barrier lets
-    the child proceed.
-    """
-    _marker("world_comm")

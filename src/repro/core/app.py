@@ -186,7 +186,7 @@ class CombinationApp:
             if not await self.strategy.child_join(self):
                 return None  # orphan of an aborted repair attempt
             horizon = await self.technique.on_failure(self, None)
-            await self._segment_loop([t for t in targets if t > horizon])
+            await self._segment_loop(targets, horizon)
         else:
             self.world = ctx.comm
             if self.world.size != self.layout.total_procs:
@@ -222,11 +222,11 @@ class CombinationApp:
             self.ctx, cart, self.cfg.problem, sub.level_x, sub.level_y,
             self.dt, compute_scale=self.cfg.compute_scale)
 
-    def fold_failed(self, ranks: Iterable[int]) -> None:
-        """Fold an agreed set of failed ranks (launch-time world numbering)
-        into the failure history and the lost-grid set, so replacements
-        report the same history as survivors."""
-        ranks = set(ranks)
+    def fold_failed(self, views: Iterable[Iterable[int]]) -> None:
+        """Fold every rank's view of the failed ranks (launch-time world
+        numbering) into the failure history and the lost-grid set, so
+        replacements report the same history as survivors."""
+        ranks = set().union(*views)
         t = self.timers
         t.failed_ranks[:] = sorted(ranks.union(t.failed_ranks))
         t.total_failed = len(t.failed_ranks)
@@ -257,14 +257,18 @@ class CombinationApp:
         except MPIError:
             self.grid_comm.revoke()
 
-    async def _segment_loop(self, targets: List[int]) -> None:
-        """Per segment: step to the boundary; run the detection point (the
-        paper tests for failures "prior to initiating the checkpoint
-        write"); on failure the technique's failure branch resyncs and
-        brings the data back; otherwise a checkpointing technique writes
-        its checkpoint.  RC and AC solve one segment — the whole run."""
+    async def _segment_loop(self, targets: List[int],
+                            horizon: int = 0) -> None:
+        """Per segment past ``horizon``: step to the boundary; run the
+        detection point (the paper tests for failures "prior to initiating
+        the checkpoint write"); on failure the technique's failure branch
+        resyncs and brings the data back; otherwise a checkpointing
+        technique writes its checkpoint.  RC and AC solve one segment — the
+        whole run."""
         ctx, cfg = self.ctx, self.cfg
         for target in targets:
+            if target <= horizon:
+                continue
             with ctx.span("solve", technique=self.technique.code,
                           gid=self.gid):
                 await self._step_guarded(target - self.solver.step_count)

@@ -30,11 +30,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(lines)
 
 
-def series_summary(name: str, xs: Sequence, ys: Sequence[float]) -> str:
-    pts = ", ".join(f"{x}:{y:.3g}" for x, y in zip(xs, ys))
-    return f"{name}: {pts}"
-
-
 def check_monotone_increasing(ys: Sequence[float], slack: float = 0.0) -> bool:
     """Shape check: each value may dip below its predecessor by at most
     ``slack`` of the predecessor's magnitude.

@@ -35,13 +35,13 @@ shared:
   entries the mode's repair charges, for planning and the mode-comparison
   experiment.
 
-The shrink and non-collective repair loops are module-level functions over
-explicit communicators — the shape of
-:func:`~repro.ft.reconstruct.communicator_reconstruct` — because
-``repro verify-protocol`` extracts *them*, not a transcription, into the
-SHRINK and NC protocol models (``analysis/model/extract.py``'s registry).
-The checker collapses a tuple with an untracked element, so they return
-communicators and booleans only and update ``timers``/``members`` in place.
+``repro verify-protocol`` extracts ``CombinationApp.run`` with each
+strategy bound, so every hook here is part of a mode's protocol model
+(``analysis/model/extract.py``'s registry).  The shrink and
+non-collective repair loops are module-level functions over explicit
+communicators — the shape of
+:func:`~repro.ft.reconstruct.communicator_reconstruct` — that return
+communicators and booleans and update ``timers``/``members`` in place.
 Their time is their spans: no hook keeps a clock of its own.
 """
 
@@ -63,18 +63,6 @@ class RecoveryStrategy:
 
     mode: str = "?"
     name: str = "?"
-    #: does this strategy replace failed ranks with spawned processes?
-    respawns: bool = False
-    #: does the world communicator keep its original size across repair?
-    preserves_world: bool = True
-
-    def needs_placement(self) -> bool:
-        """Does this mode ever consult the replacement-placement policy?
-        (``shrink`` must not: with ``n_spares=0`` and an otherwise full
-        hostfile there is nowhere to place anyone, and shrink never
-        needs to.)"""
-        return self.respawns
-
     def cost_estimate(self, machine, comm_size: int,
                       n_failed: int) -> Dict[str, float]:
         """Per-operation virtual-seconds the mode's repair charges.
@@ -111,7 +99,6 @@ class RespawnStrategy(RecoveryStrategy):
 
     mode = "respawn"
     name = "global revoke+shrink+spawn+merge (paper, Figs. 3/5)"
-    respawns = True
 
     def cost_estimate(self, machine, comm_size, n_failed):
         u = machine.ulfm  # cost-table lookups, not communicator calls
@@ -146,7 +133,7 @@ class RespawnStrategy(RecoveryStrategy):
         no grid would ever restore."""
         world = app.world
         views = await world.allgather(tuple(app.timers.failed_ranks))
-        app.fold_failed(set().union(*views))
+        app.fold_failed(views)
         app.grid_comm = await world.split(app.gid, world.rank)
         if app.solver is None:
             app._make_solver()
@@ -168,8 +155,6 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
 
     mode = "shrink"
     name = "shrink-in-place (no spawn; survivors re-decompose)"
-    respawns = False
-    preserves_world = False
 
     def cost_estimate(self, machine, comm_size, n_failed):
         u = machine.ulfm
@@ -188,7 +173,7 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
         communicators, and re-decompose any grid whose group contracted."""
         with app.ctx.span("redistribute", technique=app.technique.code,
                           gid=app.gid):
-            app.fold_failed(app.timers.failed_ranks)
+            app.fold_failed([app.timers.failed_ranks])
             # orphan adoption: a technique that restores lost grids (CR
             # from checkpoints, RC from the replica/resample source) lets a
             # fully-lost grid migrate onto a donor; AC drops lost grids
@@ -219,7 +204,6 @@ class NonCollectiveStrategy(RecoveryStrategy):
 
     mode = "nc"
     name = "non-collective repair (per-grid rebuild + world readmit)"
-    respawns = True
 
     def cost_estimate(self, machine, comm_size, n_failed):
         u = machine.ulfm  # cost-table lookups, not communicator calls
@@ -290,7 +274,7 @@ class NonCollectiveStrategy(RecoveryStrategy):
         app.repair_seconds = {p: max(v[i] for v in views)
                               for i, p in enumerate(GRID_REPAIR_PHASES, 1)}
         t.iterations = max(v[-1] for v in views)
-        app.fold_failed(r for view in views for r in view[0])
+        app.fold_failed(view[0] for view in views)
 
 
 async def shrink_detect_repair(ctx, world, timers, members: List[int],

@@ -9,6 +9,7 @@ completed, handler reached), not as instruction shapes.
 
 import ast
 import re
+from pathlib import Path
 
 import pytest
 
@@ -434,11 +435,21 @@ async def plain(ctx, world):
 def test_reconstruct_registry_has_repair_entry_points():
     reg = reconstruct_registry()
     assert set(reg) == {"communicator_reconstruct", "repair_comm",
-                        "shrink_detect_repair", "nc_detect_repair"}
+                        "shrink_detect_repair", "nc_detect_repair",
+                        "CombinationApp", "RecoveryStrategy",
+                        "RespawnStrategy", "ShrinkInPlaceStrategy",
+                        "NonCollectiveStrategy", "RecoveryTechnique",
+                        "CheckpointRestart", "ResamplingCopying",
+                        "AlternateCombination"}
     for name, source_file in [("communicator_reconstruct", "reconstruct.py"),
                               ("nc_detect_repair", "strategy.py")]:
         func, env = reg[name]
         assert isinstance(func, ast.AsyncFunctionDef)
+        assert env.path.endswith(source_file)
+    for name, source_file in [("CombinationApp", "core/app.py"),
+                              ("CheckpointRestart", "ft/recovery.py")]:
+        cls, env = reg[name]
+        assert isinstance(cls, ast.ClassDef)
         assert env.path.endswith(source_file)
     # the nc loop reaches Fig. 5 and the readmit through the same registry
     sk = extract("""
@@ -452,7 +463,9 @@ async def f(ctx, world):
 
 
 def test_reconstruct_registry_reads_substituted_source():
-    reg = reconstruct_registry({"strategy.py": """
+    from repro.ft import strategy
+    shipped = Path(strategy.__file__).read_text()
+    reg = reconstruct_registry({"strategy.py": shipped + """
 async def shrink_detect_repair(ctx, world): return (world, False)
 async def nc_detect_repair(ctx, world, grid): return (grid, False)
 """})

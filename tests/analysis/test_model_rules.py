@@ -14,7 +14,8 @@ from repro.analysis import lint_file
 from repro.analysis.linter import RULES, SEVERITY
 from repro.analysis.model import (MODEL_RULES, reconstruct_registry,
                                   verify_modes)
-from repro.ft import strategy
+from repro.core import app
+from repro.ft import recovery, strategy
 
 
 def test_model_rules_are_catalogued_as_errors():
@@ -40,13 +41,23 @@ def test_shipped_modes_are_deadlock_free(shipped_reports):
 
 def test_mode_state_spaces_are_pinned(shipped_reports):
     """(product states, failure placements) per mode at the default 2x2
-    harness and budget 1.  Not a property anyone wants for its own sake:
+    world and budget 1.  Not a property anyone wants for its own sake:
     a move means the extractor, the checker or the shipped protocol
     changed what is explored, and the PR that moves it says why."""
     assert {r.mode: (r.result.states, r.result.kills_explored)
             for r in shipped_reports} == {
-        "CR": (1267, 14), "RC": (559, 6), "AC": (559, 6),
-        "SHRINK": (793, 14), "NC": (957, 14)}        # 4 135 states in all
+        "CR": (1395, 14), "RC": (627, 6), "AC": (627, 6),
+        "SHRINK": (849, 14), "NC": (1085, 14)}      # 4 583 states in all
+
+
+#: mutants that replace a line instead of deleting it
+_REPLACEMENTS = {
+    # the re-spawned child re-runs the segments before the agreed horizon
+    "await self._segment_loop(targets, horizon)":
+        "await self._segment_loop(targets)",
+    # the nc recompute horizon is agreed on the world, not the grid
+    "comm = app.grid_comm if grid_local else app.world": "comm = app.world",
+}
 
 
 @pytest.mark.parametrize("mode, line, rules", [
@@ -57,21 +68,41 @@ def test_mode_state_spaces_are_pinned(shipped_reports):
     ("NC", "await grid.agree(1)", {"ULF017"}),
     # the retry loop re-probes the broken world until its budget runs out
     ("SHRINK", "world = shrunk", {"ULF017"}),
+    ("CR", "await self._segment_loop(targets, horizon)", {"ULF017"}),
+    ("NC", "comm = app.grid_comm if grid_local else app.world",
+     {"ULF017"}),
 ])
 def test_models_inline_the_shipped_repair_loops(mode, line, rules):
-    """The SHRINK and NC skeletons are the code ``ft/strategy.py`` ships:
-    delete one line of *its* text and the mode stops verifying."""
-    shipped = Path(strategy.__file__).read_text()
+    """The models are the code ``core/app.py``, ``ft/strategy.py`` and
+    ``ft/recovery.py`` ship: mutate one line of *their* text and the
+    mode stops verifying."""
+    (module,) = [m for m in (app, recovery, strategy)
+                 if line in Path(m.__file__).read_text()]
+    path = Path(module.__file__)
+    shipped = path.read_text()
     assert shipped.count(line) == 1
 
     def verify(text):
         (report,) = verify_modes(
-            [mode], registry=reconstruct_registry({"strategy.py": text}))
+            [mode], registry=reconstruct_registry({path.name: text}))
         return report
 
     assert verify(shipped).ok
-    mutant = verify(shipped.replace(line, "pass"))
+    mutant = verify(shipped.replace(line, _REPLACEMENTS.get(line, "pass")))
     assert {v.rule for v in mutant.result.violations} == rules
+
+
+def test_models_carry_the_shipped_callees_communication(shipped_reports):
+    """The extracted skeletons carry the shipped callees' communication:
+    CR's restore agrees its steps over the grid and its combination
+    gathers each grid; AC re-seeds lost grids with a world scatter."""
+    def ops(mode):
+        (report,) = [r for r in shipped_reports if r.mode == mode]
+        return {(op.kind, op.comm) for op in report.source.model.main.ops()}
+
+    grid = ("var", "app.grid_comm")
+    assert {("allreduce", grid), ("gather", grid)} <= ops("CR")
+    assert ("scatter", ("var", "app.world")) in ops("AC")
 
 
 def test_mode_subset_and_case_insensitive():

@@ -36,15 +36,6 @@ def test_registry_and_lookup():
         strategy_by_mode("reboot")
 
 
-def test_strategy_flags():
-    assert STRATEGIES["respawn"].needs_placement()
-    assert STRATEGIES["nc"].needs_placement()
-    assert not STRATEGIES["shrink"].needs_placement()
-    assert STRATEGIES["respawn"].preserves_world
-    assert STRATEGIES["nc"].preserves_world
-    assert not STRATEGIES["shrink"].preserves_world
-
-
 def test_cost_estimate_shapes():
     """Shrink never spawns or merges; non-collective repair adds the
     world-readmission bookkeeping on top of the respawn operations."""

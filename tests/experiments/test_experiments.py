@@ -8,7 +8,7 @@ from repro.experiments.fig9 import (Fig9Point, format_fig9, recovery_overhead,
 from repro.experiments.fig10 import Fig10Point, format_fig10, run_fig10
 from repro.experiments.fig11 import Fig11Point, format_fig11, run_fig11
 from repro.experiments.report import (check_monotone_increasing, format_table,
-                                      geometric_mean, series_summary)
+                                      geometric_mean)
 from repro.experiments.table1 import (PAPER_TABLE1, Table1Row, format_table1,
                                       run_table1)
 from repro.machine.presets import OPL
@@ -22,10 +22,6 @@ def test_format_table_aligns():
     lines = text.splitlines()
     assert len(lines) == 4
     assert all(len(l) == len(lines[0]) for l in lines[1:])
-
-
-def test_series_summary():
-    assert series_summary("s", [1, 2], [0.5, 1.5]) == "s: 1:0.5, 2:1.5"
 
 
 def test_check_monotone():
