@@ -66,10 +66,10 @@ __all__ = ["Effect", "EffectSummary", "EffectsStore", "EFFECT_KINDS",
 #: impurity kinds, in reporting/describe order
 EFFECT_KINDS = ("global_write", "io", "rng", "clock", "shared_return")
 
-#: callables whose results are shared cached instances: mutating or
-#: leaking one corrupts every later consumer of the same cache entry
-#: (see docs/performance.md, "Cache-safety contracts" in docs/analysis.md)
-FROZEN_PROVIDERS = frozenset({"cached_scheme", "layout_for"})
+#: callables returning shared cached instances: mutating or leaking one
+#: corrupts every later consumer (docs/analysis.md, "Cache-safety contracts")
+FROZEN_PROVIDERS = frozenset({"cached_scheme", "layout_for",
+                              "combination_coefficients"})
 
 #: plain-name calls that touch the filesystem
 _IO_NAME_CALLS = frozenset({"open"})

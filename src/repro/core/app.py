@@ -36,8 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ft.checkpoint import CheckpointStats, Disk, write_checkpoint
 from ..ft.reconstruct import PLACE_SAME_HOST, ReconstructTimers
-from ..ft.recovery import (AlternateCombination, RecoveryTechnique,
-                           technique_by_code)
+from ..ft.recovery import RecoveryTechnique, technique_by_code
 from ..mpi.cart import CartHandle
 from ..mpi.errors import MPIError
 from ..pde.advection import AdvectionProblem
@@ -99,19 +98,17 @@ class AppConfig:
         return strategy_by_mode(self.recovery_mode)
 
     def technique(self) -> RecoveryTechnique:
-        t = technique_by_code(self.technique_code)
-        if isinstance(t, AlternateCombination) and \
-                t.extra_layers != self.extra_layers:
-            t = AlternateCombination(self.extra_layers)
-        return t
+        return technique_by_code(self.technique_code, self.extra_layers)
 
     def scheme(self):
         return self.technique().make_scheme(self.n, self.level)
 
-    def layout(self) -> Layout:
-        # scheme() returns shared cached instances, so the identity-keyed
-        # layout cache collapses repeated builds across a sweep
-        return layout_for(self.scheme(), self.layout_mode, self.diag_procs)
+    def layout(self, scheme=None) -> Layout:
+        """The launch layout of ``scheme`` (default: :meth:`scheme`).
+        Schemes are shared cached instances, so the identity-keyed layout
+        cache collapses repeated builds across a sweep."""
+        return layout_for(self.scheme() if scheme is None else scheme,
+                          self.layout_mode, self.diag_procs)
 
     @property
     def target(self) -> Tuple[int, int]:
@@ -137,13 +134,10 @@ class CombinationApp:
         self.technique = cfg.technique()
         self.strategy = cfg.strategy()
         self.scheme = self.technique.make_scheme(cfg.n, cfg.level)
-        self.layout = cfg.layout()
+        self.layout = cfg.layout(self.scheme)
         #: the launch-time layout; after a shrink-in-place repair
         #: ``self.layout`` is its :meth:`~Layout.survivors` layout
         self.base_layout = self.layout
-        #: original world rank of each current world rank (shrink mode
-        #: contracts this list; the other modes never change it)
-        self._members: List[int] = list(range(self.layout.total_procs))
         self.timers = ReconstructTimers()
         #: repair seconds reported in place of this rank's own span totals
         #: (``nc``: the slowest grid's, set by ``world_resync``)

@@ -71,11 +71,7 @@ def run_serial(*, n: int = 7, level: int = 4, technique_code: str = "AC",
                collect_arrays: bool = False) -> SerialResult:
     """One full serial experiment; mirrors :func:`repro.core.run_app`."""
     problem = problem or AdvectionProblem()
-    technique = technique_by_code(technique_code)
-    from ..ft.recovery import AlternateCombination
-    if isinstance(technique, AlternateCombination) and \
-            technique.extra_layers != extra_layers:
-        technique = AlternateCombination(extra_layers)
+    technique = technique_by_code(technique_code, extra_layers)
     scheme = technique.make_scheme(n, level)
     lost = sorted(set(lost_gids))
     dt = problem.stable_dt(n, cfl)

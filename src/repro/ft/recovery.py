@@ -23,7 +23,7 @@ from ..mpi.comm import MAX
 from ..mpi.errors import MPIError
 from ..pde.decomposition import choose_dims
 from ..pde.lax_wendroff import periodic_from_nodal
-from ..sparsegrid import (CombinationScheme, alternate_coefficients_for)
+from ..sparsegrid import CombinationScheme, combination_coefficients
 from ..sparsegrid.index import cached_scheme
 from ..sparsegrid.parallel_combine import scatter_samples
 from .checkpoint import checkpoint_interval_steps, restore_checkpoint
@@ -95,8 +95,11 @@ class RecoveryTechnique:
 
     def combination_coefficients(self, scheme: CombinationScheme,
                                  lost_gids: Iterable[int]) -> Dict[GridIx, float]:
-        """Coefficients (by grid index) for the final combination."""
-        raise NotImplementedError
+        """Coefficients (by grid index) for the final combination, shared
+        and read-only.  Restored data combines classically; a technique
+        that does not restore lost grids solves for the survivors."""
+        return combination_coefficients(scheme, frozenset(
+            () if self.restores_lost_grids else lost_gids))
 
     def validate_losses(self, scheme: CombinationScheme,
                         lost_gids: Iterable[int]) -> None:
@@ -104,11 +107,6 @@ class RecoveryTechnique:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{self.__class__.__name__}()"
-
-
-def _classic_by_index(scheme: CombinationScheme) -> Dict[GridIx, float]:
-    return {scheme[gid].index: c
-            for gid, c in scheme.classic_coefficients().items()}
 
 
 class CheckpointRestart(RecoveryTechnique):
@@ -120,10 +118,6 @@ class CheckpointRestart(RecoveryTechnique):
 
     def make_scheme(self, n: int, level: int) -> CombinationScheme:
         return cached_scheme(n, level)
-
-    def combination_coefficients(self, scheme, lost_gids):
-        # data is recovered exactly, so the classic combination applies
-        return _classic_by_index(scheme)
 
     def segment_targets(self, steps, checkpoint_count):
         interval = checkpoint_interval_steps(steps, checkpoint_count)
@@ -205,10 +199,6 @@ class ResamplingCopying(RecoveryTechnique):
     def make_scheme(self, n: int, level: int) -> CombinationScheme:
         return cached_scheme(n, level, duplicates=True)
 
-    def combination_coefficients(self, scheme, lost_gids):
-        # lost grids are restored (near-exactly), classic coefficients apply
-        return _classic_by_index(scheme)
-
     def validate_losses(self, scheme, lost_gids):
         lost = set(lost_gids)
         for a, b in scheme.rc_conflict_pairs():
@@ -284,12 +274,6 @@ class AlternateCombination(RecoveryTechnique):
     def make_scheme(self, n: int, level: int) -> CombinationScheme:
         return cached_scheme(n, level, extra_layers=self.extra_layers)
 
-    def combination_coefficients(self, scheme, lost_gids):
-        lost = set(lost_gids)
-        if not lost:
-            return _classic_by_index(scheme)
-        return alternate_coefficients_for(scheme, lost)
-
     async def recover(self, app):
         # "only the time needed for creating the combination
         # coefficients ... is used as recovery overhead"
@@ -325,9 +309,15 @@ TECHNIQUES: Dict[str, RecoveryTechnique] = {
 }
 
 
-def technique_by_code(code: str) -> RecoveryTechnique:
+def technique_by_code(code: str, extra_layers: int = 2) -> RecoveryTechnique:
+    """The shared technique object for ``code`` (AC with ``extra_layers``
+    redundant layers)."""
     try:
-        return TECHNIQUES[code.upper()]
+        t = TECHNIQUES[code.upper()]
     except KeyError:
         raise ValueError(f"unknown technique {code!r}; "
                          f"expected one of {sorted(TECHNIQUES)}") from None
+    if isinstance(t, AlternateCombination) and \
+            t.extra_layers != extra_layers:
+        return AlternateCombination(extra_layers)
+    return t

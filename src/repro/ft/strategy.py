@@ -41,13 +41,13 @@ strategy bound, so every hook here is part of a mode's protocol model
 non-collective repair loops are module-level functions over explicit
 communicators — the shape of
 :func:`~repro.ft.reconstruct.communicator_reconstruct` — that return
-communicators and booleans and update ``timers``/``members`` in place.
+communicators and booleans and update ``timers`` in place.
 Their time is their spans: no hook keeps a clock of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..mpi.errors import MPIError
 from .detection import failed_procs_list, replaced_ranks
@@ -164,7 +164,7 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
 
     async def detect_and_repair(self, app) -> bool:
         app.world, changed = await shrink_detect_repair(
-            app.ctx, app.world, app.timers, app._members,
+            app.ctx, app.world, app.timers, app.base_layout.total_procs,
             app.technique.code)
         return changed
 
@@ -180,7 +180,9 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
             # from the combination instead, so donating would only destroy
             # a healthy grid's data
             app.layout = app.base_layout.survivors(
-                app._members, app.technique.restores_lost_grids)
+                launch_ranks(app.base_layout.total_procs,
+                             app.timers.failed_ranks),
+                app.technique.restores_lost_grids)
             # a donor's old group contracted without failing; it needs
             # restoration like any damaged grid
             app.mark_lost(app.layout.adoptions.values())
@@ -277,15 +279,22 @@ class NonCollectiveStrategy(RecoveryStrategy):
         app.fold_failed(view[0] for view in views)
 
 
-async def shrink_detect_repair(ctx, world, timers, members: List[int],
-                               code: str):
+def launch_ranks(total: int, failed: Iterable[int]) -> List[int]:
+    """Launch-time rank of each current world rank after shrinks that
+    removed ``failed`` from a world of ``total``: a shrink keeps the
+    survivors' relative order."""
+    dead = set(failed)
+    return [r for r in range(total) if r not in dead]
+
+
+async def shrink_detect_repair(ctx, world, timers, total: int, code: str):
     """Detection point of the shrink-in-place mode: agree + probe barrier
     on the world; on error revoke + shrink — no spawn, no merge.  Loops so
     failures landing *during* the shrink are caught by the re-probe.
 
-    ``members`` maps current world ranks to launch-time ranks and is
-    contracted in place; the dead are appended to ``timers.failed_ranks``
-    in launch-time numbering.  Returns ``(world, changed)``."""
+    ``total`` is the launch world's size; the dead are appended to
+    ``timers.failed_ranks`` in launch-time numbering.  Returns
+    ``(world, changed)``."""
     changed = False
     while True:
         with ctx.span("agree", technique=code):
@@ -303,9 +312,8 @@ async def shrink_detect_repair(ctx, world, timers, members: List[int],
                     shrunk = await world.shrink()
                 failed, _ = failed_procs_list(world, shrunk)
             # the group difference is in current ranks
-            dead = set(failed)
+            members = launch_ranks(total, timers.failed_ranks)
             timers.failed_ranks.extend(members[i] for i in failed)
-            members[:] = [m for i, m in enumerate(members) if i not in dead]
             world = shrunk
             timers.iterations += 1
 

@@ -80,7 +80,7 @@ class RankContext:
         ``technique``, ``gid``); see :mod:`repro.obs.spans`.
         """
         return OpenSpan(self.universe.obs.spans, self.proc.name, phase,
-                        {k: str(v) for k, v in labels.items()})
+                        labels)
 
     def spent(self) -> Dict[str, float]:
         """This rank's closed-span seconds per phase (a copy) — the clock

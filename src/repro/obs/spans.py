@@ -20,7 +20,8 @@ in the event stream (kind ``span``) for ``python -m repro timeline``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
 
 from .registry import Histogram, MetricsRegistry
 
@@ -52,7 +53,7 @@ class Span:
     t_start: float
     t_end: float
     seq: int = 0               #: engine stamp — deterministic tie-break
-    labels: Dict[str, str] = field(default_factory=dict)
+    labels: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -76,11 +77,19 @@ class OpenSpan:
     __slots__ = ("recorder", "actor", "phase", "labels", "t_start", "seq")
 
     def __init__(self, recorder: "SpanRecorder", actor: str, phase: str,
-                 labels: Dict[str, str]):
+                 labels: Dict[str, object]):
         self.recorder = recorder
         self.actor = actor
         self.phase = phase
-        self.labels = labels
+        # one shared read-only mapping per label set, so an open converts
+        # no dict; sets compare by value, as dict keys do (``gid=1`` and
+        # ``gid=1.0`` are one set)
+        key = tuple(labels.items())
+        try:
+            self.labels = recorder.label_sets[key]
+        except KeyError:
+            self.labels = recorder.label_sets.setdefault(
+                key, MappingProxyType({k: str(v) for k, v in key}))
 
     def __enter__(self) -> "OpenSpan":
         self.t_start, self.seq = self.recorder.stamp()
@@ -114,14 +123,15 @@ class SpanRecorder:
         self.trace_live = trace_live
         self.log: List[tuple] = []
         self.totals: Dict[str, Dict[str, float]] = {}
+        #: label set -> the ``str``-valued mapping its spans share
+        self.label_sets: Dict[tuple, Mapping[str, str]] = {}
         self.max_spans = max_spans
         self.dropped = 0
 
     # ------------------------------------------------------------------
     def span(self, actor: str, phase: str, **labels) -> OpenSpan:
         """Open a phase span; use as a context manager."""
-        return OpenSpan(self, actor, phase,
-                        {k: str(v) for k, v in labels.items()})
+        return OpenSpan(self, actor, phase, labels)
 
     def close(self, open_span: OpenSpan) -> None:
         t_end, _ = self.stamp()

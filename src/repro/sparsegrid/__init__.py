@@ -7,7 +7,8 @@ from .coefficients import (classic_coefficients, coefficient_support_ok,
 from .combine import (combination_interpolant, combine_nodal,
                       combine_nodal_reference)
 from .gcp import (RecoveryInfeasibleError, alternate_coefficients,
-                  alternate_coefficients_for, scheme_floor, survivors)
+                  alternate_coefficients_for, combination_coefficients,
+                  scheme_floor, survivors)
 from .hierarchy import (combination_at_points, full_grid_point_count,
                         hierarchical_surplus_1d, union_point_count,
                         union_points)
@@ -24,6 +25,7 @@ __all__ = [
     "downset", "is_downset", "maximal_elements", "meet", "dominates",
     "coefficient_support_ok",
     "alternate_coefficients", "alternate_coefficients_for",
+    "combination_coefficients",
     "scheme_floor", "survivors", "RecoveryInfeasibleError",
     "combine_nodal", "combine_nodal_reference", "combination_interpolant",
     "union_points", "union_point_count", "full_grid_point_count",

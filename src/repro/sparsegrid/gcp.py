@@ -22,7 +22,8 @@ Problem; with the paper's two extra layers it never triggers for up to two
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .coefficients import (coefficient_support_ok, maximal_elements, meet,
                            truncated_coefficients)
@@ -99,3 +100,16 @@ def alternate_coefficients_for(scheme, lost_gids: Iterable[int]
     """Convenience wrapper: new coefficients for a scheme after losses."""
     return alternate_coefficients(survivors(scheme, lost_gids),
                                   scheme_floor(scheme))
+
+
+@lru_cache(maxsize=1024)
+def combination_coefficients(scheme, lost: FrozenSet[int]
+                             ) -> Dict[GridIx, float]:
+    """Coefficients (by grid index) of the combination without the grids
+    ``lost``: Eq. 1's when nothing is lost, else the alternate ones.  One
+    shared, read-only result per ``(scheme, lost)`` (schemes are shared
+    :func:`cached_scheme` instances): a run solves each loss set once."""
+    if not lost:
+        return {scheme[gid].index: c
+                for gid, c in scheme.classic_coefficients().items()}
+    return alternate_coefficients_for(scheme, lost)

@@ -107,6 +107,19 @@ class CombinationScheme:
                 gid += 1
         self.grids: Tuple[SchemeGrid, ...] = tuple(grids)
         self._by_gid: Dict[int, SchemeGrid] = {g.gid: g for g in grids}
+        #: each role's grids, in gid order
+        self.diagonal, self.lower, self.duplicates_list, self.extra = (
+            tuple(g for g in grids if g.role == role) for role in
+            (ROLE_DIAGONAL, ROLE_LOWER, ROLE_DUPLICATE, ROLE_EXTRA))
+        # the RC relations, built once: diagonal and duplicate copy from
+        # each other, lower grid ``m`` resamples from diagonal ``m+1``
+        above = {g.gid: d.gid for g, d in zip(self.lower, self.diagonal[1:])}
+        self._resample_source: Dict[int, Optional[int]] = {
+            g.gid: g.partner if g.role in (ROLE_DIAGONAL, ROLE_DUPLICATE)
+            else above.get(g.gid) for g in grids}
+        self._rc_pairs: Tuple[Tuple[int, int], ...] = tuple(sorted(
+            {tuple(sorted(pair)) for pair in self._resample_source.items()
+             if pair[1] is not None}))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -117,25 +130,6 @@ class CombinationScheme:
 
     def __getitem__(self, gid: int) -> SchemeGrid:
         return self._by_gid[gid]
-
-    def by_role(self, role: str) -> List[SchemeGrid]:
-        return [g for g in self.grids if g.role == role]
-
-    @property
-    def diagonal(self) -> List[SchemeGrid]:
-        return self.by_role(ROLE_DIAGONAL)
-
-    @property
-    def lower(self) -> List[SchemeGrid]:
-        return self.by_role(ROLE_LOWER)
-
-    @property
-    def duplicates_list(self) -> List[SchemeGrid]:
-        return self.by_role(ROLE_DUPLICATE)
-
-    @property
-    def extra(self) -> List[SchemeGrid]:
-        return self.by_role(ROLE_EXTRA)
 
     def classic_coefficients(self) -> Dict[int, float]:
         """gid -> coefficient of the failure-free combination (Eq. 1)."""
@@ -149,25 +143,12 @@ class CombinationScheme:
         the paper's "4 from 1, 5 from 2, 6 from 3" pairing).  Returns None
         when the scheme has no duplicates or no source exists.
         """
-        g = self._by_gid[gid]
-        if g.role in (ROLE_DIAGONAL, ROLE_DUPLICATE):
-            return g.partner
-        if g.role == ROLE_LOWER:
-            pos = [x.gid for x in self.lower].index(gid)
-            diag = self.diagonal
-            if pos + 1 < len(diag):
-                return diag[pos + 1].gid
-        return None
+        return self._resample_source[gid]
 
     def rc_conflict_pairs(self) -> List[Tuple[int, int]]:
         """Grid pairs that must not fail simultaneously under RC (Sec. III:
         "not ... on sub-grids 3 and 6, or 2 and 5, ... or 0 and 7, ...")."""
-        pairs = []
-        for g in self.grids:
-            src = self.resample_source(g.gid)
-            if src is not None:
-                pairs.append((min(g.gid, src), max(g.gid, src)))
-        return sorted(set(pairs))
+        return list(self._rc_pairs)
 
     def full_index(self) -> GridIx:
         """The isotropic full grid the combination approximates."""

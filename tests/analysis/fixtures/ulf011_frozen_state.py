@@ -7,6 +7,7 @@ is the shape of each statement against a provider's result.
 """
 
 from repro.core.layout import layout_for
+from repro.sparsegrid.gcp import combination_coefficients
 from repro.sparsegrid.index import cached_scheme
 
 
@@ -104,3 +105,22 @@ def rebind_then_mutate(n, level, xs):
     grids = list(xs)
     grids.append(1.0)  # grids is a fresh list now, not the cached scheme
     return grids
+
+
+# --- one (scheme, lost set)'s shared combination coefficients -----------
+def drop_lost_index(scheme, lost):
+    coeffs = combination_coefficients(scheme, frozenset(lost))
+    coeffs.pop(scheme[0].index)  # BAD
+    return coeffs
+
+
+def zero_through_technique(technique, scheme, lost):
+    coeffs = technique.combination_coefficients(scheme, lost)
+    coeffs[scheme[0].index] = 0.0  # BAD
+    return coeffs
+
+
+def drop_from_copy(scheme, lost):
+    coeffs = dict(combination_coefficients(scheme, frozenset(lost)))
+    coeffs.pop(scheme[0].index)  # owned copy: fine
+    return coeffs

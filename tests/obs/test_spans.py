@@ -32,6 +32,34 @@ def test_span_records_duration_and_labels():
     assert s.labels == {"technique": "CR", "gid": "3"}
 
 
+def test_equal_label_sets_share_one_read_only_mapping():
+    """Spans opened with equal labels, through the recorder or through
+    the ranks' contexts, log one interned mapping per recorder."""
+    from repro.mpi import Universe
+    from repro.machine.presets import IDEAL
+
+    clk = FakeClock()
+    rec = SpanRecorder(clk.stamp)
+    for gid in (3, 3, 4):
+        with rec.span("job0.0", "solve", technique="CR", gid=gid):
+            pass
+    a, b, c = (record[-1] for record in rec.log)
+    assert a is b and a == {"technique": "CR", "gid": "3"}
+    assert c == {"technique": "CR", "gid": "4"}
+    with pytest.raises(TypeError):
+        a["gid"] = "4"
+
+    async def main(ctx):
+        with ctx.span("solve", technique="CR", gid=3):
+            pass
+
+    uni = Universe(IDEAL)
+    uni.launch(2, main)
+    uni.run()
+    (*_, first), (*_, second) = uni.obs.spans.log
+    assert first is second and first == a
+
+
 def test_span_closes_on_exception():
     """An aborted phase (another failure mid-repair) still consumed time."""
     clk = FakeClock()

@@ -87,3 +87,30 @@ def test_any_loss_pattern_yields_valid_coefficients(lost):
     surv = set(survivors(s, lost))
     assert sum(coeffs.values()) == pytest.approx(1.0)
     assert all(ix in surv for ix in coeffs if coeffs[ix])
+
+
+def test_memoised_coefficients_equal_a_fresh_solve():
+    """Every one- to three-grid loss set of the paper's AC scheme (7, 4,
+    two extra layers): the shared result equals a fresh
+    ``alternate_coefficients_for``, key order included, and equal keys
+    share one object."""
+    from itertools import combinations
+
+    from repro.sparsegrid import cached_scheme, combination_coefficients
+    s = cached_scheme(7, 4, extra_layers=2)
+    loss_sets = [lost for k in (1, 2, 3)
+                 for lost in combinations(range(len(s)), k)]
+    assert len(loss_sets) == 175
+    for lost in loss_sets:
+        try:
+            fresh = alternate_coefficients_for(s, lost)
+        except RecoveryInfeasibleError:
+            with pytest.raises(RecoveryInfeasibleError):
+                combination_coefficients(s, frozenset(lost))
+            continue
+        shared = combination_coefficients(s, frozenset(lost))
+        assert list(shared.items()) == list(fresh.items())
+        assert combination_coefficients(s, frozenset(reversed(lost))) \
+            is shared
+    classic = {g.index: g.coeff for g in s.grids if g.coeff}
+    assert combination_coefficients(s, frozenset()) == classic

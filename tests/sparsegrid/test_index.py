@@ -125,3 +125,31 @@ def test_describe_lists_all_grids():
 
 def test_full_index():
     assert CombinationScheme(9, 4).full_index() == (9, 9)
+
+
+def _old_resample_source(s, gid):
+    """The per-call search the scheme's table replaced."""
+    g = s[gid]
+    if g.role in (ROLE_DIAGONAL, ROLE_DUPLICATE):
+        return g.partner
+    if g.role == ROLE_LOWER:
+        pos = [x.gid for x in s.lower].index(gid)
+        if pos + 1 < len(s.diagonal):
+            return s.diagonal[pos + 1].gid
+    return None
+
+
+def test_rc_tables_equal_the_old_loops():
+    """``resample_source`` and ``rc_conflict_pairs`` are built once per
+    scheme; they equal the per-call loops on every scheme shape the
+    techniques build (RC's duplicated ones among them)."""
+    shapes = [(n, level, dup, extra) for level in range(2, 7)
+              for n in range(level, 14) for dup in (False, True)
+              for extra in range(level - 1)]
+    for n, level, dup, extra in shapes:
+        s = CombinationScheme(n, level, duplicates=dup, extra_layers=extra)
+        old = {g.gid: _old_resample_source(s, g.gid) for g in s.grids}
+        assert {g.gid: s.resample_source(g.gid) for g in s.grids} == old
+        assert s.rc_conflict_pairs() == sorted(
+            {(min(g, src), max(g, src)) for g, src in old.items()
+             if src is not None})
