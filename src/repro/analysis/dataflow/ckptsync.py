@@ -40,6 +40,7 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from ...mpi.collectives import RvKind, ops_with
 from .cfg import CFG, build_cfg, walk_shallow
 from .engine import Analysis, report, solve
 
@@ -47,11 +48,10 @@ __all__ = ["check_checkpoint_sync", "FuncInfo", "Resolver",
            "SYNC_CALLS", "collect_functions"]
 
 #: awaited operations that synchronise the group (any failure surfaces
-#: before the checkpoint write begins)
-SYNC_CALLS = frozenset({
-    "barrier", "agree", "allreduce", "allgather", "alltoall", "bcast",
-    "gather", "reduce", "scan", "exscan", "communicator_reconstruct",
-    "restore_checkpoint",
+#: before the checkpoint write begins): every rendezvous, and the repair
+#: and restore calls built on them
+SYNC_CALLS = ops_with(RvKind.NORMAL, RvKind.SURVIVOR) | frozenset({
+    "communicator_reconstruct", "restore_checkpoint",
     # the recovery-strategy detection point: every implementation runs
     # agree + probe barrier (and repairs on error) before returning, so a
     # write guarded by it satisfies the "test prior to initiating the

@@ -34,20 +34,16 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
+from ...mpi.collectives import RvKind, ops_with
 from .cfg import Block, CFG, build_cfg, walk_shallow
 from .engine import Analysis, solve
 
-__all__ = ["check_collectives", "COLLECTIVES"]
+__all__ = ["check_collectives"]
 
 #: collective operations every member must call (divergence -> deadlock).
-#: agree/shrink are deliberately excluded: they are the *recovery* path
-#: and legitimately run on survivor subsets mid-repair.
-COLLECTIVES = frozenset({
-    "barrier", "bcast", "gather", "allgather", "scatter", "reduce",
-    "allreduce", "scan", "exscan", "gatherv", "scatterv",
-    "reduce_scatter_block", "alltoall", "split", "dup", "spawn_multiple",
-    "merge",
-})
+#: agree/shrink (SURVIVOR) are deliberately excluded: they are the
+#: *recovery* path and legitimately run on survivor subsets mid-repair.
+_MATCHED = ops_with(RvKind.NORMAL)
 
 #: parameters with these names are assumed to hold this process's rank
 RANK_PARAMS = frozenset({"rank", "my_rank", "mpi_rank", "grid_rank"})
@@ -129,7 +125,7 @@ def _collective_calls(stmt: ast.stmt):
     for node in walk_shallow(stmt):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
-                node.func.attr in COLLECTIVES:
+                node.func.attr in _MATCHED:
             yield node, ast.unparse(node.func.value), node.func.attr
 
 

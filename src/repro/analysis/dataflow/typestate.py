@@ -29,22 +29,16 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, FrozenSet, Optional
 
+from ...mpi.collectives import RvKind, ops_with
 from .cfg import CFG, build_cfg, walk_shallow
 from .engine import MayMap, report
 
-__all__ = ["check_typestate", "MPI_OPS", "FT_OPS"]
+__all__ = ["check_typestate", "RAISE_ON_REVOKE", "LEGAL_ON_REVOKE"]
 
 #: operations that raise on a revoked communicator
-MPI_OPS = frozenset({
-    "send", "recv", "sendrecv", "isend", "irecv", "iprobe",
-    "barrier", "bcast", "gather", "allgather", "scatter", "reduce",
-    "allreduce", "scan", "exscan", "gatherv", "scatterv",
-    "reduce_scatter_block", "alltoall", "split", "dup", "spawn_multiple",
-    "merge",
-})
+RAISE_ON_REVOKE = ops_with(RvKind.NORMAL, RvKind.P2P)
 #: fault-tolerant / local operations, legal on a revoked communicator
-FT_OPS = frozenset({"agree", "shrink", "revoke", "free", "failure_ack",
-                    "failure_get_acked", "set_errhandler"})
+LEGAL_ON_REVOKE = ops_with(RvKind.SURVIVOR, RvKind.LOCAL)
 
 _REVOKED = "revoked"
 _FREED = "freed"
@@ -112,7 +106,7 @@ class _Typestate(MayMap):
                      f"double free: '{ref}.free()' but '{ref}' may "
                      "already be freed on some path")
             state[ref] = frozenset({_FREED})
-        elif op in MPI_OPS:
+        elif op in RAISE_ON_REVOKE:
             if _FREED in states and emit:
                 emit("ULF008", call,
                      f"use after free: '{ref}.{op}()' but '{ref}' may "
@@ -123,7 +117,7 @@ class _Typestate(MayMap):
                      "MPI_ERR_REVOKED: after '{0}.revoke()' only agree/"
                      "shrink are legal; operate on the shrunk "
                      "communicator instead".format(ref))
-        elif op in FT_OPS:
+        elif op in LEGAL_ON_REVOKE:
             if _FREED in states and emit:
                 emit("ULF008", call,
                      f"use after free: '{ref}.{op}()' but '{ref}' may "

@@ -79,6 +79,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
+from ..mpi.collectives import CREATES_COMM, RvKind, ops_with
+
 __all__ = ["LintViolation", "RULES", "SEVERITY", "lint_file", "lint_paths",
            "default_lint_paths", "format_report"]
 
@@ -127,14 +129,8 @@ SEVERITY: Dict[str, str] = {
 #: exception names whose handlers count as *failure handlers* (ULF004)
 _FAILURE_EXCEPTS = {"MPIError", "ProcFailedError", "RevokedError",
                     "CommInvalidError", "TaskFailedError"}
-#: collectives that block on every member and die with it (RvKind.NORMAL)
-_BLOCKING_COLLECTIVES = {"barrier", "bcast", "reduce", "allreduce",
-                         "gather", "allgather", "scatter", "alltoall",
-                         "scan", "exscan", "gatherv", "scatterv",
-                         "reduce_scatter_block",
-                         "merge", "split", "dup", "spawn_multiple"}
-#: methods returning a fresh communicator (ULF003)
-_COMM_CREATORS = {"dup", "split", "shrink", "merge"}
+#: collectives that block on every member and die with it (ULF004)
+_BLOCKING = ops_with(RvKind.NORMAL)
 
 #: the directive itself; code parsing happens token-wise afterwards so
 #: trailing prose ("# noqa: ULF002 justified because ...") cannot leak
@@ -270,7 +266,7 @@ class _FileLinter(ast.NodeVisitor):
             return
         for await_node in self._unguarded_awaits(handler.body):
             attr = _call_attr(await_node.value)
-            if attr in _BLOCKING_COLLECTIVES:
+            if attr in _BLOCKING:
                 self.flag(
                     "ULF004", await_node,
                     f"blocking collective '{attr}' awaited inside a "
@@ -303,7 +299,7 @@ class _FileLinter(ast.NodeVisitor):
         val = node.value
         if isinstance(val, ast.Await):
             attr = _call_attr(val.value)
-            if attr in _COMM_CREATORS:
+            if attr in CREATES_COMM:
                 self.flag("ULF003", node,
                           f"result of '{attr}' discarded: the new "
                           "communicator can never be used or freed (leaks "

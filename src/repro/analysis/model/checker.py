@@ -528,7 +528,7 @@ class _Checker:
             self._rendezvous_members(c, channel))}
         arrived = sorted(arrived, key=lambda p: order[p.pid])
 
-        if kind in ("barrier", "halo", "alltoall"):
+        if kind in ("barrier", "halo"):
             for p in arrived:
                 deliver(p, None)
         elif kind in ("bcast", "scatter"):

@@ -67,8 +67,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dataflow.cfg import Block, build_cfg
 from ..dataflow.driver import module_constants
-from .ir import Asm, Branch, FailStop, Jump, Label, Op, Return, SetVar, \
-    Skeleton
+from .ir import METHODS, Asm, Branch, FailStop, Jump, Label, Op, Return, \
+    SetVar, Skeleton
 
 __all__ = ["ExtractError", "ModuleEnv", "build_module_env", "extract_app",
            "extract_function", "find_protocol_models",
@@ -79,30 +79,6 @@ __all__ = ["ExtractError", "ModuleEnv", "build_module_env", "extract_app",
 _RUN_OUT_LIMIT = 8
 
 _MAX_INLINE_DEPTH = 5
-
-#: communicator method -> (op kind, positional arg names)
-_OP_METHODS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "barrier": ("barrier", ()),
-    "halo": ("halo", ()),
-    "exchange": ("halo", ()),
-    "step": ("halo", ()),
-    "bcast": ("bcast", ("value", "root")),
-    "reduce": ("reduce", ("value", "op", "root")),
-    "allreduce": ("allreduce", ("value", "op")),
-    "gather": ("gather", ("value", "root")),
-    "allgather": ("allgather", ("value",)),
-    "scatter": ("scatter", ("value", "root")),
-    "alltoall": ("alltoall", ("value",)),
-    "split": ("split", ("color", "key")),
-    "merge": ("merge", ("high",)),
-    "agree": ("agree", ("value",)),
-    "shrink": ("shrink", ()),
-    "spawn_multiple": ("spawn", ("count", "entry", "argv")),
-    "send": ("send", ("value", "dest", "tag")),
-    "recv": ("recv", ("source", "tag")),
-    "revoke": ("revoke", ()),
-    "readmit": ("readmit", ("rank",)),
-}
 
 #: reduction-op constant names -> model vocabulary
 _REDUCE_NAMES = {"MAX": "max", "MIN": "min", "SUM": "sum",
@@ -536,7 +512,7 @@ class Extractor:
         if found and _is_protocol_function(found[0]):
             self._inline(*found, call, frame, out, line, self_obj=obj)
             return
-        if isinstance(func, ast.Attribute) and func.attr in _OP_METHODS \
+        if isinstance(func, ast.Attribute) and func.attr in METHODS \
                 and obj in (None, _APP):
             # communicator methods (an app-record receiver is a variable)
             self._op_call(call, frame, out, line)
@@ -666,7 +642,7 @@ class Extractor:
     def _op_call(self, call: ast.Call, frame: _Frame,
                  out: Optional[str], line: int) -> None:
         func = call.func
-        kind, arg_names = _OP_METHODS[func.attr]
+        kind, arg_names = METHODS[func.attr]
         comm = self._expr(func.value, frame)
         if comm == ("opaque",):
             # method on something we don't track (timers, solvers)
@@ -943,7 +919,7 @@ def _is_protocol_function(fn) -> bool:
     for n in ast.walk(fn):
         if isinstance(n, ast.Call):
             if isinstance(n.func, ast.Attribute) and \
-                    n.func.attr in _OP_METHODS:
+                    n.func.attr in METHODS:
                 return True
             if isinstance(n.func, ast.Name) and \
                     n.func.id in ("ckpt_write", "ckpt_restore"):

@@ -33,9 +33,12 @@ and the failure budget allow, each over the same instructions.
 
 ``Op.kind`` is one of::
 
-    barrier bcast reduce allreduce gather allgather scatter alltoall
-    halo split merge agree shrink spawn send recv revoke readmit
-    ckpt_write ckpt_restore
+    barrier bcast reduce allreduce gather allgather scatter halo split
+    merge agree shrink spawn send recv revoke readmit ckpt_write
+    ckpt_restore
+
+— the kinds of ``METHODS`` below and the two checkpoint accesses; each
+method's failure rule is the simulator's, ``mpi.collectives.OP_RULES``.
 
 ``readmit`` is the non-collective repair mode's local membership update
 (``mpi.comm.CommHandle.readmit``): it replaces a dead member of the
@@ -97,10 +100,12 @@ branching on an opaque condition explores both outcomes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
+
+from ...mpi.collectives import RvKind, ops_with
 
 __all__ = ["OPAQUE", "Op", "SetVar", "Branch", "Jump", "Return", "FailStop",
-           "Label", "Skeleton", "Asm", "OP_KINDS", "FT_OPS",
+           "Label", "Skeleton", "Asm", "METHODS", "OP_KINDS", "FT_OPS",
            "COLLECTIVE_KINDS"]
 
 
@@ -113,24 +118,48 @@ class _Opaque:
 
 OPAQUE = _Opaque()
 
+#: communicator method -> (IR kind, positional arg names).  The keys are
+#: simulator operations and the solver's ``step``/``halo``; the IR kind is
+#: the operation's own name except where the model abstracts: a spawn
+#: yields the bridge, and a neighbour exchange is one ``halo`` segment.
+METHODS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "barrier": ("barrier", ()),
+    "halo": ("halo", ()),
+    "exchange": ("halo", ()),
+    "step": ("halo", ()),
+    "bcast": ("bcast", ("value", "root")),
+    "reduce": ("reduce", ("value", "op", "root")),
+    "allreduce": ("allreduce", ("value", "op")),
+    "gather": ("gather", ("value", "root")),
+    "allgather": ("allgather", ("value",)),
+    "scatter": ("scatter", ("value", "root")),
+    "split": ("split", ("color", "key")),
+    "merge": ("merge", ("high",)),
+    "agree": ("agree", ("value",)),
+    "shrink": ("shrink", ()),
+    "spawn_multiple": ("spawn", ("count", "entry", "argv")),
+    "send": ("send", ("value", "dest", "tag")),
+    "recv": ("recv", ("source", "tag")),
+    "revoke": ("revoke", ()),
+    "readmit": ("readmit", ("rank",)),
+}
+
 #: every legal Op.kind
-OP_KINDS = frozenset({
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "halo", "split", "merge", "agree", "shrink",
-    "spawn", "send", "recv", "revoke", "readmit", "ckpt_write",
-    "ckpt_restore",
-})
+OP_KINDS = frozenset(kind for kind, _args in METHODS.values()) | \
+    frozenset({"ckpt_write", "ckpt_restore"})
+
+
+def _kinds(*rules: RvKind) -> frozenset:
+    return frozenset(METHODS[op][0] for op in ops_with(*rules)
+                     if op in METHODS)
+
 
 #: fault-tolerant rendezvous: complete over the survivors, legal on
-#: revoked communicators (the simulator's RvKind.SURVIVOR ops)
-FT_OPS = frozenset({"agree", "shrink"})
+#: revoked communicators
+FT_OPS = _kinds(RvKind.SURVIVOR)
 
-#: kinds that rendezvous (block on other members)
-COLLECTIVE_KINDS = frozenset({
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "halo", "split", "merge", "agree", "shrink",
-    "spawn",
-})
+#: kinds that rendezvous (block on other members); ``halo`` is one
+COLLECTIVE_KINDS = _kinds(RvKind.NORMAL, RvKind.SURVIVOR) | {"halo"}
 
 
 class Instr:

@@ -38,13 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from ..mpi.collectives import RvKind, ops_with
 from .events import ParsedEvent, TruncatedTraceError, parse_events
 
 __all__ = ["ProtocolViolation", "CommRecord", "check_protocol",
            "recovery_episodes", "format_violations", "TruncatedTraceError"]
 
 #: ULFM fault-tolerant operations, legal on damaged/revoked communicators
-SURVIVOR_OPS = frozenset({"shrink", "agree"})
+_FAULT_TOLERANT = ops_with(RvKind.SURVIVOR)
 
 
 @dataclass
@@ -164,7 +165,7 @@ class _Replay:
         rec.members.add(ev.actor)
         rec.ops.append(ev.op)
         op = ev.op
-        if op not in SURVIVOR_OPS:
+        if op not in _FAULT_TOLERANT:
             self._check_use_after_revoke(rec, ev, f"collective {op}")
         if op == "shrink":
             dead = self.dead_members(rec)

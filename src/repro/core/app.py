@@ -142,11 +142,10 @@ class CombinationApp:
         #: repair seconds reported in place of this rank's own span totals
         #: (``nc``: the slowest grid's, set by ``world_resync``)
         self.repair_seconds: Dict[str, float] = {}
-        self.metrics = RunMetrics(
-            technique=self.technique.code, recovery_mode=self.strategy.mode,
-            machine=ctx.machine.name,
-            n=cfg.n, level=cfg.level, steps=cfg.steps,
-            world_size=self.layout.total_procs)
+        #: the phase times and coefficients this rank records; world rank
+        #: 0 reports them in the run's :class:`RunMetrics`
+        self.t_solve, self.t_recovery, self.t_combine = 0.0, 0.0, 0.0
+        self.coefficients: Dict = {}
         self.cr_stats = CheckpointStats()
         self.world = None
         self.grid_comm = None
@@ -154,7 +153,6 @@ class CombinationApp:
         self.gid = -1
         self.lost: List[int] = []
         self.dt = cfg.problem.stable_dt(cfg.n, cfg.cfl)
-        self.metrics.dt = self.dt
         if cfg.checkpoint_count is None:
             from ..ft.checkpoint import optimal_checkpoint_count
             est = cfg.estimated_solve_time(ctx.machine)
@@ -192,7 +190,7 @@ class CombinationApp:
             self._make_solver()
             t0 = ctx.wtime()
             await self._segment_loop(targets)
-            self.metrics.t_solve = ctx.wtime() - t0
+            self.t_solve = ctx.wtime() - t0
 
         await self.strategy.world_resync(self)
         if cfg.simulated_lost_gids and not self.lost:
@@ -287,7 +285,7 @@ class CombinationApp:
                           gid=self.gid, n_lost=len(self.lost)):
                 await self.technique.recover(self)
         await world.barrier()
-        self.metrics.t_recovery = ctx.wtime() - t0
+        self.t_recovery = ctx.wtime() - t0
 
     # ------------------------------------------------------------------
     # combination phase
@@ -300,7 +298,7 @@ class CombinationApp:
         with ctx.span("combine", technique=self.technique.code, gid=self.gid):
             coeffs = self.technique.combination_coefficients(self.scheme,
                                                              self.lost)
-            self.metrics.coefficients = dict(coeffs)
+            self.coefficients = dict(coeffs)
             nodal = await self.solver.gather_nodal(0)
             parts = {}
             if self.technique.contributes(self, coeffs) and nodal is not None:
@@ -309,7 +307,7 @@ class CombinationApp:
                                              root=0)
             await self.technique.after_combine(self, combined)
         await world.barrier()
-        self.metrics.t_combine = ctx.wtime() - t0
+        self.t_combine = ctx.wtime() - t0
         # aggregate per-rank checkpoint accounting on rank 0: wall-clock
         # overheads are the slowest rank's (writes/restores run in parallel)
         stats = await world.gather(
@@ -324,8 +322,17 @@ class CombinationApp:
 
     # ------------------------------------------------------------------
     def _finish(self, combined):
+        """World rank 0's :class:`RunMetrics`; None on every other rank."""
+        if self.world.rank != 0:
+            return None
         ctx, cfg = self.ctx, self.cfg
-        m = self.metrics
+        m = RunMetrics(
+            technique=self.technique.code, recovery_mode=self.strategy.mode,
+            machine=ctx.machine.name, n=cfg.n, level=cfg.level,
+            steps=cfg.steps, dt=self.dt,
+            world_size=self.base_layout.total_procs,
+            t_solve=self.t_solve, t_recovery=self.t_recovery,
+            t_combine=self.t_combine, coefficients=self.coefficients)
         m.absorb_repair(self.timers, {**ctx.spent(), **self.repair_seconds})
         m.lost_gids = list(self.lost)
         m.real_failures = bool(self.timers.failed_ranks)
@@ -334,8 +341,6 @@ class CombinationApp:
         m.checkpoint_read_time = self.cr_stats.read_time
         m.recompute_steps = self.cr_stats.recompute_steps
         m.t_total = ctx.wtime()
-        if self.world.rank != 0:
-            return None
         t_end = cfg.steps * self.dt
         tx, ty = cfg.target
         xs = axis_points(tx)

@@ -9,7 +9,7 @@ with fail-stop process-failure semantics.
 
 from .cart import CartHandle, create_cart, dims_create
 from .comm import (BAND, LAND, MAX, MIN, PROD, SUM, CommHandle, CommState,
-                   Request, Status, waitall, waitany)
+                   Request, Status, waitall)
 from .stats import CommStats
 from .errors import (ANY_SOURCE, ANY_TAG, MPI_ERR_COMM, MPI_ERR_PROC_FAILED,
                      MPI_ERR_REVOKED, MPI_SUCCESS, UNDEFINED, CommInvalidError,
@@ -29,7 +29,7 @@ __all__ = [
     "MPIError", "ProcFailedError", "RevokedError", "CommInvalidError",
     "RankError",
     "SUM", "PROD", "MAX", "MIN", "LAND", "BAND",
-    "waitall", "waitany",
+    "waitall",
     "CartHandle", "create_cart", "dims_create",
     "CommStats",
 ]

@@ -50,8 +50,41 @@ from .matching import RingClocks
 
 
 class RvKind(enum.Enum):
-    NORMAL = "normal"
-    SURVIVOR = "survivor"
+    """An operation's failure rule, once a member is dead or the
+    communicator revoked (:data:`OP_RULES`)."""
+    NORMAL = "normal"       # rendezvous; doomed by a death or a revoke
+    SURVIVOR = "survivor"   # rendezvous among survivors; outlives a revoke
+    P2P = "p2p"             # raises on a revoke and on a dead peer
+    LOCAL = "local"         # no rendezvous; legal on a revoked communicator
+
+
+#: every public operation of ``CommHandle`` and ``IntercommHandle``, by
+#: failure rule: the one statement of the ULFM contract that the rounds
+#: below, the linter, the typestate and collective-matching analyses, the
+#: protocol model and the trace checker all read.  ``ring_segment`` is
+#: LOCAL: on a revoked communicator it opens no segment and returns None,
+#: and its caller falls back to ``exchange``, which raises (a segment
+#: already open when the revoke lands fails like a NORMAL round).
+OP_RULES: Dict[str, RvKind] = {
+    **dict.fromkeys(("barrier", "bcast", "gather", "allgather", "scatter",
+                     "reduce", "allreduce", "split", "dup", "merge",
+                     "spawn_multiple"), RvKind.NORMAL),
+    **dict.fromkeys(("agree", "shrink"), RvKind.SURVIVOR),
+    **dict.fromkeys(("send", "recv", "isend", "irecv", "exchange"),
+                    RvKind.P2P),
+    **dict.fromkeys(("revoke", "free", "failure_ack", "failure_get_acked",
+                     "set_errhandler", "readmit", "ring_segment"),
+                    RvKind.LOCAL),
+}
+
+#: the operations that return a new communicator
+CREATES_COMM = frozenset({"split", "dup", "shrink", "merge",
+                          "spawn_multiple"})
+
+
+def ops_with(*rules: RvKind) -> frozenset:
+    """The operations whose failure rule is one of ``rules``."""
+    return frozenset(op for op, rule in OP_RULES.items() if rule in rules)
 
 
 #: result shapes a finish rule returns with its payload
@@ -156,8 +189,8 @@ def finish_agree(rnd: "Round"):
     return SHARED, fold(rnd.values, operator.and_)
 
 
-#: op name -> (cost rule, finish rule).  Long-tail operations pass their
-#: own pair to :meth:`RoundTable.join` instead.
+#: op name -> (cost rule, finish rule).  The other rendezvous operations
+#: pass their own pair to :meth:`RoundTable.join`.
 HOT_OPS: Dict[str, Tuple[Callable, Callable]] = {
     "barrier": (_barrier_cost, _finish_barrier),
     "bcast": (payload_cost, _finish_bcast),
@@ -247,12 +280,12 @@ class RoundTable:
 
     # ------------------------------------------------------------------
     def join(self, op: str, proc, slot: int, value: Any, nbytes: int,
-             members: List, kind: RvKind = RvKind.NORMAL,
-             channel: str = "coll", rule=None, arg: Any = None,
-             root: int = 0):
+             members: List, channel: str = "coll", rule=None,
+             arg: Any = None, root: int = 0):
         """Contribute ``value`` to this call's round; returns the future to
         await.  It resolves to the round (read the result with
-        ``round.take(slot)``) or raises the round's doom."""
+        ``round.take(slot)``) or raises the round's doom.  The round's
+        failure rule is ``OP_RULES[op]``."""
         calls = self.calls[channel]
         uid = proc.uid
         idx = calls[uid]
@@ -271,7 +304,7 @@ class RoundTable:
         now = self.engine.now
         rnd = self.open.get(key)
         if rnd is None:
-            rnd = self._open_round(key, now, members, kind, rule, arg, root)
+            rnd = self._open_round(key, now, members, rule, arg, root)
         if rnd.doom is not None:
             # original error, one detection latency after *this* arrival
             fut = self.engine.create_future()
@@ -287,7 +320,7 @@ class RoundTable:
             self._settle(rnd, now)
         return fut
 
-    def _open_round(self, key, now, members, kind, rule, arg, root) -> Round:
+    def _open_round(self, key, now, members, rule, arg, root) -> Round:
         pool = self._pool
         rnd = pool.pop() if pool else Round(self)
         n = len(members)
@@ -296,7 +329,7 @@ class RoundTable:
             rnd.times = [None] * n
         rnd.key = key
         rnd.members = members
-        rnd.kind = kind
+        rnd.kind = kind = OP_RULES[key[1]]
         rnd.cost_rule, rnd.finish = rule or HOT_OPS[key[1]]
         rnd.arg = arg
         rnd.root = root

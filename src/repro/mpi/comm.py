@@ -17,9 +17,8 @@ from typing import (Any, Awaitable, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
 from ..simkernel.traps import Sleep
-from .collectives import (FAST_OPS, PER_SLOT, SHARED, RoundTable, RvKind,
-                          SegmentRound, finish_agree, fixed_cost, fold,
-                          payload_cost)
+from .collectives import (FAST_OPS, OP_RULES, PER_SLOT, SHARED, RoundTable,
+                          RvKind, SegmentRound, finish_agree, fixed_cost)
 from .datatypes import clone_payload, freeze_payload, payload_nbytes
 from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
                      MPIError, ProcFailedError, RankError, RevokedError)
@@ -56,20 +55,6 @@ class Request:
 async def waitall(requests: Sequence["Request"]) -> List[Any]:
     """``MPI_Waitall``: complete every request, in order."""
     return [await r.wait() for r in requests]
-
-
-async def waitany(requests: Sequence["Request"]):
-    """``MPI_Waitany``: return (index, value) of one completed request.
-
-    Already-completed requests are served first (lowest index); otherwise
-    requests are awaited in order — deterministic, if not maximally eager.
-    """
-    if not requests:
-        raise ValueError("waitany of no requests")
-    for i, r in enumerate(requests):
-        if r.done:
-            return i, await r.wait()
-    return 0, await requests[0].wait()
 
 
 # reduction operators -------------------------------------------------------
@@ -341,15 +326,6 @@ class CommHandle:
             self.proc.name, "recv",
             f"{self.state.name} {msg.src}->{self.rank} tag={msg.tag}{flags}")
 
-    async def sendrecv(self, obj: Any, dest: int, source: int = ANY_SOURCE,
-                       sendtag: int = 0, recvtag: int = ANY_TAG, *,
-                       copy: bool = True):
-        """Combined send+recv (deadlock-free under the buffered-send model)."""
-        req = self.isend(obj, dest, sendtag, copy=copy)
-        value = await self.recv(source, recvtag)
-        await req.wait()
-        return value
-
     def isend(self, obj: Any, dest: int, tag: int = 0, *,
               copy: bool = True) -> Request:
         """Non-blocking send: posts the message after the injection cost.
@@ -461,20 +437,19 @@ class CommHandle:
     # collectives
     # ------------------------------------------------------------------
     async def _collective(self, op: str, value: Any, nbytes: int = 0, *,
-                          kind: RvKind = RvKind.NORMAL,
                           channel: str = "coll", rule=None, arg: Any = None,
                           root: int = 0):
         """Join this call's round (see :mod:`repro.mpi.collectives`) and
-        return this rank's result.  ``rule`` is the ``(cost rule, finish
-        rule)`` pair of a long-tail operation; the seven hot collectives
-        leave it to the ``HOT_OPS`` table.  The public operations return
-        this coroutine itself, so a collective call costs one coroutine
-        frame."""
+        return this rank's result; ``OP_RULES[op]`` says whether a revoke
+        refuses it.  ``rule`` is the ``(cost rule, finish rule)`` pair of
+        an operation outside the seven hot collectives of ``HOT_OPS``.
+        The public operations return this coroutine itself, so a
+        collective call costs one coroutine frame."""
         state = self.state
-        if state.revoked and kind is RvKind.NORMAL:
+        if state.revoked and OP_RULES[op] is RvKind.NORMAL:
             self._raise(RevokedError(f"{state.name} is revoked"))
         fut = state.rounds.join(op, self.proc, self.rank, value, nbytes,
-                                state.procs, kind, channel, rule, arg, root)
+                                state.procs, channel, rule, arg, root)
         try:
             rnd = await fut
         except MPIError as exc:
@@ -514,80 +489,6 @@ class CommHandle:
     def allreduce(self, obj: Any, op: Callable = SUM):
         return self._collective("allreduce", obj, payload_nbytes(obj),
                                 arg=op)
-
-    def scan(self, obj: Any, op: Callable = SUM):
-        """``MPI_Scan``: inclusive prefix reduction by rank order."""
-        def finish(rnd):
-            out, acc = [], None
-            for v in rnd.values:
-                if v is not None:
-                    acc = v if acc is None else op(acc, v)
-                out.append(None if v is None else clone_payload(acc))
-            return PER_SLOT, out
-
-        return self._collective("scan", obj, payload_nbytes(obj),
-                                rule=(payload_cost, finish))
-
-    def exscan(self, obj: Any, op: Callable = SUM):
-        """``MPI_Exscan``: exclusive prefix reduction (None on rank 0)."""
-        def finish(rnd):
-            out, acc = [], None
-            for v in rnd.values:
-                out.append(None if v is None else clone_payload(acc))
-                if v is not None:
-                    acc = v if acc is None else op(acc, v)
-            return PER_SLOT, out
-
-        return self._collective("exscan", obj, payload_nbytes(obj),
-                                rule=(payload_cost, finish))
-
-    def gatherv(self, obj: Any, root: int = 0):
-        """``MPI_Gatherv``-style gather of variable-size contributions
-        (the simulator imposes no size constraint, so this is gather with
-        explicit naming for API parity)."""
-        return self.gather(obj, root=root)
-
-    def scatterv(self, objs: Optional[Sequence] = None, root: int = 0):
-        """``MPI_Scatterv``-style scatter of variable-size pieces."""
-        return self.scatter(objs, root=root)
-
-    def reduce_scatter_block(self, objs: Sequence, op: Callable = SUM):
-        """``MPI_Reduce_scatter_block``: element-wise reduce of per-rank
-        lists, each rank receiving its own slot of the result."""
-        n = self.state.size
-        if len(objs) != n:
-            raise RankError(f"reduce_scatter needs {n} items")
-
-        def finish(rnd):
-            return PER_SLOT, [
-                clone_payload(fold([c[i] for c in rnd.values], op))
-                for i in range(n)]
-
-        value = list(objs)
-        return self._collective("reduce_scatter", value,
-                                payload_nbytes(value),
-                                rule=(payload_cost, finish))
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-               ) -> Optional[Status]:
-        """``MPI_Iprobe``: non-blocking check for a matching *arrived*
-        message; returns its Status or None without consuming it."""
-        self._check_usable()
-        best = self._board.probe(self.rank, source, tag, self._engine.now)
-        return None if best is None else Status(best.src, best.tag)
-
-    def alltoall(self, objs: Sequence):
-        n = self.state.size
-        if len(objs) != n:
-            raise RankError(f"alltoall needs {n} items")
-
-        def finish(rnd):
-            return PER_SLOT, [[clone_payload(c[i]) for c in rnd.values]
-                              for i in range(n)]
-
-        value = list(objs)
-        return self._collective("alltoall", value, payload_nbytes(value),
-                                rule=(payload_cost, finish))
 
     # ------------------------------------------------------------------
     # communicator construction
@@ -688,8 +589,7 @@ class CommHandle:
                                      name=f"{state.name}.shrunk")
 
         new_state = await self._collective(
-            "shrink", None, kind=RvKind.SURVIVOR, channel="shrink",
-            rule=(fixed_cost(cost), finish))
+            "shrink", None, channel="shrink", rule=(fixed_cost(cost), finish))
         return CommHandle(new_state, self.proc)
 
     def agree(self, flag: int = 1) -> Awaitable[int]:
@@ -703,7 +603,7 @@ class CommHandle:
         else:
             cost = self._machine.ulfm.agree(state.size, n_failed)
         return self._collective(
-            "agree", int(flag), kind=RvKind.SURVIVOR, channel="agree",
+            "agree", int(flag), channel="agree",
             rule=(fixed_cost(cost), finish_agree))
 
     async def readmit(self, rank: int, proc: Proc) -> "CommHandle":

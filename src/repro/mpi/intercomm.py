@@ -13,7 +13,7 @@ import itertools
 from typing import Any, Awaitable, Callable, Dict, List, Sequence
 
 from ..simkernel.traps import Sleep
-from .collectives import (SHARED, RoundTable, RvKind, finish_agree,
+from .collectives import (OP_RULES, SHARED, RoundTable, RvKind, finish_agree,
                           fixed_cost)
 from .comm import CommHandle, CommState
 from .datatypes import clone_payload, payload_nbytes
@@ -185,12 +185,13 @@ class IntercommHandle:
     # collectives over the union
     # ------------------------------------------------------------------
     async def _collective(self, op: str, value: Any, slot: int,
-                          members: List[Proc], kind: RvKind, channel: str,
-                          rule):
+                          members: List[Proc], channel: str, rule):
         """Join this call's round over ``members`` (the union, or the
         caller's local group) as its ``slot``-th member."""
+        if self.state.revoked and OP_RULES[op] is RvKind.NORMAL:
+            self._raise(RevokedError(f"{self.state.name} revoked"))
         fut = self.state.rounds.join(op, self.proc, slot, value, 0, members,
-                                     kind, channel, rule)
+                                     channel, rule)
         try:
             rnd = await fut
         except MPIError as exc:
@@ -214,7 +215,7 @@ class IntercommHandle:
         else:
             cost = self._machine.ulfm.agree(n, n_failed)
         return self._collective(
-            "agree", int(flag), self.rank, group, RvKind.SURVIVOR,
+            "agree", int(flag), self.rank, group,
             f"agree-{self.state.side_of(self.proc)}",
             (fixed_cost(cost), finish_agree))
 
@@ -241,7 +242,7 @@ class IntercommHandle:
         slot = self.rank if self.local_group is state.group_a \
             else n_a + self.rank
         new_state = await self._collective(
-            "merge", bool(high), slot, state.all_procs, RvKind.NORMAL, "coll",
+            "merge", bool(high), slot, state.all_procs, "coll",
             (fixed_cost(cost), finish))
         return CommHandle(new_state, self.proc)
 
@@ -263,8 +264,6 @@ class IntercommHandle:
 
     def free(self) -> None:
         self.state.errhandlers.pop(self.proc.uid, None)
-
-    disconnect = free
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IntercommHandle({self.state.name!r}, rank={self.rank}, "

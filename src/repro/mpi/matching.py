@@ -215,28 +215,6 @@ class MessageBoard:
             self._wild[dst] = self._wild.get(dst, 0) + 1
 
     # ------------------------------------------------------------------
-    # probing
-    # ------------------------------------------------------------------
-    def probe(self, dst: int, source: int, tag: int,
-              now: float) -> Optional[Message]:
-        """Earliest-arrival matching message already *arrived* at ``dst``
-        (``arrival <= now``), without consuming it — the ``MPI_Iprobe``
-        matching rule."""
-        buckets = self._posted.get(dst)
-        if not buckets:
-            return None
-        best: Optional[Message] = None
-        for key, q in buckets.items():
-            if ((source == ANY_SOURCE or source == key[0]) and
-                    (tag == ANY_TAG or tag == key[1])):
-                head = q[0]
-                if head.arrival <= now and (
-                        best is None or
-                        (head.arrival, head.seq) < (best.arrival, best.seq)):
-                    best = head
-        return best
-
-    # ------------------------------------------------------------------
     # failure propagation (cold paths — fail in registration/seq order so
     # downstream event ordering matches the historical linear-scan board)
     # ------------------------------------------------------------------

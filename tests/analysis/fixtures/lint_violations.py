@@ -26,6 +26,7 @@ async def wall_clock_and_rng(ctx):
 
 async def leak_communicator(comm):
     await comm.dup()           # ULF003: new communicator discarded
+    await comm.spawn_multiple(2, None)  # ULF003: intercommunicator discarded
 
 
 async def retry_inside_handler(comm):

@@ -8,6 +8,11 @@ async def use_after_revoke(comm):
     return await comm.allreduce(1)  # BAD: comm is revoked
 
 
+async def exchange_after_revoke(comm):
+    comm.revoke()
+    return await comm.exchange([(1, 0, b"x")], [(1, 0)])  # BAD: p2p raises
+
+
 async def revoke_on_one_path(comm, broken):
     if broken:
         comm.revoke()

@@ -27,6 +27,15 @@ def test_fixture_trips_every_rule():
     assert rules_of(violations) == sorted(RULES)  # ULF001..ULF005 all fire
 
 
+def test_fixture_flags_every_discarded_communicator():
+    """ULF003 covers every operation that returns a communicator, the
+    intercommunicator of ``spawn_multiple`` included."""
+    lines = FIXTURE.read_text().splitlines()
+    expected = {i for i, line in enumerate(lines, 1) if "# ULF003" in line}
+    flagged = {v.line for v in lint_file(FIXTURE) if v.rule == "ULF003"}
+    assert len(expected) == 2 and flagged == expected
+
+
 def test_cli_lint_exit_codes(capsys):
     assert cli_main(["lint", str(FIXTURE)]) == 1
     assert "ULF001" in capsys.readouterr().out

@@ -108,26 +108,6 @@ def test_allreduce_numpy_elementwise():
     assert res[0][1] == [3.0, 3.0, 3.0]
 
 
-def test_alltoall():
-    async def main(ctx):
-        objs = [f"{ctx.rank}->{j}" for j in range(ctx.size)]
-        return await ctx.comm.alltoall(objs)
-
-    res, _ = run(3, main)
-    assert res[1] == ["0->1", "1->1", "2->1"]
-    assert res[2] == ["0->2", "1->2", "2->2"]
-
-
-def test_alltoall_wrong_length():
-    async def main(ctx):
-        with pytest.raises(RankError):
-            await ctx.comm.alltoall([1])
-        return True
-
-    res, _ = run(3, main)
-    assert all(res)
-
-
 def test_collectives_interleave_with_p2p():
     async def main(ctx):
         if ctx.rank == 0:

@@ -54,6 +54,9 @@ def test_intercomm_revoke():
         await ctx.compute(1.0)
         with pytest.raises(RevokedError):
             await inter.recv(source=0)
+        with pytest.raises(RevokedError):
+            await inter.merge(high=False)   # NORMAL: refused once revoked
+        assert await inter.agree(1) == 1    # SURVIVOR: outlives the revoke
         return "ok"
 
     res, uni = run(1, main)
@@ -180,7 +183,7 @@ def test_message_to_dead_then_revive_via_spawn_is_new_process():
         shrunk = await ctx.comm.shrink()
         inter = await shrunk.spawn_multiple(1, child)
         merged = await inter.merge(high=False)
-        assert merged.iprobe(tag=1) is None
+        assert not merged.state.board.posted
         return "ok"
 
     res, _ = run(3, entry, kills=[(1, 0.5)], raise_task_failures=False)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, Status, run_ranks
+from repro.mpi import ANY_SOURCE, ANY_TAG, Status, run_ranks, waitall
 from repro.mpi.datatypes import clone_payload, payload_nbytes
 
 from ..conftest import run_ranks as run
@@ -119,14 +119,17 @@ def test_isend_irecv():
     assert res[1] == [0, 1, 2]
 
 
-def test_sendrecv_exchange():
+def test_waitall_collects_in_order():
     async def main(ctx):
-        other = 1 - ctx.rank
-        return await ctx.comm.sendrecv(f"from{ctx.rank}", dest=other,
-                                       source=other)
+        if ctx.rank == 0:
+            reqs = [ctx.comm.isend(i * i, dest=1, tag=i) for i in range(4)]
+            await waitall(reqs)
+            return None
+        reqs = [ctx.comm.irecv(source=0, tag=i) for i in range(4)]
+        return await waitall(reqs)
 
     res, _ = run(2, main)
-    assert res == ["from1", "from0"]
+    assert res[1] == [0, 1, 4, 9]
 
 
 def test_self_send_recv():

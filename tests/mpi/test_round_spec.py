@@ -12,8 +12,11 @@ Recorded, not changed: a SURVIVOR round completed by a death resumes at
 
 from math import inf
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.model.checker import ProtocolModel, _Checker
+from repro.analysis.model.ir import Asm, Branch, Jump, Label, Op, Return, \
+    SetVar
 from repro.machine.model import UlfmCostModel
 from repro.machine.presets import IDEAL
 from repro.mpi import ProcFailedError, RevokedError, Universe
@@ -137,8 +140,8 @@ def simulate(machine, arrivals, deaths, revoke_at, kind):
 # latencies whose sums never land on a half: no two events of a scenario
 # tie, so the rule needs no tie-break
 @st.composite
-def scenarios(draw):
-    n = draw(st.integers(1, 9))
+def scenarios(draw, max_ranks=9):
+    n = draw(st.integers(1, max_ranks))
     arrivals = [float(draw(st.integers(0, 8))) for _ in range(n)]
     victims = draw(st.lists(st.integers(0, n - 1), unique=True,
                             max_size=min(2, n)))
@@ -171,3 +174,78 @@ def test_survivor_round_completed_by_a_death_charges_no_detection():
     got = simulate(machine, [0.0, 1.0, 9.0], {2: 5.5}, None, SURVIVOR)
     assert got == [(("ok", flag(0) & flag(1)), 5.5)] * 2 + [None]
     assert got == expected([0.0, 1.0, 9.0], {2: 5.5}, None, SURVIVOR, 1.7, 0.0)
+
+
+# --------------------------------------------------------------------------
+# the simulator against the protocol model checker
+# --------------------------------------------------------------------------
+COMPLETED, RAISED, NEVER = "completed", "raised", "never resumes"
+W = ("var", "__world__")
+
+
+def one_op_model(kind, ranks, deaths, revoke):
+    """Every rank runs the scenario's one operation between two solve
+    segments, the checker's kill windows, so a death can land before the
+    operation or after it; with a revoke in the scenario any rank may
+    revoke before its first segment."""
+    a = Asm()
+    first, at_op, raised, after, done = (Label() for _ in range(5))
+    if revoke:
+        a.emit(Branch(("opaque",), a.here() + 1, first))
+        a.emit(Op("revoke", W))
+    a.place(first)
+    a.emit(Op("halo", W, handler=at_op))
+    a.place(at_op)
+    if kind is NORMAL:
+        a.emit(Op("barrier", W, handler=raised))
+    else:
+        a.emit(Op("agree", W, out="flag", args={"value": ("const", 1)},
+                  handler=raised))
+    a.emit(SetVar("outcome", ("const", COMPLETED)))
+    a.emit(Jump(after))
+    a.place(raised)
+    a.emit(SetVar("outcome", ("const", RAISED)))
+    a.place(after)
+    a.emit(Op("halo", W, handler=done))
+    a.place(done)
+    a.emit(Return())
+    return ProtocolModel(a.finish("one-op", "<test>"), ranks=ranks,
+                         failures=deaths)
+
+
+class _Outcomes(_Checker):
+    """The checker, also collecting each rank's outcome in every terminal
+    state: what it recorded, or never resuming if it died first."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.outcomes = [set() for _ in range(model.ranks)]
+
+    def _check_terminal(self, st, parent_key):
+        super()._check_terminal(st, parent_key)
+        for p in st.procs:
+            self.outcomes[p.pid].add(p.env.get("outcome", NEVER))
+
+
+def outcome_class(outcome):
+    if outcome is None:
+        return NEVER
+    return COMPLETED if outcome[0][0] == "ok" else RAISED
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(max_ranks=4))
+@example(([0.0, 2.0], {}, 1.25, SURVIVOR, 0.0, 0.0))  # revoke mid-agree
+def test_simulator_outcomes_are_checker_terminal_outcomes(scenario):
+    """Each rank's outcome in the simulator is one the checker reaches in
+    some terminal state of the same operation under the same deaths and
+    revoke: both layers apply one rule per operation."""
+    arrivals, deaths, revoke_at, kind, detect, alpha = scenario
+    machine = IDEAL.with_overrides(alpha=alpha, ulfm=UlfmCostModel(),
+                                   failure_detection_latency=detect)
+    got = simulate(machine, arrivals, deaths, revoke_at, kind)
+    checker = _Outcomes(one_op_model(kind, len(arrivals), len(deaths),
+                                     revoke_at is not None))
+    assert checker.run().ok
+    for rank, outcome in enumerate(got):
+        assert outcome_class(outcome) in checker.outcomes[rank], rank
