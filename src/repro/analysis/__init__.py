@@ -21,8 +21,8 @@ resources; :mod:`repro.analysis.pytest_plugin` wires the leak and race
 checks into the mpi-layer test suite.
 """
 
+from ..mpi.tracing import TruncatedTraceError
 from .dataflow import CFG, build_cfg, solve
-from .events import ParsedEvent, TruncatedTraceError, parse_events
 from .linter import (LintViolation, RULES, SEVERITY, default_lint_paths,
                      format_report, lint_file, lint_paths)
 from .sarif import to_sarif, validate_sarif
@@ -33,7 +33,7 @@ from .races import (MessageRace, build_wait_for_graph, find_message_races,
 from .runtime import LeakReport, check_runtime_leaks
 
 __all__ = [
-    "ParsedEvent", "TruncatedTraceError", "parse_events",
+    "TruncatedTraceError",
     "CFG", "build_cfg", "solve",
     "LintViolation", "RULES", "SEVERITY", "default_lint_paths",
     "format_report", "lint_file", "lint_paths",

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..mpi.collectives import RvKind, ops_with
-from .events import ParsedEvent, TruncatedTraceError, parse_events
+from ..mpi.tracing import TraceEvent, TruncatedTraceError, complete_events
 
 __all__ = ["ProtocolViolation", "CommRecord", "check_protocol",
            "recovery_episodes", "format_violations", "TruncatedTraceError"]
@@ -79,10 +79,10 @@ class _Replay:
         self.comms: Dict[str, CommRecord] = {}
         self.dead: Set[str] = set()
         #: spawn job name -> spawn event (bridge comms are ``<job>.bridge``)
-        self.spawns: Dict[str, ParsedEvent] = {}
+        self.spawns: Dict[str, TraceEvent] = {}
         self.any_spawn_seen = False
         #: comm name -> first merge event on it
-        self.merges: Dict[str, ParsedEvent] = {}
+        self.merges: Dict[str, TraceEvent] = {}
         self.violations: List[ProtocolViolation] = []
 
     def comm(self, name: str) -> CommRecord:
@@ -91,7 +91,7 @@ class _Replay:
             rec = self.comms[name] = CommRecord(name)
         return rec
 
-    def flag(self, rule: str, ev: ParsedEvent, message: str,
+    def flag(self, rule: str, ev: TraceEvent, message: str,
              comm: Optional[str] = None) -> None:
         self.violations.append(ProtocolViolation(
             rule, ev.time, comm if comm is not None else ev.comm,
@@ -101,33 +101,28 @@ class _Replay:
     def dead_members(self, rec: CommRecord) -> Set[str]:
         return rec.members & self.dead
 
-    def feed(self, ev: ParsedEvent) -> None:
+    def feed(self, ev: TraceEvent) -> None:
         handler = getattr(self, f"_on_{ev.kind}", None)
         if handler is not None:
             handler(ev)
 
     # -- event handlers -------------------------------------------------
-    def _on_kill(self, ev: ParsedEvent) -> None:
+    def _on_kill(self, ev: TraceEvent) -> None:
         self.dead.add(ev.actor)
 
-    def _on_revoke(self, ev: ParsedEvent) -> None:
-        if ev.comm is None:
-            return
+    def _on_revoke(self, ev: TraceEvent) -> None:
         rec = self.comm(ev.comm)
         rec.members.add(ev.actor)
         if rec.revoke_called_at is None:
             rec.revoke_called_at = ev.time
 
-    def _on_revoked(self, ev: ParsedEvent) -> None:
-        if ev.comm is not None:
-            self.comm(ev.comm).revoke_done_at = ev.time
+    def _on_revoked(self, ev: TraceEvent) -> None:
+        self.comm(ev.comm).revoke_done_at = ev.time
 
-    def _on_spawn(self, ev: ParsedEvent) -> None:
+    def _on_spawn(self, ev: TraceEvent) -> None:
         self.any_spawn_seen = True
         self.spawns.setdefault(ev.actor, ev)
-        parent = ev.spawn_parent
-        if parent is None:
-            return
+        parent = ev.parent
         rec = self.comm(parent)
         dead = self.dead_members(rec)
         if dead and not rec.derived_from_shrink():
@@ -137,20 +132,18 @@ class _Replay:
                       "must be spawned on the shrunk communicator",
                       comm=parent)
 
-    def _on_send(self, ev: ParsedEvent) -> None:
+    def _on_send(self, ev: TraceEvent) -> None:
         self._use(ev, f"send {ev.src}->{ev.dst}")
 
-    def _on_recv(self, ev: ParsedEvent) -> None:
+    def _on_recv(self, ev: TraceEvent) -> None:
         self._use(ev, f"recv {ev.src}->{ev.dst}")
 
-    def _use(self, ev: ParsedEvent, what: str) -> None:
-        if ev.comm is None:
-            return
+    def _use(self, ev: TraceEvent, what: str) -> None:
         rec = self.comm(ev.comm)
         rec.members.add(ev.actor)
         self._check_use_after_revoke(rec, ev, what)
 
-    def _check_use_after_revoke(self, rec: CommRecord, ev: ParsedEvent,
+    def _check_use_after_revoke(self, rec: CommRecord, ev: TraceEvent,
                                 what: str) -> None:
         if rec.revoke_done_at is not None and ev.time > rec.revoke_done_at:
             self.flag("PROTO-USE-AFTER-REVOKE", ev,
@@ -158,9 +151,7 @@ class _Replay:
                       f"at t={rec.revoke_done_at:.6f}; only agree/shrink "
                       "are legal on a revoked communicator")
 
-    def _on_coll(self, ev: ParsedEvent) -> None:
-        if ev.comm is None or ev.op is None:
-            return
+    def _on_coll(self, ev: TraceEvent) -> None:
         rec = self.comm(ev.comm)
         rec.members.add(ev.actor)
         rec.ops.append(ev.op)
@@ -205,7 +196,7 @@ def check_protocol(trace, *, allow_truncated: bool = False
     recorder overflowed, unless ``allow_truncated`` is set.
     """
     replay = _Replay()
-    for ev in parse_events(trace, allow_truncated=allow_truncated):
+    for ev in complete_events(trace, allow_truncated=allow_truncated):
         replay.feed(ev)
     return replay.violations
 
@@ -237,8 +228,8 @@ def recovery_episodes(trace, *, allow_truncated: bool = False
     """Group trace events into revoke-initiated recovery episodes."""
     episodes: List[RecoveryEpisode] = []
     current: Optional[RecoveryEpisode] = None
-    for ev in parse_events(trace, allow_truncated=allow_truncated):
-        if ev.kind == "revoke" and ev.comm is not None:
+    for ev in complete_events(trace, allow_truncated=allow_truncated):
+        if ev.kind == "revoke":
             if current is None or current.comm != ev.comm:
                 current = RecoveryEpisode(ev.comm, ev.time)
                 episodes.append(current)

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .events import ParsedEvent, parse_events
+from ..mpi.tracing import TraceEvent, complete_events
 
 __all__ = ["MessageRace", "find_message_races", "format_races",
            "build_wait_for_graph", "format_wait_for_graph"]
@@ -75,31 +75,29 @@ def _channel_of(op: str) -> str:
     return op if op in ("agree", "shrink") else "coll"
 
 
-def compute_vector_clocks(parsed: List[ParsedEvent]) -> Dict[int, _VC]:
-    """Vector clock of each event (keyed by event index)."""
+def compute_vector_clocks(events: Sequence[TraceEvent]) -> List[_VC]:
+    """Vector clock of each event, by position in ``events``."""
     clocks: Dict[str, _VC] = defaultdict(_VC)
     pending_join: Dict[str, List[_CollGroup]] = defaultdict(list)
     groups: Dict[tuple, _CollGroup] = {}
     occurrence: Dict[tuple, int] = defaultdict(int)
-    send_vc_queue: Dict[tuple, List[Tuple[int, _VC]]] = defaultdict(list)
-    out: Dict[int, _VC] = {}
+    send_vc_queue: Dict[tuple, List[_VC]] = defaultdict(list)
+    out: List[_VC] = []
 
-    for ev in parsed:
+    for ev in events:
         actor = ev.actor
         vc = clocks[actor]
         for group in pending_join.pop(actor, ()):
             vc.join(group.acc)
         vc[actor] = vc.get(actor, 0) + 1
 
-        if ev.kind == "send" and ev.comm is not None and not ev.inter:
-            send_vc_queue[(ev.comm, ev.src, ev.dst, ev.tag)].append(
-                (ev.index, _VC(vc)))
-        elif ev.kind == "recv" and ev.comm is not None and not ev.inter:
+        if ev.kind == "send" and not ev.inter:
+            send_vc_queue[(ev.comm, ev.src, ev.dst, ev.tag)].append(_VC(vc))
+        elif ev.kind == "recv" and not ev.inter:
             queue = send_vc_queue.get((ev.comm, ev.src, ev.dst, ev.tag))
             if queue:
-                _idx, send_vc = queue.pop(0)
-                vc.join(send_vc)
-        elif ev.kind == "coll" and ev.comm is not None and ev.op is not None:
+                vc.join(queue.pop(0))
+        elif ev.kind == "coll":
             # bridge-local agrees (parent vs child side) are distinct
             # rendezvous we cannot tell apart from the trace: treat them
             # as local events rather than inventing cross-side ordering.
@@ -115,7 +113,7 @@ def compute_vector_clocks(parsed: List[ParsedEvent]) -> Dict[int, _VC]:
                 group.acc.join(vc)
                 pending_join[actor].append(group)
 
-        out[ev.index] = _VC(vc)
+        out.append(_VC(vc))
     return out
 
 
@@ -126,9 +124,9 @@ def compute_vector_clocks(parsed: List[ParsedEvent]) -> Dict[int, _VC]:
 class MessageRace:
     """Two causally concurrent sends competed for one wildcard receive."""
     comm: str
-    recv: ParsedEvent           #: the ANY_SOURCE receive
-    matched_send: ParsedEvent   #: the send that won
-    racing_send: ParsedEvent    #: a concurrent send that could have won
+    recv: TraceEvent            #: the ANY_SOURCE receive
+    matched_send: TraceEvent    #: the send that won
+    racing_send: TraceEvent     #: a concurrent send that could have won
 
     def __str__(self) -> str:
         return (f"message race on {self.comm}: wildcard recv by "
@@ -145,34 +143,33 @@ class MessageRace:
 def find_message_races(trace, *, allow_truncated: bool = False
                        ) -> List[MessageRace]:
     """Detect message races on wildcard receives in a recorded trace."""
-    parsed = parse_events(trace, allow_truncated=allow_truncated)
-    vcs = compute_vector_clocks(parsed)
-    sends = [e for e in parsed
-             if e.kind == "send" and e.comm is not None and not e.inter]
+    events = complete_events(trace, allow_truncated=allow_truncated)
+    vcs = compute_vector_clocks(events)
+    sends = [(i, e) for i, e in enumerate(events)
+             if e.kind == "send" and not e.inter]
     races: List[MessageRace] = []
     matched: Dict[tuple, int] = defaultdict(int)  # FIFO cursor per channel
 
-    for ev in parsed:
-        if ev.kind != "recv" or not ev.anysrc or ev.comm is None or ev.inter:
+    for at, ev in enumerate(events):
+        if ev.kind != "recv" or not ev.anysrc or ev.inter:
             continue
         # identify the matched send (FIFO per (comm, src, dst, tag))
         ckey = (ev.comm, ev.src, ev.dst, ev.tag)
-        candidates = [s for s in sends
+        candidates = [(i, s) for i, s in sends
                       if (s.comm, s.src, s.dst, s.tag) == ckey]
         cursor = matched[ckey]
         matched[ckey] += 1
         if cursor >= len(candidates):
             continue  # unmatched (shouldn't happen on complete traces)
-        winner = candidates[cursor]
-        wvc = vcs[winner.index]
-        for s in sends:
+        w, winner = candidates[cursor]
+        for i, s in sends:
             if s.comm != ev.comm or s.dst != ev.dst or s.src == winner.src:
                 continue
             if not ev.anytag and s.tag != ev.tag:
                 continue
-            if s.index > ev.index:
+            if i > at:
                 continue  # posted after the receive completed
-            if wvc.concurrent(vcs[s.index]):
+            if vcs[w].concurrent(vcs[i]):
                 races.append(MessageRace(ev.comm, ev, winner, s))
     return races
 

@@ -224,8 +224,10 @@ def cmd_timeline(args) -> int:
         doc = export_timeline(args.file, args.output)
     except FileNotFoundError:
         raise SystemExit(f"error: no such trace file: {args.file}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"error: {args.file} is not a trace file: {exc}")
+    except ValueError as exc:
+        print(f"error: {args.file} is not a trace file: {exc}",
+              file=sys.stderr)
+        return 2
     try:
         validate_chrome_trace(doc)
     except SchemaError as exc:
@@ -364,7 +366,7 @@ def cmd_analyze_trace(args) -> int:
     except FileNotFoundError:
         print(f"error: no such trace file: {args.file}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {args.file} is not a trace file: {exc}",
               file=sys.stderr)
         return 2

@@ -37,7 +37,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..ft.checkpoint import CheckpointStats, Disk, write_checkpoint
 from ..ft.reconstruct import PLACE_SAME_HOST, ReconstructTimers
 from ..ft.recovery import RecoveryTechnique, technique_by_code
-from ..mpi.cart import CartHandle
 from ..mpi.errors import MPIError
 from ..pde.advection import AdvectionProblem
 from ..pde.decomposition import choose_dims
@@ -206,13 +205,10 @@ class CombinationApp:
         sub = self.scheme[self.gid]
         dims = choose_dims(self.grid_comm.size, sub.level_x, sub.level_y,
                            self.cfg.decomposition)
-        # wrap the grid communicator directly (non-collective) so a
-        # re-spawned member stays in step with surviving members
-        cart = CartHandle(self.grid_comm.state, self.ctx.proc, dims,
-                          (True, True))
         self.solver = DistributedAdvectionSolver(
-            self.ctx, cart, self.cfg.problem, sub.level_x, sub.level_y,
-            self.dt, compute_scale=self.cfg.compute_scale)
+            self.ctx, self.grid_comm, self.cfg.problem, sub.level_x,
+            sub.level_y, self.dt, compute_scale=self.cfg.compute_scale,
+            dims=dims)
 
     def fold_failed(self, views: Iterable[Iterable[int]]) -> None:
         """Fold every rank's view of the failed ranks (launch-time world

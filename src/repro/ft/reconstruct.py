@@ -204,8 +204,7 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
 async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
                                    argv: Sequence = (),
                                    placement: str = PLACE_SAME_HOST,
-                                   timers: Optional[ReconstructTimers] = None,
-                                   errhandler_sink: Optional[Callable] = None
+                                   timers: Optional[ReconstructTimers] = None
                                    ) -> CommHandle:
     """Fig. 3: the full reconstruction loop, valid on both parents and
     children.
@@ -216,7 +215,7 @@ async def communicator_reconstruct(ctx, my_world, *, entry: Callable,
     succeeds, so failures occurring *during* recovery are also handled.
     """
     t = timers or ReconstructTimers()
-    handler = make_error_handler(errhandler_sink)
+    handler = make_error_handler()
     parent = ctx.get_parent()                                # Fig. 3 l.3
     reconstructed = my_world
     iter_counter = 0

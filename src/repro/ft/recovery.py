@@ -52,7 +52,6 @@ class RecoveryTechnique:
 
     code: str = "?"
     name: str = "?"
-    needs_checkpoints: bool = False
     #: does a lost grid get its data back before the combination?  (AC
     #: combines without it instead, so shrink mode takes no donor for it)
     restores_lost_grids: bool = True
@@ -114,7 +113,6 @@ class CheckpointRestart(RecoveryTechnique):
 
     code = "CR"
     name = "Checkpoint/Restart"
-    needs_checkpoints = True
 
     def make_scheme(self, n: int, level: int) -> CombinationScheme:
         return cached_scheme(n, level)

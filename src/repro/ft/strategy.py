@@ -30,10 +30,7 @@ shared:
   communicator (the CR failure branch agrees its horizon there);
 * ``child_join(app)`` — how a re-spawned process rejoins;
 * ``world_resync(app)`` — the deferred world agreement before the
-  world-collective phases (non-collective mode only);
-* ``cost_estimate(machine, comm_size, n_failed)`` — the machine-model cost
-  entries the mode's repair charges, for planning and the mode-comparison
-  experiment.
+  world-collective phases (non-collective mode only).
 
 ``repro verify-protocol`` extracts ``CombinationApp.run`` with each
 strategy bound, so every hook here is part of a mode's protocol model
@@ -63,14 +60,6 @@ class RecoveryStrategy:
 
     mode: str = "?"
     name: str = "?"
-    def cost_estimate(self, machine, comm_size: int,
-                      n_failed: int) -> Dict[str, float]:
-        """Per-operation virtual-seconds the mode's repair charges.
-
-        ``comm_size`` is the communicator being repaired — the world for
-        ``respawn``/``shrink``, the affected sub-grid's group for ``nc``.
-        """
-        raise NotImplementedError
 
     #: does a repair synchronise only the failed grid's communicator?
     grid_local: bool = False
@@ -99,14 +88,6 @@ class RespawnStrategy(RecoveryStrategy):
 
     mode = "respawn"
     name = "global revoke+shrink+spawn+merge (paper, Figs. 3/5)"
-
-    def cost_estimate(self, machine, comm_size, n_failed):
-        u = machine.ulfm  # cost-table lookups, not communicator calls
-        return {"revoke": u.revoke(comm_size),
-                "shrink": u.shrink(comm_size, n_failed),
-                "spawn": u.spawn(comm_size, n_failed),
-                "merge": u.merge(comm_size),  # noqa: ULF007 — cost model, not a comm
-                "agree": u.agree(comm_size, n_failed)}
 
     async def _reconstruct(self, app, comm):
         return await communicator_reconstruct(
@@ -156,12 +137,6 @@ class ShrinkInPlaceStrategy(RecoveryStrategy):
     mode = "shrink"
     name = "shrink-in-place (no spawn; survivors re-decompose)"
 
-    def cost_estimate(self, machine, comm_size, n_failed):
-        u = machine.ulfm
-        return {"revoke": u.revoke(comm_size),
-                "shrink": u.shrink(comm_size, n_failed),
-                "agree": u.agree(comm_size, n_failed)}
-
     async def detect_and_repair(self, app) -> bool:
         app.world, changed = await shrink_detect_repair(
             app.ctx, app.world, app.timers, app.base_layout.total_procs,
@@ -206,15 +181,6 @@ class NonCollectiveStrategy(RecoveryStrategy):
 
     mode = "nc"
     name = "non-collective repair (per-grid rebuild + world readmit)"
-
-    def cost_estimate(self, machine, comm_size, n_failed):
-        u = machine.ulfm  # cost-table lookups, not communicator calls
-        return {"revoke": u.revoke(comm_size),
-                "shrink": u.shrink(comm_size, n_failed),
-                "spawn": u.spawn(comm_size, n_failed),
-                "merge": u.merge(comm_size),  # noqa: ULF007 — cost model, not a comm
-                "agree": u.agree(comm_size, n_failed),
-                "readmit": u.readmit(comm_size)}
 
     grid_local = True
 

@@ -7,7 +7,6 @@ touches: point-to-point, the common collectives, groups, ``split``/``dup``,
 with fail-stop process-failure semantics.
 """
 
-from .cart import CartHandle, create_cart, dims_create
 from .comm import (BAND, LAND, MAX, MIN, PROD, SUM, CommHandle, CommState,
                    Request, Status, waitall)
 from .stats import CommStats
@@ -30,6 +29,5 @@ __all__ = [
     "RankError",
     "SUM", "PROD", "MAX", "MIN", "LAND", "BAND",
     "waitall",
-    "CartHandle", "create_cart", "dims_create",
     "CommStats",
 ]

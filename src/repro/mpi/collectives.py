@@ -298,8 +298,8 @@ class RoundTable:
         uni = self.universe
         if uni.tracer is not None:
             state = self.state
-            uni.trace(proc.name, "coll",
-                      f"{op} {state.name} r{state.rank_of(proc)}")
+            uni.trace(proc.name, "coll", op=op, comm=state.name,
+                      rank=state.rank_of(proc))
         key = (channel, op, idx)
         now = self.engine.now
         rnd = self.open.get(key)

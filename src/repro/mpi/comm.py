@@ -192,7 +192,7 @@ class CommState:
         if self.revoked:
             return
         self.revoked = True
-        self.universe.trace(self.name, "revoked", "propagated")
+        self.universe.trace(self.name, "revoked", comm=self.name)
         self.board.revoke_all(now)
         exc = RevokedError(f"{self.name} revoked")
         self.rounds.on_revoke(exc, now)
@@ -293,8 +293,8 @@ class CommHandle:
         self._stats.record_message(nbytes)
         uni = state.universe
         if uni.tracer is not None:
-            uni.trace(self.proc.name, "send",
-                      f"{state.name} {self.rank}->{dest} tag={tag}")
+            uni.trace(self.proc.name, "send", comm=state.name,
+                      src=self.rank, dst=dest, tag=tag)
         payload = clone_payload(obj) if copy else freeze_payload(obj)
         self._board.post(self.rank, dest, tag, payload, self._engine.now)
 
@@ -320,11 +320,10 @@ class CommHandle:
         return msg.payload
 
     def _trace_recv(self, msg, source: int, tag: int) -> None:
-        flags = ("" if source != ANY_SOURCE else " anysrc") + \
-                ("" if tag != ANY_TAG else " anytag")
         self.state.universe.trace(
-            self.proc.name, "recv",
-            f"{self.state.name} {msg.src}->{self.rank} tag={msg.tag}{flags}")
+            self.proc.name, "recv", comm=self.state.name, src=msg.src,
+            dst=self.rank, tag=msg.tag, anysrc=source == ANY_SOURCE,
+            anytag=tag == ANY_TAG)
 
     def isend(self, obj: Any, dest: int, tag: int = 0, *,
               copy: bool = True) -> Request:
@@ -352,8 +351,8 @@ class CommHandle:
         uni = state.universe
         uni.stats.record_message(nbytes)
         if uni.tracer is not None:
-            uni.trace(self.proc.name, "send",
-                      f"{state.name} {self.rank}->{dest} tag={tag}")
+            uni.trace(self.proc.name, "send", comm=state.name,
+                      src=self.rank, dst=dest, tag=tag)
         arrival = engine.now + cost
         board = self._board
         rank = self.rank
@@ -565,8 +564,8 @@ class CommHandle:
         and fails every pending/future operation on this communicator."""
         state = self.state
         engine = self._engine
-        state.universe.trace(self.proc.name, "revoke",
-                             f"{state.name} r{self.rank}")
+        state.universe.trace(self.proc.name, "revoke", comm=state.name,
+                             rank=self.rank)
         delay = self._machine.ulfm.revoke(state.size)
         engine.call_at(engine.now + delay, state.do_revoke, engine.now + delay)
 
@@ -622,8 +621,8 @@ class CommHandle:
         if cost:
             await Sleep(cost)
         state.readmit(rank, proc)
-        state.universe.trace(self.proc.name, "readmit",
-                             f"{state.name} r{rank} <- {proc.name}")
+        state.universe.trace(self.proc.name, "readmit", comm=state.name,
+                             rank=rank, proc=proc.name)
         return self
 
     def failure_ack(self) -> None:

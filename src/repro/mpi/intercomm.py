@@ -94,7 +94,7 @@ class IntercommState:
         if self.revoked:
             return
         self.revoked = True
-        self.universe.trace(self.name, "revoked", "propagated")
+        self.universe.trace(self.name, "revoked", comm=self.name)
         self.board.revoke_all(now)
         self.rounds.on_revoke(RevokedError(f"{self.name} revoked"), now)
 
@@ -158,8 +158,8 @@ class IntercommHandle:
             await Sleep(cost)
         self.state.universe.stats.record_message(payload_nbytes(obj))
         self.state.universe.trace(
-            self.proc.name, "send",
-            f"{self.state.name} {self.rank}->{dest} tag={tag} inter")
+            self.proc.name, "send", comm=self.state.name, src=self.rank,
+            dst=dest, tag=tag, inter=True)
         self.state.board.post(self.rank, target.uid, tag,
                               clone_payload(obj), self._engine.now)
 
@@ -177,8 +177,8 @@ class IntercommHandle:
         except MPIError as exc:
             self._raise(exc)
         self.state.universe.trace(
-            self.proc.name, "recv",
-            f"{self.state.name} {msg.src}->{self.rank} tag={msg.tag} inter")
+            self.proc.name, "recv", comm=self.state.name, src=msg.src,
+            dst=self.rank, tag=msg.tag, inter=True)
         return msg.payload
 
     # ------------------------------------------------------------------
@@ -249,8 +249,8 @@ class IntercommHandle:
     def revoke(self) -> None:
         state = self.state
         engine = self._engine
-        state.universe.trace(self.proc.name, "revoke",
-                             f"{state.name} r{self.rank}")
+        state.universe.trace(self.proc.name, "revoke", comm=state.name,
+                             rank=self.rank)
         delay = self._machine.ulfm.revoke(len(state.all_procs))
         engine.call_at(engine.now + delay, state.do_revoke, engine.now + delay)
 

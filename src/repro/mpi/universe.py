@@ -148,11 +148,10 @@ class Universe:
         self.all_procs: Dict[int, Proc] = {}
         #: observability bundle: metrics registry + recovery-phase spans
         #: (closing a span also lands in ``tracer`` when one is attached)
-        self.obs = Observability(self.engine.stamp, self.trace,
-                                 lambda: self.tracer is not None)
+        self.obs = Observability(self.engine.stamp, self)
         self.stats = CommStats(self.obs.registry)
         #: optional MPI-level event recorder (see repro.mpi.tracing); call
-        #: sites check it before building detail strings
+        #: sites check it before building an event
         self.tracer = None
         #: processes with a kill scheduled and not yet fired: their groups
         #: solve on the per-message path (``CommHandle.ring_segment``)
@@ -160,9 +159,11 @@ class Universe:
         # ``batch`` selects nothing and is not stored: bench/probes.py (its
         # only caller, frozen by BENCHMARK.json) still passes it.
 
-    def trace(self, actor: str, kind: str, detail: str) -> None:
+    def trace(self, actor: str, kind: str, **fields) -> None:
+        """Record one event (fields per ``repro.mpi.tracing.KINDS``) when
+        a tracer is attached."""
         if self.tracer is not None:
-            self.tracer.record(self.engine.now, actor, kind, detail)
+            self.tracer.record(self.engine.now, actor, kind, **fields)
 
     # ------------------------------------------------------------------
     # launch & spawn
@@ -233,7 +234,7 @@ class Universe:
                                name=f"{name}.bridge")
         self.stats.spawns += 1
         self.stats.procs_spawned += count
-        self.trace(name, "spawn", f"{count} proc(s) for {parent_state.name}")
+        self.trace(name, "spawn", count=count, parent=parent_state.name)
         job = Job(name, procs, child_world, entry, tuple(argv))
         for proc in procs:
             proc.job = job
@@ -271,7 +272,8 @@ class Universe:
             return
         now = self.engine.now
         self.stats.kills += 1
-        self.trace(proc.name, "kill", f"fail-stop on {proc.host.name if proc.host else '?'}")
+        self.trace(proc.name, "kill",
+                   host=proc.host.name if proc.host else "?")
         proc.dead = True
         proc.death_time = now
         proc.release_slot()

@@ -14,14 +14,15 @@ through :meth:`~repro.mpi.universe.RankContext.spent`).  Every other
 aggregate, the ``phase_seconds`` histograms (by phase/technique) included,
 is derived from the log on demand.
 When a :class:`~repro.mpi.tracing.Tracer` is attached, a close also lands
-in the event stream (kind ``span``) for ``python -m repro timeline``.
+in the event stream as a ``span`` event (phase, start, duration, labels)
+for ``python -m repro timeline``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping
 
 from .registry import Histogram, MetricsRegistry
 
@@ -110,17 +111,16 @@ class SpanRecorder:
     one ``(actor, phase, t_start, t_end, seq, labels)`` record per span, up
     to ``max_spans``; ``totals`` (actor -> phase -> seconds) counts every
     close, those past ``max_spans`` included, adding in close order.
+    ``tracing`` is the object whose ``tracer`` attribute a close reads —
+    normally the :class:`~repro.mpi.universe.Universe`: while it holds a
+    :class:`~repro.mpi.tracing.Tracer`, each logged span is also
+    recorded there as a ``span`` event.
     """
 
-    def __init__(self, stamp: Callable[[], tuple],
-                 trace_sink: Optional[Callable[[str, str, str], None]] = None,
-                 trace_live: Callable[[], bool] = lambda: True,
+    def __init__(self, stamp: Callable[[], tuple], tracing=None,
                  max_spans: int = 100_000):
         self.stamp = stamp
-        #: ``trace_sink(actor, kind, detail)`` — normally ``Universe.trace``
-        self.trace_sink = trace_sink
-        #: is the sink recording right now?  A close formats its line if so
-        self.trace_live = trace_live
+        self.tracing = tracing
         self.log: List[tuple] = []
         self.totals: Dict[str, Dict[str, float]] = {}
         #: label set -> the ``str``-valued mapping its spans share
@@ -142,12 +142,11 @@ class SpanRecorder:
             self.dropped += 1
             return
         self.log.append((o.actor, o.phase, o.t_start, t_end, o.seq, o.labels))
-        if self.trace_sink is not None and self.trace_live():
-            extra = "".join(f" {k}={v}" for k, v in sorted(o.labels.items()))
-            self.trace_sink(
-                o.actor, "span",
-                f"{o.phase} start={o.t_start:.9f} dur={t_end - o.t_start:.9f}"
-                f"{extra}")
+        tracer = getattr(self.tracing, "tracer", None)
+        if tracer is not None:
+            tracer.record(t_end, o.actor, "span", phase=o.phase,
+                          start=o.t_start, dur=t_end - o.t_start,
+                          labels=o.labels)
 
     @property
     def spans(self) -> List[Span]:
@@ -217,11 +216,9 @@ class Observability:
     ``ctx.span(...)`` / ``ctx.universe.obs``.
     """
 
-    def __init__(self, stamp: Callable[[], tuple],
-                 trace_sink: Optional[Callable[[str, str, str], None]] = None,
-                 trace_live: Callable[[], bool] = lambda: True):
+    def __init__(self, stamp: Callable[[], tuple], tracing=None):
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(stamp, trace_sink, trace_live)
+        self.spans = SpanRecorder(stamp, tracing)
 
     def span(self, actor: str, phase: str, **labels) -> OpenSpan:
         return self.spans.span(actor, phase, **labels)

@@ -19,84 +19,38 @@ Virtual seconds map to trace microseconds (``ts = t * 1e6``).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
-
-from .spans import Span
+from typing import Dict, Iterable, List
 
 #: ts/dur unit conversion: virtual seconds -> trace microseconds
 US_PER_SECOND = 1e6
 
 
-def _parse_span_detail(detail: str) -> Optional[dict]:
-    """Parse a ``span`` event detail: ``PHASE start=T dur=D [k=v ...]``."""
-    tokens = detail.split()
-    if not tokens:
-        return None
-    out = {"phase": tokens[0], "labels": {}}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            continue
-        k, v = tok.split("=", 1)
-        if k in ("start", "dur"):
-            try:
-                out[k] = float(v)
-            except ValueError:
-                return None
-        else:
-            out["labels"][k] = v
-    if "start" not in out or "dur" not in out:
-        return None
-    return out
-
-
-def chrome_trace(events: Iterable = (), spans: Iterable[Span] = (),
-                 *, pid: int = 0) -> dict:
-    """Build a Chrome ``trace_event`` document.
-
-    ``events`` are :class:`~repro.mpi.tracing.TraceEvent` records (span
-    events are recognised by ``kind == "span"`` and rendered as duration
-    bars); ``spans`` are live :class:`Span` objects (e.g. straight from a
-    :class:`~repro.obs.spans.SpanRecorder`), for callers that never went
-    through a trace file.
+def chrome_trace(events: Iterable = (), *, pid: int = 0) -> dict:
+    """Build a Chrome ``trace_event`` document from
+    :class:`~repro.mpi.tracing.TraceEvent` records: ``span`` events become
+    duration bars, every other event an instant carrying its ``detail``.
     """
     trace_events: List[dict] = []
     tids: Dict[str, int] = {}
 
-    def tid_of(actor: str) -> int:
-        tid = tids.get(actor)
-        if tid is None:
-            tid = tids[actor] = len(tids)
-        return tid
-
     for e in events:
-        tid = tid_of(e.actor)
+        tid = tids.get(e.actor)
+        if tid is None:
+            tid = tids[e.actor] = len(tids)
         if e.kind == "span":
-            parsed = _parse_span_detail(e.detail)
-            if parsed is not None:
-                trace_events.append({
-                    "name": parsed["phase"], "cat": "phase", "ph": "X",
-                    "pid": pid, "tid": tid,
-                    "ts": parsed["start"] * US_PER_SECOND,
-                    "dur": parsed["dur"] * US_PER_SECOND,
-                    "args": parsed["labels"],
-                })
-                continue
-            # fall through: a malformed span renders as an instant so the
-            # event is still visible rather than silently dropped
-        trace_events.append({
-            "name": e.kind, "cat": "mpi", "ph": "i", "s": "t",
-            "pid": pid, "tid": tid, "ts": e.time * US_PER_SECOND,
-            "args": {"detail": e.detail},
-        })
-
-    for s in spans:
-        trace_events.append({
-            "name": s.phase, "cat": "phase", "ph": "X",
-            "pid": pid, "tid": tid_of(s.actor),
-            "ts": s.t_start * US_PER_SECOND,
-            "dur": s.duration * US_PER_SECOND,
-            "args": dict(s.labels),
-        })
+            trace_events.append({
+                "name": e.phase, "cat": "phase", "ph": "X",
+                "pid": pid, "tid": tid,
+                "ts": e.start * US_PER_SECOND,
+                "dur": e.dur * US_PER_SECOND,
+                "args": dict(e.labels),
+            })
+        else:
+            trace_events.append({
+                "name": e.kind, "cat": "mpi", "ph": "i", "s": "t",
+                "pid": pid, "tid": tid, "ts": e.time * US_PER_SECOND,
+                "args": {"detail": e.detail},
+            })
 
     meta: List[dict] = [{
         "name": "process_name", "ph": "M", "pid": pid,
@@ -111,14 +65,15 @@ def chrome_trace(events: Iterable = (), spans: Iterable[Span] = (),
     return {"traceEvents": meta + trace_events, "displayTimeUnit": "ms"}
 
 
-def export_timeline(trace_path, out_path, *, spans: Iterable[Span] = ()) -> dict:
+def export_timeline(trace_path, out_path) -> dict:
     """Load a Tracer JSONL file and write the Chrome trace next to it.
 
-    Returns the document (callers may want event counts).
+    Returns the document (callers may want event counts).  A file
+    :meth:`~repro.mpi.tracing.Tracer.load` refuses raises its ValueError.
     """
     from ..mpi.tracing import Tracer
     tracer = Tracer.load(trace_path)
-    doc = chrome_trace(tracer.events, spans)
+    doc = chrome_trace(tracer.events)
     with open(out_path, "w") as fh:
         json.dump(doc, fh)
     return doc

@@ -1,7 +1,8 @@
 """Domain decomposition of a periodic sub-grid over a process grid.
 
 Each sub-grid's process group is a periodic ``px x py`` grid
-(:func:`choose_dims`) and each axis is split into balanced contiguous parts
+(:func:`choose_dims`, over the ``MPI_Dims_create`` factorisation
+:func:`dims_create`) and each axis is split into balanced contiguous parts
 (:class:`SlabDecomposition`), which give each rank its block
 (:func:`block_bounds`).  The ``"1d"`` choice is the one-row grid along
 the axis with the most points: a ring of slabs, whose other axis stays
@@ -12,9 +13,7 @@ exchange needs only two messages per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-from ..mpi.cart import dims_create
+from typing import List, Optional, Sequence, Tuple
 
 
 def _part_bounds(n_points: int, n_parts: int, part: int) -> Tuple[int, int]:
@@ -49,6 +48,57 @@ class SlabDecomposition:
     def neighbours(self, part: int) -> Tuple[int, int]:
         """(previous, next) part in the periodic direction."""
         return ((part - 1) % self.n_parts, (part + 1) % self.n_parts)
+
+
+def dims_create(nnodes: int, ndims: int,
+                dims: Optional[Sequence[int]] = None) -> List[int]:
+    """``MPI_Dims_create``: balanced factorisation of ``nnodes``.
+
+    Fixed (non-zero) entries of ``dims`` are honoured; zero entries are
+    filled so the product equals ``nnodes``, as square as possible (larger
+    factors first).
+    """
+    dims = list(dims) if dims is not None else [0] * ndims
+    if len(dims) != ndims:
+        raise ValueError("dims length must equal ndims")
+    fixed = 1
+    free_positions = []
+    for i, d in enumerate(dims):
+        if d < 0:
+            raise ValueError("dims entries must be >= 0")
+        if d:
+            fixed *= d
+        else:
+            free_positions.append(i)
+    if fixed == 0 or nnodes % fixed:
+        raise ValueError(f"cannot factor {nnodes} over fixed dims {dims}")
+    remaining = nnodes // fixed
+    if not free_positions:
+        if remaining != 1:
+            raise ValueError(f"fixed dims {dims} do not cover {nnodes}")
+        return dims
+
+    # factorise `remaining` into len(free_positions) near-equal factors
+    k = len(free_positions)
+    factors = [1] * k
+    # repeatedly peel the largest prime factor onto the smallest slot
+    n = remaining
+    primes = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    for prime in sorted(primes, reverse=True):
+        slot = min(range(k), key=lambda i: factors[i])
+        factors[slot] *= prime
+    factors.sort(reverse=True)
+    for pos, f in zip(free_positions, factors):
+        dims[pos] = f
+    return dims
 
 
 def choose_dims(n_procs: int, level_x: int, level_y: int,

@@ -1,9 +1,8 @@
 """Domain-decomposed Lax–Wendroff solver running over a simulated MPI group.
 
 One instance lives on each rank of a sub-grid's process group.  The group
-is a periodic ``px x py`` process grid, ranks laid out row-major: a
-communicator carrying a Cartesian topology (:class:`~repro.mpi.cart.
-CartHandle`) brings its ``dims``, any other is the ``"1d"`` ring of
+is a periodic ``px x py`` process grid, ranks laid out row-major: the
+caller passes its ``dims``, by default the ``"1d"`` ring of
 :func:`~repro.pde.decomposition.choose_dims`.  State is this rank's block of
 the periodic array; each step exchanges one ghost layer with the periodic
 neighbours, computes the stencil on the padded block, and charges the
@@ -31,7 +30,7 @@ checkpointing.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +47,8 @@ class DistributedAdvectionSolver:
     """Solver for one anisotropic sub-grid on one process group."""
 
     def __init__(self, ctx, comm, problem, level_x: int, level_y: int,
-                 dt: float, compute_scale: float = 1.0):
+                 dt: float, compute_scale: float = 1.0,
+                 dims: Optional[Tuple[int, int]] = None):
         self.ctx = ctx
         self.comm = comm
         self.problem = problem
@@ -59,8 +59,11 @@ class DistributedAdvectionSolver:
         #: expensive per-cell physics (or a finer grid) without changing
         #: the actual numerics; see DESIGN.md on timing-scale substitution
         self.compute_scale = compute_scale
-        self.dims = px, py = getattr(comm, "dims", None) \
-            or choose_dims(comm.size, level_x, level_y, "1d")
+        self.dims = px, py = tuple(dims) if dims is not None \
+            else choose_dims(comm.size, level_x, level_y, "1d")
+        if px * py != comm.size:
+            raise ValueError(f"process grid {self.dims} needs {px * py} "
+                             f"ranks, the communicator has {comm.size}")
         #: a ring (one process row) co-simulates its segments
         self.ring = px == 1 or py == 1
         #: the axis the block is presented first along: the decomposed one

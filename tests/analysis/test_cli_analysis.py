@@ -1,5 +1,7 @@
 """End-to-end: trace recording through the runner/CLI into the analyzers."""
 
+import json
+
 import pytest
 
 from repro.analysis import check_protocol, find_message_races
@@ -49,9 +51,8 @@ def test_cli_analyze_trace_roundtrip(tmp_path, capsys, fig8_trace):
 
 def test_cli_analyze_trace_flags_doctored_trace(tmp_path, capsys, fig8_trace):
     doctored = Tracer()
-    for ev in fig8_trace.events:
-        if ev.kind not in ("revoke", "revoked"):
-            doctored.record(ev.time, ev.actor, ev.kind, ev.detail)
+    doctored.events = [ev for ev in fig8_trace.events
+                       if ev.kind not in ("revoke", "revoked")]
     path = tmp_path / "bad.jsonl"
     doctored.save(path)
     assert cli_main(["analyze-trace", str(path)]) == 1
@@ -69,3 +70,25 @@ def test_cli_run_with_trace_writes_jsonl(tmp_path, capsys):
     back = Tracer.load(path)
     assert len(back.events) > 0
     assert cli_main(["analyze-trace", str(path)]) == 0
+
+
+@pytest.mark.parametrize("fields", [{}, {"src": "0", "dst": 1},
+                                    {"src": 0, "dst": None}],
+                         ids=["missing", "str-src", "null-dst"])
+def test_cli_analyze_trace_refuses_a_malformed_send(tmp_path, capsys, fields):
+    """A send without integer endpoints is refused with exit 2 and its
+    line, not skipped into a clean report."""
+    event = {"t": 0.0, "actor": "job0.0", "kind": "send",
+             "comm": "job0.world", "tag": 3, "anysrc": False,
+             "anytag": False, "inter": False, **fields}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"type": "header", "version": 2,
+                                "max_events": 10, "dropped": 0}) + "\n"
+                    + json.dumps(event) + "\n")
+    assert cli_main(["analyze-trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "line 2:" in captured.err and "send event" in captured.err
+    assert "protocol check" not in captured.out
+    assert cli_main(["timeline", str(path), "-o",
+                     str(tmp_path / "tl.json")]) == 2
+    assert "line 2:" in capsys.readouterr().err

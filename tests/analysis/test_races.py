@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import find_message_races, format_races
 from repro.analysis.races import _VC, compute_vector_clocks
-from repro.analysis.events import parse_events
 from repro.machine.presets import IDEAL
 from repro.mpi.errors import ANY_SOURCE
 from repro.mpi.tracing import Tracer
@@ -31,23 +30,27 @@ def test_vc_ordering():
     assert a.concurrent(c)
 
 
+def p2p(src, dst):
+    return {"comm": "c", "src": src, "dst": dst, "tag": 0}
+
+
 def test_send_recv_creates_order():
     t = Tracer()
-    t.record(0.0, "j.0", "send", "c 0->1 tag=0")
-    t.record(1.0, "j.1", "recv", "c 0->1 tag=0")
-    t.record(2.0, "j.1", "send", "c 1->0 tag=0")
-    vcs = compute_vector_clocks(parse_events(t))
+    t.record(0.0, "j.0", "send", **p2p(0, 1))
+    t.record(1.0, "j.1", "recv", **p2p(0, 1))
+    t.record(2.0, "j.1", "send", **p2p(1, 0))
+    vcs = compute_vector_clocks(t.events)
     assert vcs[0].happens_before(vcs[1])
     assert vcs[0].happens_before(vcs[2])
 
 
 def test_collective_is_a_synchronisation_point():
     t = Tracer()
-    t.record(0.0, "j.0", "send", "c 0->2 tag=0")       # before barrier
-    t.record(1.0, "j.0", "coll", "barrier c r0")
-    t.record(1.0, "j.1", "coll", "barrier c r1")
-    t.record(2.0, "j.1", "send", "c 1->2 tag=0")       # after barrier
-    vcs = compute_vector_clocks(parse_events(t))
+    t.record(0.0, "j.0", "send", **p2p(0, 2))       # before barrier
+    t.record(1.0, "j.0", "coll", op="barrier", comm="c", rank=0)
+    t.record(1.0, "j.1", "coll", op="barrier", comm="c", rank=1)
+    t.record(2.0, "j.1", "send", **p2p(1, 2))       # after barrier
+    vcs = compute_vector_clocks(t.events)
     # rank 1's post-barrier send is ordered after rank 0's pre-barrier send
     assert vcs[0].happens_before(vcs[3])
 

@@ -36,19 +36,6 @@ def test_registry_and_lookup():
         strategy_by_mode("reboot")
 
 
-def test_cost_estimate_shapes():
-    """Shrink never spawns or merges; non-collective repair adds the
-    world-readmission bookkeeping on top of the respawn operations."""
-    costs = {mode: s.cost_estimate(OPL, 11, 1)
-             for mode, s in STRATEGIES.items()}
-    assert set(costs["respawn"]) == {"revoke", "shrink", "spawn", "merge",
-                                     "agree"}
-    assert set(costs["shrink"]) == {"revoke", "shrink", "agree"}
-    assert set(costs["nc"]) == {"revoke", "shrink", "spawn", "merge",
-                                "agree", "readmit"}
-    assert sum(costs["shrink"].values()) < sum(costs["respawn"].values())
-
-
 # ---------------------------------------------------------------------------
 # shrink-in-place
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from repro.ft import (CheckpointStats, Disk, checkpoint_interval_steps,
                       optimal_checkpoint_count, paper_eq2_checkpoint_count,
                       restore_checkpoint, write_checkpoint)
-from repro.mpi.cart import CartHandle
 from repro.pde import AdvectionProblem, DistributedAdvectionSolver
 
 from ..conftest import run_ranks as run
@@ -177,9 +176,8 @@ def test_restore_without_any_checkpoint_resets_to_initial():
 
 
 def _on_grid(ctx, dims, lx, ly):
-    cart = CartHandle(ctx.comm.state, ctx.proc, dims, (True, True))
-    return DistributedAdvectionSolver(ctx, cart, PROB, lx, ly,
-                                      PROB.stable_dt(max(lx, ly)))
+    return DistributedAdvectionSolver(ctx, ctx.comm, PROB, lx, ly,
+                                      PROB.stable_dt(max(lx, ly)), dims=dims)
 
 
 @pytest.mark.parametrize("old, new, torn", [

@@ -22,12 +22,6 @@ def test_scheme_shapes():
     assert len(AlternateCombination(extra_layers=1).make_scheme(8, 4)) == 9
 
 
-def test_only_cr_needs_checkpoints():
-    assert CheckpointRestart().needs_checkpoints
-    assert not ResamplingCopying().needs_checkpoints
-    assert not AlternateCombination().needs_checkpoints
-
-
 def test_cr_and_rc_use_classic_coefficients_after_loss():
     for tech in (CheckpointRestart(), ResamplingCopying()):
         scheme = tech.make_scheme(8, 4)

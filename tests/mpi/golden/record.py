@@ -152,7 +152,9 @@ def outcome(uni):
            "collectives": dict(uni.stats.collectives.items()),
            "comms_created": uni.stats.comms_created}
     if uni.tracer is not None:
-        doc["trace"] = [json.dumps(e.to_dict(), sort_keys=True)
+        doc["trace"] = [json.dumps({"t": e.time, "actor": e.actor,
+                                    "kind": e.kind, "detail": e.detail},
+                                   sort_keys=True)
                         for e in uni.tracer.events]
     return rename_jobs(doc, uni)
 

@@ -124,54 +124,69 @@ def test_spans_observed_into_registry_histogram():
     assert dict(h.labels) == {"phase": "shrink", "technique": "RC"}
 
 
+class Traced:
+    """Stands in for the universe: the object whose ``tracer`` a close
+    reads."""
+
+    def __init__(self, tracer=None):
+        self.tracer = tracer
+
+
 def test_spans_emitted_to_trace_sink():
+    from repro.mpi.tracing import Tracer
     clk = FakeClock()
-    sunk = []
-    rec = SpanRecorder(clk.stamp,
-                       trace_sink=lambda a, k, d: sunk.append((a, k, d)))
+    traced = Traced(Tracer())
+    rec = SpanRecorder(clk.stamp, traced)
     clk.advance(2.0)
     with rec.span("job0.3", "reconstruct", attempt=0):
         clk.advance(4.0)
-    (actor, kind, detail) = sunk[0]
-    assert actor == "job0.3" and kind == "span"
-    assert detail.startswith("reconstruct start=2.0")
-    assert "dur=4.0" in detail and "attempt=0" in detail
+    (e,) = traced.tracer.events
+    assert (e.time, e.actor, e.kind) == (6.0, "job0.3", "span")
+    assert (e.phase, e.start, e.dur) == ("reconstruct", 2.0, 4.0)
+    assert dict(e.labels) == {"attempt": "0"}
 
 
 def test_traced_span_line_is_pinned_byte_for_byte():
+    from repro.mpi.tracing import Tracer
     clk = FakeClock()
-    sunk = []
-    rec = SpanRecorder(clk.stamp, trace_sink=lambda *a: sunk.append(a),
-                       trace_live=lambda: True)
+    traced = Traced(Tracer())
+    rec = SpanRecorder(clk.stamp, traced)
     clk.advance(0.125)
     with rec.span("job0.3", "solve", technique="AC", gid=7):
         clk.advance(1.0 / 3.0)
-    assert sunk == [("job0.3", "span", "solve start=0.125000000 "
-                     "dur=0.333333333 gid=7 technique=AC")]
+    (e,) = traced.tracer.events
+    assert e.detail == "solve start=0.125000000 dur=0.333333333 gid=7 " \
+                       "technique=AC"
+    assert e.dur == 1.0 / 3.0           # the field keeps the full float
 
 
 def test_untraced_close_formats_nothing():
-    """``Universe.trace`` drops everything while no tracer is attached, so
-    a close must not build the line: its labels are never read."""
+    """With no tracer attached a close builds no event, and a traced close
+    stores the labels without formatting them: only ``detail`` reads
+    them."""
+    from repro.mpi.tracing import Tracer
+
     class Unformattable:
         def __str__(self):
             return self
 
         def __format__(self, spec):     # pragma: no cover - the failure
-            raise AssertionError("span line built for a dead sink")
+            raise AssertionError("span line built at close")
 
     clk = FakeClock()
-    live, sunk = [False], []
-    rec = SpanRecorder(clk.stamp, trace_sink=lambda *a: sunk.append(a),
-                       trace_live=lambda: live[0])
+    traced = Traced()
+    rec = SpanRecorder(clk.stamp, traced)
     with rec.span("r0", "solve") as open_span:
         open_span.labels = {"gid": Unformattable()}
-    assert len(rec.spans) == 1 and sunk == []
-    live[0] = True
+    assert len(rec.spans) == 1
+    traced.tracer = Tracer()
+    with rec.span("r0", "detect") as open_span:
+        open_span.labels = {"gid": Unformattable()}
     with rec.span("r0", "detect"):
         pass
-    assert [d for _a, _k, d in sunk] == ["detect start=0.000000000 "
-                                         "dur=0.000000000"]
+    assert [e.phase for e in traced.tracer.events] == ["detect", "detect"]
+    assert traced.tracer.events[1].detail == "detect start=0.000000000 " \
+                                             "dur=0.000000000"
 
 
 def test_universe_spans_reach_the_tracer_only_while_one_is_attached():
@@ -189,7 +204,7 @@ def test_universe_spans_reach_the_tracer_only_while_one_is_attached():
     uni.launch(1, main)
     uni.run()
     assert [s.phase for s in uni.obs.spans.spans] == ["solve", "detect"]
-    assert [e.detail.split()[0] for e in uni.tracer.events
+    assert [e.phase for e in uni.tracer.events
             if e.kind == "span"] == ["detect"]
 
 

@@ -5,27 +5,18 @@ import json
 import pytest
 
 from repro.mpi.tracing import TraceEvent, Tracer
-from repro.obs import Span, chrome_trace, export_timeline
+from repro.obs import chrome_trace, export_timeline
 from repro.obs.schema import validate_chrome_trace
-from repro.obs.timeline import US_PER_SECOND, _parse_span_detail
+from repro.obs.timeline import US_PER_SECOND
 
-
-def test_parse_span_detail():
-    d = _parse_span_detail("shrink start=1.25 dur=0.5 gid=3 technique=CR")
-    assert d == {"phase": "shrink", "start": 1.25, "dur": 0.5,
-                 "labels": {"gid": "3", "technique": "CR"}}
-
-
-def test_parse_span_detail_rejects_malformed():
-    assert _parse_span_detail("") is None
-    assert _parse_span_detail("shrink dur=0.5") is None          # no start
-    assert _parse_span_detail("shrink start=x dur=0.5") is None  # bad float
+SHRINK = dict(phase="shrink", start=1.0, dur=0.5, labels={"gid": "2"})
+SEND = dict(comm="job0.world", src=1, dst=0, tag=0)
 
 
 def test_chrome_trace_span_events_become_complete_events():
     events = [
-        TraceEvent(1.0, "job0.0", "span", "shrink start=1.0 dur=0.5 gid=2"),
-        TraceEvent(2.0, "job0.1", "send", "128B to job0.0"),
+        TraceEvent(1.5, "job0.0", "span", **SHRINK),
+        TraceEvent(2.0, "job0.1", "send", **SEND),
     ]
     doc = chrome_trace(events)
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -36,11 +27,12 @@ def test_chrome_trace_span_events_become_complete_events():
     assert x["dur"] == pytest.approx(0.5 * US_PER_SECOND)
     assert x["args"] == {"gid": "2"}
     (i,) = instants
-    assert i["name"] == "send" and i["args"]["detail"] == "128B to job0.0"
+    assert i["name"] == "send" and i["args"]["detail"] == "job0.world 1->0 tag=0"
 
 
 def test_chrome_trace_assigns_one_tid_per_actor():
-    events = [TraceEvent(0.0, f"job0.{r}", "barrier", "") for r in range(3)]
+    events = [TraceEvent(0.0, f"job0.{r}", "coll", op="barrier",
+                         comm="job0.world", rank=r) for r in range(3)]
     doc = chrome_trace(events)
     instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
     assert sorted(e["tid"] for e in instants) == [0, 1, 2]
@@ -49,24 +41,11 @@ def test_chrome_trace_assigns_one_tid_per_actor():
     assert names == {0: "job0.0", 1: "job0.1", 2: "job0.2"}
 
 
-def test_chrome_trace_accepts_live_spans():
-    doc = chrome_trace(spans=[Span("r0", "merge", 0.0, 2.0)])
-    validate_chrome_trace(doc)
-    (x,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert x["name"] == "merge" and x["dur"] == pytest.approx(2e6)
-
-
-def test_malformed_span_falls_back_to_instant():
-    events = [TraceEvent(1.0, "r0", "span", "garbage-without-fields")]
-    doc = chrome_trace(events)
-    (ev,) = [e for e in doc["traceEvents"] if e["ph"] == "i"]
-    assert ev["name"] == "span"
-
-
 def test_export_timeline_round_trip(tmp_path):
     tracer = Tracer()
-    tracer.record(0.5, "job0.0", "span", "solve start=0.0 dur=0.5 gid=0")
-    tracer.record(0.6, "job0.0", "kill", "fail-stop on host0")
+    tracer.record(0.5, "job0.0", "span", phase="solve", start=0.0, dur=0.5,
+                  labels={"gid": "0"})
+    tracer.record(0.6, "job0.0", "kill", host="host0")
     trace_path = tmp_path / "trace.jsonl"
     out_path = tmp_path / "timeline.json"
     tracer.save(str(trace_path))

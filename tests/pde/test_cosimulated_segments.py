@@ -121,10 +121,9 @@ def test_slab_initial_field_is_the_slice_of_the_whole_field(grid):
             full = periodic_from_initial(ADVECTION, lx, ly)
             for rank in range(dims[0] * dims[1]):
                 comm = SimpleNamespace(size=dims[0] * dims[1], rank=rank)
-                if isinstance(grid, tuple):
-                    comm.dims = grid
-                sol = DistributedAdvectionSolver(None, comm, ADVECTION,
-                                                 lx, ly, 1e-3)
+                sol = DistributedAdvectionSolver(
+                    None, comm, ADVECTION, lx, ly, 1e-3,
+                    dims=grid if isinstance(grid, tuple) else None)
                 assert sol.dims == dims
                 assert np.array_equal(sol.u, full[sol._block(rank)]), \
                     (lx, ly, rank)

@@ -1,9 +1,10 @@
 """Slab decomposition properties and the process-grid choice."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.pde import SlabDecomposition, choose_dims
+from repro.pde.decomposition import dims_create
 
 
 def test_bounds_cover_domain():
@@ -64,6 +65,36 @@ def test_choose_dims_rejects():
         choose_dims(3, 1, 0, "2d")        # 3 parts, 2 x points, 1 y point
     with pytest.raises(ValueError, match="unknown decomposition"):
         choose_dims(4, 4, 4, "3d")
+
+
+def test_dims_create_balanced():
+    assert dims_create(4, 2) == [2, 2]
+    assert dims_create(12, 2) == [4, 3]
+    assert dims_create(8, 3) == [2, 2, 2]
+    assert dims_create(7, 2) == [7, 1]
+    assert dims_create(1, 2) == [1, 1]
+
+
+def test_dims_create_respects_fixed_entries():
+    assert dims_create(12, 2, [3, 0]) == [3, 4]
+    assert dims_create(12, 2, [0, 6]) == [2, 6]
+    with pytest.raises(ValueError):
+        dims_create(12, 2, [5, 0])     # 5 does not divide 12
+    with pytest.raises(ValueError):
+        dims_create(12, 2, [3, 3])     # fixed product mismatch
+
+
+@given(st.integers(1, 256), st.integers(1, 3))
+@settings(max_examples=80)
+def test_dims_create_product_and_order(n, ndims):
+    dims = dims_create(n, ndims)
+    prod = 1
+    for d in dims:
+        prod *= d
+    assert prod == n
+    assert all(d >= 1 for d in dims)
+    # as-square-as-possible: max/min ratio no worse than n itself
+    assert max(dims) <= n
 
 
 @given(st.integers(1, 200), st.integers(1, 32))

@@ -69,12 +69,10 @@ def test_parallel_diffusion_axis1_path():
 
 
 def test_parallel_diffusion_2d_blocks():
-    from repro.mpi.cart import CartHandle
-
     async def main(ctx):
         dt = PROB.stable_dt(4)
-        cart = CartHandle(ctx.comm.state, ctx.proc, (2, 2), (True, True))
-        sol = DistributedAdvectionSolver(ctx, cart, PROB, 4, 4, dt)
+        sol = DistributedAdvectionSolver(ctx, ctx.comm, PROB, 4, 4, dt,
+                                         dims=(2, 2))
         await sol.step(10)
         return await sol.gather_full(0)
 

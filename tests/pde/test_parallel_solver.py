@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.ft import Disk, restore_checkpoint, write_checkpoint
-from repro.mpi.cart import CartHandle
 from repro.pde import (AdvectionProblem, DistributedAdvectionSolver,
                        SerialAdvectionSolver)
 
@@ -28,10 +27,10 @@ def serial_reference(lx, ly, steps):
 
 def on_grid(ctx, dims, lx, ly, problem=PROB):
     """A solver over the process grid ``dims`` (as ``_make_solver`` builds
-    it: the communicator wrapped, non-collectively)."""
-    cart = CartHandle(ctx.comm.state, ctx.proc, dims, (True, True))
-    return DistributedAdvectionSolver(ctx, cart, problem, lx, ly,
-                                      problem.stable_dt(max(lx, ly)))
+    it)."""
+    return DistributedAdvectionSolver(ctx, ctx.comm, problem, lx, ly,
+                                      problem.stable_dt(max(lx, ly)),
+                                      dims=dims)
 
 
 @pytest.mark.parametrize("nprocs,lx,ly", [
@@ -253,6 +252,16 @@ def test_process_grid_gather_nodal_shape(dims):
     assert res[0] == (33, 9)
 
 
+def test_solver_rejects_a_grid_of_another_size():
+    async def main(ctx):
+        with pytest.raises(ValueError, match=r"needs 4 ranks"):
+            on_grid(ctx, (2, 2), 4, 4)
+        return on_grid(ctx, (3, 1), 4, 4).dims
+
+    res, _ = run(3, main)
+    assert res == [(3, 1)] * 3
+
+
 @pytest.mark.parametrize("dims", [(2, 1), (2, 2)], ids=dims_id)
 def test_rebind_to_a_plain_communicator_keeps_the_grid(dims):
     """A repair hands back a plain communicator; the process grid (and
@@ -261,7 +270,7 @@ def test_rebind_to_a_plain_communicator_keeps_the_grid(dims):
         sol = on_grid(ctx, dims, 4, 4)
         await sol.step(2)
         sol.rebind(await ctx.comm.dup())
-        assert sol.dims == dims and not isinstance(sol.comm, CartHandle)
+        assert sol.dims == dims
         await sol.step(2)
         return await sol.gather_full(0)
 

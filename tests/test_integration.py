@@ -88,7 +88,7 @@ def test_tracer_captures_full_recovery_story():
     uni.run()
     kinds = {e.kind for e in uni.tracer.events}
     assert {"send", "coll", "kill", "spawn"} <= kinds
-    coll_ops = {e.detail.split()[0] for e in uni.tracer.filter(kind="coll")}
+    coll_ops = {e.op for e in uni.tracer.filter(kind="coll")}
     # the recovery protocol's signature operations all appear
     assert {"shrink", "agree", "merge", "split", "spawn_multiple",
             "barrier", "gather"} <= coll_ops
