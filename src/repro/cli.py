@@ -223,7 +223,8 @@ def cmd_timeline(args) -> int:
     try:
         doc = export_timeline(args.file, args.output)
     except FileNotFoundError:
-        raise SystemExit(f"error: no such trace file: {args.file}")
+        print(f"error: no such trace file: {args.file}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {args.file} is not a trace file: {exc}",
               file=sys.stderr)

@@ -434,7 +434,16 @@ class SegmentRound:
     known and :meth:`take`s its share of the numerics when it resumes.
     Failure follows the ``NORMAL`` discipline above.  A death *after* a member
     was released changes nothing for it: a victim never resumes, its peers
-    finish the segment and meet the failure at their next operation."""
+    finish the segment and meet the failure at their next operation.
+
+    Members with a kill scheduled (``Universe.doomed``; their ranks are
+    ``victims`` until the round is decided) give it a ``deadline``, the
+    earliest of their kills.  Such a round releases nobody until it is
+    decided, by the end of the first arrival's instant: it stands when
+    every member arrived at that instant and every victim's ``n``-step
+    clock is before the deadline (a victim then made all its sends before
+    it dies, so every member's slab and clock are the per-message ones);
+    otherwise it falls back (:meth:`fall_back`)."""
 
     def __init__(self, state, n: int, nbytes: int, advance: Callable):
         self.state = state
@@ -445,6 +454,11 @@ class SegmentRound:
         self.futs, self.times, self.values = ([None] * size for _ in range(3))
         self.arrived = 0
         self.outs = self.doom = self.next = None
+        kills = {state.rank_of(p): at
+                 for p, at in state.universe.doomed.items()
+                 if state in p.comm_states}
+        self.victims = list(kills)
+        self.deadline = min(kills.values(), default=float("inf"))
 
     def missing(self) -> List:
         """Live members that have not arrived (the deadlock explainer asks)."""
@@ -452,7 +466,8 @@ class SegmentRound:
                 if t is None and not p.dead]
 
     def join(self, rank: int, value: Any, compute: float):
-        """Returns the future to await; it resolves to this round."""
+        """Returns the future to await; it resolves to this round, or to
+        None when the round fell back to the per-message loop."""
         state, futs = self.state, self.futs
         uni = state.universe
         fut = uni.engine.create_future(f"segment:{state.name}")
@@ -465,6 +480,16 @@ class SegmentRound:
         else:
             futs[rank], self.values[rank] = fut, value
             done = self.clocks.start(rank, now, compute)
+            if self.victims:        # undecided: hold every release
+                if self.arrived == 1:
+                    uni.engine.call_at(now, self.fall_back)
+                if self.arrived < len(futs):
+                    return fut
+                clocks = self.clocks.rows[-1]
+                if any(clocks[v] >= self.deadline for v in self.victims):
+                    self.fall_back()
+                    return fut
+                self.victims, done = (), list(enumerate(clocks))
             if len(futs) > 1:
                 uni.stats.messages += 2 * self.n * len(done)
                 uni.stats.bytes_sent += 2 * self.n * len(done) * self.nbytes
@@ -476,6 +501,19 @@ class SegmentRound:
         if self.arrived == self.need:
             state.segment = self.next
         return fut
+
+    def fall_back(self) -> None:
+        """Unless the round was decided or doomed meanwhile, the group steps
+        this segment per message after all: every parked member resumes
+        now with None, and the communicator stays per-message."""
+        if not self.victims or self.doom is not None:
+            return
+        self.victims, state = (), self.state
+        state.per_message, state.segment = True, None
+        now = state.universe.engine.now
+        for fut in self.futs:
+            if fut is not None:
+                fut.set_result(None, at=now)
 
     def take(self, rank: int) -> Any:
         """``rank``'s share, on resume.  A member that resumes before the

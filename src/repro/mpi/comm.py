@@ -402,12 +402,15 @@ class CommHandle:
         ``advance(values, n)`` steps the group (or an arc of it) and every
         rank gets its entry of the result (never None) at the clock that
         loop would have reached.  Returns None when the group must run the
-        loop instead: a tracer, a revoked communicator, a dead member, one
-        with a kill scheduled (``Universe.doomed``) or a pair
-        (docs/performance.md).  The first arriver decides for the group, for
-        the life of the communicator (a repair replaces it or, in place,
-        decides the same), so a kill that fires or is scheduled between two
-        arrivals cannot split the group across the two paths.
+        loop instead: a tracer, a revoked communicator, a dead member or a
+        pair (docs/performance.md).  The first arriver decides for the
+        group, for the life of the communicator (a repair replaces it or, in
+        place, decides the same), so a kill that fires or is scheduled
+        between two arrivals cannot split the group across the two paths.
+        A member with a kill scheduled (``Universe.doomed``) makes the
+        segment wait for its decision (:class:`SegmentRound`); falling back
+        is the same standing decision.  A kill due by now, or one pending
+        while a member is still in an earlier segment, takes it at once.
         """
         state, rank = self.state, self.rank
         seg, last = state.segment, None
@@ -417,11 +420,14 @@ class CommHandle:
             if not state.per_message:
                 state.per_message = bool(
                     state.revoked or state._dead_ranks
-                    or len(state.procs) == 2 or self._uni.tracer is not None
-                    or not self._uni.doomed.isdisjoint(state.procs))
+                    or len(state.procs) == 2 or self._uni.tracer is not None)
             if state.per_message:
                 return None
             seg = SegmentRound(state, n, nbytes, advance)
+            if seg.victims and (last is not None
+                                or seg.deadline <= self._engine.now):
+                state.per_message = True
+                return None
             if last is None:
                 state.segment = seg
             else:
@@ -430,7 +436,7 @@ class CommHandle:
             seg = await seg.join(rank, value, compute)
         except MPIError as exc:
             self._raise(exc)
-        return seg.take(rank)
+        return None if seg is None else seg.take(rank)
 
     # ------------------------------------------------------------------
     # collectives

@@ -178,7 +178,8 @@ class IntercommHandle:
             self._raise(exc)
         self.state.universe.trace(
             self.proc.name, "recv", comm=self.state.name, src=msg.src,
-            dst=self.rank, tag=msg.tag, inter=True)
+            dst=self.rank, tag=msg.tag, anysrc=source == ANY_SOURCE,
+            anytag=tag == ANY_TAG, inter=True)
         return msg.payload
 
     # ------------------------------------------------------------------

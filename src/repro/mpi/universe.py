@@ -10,7 +10,7 @@ process failures (the analogue of the paper's
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..machine import Hostfile, MachineSpec
 from ..machine.presets import OPL
@@ -153,9 +153,10 @@ class Universe:
         #: optional MPI-level event recorder (see repro.mpi.tracing); call
         #: sites check it before building an event
         self.tracer = None
-        #: processes with a kill scheduled and not yet fired: their groups
-        #: solve on the per-message path (``CommHandle.ring_segment``)
-        self.doomed: Set[Proc] = set()
+        #: processes with a kill scheduled and not yet fired, each with its
+        #: earliest kill instant: a solve segment of their group stands only
+        #: if it ends before that (``SegmentRound``)
+        self.doomed: Dict[Proc, float] = {}
         # ``batch`` selects nothing and is not stored: bench/probes.py (its
         # only caller, frozen by BENCHMARK.json) still passes it.
 
@@ -258,7 +259,7 @@ class Universe:
             self._do_kill(proc)
         else:
             if not proc.dead:
-                self.doomed.add(proc)
+                self.doomed[proc] = min(at, self.doomed.get(proc, at))
             self.engine.call_at(at, self._do_kill, proc)
 
     def kill_rank(self, job_or_comm, rank: int, at: Optional[float] = None) -> None:
@@ -267,7 +268,7 @@ class Universe:
         self.kill_proc(state.procs[rank], at=at)
 
     def _do_kill(self, proc: Proc) -> None:
-        self.doomed.discard(proc)
+        self.doomed.pop(proc, None)
         if proc.dead:
             return
         now = self.engine.now

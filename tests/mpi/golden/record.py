@@ -79,6 +79,14 @@ the refusal, and its four kill plans are new; ``seed1`` kills both
 members of one grid, which nc still cannot repair (``run_error``).
 ``--check`` reported 0 of 23 programs and exactly these 33 of 61 runs.
 
+``events`` of ``AC-respawn-1d-seed1``, ``AC-respawn-2d-seed1``,
+``AC-shrink-1d-fullgrid`` and ``RC-shrink-1d-fullgrid`` was recorded
+again, and fell, when a group with a kill scheduled stopped stepping per
+message for the life of its communicator: a segment that ends before the
+earliest kill among its members now co-simulates.  Before re-recording,
+``--check`` reported 0 of 23 programs and exactly these 4 of 61 runs,
+each in ``events`` alone.
+
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.
 """

@@ -170,9 +170,10 @@ def test_every_term_of_the_predicate_sends_the_group_per_message(why):
         state.do_revoke(0.0)
     elif why == "dead":
         uni.kill_rank(job, 2)
-    elif why == "doomed":
-        uni.kill_rank(job, 2, at=5.0)
-        assert uni.doomed == {state.procs[2]}
+    elif why == "doomed":               # due inside the segment
+        at = 1.0 + OPL.p2p_cost(ROW)
+        uni.kill_rank(job, 2, at=at)
+        assert uni.doomed == {state.procs[2]: at}
     uni.run(raise_task_failures=False)
     assert job.results()[:2] == [None, None]
     assert state.per_message and state.segment is None
@@ -186,7 +187,9 @@ def test_a_kill_aimed_at_another_group_leaves_this_one_co_simulating():
         return out, sub.state.per_message
 
     uni, job = launch(6, main)
-    uni.kill_rank(job, 5, at=1.0)
+    # the segments start when the split completes; this kill lands in
+    # rank 5's first step
+    uni.kill_rank(job, 5, at=OPL.collective_cost(6, 16) + 1e-6)
     uni.run(raise_task_failures=False)
     assert job.results() == [(2, False), (3, False), (4, False)] \
         + [(None, True)] * 3
@@ -240,6 +243,127 @@ def test_the_decision_is_standing_even_if_the_reason_goes_away():
     uni, job = launch(3, main, traced=True)
     uni.run()
     assert job.results() == [(None, None)] * 3
+
+
+# ----------------------------------------------------------------------
+# a kill scheduled before the segment: stand only if it ends first
+# ----------------------------------------------------------------------
+RING, STEPS, VICTIM = 5, 3, 2
+COMPS = [1e-6 * (r + 1) for r in range(RING)]
+
+
+def solver(skews, n, segments):
+    """The solver's ``step(n)``, ``segments`` times: a segment, or the
+    exchange loop it stands for when ``ring_segment`` declines; then a
+    barrier that meets any kill.  A rank that meets the failure revokes,
+    as ``_step_guarded`` does.  Every rank reports its slab, clocks and
+    errors."""
+    async def main(ctx):
+        comm, r, size = ctx.comm, ctx.rank, ctx.size
+        await ctx.compute(skews[r])
+        out, left, row = 10 * r, None, np.zeros(ROW // 8)
+        try:
+            for _ in range(segments):
+                got = await comm.ring_segment(n, ROW, COMPS[r], out,
+                                              _advance)
+                if got is not None:
+                    out = got
+                    continue
+                for _ in range(n):
+                    await comm.exchange(
+                        (((r - 1) % size, _UP, row.copy()),
+                         ((r + 1) % size, _DOWN, row.copy())),
+                        (((r - 1) % size, _DOWN), ((r + 1) % size, _UP)),
+                        copy=False)
+                    await ctx.compute(COMPS[r])
+                    out += 1
+            left = ctx.wtime()
+            await comm.barrier()
+        except MPIError as exc:
+            comm.revoke()
+            return out, left, type(exc).__name__, ctx.wtime()
+        return out, left, None, ctx.wtime()
+    return main
+
+
+def run_solver(kill_at, *, traced=False, skews=(0.0,) * RING,
+               schedule=None, n=STEPS, segments=1):
+    """One run with ``VICTIM``'s kill due at ``kill_at``: everything a
+    member sees, the counters, and whether the group co-simulated."""
+    uni, job = launch(RING, solver(skews, n, segments), traced=traced)
+    if schedule is None:
+        uni.kill_rank(job, VICTIM, at=kill_at)
+    else:       # from a callback, once the first segment has opened
+        uni.engine.call_at(schedule, uni.kill_rank, job, VICTIM, kill_at)
+    uni.run(raise_task_failures=False)      # never a DeadlockError
+    assert check_runtime_leaks(uni).errors == []
+    assert not uni.doomed and uni.stats.kills == 1
+    stats = uni.stats
+    return (job.results(), stats.messages, stats.bytes_sent,
+            stats.collectives.total()), \
+        not job.world_state.per_message
+
+
+def test_a_kill_after_the_segment_co_simulates_the_per_message_run():
+    end = ring_clocks([0.0] * RING, OPL.p2p_cost(ROW), COMPS, STEPS)
+    kill_at = end[VICTIM] + 1e-6
+    got, segmented = run_solver(kill_at)
+    assert segmented
+    traced, _ = run_solver(kill_at, traced=True)
+    assert got == traced
+    results = got[0]
+    assert results[VICTIM] is None
+    for r, (out, left, error, _t) in enumerate(results[:VICTIM]):
+        assert (out, left, error) == (10 * r + STEPS, end[r],
+                                      "ProcFailedError")
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("step", range(1, STEPS + 1))
+def test_a_kill_at_each_step_boundary_of_the_victim(step, ulps):
+    """Around the victim's clock after each step: the segment stands only
+    for a kill strictly after its last one, and either way every member
+    sees what the per-message loop gives it."""
+    ring = RingClocks(RING, OPL.p2p_cost(ROW), STEPS)
+    for r in range(RING):
+        ring.start(r, 0.0, COMPS[r])
+    kill_at = ring.rows[step][VICTIM]
+    for _ in range(abs(ulps)):
+        kill_at = np.nextafter(kill_at, np.inf if ulps > 0 else -np.inf)
+    got, segmented = run_solver(float(kill_at))
+    assert segmented == (step == STEPS and ulps > 0)
+    assert got == run_solver(float(kill_at), traced=True)[0]
+
+
+def test_staggered_arrivals_with_a_kill_pending_fall_back():
+    """Rank r arrives at r microseconds: the first arrival's instant ends
+    with the others missing, so rank 0 takes the loop and the others find
+    the standing decision — no rank waits on a segment nobody joins."""
+    skews = [1e-6 * r for r in range(RING)]
+    got, segmented = run_solver(1.0, skews=skews)
+    assert not segmented
+    assert got == run_solver(1.0, skews=skews, traced=True)[0]
+
+
+def test_a_kill_due_at_the_arrival_instant_goes_per_message_at_once():
+    """Every member arrives at 1 us, before the kill due at that instant
+    fires: the deadline is not after the arrival, so nobody parks."""
+    got, segmented = run_solver(1e-6, skews=[1e-6] * RING, schedule=0.5e-6)
+    assert not segmented
+    assert got == run_solver(1e-6, skews=[1e-6] * RING, schedule=0.5e-6,
+                             traced=True)[0]
+
+
+def test_a_member_ahead_of_an_open_segment_takes_the_loop_at_once():
+    """Rank 4 starts a second late, so ranks 1 and 2 leave the first
+    one-step segment long before it and open the second while the first
+    still awaits it; a kill scheduled meanwhile sends them to the loop
+    without disturbing the segment rank 4 has yet to join."""
+    skews = [0.0, 0.0, 0.0, 0.0, 1.0]
+    args = dict(skews=skews, schedule=0.5e-6, n=1, segments=2)
+    got, segmented = run_solver(2.0, **args)
+    assert not segmented
+    assert got == run_solver(2.0, traced=True, **args)[0]
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +434,7 @@ def test_repeated_and_posthumous_kills_leave_no_doomed_entry():
     uni.kill_rank(job, 2, at=2.0)               # two kills, one process
     uni.kill_rank(job, 3)                       # dead now ...
     uni.kill_rank(job, 3, at=3.0)               # ... and killed again later
-    assert uni.doomed == {procs[2]}
+    assert uni.doomed == {procs[2]: 1.0}
     uni.run(raise_task_failures=False)
     assert not uni.doomed and uni.stats.kills == 2
 

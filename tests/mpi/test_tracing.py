@@ -214,6 +214,26 @@ def test_every_emitted_kind_survives_save_and_load(tmp_path):
     assert [e.detail for e in back.events] == [e.detail for e in events]
 
 
+def test_a_wildcard_bridge_receive_is_traced_as_one():
+    from repro.machine.presets import IDEAL
+    from repro.mpi.universe import Universe
+
+    async def child(ctx):
+        await ctx.get_parent().send("up", dest=0, tag=3)
+
+    async def main(ctx):
+        bridge = await ctx.comm.spawn_multiple(1, child)
+        return await bridge.recv(source=ANY_SOURCE, tag=3)
+
+    uni = Universe(IDEAL)
+    uni.tracer = tracer = Tracer()
+    job = uni.launch(1, main)
+    uni.run()
+    assert job.results() == ["up"]
+    (recv,) = [e for e in tracer.events if e.kind == "recv"]
+    assert (recv.inter, recv.anysrc, recv.anytag) == (True, True, False)
+
+
 # ---------------------------------------------------------------------------
 # the loader refuses what save would not write, naming the line
 # ---------------------------------------------------------------------------

@@ -163,9 +163,9 @@ def test_timeline_from_traced_run(tmp_path, capsys):
     assert "reconstruct" in names
 
 
-def test_timeline_missing_file_errors():
-    with pytest.raises(SystemExit, match="no such trace file"):
-        main(["timeline", "/nonexistent/trace.jsonl"])
+def test_timeline_missing_file_errors(capsys):
+    assert main(["timeline", "/nonexistent/trace.jsonl"]) == 2
+    assert "no such trace file" in capsys.readouterr().err
 
 
 def _seed_cache(directory):
