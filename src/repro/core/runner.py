@@ -57,6 +57,7 @@ def run_app(cfg: AppConfig, machine: MachineSpec = OPL, *,
     # phase (max over ranks — phases run concurrently) and per grid
     metrics.phase_breakdown = universe.obs.phase_totals()
     metrics.phase_by_grid = universe.obs.spans.by_label("gid")
+    universe.close()
     return metrics
 
 

@@ -369,14 +369,24 @@ class RoundTable:
         rnd.reads = rnd.n
         self.engine.schedule_future_batch(rnd.fut, rnd, latest + cost)
 
+    def close(self) -> None:
+        """A finished run's teardown: let go of the communicator (it
+        holds this table) and of every round left here (each holds it
+        too)."""
+        self.open.clear()
+        self._pool.clear()
+        self.state = self.universe = None
+
     def _recycle(self, rnd: Round) -> None:
+        # every reader took its result: the future lets go of the round
+        # even when a size change keeps the round out of the pool
+        rnd.fut.recycle()
         blank = self._blank
         if len(rnd.values) != len(blank):
             return
         rnd.values[:] = blank
         rnd.times[:] = blank
         rnd.result = rnd.arg = rnd.members = None
-        rnd.fut.recycle()
         self._pool.append(rnd)
 
     # ------------------------------------------------------------------

@@ -6,19 +6,26 @@ Wraps the 202-poll-200 protocol so callers just ask for a document::
         doc = client.experiment("fig9")      # polls until computed
         stats = client.cache_stats()
 
-Built on ``http.client`` only, with one kept-alive connection per
-calling thread — usable from CI shells, benchmarks and notebooks
-without installing anything.
+Each calling thread keeps one kept-alive socket (wrapped with ``ssl``
+for ``https``) and one buffered reader on it.  A request is one write;
+the reader takes the status line, the header lines and a
+``Content-Length`` body straight off the socket, and anything else — a
+chunked or length-less body, a short body, a bad status line — raises
+an :class:`http.client.HTTPException`.  Stdlib only: usable from CI
+shells, benchmarks and notebooks without installing anything.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import re
+import socket
+import ssl
 import threading
 import time
 import weakref
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .jobqueue import wall_now
@@ -41,6 +48,89 @@ def _sleep(seconds: float) -> None:
     time.sleep(seconds)  # noqa: ULF002 host-side client poll pacing, not simulated time
 
 
+#: ``http.client``'s limits on a message head: bytes in one line, and
+#: header lines, the blank one included
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+#: what ``http.client`` refuses in a request target
+_BAD_PATH = re.compile("[\x00-\x20\x7f]")
+
+
+def read_headers(rfile) -> Dict[str, str]:
+    """A head's header lines, read from ``rfile`` through its blank line
+    and keyed by lower-cased name.  ``http.client``'s limits and errors:
+    :class:`~http.client.LineTooLong` for a line over ``_MAX_LINE``
+    bytes, :class:`~http.client.HTTPException` for more than
+    ``_MAX_HEADERS`` lines.  The server reads requests with it too."""
+    headers = {}
+    for _ in range(_MAX_HEADERS):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = str(line, "iso-8859-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+class _Connection:
+    """One thread's socket and the buffered reader on it; ``sock`` is
+    None until the first request and again after ``close``."""
+
+    def __init__(self):
+        self.sock: Optional[socket.socket] = None
+        self.rfile = None
+
+    def open(self, host: str, port: int, timeout: float, tls) -> None:
+        sock = socket.create_connection((host, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tls is not None:
+                sock = tls.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock, self.rfile = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        sock, rfile, self.sock, self.rfile = self.sock, self.rfile, None, None
+        if rfile is not None:
+            rfile.close()
+        if sock is not None:
+            sock.close()
+
+
+def _read_head(rfile) -> Tuple[int, str, int, bool]:
+    """(status, reason, body length, keep the connection) of a response
+    head; a head this reader cannot follow raises ``HTTPException``."""
+    line = str(rfile.readline(_MAX_LINE + 1), "iso-8859-1")
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("status line")
+    if not line:
+        raise http.client.RemoteDisconnected(
+            "Remote end closed connection without response")
+    words = line.split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/") or not (
+            words[1].isascii() and words[1].isdigit()
+            and 100 <= int(words[1]) <= 999):
+        raise http.client.BadStatusLine(line)
+    headers = read_headers(rfile)
+    if "transfer-encoding" in headers:
+        raise http.client.HTTPException(
+            "unsupported Transfer-Encoding: "
+            f"{headers['transfer-encoding']}")
+    length = headers.get("content-length", "")
+    if not (length.isascii() and length.isdigit()):
+        raise http.client.HTTPException(
+            f"no usable Content-Length ({length!r})")
+    connection = headers.get("connection", "").lower()
+    keep = connection != "close" and (
+        words[0] != "HTTP/1.0" or connection == "keep-alive")
+    reason = words[2].strip() if len(words) == 3 else ""
+    return int(words[1]), reason, int(length), keep
+
+
 class ServiceClient:
     """Minimal blocking client; one instance per base URL, shareable
     between threads.  ``close()`` (or leaving a ``with`` block) closes
@@ -50,9 +140,12 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         url = urlsplit(self.base_url)
-        self._conn_class = http.client.HTTPSConnection \
-            if url.scheme == "https" else http.client.HTTPConnection
-        self._netloc, self._prefix = url.netloc, url.path
+        https = url.scheme == "https"
+        self._host = url.hostname
+        self._port = url.port or (443 if https else 80)
+        self._tls = ssl.create_default_context() if https else None
+        self._prefix = url.path
+        self._head_tail = f" HTTP/1.1\r\nHost: {url.netloc}\r\n\r\n".encode()
         self._local = threading.local()
         self._lock = threading.Lock()
         self._conns = weakref.WeakSet()     # every live thread's connection
@@ -69,11 +162,10 @@ class ServiceClient:
         for conn in conns:
             conn.close()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = self._local.conn = self._conn_class(
-                self._netloc, timeout=self.timeout)
+            conn = self._local.conn = _Connection()
             with self._lock:
                 self._conns.add(conn)
         return conn
@@ -83,26 +175,37 @@ class ServiceClient:
         """One GET; returns (status, decoded JSON) without raising on
         4xx/5xx (the poll loop needs the status); a non-JSON error body
         reads as ``{"error": body}``."""
-        conn, resp = self._connection(), None
+        target = self._prefix + path
+        if _BAD_PATH.search(target):
+            raise http.client.InvalidURL(
+                f"URL can't contain control characters. {target!r}")
+        request = b"GET " + target.encode("ascii") + self._head_tail
+        conn, head = self._connection(), None
         reused = conn.sock is not None
         try:
-            conn.request("GET", self._prefix + path)
-            resp = conn.getresponse()
-            body = resp.read().decode()
+            if not reused:
+                conn.open(self._host, self._port, self.timeout, self._tls)
+            conn.sock.sendall(request)
+            head = status, reason, length, keep = _read_head(conn.rfile)
+            body = conn.rfile.read(length)
+            if len(body) < length:
+                raise http.client.IncompleteRead(body, length - len(body))
         except BaseException as exc:
             conn.close()
             # the server dropped the idle kept-alive connection before
             # answering: send once more, on a fresh one
-            if reused and resp is None and isinstance(exc, ConnectionError):
+            if reused and head is None and isinstance(exc, ConnectionError):
                 return self.get(path)
             raise
-        if resp.status < 400:
-            return resp.status, json.loads(body)
+        if not keep:
+            conn.close()
+        if status < 400:
+            return status, json.loads(body)
         try:
             payload = json.loads(body)
         except ValueError:
-            payload = {"error": body or f"HTTP {resp.status} {resp.reason}"}
-        return resp.status, payload
+            payload = {"error": body.decode() or f"HTTP {status} {reason}"}
+        return status, payload
 
     def _expect(self, path: str, ok=(200,)) -> dict:
         status, payload = self.get(path)

@@ -41,12 +41,27 @@ encode).  Only 200s are kept: a 404, 202 or 500 for a key is answered
 afresh each time, as are ``/healthz``, ``/v1/cache/stats`` and
 ``/v1/job``.  The kept bodies live as long as the cache's memory tier
 and have its bound: every key this process has read.
+
+The HTTP plumbing around a warm read is the request head and the
+answer, so both are lean.  ``_Handler.parse_request`` splits the request
+line and reads the header lines straight off the socket into a dict,
+with the stdlib parser's answers and limits (the stdlib's email-based
+header parse was a third of a warm read's server CPU).  ``do_GET``
+writes each answer as one ``wfile.write``: status line, ``Server``,
+``Date`` (formatted once per second), ``Content-Type``,
+``Content-Length``, ``Retry-After`` on a 503, then the body.  A
+document's content key is fingerprinted once per ``(name, quick)``, and
+the request counter and latency histogram are looked up once per
+``(endpoint, status)``, per ``ServiceState``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
@@ -55,6 +70,7 @@ from ..experiments.registry import EXPERIMENTS, run_experiment
 from ..obs.registry import MetricsRegistry
 from ..obs.schema import EXPERIMENT_SCHEMA_VERSION
 from ..sweep import RunCache, SweepRunner, cache as run_cache
+from .client import read_headers
 from .jobqueue import JobQueue, QueueFull, wall_now
 
 __all__ = ["ServiceState", "create_server", "serve"]
@@ -93,11 +109,35 @@ class ServiceState:
         #: (endpoint, content key) -> encoded 200; a document's key is
         #: also a /v1/run key, with another body
         self._bodies: Dict[Tuple[str, str], bytes] = {}
+        #: (name, quick) -> experiment_key, fingerprinted once per state
+        self._doc_keys: Dict[Tuple[str, bool], str] = {}
+        #: (endpoint, status) -> (request counter, latency histogram)
+        self._instruments: Dict[Tuple[str, int], tuple] = {}
+        self._instruments_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _count_lookup(self, kind: str, result: str) -> None:
         self.registry.counter("service_cache", kind=kind,
                               result=result).inc()
+
+    def request_instruments(self, endpoint: str, status: int) -> tuple:
+        """The ``service_requests`` counter and ``service_request_seconds``
+        histogram one answer updates.  Created under a lock: two threads
+        creating one pair could each cache an instrument the other's
+        registry call replaced."""
+        pair = self._instruments.get((endpoint, status))
+        if pair is None:
+            with self._instruments_lock:
+                pair = self._instruments.get((endpoint, status))
+                if pair is None:
+                    reg = self.registry
+                    pair = self._instruments[endpoint, status] = (
+                        reg.counter("service_requests", endpoint=endpoint,
+                                    status=status),
+                        reg.histogram("service_request_seconds",
+                                      buckets=_REQUEST_BUCKETS,
+                                      endpoint=endpoint))
+        return pair
 
     def _keep(self, endpoint: str, key: str, payload: dict) -> bytes:
         """Encode ``key``'s 200 once.  Racing first reads encode equal
@@ -151,7 +191,10 @@ class ServiceState:
         if name not in EXPERIMENTS:
             return 404, {"error": f"unknown experiment {name!r}",
                          "known": sorted(EXPERIMENTS)}
-        key = self.experiment_key(name, quick)
+        key = self._doc_keys.get((name, quick))
+        if key is None:
+            key = self._doc_keys.setdefault(
+                (name, quick), self.experiment_key(name, quick))
         body = self._bodies.get(("experiment", key))
         if body is None:
             doc = self.cache.load(key)
@@ -220,19 +263,87 @@ class ServiceState:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
-    #: a response is two writes (headers, body); on a kept-alive
+    #: send_error answers in two writes (head, body); on a kept-alive
     #: connection Nagle would hold the body for the client's delayed ACK
     disable_nagle_algorithm = True
 
     #: set by create_server on the handler class
     state: ServiceState = None
     quiet = True
+    #: (unix second, its Date value), shared by the class's threads
+    _date = (0, "")
 
     def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
         if not self.quiet:
             super().log_message(fmt, *args)
 
     # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """The request line, then the header lines read straight from
+        ``rfile`` into ``self.headers``, a dict keyed by lower-cased name.
+
+        Same answers and limits as the stdlib's parser: 400 for a bad
+        request line or version, 505 for HTTP/2 and later, 431 for a
+        header line over 65 536 bytes or a head of more than 100 lines
+        (:func:`~repro.service.client.read_headers`); HTTP/1.0 without
+        ``keep-alive``, and ``Connection: close``, end the connection.
+        ``handle_one_request`` around it (with its 501 for another
+        method), ``send_error`` and timeouts stay the stdlib's.  Unlike
+        the stdlib it refuses an HTTP/0.9 line (no version) with 400
+        instead of serving it, and does not answer ``Expect:
+        100-continue`` (no endpoint reads a request body).
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        line = self.requestline = str(self.raw_requestline,
+                                      "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = _http_version(words[-1])
+            if version is None:
+                self.send_error(400, f"Bad request version ({words[-1]!r})")
+                return False
+            if version >= (2, 0):
+                self.send_error(505, "Invalid HTTP version "
+                                     f"({words[-1][5:]})")
+                return False
+            self.close_connection = version < (1, 1)
+            self.request_version = words[-1]
+        if len(words) != 3:
+            self.send_error(400, f"Bad request syntax ({line!r})")
+            return False
+        self.command, path = words[0], words[1]
+        # the stdlib's guard against "//host" read as an absolute URI
+        self.path = "/" + path.lstrip("/") if path.startswith("//") \
+            else path
+
+        try:
+            headers = self.headers = read_headers(self.rfile)
+        except http.client.LineTooLong as err:
+            self.send_error(431, "Line too long", str(err))
+            return False
+        except http.client.HTTPException as err:
+            self.send_error(431, "Too many headers", str(err))
+            return False
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        return True
+
+    def _date_value(self) -> str:
+        """The ``Date`` header, formatted once per second."""
+        now = int(time.time())  # noqa: ULF002 host-side HTTP Date header, not simulated time
+        second, text = self._date
+        if second != now:
+            text = self.date_time_string(now)
+            type(self)._date = (now, text)
+        return text
+
     def _dispatch(self, path: str,
                   query: dict) -> Tuple[str, int, Payload]:
         """(endpoint label, status, payload) for one GET."""
@@ -265,22 +376,33 @@ class _Handler(BaseHTTPRequestHandler):
             endpoint, status = "internal", 500
             payload = {"error": f"{type(exc).__name__}: {exc}"}
         body = payload if isinstance(payload, bytes) else _encode(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if status == 503:
-            self.send_header("Retry-After", "1")
+        retry_after = "Retry-After: 1\r\n" if status == 503 else ""
+        head = (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self._date_value()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n{retry_after}\r\n")
+        self.log_request(status)
         try:
-            self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(head.encode("latin-1") + body)
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True    # the client went away
-        reg = self.state.registry
-        reg.counter("service_requests", endpoint=endpoint,
-                    status=status).inc()
-        reg.histogram("service_request_seconds",
-                      buckets=_REQUEST_BUCKETS,
-                      endpoint=endpoint).observe(wall_now() - t0)
+        requests, seconds = self.state.request_instruments(endpoint, status)
+        requests.inc()
+        seconds.observe(wall_now() - t0)
+
+
+def _http_version(word: str) -> Optional[Tuple[int, int]]:
+    """``HTTP/<major>.<minor>`` as two ints, or None where the stdlib's
+    parser answers 400: one dot, ASCII digits, at most ten of each."""
+    if not word.startswith("HTTP/"):
+        return None
+    parts = word[5:].split(".")
+    if len(parts) != 2 or not all(
+            p.isascii() and p.isdigit() and len(p) <= 10 for p in parts):
+        return None
+    return int(parts[0]), int(parts[1])
 
 
 def _flag(query: dict, name: str, default: bool) -> bool:

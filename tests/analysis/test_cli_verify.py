@@ -17,9 +17,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
-# verify-protocol
+# verify-protocol (rendered from the session's run: ``served_verify``)
 # ---------------------------------------------------------------------------
-def test_verify_protocol_default_clean(capsys):
+def test_verify_protocol_default_clean(capsys, served_verify):
     assert cli_main(["verify-protocol"]) == 0
     out = capsys.readouterr().out
     for mode in ("CR", "RC", "AC", "SHRINK", "NC"):
@@ -27,7 +27,7 @@ def test_verify_protocol_default_clean(capsys):
     assert "deadlock-free" in out
 
 
-def test_verify_protocol_mode_subset(capsys):
+def test_verify_protocol_mode_subset(capsys, served_verify):
     assert cli_main(["verify-protocol", "--modes", "cr,rc"]) == 0
     out = capsys.readouterr().out
     assert "CR:" in out and "RC:" in out and "AC:" not in out
@@ -38,7 +38,7 @@ def test_verify_protocol_unknown_mode_exit_2(capsys):
     assert "XX" in capsys.readouterr().err
 
 
-def test_verify_protocol_json(capsys):
+def test_verify_protocol_json(capsys, served_verify):
     assert cli_main(["verify-protocol", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
@@ -49,7 +49,7 @@ def test_verify_protocol_json(capsys):
         assert m["violations"] == []
 
 
-def test_verify_protocol_sarif_validates(capsys):
+def test_verify_protocol_sarif_validates(capsys, served_verify):
     assert cli_main(["verify-protocol", "--format", "sarif"]) == 0
     doc = json.loads(capsys.readouterr().out)
     validate_sarif(doc)

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import repro
-from repro.analysis import RULES, lint_file, lint_paths
+from repro.analysis import RULES, lint_file
 from repro.cli import main as cli_main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "lint_violations.py"
@@ -17,8 +17,8 @@ def rules_of(violations):
 # ---------------------------------------------------------------------------
 # self-check and seeded-violation fixture
 # ---------------------------------------------------------------------------
-def test_repro_package_is_lint_clean():
-    violations = lint_paths([PACKAGE])
+def test_repro_package_is_lint_clean(repo_lint):
+    violations = [v for v in repo_lint if not v.suppressed]
     assert violations == [], "\n".join(str(v) for v in violations)
 
 
@@ -36,7 +36,7 @@ def test_fixture_flags_every_discarded_communicator():
     assert len(expected) == 2 and flagged == expected
 
 
-def test_cli_lint_exit_codes(capsys):
+def test_cli_lint_exit_codes(capsys, served_lint):
     assert cli_main(["lint", str(FIXTURE)]) == 1
     assert "ULF001" in capsys.readouterr().out
     assert cli_main(["lint", str(PACKAGE)]) == 0

@@ -18,7 +18,7 @@ FIXTURE = Path(__file__).parent / "fixtures" / "lint_violations.py"
 PACKAGE = Path(repro.__file__).parent
 
 
-def test_exit_0_on_clean_tree(capsys):
+def test_exit_0_on_clean_tree(capsys, served_lint):
     assert cli_main(["lint", str(PACKAGE)]) == 0
     assert "lint: clean" in capsys.readouterr().out
 
@@ -53,7 +53,7 @@ def test_json_format_schema(capsys):
         assert v["severity"] == SEVERITY[v["rule"]]
 
 
-def test_json_format_clean_tree(capsys):
+def test_json_format_clean_tree(capsys, served_lint):
     assert cli_main(["lint", "--format", "json", str(PACKAGE)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == []

@@ -25,9 +25,9 @@ def test_model_rules_are_catalogued_as_errors():
         assert SEVERITY[rule] == "error"
 
 
-@pytest.fixture(scope="module")
-def shipped_reports():
-    return verify_modes()
+@pytest.fixture
+def shipped_reports(verify_reports):
+    return verify_reports
 
 
 def test_shipped_modes_are_deadlock_free(shipped_reports):

@@ -79,3 +79,55 @@ def test_cached_scheme_shares_instances():
     # ... and the identity-keyed layout cache collapses with them
     assert a.layout() is AppConfig(n=7, level=4,
                                    technique_code="RC").layout()
+
+
+# ----------------------------------------------------------------------
+# teardown: a finished run is freed by refcounting, not by the collector
+# ----------------------------------------------------------------------
+@pytest.fixture
+def collector_off():
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        yield gc
+    finally:
+        gc.enable()
+
+
+def test_a_finished_run_frees_its_universe_without_the_collector(
+        monkeypatch, collector_off):
+    import weakref
+
+    from repro.core import run_app, runner
+
+    made = []
+
+    def recording(*args, **kwargs):
+        universe, total = make_universe(*args, **kwargs)
+        made.append(weakref.ref(universe))
+        return universe, total
+
+    monkeypatch.setattr(runner, "make_universe", recording)
+    metrics = run_app(AppConfig(technique_code="CR", n=5, level=3, steps=4,
+                                diag_procs=4))
+    assert metrics.world_size > 0
+    assert len(made) == 1 and made[0]() is None
+    assert collector_off.collect() == 0
+
+
+@pytest.mark.parametrize("tech, mode, bound", [
+    # a tenth of what the collector found after the same run before the
+    # teardown (1 622, 1 468 and 2 361 objects)
+    ("CR", "respawn", 162), ("AC", "shrink", 146), ("RC", "respawn", 236)])
+def test_a_run_with_kills_leaves_little_cyclic_garbage(tech, mode, bound,
+                                                      collector_off):
+    from repro.core import run_app
+
+    cfg = AppConfig(technique_code=tech, n=5, level=4 if tech != "CR" else 3,
+                    steps=4, diag_procs=4, recovery_mode=mode)
+    kills = plan_failures(cfg, 2, at=0.5 * baseline_solve_time(cfg), seed=1)
+    collector_off.collect()
+    metrics = run_app(cfg, kills=kills)
+    assert metrics.world_size > 0
+    assert collector_off.collect() <= bound

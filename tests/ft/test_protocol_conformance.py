@@ -10,7 +10,6 @@ tests pin that wiring itself.
 import pytest
 
 from repro.analysis import pytest_plugin
-from repro.analysis.model import verify_modes
 
 
 def test_conformance_gate_ran_and_is_clean():
@@ -19,10 +18,10 @@ def test_conformance_gate_ran_and_is_clean():
     assert pytest_plugin._protocol_problems == []
 
 
-def test_verifier_inlines_real_reconstruct():
+def test_verifier_inlines_real_reconstruct(verify_reports):
     """The verified models must exercise the actual repair pipeline:
     failure placements were explored and survived for every mode."""
-    for rep in verify_modes():
+    for rep in verify_reports:
         assert rep.ok
         assert rep.result.kills_explored >= 1
         assert rep.result.terminals >= 1

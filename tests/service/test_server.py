@@ -651,6 +651,190 @@ def test_a_non_json_error_body_is_the_error(service):
 
 
 # ----------------------------------------------------------------------
+# the request parser and the one-write answer, on raw sockets
+# ----------------------------------------------------------------------
+def _exchange(server, data: bytes):
+    """Send ``data`` on a fresh connection; returns (everything the server
+    answered, whether it then closed the connection)."""
+    with socket.create_connection(("127.0.0.1", server.server_address[1]),
+                                  timeout=10) as sock:
+        sock.sendall(data)
+        sock.settimeout(0.5)
+        out = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except TimeoutError:
+                return out, False           # answered, still open
+            if not chunk:
+                return out, True
+            out += chunk
+
+
+def _head(answer: bytes):
+    """(status, lower-cased header dict, body) of one raw answer."""
+    head, _, body = answer.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body
+
+
+def _get(path: str, version: str = "HTTP/1.1", *headers: str) -> bytes:
+    return "\r\n".join((f"GET {path} {version}", "Host: test", *headers,
+                         "", "")).encode("latin-1")
+
+
+@pytest.mark.parametrize("version, headers, closed", [
+    ("HTTP/1.1", (), False),
+    ("HTTP/1.1", ("Connection: close",), True),
+    ("HTTP/1.0", (), True),
+    ("HTTP/1.0", ("Connection: keep-alive",), False)])
+def test_connection_lifetime_follows_version_and_header(service, version,
+                                                        headers, closed):
+    server, _ = service
+    answer, was_closed = _exchange(server, _get("/healthz", version,
+                                                *headers))
+    assert _head(answer)[0] == 200
+    assert was_closed is closed
+
+
+@pytest.mark.parametrize("line_bytes, status", [(65536, 200), (65537, 431)])
+def test_a_header_line_over_64_kib_answers_431(service, line_bytes, status):
+    server, _ = service
+    header = "X-Pad: " + "a" * (line_bytes - len("X-Pad: \r\n"))
+    answer, _ = _exchange(server, _get("/healthz", "HTTP/1.1", header,
+                                       "Connection: close"))
+    assert _head(answer)[0] == status
+
+
+@pytest.mark.parametrize("count, status", [(99, 200), (101, 431)])
+def test_a_101st_header_answers_431(service, count, status):
+    """At most 100 head lines, the blank one included (``http.client``'s
+    limit, as the stdlib parser counts it)."""
+    server, _ = service
+    headers = [f"X-H{i}: v" for i in range(count - 2)]   # plus Host
+    answer, _ = _exchange(server, _get("/healthz", "HTTP/1.1", *headers,
+                                       "Connection: close"))
+    assert _head(answer)[0] == status
+
+
+def test_bad_request_lines_answer_as_the_stdlib_does(service):
+    server, _ = service
+    answer, closed = _exchange(server, b"GET /a b HTTP/1.1\r\n\r\n")
+    assert _head(answer)[0] == 400 and closed
+    # a version the stdlib cannot parse, or HTTP/2 and later, is answered
+    # before the version is known: an HTML body without a status line
+    answer, closed = _exchange(server, b"GET / HTTP/1.x\r\n\r\n")
+    assert b"Error code: 400" in answer and closed
+    answer, closed = _exchange(server, b"GET / HTTP/2.0\r\n\r\n")
+    assert b"Error code: 505" in answer and closed
+    answer, closed = _exchange(
+        server, b"POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+    assert _head(answer)[0] == 501 and closed
+
+
+def _assert_full_head(answer: bytes, status: int) -> dict:
+    got, headers, body = _head(answer)
+    assert got == status
+    assert headers["server"].startswith("repro-serve/1")
+    assert headers["date"].endswith(" GMT")
+    assert headers["content-type"] == "application/json"
+    assert int(headers["content-length"]) == len(body)
+    return headers
+
+
+def test_every_answer_carries_the_full_head(service):
+    server, client = service
+    client.experiment("fake", timeout=30)
+    for path, status in (("/v1/experiment/fake", 200), ("/healthz", 200),
+                         ("/v1/nope", 404), ("/v1/run/XYZ", 400)):
+        answer, _ = _exchange(server, _get(path, "HTTP/1.1",
+                                           "Connection: close"))
+        assert "retry-after" not in _assert_full_head(answer, status)
+
+
+def test_a_503_carries_retry_after(tmp_path, fake_experiments, monkeypatch):
+    release, started = threading.Event(), threading.Event()
+
+    def slow(quick, runner):
+        started.set()
+        release.wait(10)
+        return [{"v": 1}]
+
+    for name in ("s1", "s2", "s3"):
+        monkeypatch.setitem(
+            EXPERIMENTS, name, ExperimentSpec(name, slow, lambda pts: name))
+    with _running(tmp_path / "c3", queue_workers=1,
+                  max_pending=1) as (server, client):
+        try:
+            assert client.experiment_once("s1")[0] == 202
+            assert started.wait(10)
+            assert client.experiment_once("s2")[0] == 202
+            answer, _ = _exchange(server, _get("/v1/experiment/s3",
+                                               "HTTP/1.1",
+                                               "Connection: close"))
+            assert _assert_full_head(answer, 503)["retry-after"] == "1"
+        finally:
+            release.set()
+
+
+# ----------------------------------------------------------------------
+# the client's response reader
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _canned(*answers: bytes):
+    """A one-connection server answering each request with the next of
+    ``answers`` (closing after the last); yields its URL and the list of
+    requests it read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    requests = []
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile:
+            for answer in answers:
+                line = rfile.readline()
+                while rfile.readline() not in (b"\r\n", b""):
+                    pass
+                requests.append(line)
+                conn.sendall(answer)
+            conn.shutdown(socket.SHUT_RDWR)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+    finally:
+        listener.close()
+        thread.join(10)
+
+
+_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+
+
+@pytest.mark.parametrize("answer", [
+    # a length beside the chunking does not make it readable
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 2"
+    b"\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+    b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\n{}"],
+    ids=["chunked", "no-length", "short-body", "bad-status-line"])
+def test_an_answer_the_reader_cannot_follow_raises_without_a_resend(answer):
+    import http.client
+
+    with _canned(_OK, answer) as (url, requests):
+        with ServiceClient(url, timeout=10) as client:
+            assert client.get("/healthz") == (200, {})
+            with pytest.raises(http.client.HTTPException):
+                client.get("/healthz")     # on the kept-alive connection
+    assert requests == [b"GET /healthz HTTP/1.1\r\n"] * 2
+
+
+# ----------------------------------------------------------------------
 # document keys
 # ----------------------------------------------------------------------
 def test_document_key_is_stable_across_interpreters():
