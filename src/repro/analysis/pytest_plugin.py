@@ -1,31 +1,24 @@
 """Pytest plugin: automatic leak/race audit for mpi-layer tests.
 
-Registered in ``pytest.ini`` (``-p repro.analysis.pytest_plugin``).  For
-every test under ``tests/mpi/`` it records the universes the test creates
-and, after the test body finishes, runs:
+Registered in ``pytest.ini`` (``-p repro.analysis.pytest_plugin``).  After
+each test under ``tests/mpi/`` it audits every universe the test created
+(a ``Universe.close`` the test makes waits until then) with:
 
 * :func:`repro.analysis.runtime.check_runtime_leaks` — leak *errors* fail
   the test;
 * :func:`repro.analysis.races.find_message_races` on the universe's tracer
-  (when tracing was on) — detected message races fail the test unless it
-  is marked ``@pytest.mark.allow_races`` (for tests that exercise races
-  deliberately).
+  (when tracing was on) — races fail the test unless it is marked
+  ``@pytest.mark.allow_races`` (it creates races on purpose).
 
-The audit is intentionally scoped to ``tests/mpi``: higher-layer tests
-drive whole applications where post-run communicator state is part of the
-scenario under test.
+The audit is scoped to ``tests/mpi``: higher-layer tests drive whole
+applications where post-run communicator state is part of the scenario.
 
-Tests under ``tests/ft/`` get a second, cheaper guard: before the first
-such test runs, the protocol-model verifier
-(:func:`repro.analysis.model.verify_modes`) model-checks the CR/RC/AC
-recovery skeletons at the default rank bound with single-failure
-injection.  If any mode has a reachable deadlock or a ULF016-ULF020
-protocol violation, every ft test fails immediately with the
-counterexample summary — an edit that breaks the recovery protocol is
-reported at the protocol level, not as a confusing hang or wrong-answer
-assertion three layers up.  The check runs once per session (it is pure
-in the source) and is smoke-level by design: ``repro verify-protocol``
-prints the full per-rank timelines.
+Tests under ``tests/ft/`` get a second guard: :func:`protocol_reports`
+(the default ``verify_modes()``, run once per session and shared with
+every test that reads it) must find no mode with a reachable deadlock or
+a ULF016-ULF020 violation, or every ft test fails at once with the
+counterexample summary — a protocol break is reported at the protocol
+level, not as a hang or wrong answer three layers up.
 """
 
 from __future__ import annotations
@@ -35,19 +28,27 @@ import pytest
 _AUDIT_PATH = "tests/mpi/"
 _FT_PATH = "tests/ft/"
 
-#: session cache for the one-shot protocol conformance check:
-#: None = not yet run, [] = clean, else the failure messages.
-_protocol_problems = None
+#: session caches: the default ``verify_modes()`` reports; the gate's
+#: verdict (None = not yet run, [] = clean, else the failure messages)
+_protocol_reports = _protocol_problems = None
+
+
+def protocol_reports():
+    """The default ``verify-protocol`` run, computed once per session."""
+    global _protocol_reports
+    if _protocol_reports is None:
+        from repro.analysis.model import verify_modes
+        _protocol_reports = verify_modes()
+    return _protocol_reports
 
 
 def _ft_protocol_problems():
     global _protocol_problems
     if _protocol_problems is None:
-        from repro.analysis.model import (ExtractError, ModelError,
-                                          verify_modes)
+        from repro.analysis.model import ExtractError, ModelError
         problems = []
         try:
-            for rep in verify_modes():
+            for rep in protocol_reports():
                 if not rep.ok:
                     lines = [f"[{rep.mode}] {v.rule}: {v.message}"
                              for v in rep.result.violations]
@@ -88,7 +89,7 @@ def ft_protocol_conformance(request):
 
 @pytest.fixture(autouse=True)
 def mpi_runtime_audit(request):
-    """Collect every Universe the test creates; audit them afterwards."""
+    """Collect every Universe the test creates; audit them, then close."""
     nodeid = request.node.nodeid.replace("\\", "/")
     if _AUDIT_PATH not in nodeid:
         yield
@@ -96,18 +97,19 @@ def mpi_runtime_audit(request):
 
     from repro.mpi.universe import Universe
 
-    created = []
-    orig_init = Universe.__init__
+    created, closing = [], []
+    orig_init, orig_close = Universe.__init__, Universe.close
 
     def recording_init(self, *args, **kwargs):
         orig_init(self, *args, **kwargs)
         created.append(self)
 
     Universe.__init__ = recording_init
+    Universe.close = lambda self: closing.append(self)
     try:
         yield
     finally:
-        Universe.__init__ = orig_init
+        Universe.__init__, Universe.close = orig_init, orig_close
 
     from .races import find_message_races
     from .runtime import check_runtime_leaks
@@ -119,8 +121,10 @@ def mpi_runtime_audit(request):
         tracer = universe.tracer
         if tracer is not None and \
                 request.node.get_closest_marker("allow_races") is None:
-            for race in find_message_races(tracer, allow_truncated=True):
-                problems.append(str(race))
+            problems += map(str, find_message_races(tracer,
+                                                    allow_truncated=True))
+    for universe in closing:
+        universe.close()
     if problems:
         pytest.fail("mpi runtime audit failed:\n  "
                     + "\n  ".join(problems), pytrace=False)

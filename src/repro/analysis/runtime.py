@@ -24,7 +24,7 @@ tests on errors; warnings are attached to the report only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import List
 
 from ..simkernel.task import TaskState
 
@@ -53,14 +53,8 @@ class LeakReport:
 
 
 def _comm_states(universe) -> list:
-    seen: Set[int] = set()
-    states = []
-    for proc in universe.all_procs.values():
-        for state in proc.comm_states:
-            if id(state) not in seen:
-                seen.add(id(state))
-                states.append(state)
-    return states
+    return list(dict.fromkeys(state for proc in universe.all_procs.values()
+                              for state in proc.comm_states))
 
 
 def _slot_proc(universe, state, dst):
@@ -73,7 +67,9 @@ def _slot_proc(universe, state, dst):
 
 
 def check_runtime_leaks(universe) -> LeakReport:
-    """Audit a finished (or stopped) universe for leaked MPI resources."""
+    """Audit a finished (or stopped), unclosed universe for MPI leaks."""
+    if universe.closed:
+        raise ValueError("the universe was closed: nothing left to audit")
     report = LeakReport()
     for state in _comm_states(universe):
         name = state.name

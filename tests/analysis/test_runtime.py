@@ -1,5 +1,7 @@
 """Runtime leak audit (repro.analysis.runtime)."""
 
+import pytest
+
 from repro.analysis import check_runtime_leaks
 from repro.machine.presets import IDEAL
 from repro.mpi.universe import Universe
@@ -49,3 +51,13 @@ def test_unreceived_message_is_a_warning():
     report = check_runtime_leaks(uni)
     assert report.errors == []
     assert any("never received" in w for w in report.warnings)
+
+
+def test_a_closed_universe_is_refused():
+    async def main(ctx):
+        await ctx.comm.barrier()
+
+    uni, _ = run(2, main)
+    uni.close()
+    with pytest.raises(ValueError, match="closed"):
+        check_runtime_leaks(uni)

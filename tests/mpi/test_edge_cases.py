@@ -188,3 +188,25 @@ def test_message_to_dead_then_revive_via_spawn_is_new_process():
 
     res, _ = run(3, entry, kills=[(1, 0.5)], raise_task_failures=False)
     assert res[0] == "ok" and res[2] == "ok"
+
+
+def test_the_audit_still_sees_a_run_that_run_app_closed(monkeypatch):
+    # run_app closes its universe once it has read the metrics; under
+    # tests/mpi that close waits, so the leak audit reads the whole run
+    from repro.core import AppConfig, run_app, runner
+    from repro.ft.failure_injection import Kill
+
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(make_universe(*args, **kwargs))
+        return made[-1]
+
+    make_universe = runner.make_universe
+    monkeypatch.setattr(runner, "make_universe", recording)
+    m = run_app(AppConfig(n=5, level=3, technique_code="CR", steps=4,
+                          diag_procs=2), OPL, kills=[Kill(3, 1e-4)])
+    assert m.n_failures == 1
+    uni = made[0][0]
+    assert not uni.closed
+    assert any(p.comm_states for p in uni.all_procs.values())

@@ -113,6 +113,51 @@ def test_future_exception_propagates():
     assert t.result == "survived"
 
 
+def test_a_reraised_exception_keeps_the_frames_it_was_thrown_through():
+    eng = Engine()
+    fut = eng.create_future()
+
+    async def inner():
+        await fut
+
+    async def waiter():
+        try:
+            await inner()
+        finally:
+            await Sleep(1.0)        # re-raised only after a later step
+
+    t = eng.spawn(waiter())
+    fut.set_exception(ValueError("boom"), at=1.0)
+    eng.run(raise_task_failures=False)
+    tb, names = t.exception.__traceback__, []
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert "inner" in names
+
+
+def test_a_shared_exception_carries_only_the_last_throw():
+    eng = Engine()
+    fut = eng.create_future()
+
+    async def waiter():
+        with pytest.raises(ValueError):
+            await fut
+
+    for _ in range(3):
+        eng.spawn(waiter())
+    exc = ValueError("shared")
+    fut.set_exception(exc, at=1.0)
+    eng.run()
+    names, tb = [], exc.__traceback__
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert names.count("waiter") == 1
+    eng.close()
+    assert exc.__traceback__ is None
+
+
 def test_await_already_resolved_future():
     eng = Engine()
     fut = eng.create_future()
