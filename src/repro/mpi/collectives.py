@@ -209,7 +209,7 @@ class Round:
     ``readmit`` swaps a member in place and then tells every round to await
     the replacement.  ``times[slot]`` is the arrival instant of a member
     that arrived and is still alive — the arrival record the deadlock
-    explainer and the leak audit read.
+    explainer and the leak audit read — until it reads its result.
     """
 
     __slots__ = ("fut", "key", "members", "kind", "cost_rule", "finish",
@@ -238,7 +238,10 @@ class Round:
         self.fut.set_exception(exc, at=at)
 
     def take(self, slot: int):
-        """This slot's result; recycles the round once every rank has read."""
+        """This slot's result; recycles the round once every rank has read
+        (a member that dies before it reads counts as read:
+        :meth:`RoundTable.on_death`)."""
+        self.times[slot] = None
         shape = self.shape
         if shape == SHARED:
             out = self.result
@@ -257,7 +260,7 @@ class RoundTable:
     """The open rounds of one communicator (intra or inter)."""
 
     __slots__ = ("state", "engine", "machine", "stats", "universe", "detect",
-                 "open", "calls", "_pool", "_blank", "_counters")
+                 "open", "unread", "calls", "_pool", "_blank", "_counters")
 
     def __init__(self, state, size: int):
         uni = state.universe
@@ -269,6 +272,8 @@ class RoundTable:
         self.detect = uni.machine.failure_detection_latency
         #: (channel, op, index) -> round
         self.open: Dict[tuple, Round] = {}
+        #: settled rounds that a member has yet to read
+        self.unread: set = set()
         #: channel -> proc uid -> collective calls made so far
         self.calls: Dict[str, Dict[int, int]] = defaultdict(
             lambda: defaultdict(int))
@@ -367,6 +372,7 @@ class RoundTable:
             rnd.fail(exc, self.engine.now)
             return
         rnd.reads = rnd.n
+        self.unread.add(rnd)
         self.engine.schedule_future_batch(rnd.fut, rnd, latest + cost)
 
     def close(self) -> None:
@@ -374,12 +380,14 @@ class RoundTable:
         holds this table) and of every round left here (each holds it
         too)."""
         self.open.clear()
+        self.unread.clear()
         self._pool.clear()
         self.state = self.universe = None
 
     def _recycle(self, rnd: Round) -> None:
         # every reader took its result: the future lets go of the round
         # even when a size change keeps the round out of the pool
+        self.unread.discard(rnd)
         rnd.fut.recycle()
         blank = self._blank
         if len(rnd.values) != len(blank):
@@ -394,7 +402,19 @@ class RoundTable:
     # ------------------------------------------------------------------
     def on_death(self, proc, now: float) -> None:
         """A member died: NORMAL rounds it belongs to are doomed at
-        ``now + detect``; SURVIVOR rounds stop waiting for it."""
+        ``now + detect``; SURVIVOR rounds stop waiting for it.  A settled
+        round it had not read yet counts it as read, so the round is
+        recycled when its last live reader takes its result."""
+        for rnd in list(self.unread):
+            try:
+                slot = rnd.members.index(proc)
+            except ValueError:
+                continue
+            if rnd.times[slot] is not None:
+                rnd.times[slot] = None
+                rnd.reads -= 1
+                if rnd.reads == 0:
+                    self._recycle(rnd)
         for rnd in list(self.open.values()):
             try:
                 slot = rnd.members.index(proc)
@@ -438,22 +458,31 @@ class SegmentRound:
     still awaiting a member, ``next`` the one opened after it by a member
     that left this one ahead of the others.
 
-    A ``NORMAL`` round whose members park on one future *each*.  Arrivals
-    feed :class:`~repro.mpi.matching.RingClocks`; a member leaves, charged
-    its ``2 * n`` halo rows, at its own resume instant as soon as that is
-    known and :meth:`take`s its share of the numerics when it resumes.
-    Failure follows the ``NORMAL`` discipline above.  A death *after* a member
-    was released changes nothing for it: a victim never resumes, its peers
-    finish the segment and meet the failure at their next operation.
+    A ``NORMAL`` round whose members park on one future *each*.  It holds
+    every release until it is decided (:meth:`decide`): at the last
+    arrival when every member arrives in the first arrival's virtual
+    instant, else at the end of that instant (a callback queued then).
+    A round decided with every member in and one compute charge -- every
+    segment of a healthy group that entered it together -- releases them
+    all at one clock, :meth:`RingClocks.uniform`, through one batched
+    engine wake-up.  Any other round replays
+    its held arrivals, and feeds the later ones, through the
+    :class:`~repro.mpi.matching.RingClocks` walk: a member leaves as soon
+    as its clock is known.  A member leaves charged its ``2 * n`` halo
+    rows and reads its share of the numerics with :meth:`take` when it
+    resumes.  Failure follows the ``NORMAL`` discipline above.  A death
+    *after* a member was released changes nothing for it: a victim never
+    resumes, its peers finish the segment and meet the failure at their
+    next operation.
 
     Members with a kill scheduled (``Universe.doomed``; their ranks are
     ``victims`` until the round is decided) give it a ``deadline``, the
-    earliest of their kills.  Such a round releases nobody until it is
-    decided, by the end of the first arrival's instant: it stands when
-    every member arrived at that instant and every victim's ``n``-step
-    clock is before the deadline (a victim then made all its sends before
-    it dies, so every member's slab and clock are the per-message ones);
-    otherwise it falls back (:meth:`fall_back`)."""
+    earliest of their kills.  Such a round stands only when every member
+    arrived in the first instant and every victim's ``n``-step clock is
+    before the deadline (a victim then made all its sends before it dies,
+    so every member's slab and clock are the per-message ones); otherwise
+    it falls back: every member resumes with None, and the communicator
+    stays per-message."""
 
     def __init__(self, state, n: int, nbytes: int, advance: Callable):
         self.state = state
@@ -461,8 +490,12 @@ class SegmentRound:
         self.need = size = len(state.procs)
         self.clocks = RingClocks(
             size, state.universe.machine.p2p_cost(nbytes), n)
-        self.futs, self.times, self.values = ([None] * size for _ in range(3))
+        self.futs, self.times, self.values, self.comps = (
+            [None] * size for _ in range(4))
+        #: ranks in arrival order, held until the decision
+        self.order: List[int] = []
         self.arrived = 0
+        self.decided = False
         self.outs = self.doom = self.next = None
         kills = {state.rank_of(p): at
                  for p, at in state.universe.doomed.items()
@@ -479,51 +512,89 @@ class SegmentRound:
         """Returns the future to await; it resolves to this round, or to
         None when the round fell back to the per-message loop."""
         state, futs = self.state, self.futs
-        uni = state.universe
-        fut = uni.engine.create_future(f"segment:{state.name}")
+        engine = state.universe.engine
+        fut = engine.create_future(f"segment:{state.name}")
         fut.waits_for = {"kind": "coll", "op": "segment", "state": state,
                          "rnd": self}
-        now = self.times[rank] = uni.engine.now
+        now = self.times[rank] = engine.now
         self.arrived += 1
         if self.doom is not None:
             fut.set_exception(self.doom, at=now + state.rounds.detect)
         else:
             futs[rank], self.values[rank] = fut, value
-            done = self.clocks.start(rank, now, compute)
-            if self.victims:        # undecided: hold every release
-                if self.arrived == 1:
-                    uni.engine.call_at(now, self.fall_back)
-                if self.arrived < len(futs):
+            self.comps[rank] = compute
+            if self.decided:        # a replay: this arrival walks on
+                self._release(self.clocks.start(rank, now, compute))
+            else:
+                self.order.append(rank)
+                if self.arrived == 1 < len(futs):
+                    engine.call_at(now, self.decide)
+                elif self.arrived == len(futs) and not self.decide():
                     return fut
-                clocks = self.clocks.rows[-1]
-                if any(clocks[v] >= self.deadline for v in self.victims):
-                    self.fall_back()
-                    return fut
-                self.victims, done = (), list(enumerate(clocks))
-            if len(futs) > 1:
-                uni.stats.messages += 2 * self.n * len(done)
-                uni.stats.bytes_sent += 2 * self.n * len(done) * self.nbytes
-            for i, at in done:
-                futs[i].set_result(self, at=at)
-                futs[i] = None
             if self.arrived == len(futs):   # every value is in: one advance
                 self.outs, self.values = self.advance(self.values, self.n), ()
         if self.arrived == self.need:
             state.segment = self.next
         return fut
 
-    def fall_back(self) -> None:
-        """Unless the round was decided or doomed meanwhile, the group steps
-        this segment per message after all: every parked member resumes
-        now with None, and the communicator stays per-message."""
-        if not self.victims or self.doom is not None:
-            return
+    def decide(self) -> bool:
+        """Release the held members, or fall back; False if it fell back.
+        Every member in (necessarily within the first instant, which this
+        decision ends) with one compute charge: one clock and one batched
+        wake-up for all.  Else the held arrivals replay through the walk,
+        in arrival order."""
+        if self.decided or self.doom is not None:
+            return True
+        self.decided = True
+        size, times, comps = len(self.futs), self.times, self.comps
+        if self.victims and self.arrived < size:
+            return self._fall_back()
+        if self.arrived == size and comps.count(comps[0]) == size:
+            at = self.clocks.uniform(times[0], comps[0])
+            if self.victims and at >= self.deadline:
+                return self._fall_back()
+            self._sent(size)
+            self.state.universe.engine.schedule_futures_batch(
+                self.futs, self, at)
+            self.futs = [None] * size
+        else:
+            start = self.clocks.start
+            done = [d for r in self.order
+                    for d in start(r, times[r], comps[r])]
+            if self.victims:
+                clocks = dict(done)
+                if any(clocks[v] >= self.deadline for v in self.victims):
+                    return self._fall_back()
+            self._release(done)
+        self.victims = ()
+        return True
+
+    def _sent(self, members: int) -> None:
+        """Count the ``2 * n`` halo rows each of ``members`` sent."""
+        if len(self.futs) > 1:
+            stats = self.state.universe.stats
+            stats.messages += 2 * self.n * members
+            stats.bytes_sent += 2 * self.n * members * self.nbytes
+
+    def _release(self, done: List[Tuple[int, float]]) -> None:
+        """Resume each ``(rank, clock)`` of ``done`` at its clock."""
+        self._sent(len(done))
+        futs = self.futs
+        for i, at in done:
+            futs[i].set_result(self, at=at)
+            futs[i] = None
+
+    def _fall_back(self) -> bool:
+        """The group steps this segment per message after all: every
+        parked member resumes now with None, and the communicator stays
+        per-message."""
         self.victims, state = (), self.state
         state.per_message, state.segment = True, None
         now = state.universe.engine.now
         for fut in self.futs:
             if fut is not None:
                 fut.set_result(None, at=now)
+        return False
 
     def take(self, rank: int) -> Any:
         """``rank``'s share, on resume.  A member that resumes before the

@@ -107,6 +107,9 @@ class CommState:
         #: oldest open solve segment; standing decision against opening one
         self.segment: Optional[SegmentRound] = None
         self.per_message = False
+        #: what the group computes once for all its members (the simulated
+        #: processes share one address space): a grid's initial field
+        self.shared: Dict[Any, Any] = {}
         #: per-proc acknowledged failure snapshots (failure_ack)
         self.acked: Dict[int, tuple] = {}
         self.errhandlers: Dict[int, Callable] = {}

@@ -272,33 +272,50 @@ class MessageBoard:
 
 
 class RingClocks:
-    """The clocks of a periodic ring of ranks after ``n`` halo steps — the
-    closed form of what ``CommHandle.exchange`` (isend, recv, wait) +
-    ``ctx.compute`` do event by event on a healthy communicator.
+    """The clocks of a periodic ring of ``size`` ranks after ``n`` halo
+    steps -- the closed form of what ``CommHandle.exchange`` (isend, recv,
+    wait) + ``ctx.compute`` do event by event on a healthy communicator.
 
     Every send is one halo row and costs ``cost``.  Per step a rank's sends
     arrive at ``now + cost``, each receive resolves at the neighbour's
     arrival or the instant it was posted, and the wait for the sends, which
     dominates every posting instant because ``cost >= 0``, ends the exchange
     at the ``max`` of the three arrivals; ``Sleep`` resumes ``compute``
-    later.  Same floats, same order, same bits.  A one-rank ring exchanges
-    nothing.  ``rows[k][i]`` is rank ``i``'s clock after ``k`` steps, known
-    once the ranks within ``k`` hops have started: a rank far from a late
-    starter finishes without it.
+    later: ``v' = max(b + cost, a + cost, c + cost) + compute`` for a rank
+    at ``b`` between neighbours at ``a`` and ``c``.  Same floats, same
+    order, same bits.  A one-rank ring exchanges nothing.
+
+    :meth:`uniform` is that recurrence when every rank starts at one
+    instant with one charge, so all three terms are equal.  :meth:`start`
+    walks it rank by rank: ``rows[k][i]`` is rank ``i``'s clock after
+    ``k`` steps, known once the ranks within ``k`` hops have started, so a
+    rank far from a late starter finishes without it.
     """
 
-    __slots__ = ("cost", "compute", "rows")
+    __slots__ = ("size", "cost", "n", "compute", "rows")
 
     def __init__(self, size: int, cost: float, n: int):
+        self.size, self.n = size, n
         self.cost = cost if size > 1 else 0.0
-        self.compute = [0.0] * size
-        self.rows = [[None] * size for _ in range(n + 1)]
+        self.compute = self.rows = None     # the walk's, on its first start
+
+    def uniform(self, at: float, compute: float) -> float:
+        """Every rank's clock after ``n`` steps when all start at ``at`` and
+        sleep ``compute`` per step: ``max(v + cost, v + cost, v + cost) +
+        compute`` is ``v + cost + compute``, to the bit."""
+        cost = self.cost
+        for _ in range(self.n):
+            at = at + cost + compute
+        return at
 
     def start(self, rank: int, at: float, compute: float) -> list:
         """Rank ``rank`` starts at ``at``, sleeping ``compute`` per step: the
         ``(rank, clock)`` of every rank that settles (none before ``at``)."""
-        rows, cost, comp = self.rows, self.cost, self.compute
-        size, last = len(comp), len(rows) - 1
+        size, rows = self.size, self.rows
+        if rows is None:
+            rows = self.rows = [[None] * size for _ in range(self.n + 1)]
+            self.compute = [0.0] * size
+        cost, comp, last = self.cost, self.compute, self.n
         comp[rank], rows[0][rank] = compute, at
         done, todo = [], [(0, rank)]
         while todo:

@@ -17,7 +17,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .lax_wendroff import courant_numbers, flat_blocks, lw_step_into
+from .lax_wendroff import courant_numbers, flat_windows, lw_plan
 
 
 def sinusoid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -41,7 +41,9 @@ class AdvectionProblem:
     Implements the generic problem interface the solvers consume:
     ``initial`` / ``exact`` / ``stable_dt`` plus the one stencil kernel
     ``step_interior`` (halo-padded block into a padded buffer, whole
-    periodic arrays included: their halo is the wrapped interior).  The
+    periodic arrays included: their halo is the wrapped interior) and
+    ``step_plan``, the same step bound once to its buffers.  A problem
+    without ``step_plan`` is stepped through ``step_interior``.  The
     scheme is 2D Lax–Wendroff.
     """
 
@@ -73,21 +75,31 @@ class AdvectionProblem:
         return cfl * h / speed
 
     # -- stencil kernel (generic solver interface) -----------------------
+    def step_plan(self, w: np.ndarray, level_x: int, level_y: int,
+                  dt: float, transposed: bool = False, *,
+                  out: np.ndarray, scratch: np.ndarray) -> Callable[[], None]:
+        """:meth:`step_interior` bound once to its buffers
+        (:func:`~repro.pde.lax_wendroff.lw_plan`): the returned callable of
+        no arguments makes the step."""
+        cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
+        if transposed:
+            cx, cy = cy, cx
+        return lw_plan(w, cx, cy, out, scratch)
+
     def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
                       dt: float, transposed: bool = False, *,
                       out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Stencil update of the halo-padded block ``w`` into the interior
         of the padded ``out``, allocating nothing (``scratch`` flat; see
-        :func:`~repro.pde.lax_wendroff.lw_step_into`).
+        :func:`~repro.pde.lax_wendroff.lw_plan`).
 
         ``transposed=True`` means the block's axis 0 is the physical y
         axis (a grid decomposed along y presents its data transposed), so
         the two Courant numbers swap roles.
         """
-        cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
-        if transposed:
-            cx, cy = cy, cx
-        return lw_step_into(w, cx, cy, out, scratch)
+        self.step_plan(w, level_x, level_y, dt, transposed, out=out,
+                       scratch=scratch)()
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,31 +141,35 @@ class DiffusionProblem:
         ry = self.kappa * dt * float(1 << level_y) ** 2
         return rx, ry
 
-    @staticmethod
-    def _ftcs_into(w: np.ndarray, rx: float, ry: float,
-                   out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def step_plan(self, w: np.ndarray, level_x: int, level_y: int,
+                  dt: float, transposed: bool = False, *,
+                  out: np.ndarray, scratch: np.ndarray) -> Callable[[], None]:
         """Allocation-free FTCS update of the interior of ``w``, one flat
-        pass as :func:`~repro.pde.lax_wendroff.lw_step_into` makes."""
-        wf, of, blocks = flat_blocks(w, out, scratch)
+        pass bound once as :func:`~repro.pde.lax_wendroff.lw_plan` binds
+        its."""
+        rx, ry = self._fourier(level_x, level_y, dt)
+        if transposed:
+            rx, ry = ry, rx
         s = w.shape[1]
-        for lo, hi in blocks:
-            u, o, t = wf[lo:hi], of[lo:hi], scratch[:hi - lo]
-            np.multiply(2.0, u, out=t)
-            np.subtract(wf[lo + s:hi + s], t, out=t)
-            t += wf[lo - s:hi - s]
-            t *= rx
-            np.add(u, t, out=o)
-            np.multiply(2.0, u, out=t)
-            np.subtract(wf[lo + 1:hi + 1], t, out=t)
-            t += wf[lo - 1:hi - 1]
-            t *= ry
-            o += t
-        return out
+        windows = flat_windows(w, out, scratch, (0, s, -s, 1, -1))
+
+        def step() -> None:
+            for o, t, u, xp, xm, yp, ym in windows:
+                np.multiply(2.0, u, out=t)
+                np.subtract(xp, t, out=t)
+                t += xm
+                t *= rx
+                np.add(u, t, out=o)
+                np.multiply(2.0, u, out=t)
+                np.subtract(yp, t, out=t)
+                t += ym
+                t *= ry
+                o += t
+        return step
 
     def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
                       dt: float, transposed: bool = False, *,
                       out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        rx, ry = self._fourier(level_x, level_y, dt)
-        if transposed:
-            rx, ry = ry, rx
-        return self._ftcs_into(w, rx, ry, out, scratch)
+        self.step_plan(w, level_x, level_y, dt, transposed, out=out,
+                       scratch=scratch)()
+        return out

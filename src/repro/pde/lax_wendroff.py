@@ -12,8 +12,8 @@ with Courant numbers :math:`c_x = a\\,\\Delta t/\\Delta x`,
 :math:`c_y = b\\,\\Delta t/\\Delta y` (:math:`\\delta` a central
 difference, :math:`\\delta^2` a second difference, :math:`\\delta_{xy}` the
 difference of the four corners).  There is one stencil kernel,
-:func:`lw_step_into`; it evaluates the formula collected per stencil
-point,
+:func:`lw_plan`; the step it binds evaluates the formula collected per
+stencil point,
 
 .. math::
 
@@ -25,9 +25,12 @@ point,
 in one pass over the halo-padded buffer read as a flat array: with ``s``
 the padded row length the eight neighbours sit at flat offsets ``±s``,
 ``±1`` and ``±s±1``, so each of the 14 operations is a contiguous 1-D
-ufunc over a cache-sized block.  Every other entry point (periodic or
-halo-padded, allocating or not) is a wrapper around it, so all solvers
-share one arithmetic.  Periodic arrays are stored *without*
+ufunc over a cache-sized block.  The plan cuts those windows once per
+buffer pair, so a solver that steps the same buffers again
+(:func:`periodic_steps`, the distributed solver's per-message loop) pays
+only the ufunc calls.  Every other entry point (:func:`lw_step_into`,
+periodic or halo-padded, allocating or not) applies a one-step plan, so
+all solvers share one arithmetic.  Periodic arrays are stored *without*
 the duplicated right/top boundary (shape ``2^i × 2^j``); ``nodal_view``
 re-attaches it for the combination technique, whose nodal grids are
 ``(2^i+1) × (2^j+1)``.
@@ -36,7 +39,8 @@ re-attaches it for the combination technique, whose nodal grids are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import partial
+from typing import Any, Callable, Tuple
 
 import numpy as np
 
@@ -79,13 +83,19 @@ def courant_numbers(velocity: Tuple[float, float], level_x: int, level_y: int,
 _BLOCK_POINTS = 1 << 15
 
 
+def halo_copies(w: np.ndarray) -> tuple:
+    """The ghost layer of the padded buffer ``w`` as ``(ghost, source)``
+    view pairs, in fill order: the rows wrap first, then the full columns,
+    which carry the fresh rows' ends into the corners."""
+    return ((w[0, 1:-1], w[-2, 1:-1]), (w[-1, 1:-1], w[1, 1:-1]),
+            (w[:, 0], w[:, -2]), (w[:, -1], w[:, 1]))
+
+
 def wrap_halo(w: np.ndarray) -> np.ndarray:
     """Fill the ghost layer of the padded buffer ``w`` (corners included)
     from its own interior by periodic wrap-around, in place."""
-    w[0, 1:-1] = w[-2, 1:-1]
-    w[-1, 1:-1] = w[1, 1:-1]
-    w[:, 0] = w[:, -2]
-    w[:, -1] = w[:, 1]
+    for ghost, source in halo_copies(w):
+        np.copyto(ghost, source)
     return w
 
 
@@ -94,11 +104,13 @@ def scratch_for(w: np.ndarray) -> np.ndarray:
     return np.empty(min(_BLOCK_POINTS, w.size), dtype=w.dtype)
 
 
-def flat_blocks(w: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+def flat_windows(w: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 offsets: Tuple[int, ...]) -> list:
     """Check the buffers of a flat pass over ``w`` into ``out`` (flat
-    offsets on a view or an overlap would be silently wrong) and return
-    both flattened, with the ``(lo, hi)`` blocks of at most
-    ``_BLOCK_POINTS`` that tile ``[s + 1, w.size - s - 1)``."""
+    offsets on a view or an overlap would be silently wrong) and cut them
+    once: per block ``[lo, hi)`` of at most ``_BLOCK_POINTS`` tiling
+    ``[s + 1, w.size - s - 1)``, the window of ``out``, of ``scratch`` and
+    of flat ``w`` shifted by each of ``offsets``."""
     if (w.ndim != 2 or out.shape != w.shape or scratch.ndim != 1
             or not (w.flags.c_contiguous and out.flags.c_contiguous)
             or scratch.size < min(_BLOCK_POINTS, w.size)
@@ -106,43 +118,92 @@ def flat_blocks(w: np.ndarray, out: np.ndarray, scratch: np.ndarray):
         raise ValueError(f"flat kernel needs separate C-contiguous w/out of "
                          f"one shape: {w.shape}, {out.shape}, {scratch.shape}")
     s, stop = w.shape[1], w.size - w.shape[1] - 1
-    return w.reshape(-1), out.reshape(-1), [
-        (lo, min(lo + _BLOCK_POINTS, stop))
-        for lo in range(s + 1, stop, _BLOCK_POINTS)]
+    wf, of = w.reshape(-1), out.reshape(-1)
+    windows = []
+    for lo in range(s + 1, stop, _BLOCK_POINTS):
+        hi = min(lo + _BLOCK_POINTS, stop)
+        windows.append((of[lo:hi], scratch[:hi - lo],
+                        *(wf[lo + d:hi + d] for d in offsets)))
+    return windows
 
 
-def lw_step_into(w: np.ndarray, cx: float, cy: float,
-                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def lw_plan(w: np.ndarray, cx: float, cy: float,
+            out: np.ndarray, scratch: np.ndarray) -> Callable[[], None]:
     """One step of the halo-padded block ``w`` into the interior of the
-    padded ``out`` (same shape; ``scratch`` flat, :func:`scratch_for`);
-    returns ``out``, allocates nothing.  The flat range from the first
-    interior point to the last also covers ``out``'s ghost columns, which
-    receive finite garbage the next halo fill overwrites.  The stencil is
+    padded ``out`` (same shape; ``scratch`` flat, :func:`scratch_for`),
+    bound once: the coefficients and every block's windows are cut here,
+    so the returned step of no arguments is only the 14 ufunc calls per
+    block and allocates nothing.  The flat range from the first interior
+    point to the last also covers ``out``'s ghost columns, which receive
+    finite garbage the next halo fill overwrites.  The stencil is
     pointwise, so neither the blocking nor the flat layout changes a bit.
     """
     c0, c_xp, c_xm, c_yp, c_ym, c_xy = (
         1.0 - cx * cx - cy * cy, 0.5 * cx * (cx - 1.0), 0.5 * cx * (cx + 1.0),
         0.5 * cy * (cy - 1.0), 0.5 * cy * (cy + 1.0), 0.25 * cx * cy)
-    wf, of, blocks = flat_blocks(w, out, scratch)
     s = w.shape[1]
-    for lo, hi in blocks:
-        o, t = of[lo:hi], scratch[:hi - lo]
-        np.multiply(wf[lo:hi], c0, out=o)
-        np.multiply(wf[lo + s:hi + s], c_xp, out=t)
-        o += t
-        np.multiply(wf[lo - s:hi - s], c_xm, out=t)
-        o += t
-        np.multiply(wf[lo + 1:hi + 1], c_yp, out=t)
-        o += t
-        np.multiply(wf[lo - 1:hi - 1], c_ym, out=t)
-        o += t
-        np.subtract(wf[lo + s + 1:hi + s + 1], wf[lo + s - 1:hi + s - 1],
-                    out=t)
-        t -= wf[lo - s + 1:hi - s + 1]
-        t += wf[lo - s - 1:hi - s - 1]
-        t *= c_xy
-        o += t
+    windows = flat_windows(w, out, scratch, (0, s, -s, 1, -1, s + 1, s - 1,
+                                             1 - s, -1 - s))
+
+    def step() -> None:
+        for o, t, u, xp, xm, yp, ym, pp, pm, mp, mm in windows:
+            np.multiply(u, c0, out=o)
+            np.multiply(xp, c_xp, out=t)
+            o += t
+            np.multiply(xm, c_xm, out=t)
+            o += t
+            np.multiply(yp, c_yp, out=t)
+            o += t
+            np.multiply(ym, c_ym, out=t)
+            o += t
+            np.subtract(pp, pm, out=t)
+            t -= mp
+            t += mm
+            t *= c_xy
+            o += t
+    return step
+
+
+def lw_step_into(w: np.ndarray, cx: float, cy: float,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`lw_plan`'s step, made once; returns ``out``."""
+    lw_plan(w, cx, cy, out, scratch)()
     return out
+
+
+def bind_step(problem, w: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+              level_x: int, level_y: int, dt: float,
+              transposed: bool = False) -> Callable[[], Any]:
+    """``problem``'s stencil step from the padded ``w`` into ``out``, bound
+    once to those buffers: its ``step_plan``, or a call of
+    ``step_interior`` for a problem that offers only that."""
+    plan = getattr(problem, "step_plan", None)
+    if plan is None:
+        return partial(problem.step_interior, w, level_x, level_y, dt,
+                       transposed, out=out, scratch=scratch)
+    return plan(w, level_x, level_y, dt, transposed, out=out, scratch=scratch)
+
+
+def periodic_steps(problem, w: np.ndarray, spare: np.ndarray,
+                   scratch: np.ndarray, level_x: int, level_y: int,
+                   dt: float, n: int, transposed: bool = False) -> np.ndarray:
+    """``n`` steps of the periodic array held in the interior of the
+    padded ``w``, through ``spare`` (same shape) and back: each step wraps
+    the ghost layer and applies the kernel.  Both are bound once per
+    direction, so a step is four halo copies and the kernel's ufuncs.
+    Returns the buffer that holds the result."""
+    bound = []
+    for k in range(n):
+        if k < 2:
+            bound.append((halo_copies(w), bind_step(
+                problem, w, spare, scratch, level_x, level_y, dt,
+                transposed)))
+        copies, step = bound[k & 1]
+        for ghost, source in copies:
+            np.copyto(ghost, source)
+        step()
+        w, spare = spare, w
+    return w
 
 
 def lw_step_interior(w: np.ndarray, cx: float, cy: float) -> np.ndarray:
@@ -192,12 +253,11 @@ class SerialAdvectionSolver:
         return self.step_count * self.dt
 
     def step(self, n: int = 1) -> None:
-        for _ in range(n):
-            self.problem.step_interior(
-                wrap_halo(self._w), self.level_x, self.level_y, self.dt,
-                out=self._spare, scratch=self._scratch)
-            self._w, self._spare = self._spare, self._w
-            self.step_count += 1
+        w = periodic_steps(self.problem, self._w, self._spare, self._scratch,
+                           self.level_x, self.level_y, self.dt, n)
+        if w is not self._w:
+            self._w, self._spare = w, self._w
+        self.step_count += n
 
     def nodal(self) -> np.ndarray:
         return nodal_view(self.u)

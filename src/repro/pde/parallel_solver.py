@@ -35,7 +35,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .decomposition import SlabDecomposition, block_bounds, choose_dims
-from .lax_wendroff import FLOPS_PER_POINT, nodal_view, scratch_for, wrap_halo
+from .lax_wendroff import (FLOPS_PER_POINT, bind_step, nodal_view,
+                           periodic_steps, scratch_for)
 
 _HALO_TAG_UP = 101
 _HALO_TAG_DOWN = 102
@@ -79,8 +80,9 @@ class DistributedAdvectionSolver:
         self._phases = (along_y, along_x) if self.axis else (along_x, along_y)
         self.step_count = 0
         self.u = self.initial_block()
-        # persistent step buffers (lazily sized)
-        self._w = self._pad = self._buf_a = self._buf_b = self._scratch = None
+        # persistent step buffers (lazily sized) and the kernel bound to
+        # the padded pair: (w, step)
+        self._w = self._pad = self._buf_a = self._buf_b = self._kernel = None
 
     # ------------------------------------------------------------------
     @property
@@ -96,14 +98,37 @@ class DistributedAdvectionSolver:
         (x0, x1), (y0, y1) = block_bounds(self.shape, self.dims, rank)
         return slice(x0, x1), slice(y0, y1)
 
-    def initial_block(self) -> np.ndarray:
-        """The initial field on my block only (elementwise, so bit-equal to
-        the block of the whole field)."""
+    def _initial(self, bx: slice = slice(None),
+                 by: slice = slice(None)) -> np.ndarray:
+        """The initial field on the block ``bx x by`` of the grid."""
         nx, ny = self.shape
-        bx, by = self._block(self.comm.rank)
         xs, ys = np.arange(nx) / nx, np.arange(ny) / ny
-        return np.ascontiguousarray(
-            self.problem.initial(xs[bx, None], ys[None, by]))
+        return self.problem.initial(xs[bx, None], ys[None, by])
+
+    def initial_block(self) -> np.ndarray:
+        """The initial field on my block only.  The field is elementwise,
+        so my block of the whole grid's field is bit-equal to the field
+        computed on my block: the group's first member computes the grid's
+        field once and leaves it on the communicator (``CommState.shared``),
+        every member copies its block out, and the last one drops it.  A
+        later call on that communicator (a restore with no checkpoint)
+        computes its own block."""
+        size = self.comm.size
+        if size == 1:
+            return np.ascontiguousarray(self._initial())
+        shared = self.comm.state.shared
+        key = (self.problem, self.level_x, self.level_y)
+        entry = shared.get(key)
+        if entry is None:
+            entry = shared[key] = [self._initial(), size]
+        field = entry[0]
+        entry[1] -= 1
+        if entry[1] == 0:
+            entry[0] = None
+        bx, by = self._block(self.comm.rank)
+        if field is None:
+            return np.ascontiguousarray(self._initial(bx, by))
+        return field[bx, by].copy()
 
     # ------------------------------------------------------------------
     # time stepping
@@ -149,28 +174,28 @@ class DistributedAdvectionSolver:
 
     def _advance_group(self, slabs, n: int) -> list:
         """``n`` steps of the periodic array assembled from a ring's
-        ``slabs`` (the group's in rank order, or an arc of it), split back
-        into owned C-contiguous slabs.  The kernel call is the one every
-        rank's ``step`` makes — same orientation: ``transposed`` swaps the
-        x/y accumulation order — into a padded double buffer whose ghost
-        layer ``wrap_halo`` refills from the array's own edges; the
-        stencil is pointwise, so more rows change no bit.
+        ``slabs`` (the group's in rank order, or an arc of it), cut back
+        into owned C-contiguous slabs by slicing.  The kernel is the one
+        every rank's ``step`` applies -- same orientation: ``transposed``
+        swaps the x/y accumulation order -- bound once per segment to a
+        padded double buffer whose ghost layer wraps from the array's own
+        edges (:func:`~repro.pde.lax_wendroff.periodic_steps`), so a step
+        is only the halo copies and the ufunc calls; the stencil is
+        pointwise, so more rows change no bit.
         """
-        problem, lx, ly, dt = self.problem, self.level_x, self.level_y, self.dt
         transposed = self.axis == 1
         parts = [u.T for u in slabs] if transposed else slabs
         rows, cols = sum(len(part) for part in parts), parts[0].shape[1]
         w = np.empty((rows + 2, cols + 2), dtype=parts[0].dtype)
         np.concatenate(parts, axis=0, out=w[1:-1, 1:-1])
-        spare, scratch = np.empty_like(w), scratch_for(w)
-        for _ in range(n):
-            problem.step_interior(wrap_halo(w), lx, ly, dt,
-                                  transposed=transposed, out=spare,
-                                  scratch=scratch)
-            w, spare = spare, w
-        full = w[1:-1, 1:-1].T if transposed else w[1:-1, 1:-1]
-        cuts = np.cumsum([len(part) for part in parts[:-1]], dtype=int)
-        return [part.copy() for part in np.split(full, cuts, axis=self.axis)]
+        full = periodic_steps(self.problem, w, np.empty_like(w),
+                              scratch_for(w), self.level_x, self.level_y,
+                              self.dt, n, transposed)[1:-1, 1:-1]
+        out, lo = [], 0
+        for part in parts:
+            block, lo = full[lo:lo + len(part)], lo + len(part)
+            out.append((block.T if transposed else block).copy())
+        return out
 
     async def step(self, n: int = 1) -> None:
         if n > 0 and self.ring:
@@ -183,21 +208,23 @@ class DistributedAdvectionSolver:
                 self.u = slab
                 self.step_count += n
                 return
-        transposed = self.axis == 1
         for _ in range(n):
             w = await self.exchange_halos()
+            if self._kernel is None or self._kernel[0] is not w:
+                # bound once per persistent buffer pair
+                self._pad = np.empty_like(w)
+                self._kernel = w, bind_step(
+                    self.problem, w, self._pad, scratch_for(w), self.level_x,
+                    self.level_y, self.dt, transposed=self.axis == 1)
             if self._buf_a is None or self._buf_a.shape != self.u.shape:
                 self._buf_a = np.empty_like(self.u)
                 self._buf_b = np.empty_like(self.u)
-                self._pad, self._scratch = np.empty_like(w), scratch_for(w)
-            self.problem.step_interior(
-                w, self.level_x, self.level_y, self.dt,
-                transposed=transposed, out=self._pad, scratch=self._scratch)
+            self._kernel[1]()
             # double buffer: copy the interior into whichever private
             # buffer the state does not currently occupy
             out = self._buf_b if self.u is self._buf_a else self._buf_a
             inner = self._pad[1:-1, 1:-1]
-            np.copyto(out, inner.T if transposed else inner)
+            np.copyto(out, inner.T if self.axis else inner)
             self.u = out
             self.step_count += 1
             await self.ctx.compute(

@@ -238,7 +238,23 @@ class Engine:
         resolution time.
         """
         waiters = fut.take_waiters(value, at)
-        when = fut._time
+        self._resume_batch(waiters, value, fut._time)
+        return fut._time
+
+    def schedule_futures_batch(self, futs: Iterable[SimFuture], value: Any,
+                               at: float) -> None:
+        """:meth:`schedule_future_batch` for several futures that resolve
+        with one value at one instant: all their parked waiters, in
+        ``futs`` order, resume through one batched event, the steps one
+        ``set_result`` each would schedule with consecutive seqs.  A future
+        nobody waits on yet wakes its task when awaited, as after
+        ``set_result``."""
+        waiters = []
+        for fut in futs:
+            waiters += fut.take_waiters(value, at)
+        self._resume_batch(waiters, value, max(at, self.now))
+
+    def _resume_batch(self, waiters: list, value: Any, when: float) -> None:
         if waiters:
             for task in waiters:
                 task.state = _READY
@@ -247,7 +263,6 @@ class Engine:
                 self._schedule(when, _EV_RESUME, waiters[0], value, None)
             else:
                 self._schedule(when, _EV_BATCH, waiters, value, None)
-        return when
 
     # ------------------------------------------------------------------
     # main loop

@@ -285,3 +285,56 @@ def test_wide_failure_free_run_costs_segments_not_steps():
     assert oracle.stats.messages == 6272
     assert oracle.stats.bytes_sent == uni.stats.bytes_sent
     assert metrics.to_dict() == oracle_metrics.to_dict()
+
+
+def test_wide_failure_free_run_pays_per_grid_costs_once_per_grid(
+        monkeypatch):
+    """The same 392-rank point, counted where per-rank and per-step fixed
+    costs used to be paid: each grid's initial field is computed once (a
+    group's members copy their blocks out of it), no segment walks the
+    ring clocks (every member enters each one in one instant with one
+    charge), and a co-simulated segment binds the kernel once per buffer
+    direction, not once per step."""
+    from repro.core.app import app_main
+    from repro.core.runner import make_universe
+    from repro.mpi.matching import RingClocks
+    from repro.pde import AdvectionProblem, lax_wendroff
+    from repro.pde.advection import sinusoid
+    from repro.pde.parallel_solver import DistributedAdvectionSolver
+
+    counts = {"initial": 0, "walks": 0, "binds": 0, "segments": 0,
+              "steps": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def advance(solver, slabs, n):
+        counts["steps"] += n
+        return advance_group(solver, slabs, n)
+
+    advance_group = DistributedAdvectionSolver._advance_group
+    monkeypatch.setattr(DistributedAdvectionSolver, "_advance_group",
+                        counted("segments", advance))
+    monkeypatch.setattr(RingClocks, "start",
+                        counted("walks", RingClocks.start))
+    monkeypatch.setattr(lax_wendroff, "flat_windows",
+                        counted("binds", lax_wendroff.flat_windows))
+    cfg = AppConfig(technique_code="AC", n=8, level=4, steps=8,
+                    diag_procs=64, layout_mode="paper",
+                    problem=AdvectionProblem(
+                        initial=counted("initial", sinusoid)))
+    uni, total = make_universe(cfg, OPL)
+    solve = uni.launch(total, app_main, argv=(cfg,))
+    uni.run()
+    assert solve.results()[0].world_size == 392
+    grids = [a.ranks for a in cfg.layout().assignments]
+    assert all(len(ranks) > 1 for ranks in grids)
+    # one field per grid; the error check after the solve adds one exact
+    # solution on the combined grid
+    assert counts["initial"] == len(grids) + 1
+    assert counts["walks"] == 0
+    assert counts["segments"] > 0
+    assert counts["binds"] <= 2 * counts["segments"] < counts["steps"]

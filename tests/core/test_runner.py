@@ -131,3 +131,28 @@ def test_a_run_with_kills_leaves_little_cyclic_garbage(tech, mode, bound,
     metrics = run_app(cfg, kills=kills)
     assert metrics.world_size > 0
     assert collector_off.collect() <= bound
+
+
+@pytest.mark.parametrize("tech, mode", [
+    ("CR", "respawn"), ("AC", "shrink"), ("RC", "respawn")])
+def test_a_run_with_kills_leaves_no_collective_round_in_a_cycle(
+        tech, mode, collector_off):
+    """A settled round whose reader died before it read is recycled: the
+    dead member counts as read.  Unrecycled, the round and the future that
+    resolves to it stay a cycle holding the communicator's members."""
+    from repro.core import run_app
+    from repro.mpi.collectives import Round
+
+    cfg = AppConfig(technique_code=tech, n=5, level=4 if tech != "CR" else 3,
+                    steps=4, diag_procs=4, recovery_mode=mode)
+    kills = plan_failures(cfg, 2, at=0.5 * baseline_solve_time(cfg), seed=1)
+    collector_off.collect()
+    collector_off.set_debug(collector_off.DEBUG_SAVEALL)
+    try:
+        assert run_app(cfg, kills=kills).world_size > 0
+        collector_off.collect()
+        rounds = [o for o in collector_off.garbage if isinstance(o, Round)]
+    finally:
+        collector_off.set_debug(0)
+        collector_off.garbage.clear()
+    assert rounds == []

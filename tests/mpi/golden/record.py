@@ -87,6 +87,17 @@ earliest kill among its members now co-simulates.  Before re-recording,
 ``--check`` reported 0 of 23 programs and exactly these 4 of 61 runs,
 each in ``events`` alone.
 
+``events`` of ``AC-respawn-1d-seed1``, ``AC-respawn-2d-seed1``,
+``AC-shrink-1d-fullgrid``, ``CR-shrink-1d-fullgrid`` and
+``RC-shrink-1d-fullgrid`` was recorded again, and fell by one, when every
+segment round began to hold its releases until it is decided, at the last
+arrival or at the end of the first arrival's instant.  A one-rank group is
+decided at its only arrival, so the segment of such a group with a kill
+scheduled no longer queues the end-of-instant callback it used to (one per
+run here); these runs co-simulate no group of three or more, the groups
+that gain that callback.  Before re-recording, ``--check`` reported 0 of
+23 programs and exactly these 5 of 61 runs, each in ``events`` alone.
+
 Job names carry a process-global counter, so every string is renamed
 relative to the scenario's first job before it is stored or compared.
 """

@@ -96,8 +96,9 @@ def test_ring_segment_resumes_each_rank_at_its_own_clock():
     assert uni.stats.messages == 2 * size * n
     assert uni.stats.bytes_sent == 2 * size * n * ROW
     # launch + skew sleep + one resume per rank for the whole segment
-    # (rank 0 and 3 skip the zero sleep)
-    assert uni.engine.events_processed == 3 * size - 2
+    # (rank 0 and 3 skip the zero sleep) + the decision that ends the
+    # first arrival's instant
+    assert uni.engine.events_processed == 3 * size - 1
     assert job.world_state.segment is None and not job.world_state.per_message
 
 
@@ -471,3 +472,116 @@ def test_the_deadlock_explainer_names_the_segment_and_who_is_missing():
             f"{name}.2") in str(excinfo.value)
     blocked = [p.task for p in job.procs[:2]]
     assert "segment on" in format_wait_for_graph(blocked)
+
+
+# ----------------------------------------------------------------------
+# one instant, one charge: the closed form; anything else: the walk
+# ----------------------------------------------------------------------
+def uniform_ring(n, comps, starts):
+    """Each rank enters one ``n``-step segment at ``starts[r]`` charging
+    ``comps[r]`` per step; untraced it co-simulates, traced it is the
+    per-message loop.  Every rank reports its value and resume clock."""
+    async def main(ctx):
+        comm, r, size = ctx.comm, ctx.rank, ctx.size
+        await ctx.compute(starts[r])
+        got = await comm.ring_segment(n, ROW, comps[r], 10 * r, _advance)
+        if got is None:
+            got, row = 10 * r, np.zeros(ROW // 8)
+            for _ in range(n):
+                if size > 1:
+                    await comm.exchange(
+                        (((r - 1) % size, _UP, row.copy()),
+                         ((r + 1) % size, _DOWN, row.copy())),
+                        (((r - 1) % size, _DOWN), ((r + 1) % size, _UP)),
+                        copy=False)
+                await ctx.compute(comps[r])
+                got += 1
+        return got, ctx.wtime()
+    return main
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the ``RingClocks.start`` calls of the runs that follow."""
+    calls = []
+    start = RingClocks.start
+
+    def counted(self, rank, at, compute):
+        calls.append(rank)
+        return start(self, rank, at, compute)
+
+    monkeypatch.setattr(RingClocks, "start", counted)
+    return calls
+
+
+def run_ring(n, comps, starts, traced):
+    uni, job = launch(len(comps), uniform_ring(n, comps, starts),
+                      traced=traced)
+    uni.run()
+    assert check_runtime_leaks(uni).errors == []
+    return job.results(), uni.stats.messages, uni.stats.bytes_sent
+
+
+@pytest.mark.parametrize("compute", [0.0, 3e-6], ids=["free", "charged"])
+@pytest.mark.parametrize("size", [1, 3, 5, 8, 128])
+def test_one_instant_one_charge_is_the_closed_form(size, compute, walks):
+    """Every member enters at one instant with one charge: the round
+    releases all of them at ``RingClocks.uniform``, which is the walk's
+    clock and the per-message loop's, value and clock, for n = 1..8."""
+    cost, starts, comps = OPL.p2p_cost(ROW), [2e-6] * size, [compute] * size
+    for n in range(1, 9):
+        closed = RingClocks(size, cost, n).uniform(2e-6, compute)
+        walked = ring_clocks(starts, cost, comps, n)
+        assert walked == [closed] * size
+        del walks[:]
+        segment = run_ring(n, comps, starts, traced=False)
+        assert walks == []
+        loop = run_ring(n, comps, starts, traced=True)
+        assert segment == loop
+        assert segment[0] == [(10 * r + n, closed) for r in range(size)]
+
+
+@pytest.mark.parametrize("size", [3, 5, 8, 128])
+@pytest.mark.parametrize("odd", ["taller-slab", "late"])
+def test_any_other_round_replays_through_the_walk(size, odd, walks):
+    """One member charges more per step (a taller slab) in the same
+    instant, or enters an instant late: the round walks the ring clocks
+    and every member leaves at the per-message loop's clock."""
+    comps, starts = [1e-6] * size, [0.0] * size
+    if odd == "late":
+        starts[size // 2] = 1e-9
+    else:
+        comps[size // 2] = 1.5e-6
+    for n in (1, 2, 5):
+        del walks[:]
+        segment = run_ring(n, comps, starts, traced=False)
+        assert sorted(walks) == list(range(size))
+        assert segment == run_ring(n, comps, starts, traced=True)
+        clocks = ring_clocks(starts, OPL.p2p_cost(ROW), comps, n)
+        assert [t for _out, t in segment[0]] == clocks
+
+
+@pytest.mark.parametrize("kill_after", [True, False],
+                         ids=["stands", "falls-back"])
+def test_a_round_with_victims_is_decided_exactly_once(kill_after,
+                                                     monkeypatch):
+    """The last arrival and the end-of-instant callback both ask; only the
+    first decides, and either way every member sees the per-message run."""
+    from repro.mpi.collectives import SegmentRound
+
+    decisions = []
+    decide = SegmentRound.decide
+
+    def counted(self):
+        if not self.decided and self.doom is None:
+            decisions.append(self)
+        return decide(self)
+
+    monkeypatch.setattr(SegmentRound, "decide", counted)
+    end = ring_clocks([0.0] * RING, OPL.p2p_cost(ROW), COMPS, STEPS)
+    kill_at = end[VICTIM] + (1e-6 if kill_after else -1e-9)
+    got, segmented = run_solver(kill_at)
+    assert segmented == kill_after
+    assert len(decisions) == len(set(decisions)) == 1
+    monkeypatch.setattr(SegmentRound, "decide", decide)
+    assert got == run_solver(kill_at, traced=True)[0]

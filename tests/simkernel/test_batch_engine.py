@@ -41,6 +41,40 @@ def test_batched_resume_order_matches_per_waiter_path():
     assert final == 3.0
 
 
+def _wake_many_trace(batched: bool, n: int = 6, at: float = 3.0):
+    """One future per waiter, all resolved with one value at one instant;
+    the last waiter awaits only after the resolution."""
+    eng = Engine(trace=True)
+    futs = [eng.create_future() for _ in range(n)]
+    order = []
+
+    async def waiter(i):
+        if i == n - 1:
+            await Sleep(2.0)
+        order.append((i, await futs[i], eng.now))
+
+    for i in range(n):
+        eng.spawn(waiter(i), name=f"w{i}")
+
+    async def completer():
+        await Sleep(1.0)
+        if batched:
+            eng.schedule_futures_batch(futs, "v", at)
+        else:
+            for fut in futs:
+                fut.set_result("v", at=at)
+
+    eng.spawn(completer(), name="completer")
+    eng.run()
+    return order, list(eng.trace), eng.events_processed
+
+
+def test_batched_futures_resume_as_one_set_result_each():
+    batched = _wake_many_trace(True)
+    assert batched == _wake_many_trace(False)
+    assert batched[0] == [(i, "v", 3.0) for i in range(6)]
+
+
 def test_batched_resume_counts_logical_events():
     """One _EV_BATCH event still counts as n resumes in events_processed."""
     eng_b = Engine()
