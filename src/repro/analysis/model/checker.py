@@ -688,12 +688,9 @@ class _Checker:
         if c.revoked:
             self._raise(proc, _REVOKED, op.lineno)
             return
-        dest = self._eval(op.args["dest"], proc, st)
-        tag = self._eval(op.args.get("tag", ("const", 0)), proc, st)
+        dest, tag = self._peer_and_tag(proc, op, st, c, "dest")
         payload = self._eval(op.args.get("value", ("const", None)),
                              proc, st)
-        if dest is OPAQUE or tag is OPAQUE:
-            raise ModelError("send with untracked dest/tag")
         if not st.procs[c.members[dest]].alive:
             self._raise(proc, _PROC_FAILED, op.lineno)
             return
@@ -707,6 +704,30 @@ class _Checker:
                 and dst_proc.blocked[2] == src_rank
                 and dst_proc.blocked[3] == tag):
             self._deliver_recv(dst_proc, c, st)
+
+    def _peer_and_tag(self, proc: _Proc, op: Op, st: _State, c: _Comm,
+                      peer: str) -> Tuple[int, int]:
+        """A send's or recv's peer rank and tag, refused unless the model
+        matches them as the simulator does: a named rank of ``c`` (not a
+        bridge) and a non-negative tag, named on a receive (the simulator
+        reads a wildcard or an omitted one as ``ANY_*``; a send's tag is 0
+        in both)."""
+        if c.kind == "inter":
+            raise ModelError(f"{op.kind} on an intercommunicator")
+        names = (peer, "tag") if op.kind == "recv" else (peer,)
+        if any(name not in op.args for name in names):
+            raise ModelError(f"{op.kind} without a named {' and '.join(names)}"
+                             " (the simulator reads a wildcard)")
+        rank = self._eval(op.args[peer], proc, st)
+        tag = self._eval(op.args.get("tag", ("const", 0)), proc, st)
+        if rank is OPAQUE or tag is OPAQUE:
+            raise ModelError(f"{op.kind} with untracked {peer}/tag")
+        if type(rank) is not int or not 0 <= rank < len(c.members):
+            raise ModelError(f"{op.kind} {peer} {rank!r} is not a rank of "
+                             f"a {len(c.members)}-member communicator")
+        if type(tag) is not int or tag < 0:
+            raise ModelError(f"{op.kind} tag {tag!r} is a wildcard or no tag")
+        return rank, tag
 
     def _deliver_recv(self, proc: _Proc, c: _Comm, st: _State) -> bool:
         _, cid, src, tag, _lineno, out = proc.blocked
@@ -730,10 +751,7 @@ class _Checker:
         if c.revoked:
             self._raise(proc, _REVOKED, op.lineno)
             return
-        src = self._eval(op.args["source"], proc, st)
-        tag = self._eval(op.args.get("tag", ("const", 0)), proc, st)
-        if src is OPAQUE or tag is OPAQUE:
-            raise ModelError("recv with untracked source/tag")
+        src, tag = self._peer_and_tag(proc, op, st, c, "source")
         proc.status = "blocked"
         proc.blocked = ("recv", c.cid, src, tag, op.lineno, op.out)
         if self._deliver_recv(proc, c, st):

@@ -13,18 +13,22 @@ Two independent tools live here:
 * :func:`format_wait_for_graph` — given the blocked tasks of a
   :class:`~repro.simkernel.errors.DeadlockError`, reconstructs who waits on
   whom (from the message boards and open rounds at deadlock time, or the
-  ``waits_for`` annotation of a segment or intercommunicator receive) and
-  renders the wait-for graph including any cycle.  The engine attaches this
+  ``waits_for`` annotation of a co-simulated segment) and renders the
+  wait-for graph including any cycle.  The engine attaches this
   to the deadlock message.
 
 Happens-before edges used by the vector clocks:
 
 1. program order within each actor;
 2. send -> matching receive (matched FIFO per (comm, src, dst, tag),
-   mirroring the simulator's eager matching);
+   mirroring the simulator's eager matching; every traced send and
+   receive is on an intracommunicator, since a bridge has no
+   point-to-point);
 3. collective completion: every participant's next event happens after all
    arrivals of that rendezvous (the k-th collective call of each member of
-   a communicator joins one rendezvous, per channel, like the engine).
+   a communicator joins one rendezvous, per channel, like the engine).  A
+   bridge's ``agree`` spans one of its two groups, which the trace does
+   not tell apart, so it stays a local event.
 """
 
 from __future__ import annotations
@@ -91,16 +95,14 @@ def compute_vector_clocks(events: Sequence[TraceEvent]) -> List[_VC]:
             vc.join(group.acc)
         vc[actor] = vc.get(actor, 0) + 1
 
-        if ev.kind == "send" and not ev.inter:
+        if ev.kind == "send":
             send_vc_queue[(ev.comm, ev.src, ev.dst, ev.tag)].append(_VC(vc))
-        elif ev.kind == "recv" and not ev.inter:
+        elif ev.kind == "recv":
             queue = send_vc_queue.get((ev.comm, ev.src, ev.dst, ev.tag))
             if queue:
                 vc.join(queue.pop(0))
         elif ev.kind == "coll":
-            # bridge-local agrees (parent vs child side) are distinct
-            # rendezvous we cannot tell apart from the trace: treat them
-            # as local events rather than inventing cross-side ordering.
+            # a bridge's local-group agree: a local event (module docstring)
             if not (ev.op == "agree" and ev.comm.endswith(".bridge")):
                 chan = _channel_of(ev.op)
                 okey = (actor, ev.comm, chan)
@@ -145,13 +147,12 @@ def find_message_races(trace, *, allow_truncated: bool = False
     """Detect message races on wildcard receives in a recorded trace."""
     events = complete_events(trace, allow_truncated=allow_truncated)
     vcs = compute_vector_clocks(events)
-    sends = [(i, e) for i, e in enumerate(events)
-             if e.kind == "send" and not e.inter]
+    sends = [(i, e) for i, e in enumerate(events) if e.kind == "send"]
     races: List[MessageRace] = []
     matched: Dict[tuple, int] = defaultdict(int)  # FIFO cursor per channel
 
     for at, ev in enumerate(events):
-        if ev.kind != "recv" or not ev.anysrc or ev.inter:
+        if ev.kind != "recv" or not ev.anysrc:
             continue
         # identify the matched send (FIFO per (comm, src, dst, tag))
         ckey = (ev.comm, ev.src, ev.dst, ev.tag)
@@ -197,11 +198,7 @@ def _blockers(task, info) -> List[Tuple[object, str]]:
     out: List[Tuple[object, str]] = []
     if kind == "recv":
         source, tag = info["source"], info["tag"]
-        if info.get("inter"):
-            _local, remote = state.local_remote(proc)
-            pool = list(remote)
-        else:
-            pool = list(state.procs)
+        pool = state.procs
         wildcard = source < 0
         reason = (f"recv(src={'ANY' if wildcard else source}, "
                   f"tag={'ANY' if tag < 0 else tag}) on {state.name}")
@@ -237,18 +234,12 @@ def _reconstruct_waits_for(task, fut) -> Optional[dict]:
     proc = task.meta.get("proc")
     if proc is None:
         return None
-    for state in getattr(proc, "comm_states", ()):
-        board = getattr(state, "board", None)
-        if board is not None:
-            for buckets in getattr(board, "_waiting", {}).values():
-                for q in buckets.values():
-                    for r in q:
-                        if r.future is fut:
-                            info = {"kind": "recv", "state": state,
-                                    "source": r.source, "tag": r.tag}
-                            if hasattr(state, "group_a"):  # intercomm
-                                info["inter"] = True
-                            return info
+    for state in proc.comm_states:
+        for queue in state.board.waiting.values():
+            for r in queue:
+                if r.future is fut:
+                    return {"kind": "recv", "state": state,
+                            "source": r.source, "tag": r.tag}
         for rnd in state.rounds.open.values():
             if rnd.fut is fut:
                 return {"kind": "coll", "op": rnd.op, "state": state,
@@ -259,9 +250,8 @@ def _reconstruct_waits_for(task, fut) -> Optional[dict]:
 def build_wait_for_graph(blocked_tasks) -> Dict[object, List[Tuple[object, str]]]:
     """Map each blocked task to the tasks it is waiting on (with reasons).
 
-    Dependencies come from the ``waits_for`` annotations the MPI layer
-    sets unconditionally (a co-simulated segment's future, an
-    intercommunicator receive); every other future's dependency is
+    Dependencies come from the ``waits_for`` annotation the MPI layer sets
+    on a co-simulated segment's future; every other future's dependency is
     reconstructed from the message boards and open rounds.  Tasks whose
     dependency cannot be determined either way appear with an empty
     dependency list.

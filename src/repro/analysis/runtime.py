@@ -57,15 +57,6 @@ def _comm_states(universe) -> list:
                               for state in proc.comm_states))
 
 
-def _slot_proc(universe, state, dst):
-    """Proc owning a board slot: rank-indexed on intracommunicators,
-    uid-keyed on intercommunicators."""
-    procs = getattr(state, "procs", None)
-    if procs is not None:
-        return procs[dst] if 0 <= dst < len(procs) else None
-    return universe.all_procs.get(dst)
-
-
 def check_runtime_leaks(universe) -> LeakReport:
     """Audit a finished (or stopped), unclosed universe for MPI leaks."""
     if universe.closed:
@@ -74,9 +65,9 @@ def check_runtime_leaks(universe) -> LeakReport:
     for state in _comm_states(universe):
         name = state.name
         # pending receives whose owner already returned
-        for dst, queue in getattr(state.board, "waiting", {}).items():
+        for dst, queue in state.board.waiting.items():
             for recv in queue:
-                proc = _slot_proc(universe, state, dst)
+                proc = state.procs[dst]
                 task = getattr(proc, "task", None)
                 if task is not None and task.state in _FINISHED_CLEAN:
                     report.errors.append(
@@ -97,14 +88,12 @@ def check_runtime_leaks(universe) -> LeakReport:
                         f"collective '{rnd.op}' — the round can never "
                         "complete for the remaining members")
         # undelivered messages
-        n_posted = sum(len(q) for q in
-                       getattr(state.board, "posted", {}).values())
+        n_posted = sum(len(q) for q in state.board.posted.values())
         if n_posted:
             report.warnings.append(
                 f"{name}: {n_posted} message(s) posted but never received")
         # zombie communicator state
-        members = getattr(state, "procs", None) or state.all_procs
-        if members and all(p.dead for p in members):
+        if state.procs and all(p.dead for p in state.procs):
             report.warnings.append(
                 f"{name}: every member is dead but the communicator still "
                 "holds state (missing free())")

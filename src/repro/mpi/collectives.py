@@ -5,7 +5,7 @@ Every collective call on a communicator is matched by *call order*: the
 :class:`Round` (key ``(channel, op, k)``).  Members contribute into a
 slot-indexed row and park on the round's single shared future; the arrival
 that completes the round runs its finish rule once and wakes everybody
-through one batched engine event (``Engine.schedule_future_batch``) at
+through one batched engine event (``Engine.schedule_futures_batch``) at
 ``latest_arrival + cost`` — which is how collectives synchronise virtual
 clocks.  The first arriver supplies the round's cost and finish rules.
 
@@ -257,15 +257,15 @@ class Round:
 
 
 class RoundTable:
-    """The open rounds of one communicator (intra or inter)."""
+    """The open rounds of one communicator (an intracommunicator or a
+    bridge, whose rounds span its union or one of its groups)."""
 
-    __slots__ = ("state", "engine", "machine", "stats", "universe", "detect",
-                 "open", "unread", "calls", "_pool", "_blank", "_counters")
+    __slots__ = ("state", "engine", "machine", "stats", "detect", "open",
+                 "unread", "calls", "_pool", "_blank", "_counters")
 
     def __init__(self, state, size: int):
         uni = state.universe
         self.state = state
-        self.universe = uni
         self.engine = uni.engine
         self.machine = uni.machine
         self.stats = uni.stats
@@ -300,11 +300,6 @@ class RoundTable:
             counter = self._counters[op] = self.stats.registry.counter(
                 "mpi_collectives", op=op)
         counter.value += 1
-        uni = self.universe
-        if uni.tracer is not None:
-            state = self.state
-            uni.trace(proc.name, "coll", op=op, comm=state.name,
-                      rank=state.rank_of(proc))
         key = (channel, op, idx)
         now = self.engine.now
         rnd = self.open.get(key)
@@ -373,7 +368,7 @@ class RoundTable:
             return
         rnd.reads = rnd.n
         self.unread.add(rnd)
-        self.engine.schedule_future_batch(rnd.fut, rnd, latest + cost)
+        self.engine.schedule_futures_batch((rnd.fut,), rnd, latest + cost)
 
     def close(self) -> None:
         """A finished run's teardown: let go of the communicator (it
@@ -382,7 +377,7 @@ class RoundTable:
         self.open.clear()
         self.unread.clear()
         self._pool.clear()
-        self.state = self.universe = None
+        self.state = None
 
     def _recycle(self, rnd: Round) -> None:
         # every reader took its result: the future lets go of the round

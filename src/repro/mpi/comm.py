@@ -207,23 +207,97 @@ class CommState:
         return f"CommState({self.name!r}, size={self.size}{flags})"
 
 
-class CommHandle:
+class BaseHandle:
+    """What every communicator handle, intra or bridge, shares: the
+    ``LOCAL`` operations of ``OP_RULES`` (revoke, failure_ack /
+    failure_get_acked, set_errhandler, free), raising through the rank's
+    error handler, and joining a collective round."""
+
+    def __init__(self, state: CommState, proc: Proc, rank: int):
+        self.state = state
+        self.proc = proc
+        self.rank = rank
+        # hot-path caches: engine/machine are immutable for the life of
+        # the universe, so the per-operation attribute hops are avoidable
+        self._engine = state.universe.engine
+        self._machine = state.universe.machine
+        self._uni = state.universe
+
+    def set_errhandler(self, handler: Callable[["CommHandle", MPIError], None]) -> None:
+        """Install an error handler called before any MPIError is raised
+        (the simulator analogue of ``MPI_Comm_set_errhandler``)."""
+        self.state.errhandlers[self.proc.uid] = handler
+
+    def _raise(self, exc: MPIError):
+        exc.comm = self
+        handler = self.state.errhandlers.get(self.proc.uid)
+        if handler is not None:
+            handler(self, exc)
+        raise exc
+
+    def revoke(self) -> None:
+        """``OMPI_Comm_revoke``: locally returning; propagates asynchronously
+        and fails every pending/future operation on this communicator."""
+        state = self.state
+        engine = self._engine
+        state.universe.trace(self.proc.name, "revoke", comm=state.name,
+                             rank=self.rank)
+        delay = self._machine.ulfm.revoke(state.size)
+        engine.call_at(engine.now + delay, state.do_revoke, engine.now + delay)
+
+    def failure_ack(self) -> None:
+        """``OMPI_Comm_failure_ack``: snapshot currently-known failures."""
+        dead = tuple(p for p in self.state.procs if p.dead)
+        self.state.acked[self.proc.uid] = dead
+
+    def failure_get_acked(self) -> Group:
+        """``OMPI_Comm_failure_get_acked``: the acknowledged failed group."""
+        return Group(self.state.acked.get(self.proc.uid, ()))
+
+    def free(self) -> None:
+        """``MPI_Comm_free`` — bookkeeping only in the simulator."""
+        self.state.errhandlers.pop(self.proc.uid, None)
+
+    async def _collective(self, op: str, value: Any, nbytes: int = 0, *,
+                          channel: str = "coll", rule=None, arg: Any = None,
+                          root: int = 0, members: Optional[List[Proc]] = None,
+                          slot: int = 0):
+        """Join this call's round (see :mod:`repro.mpi.collectives`) and
+        return this rank's result; ``OP_RULES[op]`` says whether a revoke
+        refuses it.  The round spans the whole communicator, or
+        ``members`` with this rank as its ``slot``-th member.  ``rule`` is
+        the ``(cost rule, finish rule)`` pair of an operation outside the
+        seven hot collectives of ``HOT_OPS``.  The public operations return
+        this coroutine itself, so a collective call costs one coroutine
+        frame."""
+        state = self.state
+        if state.revoked and OP_RULES[op] is RvKind.NORMAL:
+            self._raise(RevokedError(f"{state.name} is revoked"))
+        uni = self._uni
+        if uni.tracer is not None:
+            uni.trace(self.proc.name, "coll", op=op, comm=state.name,
+                      rank=self.rank)
+        if members is None:
+            members, slot = state.procs, self.rank
+        fut = state.rounds.join(op, self.proc, slot, value, nbytes, members,
+                                channel, rule, arg, root)
+        try:
+            rnd = await fut
+        except MPIError as exc:
+            self._raise(exc)
+        return rnd.take(slot)
+
+
+class CommHandle(BaseHandle):
     """One rank's view of (and API to) a communicator."""
 
     def __init__(self, state: CommState, proc: Proc):
-        if state.rank_of(proc) == UNDEFINED:
+        rank = state.rank_of(proc)
+        if rank == UNDEFINED:
             raise CommInvalidError(f"{proc.name} is not a member of {state.name}")
-        self.state = state
-        self.proc = proc
-        self.rank = state.rank_of(proc)
-        # hot-path caches: engine/machine/board/stats are immutable for the
-        # life of the universe, so the per-operation attribute hops are
-        # avoidable
-        self._engine = state.universe.engine
-        self._machine = state.universe.machine
+        super().__init__(state, proc, rank)
         self._board = state.board
         self._stats = state.universe.stats
-        self._uni = state.universe
 
     # -- basics ------------------------------------------------------------
     @property
@@ -241,18 +315,6 @@ class CommHandle:
     @property
     def universe(self):
         return self.state.universe
-
-    def set_errhandler(self, handler: Callable[["CommHandle", MPIError], None]) -> None:
-        """Install an error handler called before any MPIError is raised
-        (the simulator analogue of ``MPI_Comm_set_errhandler``)."""
-        self.state.errhandlers[self.proc.uid] = handler
-
-    def _raise(self, exc: MPIError):
-        exc.comm = self
-        handler = self.state.errhandlers.get(self.proc.uid)
-        if handler is not None:
-            handler(self, exc)
-        raise exc
 
     def _check_usable(self):
         if self.state.revoked:
@@ -444,26 +506,6 @@ class CommHandle:
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    async def _collective(self, op: str, value: Any, nbytes: int = 0, *,
-                          channel: str = "coll", rule=None, arg: Any = None,
-                          root: int = 0):
-        """Join this call's round (see :mod:`repro.mpi.collectives`) and
-        return this rank's result; ``OP_RULES[op]`` says whether a revoke
-        refuses it.  ``rule`` is the ``(cost rule, finish rule)`` pair of
-        an operation outside the seven hot collectives of ``HOT_OPS``.
-        The public operations return this coroutine itself, so a
-        collective call costs one coroutine frame."""
-        state = self.state
-        if state.revoked and OP_RULES[op] is RvKind.NORMAL:
-            self._raise(RevokedError(f"{state.name} is revoked"))
-        fut = state.rounds.join(op, self.proc, self.rank, value, nbytes,
-                                state.procs, channel, rule, arg, root)
-        try:
-            rnd = await fut
-        except MPIError as exc:
-            self._raise(exc)
-        return rnd.take(self.rank)
-
     def barrier(self) -> Awaitable[None]:
         """``MPI_Barrier`` — fails with ProcFailedError if any member is dead
         (the paper's failure-detection probe, Fig. 3 line 13)."""
@@ -531,10 +573,6 @@ class CommHandle:
     async def dup(self) -> "CommHandle":
         return await self.split(0, self.rank)
 
-    def free(self) -> None:
-        """``MPI_Comm_free`` — bookkeeping only in the simulator."""
-        self.state.errhandlers.pop(self.proc.uid, None)
-
     # ------------------------------------------------------------------
     # dynamic processes
     # ------------------------------------------------------------------
@@ -563,21 +601,11 @@ class CommHandle:
         inter_state = await self._collective(
             "spawn_multiple", (count, tuple(host_names or ())),
             rule=(fixed_cost(cost), finish))
-        return IntercommHandle(inter_state, self.proc, side="local")
+        return IntercommHandle(inter_state, self.proc)
 
     # ------------------------------------------------------------------
     # ULFM extensions
     # ------------------------------------------------------------------
-    def revoke(self) -> None:
-        """``OMPI_Comm_revoke``: locally returning; propagates asynchronously
-        and fails every pending/future operation on this communicator."""
-        state = self.state
-        engine = self._engine
-        state.universe.trace(self.proc.name, "revoke", comm=state.name,
-                             rank=self.rank)
-        delay = self._machine.ulfm.revoke(state.size)
-        engine.call_at(engine.now + delay, state.do_revoke, engine.now + delay)
-
     async def shrink(self) -> "CommHandle":
         """``OMPI_Comm_shrink``: fault-tolerant; returns a new communicator
         containing the survivors in their original relative order."""
@@ -633,15 +661,6 @@ class CommHandle:
         state.universe.trace(self.proc.name, "readmit", comm=state.name,
                              rank=rank, proc=proc.name)
         return self
-
-    def failure_ack(self) -> None:
-        """``OMPI_Comm_failure_ack``: snapshot currently-known failures."""
-        dead = tuple(p for p in self.state.procs if p.dead)
-        self.state.acked[self.proc.uid] = dead
-
-    def failure_get_acked(self) -> Group:
-        """``OMPI_Comm_failure_get_acked``: the acknowledged failed group."""
-        return Group(self.state.acked.get(self.proc.uid, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CommHandle({self.state.name!r}, rank={self.rank}/{self.size})"

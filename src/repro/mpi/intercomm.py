@@ -1,116 +1,62 @@
-"""Intercommunicators: the parent/child link created by ``spawn_multiple``.
+"""Intercommunicators: the parent/child bridge created by ``spawn_multiple``.
 
 The reconstruction protocol (Figs. 3 and 5) uses exactly three operations on
 the intercommunicator: ``OMPI_Comm_agree`` for synchronisation,
 ``MPI_Intercomm_merge`` to form the ordered intracommunicator, and error
-handlers.  Basic point-to-point across the bridge is provided for
-completeness.
+handlers.  A bridge is therefore a communicator over both groups, parents
+first: one :class:`~repro.mpi.comm.CommState` with its board, round table,
+death and revoke paths, ack and error-handler tables.  What it adds is the
+split into a local and a remote group, agreement over the local group and
+the merge over the union.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Awaitable, Callable, Dict, List, Sequence
+from typing import Awaitable, List, Sequence
 
-from ..simkernel.traps import Sleep
-from .collectives import (OP_RULES, SHARED, RoundTable, RvKind, finish_agree,
-                          fixed_cost)
-from .comm import CommHandle, CommState
-from .datatypes import clone_payload, payload_nbytes
-from .errors import (ANY_SOURCE, ANY_TAG, UNDEFINED, CommInvalidError,
-                     MPIError, ProcFailedError, RankError, RevokedError)
-from .group import Group
-from .matching import MessageBoard
+from .collectives import SHARED, fixed_cost, finish_agree
+from .comm import BaseHandle, CommHandle, CommState
+from .errors import UNDEFINED, CommInvalidError, RankError
 from .process import Proc
 
-_inter_ids = itertools.count()
 
+class IntercommState(CommState):
+    """A bridge between two disjoint groups: a communicator over
+    ``group_a + group_b`` whose first ``n_a`` members are group a (the
+    parents).  Ranks in its tables (a death's failed ranks, the board's
+    slots) index that union."""
 
-class IntercommState:
-    """Shared state of an intercommunicator between two disjoint groups."""
-
-    def __init__(self, universe, group_a: Sequence[Proc], group_b: Sequence[Proc],
-                 name: str = ""):
-        self.cid = next(_inter_ids)
-        self.universe = universe
-        self.group_a: List[Proc] = list(group_a)
-        self.group_b: List[Proc] = list(group_b)
-        self.name = name or f"intercomm{self.cid}"
-        self.revoked = False
-        engine = universe.engine
-        detect = universe.machine.failure_detection_latency
-        # board keyed by destination proc uid (ranks are ambiguous across sides)
-        self.board = MessageBoard(engine, detect)
-        self.rounds = RoundTable(self, len(self.group_a) + len(self.group_b))
-        self.errhandlers: Dict[int, Callable] = {}
-        self.acked: Dict[int, tuple] = {}
-        self._a_uids = {p.uid for p in self.group_a}
-        self._b_uids = {p.uid for p in self.group_b}
-        universe.stats.comms_created += 1
-        for p in self.all_procs:
-            p.comm_states.add(self)
+    def __init__(self, universe, group_a: Sequence[Proc],
+                 group_b: Sequence[Proc], name: str = ""):
+        super().__init__(universe, list(group_a) + list(group_b), name=name)
+        self.n_a = len(group_a)
 
     @property
-    def all_procs(self) -> List[Proc]:
-        return self.group_a + self.group_b
+    def group_a(self) -> List[Proc]:
+        return self.procs[:self.n_a]
 
-    def side_of(self, proc: Proc) -> str:
-        if proc.uid in self._a_uids:
-            return "a"
-        if proc.uid in self._b_uids:
-            return "b"
-        raise CommInvalidError(f"{proc.name} not in {self.name}")
-
-    def local_remote(self, proc: Proc):
-        return (self.group_a, self.group_b) if self.side_of(proc) == "a" \
-            else (self.group_b, self.group_a)
-
-    def rank_of(self, proc: Proc) -> int:
-        """Rank within the proc's own (local) group."""
-        local, _ = self.local_remote(proc)
-        for i, p in enumerate(local):
-            if p.uid == proc.uid:
-                return i
-        return UNDEFINED
-
-    def n_failed(self) -> int:
-        return sum(1 for p in self.all_procs if p.dead)
-
-    def on_proc_death(self, proc: Proc, now: float) -> None:
-        self.board.drop_waiters_of(proc.uid)
-        dead_rank = self.rank_of(proc)
-        # fail pending receives on the *other* side naming this rank
-        _, other = self.local_remote(proc)
-        detect = self.universe.machine.failure_detection_latency
-        for q in other:
-            self.board.fail_source_waiters(
-                q.uid, dead_rank,
-                ProcFailedError(f"intercomm peer rank {dead_rank} died",
-                                failed_ranks=(dead_rank,)),
-                at=now + detect)
-        self.rounds.on_death(proc, now)
-
-    def do_revoke(self, now: float) -> None:
-        if self.revoked:
-            return
-        self.revoked = True
-        self.universe.trace(self.name, "revoked", comm=self.name)
-        self.board.revoke_all(now)
-        self.rounds.on_revoke(RevokedError(f"{self.name} revoked"), now)
+    @property
+    def group_b(self) -> List[Proc]:
+        return self.procs[self.n_a:]
 
 
-class IntercommHandle:
-    """One rank's view of an intercommunicator.
+class IntercommHandle(BaseHandle):
+    """One rank's view of a bridge: ``rank`` is its rank in its own (local)
+    group, and the other group is the remote one, as in real MPI.  Beside
+    the local operations every handle has, it offers only ``agree`` over
+    the local group and ``merge`` over the union."""
 
-    ``side`` is "local" from the caller's perspective; remote ranks index the
-    other group, as in real MPI.
-    """
-
-    def __init__(self, state: IntercommState, proc: Proc, side: str = "auto"):
-        self.state = state
-        self.proc = proc
-        self.local_group, self.remote_group = state.local_remote(proc)
-        self.rank = state.rank_of(proc)
+    def __init__(self, state: IntercommState, proc: Proc):
+        slot = state.rank_of(proc)
+        if slot == UNDEFINED:
+            raise CommInvalidError(f"{proc.name} is not a member of {state.name}")
+        self._slot = slot
+        self._side = "a" if slot < state.n_a else "b"
+        a, b = state.group_a, state.group_b
+        self.local_group, self.remote_group = (a, b) if self._side == "a" \
+            else (b, a)
+        super().__init__(state, proc, slot if self._side == "a"
+                         else slot - state.n_a)
 
     @property
     def local_size(self) -> int:
@@ -119,85 +65,6 @@ class IntercommHandle:
     @property
     def remote_size(self) -> int:
         return len(self.remote_group)
-
-    @property
-    def _engine(self):
-        return self.state.universe.engine
-
-    @property
-    def _machine(self):
-        return self.state.universe.machine
-
-    def set_errhandler(self, handler) -> None:
-        self.state.errhandlers[self.proc.uid] = handler
-
-    def _raise(self, exc: MPIError):
-        exc.comm = self
-        handler = self.state.errhandlers.get(self.proc.uid)
-        if handler is not None:
-            handler(self, exc)
-        raise exc
-
-    # ------------------------------------------------------------------
-    # point-to-point across the bridge (ranks address the remote group)
-    # ------------------------------------------------------------------
-    async def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if self.state.revoked:
-            self._raise(RevokedError(f"{self.state.name} revoked"))
-        if not (0 <= dest < self.remote_size):
-            raise RankError(f"remote rank {dest} out of range")
-        target = self.remote_group[dest]
-        machine = self._machine
-        if target.dead:
-            if machine.failure_detection_latency:
-                await Sleep(machine.failure_detection_latency)
-            self._raise(ProcFailedError(f"send to dead remote rank {dest}",
-                                        failed_ranks=(dest,)))
-        cost = machine.p2p_cost(payload_nbytes(obj))
-        if cost:
-            await Sleep(cost)
-        self.state.universe.stats.record_message(payload_nbytes(obj))
-        self.state.universe.trace(
-            self.proc.name, "send", comm=self.state.name, src=self.rank,
-            dst=dest, tag=tag, inter=True)
-        self.state.board.post(self.rank, target.uid, tag,
-                              clone_payload(obj), self._engine.now)
-
-    async def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        if self.state.revoked:
-            self._raise(RevokedError(f"{self.state.name} revoked"))
-        dead = frozenset(i for i, p in enumerate(self.remote_group) if p.dead)
-        fut = self._engine.create_future(label=f"i-recv:{self.state.name}")
-        fut.waits_for = {"kind": "recv", "state": self.state,
-                         "rank": self.rank, "source": source, "tag": tag,
-                         "inter": True}
-        self.state.board.register_recv(self.proc.uid, source, tag, fut, dead)
-        try:
-            msg = await fut
-        except MPIError as exc:
-            self._raise(exc)
-        self.state.universe.trace(
-            self.proc.name, "recv", comm=self.state.name, src=msg.src,
-            dst=self.rank, tag=msg.tag, anysrc=source == ANY_SOURCE,
-            anytag=tag == ANY_TAG, inter=True)
-        return msg.payload
-
-    # ------------------------------------------------------------------
-    # collectives over the union
-    # ------------------------------------------------------------------
-    async def _collective(self, op: str, value: Any, slot: int,
-                          members: List[Proc], channel: str, rule):
-        """Join this call's round over ``members`` (the union, or the
-        caller's local group) as its ``slot``-th member."""
-        if self.state.revoked and OP_RULES[op] is RvKind.NORMAL:
-            self._raise(RevokedError(f"{self.state.name} revoked"))
-        fut = self.state.rounds.join(op, self.proc, slot, value, 0, members,
-                                     channel, rule)
-        try:
-            rnd = await fut
-        except MPIError as exc:
-            self._raise(exc)
-        return rnd.take(slot)
 
     def agree(self, flag: int = 1) -> Awaitable[int]:
         """``OMPI_Comm_agree`` on an intercommunicator.
@@ -216,17 +83,16 @@ class IntercommHandle:
         else:
             cost = self._machine.ulfm.agree(n, n_failed)
         return self._collective(
-            "agree", int(flag), self.rank, group,
-            f"agree-{self.state.side_of(self.proc)}",
-            (fixed_cost(cost), finish_agree))
+            "agree", int(flag), channel=f"agree-{self._side}",
+            rule=(fixed_cost(cost), finish_agree), members=group,
+            slot=self.rank)
 
     async def merge(self, high: bool) -> CommHandle:
         """``MPI_Intercomm_merge``: form an intracommunicator over both
         groups; the group(s) passing ``high=True`` get the upper ranks
         (Fig. 2's merge step)."""
         state = self.state
-        n_a = len(state.group_a)
-        cost = self._machine.ulfm.merge(n_a + len(state.group_b))
+        n_a = state.n_a
 
         def finish(rnd):
             a_flags = set(rnd.values[:n_a])
@@ -240,31 +106,11 @@ class IntercommHandle:
             return SHARED, CommState(state.universe, low + highg,
                                      name=f"{state.name}.merged")
 
-        slot = self.rank if self.local_group is state.group_a \
-            else n_a + self.rank
+        cost = self._machine.ulfm.merge(state.size)
         new_state = await self._collective(
-            "merge", bool(high), slot, state.all_procs, "coll",
-            (fixed_cost(cost), finish))
+            "merge", bool(high), rule=(fixed_cost(cost), finish),
+            members=state.procs, slot=self._slot)
         return CommHandle(new_state, self.proc)
-
-    def revoke(self) -> None:
-        state = self.state
-        engine = self._engine
-        state.universe.trace(self.proc.name, "revoke", comm=state.name,
-                             rank=self.rank)
-        delay = self._machine.ulfm.revoke(len(state.all_procs))
-        engine.call_at(engine.now + delay, state.do_revoke, engine.now + delay)
-
-    def failure_ack(self) -> None:
-        """``OMPI_Comm_failure_ack`` over both groups."""
-        dead = tuple(p for p in self.state.all_procs if p.dead)
-        self.state.acked[self.proc.uid] = dead
-
-    def failure_get_acked(self) -> Group:
-        return Group(self.state.acked.get(self.proc.uid, ()))
-
-    def free(self) -> None:
-        self.state.errhandlers.pop(self.proc.uid, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IntercommHandle({self.state.name!r}, rank={self.rank}, "

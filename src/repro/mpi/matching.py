@@ -242,12 +242,6 @@ class MessageBoard:
         taken.sort(key=lambda r: r.seq)
         return taken
 
-    def fail_source_waiters(self, dst: int, source: int, exc, at: float) -> None:
-        """Fail every blocked receive at ``dst`` naming ``source`` (exact
-        match; wildcard receivers stay blocked, as in eager-protocol MPI)."""
-        for recv in self._pop_matching_waiters(dst, lambda s, _t: s == source):
-            recv.future.set_exception(exc, at=at)
-
     def on_rank_death(self, rank: int, now: float) -> None:
         """Fail blocked receives that name the dead rank as their source."""
         at = now + self.detection_latency

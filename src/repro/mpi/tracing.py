@@ -9,7 +9,7 @@ the events to the analyzers (``repro.analysis``) and the timeline exporter
 
 An event is fields, not text.  :data:`KINDS` declares each kind's fields and
 their types, and renders the one-line ``detail`` a person reads; nothing
-else formats or parses it.  A saved trace is JSONL — a ``version: 2``
+else formats or parses it.  A saved trace is JSONL — a ``version: 3``
 header, then one event per line with its fields — and :meth:`Tracer.load`
 checks every line against :data:`KINDS`.
 """
@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: the saved-trace format :meth:`Tracer.save` writes and :meth:`Tracer.load`
 #: reads
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(slots=True)
@@ -40,7 +40,6 @@ class TraceEvent:
     tag: Optional[int] = None
     anysrc: bool = False            #: recv was posted with ANY_SOURCE
     anytag: bool = False            #: recv was posted with ANY_TAG
-    inter: bool = False             #: p2p across an intercommunicator
     op: Optional[str] = None        #: collective operation (coll)
     rank: Optional[int] = None      #: caller (coll/revoke) or re-admitted rank
     proc: Optional[str] = None      #: the re-admitted process (readmit)
@@ -99,8 +98,7 @@ class TraceEvent:
 
 def _p2p(e: TraceEvent) -> str:
     return (f"{e.comm} {e.src}->{e.dst} tag={e.tag}"
-            + (" anysrc" if e.anysrc else "") + (" anytag" if e.anytag else "")
-            + (" inter" if e.inter else ""))
+            + (" anysrc" if e.anysrc else "") + (" anytag" if e.anytag else ""))
 
 
 def _span(e: TraceEvent) -> str:
@@ -109,7 +107,7 @@ def _span(e: TraceEvent) -> str:
 
 
 _P2P = (("comm", str), ("src", int), ("dst", int), ("tag", int),
-        ("anysrc", bool), ("anytag", bool), ("inter", bool))
+        ("anysrc", bool), ("anytag", bool))
 
 #: kind -> (its fields with their types, the ``detail`` rendered from them)
 KINDS: Dict[str, Tuple[Tuple[Tuple[str, type], ...],

@@ -40,11 +40,9 @@ class AdvectionProblem:
 
     Implements the generic problem interface the solvers consume:
     ``initial`` / ``exact`` / ``stable_dt`` plus the one stencil kernel
-    ``step_interior`` (halo-padded block into a padded buffer, whole
-    periodic arrays included: their halo is the wrapped interior) and
-    ``step_plan``, the same step bound once to its buffers.  A problem
-    without ``step_plan`` is stepped through ``step_interior``.  The
-    scheme is 2D Lax–Wendroff.
+    ``step_plan``, a halo-padded block's step into a padded buffer (whole
+    periodic arrays included: their halo is the wrapped interior), bound
+    once to its buffers.  The scheme is 2D Lax–Wendroff.
     """
 
     velocity: Tuple[float, float] = (1.0, 0.5)
@@ -78,28 +76,20 @@ class AdvectionProblem:
     def step_plan(self, w: np.ndarray, level_x: int, level_y: int,
                   dt: float, transposed: bool = False, *,
                   out: np.ndarray, scratch: np.ndarray) -> Callable[[], None]:
-        """:meth:`step_interior` bound once to its buffers
-        (:func:`~repro.pde.lax_wendroff.lw_plan`): the returned callable of
-        no arguments makes the step."""
-        cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
-        if transposed:
-            cx, cy = cy, cx
-        return lw_plan(w, cx, cy, out, scratch)
-
-    def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
-                      dt: float, transposed: bool = False, *,
-                      out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Stencil update of the halo-padded block ``w`` into the interior
-        of the padded ``out``, allocating nothing (``scratch`` flat; see
-        :func:`~repro.pde.lax_wendroff.lw_plan`).
+        """The stencil update of the halo-padded block ``w`` into the
+        interior of the padded ``out``, bound once to its buffers
+        (``scratch`` flat; see :func:`~repro.pde.lax_wendroff.lw_plan`):
+        the returned callable of no arguments makes the step and allocates
+        nothing.
 
         ``transposed=True`` means the block's axis 0 is the physical y
         axis (a grid decomposed along y presents its data transposed), so
         the two Courant numbers swap roles.
         """
-        self.step_plan(w, level_x, level_y, dt, transposed, out=out,
-                       scratch=scratch)()
-        return out
+        cx, cy = courant_numbers(self.velocity, level_x, level_y, dt)
+        if transposed:
+            cx, cy = cy, cx
+        return lw_plan(w, cx, cy, out, scratch)
 
 
 @dataclass(frozen=True)
@@ -166,10 +156,3 @@ class DiffusionProblem:
                 t *= ry
                 o += t
         return step
-
-    def step_interior(self, w: np.ndarray, level_x: int, level_y: int,
-                      dt: float, transposed: bool = False, *,
-                      out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        self.step_plan(w, level_x, level_y, dt, transposed, out=out,
-                       scratch=scratch)()
-        return out

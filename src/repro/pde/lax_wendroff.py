@@ -39,8 +39,7 @@ re-attaches it for the combination technique, whose nodal grids are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -171,19 +170,6 @@ def lw_step_into(w: np.ndarray, cx: float, cy: float,
     return out
 
 
-def bind_step(problem, w: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-              level_x: int, level_y: int, dt: float,
-              transposed: bool = False) -> Callable[[], Any]:
-    """``problem``'s stencil step from the padded ``w`` into ``out``, bound
-    once to those buffers: its ``step_plan``, or a call of
-    ``step_interior`` for a problem that offers only that."""
-    plan = getattr(problem, "step_plan", None)
-    if plan is None:
-        return partial(problem.step_interior, w, level_x, level_y, dt,
-                       transposed, out=out, scratch=scratch)
-    return plan(w, level_x, level_y, dt, transposed, out=out, scratch=scratch)
-
-
 def periodic_steps(problem, w: np.ndarray, spare: np.ndarray,
                    scratch: np.ndarray, level_x: int, level_y: int,
                    dt: float, n: int, transposed: bool = False) -> np.ndarray:
@@ -195,9 +181,9 @@ def periodic_steps(problem, w: np.ndarray, spare: np.ndarray,
     bound = []
     for k in range(n):
         if k < 2:
-            bound.append((halo_copies(w), bind_step(
-                problem, w, spare, scratch, level_x, level_y, dt,
-                transposed)))
+            bound.append((halo_copies(w), problem.step_plan(
+                w, level_x, level_y, dt, transposed, out=spare,
+                scratch=scratch)))
         copies, step = bound[k & 1]
         for ghost, source in copies:
             np.copyto(ghost, source)
@@ -224,7 +210,7 @@ class SerialAdvectionSolver:
     """Single-process reference solver on one anisotropic sub-grid.
 
     Despite the historical name this solver is problem-generic: it drives
-    whatever ``step_interior`` kernel the problem object provides
+    whatever ``step_plan`` kernel the problem object provides
     (Lax–Wendroff advection, FTCS diffusion, ...).  The state lives in the
     interior of a padded double buffer whose ghost layer is wrapped in
     place before each step; ``u`` is a view of that interior.

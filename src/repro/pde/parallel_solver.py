@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .decomposition import SlabDecomposition, block_bounds, choose_dims
-from .lax_wendroff import (FLOPS_PER_POINT, bind_step, nodal_view,
+from .lax_wendroff import (FLOPS_PER_POINT, nodal_view,
                            periodic_steps, scratch_for)
 
 _HALO_TAG_UP = 101
@@ -213,9 +213,9 @@ class DistributedAdvectionSolver:
             if self._kernel is None or self._kernel[0] is not w:
                 # bound once per persistent buffer pair
                 self._pad = np.empty_like(w)
-                self._kernel = w, bind_step(
-                    self.problem, w, self._pad, scratch_for(w), self.level_x,
-                    self.level_y, self.dt, transposed=self.axis == 1)
+                self._kernel = w, self.problem.step_plan(
+                    w, self.level_x, self.level_y, self.dt, self.axis == 1,
+                    out=self._pad, scratch=scratch_for(w))
             if self._buf_a is None or self._buf_a.shape != self.u.shape:
                 self._buf_a = np.empty_like(self.u)
                 self._buf_b = np.empty_like(self.u)

@@ -65,7 +65,7 @@ class _Event:
       order) with the shared send value ``b``.  One heap/deque entry stands
       in for ``len(a)`` consecutive ``_EV_RESUME`` events with consecutive
       seqs, which is exactly what makes a batched wake-up bit-identical
-      to per-task resume events (see ``Engine.schedule_future_batch``).
+      to per-task resume events (see ``Engine.schedule_futures_batch``).
     """
 
     __slots__ = ("time", "seq", "kind", "a", "b", "c")
@@ -224,31 +224,20 @@ class Engine:
             when = self.now
         self._schedule(when, _EV_RESUME, task, fut._result, fut._exception)
 
-    def schedule_future_batch(self, fut: SimFuture, value: Any,
-                              at: Optional[float] = None) -> float:
-        """Resolve ``fut`` with ``value``, waking all parked waiters through
-        a *single* batched resume event instead of one event each.
-
-        Bit-identity with the per-waiter path: ``set_result`` would schedule
-        one ``_EV_RESUME`` per waiter, in waiter-list (= park) order, with
-        consecutive seqs — and nothing can interleave with those seqs,
-        because they are claimed inside one uninterrupted call.  A single
-        ``_EV_BATCH`` carrying the same list therefore dispatches the same
-        steps in the same order at the same virtual time.  Returns the
-        resolution time.
-        """
-        waiters = fut.take_waiters(value, at)
-        self._resume_batch(waiters, value, fut._time)
-        return fut._time
-
     def schedule_futures_batch(self, futs: Iterable[SimFuture], value: Any,
                                at: float) -> None:
-        """:meth:`schedule_future_batch` for several futures that resolve
-        with one value at one instant: all their parked waiters, in
-        ``futs`` order, resume through one batched event, the steps one
-        ``set_result`` each would schedule with consecutive seqs.  A future
-        nobody waits on yet wakes its task when awaited, as after
-        ``set_result``."""
+        """Resolve each of ``futs`` with ``value`` at ``at``, waking all
+        their parked waiters through a *single* batched resume event
+        instead of one event each.
+
+        Bit-identity with the per-waiter path: ``set_result`` on each
+        future, in ``futs`` order, would schedule one ``_EV_RESUME`` per
+        waiter, in park order, with consecutive seqs — and nothing can
+        interleave with those seqs, because they are claimed inside one
+        uninterrupted call.  A single ``_EV_BATCH`` carrying the same list
+        therefore dispatches the same steps in the same order at the same
+        virtual time.  A future nobody waits on yet wakes its task when
+        awaited, as after ``set_result``."""
         waiters = []
         for fut in futs:
             waiters += fut.take_waiters(value, at)

@@ -121,7 +121,7 @@ class SimFuture:
         tasks instead of scheduling one wake-up each.
 
         This is the engine's batched-resume entry point
-        (:meth:`~repro.simkernel.engine.Engine.schedule_future_batch` flips
+        (:meth:`~repro.simkernel.engine.Engine.schedule_futures_batch` flips
         the returned tasks to READY and issues a single resume event for the
         lot).  Only bare rendezvous futures qualify: done-callbacks would
         observe a different scheduling order, so their presence is an error.

@@ -80,9 +80,9 @@ def test_cli_analyze_trace_refuses_a_malformed_send(tmp_path, capsys, fields):
     line, not skipped into a clean report."""
     event = {"t": 0.0, "actor": "job0.0", "kind": "send",
              "comm": "job0.world", "tag": 3, "anysrc": False,
-             "anytag": False, "inter": False, **fields}
+             "anytag": False, **fields}
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"type": "header", "version": 2,
+    path.write_text(json.dumps({"type": "header", "version": 3,
                                 "max_events": 10, "dropped": 0}) + "\n"
                     + json.dumps(event) + "\n")
     assert cli_main(["analyze-trace", str(path)]) == 2

@@ -150,6 +150,53 @@ async def parent(ctx, world):
     assert [v.rule for v in violations] == ["ULF000"]
 
 
+#: two-rank point-to-point models the simulator and the checker would read
+#: differently, each with the simulator's reading
+P2P_MODEL = """
+# repro: protocol ranks=2 failures=0
+async def p2p(ctx, world):
+    if world.rank == 0:
+        {zero}
+    else:
+        {one}
+"""
+REFUSED_P2P = {
+    # IndexError in the checker; RankError in the simulator
+    "source-out-of-range": ("await world.recv(source=5, tag=1)",
+                            "await world.send(1, dest=0, tag=1)",
+                            "recv source 5 is not a rank"),
+    # ANY_SOURCE in the simulator, the last member in the checker
+    "wildcard-source": ("await world.recv(source=-1, tag=1)",
+                        "await world.send(1, dest=0, tag=1)",
+                        "recv source -1 is not a rank"),
+    # RankError in the simulator, the last member in the checker
+    "negative-dest": ("await world.recv(source=1, tag=1)",
+                      "await world.send(1, dest=-1, tag=1)",
+                      "send dest -1 is not a rank"),
+    # ANY_TAG in the simulator, a tag nobody sends in the checker
+    "wildcard-tag": ("await world.recv(source=1, tag=-2)",
+                     "await world.send(1, dest=0, tag=7)",
+                     "recv tag -2 is a wildcard or no tag"),
+    # ANY_TAG in the simulator, tag 0 in the checker
+    "omitted-tag": ("await world.recv(source=1)",
+                    "await world.send(1, dest=0, tag=7)",
+                    "recv without a named source and tag"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_P2P))
+def test_p2p_the_model_cannot_match_is_a_model_error(case):
+    """A rank outside the communicator, a wildcard source or tag and an
+    omitted receive tag are refused as ULF000, not a crash or a
+    deadlock finding the code does not have."""
+    zero, one, why = REFUSED_P2P[case]
+    violations = [v for v in lint_file("m.py", source=P2P_MODEL.format(
+        zero=zero, one=one)) if v.rule in {*MODEL_RULES, "ULF000"}]
+    assert [v.rule for v in violations] == ["ULF000"]
+    assert "protocol model check failed" in violations[0].message
+    assert why in violations[0].message
+
+
 def test_new_mode_skeletons_verify_as_a_subset():
     """The shrink-in-place and non-collective skeletons prove out on
     their own, over every single-failure placement."""

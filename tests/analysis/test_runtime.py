@@ -61,3 +61,35 @@ def test_a_closed_universe_is_refused():
     uni.close()
     with pytest.raises(ValueError, match="closed"):
         check_runtime_leaks(uni)
+
+
+def test_a_live_bridge_is_audited_through_its_members():
+    """A bridge is a communicator over both groups: the audit reads its
+    members from ``state.procs``, parents first, and names it once every
+    member is dead."""
+    from repro.mpi import IntercommState
+
+    async def child(ctx):
+        await ctx.compute(5.0)
+
+    async def main(ctx):
+        await ctx.comm.spawn_multiple(2, child)
+        await ctx.compute(5.0)
+
+    def audit(victims):
+        uni = Universe(IDEAL)
+        job = uni.launch(1, main)
+        uni.engine.call_at(1.0, lambda: [
+            uni.kill_proc(p) for p in victims(job.procs, uni.jobs[1].procs)])
+        uni.run(raise_task_failures=False)
+        (bridge,) = {s for s in job.procs[0].comm_states
+                     if isinstance(s, IntercommState)}
+        assert bridge.procs == job.procs + uni.jobs[1].procs
+        return bridge.name, check_runtime_leaks(uni)
+
+    name, report = audit(lambda parents, children: children)
+    assert report.errors == []
+    assert not any(w.startswith(name) for w in report.warnings)
+    name, report = audit(lambda parents, children: parents + children)
+    assert f"{name}: every member is dead but the communicator still " \
+        "holds state (missing free())" in report.warnings

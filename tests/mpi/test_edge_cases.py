@@ -53,8 +53,6 @@ def test_intercomm_revoke():
         inter = await ctx.comm.spawn_multiple(1, child)
         await ctx.compute(1.0)
         with pytest.raises(RevokedError):
-            await inter.recv(source=0)
-        with pytest.raises(RevokedError):
             await inter.merge(high=False)   # NORMAL: refused once revoked
         assert await inter.agree(1) == 1    # SURVIVOR: outlives the revoke
         return "ok"
@@ -64,45 +62,35 @@ def test_intercomm_revoke():
     assert uni.jobs[1].results() == ["child-done"]
 
 
-def test_intercomm_recv_from_dead_child():
+def test_a_child_killed_during_merge_fails_every_member():
+    """A bridge's death path is its CommState's: the merge the parents
+    wait in is doomed for every member, parents and the surviving child,
+    with the dead child's rank in the union (parents first)."""
+    from repro.mpi import CommState, IntercommState
+
     async def child(ctx):
-        await ctx.compute(10.0)
-        return None
+        await ctx.compute(2.0 if ctx.rank == 0 else 10.0)
+        with pytest.raises(ProcFailedError) as err:
+            await ctx.get_parent().merge(high=True)
+        return err.value.failed_ranks
 
     async def main(ctx):
-        inter = await ctx.comm.spawn_multiple(1, child)
-        await ctx.compute(2.0)  # child killed at t=1
-        with pytest.raises(ProcFailedError):
-            await inter.recv(source=0)
-        return "ok"
+        inter = await ctx.comm.spawn_multiple(2, child)
+        with pytest.raises(ProcFailedError) as err:
+            await inter.merge(high=False)   # child 1 dies at t=1
+        return err.value.failed_ranks, ctx.wtime()
 
     uni = Universe(IDEAL)
-    job = uni.launch(1, main)
-
-    def kill_child():
-        uni.kill_proc(uni.jobs[1].procs[0])
-
-    uni.engine.call_at(1.0, kill_child)
+    job = uni.launch(2, main)
+    uni.engine.call_at(1.0, lambda: uni.kill_proc(uni.jobs[1].procs[1]))
     uni.run(raise_task_failures=False)
-    assert job.results() == ["ok"]
-
-
-def test_intercomm_pending_recv_fails_when_peer_dies():
-    async def child(ctx):
-        await ctx.compute(10.0)
-        return None
-
-    async def main(ctx):
-        inter = await ctx.comm.spawn_multiple(1, child)
-        with pytest.raises(ProcFailedError):
-            await inter.recv(source=0)  # blocks; child dies at t=1
-        return ctx.wtime()
-
-    uni = Universe(IDEAL)
-    job = uni.launch(1, main)
-    uni.engine.call_at(1.0, lambda: uni.kill_proc(uni.jobs[1].procs[0]))
-    uni.run(raise_task_failures=False)
-    assert job.results()[0] >= 1.0
+    assert job.results() == [((3,), 1.0), ((3,), 1.0)]
+    assert uni.jobs[1].results() == [(3,), None]
+    (bridge,) = {s for p in job.procs for s in p.comm_states
+                 if isinstance(s, IntercommState)}
+    assert IntercommState.on_proc_death is CommState.on_proc_death
+    assert bridge.procs == job.procs + uni.jobs[1].procs
+    assert bridge.dead_ranks() == {3} and not bridge.rounds.open
 
 
 def test_any_source_recv_still_served_after_unrelated_death():

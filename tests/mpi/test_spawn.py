@@ -118,22 +118,22 @@ def test_spawn_unknown_host_errors():
         run(1, main)
 
 
-def test_intercomm_p2p():
+def test_a_bridge_offers_no_intracommunicator_operation():
+    """A bridge handle has agree, merge and the local operations only:
+    no point-to-point and no ordinary collective across it."""
     async def child(ctx):
-        parent = ctx.get_parent()
-        msg = await parent.recv(source=0, tag=1)
-        await parent.send(msg * 2, dest=0, tag=2)
-        return msg
+        await ctx.get_parent().merge(high=True)
 
     async def main(ctx):
         inter = await ctx.comm.spawn_multiple(1, child)
-        if ctx.rank == 0:
-            await inter.send(21, dest=0, tag=1)
-            return await inter.recv(source=0, tag=2)
-        return None
+        for op in ("barrier", "send", "recv", "bcast", "split"):
+            with pytest.raises(AttributeError):
+                getattr(inter, op)
+        merged = await inter.merge(high=False)
+        return merged.size
 
-    res, _ = run(2, main)
-    assert res[0] == 42
+    res, _ = run(1, main)
+    assert res == [2]
 
 
 def test_intercomm_agree_is_local_group():

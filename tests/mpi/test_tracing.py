@@ -38,7 +38,7 @@ def test_messages_and_collectives_traced():
     sends = t.filter(kind="send")
     assert len(sends) == 1
     (s,) = sends
-    assert (s.src, s.dst, s.tag, s.anysrc, s.inter) == (0, 1, 3, False, False)
+    assert (s.src, s.dst, s.tag, s.anysrc) == (0, 1, 3, False)
     assert "0->1 tag=3" in s.detail
 
 
@@ -125,14 +125,14 @@ def test_event_str():
 RENDERED = [
     (dict(kind="send", comm="job0.world", src=0, dst=1, tag=3),
      "job0.world 0->1 tag=3"),
-    (dict(kind="send", comm="job1.bridge", src=0, dst=2, tag=7, inter=True),
-     "job1.bridge 0->2 tag=7 inter"),
+    (dict(kind="send", comm="job0.world.split1", src=1, dst=0, tag=0),
+     "job0.world.split1 1->0 tag=0"),
     (dict(kind="recv", comm="job0.world", src=2, dst=0, tag=5, anysrc=True,
           anytag=True), "job0.world 2->0 tag=5 anysrc anytag"),
     (dict(kind="recv", comm="job0.world", src=2, dst=0, tag=5, anytag=True),
      "job0.world 2->0 tag=5 anytag"),
-    (dict(kind="recv", comm="job1.bridge", src=1, dst=0, tag=7, inter=True),
-     "job1.bridge 1->0 tag=7 inter"),
+    (dict(kind="recv", comm="job0.world", src=1, dst=0, tag=7, anysrc=True),
+     "job0.world 1->0 tag=7 anysrc"),
     (dict(kind="coll", op="allreduce", comm="job0.world", rank=2),
      "allreduce job0.world r2"),
     (dict(kind="revoke", comm="job0.world.split1", rank=0),
@@ -183,20 +183,11 @@ def test_every_emitted_kind_survives_save_and_load(tmp_path):
                 kills=[Kill(3, base.t_solve * 0.6)], tracer=tracer)
     assert m.n_failures == 1
 
-    async def child(ctx):
-        bridge = ctx.get_parent()
-        await bridge.send("up", dest=0, tag=7)
-        return await bridge.recv(source=0, tag=8)
-
     async def main(ctx):
         if ctx.rank == 0:
             await ctx.comm.recv(source=ANY_SOURCE, tag=ANY_TAG)
         else:
             await ctx.comm.send(ctx.rank, dest=0, tag=4)
-        bridge = await ctx.comm.spawn_multiple(1, child)
-        if ctx.rank == 0:
-            await bridge.recv(source=0, tag=7)
-            await bridge.send("down", dest=0, tag=8)
 
     uni = Universe(IDEAL)
     uni.tracer = tracer
@@ -206,7 +197,6 @@ def test_every_emitted_kind_survives_save_and_load(tmp_path):
     events = tracer.events
     assert {e.kind for e in events} == set(KINDS)
     assert any(e.anysrc and e.anytag for e in events)
-    assert {e.kind for e in events if e.inter} == {"send", "recv"}
     path = tmp_path / "trace.jsonl"
     tracer.save(path)
     back = Tracer.load(path)
@@ -214,33 +204,12 @@ def test_every_emitted_kind_survives_save_and_load(tmp_path):
     assert [e.detail for e in back.events] == [e.detail for e in events]
 
 
-def test_a_wildcard_bridge_receive_is_traced_as_one():
-    from repro.machine.presets import IDEAL
-    from repro.mpi.universe import Universe
-
-    async def child(ctx):
-        await ctx.get_parent().send("up", dest=0, tag=3)
-
-    async def main(ctx):
-        bridge = await ctx.comm.spawn_multiple(1, child)
-        return await bridge.recv(source=ANY_SOURCE, tag=3)
-
-    uni = Universe(IDEAL)
-    uni.tracer = tracer = Tracer()
-    job = uni.launch(1, main)
-    uni.run()
-    assert job.results() == ["up"]
-    (recv,) = [e for e in tracer.events if e.kind == "recv"]
-    assert (recv.inter, recv.anysrc, recv.anytag) == (True, True, False)
-
-
 # ---------------------------------------------------------------------------
 # the loader refuses what save would not write, naming the line
 # ---------------------------------------------------------------------------
-HEADER = {"type": "header", "version": 2, "max_events": 10, "dropped": 0}
+HEADER = {"type": "header", "version": 3, "max_events": 10, "dropped": 0}
 SEND = {"t": 1.0, "actor": "job0.0", "kind": "send", "comm": "job0.world",
-        "src": 0, "dst": 1, "tag": 3, "anysrc": False, "anytag": False,
-        "inter": False}
+        "src": 0, "dst": 1, "tag": 3, "anysrc": False, "anytag": False}
 
 
 def write_lines(path, *records):
@@ -280,6 +249,7 @@ def test_loader_rejects_bad_event_naming_its_line(tmp_path, event, why):
     ([SEND], "line 1: no header record"),
     ([{**HEADER, "dropped": -1}], "line 1: header"),
     ([], "line 1: empty file"),
+    ([{**HEADER, "version": 2}], "line 1: trace format version 2"),
 ])
 def test_loader_rejects_old_or_headerless_files(tmp_path, lines, why):
     path = write_lines(tmp_path / "t.jsonl", *lines)

@@ -1,6 +1,6 @@
 """Co-simulated solve segments against their oracle, the per-message loop.
 
-A tracer forces every rank through ``exchange_halos`` + ``step_interior`` +
+A tracer forces every rank through ``exchange_halos`` + ``step_plan`` +
 ``ctx.compute``; without one a healthy group advances as one array step.
 The two must agree to the bit — slabs, clocks, step counts, message and
 byte counters — for every ring size, slab shape, orientation and kernel.
@@ -24,16 +24,16 @@ ADVECTION = AdvectionProblem(velocity=(1.0, 0.5))
 
 class Bare:
     """The advection kernels behind nothing but the protocol the solver
-    uses: ``initial``, ``stable_dt`` and a buffer-taking ``step_interior``."""
+    uses: ``initial``, ``stable_dt`` and ``step_plan``."""
 
     def __init__(self, inner=ADVECTION):
         self.initial, self.stable_dt = inner.initial, inner.stable_dt
-        self._step_interior = inner.step_interior
+        self._step_plan = inner.step_plan
 
-    def step_interior(self, w, level_x, level_y, dt, transposed=False, *,
-                      out, scratch):
-        return self._step_interior(w, level_x, level_y, dt, transposed,
-                                   out=out, scratch=scratch)
+    def step_plan(self, w, level_x, level_y, dt, transposed=False, *,
+                  out, scratch):
+        return self._step_plan(w, level_x, level_y, dt, transposed,
+                               out=out, scratch=scratch)
 
 
 PROBLEMS = {"advection": ADVECTION, "diffusion": DiffusionProblem(),

@@ -241,14 +241,14 @@ def test_every_entry_point_is_the_same_arithmetic():
     # steps through it
     prob = AdvectionProblem(velocity=(1.0, 0.5))
     cx, cy = courant_numbers(prob.velocity, 4, 3, 0.01)
-    prob.step_interior(w, 4, 3, 0.01, out=out, scratch=scratch)
+    prob.step_plan(w, 4, 3, 0.01, out=out, scratch=scratch)()
     assert np.array_equal(out[1:-1, 1:-1], lw_step_periodic(u, cx, cy))
     s = SerialAdvectionSolver(prob, 4, 3, 0.01)
     ref = lw_step_periodic(s.u, cx, cy)
     s.step()
     assert np.array_equal(s.u, ref)
     # transposed swaps the Courant numbers, nothing else
-    t_out = prob.step_interior(padded(u.T.copy()), 4, 3, 0.01,
-                               transposed=True, out=np.empty((10, 18)),
-                               scratch=scratch)
+    t_out = np.empty((10, 18))
+    prob.step_plan(padded(u.T.copy()), 4, 3, 0.01, transposed=True,
+                   out=t_out, scratch=scratch)()
     assert np.array_equal(t_out[1:-1, 1:-1], lw_step_periodic(u.T, cy, cx))

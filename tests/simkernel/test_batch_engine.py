@@ -23,7 +23,7 @@ def _wake_trace(batched: bool, n: int = 8, at: float = 3.0):
     async def completer():
         await Sleep(1.0)
         if batched:
-            eng.schedule_future_batch(fut, "v", at=at)
+            eng.schedule_futures_batch((fut,), "v", at)
         else:
             fut.set_result("v", at=at)
 
@@ -91,7 +91,7 @@ def test_batched_resume_counts_logical_events():
         async def completer(eng=eng, fut=fut, batched=batched):
             await Sleep(1.0)
             if batched:
-                eng.schedule_future_batch(fut, None)
+                eng.schedule_futures_batch((fut,), None, eng.now)
             else:
                 fut.set_result(None)
 
@@ -112,7 +112,7 @@ def test_batched_single_waiter_takes_plain_resume():
 
     async def completer():
         await Sleep(1.0)
-        eng.schedule_future_batch(fut, 7, at=2.0)
+        eng.schedule_futures_batch((fut,), 7, 2.0)
 
     eng.spawn(completer())
     eng.run()
@@ -136,7 +136,7 @@ def test_batched_resume_skips_killed_waiter():
         await Sleep(0.5)
         eng.kill(tasks[1])
         await Sleep(0.5)
-        eng.schedule_future_batch(fut, None)
+        eng.schedule_futures_batch((fut,), None, eng.now)
 
     eng.spawn(killer())
     eng.run(raise_task_failures=False)
