@@ -26,7 +26,8 @@ Three cooperating dataflow passes find this shape:
 pass: inside a rank-dependent ``if`` whose arms exchange point-to-point
 messages on the same communicator (one side sends, the sibling receives),
 tags that both resolve to constants and differ can never match — each
-side blocks forever waiting for the other's tag.
+side blocks forever waiting for the other's tag.  A receive whose tag is
+left out or resolves to ``ANY_TAG`` matches any send.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import ast
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from ...mpi.collectives import RvKind, ops_with
+from ...mpi.errors import ANY_TAG
 from .cfg import Block, CFG, build_cfg, walk_shallow
 from .engine import Analysis, solve
 
@@ -377,8 +379,8 @@ def _check_tag_mismatch(branch: ast.If, consts, emit) -> None:
             if r_tag_expr is None:
                 continue  # defaulted recv tag is ANY_TAG: matches all
             r_tag = _const_eval(r_tag_expr, consts)
-            if r_tag is _NAC:
-                continue
+            if r_tag is _NAC or r_tag == ANY_TAG:
+                continue  # unknown, or the wildcard spelt out
             peer = [s for s, s_comm in sends if s_comm == r_comm]
             if not peer:
                 continue

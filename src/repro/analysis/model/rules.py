@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from ..linter import LintViolation
+from ..linter import RULES, LintViolation
 from .checker import CheckResult, ModelError, ProtocolModel, check_model
 from .extract import (ExtractError, build_module_env, extract_app,
                       extract_function, find_protocol_models,
@@ -43,14 +43,10 @@ from .extract import (ExtractError, build_module_env, extract_app,
 __all__ = ["MODEL_RULES", "SourceModel", "ModeReport", "iter_source_models",
            "check_protocol_models", "verify_modes"]
 
-#: rule id -> one-line description (merged into ``linter.RULES``)
+#: rule id -> one-line description: the model rules of ``linter.RULES``
 MODEL_RULES: Dict[str, str] = {
-    "ULF016": "collective sequence diverges across ranks under failure",
-    "ULF017": "survivor can wait on a repair phase no live rank enters",
-    "ULF018": "checkpoint epochs inconsistent across restore paths",
-    "ULF019": "spawn/merge handshake mismatch in the repair protocol",
-    "ULF020": "post-failure collective reachable before revoke observed",
-}
+    rule: RULES[rule] for rule in ("ULF016", "ULF017", "ULF018", "ULF019",
+                                   "ULF020")}
 
 
 @dataclass

@@ -45,6 +45,8 @@ import sys
 from typing import List, Optional
 
 from .core import (AppConfig, baseline_solve_time, plan_failures, run_app)
+from .ft.recovery import TECHNIQUES
+from .ft.strategy import STRATEGIES
 from .machine.presets import PRESETS
 
 
@@ -59,7 +61,7 @@ def _machine(name: str):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=7, help="full grid level (2^n)")
     p.add_argument("--level", type=int, default=4, help="combination level")
-    p.add_argument("--technique", default="AC", choices=["CR", "RC", "AC"],
+    p.add_argument("--technique", default="AC", choices=list(TECHNIQUES),
                    help="data recovery technique")
     p.add_argument("--steps", type=int, default=32, help="timesteps")
     p.add_argument("--diag-procs", type=int, default=4,
@@ -68,7 +70,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"cluster preset {sorted(PRESETS)}")
     p.add_argument("--decomposition", default="1d", choices=["1d", "2d"])
     p.add_argument("--recovery-mode", default="respawn",
-                   choices=["respawn", "shrink", "nc"],
+                   choices=list(STRATEGIES),
                    help="how the world is repaired after a failure: the "
                         "paper's global respawn, shrink-in-place, or "
                         "non-collective per-grid repair")

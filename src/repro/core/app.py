@@ -217,7 +217,6 @@ class CombinationApp:
         ranks = set().union(*views)
         t = self.timers
         t.failed_ranks[:] = sorted(ranks.union(t.failed_ranks))
-        t.total_failed = len(t.failed_ranks)
         self.mark_lost(self.base_layout.grids_of_ranks(ranks))
 
     def mark_lost(self, gids: Iterable[int]) -> None:

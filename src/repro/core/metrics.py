@@ -76,7 +76,7 @@ class RunMetrics:
         self.t_agree = spent.get("agree", 0.0)
         self.reconstruct_iterations = t.iterations
         self.failed_ranks = list(t.failed_ranks)
-        self.n_failures = t.total_failed
+        self.n_failures = len(t.failed_ranks)
 
     @property
     def t_app_excl_reconstruct(self) -> float:

@@ -55,8 +55,8 @@ def run_app(cfg: AppConfig, machine: MachineSpec = OPL, *,
         raise RuntimeError("rank 0 produced no metrics (killed?)")
     # attach the recovery-phase observability: critical-path seconds per
     # phase (max over ranks — phases run concurrently) and per grid
-    metrics.phase_breakdown = universe.obs.phase_totals()
-    metrics.phase_by_grid = universe.obs.spans.by_label("gid")
+    metrics.phase_breakdown = universe.spans.phase_totals()
+    metrics.phase_by_grid = universe.spans.by_label("gid")
     universe.close()
     return metrics
 

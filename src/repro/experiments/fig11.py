@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..core import AppConfig, plan_failures
+from ..ft.recovery import TECHNIQUES
 from ..machine.presets import OPL
 from ..sweep import SweepPoint, planned
 from .report import format_table, merge_phases, scale_phases
 
-TECH_CODES = ("CR", "RC", "AC")
+TECH_CODES = tuple(TECHNIQUES)
 
 
 @dataclass

@@ -29,12 +29,14 @@ from typing import Dict, List, Sequence
 
 from ..core import AppConfig
 from ..ft.failure_injection import Kill
+from ..ft.recovery import TECHNIQUES
+from ..ft.strategy import STRATEGIES
 from ..machine.presets import OPL
 from ..sweep import SweepPoint, planned
 from .report import format_table, merge_phases
 
-RECOVERY_MODES = ("respawn", "shrink", "nc")
-TECH_CODES = ("CR", "RC", "AC")
+RECOVERY_MODES = tuple(STRATEGIES)
+TECH_CODES = tuple(TECHNIQUES)
 
 
 @dataclass

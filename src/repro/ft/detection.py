@@ -26,10 +26,10 @@ def failed_procs_list(broken_comm, shrunk_comm) -> Tuple[List[int], int]:
     if old_group.compare(shrink_group) == IDENT:
         return [], 0
     failed_group = old_group.difference(shrink_group)
-    total_failed = failed_group.size
-    temp_ranks = list(range(total_failed))
+    n_failed = failed_group.size
+    temp_ranks = list(range(n_failed))
     failed_ranks = failed_group.translate_ranks(temp_ranks, old_group)
-    return failed_ranks, total_failed
+    return failed_ranks, n_failed
 
 
 def replaced_ranks(old_comm, new_comm) -> List[int]:

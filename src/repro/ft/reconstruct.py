@@ -41,7 +41,6 @@ class ReconstructTimers:
     times are the rank's spans, not fields here)."""
 
     iterations: int = 0
-    total_failed: int = 0
     failed_ranks: List[int] = field(default_factory=list)
 
 
@@ -162,13 +161,11 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
             broken_comm.revoke()                             # Fig. 5 l.2
             with ctx.span("shrink", attempt=_attempt):
                 shrunk = await broken_comm.shrink()          # Fig. 5 l.3
-            failed_ranks, total_failed = failed_procs_list(broken_comm,
-                                                           shrunk)
+            failed_ranks, n_failed = failed_procs_list(broken_comm, shrunk)
         for r in failed_ranks:  # accumulate across repeated repairs
             w = rank_map[r] if rank_map is not None else r
             if w not in t.failed_ranks:
                 t.failed_ranks.append(w)
-        t.total_failed = len(t.failed_ranks)
 
         placed = [rank_map[r] for r in failed_ranks] \
             if rank_map is not None else failed_ranks
@@ -179,7 +176,7 @@ async def repair_comm(ctx, broken_comm, *, entry: Callable, argv: Sequence = (),
         try:
             with ctx.span("spawn", attempt=_attempt):
                 inter = await shrunk.spawn_multiple(         # Fig. 5 l.13
-                    total_failed, entry, argv, host_names=host_names)
+                    n_failed, entry, argv, host_names=host_names)
             with ctx.span("merge", attempt=_attempt):
                 unordered = await inter.merge(high=False)    # Fig. 5 l.14
             with ctx.span("agree", attempt=_attempt):

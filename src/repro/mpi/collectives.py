@@ -260,15 +260,15 @@ class RoundTable:
     """The open rounds of one communicator (an intracommunicator or a
     bridge, whose rounds span its union or one of its groups)."""
 
-    __slots__ = ("state", "engine", "machine", "stats", "detect", "open",
-                 "unread", "calls", "_pool", "_blank", "_counters")
+    __slots__ = ("state", "engine", "machine", "coll_counts", "detect",
+                 "open", "unread", "calls", "_pool", "_blank")
 
     def __init__(self, state, size: int):
         uni = state.universe
         self.state = state
         self.engine = uni.engine
         self.machine = uni.machine
-        self.stats = uni.stats
+        self.coll_counts = uni.coll_counts
         self.detect = uni.machine.failure_detection_latency
         #: (channel, op, index) -> round
         self.open: Dict[tuple, Round] = {}
@@ -279,9 +279,6 @@ class RoundTable:
             lambda: defaultdict(int))
         self._pool: List[Round] = []
         self._blank: List[Any] = [None] * size
-        #: cached mpi_collectives counter instruments (one registry lookup
-        #: per op name per communicator instead of one per join)
-        self._counters: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def join(self, op: str, proc, slot: int, value: Any, nbytes: int,
@@ -295,10 +292,10 @@ class RoundTable:
         uid = proc.uid
         idx = calls[uid]
         calls[uid] = idx + 1
-        counter = self._counters.get(op)
+        counter = self.coll_counts.get(op)
         if counter is None:
-            counter = self._counters[op] = self.stats.registry.counter(
-                "mpi_collectives", op=op)
+            counter = self.coll_counts[op] = \
+                self.state.universe.registry.counter("mpi_collectives", op=op)
         counter.value += 1
         key = (channel, op, idx)
         now = self.engine.now
@@ -567,9 +564,9 @@ class SegmentRound:
     def _sent(self, members: int) -> None:
         """Count the ``2 * n`` halo rows each of ``members`` sent."""
         if len(self.futs) > 1:
-            stats = self.state.universe.stats
-            stats.messages += 2 * self.n * members
-            stats.bytes_sent += 2 * self.n * members * self.nbytes
+            uni = self.state.universe
+            uni.msg_count.value += 2 * self.n * members
+            uni.byte_count.value += 2 * self.n * members * self.nbytes
 
     def _release(self, done: List[Tuple[int, float]]) -> None:
         """Resume each ``(rank, clock)`` of ``done`` at its clock."""

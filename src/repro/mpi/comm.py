@@ -119,7 +119,7 @@ class CommState:
         #: scan over every member
         self._dead_ranks = frozenset(
             i for i, p in enumerate(self.procs) if p.dead)
-        universe.stats.comms_created += 1
+        universe.comm_count.value += 1
         for p in self.procs:
             p.comm_states.add(self)
 
@@ -297,7 +297,6 @@ class CommHandle(BaseHandle):
             raise CommInvalidError(f"{proc.name} is not a member of {state.name}")
         super().__init__(state, proc, rank)
         self._board = state.board
-        self._stats = state.universe.stats
 
     # -- basics ------------------------------------------------------------
     @property
@@ -355,8 +354,9 @@ class CommHandle(BaseHandle):
             await Sleep(cost)
         if state.revoked:
             self._raise(RevokedError(f"{state.name} revoked during send"))
-        self._stats.record_message(nbytes)
         uni = state.universe
+        uni.msg_count.value += 1
+        uni.byte_count.value += nbytes
         if uni.tracer is not None:
             uni.trace(self.proc.name, "send", comm=state.name,
                       src=self.rank, dst=dest, tag=tag)
@@ -414,7 +414,8 @@ class CommHandle(BaseHandle):
         cost = machine.p2p_cost(nbytes)
         payload = clone_payload(obj) if copy else freeze_payload(obj)
         uni = state.universe
-        uni.stats.record_message(nbytes)
+        uni.msg_count.value += 1
+        uni.byte_count.value += nbytes
         if uni.tracer is not None:
             uni.trace(self.proc.name, "send", comm=state.name,
                       src=self.rank, dst=dest, tag=tag)

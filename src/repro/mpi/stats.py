@@ -1,153 +1,39 @@
-"""Communication statistics: counters the universe keeps while running.
+"""The read-only view of one universe's MPI traffic counters.
 
-Useful for performance debugging and for the documentation examples — a
-cheap, always-on profiler of the simulated MPI traffic.
-
-Since the observability layer landed, :class:`CommStats` is a thin facade
-over a :class:`~repro.obs.registry.MetricsRegistry`: every counter it
-exposes is a registry instrument (``mpi_messages``, ``mpi_bytes_sent``,
-``mpi_collectives{op=...}``, ...), so MPI traffic shows up in the same
-machine-readable snapshot as the recovery-phase timings.  The historical
-attribute API (``stats.messages``, ``stats.collectives["barrier"]``,
-``summary()``) is preserved; hot paths keep direct references to the
-underlying instruments, so the facade costs nothing per message.
+The universe's :class:`~repro.obs.registry.MetricsRegistry` is the only
+store: the code that does the traffic bumps each ``mpi_*`` counter in
+place.  :class:`CommStats` (``universe.stats``) reads it back under the
+names the benchmarks and the golden records use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from collections import Counter
 
-from ..obs.registry import Counter, MetricsRegistry
+from ..obs.registry import MetricsRegistry
 
 
-class _CollectivesView:
-    """Mapping-style view of the ``mpi_collectives`` counter family.
+def _count(name: str) -> property:
+    return property(lambda self: self._registry.counter(name).value)
 
-    Behaves like the ``collections.Counter`` it replaced: indexing a
-    missing op reads 0, ``[op] += 1`` works (and lands in the registry),
-    iteration yields op names.
-    """
+
+class CommStats:
+    """Counters over one universe's lifetime, read from its registry."""
 
     __slots__ = ("_registry",)
 
     def __init__(self, registry: MetricsRegistry):
         self._registry = registry
 
-    def _counters(self) -> Dict[str, Counter]:
-        return {dict(c.labels)["op"]: c
-                for c in self._registry.counters("mpi_collectives")}
-
-    def __getitem__(self, op: str) -> int:
-        return self._registry.counter("mpi_collectives", op=op).value
-
-    def __setitem__(self, op: str, value: int) -> None:
-        self._registry.counter("mpi_collectives", op=op).value = value
-
-    def __contains__(self, op: str) -> bool:
-        return op in self._counters()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._counters()))
-
-    def __len__(self) -> int:
-        return len(self._counters())
-
-    def items(self):
-        return sorted((op, c.value) for op, c in self._counters().items())
-
-    def keys(self):
-        return [op for op, _ in self.items()]
-
-    def values(self):
-        return [v for _, v in self.items()]
-
-    def total(self) -> int:
-        return sum(c.value for c in self._counters().values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_CollectivesView({dict(self.items())!r})"
-
-    def __eq__(self, other) -> bool:
-        return dict(self.items()) == dict(other)
-
-
-class CommStats:
-    """Aggregate counters over one universe's lifetime."""
-
-    __slots__ = ("registry", "_messages", "_bytes", "_comms", "_spawns",
-                 "_procs_spawned", "_kills", "collectives")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._messages = self.registry.counter("mpi_messages")
-        self._bytes = self.registry.counter("mpi_bytes_sent")
-        self._comms = self.registry.counter("mpi_comms_created")
-        self._spawns = self.registry.counter("mpi_spawns")
-        self._procs_spawned = self.registry.counter("mpi_procs_spawned")
-        self._kills = self.registry.counter("mpi_kills")
-        self.collectives = _CollectivesView(self.registry)
-
-    # -- hot path ------------------------------------------------------
-    def record_message(self, nbytes: int) -> None:
-        self._messages.value += 1
-        self._bytes.value += nbytes
-
-    def record_collective(self, op_name: str) -> None:
-        self.registry.counter("mpi_collectives", op=op_name).value += 1
-
-    # -- attribute facade (reads and ``+=`` both work) -----------------
-    @property
-    def messages(self) -> int:
-        return self._messages.value
-
-    @messages.setter
-    def messages(self, value: int) -> None:
-        self._messages.value = value
+    messages = _count("mpi_messages")
+    bytes_sent = _count("mpi_bytes_sent")
+    comms_created = _count("mpi_comms_created")
+    spawns = _count("mpi_spawns")
+    procs_spawned = _count("mpi_procs_spawned")
+    kills = _count("mpi_kills")
 
     @property
-    def bytes_sent(self) -> int:
-        return self._bytes.value
-
-    @bytes_sent.setter
-    def bytes_sent(self, value: int) -> None:
-        self._bytes.value = value
-
-    @property
-    def comms_created(self) -> int:
-        return self._comms.value
-
-    @comms_created.setter
-    def comms_created(self, value: int) -> None:
-        self._comms.value = value
-
-    @property
-    def spawns(self) -> int:
-        return self._spawns.value
-
-    @spawns.setter
-    def spawns(self, value: int) -> None:
-        self._spawns.value = value
-
-    @property
-    def procs_spawned(self) -> int:
-        return self._procs_spawned.value
-
-    @procs_spawned.setter
-    def procs_spawned(self, value: int) -> None:
-        self._procs_spawned.value = value
-
-    @property
-    def kills(self) -> int:
-        return self._kills.value
-
-    @kills.setter
-    def kills(self, value: int) -> None:
-        self._kills.value = value
-
-    # ------------------------------------------------------------------
-    def summary(self) -> str:
-        colls = ", ".join(f"{k}:{v}" for k, v in self.collectives.items())
-        return (f"messages={self.messages} bytes={self.bytes_sent} "
-                f"comms={self.comms_created} spawns={self.spawns} "
-                f"(+{self.procs_spawned} procs) kills={self.kills} "
-                f"collectives[{colls}]")
+    def collectives(self) -> Counter:
+        """Calls per collective op (a snapshot; a missing op reads 0)."""
+        return Counter({dict(c.labels)["op"]: c.value
+                        for c in self._registry.counters("mpi_collectives")})

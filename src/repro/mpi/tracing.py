@@ -2,10 +2,9 @@
 
 Attach a :class:`Tracer` to a universe to record every message, collective,
 revoke, re-admission, kill, spawn and recovery-phase span with its virtual
-timestamp — then render a text timeline or per-operation histogram, or hand
-the events to the analyzers (``repro.analysis``) and the timeline exporter
-(``repro.obs.timeline``).  Tracing is off by default: the record sites check
-``universe.tracer`` before building an event.
+timestamp, then hand the events to the analyzers (``repro.analysis``) and
+the timeline exporter (``repro.obs.timeline``).  Tracing is off by default:
+the record sites check ``universe.tracer`` before building an event.
 
 An event is fields, not text.  :data:`KINDS` declares each kind's fields and
 their types, and renders the one-line ``detail`` a person reads; nothing
@@ -17,7 +16,6 @@ checks every line against :data:`KINDS`.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -193,34 +191,6 @@ class Tracer:
         if actor is not None:
             out = [e for e in out if e.actor == actor]
         return out
-
-    def histogram(self) -> Counter:
-        """Event counts by (kind, first word of the detail).
-
-        When the recorder overflowed, the count of lost events appears
-        under the ``("dropped", "")`` key so downstream analyzers can tell
-        the trace is incomplete.
-        """
-        c: Counter = Counter()
-        for e in self.events:
-            c[(e.kind, e.detail.partition(" ")[0])] += 1
-        if self.dropped:
-            c[("dropped", "")] = self.dropped
-        return c
-
-    def timeline(self, limit: int = 50, *, kind: Optional[str] = None
-                 ) -> str:
-        events = self.filter(kind=kind)[:limit]
-        lines = [str(e) for e in events]
-        extra = len(self.filter(kind=kind)) - len(events)
-        if extra > 0:
-            lines.append(f"... ({extra} more)")
-        if self.dropped:
-            lines.append(f"... {self.dropped} events dropped")
-        return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     # ------------------------------------------------------------------
     # persistence (the ``repro analyze-trace`` / ``timeline`` input format)

@@ -14,8 +14,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..machine import Hostfile, MachineSpec
 from ..machine.presets import OPL
-from ..obs import Observability
-from ..obs.spans import OpenSpan
+from ..obs.registry import Counter, MetricsRegistry
+from ..obs.spans import OpenSpan, SpanRecorder
 from ..simkernel import Engine, Sleep
 from .comm import CommHandle, CommState
 from .intercomm import IntercommHandle, IntercommState
@@ -76,16 +76,15 @@ class RankContext:
     def span(self, phase: str, **labels):
         """Open a recovery-phase span for this rank (context manager).
 
-        Spans accumulate in ``universe.obs`` per actor and label (e.g.
+        Spans accumulate in ``universe.spans`` per actor and label (e.g.
         ``technique``, ``gid``); see :mod:`repro.obs.spans`.
         """
-        return OpenSpan(self.universe.obs.spans, self.proc.name, phase,
-                        labels)
+        return OpenSpan(self.universe.spans, self.proc.name, phase, labels)
 
     def spent(self) -> Dict[str, float]:
         """This rank's closed-span seconds per phase (a copy) — the clock
         the Table I / Fig. 8 repair times are read from."""
-        return dict(self.universe.obs.spans.totals.get(self.proc.name, {}))
+        return dict(self.universe.spans.totals.get(self.proc.name, {}))
 
     # -- virtual costs ---------------------------------------------------
     def compute_seconds(self, seconds: float = 0.0, *,
@@ -146,10 +145,23 @@ class Universe:
         self.hostfile = hostfile
         self.jobs: List[Job] = []
         self.all_procs: Dict[int, Proc] = {}
-        #: observability bundle: metrics registry + recovery-phase spans
-        #: (closing a span also lands in ``tracer`` when one is attached)
-        self.obs = Observability(self.engine.stamp, self)
-        self.stats = CommStats(self.obs.registry)
+        #: recovery-phase spans (closing one also lands in ``tracer`` when
+        #: one is attached)
+        self.spans = SpanRecorder(self.engine.stamp, self)
+        #: the only store of the traffic counters; the code that does the
+        #: traffic bumps each handle's ``value`` in place, and ``stats``
+        #: is their read-only view
+        self.registry = MetricsRegistry()
+        counter = self.registry.counter
+        self.msg_count = counter("mpi_messages")
+        self.byte_count = counter("mpi_bytes_sent")
+        self.comm_count = counter("mpi_comms_created")
+        self._spawn_count = counter("mpi_spawns")
+        self._proc_spawn_count = counter("mpi_procs_spawned")
+        self._kill_count = counter("mpi_kills")
+        #: op -> its ``mpi_collectives`` counter, made when the op first runs
+        self.coll_counts: Dict[str, Counter] = {}
+        self.stats = CommStats(self.registry)
         #: optional MPI-level event recorder (see repro.mpi.tracing); call
         #: sites check it before building an event
         self.tracer = None
@@ -235,8 +247,8 @@ class Universe:
         child_world = CommState(self, procs, name=f"{name}.world")
         inter = IntercommState(self, parent_state.procs, procs,
                                name=f"{name}.bridge")
-        self.stats.spawns += 1
-        self.stats.procs_spawned += count
+        self._spawn_count.value += 1
+        self._proc_spawn_count.value += count
         self.trace(name, "spawn", count=count, parent=parent_state.name)
         job = Job(name, procs, child_world, entry, tuple(argv))
         for proc in procs:
@@ -274,7 +286,7 @@ class Universe:
         if proc.dead:
             return
         now = self.engine.now
-        self.stats.kills += 1
+        self._kill_count.value += 1
         self.trace(proc.name, "kill",
                    host=proc.host.name if proc.host else "?")
         proc.dead = True
@@ -305,7 +317,7 @@ class Universe:
         for state in states:
             state.rounds.close()
         self.jobs.clear()
-        self.obs.spans.tracing = None
+        self.spans.tracing = None
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None,

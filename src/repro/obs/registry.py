@@ -1,19 +1,19 @@
 """Labelled metrics registry — counters, gauges and histograms.
 
-The registry is the single store every layer reports into: the MPI
-substrate's traffic counters (:class:`repro.mpi.stats.CommStats` is a thin
-facade over one), the fault-tolerance pipeline's per-phase timings (via
-:mod:`repro.obs.spans`), and anything an experiment harness wants to track.
+Each universe keeps one as the only store of its MPI traffic counters
+(the simulator bumps them in place; :class:`repro.mpi.stats.CommStats`
+is their read-only view), and the ``repro serve`` job queue and server
+keep theirs for queue, cache and request metrics.
 
 Design points:
 
 * an *instrument* is identified by ``(name, labels)`` — requesting the same
   pair twice returns the same object, so call sites can cache the handle
   and mutate ``.value`` directly on hot paths (no dict lookup per event);
-* labels are plain ``str -> str/int`` pairs, e.g. ``technique="RC"``,
-  ``phase="reconstruct"`` — the axes the paper's Figs. 8-11 break down by;
+* labels are plain ``str -> str/int`` pairs, e.g. ``op="agree"``,
+  ``endpoint="run"``;
 * everything snapshots to plain JSON (:meth:`MetricsRegistry.to_dict`),
-  the format the ``--json`` experiment outputs embed.
+  the ``metrics`` of ``/v1/cache/stats``.
 """
 
 from __future__ import annotations
@@ -111,19 +111,6 @@ class Histogram:
             if value <= edge:
                 self.bucket_counts[i] += 1
 
-    @classmethod
-    def of(cls, name: str, labels: LabelKey,
-           values: Iterable[float]) -> "Histogram":
-        """A histogram that observed ``values`` in order."""
-        hist = cls(name, labels)
-        for value in values:
-            hist.observe(value)
-        return hist
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def to_dict(self) -> dict:
         return {"name": self.name, "labels": dict(self.labels),
                 "count": self.count, "sum": self.sum,
@@ -173,10 +160,6 @@ class MetricsRegistry:
     def histograms(self, name: Optional[str] = None) -> List[Histogram]:
         return [h for (n, _), h in sorted(self._histograms.items())
                 if name is None or n == name]
-
-    def counter_total(self, name: str) -> int:
-        """Sum of one counter family across every label combination."""
-        return sum(c.value for c in self.counters(name))
 
     def to_dict(self) -> dict:
         return {

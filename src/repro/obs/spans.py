@@ -10,9 +10,8 @@ spawn+merge+split) and per-technique data recovery.
 
 Closed spans form one flat log, with per-actor phase totals kept beside
 it; the totals are also the run's repair clock (``RunMetrics.t_*``, read
-through :meth:`~repro.mpi.universe.RankContext.spent`).  Every other
-aggregate, the ``phase_seconds`` histograms (by phase/technique) included,
-is derived from the log on demand.
+through :meth:`~repro.mpi.universe.RankContext.spent`).  The per-grid
+totals are derived from the log on demand.
 When a :class:`~repro.mpi.tracing.Tracer` is attached, a close also lands
 in the event stream as a ``span`` event (phase, start, duration, labels)
 for ``python -m repro timeline``.
@@ -20,11 +19,8 @@ for ``python -m repro timeline``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping
-
-from .registry import Histogram, MetricsRegistry
 
 #: canonical phase names, in pipeline order (the timeline exporter and the
 #: experiment JSON schema validate against this list)
@@ -43,33 +39,6 @@ PHASES = (
     "combine",           # gather-scatter combination
     "redistribute",      # shrink-in-place: survivor re-decomposition + migration
 )
-
-
-@dataclass(frozen=True)
-class Span:
-    """One closed phase interval on one rank."""
-
-    actor: str                 #: process name, e.g. ``job0.5``
-    phase: str
-    t_start: float
-    t_end: float
-    seq: int = 0               #: engine stamp — deterministic tie-break
-    labels: Mapping[str, str] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
-    def to_dict(self) -> dict:
-        return {"actor": self.actor, "phase": self.phase,
-                "t_start": self.t_start, "t_end": self.t_end,
-                "seq": self.seq, "labels": dict(self.labels)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Span":
-        return cls(d["actor"], d["phase"], float(d["t_start"]),
-                   float(d["t_end"]), int(d.get("seq", 0)),
-                   dict(d.get("labels", {})))
 
 
 class OpenSpan:
@@ -148,11 +117,6 @@ class SpanRecorder:
                           start=o.t_start, dur=t_end - o.t_start,
                           labels=o.labels)
 
-    @property
-    def spans(self) -> List[Span]:
-        """The log as :class:`Span` objects, in close order."""
-        return [Span(*record) for record in self.log]
-
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
@@ -175,10 +139,6 @@ class SpanRecorder:
                     totals[phase] = max(totals.get(phase, 0.0), dur)
         return totals
 
-    def by_actor(self) -> Dict[str, Dict[str, float]]:
-        """actor -> phase -> accumulated seconds (a copy of ``totals``)."""
-        return {actor: dict(phases) for actor, phases in self.totals.items()}
-
     def by_label(self, key: str) -> Dict[str, Dict[str, float]]:
         """label value -> phase -> accumulated seconds (spans lacking the
         label are skipped); e.g. ``by_label("gid")`` for per-grid totals."""
@@ -190,46 +150,3 @@ class SpanRecorder:
             phases = out.setdefault(val, {})
             phases[phase] = phases.get(phase, 0.0) + (t_end - t_start)
         return out
-
-    def phase_histograms(self) -> List[Histogram]:
-        """``phase_seconds`` histograms labelled by phase/technique, one
-        observation per span in close order, sorted by labels."""
-        durations: Dict[tuple, List[float]] = {}
-        for _actor, phase, t_start, t_end, _seq, labels in self.log:
-            key = (("phase", phase),
-                   ("technique", str(labels.get("technique", ""))))
-            durations.setdefault(key, []).append(t_end - t_start)
-        return [Histogram.of("phase_seconds", key, values)
-                for key, values in sorted(durations.items())]
-
-    def to_dicts(self) -> List[dict]:
-        return [s.to_dict() for s in self.spans]
-
-    def __len__(self) -> int:
-        return len(self.log)
-
-
-class Observability:
-    """Bundle of one simulation's registry + span recorder.
-
-    Owned by :class:`repro.mpi.universe.Universe`; ranks reach it through
-    ``ctx.span(...)`` / ``ctx.universe.obs``.
-    """
-
-    def __init__(self, stamp: Callable[[], tuple], tracing=None):
-        self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(stamp, tracing)
-
-    def span(self, actor: str, phase: str, **labels) -> OpenSpan:
-        return self.spans.span(actor, phase, **labels)
-
-    def phase_totals(self, reduce: str = "max") -> Dict[str, float]:
-        return self.spans.phase_totals(reduce)
-
-    def to_dict(self) -> dict:
-        """Registry snapshot, span-derived histograms included."""
-        metrics = self.registry.to_dict()
-        hists = self.registry.histograms() + self.spans.phase_histograms()
-        hists.sort(key=lambda h: (h.name, h.labels))
-        metrics["histograms"] = [h.to_dict() for h in hists]
-        return {"metrics": metrics, "spans": self.spans.to_dicts()}

@@ -91,6 +91,21 @@ def test_ulf006_catches_loop_wrapped_divergence():
     assert [v.rule for v in lint_file("x.py", source=src)] == ["ULF006"]
 
 
+@pytest.mark.parametrize("tag", ["-2", "any_tag"])
+def test_ulf009_a_wildcard_receive_tag_matches_every_send(tag):
+    # the simulator's recv(tag=-2) is ANY_TAG and receives tag 7, whether
+    # the tag is spelt out or folded from a local
+    src = (
+        "async def f(world):\n"
+        "    any_tag = -2\n"
+        "    if world.rank == 0:\n"
+        f"        await world.recv(source=1, tag={tag})\n"
+        "    else:\n"
+        "        await world.send(1, dest=0, tag=7)\n"
+    )
+    assert lint_file("x.py", source=src) == []
+
+
 def test_ulf007_message_names_the_revoked_comm():
     src = (
         "async def f(comm):\n"

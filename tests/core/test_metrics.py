@@ -7,7 +7,7 @@ from repro.ft.reconstruct import ReconstructTimers
 
 
 def test_absorb_repair_copies_every_field():
-    t = ReconstructTimers(iterations=2, total_failed=2, failed_ranks=[3, 5])
+    t = ReconstructTimers(iterations=2, failed_ranks=[3, 5])
     spent = {"detect": 1.0, "reconstruct": 2.0, "shrink": 0.5,
              "spawn": 0.7, "merge": 0.1, "agree": 0.3, "solve": 9.0}
     m = RunMetrics()

@@ -71,7 +71,7 @@ def _t_solve():
 def _mid_shrink(kills):
     """A virtual instant inside the first shrink of a run with ``kills``."""
     (t0, t1), *_ = [(s, e) for _a, phase, s, e, *_r
-                    in _run(kills).obs.spans.log if phase == "shrink"]
+                    in _run(kills).spans.log if phase == "shrink"]
     return (t0 + t1) / 2
 
 

@@ -6,13 +6,13 @@ from repro.ft.reconstruct import ReconstructTimers
 def test_defaults():
     t = ReconstructTimers()
     assert t.failed_ranks == []
-    assert t.iterations == 0 and t.total_failed == 0
+    assert t.iterations == 0
 
 
 def test_holds_only_the_failure_record():
     import dataclasses
     assert [f.name for f in dataclasses.fields(ReconstructTimers)] == [
-        "iterations", "total_failed", "failed_ranks"]
+        "iterations", "failed_ranks"]
 
 
 def test_independent_instances():

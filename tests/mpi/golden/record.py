@@ -539,7 +539,7 @@ def run_solver(code, mode, decomposition, kills, *, traced=False,
         # rank 0's metrics; its replacement's when rank 0 was killed
         metrics = job.results()[0] or found[-1]
         doc["metrics"] = canonical(metrics)
-        doc["phases"] = norm(uni.obs.phase_totals())
+        doc["phases"] = norm(uni.spans.phase_totals())
     doc["events"] = uni.engine.events_processed
     doc["collectives"] = dict(uni.stats.collectives.items())
     doc["comms_created"] = uni.stats.comms_created

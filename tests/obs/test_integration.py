@@ -87,8 +87,8 @@ def test_traced_run_exports_valid_chrome_timeline(tmp_path):
 
 
 def test_comm_stats_is_registry_facade():
-    """Message counters reported through CommStats must be readable from
-    the universe's metrics registry (single source of truth)."""
+    """The message counters ``universe.stats`` reads are the universe's
+    metrics registry counters (the single source of truth)."""
 
     async def main(ctx):
         if ctx.rank == 0:
@@ -103,8 +103,8 @@ def test_comm_stats_is_registry_facade():
     uni.run()
     assert job.results()[1] == b"x" * 64
     assert uni.stats.messages == 1
-    assert uni.obs.registry.counter("mpi_messages").value == 1
-    assert uni.obs.registry.counter("mpi_bytes_sent").value == \
+    assert uni.registry.counter("mpi_messages").value == 1
+    assert uni.registry.counter("mpi_bytes_sent").value == \
         uni.stats.bytes_sent > 0
 
 
@@ -120,6 +120,6 @@ def test_rank_context_span_accumulates_in_universe():
     job = uni.launch(2, main)
     uni.run()
     assert job.results() == [0, 1]
-    totals = uni.obs.phase_totals()
+    totals = uni.spans.phase_totals()
     assert totals["solve"] == pytest.approx(0.5)
-    assert uni.obs.phase_totals("sum")["solve"] == pytest.approx(1.0)
+    assert uni.spans.phase_totals("sum")["solve"] == pytest.approx(1.0)

@@ -28,7 +28,7 @@ def test_counter_labels_are_distinct_instruments():
     a.inc(3)
     b.inc(1)
     assert a.value == 3 and b.value == 1
-    assert reg.counter_total("collectives") == 4
+    assert sum(c.value for c in reg.counters("collectives")) == 4
 
 
 def test_counter_handle_is_cached():
@@ -60,7 +60,6 @@ def test_histogram_observe_and_summary():
     assert h.count == 3
     assert h.sum == pytest.approx(4.5)
     assert h.min == 0.5 and h.max == 2.5
-    assert h.mean == pytest.approx(1.5)
 
 
 def test_histogram_buckets_cumulative():

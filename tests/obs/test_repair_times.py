@@ -1,7 +1,7 @@
 """Table I / Fig. 8 repair times are read from the span log.
 
 Every ``RunMetrics`` repair field must equal a sum recomputed by scanning
-``obs.spans.log`` for the reporting rank (the one that returned the
+``universe.spans.log`` for the reporting rank (the one that returned the
 metrics).  Under ``nc`` the grid-local phases report the slowest grid,
 so those fields equal the maximum of the per-actor sums.
 """
@@ -43,7 +43,7 @@ def run(code, mode, kills):
                  if isinstance(r, RunMetrics)]
     survived = job.results()[0] is not None
     actor, metrics = reporters[0] if survived else reporters[-1]
-    return uni.obs.spans, actor, metrics, survived
+    return uni.spans, actor, metrics, survived
 
 
 def log_sums(spans):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import (PHASES, MetricsRegistry, Observability, Span,
-                       SpanRecorder)
+from repro.obs import PHASES, SpanRecorder
 
 
 class FakeClock:
@@ -26,10 +25,10 @@ def test_span_records_duration_and_labels():
     rec = SpanRecorder(clk.stamp)
     with rec.span("job0.0", "shrink", technique="CR", gid=3):
         clk.advance(1.5)
-    (s,) = rec.spans
-    assert s.phase == "shrink"
-    assert s.duration == pytest.approx(1.5)
-    assert s.labels == {"technique": "CR", "gid": "3"}
+    ((actor, phase, t_start, t_end, _seq, labels),) = rec.log
+    assert (actor, phase) == ("job0.0", "shrink")
+    assert t_end - t_start == pytest.approx(1.5)
+    assert labels == {"technique": "CR", "gid": "3"}
 
 
 def test_equal_label_sets_share_one_read_only_mapping():
@@ -56,7 +55,7 @@ def test_equal_label_sets_share_one_read_only_mapping():
     uni = Universe(IDEAL)
     uni.launch(2, main)
     uni.run()
-    (*_, first), (*_, second) = uni.obs.spans.log
+    (*_, first), (*_, second) = uni.spans.log
     assert first is second and first == a
 
 
@@ -68,8 +67,8 @@ def test_span_closes_on_exception():
         with rec.span("job0.0", "spawn"):
             clk.advance(2.0)
             raise RuntimeError("failure during repair")
-    (s,) = rec.spans
-    assert s.phase == "spawn" and s.duration == pytest.approx(2.0)
+    ((_actor, phase, t_start, t_end, _seq, _labels),) = rec.log
+    assert phase == "spawn" and t_end - t_start == pytest.approx(2.0)
 
 
 def test_nested_spans_both_recorded():
@@ -80,7 +79,8 @@ def test_nested_spans_both_recorded():
         with rec.span("r0", "shrink"):
             clk.advance(1.0)
         clk.advance(0.25)
-    by_phase = {s.phase: s.duration for s in rec.spans}
+    by_phase = {phase: t_end - t_start
+                for _actor, phase, t_start, t_end, *_ in rec.log}
     assert by_phase["shrink"] == pytest.approx(1.0)
     assert by_phase["detect"] == pytest.approx(1.75)
 
@@ -108,20 +108,10 @@ def test_by_actor_and_by_label():
         clk.advance(0.5)
     with rec.span("r1", "combine"):
         clk.advance(2.0)
-    assert rec.by_actor()["r0"]["recovery"] == pytest.approx(1.5)
+    assert rec.totals["r0"]["recovery"] == pytest.approx(1.5)
     per_grid = rec.by_label("gid")
     assert per_grid["2"]["recovery"] == pytest.approx(1.5)
     assert "combine" not in per_grid.get("2", {})  # span had no gid label
-
-
-def test_spans_observed_into_registry_histogram():
-    clk = FakeClock()
-    rec = SpanRecorder(clk.stamp)
-    with rec.span("r0", "shrink", technique="RC"):
-        clk.advance(0.75)
-    (h,) = rec.phase_histograms()
-    assert h.count == 1 and h.sum == pytest.approx(0.75)
-    assert dict(h.labels) == {"phase": "shrink", "technique": "RC"}
 
 
 class Traced:
@@ -178,7 +168,7 @@ def test_untraced_close_formats_nothing():
     rec = SpanRecorder(clk.stamp, traced)
     with rec.span("r0", "solve") as open_span:
         open_span.labels = {"gid": Unformattable()}
-    assert len(rec.spans) == 1
+    assert len(rec.log) == 1
     traced.tracer = Tracer()
     with rec.span("r0", "detect") as open_span:
         open_span.labels = {"gid": Unformattable()}
@@ -203,7 +193,7 @@ def test_universe_spans_reach_the_tracer_only_while_one_is_attached():
     uni = Universe()
     uni.launch(1, main)
     uni.run()
-    assert [s.phase for s in uni.obs.spans.spans] == ["solve", "detect"]
+    assert [phase for _, phase, *_ in uni.spans.log] == ["solve", "detect"]
     assert [e.phase for e in uni.tracer.events
             if e.kind == "span"] == ["detect"]
 
@@ -215,27 +205,10 @@ def test_max_spans_bound():
     for _ in range(5):
         with rec.span("r0", "solve"):
             clk.advance(0.25)
-    assert len(rec) == 2
+    assert len(rec.log) == 2
     assert rec.dropped == 3
     assert rec.totals == {"r0": {"solve": 1.25}}
-    assert rec.by_actor() == {"r0": {"solve": 1.25}}
     assert rec.phase_totals() == {"solve": 1.25}
-
-
-def test_span_dict_round_trip():
-    s = Span("r0", "agree", 1.0, 2.5, 7, {"technique": "AC"})
-    assert Span.from_dict(s.to_dict()) == s
-
-
-def test_observability_bundle():
-    clk = FakeClock()
-    obs = Observability(clk.stamp)
-    with obs.span("r0", "checkpoint_write", gid=0):
-        clk.advance(3.52)
-    assert obs.phase_totals()["checkpoint_write"] == pytest.approx(3.52)
-    doc = obs.to_dict()
-    assert doc["spans"][0]["phase"] == "checkpoint_write"
-    assert doc["metrics"]["histograms"]
 
 
 def test_phase_names_are_canonical():
@@ -248,7 +221,7 @@ def test_phase_names_are_canonical():
 
 
 # ---------------------------------------------------------------------------
-# the log against references computed from the materialised spans
+# the log's aggregates against references computed from its records
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def killed_run():
@@ -266,39 +239,27 @@ def killed_run():
     job = uni.launch(total, app_main, argv=(cfg,))
     FailureGenerator().inject(uni, job, [Kill(3, 1e-3), Kill(6, 2e-3)])
     uni.run()
-    return uni.obs
+    return uni.spans
 
 
 def test_log_aggregates_equal_span_references(killed_run):
-    spans = killed_run.spans.spans
-    assert len({s.actor for s in spans}) > 4
-    assert {"detect", "shrink", "spawn", "merge"} <= {s.phase for s in spans}
+    log = killed_run.log
+    assert len({actor for actor, *_ in log}) > 4
+    assert {"detect", "shrink", "spawn", "merge"} <= \
+        {phase for _, phase, *_ in log}
     by_actor, by_gid = {}, {}
-    for s in spans:
-        phases = by_actor.setdefault(s.actor, {})
-        phases[s.phase] = phases.get(s.phase, 0.0) + s.duration
-        if "gid" in s.labels:
-            phases = by_gid.setdefault(s.labels["gid"], {})
-            phases[s.phase] = phases.get(s.phase, 0.0) + s.duration
+    for actor, phase, t_start, t_end, _seq, labels in log:
+        phases = by_actor.setdefault(actor, {})
+        phases[phase] = phases.get(phase, 0.0) + (t_end - t_start)
+        if "gid" in labels:
+            phases = by_gid.setdefault(labels["gid"], {})
+            phases[phase] = phases.get(phase, 0.0) + (t_end - t_start)
     totals_max, totals_sum = {}, {}
     for phases in by_actor.values():
         for phase, dur in phases.items():
             totals_max[phase] = max(totals_max.get(phase, 0.0), dur)
             totals_sum[phase] = totals_sum.get(phase, 0.0) + dur
-    assert killed_run.spans.by_actor() == by_actor
-    assert killed_run.spans.by_label("gid") == by_gid
+    assert killed_run.totals == by_actor
+    assert killed_run.by_label("gid") == by_gid
     assert killed_run.phase_totals() == totals_max
     assert killed_run.phase_totals("sum") == totals_sum
-
-
-def test_derived_histograms_equal_one_observe_per_span(killed_run):
-    ref = MetricsRegistry()
-    for s in killed_run.spans.spans:
-        ref.histogram("phase_seconds", phase=s.phase,
-                      technique=s.labels.get("technique", "")
-                      ).observe(s.duration)
-    expected = [h.to_dict() for h in ref.histograms()]
-    assert len(expected) > 5
-    assert [h.to_dict() for h in killed_run.spans.phase_histograms()] == \
-        expected
-    assert killed_run.to_dict()["metrics"]["histograms"] == expected

@@ -220,7 +220,7 @@ def _outcome(cfg_fields, kills, path="co-simulated"):
             uni)
     found = [r for j in uni.jobs for r in j.results() if r is not None]
     doc = {"metrics": canonical(job.results()[0] or found[-1]),
-           "phases": norm(uni.obs.phase_totals()),
+           "phases": norm(uni.spans.phase_totals()),
            "messages": [uni.stats.messages, uni.stats.bytes_sent],
            "collectives": dict(uni.stats.collectives.items()),
            "doomed": len(uni.doomed)}
